@@ -22,6 +22,7 @@ from .errors import (
     ImproperNodeSetError,
     InputError,
     InternalCheckError,
+    ParseError,
     PpsnError,
 )
 from .mpoly import Polynomial, as_fraction, parse_polynomial
@@ -93,12 +94,20 @@ def _load_nodes(path: str, n: Optional[int] = None) -> nodes.NodeSet:
     return nodes.parse_nodes_text(_read_file(path), n)
 
 
+def _parse_number(token: str, kind=as_fraction):
+    """A number from the command line or a values file; ParseError if bad."""
+    try:
+        return kind(token.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"not a number: {token.strip()!r}") from exc
+
+
 def _load_values(path: str) -> List[Fraction]:
     vals = []
     for raw in _read_file(path).splitlines():
         line = raw.split("#", 1)[0].strip()
         if line:
-            vals.append(as_fraction(line))
+            vals.append(_parse_number(line))
     return vals
 
 
@@ -124,7 +133,7 @@ def _emit(args, report: Dict, human: str) -> None:
 
 def _report_base(args, **inputs) -> Dict:
     return {
-        "command": " ".join(sys.argv[1:]),
+        "command": " ".join(args.argv),
         "inputs": {k: _digest(v) for k, v in inputs.items()},
     }
 
@@ -133,7 +142,7 @@ def _report_base(args, **inputs) -> Dict:
 
 
 def cmd_dim(args) -> int:
-    ks = tuple(int(k) for k in args.degrees.split(","))
+    ks = tuple(_parse_number(k, int) for k in args.degrees.split(","))
     profile = dimension.DegreeProfile(args.n, ks)
     mmax = args.mmax if args.mmax is not None else args.m
     table = dimension.hilbert_table(profile, mmax)
@@ -321,7 +330,7 @@ def cmd_cb_check(args) -> int:
 
 def cmd_chain(args) -> int:
     system = nodes.parse_system_text(_read_file(args.system))
-    x0 = tuple(as_fraction(c.strip()) for c in args.x0.split(","))
+    x0 = tuple(_parse_number(c) for c in args.x0.split(","))
     chain = construct.build_curve_chain(system, args.t, args.mmax, x0)
     report = _report_base(args, system=_read_file(args.system))
     report["levels"] = [
@@ -437,8 +446,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.argv = list(argv)
     start = time.monotonic()
     try:
         code = args.func(args)

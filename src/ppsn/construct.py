@@ -86,12 +86,15 @@ def interpolate(
     if len(columns) != len(nodes):
         raise InternalCheckError("canonical support size differs from node count")
     matrix = evaluation_matrix(nodes.points, columns)
-    ech = linalg.row_reduce(matrix)
-    if ech.rank != len(nodes):
+    # one elimination of [A | b]: A is square, so full rank puts a pivot in
+    # every column of A and leaves the solution in the last column
+    augmented = [row + [v] for row, v in zip(matrix, problem.values)]
+    ech = linalg.row_reduce(augmented)
+    if sum(c < len(columns) for c in ech.pivot_columns) != len(nodes):
         raise InternalCheckError(
             "canonical evaluation matrix is singular for a certified node set"
         )
-    coeffs = linalg.solve(matrix, list(problem.values))
+    coeffs = [row[-1] for row in ech.rows]
     poly = Polynomial(n, dict(zip(columns, coeffs)))
     for q, v in zip(nodes.points, problem.values):
         if poly.evaluate(q) != v:

@@ -4,20 +4,27 @@ Matrices are lists of lists of Fractions. Every elimination uses the same
 deterministic pivot policy: sweep columns left to right and take the first
 remaining row with a nonzero entry, so pivot columns are the leftmost
 maximal independent set and results are reproducible bit for bit.
+
+`row_reduce` is a fraction-free Gauss-Jordan elimination (Bareiss, Math.
+Comp. 22, 1968) over Python ints. Each row is first scaled by the lcm of its
+denominators. A step with pivot p replaces every other row by
+(p*a - f*b) / prev, where prev is the previous pivot; the division is exact
+because every entry stays a minor of the scaled matrix. Both operations only
+multiply rows by nonzero scalars or add multiples of the pivot row, exactly
+as rational elimination does, so every intermediate row is a nonzero multiple
+of its rational counterpart. Zero tests therefore agree, which gives the same
+pivots and swaps, and the final rows divided by the last pivot are the unique
+RREF. Only the result is converted back to Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 Row = List[Fraction]
-Matrix = List[Row]
-
-
-def copy_matrix(m: Sequence[Sequence[Fraction]]) -> Matrix:
-    return [list(row) for row in m]
 
 
 @dataclass(frozen=True)
@@ -43,24 +50,33 @@ class Echelon:
 
 def row_reduce(matrix: Sequence[Sequence[Fraction]]) -> Echelon:
     """Reduced row echelon form with a replayable pivot trail."""
-    m = copy_matrix(matrix)
+    m: List[List[int]] = []
+    for row in matrix:
+        scale = lcm(*(v.denominator for v in row))
+        m.append([v.numerator * (scale // v.denominator) for v in row])
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     origin = list(range(nrows))
     pivots: List[Tuple[int, int]] = []
+    prev = 1
     r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
         origin[r], origin[pr] = origin[pr], origin[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
+        pivot_row = m[r]
+        p = pivot_row[c]
         for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            if i == r:
+                continue
+            f = m[i][c]
+            if f:
+                m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], pivot_row)]
+            elif p != prev:
+                m[i] = [p * a // prev for a in m[i]]
+        prev = p
         pivots.append((origin[r], c))
         r += 1
         if r == nrows:
@@ -68,7 +84,7 @@ def row_reduce(matrix: Sequence[Sequence[Fraction]]) -> Echelon:
     return Echelon(
         rank=r,
         pivots=tuple(pivots),
-        rows=tuple(tuple(row) for row in m),
+        rows=tuple(tuple(Fraction(a, prev) for a in row) for row in m),
     )
 
 
@@ -153,9 +169,6 @@ class IncrementalRank:
                 f = v[c]
                 v = [a - f * bb for a, bb in zip(v, b)]
         return v
-
-    def would_increase(self, row: Sequence[Fraction]) -> bool:
-        return any(v != 0 for v in self._reduce(row))
 
     def add(self, row: Sequence[Fraction]) -> bool:
         """Add the row if independent of the current set; report acceptance."""

@@ -109,17 +109,6 @@ def evaluation_matrix(
 
 
 @dataclass(frozen=True)
-class RankResult:
-    rank: int
-    pivots: Tuple[Tuple[int, int], ...]
-
-
-def exact_rank(matrix: Sequence[Sequence[Fraction]]) -> RankResult:
-    ech = linalg.row_reduce(matrix)
-    return RankResult(rank=ech.rank, pivots=ech.pivots)
-
-
-@dataclass(frozen=True)
 class PPSNCertificate:
     """Exact-rank certificate of (im)proper posedness at a stated degree."""
 
@@ -157,14 +146,14 @@ def verify_ppsn(
     if manifold is not None:
         manifold.require_on_manifold(nodes.points)
     matrix = vandermonde(nodes, monomial_basis(n, m))
-    result = exact_rank(matrix)
-    if result.rank == len(nodes):
+    ech = linalg.row_reduce(matrix)
+    if ech.rank == len(nodes):
         return PPSNCertificate(
             degree=m,
             n=n,
             expected_count=expected,
             proper=True,
-            witness_columns=tuple(c for _, c in result.pivots),
+            witness_columns=ech.pivot_columns,
         )
     kernel = linalg.left_null_vector(matrix)
     return PPSNCertificate(

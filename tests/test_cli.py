@@ -176,3 +176,31 @@ def test_dimension_inference_failure(files, capsys):
     code = main(["reduce", "--manifold", manifold, "--poly", "1"])
     capsys.readouterr()
     assert code == 2
+
+
+def test_bad_degree_list_exits_two(capsys):
+    assert main(["dim", "--n", "2", "--degrees", "a,2", "--m", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "'a'" in err and "Traceback" not in err
+
+
+def test_bad_interpolation_value_exits_two(files, capsys):
+    nodes = files("tri.nodes", "0,0\n1,0\n0,1\n")
+    values = files("tri.vals", "1\nabc\n3\n")
+    assert main(["interpolate", "--nodes", nodes, "--values", values, "--m", "1"]) == 2
+    assert "'abc'" in capsys.readouterr().err
+
+
+def test_bad_chain_seed_exits_two(files, capsys):
+    system = files("cube.sys", CUBE)
+    argv = ["chain", "--system", system, "--t", "3", "--mmax", "2", "--x0", "0,zz,2"]
+    assert main(argv) == 2
+    assert "'zz'" in capsys.readouterr().err
+
+
+def test_report_names_the_argv_given_to_main(capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["ppsn", "something", "else"])
+    argv = ["dim", "--n", "2", "--degrees", "1", "--m", "2", "--json"]
+    code, out = run(argv, capsys)
+    assert code == 0
+    assert json.loads(out)["command"] == " ".join(argv)

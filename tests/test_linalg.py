@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ppsn.linalg import (
@@ -17,14 +17,94 @@ F = Fraction
 fractions_st = st.fractions(
     min_value=Fraction(-9), max_value=Fraction(9), max_denominator=5
 )
+wide_fractions_st = st.fractions(
+    min_value=Fraction(-50), max_value=Fraction(50), max_denominator=10**6
+)
 
 
-def matrices(max_rows=5, max_cols=5):
+def matrices(max_rows=5, max_cols=5, entries=fractions_st):
     return st.integers(1, max_cols).flatmap(
         lambda c: st.lists(
-            st.lists(fractions_st, min_size=c, max_size=c), min_size=1, max_size=max_rows
+            st.lists(entries, min_size=c, max_size=c), min_size=1, max_size=max_rows
         )
     )
+
+
+def fraction_row_reduce(matrix):
+    """Reference: rational Gauss-Jordan with the kernel's pivot policy."""
+    m = [list(row) for row in matrix]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    origin = list(range(nrows))
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        origin[r], origin[pr] = origin[pr], origin[r]
+        inv = 1 / m[r][c]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append((origin[r], c))
+        r += 1
+        if r == nrows:
+            break
+    return r, tuple(pivots), tuple(tuple(row) for row in m)
+
+
+@st.composite
+def rank_deficient_products(draw):
+    """(rows x k) coefficients times a (k x cols) basis, k below both sizes."""
+    nrows = draw(st.integers(2, 6))
+    ncols = draw(st.integers(2, 6))
+    k = draw(st.integers(1, min(nrows, ncols) - 1))
+    coeffs = draw(st.lists(st.lists(fractions_st, min_size=k, max_size=k), min_size=nrows, max_size=nrows))
+    basis = draw(
+        st.lists(st.lists(wide_fractions_st, min_size=ncols, max_size=ncols), min_size=k, max_size=k)
+    )
+    return [
+        [sum((a * b[j] for a, b in zip(row, basis)), F(0)) for j in range(ncols)]
+        for row in coeffs
+    ]
+
+
+@st.composite
+def with_zero_columns(draw):
+    m = draw(matrices())
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(m[0])))
+        m = [row[:at] + [F(0)] + row[at:] for row in m]
+    return m
+
+
+zero_matrices = st.tuples(st.integers(1, 5), st.integers(1, 5)).map(
+    lambda shape: [[F(0)] * shape[1] for _ in range(shape[0])]
+)
+
+
+@settings(max_examples=200)
+@given(
+    st.one_of(
+        matrices(6, 6, wide_fractions_st),
+        rank_deficient_products(),
+        with_zero_columns(),
+        zero_matrices,
+    )
+)
+@example([[F(0), F(2), F(1)], [F(0), F(0), F(3)], [F(5, 7), F(1), F(0)]])  # swap at column 0
+@example([[F(0), F(0)], [F(1, 999999), F(1)], [F(2, 999999), F(2)]])  # swap, then rank 1
+def test_row_reduce_matches_fraction_reference(m):
+    ech = row_reduce(m)
+    rank_, pivots, rows = fraction_row_reduce(m)
+    assert ech.rank == rank_
+    assert ech.pivots == pivots
+    assert ech.rows == rows
+    assert all(type(v) is Fraction for row in ech.rows for v in row)
 
 
 def test_rank_examples():
