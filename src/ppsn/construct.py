@@ -31,6 +31,7 @@ from .nodes import (
     NodeSet,
     PPSNCertificate,
     evaluation_matrix,
+    evaluation_rows,
     extract_nested_ppsn,
     intersect_factorable,
     verify_ppsn,
@@ -85,10 +86,11 @@ def interpolate(
     columns = canonical_monomials(manifold, n, m)
     if len(columns) != len(nodes):
         raise InternalCheckError("canonical support size differs from node count")
-    matrix = evaluation_matrix(nodes.points, columns)
     # one elimination of [A | b]: A is square, so full rank puts a pivot in
-    # every column of A and leaves the solution in the last column
-    augmented = [row + [v] for row, v in zip(matrix, problem.values)]
+    # every column of A and leaves the solution in the last column. Row i is
+    # scaled by scale_i throughout, which leaves the RREF unchanged.
+    rows = evaluation_rows(nodes.points, columns)
+    augmented = [row + [scale * v] for (scale, row), v in zip(rows, problem.values)]
     ech = linalg.row_reduce(augmented)
     if sum(c < len(columns) for c in ech.pivot_columns) != len(nodes):
         raise InternalCheckError(

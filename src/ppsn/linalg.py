@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of lists of Fractions. Every elimination uses the same
-deterministic pivot policy: sweep columns left to right and take the first
-remaining row with a nonzero entry, so pivot columns are the leftmost
-maximal independent set and results are reproducible bit for bit.
+Matrices are lists of lists of exact rationals: Fractions or Python ints.
+Every elimination uses the same deterministic pivot policy: sweep columns
+left to right and take the first remaining row with a nonzero entry, so
+pivot columns are the leftmost maximal independent set and results are
+reproducible bit for bit.
 
 `row_reduce` is a fraction-free Gauss-Jordan elimination (Bareiss, Math.
 Comp. 22, 1968) over Python ints. Each row is first scaled by the lcm of its
@@ -176,7 +177,7 @@ class IncrementalRank:
         c = next((i for i, val in enumerate(v) if val != 0), None)
         if c is None:
             return False
-        inv = 1 / v[c]
+        inv = Fraction(1) / v[c]  # `1 / v[c]` is a float when v[c] is an int
         v = [val * inv for val in v]
         # keep the stored basis in RREF so a single reduction pass is enough
         for idx, (pc, b) in enumerate(self._basis):

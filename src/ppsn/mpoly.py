@@ -30,6 +30,10 @@ def as_fraction(value) -> Fraction:
 
 
 def as_point(coords: Sequence) -> Point:
+    """The coordinates as a tuple of Fractions; a tuple that already is one
+    is returned as it is, so sets built from other sets share its points."""
+    if type(coords) is tuple and all(type(c) is Fraction for c in coords):
+        return coords
     return tuple(as_fraction(c) for c in coords)
 
 
@@ -222,14 +226,23 @@ class Polynomial:
             raise DimensionMismatchError(
                 f"point of length {len(pt)} for a {self.n}-variate polynomial"
             )
-        total = Fraction(0)
-        for alpha, c in self.terms.items():
-            v = c
-            for x, e in zip(pt, alpha):
+        if not self.terms:
+            return Fraction(0)
+        # over ints: with D the lcm of the coefficient denominators, B that of
+        # the coordinates and c = B*pt, sum (D*coef) * c^alpha * B^(deg-|alpha|)
+        # and divide by D * B^deg once
+        D = math.lcm(*(c.denominator for c in self.terms.values()))
+        B = math.lcm(*(x.denominator for x in pt))
+        cs = [x.numerator * (B // x.denominator) for x in pt]
+        deg = self._degree
+        total = 0
+        for alpha, coef in self.terms.items():
+            v = coef.numerator * (D // coef.denominator) * B ** (deg - sum(alpha))
+            for c, e in zip(cs, alpha):
                 if e:
-                    v *= x**e
+                    v *= c**e
             total += v
-        return total
+        return Fraction(total, D * B**deg)
 
     def __call__(self, point: Sequence) -> Fraction:
         return self.evaluate(point)
@@ -262,14 +275,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.n}, {self})"
-
-
-def evaluate(p: Polynomial, point: Sequence) -> Fraction:
-    return p.evaluate(point)
-
-
-def leading_form(p: Polynomial) -> Polynomial:
-    return p.leading_form()
 
 
 # -- parsing ---------------------------------------------------------------

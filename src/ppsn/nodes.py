@@ -7,12 +7,21 @@ of points is properly posed at degree m exactly when its evaluation matrix
 over the full degree-<=m monomial basis has full row rank. Certificates
 carry either the witnessing pivot columns or an explicit nonzero row
 functional annihilating every row.
+
+Evaluation rows are built over Python ints (`evaluation_rows`): a point q
+with common denominator B is written q = c / B, and its row over monomials
+of degree <= d is B^d times the rational row, entry c^alpha * B^(d-|alpha|).
+Scaling a row by a nonzero constant changes neither the pivots nor the RREF
+of `linalg.row_reduce`, so rank certificates and interpolants come straight
+from the integer rows; `evaluation_matrix` divides them back out for callers
+that need the rational entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -92,20 +101,42 @@ def vandermonde(nodes: NodeSet, basis: MonomialBasis) -> List[List[Fraction]]:
     return evaluation_matrix(nodes.points, basis.monomials)
 
 
+def evaluation_rows(
+    points: Sequence[Point], monomials: Sequence[MultiIndex]
+) -> List[Tuple[int, List[int]]]:
+    """(scale, row) per point, where row / scale is the point's exact
+    evaluation row: with B the lcm of the coordinate denominators, c = B*q
+    and d the largest monomial degree, the entry for alpha is
+    c^alpha * B^(d-|alpha|) and scale = B^d."""
+    degrees = [sum(alpha) for alpha in monomials]
+    d = max(degrees, default=0)
+    tops = [max(e) for e in zip(*monomials)]
+    out = []
+    for q in points:
+        B = lcm(*(x.denominator for x in q))
+        powers = [
+            [(x.numerator * (B // x.denominator)) ** e for e in range(top + 1)]
+            for x, top in zip(q, tops)
+        ]
+        b_powers = [B**k for k in range(d + 1)]
+        row = []
+        for alpha, k in zip(monomials, degrees):
+            v = b_powers[d - k]
+            for pw, e in zip(powers, alpha):
+                if e:
+                    v *= pw[e]
+            row.append(v)
+        out.append((b_powers[d], row))
+    return out
+
+
 def evaluation_matrix(
     points: Sequence[Point], monomials: Sequence[MultiIndex]
 ) -> List[List[Fraction]]:
-    rows = []
-    for q in points:
-        row = []
-        for alpha in monomials:
-            v = Fraction(1)
-            for x, e in zip(q, alpha):
-                if e:
-                    v *= x**e
-            row.append(v)
-        rows.append(row)
-    return rows
+    return [
+        [Fraction(v, scale) for v in row]
+        for scale, row in evaluation_rows(points, monomials)
+    ]
 
 
 @dataclass(frozen=True)
@@ -145,8 +176,11 @@ def verify_ppsn(
         return PPSNCertificate(degree=m, n=n, expected_count=0, proper=True)
     if manifold is not None:
         manifold.require_on_manifold(nodes.points)
-    matrix = vandermonde(nodes, monomial_basis(n, m))
-    ech = linalg.row_reduce(matrix)
+    if nodes.n != n:
+        raise DimensionMismatchError("node/basis dimension mismatch")
+    basis = monomial_basis(n, m)
+    rows = evaluation_rows(nodes.points, basis.monomials)
+    ech = linalg.row_reduce([row for _, row in rows])
     if ech.rank == len(nodes):
         return PPSNCertificate(
             degree=m,
@@ -155,7 +189,9 @@ def verify_ppsn(
             proper=True,
             witness_columns=ech.pivot_columns,
         )
-    kernel = linalg.left_null_vector(matrix)
+    # the functional is taken over the rational matrix: on the row-scaled
+    # integer rows it would come out scaled entry by entry
+    kernel = linalg.left_null_vector(vandermonde(nodes, basis))
     return PPSNCertificate(
         degree=m,
         n=n,
@@ -247,21 +283,21 @@ def intersect_factorable(system: FactorableSystem) -> IntersectionReport:
     import itertools
 
     for combo in itertools.product(*[range(len(fs)) for fs in system.factors]):
-        forms = [system.factors[i][j] for i, j in enumerate(combo)]
-        rows = []
-        rhs = []
-        for form in forms:
-            coeffs, const = _linear_parts(form)
-            rows.append(coeffs)
-            rhs.append(-const)
-        if linalg.rank(rows) < n:
+        augmented = []
+        for i, j in enumerate(combo):
+            coeffs, const = _linear_parts(system.factors[i][j])
+            augmented.append(coeffs + [-const])
+        # one elimination of [A | b]: A is n x n, so it is singular exactly
+        # when fewer than n pivots fall in its columns; otherwise row i of the
+        # RREF is e_i | x_i
+        ech = linalg.row_reduce(augmented)
+        if sum(c < n for c in ech.pivot_columns) < n:
             failures.append(
                 f"selection {tuple(j + 1 for j in combo)} is singular: "
                 "point at infinity or a positive-dimensional component"
             )
             continue
-        sol = linalg.solve(rows, rhs)
-        points.append(tuple(sol))
+        points.append(tuple(row[n] for row in ech.rows))
     seen = {}
     for idx, p in enumerate(points):
         if p in seen:

@@ -161,6 +161,21 @@ def test_incremental_rank_agrees_with_batch_rank(m):
         assert rank(accepted) == len(accepted)
 
 
+integer_matrices = st.integers(1, 5).flatmap(
+    lambda c: st.lists(st.lists(st.integers(-4, 4), min_size=c, max_size=c), min_size=1, max_size=6)
+)
+
+
+@settings(max_examples=100)
+@given(integer_matrices)
+@example([[2, 1], [4, 2], [1, 3]])
+def test_incremental_rank_int_rows_match_fraction_rows(m):
+    ints, fracs = IncrementalRank(len(m[0])), IncrementalRank(len(m[0]))
+    assert [ints.add(row) for row in m] == [fracs.add([F(v) for v in row]) for row in m]
+    assert ints._basis == fracs._basis
+    assert all(type(v) is Fraction for _, row in ints._basis for v in row)
+
+
 @settings(max_examples=60)
 @given(matrices())
 def test_solve_solution_satisfies_system(m):

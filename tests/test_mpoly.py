@@ -2,13 +2,15 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ppsn import (
     MonomialBasis,
+    NodeSet,
     ParseError,
     Polynomial,
+    as_point,
     monomial_basis,
     monomial_key,
     monomials_of_degree,
@@ -160,3 +162,35 @@ def test_monomial_basis_is_ordered_prefix():
     b3 = MonomialBasis(2, 3)
     b2 = MonomialBasis(2, 2)
     assert list(b3)[: len(b2)] == list(b2)
+
+
+def naive_evaluate(p, x):
+    """Reference: term by term in Fraction arithmetic."""
+    total = Fraction(0)
+    for alpha, c in p.terms.items():
+        v = c
+        for xi, e in zip(x, alpha):
+            v *= xi**e
+        total += v
+    return total
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(polynomials(n), points(n))))
+@example((Polynomial.zero(2), (Fraction(1, 3), Fraction(-2))))
+@example((Polynomial.constant(2, Fraction(-7, 4)), (Fraction(0), Fraction(5, 6))))
+@example((parse_polynomial("1/2*x1^3 - 2/3*x2 + 5/7", 2), (Fraction(0), Fraction(-3, 8))))
+@example((parse_polynomial("x1^4*x2 - 1/6*x1", 2), (Fraction(-1, 2), Fraction(0))))
+def test_evaluate_matches_fraction_reference(case):
+    p, x = case
+    value = p.evaluate(x)
+    assert value == naive_evaluate(p, x)
+    assert type(value) is Fraction
+
+
+def test_as_point_keeps_a_fraction_tuple():
+    pt = (Fraction(1, 2), Fraction(-3))
+    assert as_point(pt) is pt
+    assert NodeSet([pt]).difference(NodeSet([])).points[0] is pt
+    assert as_point([Fraction(1, 2), -3]) == pt
+    assert as_point((1, "1/2")) == (Fraction(1), Fraction(1, 2))

@@ -1,10 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppsn import (
     CountMismatchError,
     FactorableSystem,
+    InterpolationProblem,
+    PPSNCertificate,
+    Polynomial,
     InputError,
     Manifold,
     NodeSet,
@@ -14,6 +19,7 @@ from ppsn import (
     evaluation_matrix,
     extract_nested_ppsn,
     format_nodes,
+    interpolate,
     intersect_factorable,
     monomial_basis,
     parse_nodes_text,
@@ -22,6 +28,8 @@ from ppsn import (
     vandermonde,
     verify_ppsn,
 )
+from ppsn import linalg
+from ppsn.nodes import evaluation_rows
 
 F = Fraction
 
@@ -147,6 +155,22 @@ def test_intersect_parallel_forms_fail():
     assert report.failures
 
 
+def test_intersect_rational_points_and_singular_selection():
+    text = "(2*x1 - 1)*(x1 + x2)\n(3*x2 - 1)*(x1 - x2 + 1/3)\n"
+    report = intersect_factorable(parse_system_text(text))
+    assert report.sufficient
+    assert report.nodes.points == (
+        (F(1, 2), F(1, 3)),
+        (F(1, 2), F(5, 6)),
+        (F(-1, 3), F(1, 3)),
+        (F(-1, 6), F(1, 6)),
+    )
+    report = intersect_factorable(parse_system_text("x1*(x1 + x2)\n(2*x1 + 2*x2 - 1)*(x2 - 1)\n"))
+    assert report.failures == (
+        "selection (2, 1) is singular: point at infinity or a positive-dimensional component",
+    )
+
+
 def test_intersect_coincident_points_fail():
     # both lines of the second hypersurface pass through the same x2 value
     report = intersect_factorable(parse_system_text("x1*(x1-1)\nx2*(2*x2)\n"))
@@ -184,3 +208,80 @@ def test_ambient_expected_count_is_binomial():
     cert = verify_ppsn(nodes, None, 2)
     assert cert.proper
     assert cert.expected_count == binom_e(2, 2) == 6
+
+
+# -- integer evaluation rows against Fraction arithmetic -----------------------
+
+coords_st = st.fractions(min_value=F(-6), max_value=F(6), max_denominator=7)
+
+
+def naive_matrix(points, monomials):
+    """Reference: each entry as a product of Fraction powers."""
+    rows = []
+    for q in points:
+        row = []
+        for alpha in monomials:
+            v = F(1)
+            for x, e in zip(q, alpha):
+                v *= x**e
+            row.append(v)
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=100)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.tuples(*[coords_st] * n), max_size=5),
+            st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=8),
+        )
+    )
+)
+def test_evaluation_rows_match_fraction_products(case):
+    points, monomials = case
+    rows = evaluation_rows(points, monomials)
+    naive = naive_matrix(points, monomials)
+    assert [[F(v, scale) for v in row] for scale, row in rows] == naive
+    assert all(type(v) is int for _, row in rows for v in row)
+    assert evaluation_matrix(points, monomials) == naive
+
+
+@st.composite
+def ambient_node_sets(draw):
+    """(nodes, m) in the plane: distinct random points, or points that all
+    lie on one line, which is improper for m >= 1."""
+    m = draw(st.integers(0, 3))
+    count = binom_e(m, 2)
+    if draw(st.booleans()):
+        gen = st.tuples(coords_st, coords_st)
+    else:
+        a, b = draw(coords_st), draw(coords_st)
+        gen = coords_st.map(lambda t: (t, a * t + b))
+    points = draw(st.lists(gen, min_size=count, max_size=count, unique=True))
+    return NodeSet(points), m
+
+
+@settings(max_examples=80)
+@given(ambient_node_sets())
+def test_verify_and_interpolate_match_fraction_matrix(case):
+    nodes, m = case
+    basis = list(monomial_basis(2, m))
+    matrix = naive_matrix(nodes.points, basis)
+    ech = linalg.row_reduce(matrix)
+    proper = ech.rank == len(nodes)
+    expected = PPSNCertificate(
+        degree=m,
+        n=2,
+        expected_count=len(nodes),
+        proper=proper,
+        witness_columns=ech.pivot_columns if proper else (),
+        kernel_functional=() if proper else tuple(linalg.left_null_vector(matrix)),
+    )
+    cert = verify_ppsn(nodes, None, m)
+    assert cert == expected
+    if proper:
+        values = tuple(F(i * i - 3, i + 2) for i in range(len(nodes)))
+        poly = interpolate(InterpolationProblem(None, m, nodes, values), cert)
+        coeffs = linalg.solve(matrix, list(values))
+        assert poly == Polynomial(2, dict(zip(basis, coeffs)))
