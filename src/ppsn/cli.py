@@ -11,10 +11,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 import time
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from . import construct, dimension, macaulay, nodes
 from .errors import (
@@ -47,18 +48,8 @@ def _digest(text: str) -> str:
 def _infer_dimension(lines: List[str], override: Optional[int]) -> int:
     if override is not None:
         return override
-    best = 0
-    for line in lines:
-        i = 0
-        while i < len(line):
-            if line[i] == "x" and i + 1 < len(line) and line[i + 1].isdigit():
-                j = i + 1
-                while j < len(line) and line[j].isdigit():
-                    j += 1
-                best = max(best, int(line[i + 1 : j]))
-                i = j
-            else:
-                i += 1
+    indices = re.findall(r"x(\d+)", "\n".join(lines))
+    best = max(map(int, indices), default=0)
     if best == 0:
         raise InputError("cannot infer the ambient dimension; pass --n")
     return best
@@ -88,6 +79,16 @@ def _load_manifold(args, required: bool = True) -> Optional[macaulay.Manifold]:
     if wpath:
         witnesses = tuple(_parse_poly_lines(_read_file(wpath), polys[0].n))
     return macaulay.Manifold(polys, witnesses=witnesses)
+
+
+def _load_system(args) -> Tuple[str, nodes.NodeSet]:
+    """The --system file's text and its intersection points; HypothesisError
+    when the system is not a sufficient intersection."""
+    text = _read_file(args.system)
+    res = nodes.intersect_factorable(nodes.parse_system_text(text))
+    if not res.sufficient:
+        raise HypothesisError("; ".join(res.failures))
+    return text, res.nodes
 
 
 def _load_nodes(path: str, n: Optional[int] = None) -> nodes.NodeSet:
@@ -222,14 +223,11 @@ def cmd_hbase(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    system = nodes.parse_system_text(_read_file(args.system))
-    res = nodes.intersect_factorable(system)
-    if not res.sufficient:
-        raise HypothesisError("; ".join(res.failures))
-    manifold = res.nodes.manifold
-    out = nodes.extract_nested_ppsn(res.nodes, manifold, args.m)
+    text, full = _load_system(args)
+    manifold = full.manifold
+    out = nodes.extract_nested_ppsn(full, manifold, args.m)
     cert = nodes.verify_ppsn(out, manifold, args.m)
-    report = _report_base(args, system=_read_file(args.system))
+    report = _report_base(args, system=text)
     report.update(
         {
             "points": [[str(c) for c in p] for p in out.points],
@@ -276,14 +274,11 @@ def cmd_superpose(args) -> int:
 
 
 def cmd_cb_reduce(args) -> int:
-    system = nodes.parse_system_text(_read_file(args.system))
-    res = nodes.intersect_factorable(system)
-    if not res.sufficient:
-        raise HypothesisError("; ".join(res.failures))
+    text, full = _load_system(args)
     removed = _load_nodes(args.remove)
-    partition = construct.CBPartition(full=res.nodes, removed=removed)
-    remaining, cert = construct.cb_reduce(partition, res.nodes.manifold, args.m)
-    report = _report_base(args, system=_read_file(args.system))
+    partition = construct.CBPartition(full=full, removed=removed)
+    remaining, cert = construct.cb_reduce(partition, full.manifold, args.m)
+    report = _report_base(args, system=text)
     report.update(
         {
             "points": [[str(c) for c in p] for p in remaining.points],
@@ -295,18 +290,15 @@ def cmd_cb_reduce(args) -> int:
 
 
 def cmd_cb_check(args) -> int:
-    system = nodes.parse_system_text(_read_file(args.system))
-    res = nodes.intersect_factorable(system)
-    if not res.sufficient:
-        raise HypothesisError("; ".join(res.failures))
-    manifold = res.nodes.manifold
+    text, full = _load_system(args)
+    manifold = full.manifold
     removed = _load_nodes(args.remove)
     f = parse_polynomial(args.poly, manifold.n)
-    partition = construct.CBPartition(full=res.nodes, removed=removed)
+    partition = construct.CBPartition(full=full, removed=removed)
     verdict = construct.cb_check(
         f, partition, manifold, args.m, require_ppsn_removed=args.require_ppsn
     )
-    report = _report_base(args, system=_read_file(args.system))
+    report = _report_base(args, system=text)
     report.update(
         {
             "vanishes_on_removed": verdict.vanishes_on_removed,
@@ -329,10 +321,11 @@ def cmd_cb_check(args) -> int:
 
 
 def cmd_chain(args) -> int:
-    system = nodes.parse_system_text(_read_file(args.system))
+    text = _read_file(args.system)
+    system = nodes.parse_system_text(text)
     x0 = tuple(_parse_number(c) for c in args.x0.split(","))
     chain = construct.build_curve_chain(system, args.t, args.mmax, x0)
-    report = _report_base(args, system=_read_file(args.system))
+    report = _report_base(args, system=text)
     report["levels"] = [
         {
             "degree": e.degree,

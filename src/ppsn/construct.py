@@ -9,7 +9,6 @@ returned node set is always certified.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -32,8 +31,8 @@ from .nodes import (
     PPSNCertificate,
     evaluation_matrix,
     evaluation_rows,
-    extract_nested_ppsn,
     intersect_factorable,
+    nested_levels,
     verify_ppsn,
 )
 
@@ -422,10 +421,8 @@ def cb_extend_curve(
     if manifold.s != manifold.n:
         raise InputError("curve extension needs the 0-dimensional manifold (s = n)")
     profile = manifold.profile
-    n = manifold.n
     M, L = profile.M, profile.L
-    if not 1 <= t <= n:
-        raise InputError(f"hypersurface index {t} out of range 1..{n}")
+    curve = manifold.curve(t)
     k_t = profile.ks[t - 1]
     if len(full) != profile.N:
         raise CountMismatchError(
@@ -444,10 +441,6 @@ def cb_extend_curve(
             raise ImproperNodeSetError(b_cert, "B is not an ambient PPSN")
     elif len(b):
         raise InputError("negative m requires an empty B")
-    curve = Manifold(
-        [p for i, p in enumerate(manifold.polynomials) if i != t - 1],
-        witnesses=(manifold.polynomials[t - 1],),
-    )
     if not a_t.is_disjoint(full):
         raise HypothesisError("curve node set must be disjoint from the intersection")
     a_degree = M - m - k_t - 1
@@ -498,26 +491,24 @@ def _curve_lines(
     """Rational parametrizations (base, direction) of every line making up
     the curve that omits hypersurface t."""
     n = system.n
-    from .nodes import _linear_parts
-
-    choices = [fs for i, fs in enumerate(system.factors) if i != t - 1]
     lines: List[Tuple[Point, Point]] = []
-    for combo in itertools.product(*[range(len(fs)) for fs in choices]):
-        forms = [choices[i][j] for i, j in enumerate(combo)]
-        rows, rhs = [], []
-        for form in forms:
-            coeffs, const = _linear_parts(form)
-            rows.append(coeffs)
-            rhs.append(-const)
-        kernel = linalg.nullspace(rows)
-        if len(kernel) != 1:
+    for _, rows in system.selections(omit=t):
+        # one elimination of the (n-1) x (n+1) matrix [A | b]: when A has
+        # rank n-1 its one free column gives the direction and the last
+        # column the base point with the free coordinate at zero
+        ech = linalg.row_reduce(rows)
+        free = [c for c in range(n) if c not in ech.pivot_columns]
+        if len(free) != 1:
             raise InsufficientIntersectionError(
                 "a curve component is not a line: parallel or dependent forms"
             )
-        base = linalg.solve(rows, rhs)
-        if base is None:
-            raise InsufficientIntersectionError("empty curve component")
-        lines.append((tuple(base), tuple(kernel[0])))
+        base = [Fraction(0)] * n
+        direction = [Fraction(0)] * n
+        direction[free[0]] = Fraction(1)
+        for row, c in zip(ech.rows, ech.pivot_columns):
+            base[c] = row[n]
+            direction[c] = -row[free[0]]
+        lines.append((tuple(base), tuple(direction)))
     return lines
 
 
@@ -577,7 +568,7 @@ def build_curve_chain(
         )
     full = report.nodes
     s0 = full.manifold
-    curve = system.curve_manifold(t)
+    curve = s0.curve(t)
     f_t = system.polynomials[t - 1]
     k_t = system.degrees[t - 1]
     x0_pt = as_point(x0)
@@ -588,10 +579,16 @@ def build_curve_chain(
     if x0_pt in full:
         raise InputError("x0 coincides with an intersection point")
 
+    # one descent of the intersection gives the extracted levels of degrees
+    # k_t..M-1; at and above M a level is the whole intersection
+    levels = {
+        d: tuple(full.points[r] for r in kept)
+        for d, kept in nested_levels(full.points, s0, s0.profile.M, k_t)
+    }
+
     # anchor level: the extracted degree-k_t set on the points, plus x0;
     # x0 goes first so the degree-0 extraction lands exactly on it
-    anchor = extract_nested_ppsn(full, s0, k_t)
-    anchor_nodes = NodeSet((x0_pt,) + anchor.points, curve)
+    anchor_nodes = NodeSet((x0_pt,) + levels.get(k_t, full.points), curve)
     entries: Dict[int, ChainEntry] = {}
     cert = verify_ppsn(anchor_nodes, curve, k_t)
     if not cert.proper:
@@ -599,38 +596,19 @@ def build_curve_chain(
     if k_t <= mmax:
         entries[k_t] = ChainEntry(k_t, anchor_nodes, cert)
 
-    # downward: nested greedy restriction over the curve's canonical columns
-    columns = canonical_monomials(curve, curve.n, k_t)
-    matrix = evaluation_matrix(anchor_nodes.points, columns)
-    selected = list(range(len(anchor_nodes)))
-    for d in range(k_t - 1, -1, -1):
-        target = dim_along(d, curve.profile)
-        tracker = linalg.IncrementalRank(target)
-        keep: List[int] = []
-        for r in selected:
-            if tracker.add(matrix[r][:target]):
-                keep.append(r)
-            if tracker.rank == target:
-                break
-        if tracker.rank != target:
-            raise InsufficientIntersectionError(
-                f"downward extraction stalled at degree {d}"
-            )
-        selected = keep
+    # downward: the same nested descent over the curve's canonical columns
+    for d, kept in nested_levels(anchor_nodes.points, curve, k_t, 0):
         if d <= mmax:
-            nodes_d = NodeSet([anchor_nodes.points[r] for r in selected], curve)
+            nodes_d = NodeSet([anchor_nodes.points[r] for r in kept], curve)
             cert_d = verify_ppsn(nodes_d, curve, d)
             if not cert_d.proper:
                 raise ImproperNodeSetError(cert_d, f"degree-{d} chain level improper")
             entries[d] = ChainEntry(d, nodes_d, cert_d)
 
     # upward: superpose extracted point-set levels with fresh curve points
-    reordered = Manifold(
-        [p for i, p in enumerate(system.polynomials) if i != t - 1] + [f_t]
-    )
+    reordered = Manifold(curve.polynomials + (f_t,))
     for d in range(k_t + 1, mmax + 1):
-        sub = extract_nested_ppsn(full, s0, d)
-        sub = NodeSet(sub.points, reordered)
+        sub = NodeSet(levels.get(d, full.points), reordered)
         fresh = _fresh_curve_ppsn(system, t, curve, d - k_t, avoid=full)
         union, cert_d = superpose_nodes(
             SuperpositionStep(

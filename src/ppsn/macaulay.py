@@ -99,6 +99,14 @@ class Manifold:
                 if r != 0:
                     raise OffManifoldError(q, i, r)
 
+    def curve(self, t: int) -> "Manifold":
+        """The manifold cut out by every defining polynomial but the t-th
+        (1-based), with the omitted polynomial kept as a completing witness."""
+        if not 1 <= t <= self.s:
+            raise InputError(f"hypersurface index {t} out of range 1..{self.s}")
+        polys = [p for i, p in enumerate(self.polynomials, 1) if i != t]
+        return Manifold(polys, witnesses=(self.polynomials[t - 1],) + self.witnesses)
+
     def __repr__(self):
         return f"Manifold({', '.join(str(p) for p in self.polynomials)})"
 
@@ -121,6 +129,26 @@ class MonomialSelection:
         return tuple(self.monomials[j] for j in self.selected)
 
 
+def elementary_items(
+    forms: Sequence[Polynomial], n: int, m: int
+) -> Tuple[Tuple[MultiIndex, ...], List[List[Fraction]], List[Tuple[MultiIndex, int]]]:
+    """The degree-m elementary items X^alpha * g_i of homogeneous forms g_i:
+    the degree-m monomials, each item's coefficient row over them, and each
+    item's label (alpha, i)."""
+    monos = tuple(monomials_of_degree(n, m))
+    col = {mu: j for j, mu in enumerate(monos)}
+    rows: List[List[Fraction]] = []
+    labels: List[Tuple[MultiIndex, int]] = []
+    for i, g in enumerate(forms):
+        for alpha in monomials_of_degree(n, m - g.degree):
+            row = [Fraction(0)] * len(monos)
+            for beta, c in g.terms.items():
+                row[col[tuple(a + b for a, b in zip(alpha, beta))]] = c
+            rows.append(row)
+            labels.append((alpha, i))
+    return monos, rows, labels
+
+
 def select_monomials(manifold: Manifold, m: int) -> MonomialSelection:
     """Leftmost-greedy pivot-column selection in the elementary-item matrix."""
     if m < 0:
@@ -130,21 +158,7 @@ def select_monomials(manifold: Manifold, m: int) -> MonomialSelection:
         return cached
 
     n = manifold.n
-    monos = tuple(monomials_of_degree(n, m))
-    col = {mu: j for j, mu in enumerate(monos)}
-    rows: List[List[Fraction]] = []
-    labels: List[Tuple[MultiIndex, int]] = []
-    for i, g in enumerate(manifold.leading_forms):
-        k = manifold.profile.ks[i]
-        if k > m:
-            continue
-        for alpha in monomials_of_degree(n, m - k):
-            row = [Fraction(0)] * len(monos)
-            for beta, c in g.terms.items():
-                row[col[tuple(a + b for a, b in zip(alpha, beta))]] = c
-            rows.append(row)
-            labels.append((alpha, i))
-
+    monos, rows, labels = elementary_items(manifold.leading_forms, n, m)
     expected = binom_e(m, n - 1) - manifold.h_of(m)
     if rows:
         ech = linalg.row_reduce(rows)
@@ -199,17 +213,8 @@ def infinity_check(manifold: Manifold) -> bool:
             f"infinity check needs n={n} leading forms; got {len(gs)} "
             "(supply witnesses to complete the intersection)"
         )
-    ks = [g.degree for g in gs]
-    target = sum(ks) - n + 1
-    monos = tuple(monomials_of_degree(n, target))
-    col = {mu: j for j, mu in enumerate(monos)}
-    rows: List[List[Fraction]] = []
-    for g, k in zip(gs, ks):
-        for alpha in monomials_of_degree(n, target - k):
-            row = [Fraction(0)] * len(monos)
-            for beta, c in g.terms.items():
-                row[col[tuple(a + b for a, b in zip(alpha, beta))]] = c
-            rows.append(row)
+    target = sum(g.degree for g in gs) - n + 1
+    monos, rows, _ = elementary_items(gs, n, target)
     return linalg.rank(rows) == len(monos)
 
 

@@ -25,7 +25,10 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"not a number: {value!r}") from exc
     raise InputError(f"cannot interpret {value!r} as an exact rational")
 
 

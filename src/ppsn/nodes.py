@@ -19,10 +19,11 @@ that need the rational entries.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .dimension import binom_e, dim_along
@@ -243,25 +244,29 @@ class FactorableSystem:
         return Manifold(self.polynomials)
 
     def curve_manifold(self, t: int) -> Manifold:
-        """The curve obtained by omitting hypersurface t (1-based), with the
-        omitted polynomial kept as the completing witness."""
-        if not 1 <= t <= self.n:
-            raise InputError(f"hypersurface index {t} out of range 1..{self.n}")
-        polys = [p for i, p in enumerate(self.polynomials) if i != t - 1]
-        return Manifold(polys, witnesses=(self.polynomials[t - 1],))
+        """The curve obtained by omitting hypersurface t (1-based)."""
+        return self.manifold().curve(t)
 
-
-def _linear_parts(form: Polynomial) -> Tuple[List[Fraction], Fraction]:
-    """Coefficient vector and constant of an affine-linear form."""
-    coeffs = [Fraction(0)] * form.n
-    const = Fraction(0)
-    for alpha, c in form.terms.items():
-        d = sum(alpha)
-        if d == 0:
-            const = c
-        else:
-            coeffs[alpha.index(1)] = c
-    return coeffs, const
+    def selections(
+        self, omit: Optional[int] = None
+    ) -> Iterator[Tuple[Tuple[int, ...], List[List[Fraction]]]]:
+        """Every choice of one linear form per hypersurface, skipping
+        hypersurface `omit` (1-based) when given, as (choice, rows): choice
+        holds the 1-based index of each chosen form, and the form
+        a . x + c contributes the row [a | -c]."""
+        n = self.n
+        kept = [fs for i, fs in enumerate(self.factors, 1) if i != omit]
+        for combo in itertools.product(*[range(len(fs)) for fs in kept]):
+            rows = []
+            for fs, j in zip(kept, combo):
+                row = [Fraction(0)] * (n + 1)
+                for alpha, c in fs[j].terms.items():
+                    if sum(alpha):
+                        row[alpha.index(1)] = c
+                    else:
+                        row[n] = -c
+                rows.append(row)
+            yield tuple(j + 1 for j in combo), rows
 
 
 @dataclass(frozen=True)
@@ -279,38 +284,32 @@ def intersect_factorable(system: FactorableSystem) -> IntersectionReport:
     """
     n = system.n
     failures: List[str] = []
-    points: List[Point] = []
-    import itertools
-
-    for combo in itertools.product(*[range(len(fs)) for fs in system.factors]):
-        augmented = []
-        for i, j in enumerate(combo):
-            coeffs, const = _linear_parts(system.factors[i][j])
-            augmented.append(coeffs + [-const])
+    coincident: List[str] = []  # reported after every singular selection
+    points: Dict[Point, Tuple[int, ...]] = {}
+    for choice, rows in system.selections():
         # one elimination of [A | b]: A is n x n, so it is singular exactly
         # when fewer than n pivots fall in its columns; otherwise row i of the
         # RREF is e_i | x_i
-        ech = linalg.row_reduce(augmented)
+        ech = linalg.row_reduce(rows)
         if sum(c < n for c in ech.pivot_columns) < n:
             failures.append(
-                f"selection {tuple(j + 1 for j in combo)} is singular: "
+                f"selection {choice} is singular: "
                 "point at infinity or a positive-dimensional component"
             )
             continue
-        points.append(tuple(row[n] for row in ech.rows))
-    seen = {}
-    for idx, p in enumerate(points):
-        if p in seen:
-            failures.append(
-                f"coincident intersection points (selections {seen[p] + 1} and {idx + 1})"
+        p = tuple(row[n] for row in ech.rows)
+        if p in points:
+            coincident.append(
+                f"coincident intersection points (selections {points[p]} and {choice})"
             )
         else:
-            seen[p] = idx
+            points[p] = choice
+    failures += coincident
     if failures:
         return IntersectionReport(sufficient=False, nodes=None, failures=tuple(failures))
     return IntersectionReport(
         sufficient=True,
-        nodes=NodeSet(points, system.manifold()),
+        nodes=NodeSet(list(points), system.manifold()),
         failures=(),
     )
 
@@ -318,40 +317,28 @@ def intersect_factorable(system: FactorableSystem) -> IntersectionReport:
 # -- nested extraction -------------------------------------------------------
 
 
-def extract_nested_ppsn(points: NodeSet, manifold: Manifold, m: int) -> NodeSet:
-    """Extract a degree-m properly posed subset of a full complete
-    intersection, nested across degrees.
+def nested_levels(
+    points: Sequence[Point], manifold: Manifold, top: int, bottom: int
+) -> Iterator[Tuple[int, List[int]]]:
+    """The greedy nested descent: (d, kept row indices) for each degree d
+    from top-1 down to bottom.
 
-    The selection works top-down: starting from all points (proper at the
-    saturation degree), each descent step greedily keeps rows spanning the
-    leading columns of the evaluation matrix over the unselected-monomial
-    sequence. Determinism makes extractions at lower degrees subsets of
-    extractions at higher ones.
+    `points` must be properly posed at degree `top` along `manifold`. Each
+    step greedily keeps, among the rows kept one degree higher, rows spanning
+    the leading columns of the evaluation matrix over the unselected-monomial
+    sequence. Determinism makes every level a subset of the one above it.
     """
-    if manifold.s != manifold.n:
-        raise InputError("nested extraction needs a 0-dimensional manifold (s = n)")
-    profile = manifold.profile
-    N = profile.N
-    if len(points) != N:
-        raise CountMismatchError(
-            f"expected the full {N}-point intersection, got {len(points)} points"
-        )
-    manifold.require_on_manifold(points.points)
-    if m < 0:
-        raise InputError("extraction degree must be >= 0")
-    M = profile.M
-    if m >= M:
-        return points
-
-    columns = canonical_monomials(manifold, manifold.n, max(M, 0))
-    if len(columns) != N:
+    if bottom >= top:
+        return
+    columns = canonical_monomials(manifold, manifold.n, top)
+    if len(columns) != len(points):
         raise InsufficientIntersectionError(
-            f"unselected-monomial count {len(columns)} differs from N={N}"
+            f"unselected-monomial count {len(columns)} differs from N={len(points)}"
         )
-    matrix = evaluation_matrix(points.points, columns)
-    selected = list(range(N))
-    for d in range(M - 1, m - 1, -1):
-        target = dim_along(d, profile)
+    matrix = evaluation_matrix(points, columns)
+    selected = list(range(len(points)))
+    for d in range(top - 1, bottom - 1, -1):
+        target = dim_along(d, manifold.profile)
         tracker = linalg.IncrementalRank(target)
         keep: List[int] = []
         for r in selected:
@@ -365,6 +352,28 @@ def extract_nested_ppsn(points: NodeSet, manifold: Manifold, m: int) -> NodeSet:
                 "input was not a genuine sufficient intersection"
             )
         selected = keep
+        yield d, selected
+
+
+def extract_nested_ppsn(points: NodeSet, manifold: Manifold, m: int) -> NodeSet:
+    """Extract a degree-m properly posed subset of a full complete
+    intersection, nested across degrees: the last level of the descent from
+    the saturation degree M, where all points are proper."""
+    if manifold.s != manifold.n:
+        raise InputError("nested extraction needs a 0-dimensional manifold (s = n)")
+    N = manifold.profile.N
+    if len(points) != N:
+        raise CountMismatchError(
+            f"expected the full {N}-point intersection, got {len(points)} points"
+        )
+    manifold.require_on_manifold(points.points)
+    if m < 0:
+        raise InputError("extraction degree must be >= 0")
+    M = manifold.profile.M
+    if m >= M:
+        return points
+    for _, selected in nested_levels(points.points, manifold, M, m):
+        pass
     return NodeSet([points.points[r] for r in selected], manifold)
 
 
@@ -380,7 +389,7 @@ def parse_nodes_text(text: str, n: Optional[int] = None) -> NodeSet:
             continue
         try:
             coords = tuple(as_fraction(c.strip()) for c in line.split(","))
-        except (ValueError, ZeroDivisionError) as exc:
+        except ParseError as exc:
             raise ParseError(f"bad point on line {lineno}: {exc}") from exc
         if n is not None and len(coords) != n:
             raise ParseError(f"line {lineno}: expected {n} coordinates")

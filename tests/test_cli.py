@@ -154,6 +154,21 @@ def test_chain_counts(files, capsys):
     assert all(level["certificate"]["verdict"] == "proper" for level in report["levels"])
 
 
+def test_insufficient_system_exits_one(files, capsys):
+    system = files("parallel.sys", "x1*(x1-1)\n(x1-2)*(x1-3)\n")
+    removed = files("corner.nodes", "0,0\n")
+    for argv in (
+        ["extract", "--system", system, "--m", "1"],
+        ["cb-reduce", "--system", system, "--remove", removed, "--m", "1"],
+        ["cb-check", "--system", system, "--remove", removed, "--m", "1", "--poly", "x1"],
+    ):
+        assert main(argv + ["--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("failure: selection (1, 1) is singular")
+        assert "Traceback" not in captured.err
+
+
 def test_exit_code_two_on_malformed_input(files, capsys):
     bad = files("bad.poly", "x1 + @\n")
     assert main(["reduce", "--manifold", bad, "--poly", "x1"]) == 2

@@ -7,24 +7,34 @@ from ppsn import (
     HypothesisError,
     ImproperNodeSetError,
     InputError,
+    InsufficientIntersectionError,
     InterpolationProblem,
     Manifold,
     NodeSet,
+    ParseError,
     binom_e,
     build_curve_chain,
     cb_check,
     cb_extend_curve,
     cb_reduce,
     dim_along,
+    extract_nested_ppsn,
     gen_conic_nodes,
     gen_line_nodes,
     interpolate,
     intersect_factorable,
     parabola_manifold,
     parse_polynomial,
+    parse_system_text,
     verify_ppsn,
 )
-from ppsn.construct import SuperpositionStep, superpose_interpolate, superpose_nodes
+from ppsn import linalg
+from ppsn.construct import (
+    SuperpositionStep,
+    _curve_lines,
+    superpose_interpolate,
+    superpose_nodes,
+)
 
 F = Fraction
 
@@ -68,6 +78,11 @@ def test_interpolate_count_mismatch():
 def test_gen_line_nodes_default_params():
     nodes = gen_line_nodes((F(0), F(0)), (F(1), F(0)), 3)
     assert nodes.points == tuple(pts((0, 0), (1, 0), (2, 0), (3, 0)))
+
+
+def test_gen_line_nodes_rejects_a_bad_coordinate():
+    with pytest.raises(ParseError, match="'a'"):
+        gen_line_nodes(["a", 0], [1, 0], 1)
 
 
 def test_gen_conic_nodes_counts_and_membership():
@@ -270,6 +285,51 @@ def test_build_curve_chain_cube(cube_system):
             assert set(previous.points) <= set(e.nodes.points)
         previous = e.nodes
     assert chain.at(0).nodes.points == (tuple(pts((0, 0, 2))[0]),)
+
+
+@pytest.mark.parametrize(
+    "text, t, mmax, x0",
+    [
+        ("x1*(x1-1)\nx2*(x2-1)\nx3*(x3-1)\n", 3, 4, (0, 0, 2)),
+        ("x1*(x1-1)*(x1-2)*(x1-3)\nx2*(x2-1)*(x2-2)*(x2-3)\n", 2, 5, (0, 7)),
+    ],
+)
+def test_curve_chain_levels_restrict_to_extractions(text, t, mmax, x0):
+    # one descent of the intersection serves every level from the anchor up
+    system = parse_system_text(text)
+    full = intersect_factorable(system).nodes
+    chain = build_curve_chain(system, t, mmax, tuple(F(c) for c in x0))
+    on_points = set(full.points)
+    k_t = system.degrees[t - 1]
+    for d in range(k_t, mmax + 1):
+        kept = tuple(p for p in chain.at(d).nodes.points if p in on_points)
+        assert kept == extract_nested_ppsn(full, full.manifold, d).points
+
+
+@pytest.mark.parametrize(
+    "text, t",
+    [
+        ("x1*(x1-1)\n(x2-x1)*(x2+2*x3)\nx3*(2*x1-x3+1/2)\n", 1),
+        ("x1*(x1-1)\n(x2-x1)*(x2+2*x3)\nx3*(2*x1-x3+1/2)\n", 2),
+        ("x1*(x1-1)\n(x2-x1)*(x2+2*x3)\nx3*(2*x1-x3+1/2)\n", 3),
+        ("(x1+x2)*(3*x1-1)\nx2*(x1-x2+2)\n", 1),
+    ],
+)
+def test_curve_lines_match_nullspace_and_solve(text, t):
+    system = parse_system_text(text)
+    selections = list(system.selections(omit=t))
+    lines = _curve_lines(system, t)
+    assert len(lines) == len(selections)
+    for (_, rows), (base, direction) in zip(selections, lines):
+        a = [row[:-1] for row in rows]
+        assert direction == tuple(linalg.nullspace(a)[0])
+        assert base == tuple(linalg.solve(a, [row[-1] for row in rows]))
+
+
+def test_curve_lines_reject_parallel_forms():
+    system = parse_system_text("x1*(x1-1)\n(x1-2)*x2\nx3*(x3-1)\n")
+    with pytest.raises(InsufficientIntersectionError, match="not a line"):
+        _curve_lines(system, 3)
 
 
 def test_build_curve_chain_line_pair_matches_line_counts():

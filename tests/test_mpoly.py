@@ -10,6 +10,7 @@ from ppsn import (
     NodeSet,
     ParseError,
     Polynomial,
+    as_fraction,
     as_point,
     monomial_basis,
     monomial_key,
@@ -135,7 +136,7 @@ def test_evaluation_is_a_homomorphism(p, q, x):
 @settings(max_examples=60)
 @given(polynomials(), polynomials())
 def test_leading_form_multiplicative(p, q):
-    if p.is_zero or q.is_zero:
+    if p.is_zero() or q.is_zero():
         return
     assert (p * q).leading_form() == p.leading_form() * q.leading_form()
     assert (p * q).degree == p.degree + q.degree
@@ -150,7 +151,7 @@ def test_parse_inverts_str(p):
 @settings(max_examples=40)
 @given(polynomials())
 def test_homogeneous_components_sum(p):
-    if p.is_zero:
+    if p.is_zero():
         return
     total = Polynomial.zero(2)
     for d in range(p.degree + 1):
@@ -194,3 +195,11 @@ def test_as_point_keeps_a_fraction_tuple():
     assert NodeSet([pt]).difference(NodeSet([])).points[0] is pt
     assert as_point([Fraction(1, 2), -3]) == pt
     assert as_point((1, "1/2")) == (Fraction(1), Fraction(1, 2))
+
+
+def test_as_fraction_names_a_bad_token():
+    assert as_fraction(" -3/6 ") == Fraction(-1, 2)
+    with pytest.raises(ParseError, match="not a number: 'abc'"):
+        as_fraction("abc")
+    with pytest.raises(ParseError, match="not a number: '1/0'"):
+        as_fraction("1/0")

@@ -14,6 +14,7 @@ from ppsn import (
     Manifold,
     NodeSet,
     OffManifoldError,
+    ParseError,
     binom_e,
     dim_along,
     evaluation_matrix,
@@ -116,6 +117,11 @@ def test_parse_nodes_errors():
         parse_nodes_text("a,b\n")
 
 
+def test_parse_nodes_names_line_and_token():
+    with pytest.raises(ParseError, match="bad point on line 2: not a number: '1/0'"):
+        parse_nodes_text("0,0\n1/0,1\n")
+
+
 def test_parse_system_grid(grid_system):
     assert grid_system.n == 2
     assert grid_system.degrees == (3, 3)
@@ -171,6 +177,24 @@ def test_intersect_rational_points_and_singular_selection():
     )
 
 
+def test_intersect_numbers_coincident_points_by_selection():
+    # (1, 2) and (2, 2) both solve to the origin; the singular (2, 1) sits between
+    report = intersect_factorable(parse_system_text("x1*(x1 + x2)\n(2*x1 + 2*x2 - 1)*x2\n"))
+    assert report.failures == (
+        "selection (2, 1) is singular: point at infinity or a positive-dimensional component",
+        "coincident intersection points (selections (1, 2) and (2, 2))",
+    )
+
+
+def test_selections_yield_affine_rows():
+    system = parse_system_text("(2*x1 - 1)*x2\n(x1 - x2 + 1/3)\n")
+    assert list(system.selections()) == [
+        ((1, 1), [[F(2), F(0), F(1)], [F(1), F(-1), F(-1, 3)]]),
+        ((2, 1), [[F(0), F(1), F(0)], [F(1), F(-1), F(-1, 3)]]),
+    ]
+    assert list(system.selections(omit=1)) == [((1,), [[F(1), F(-1), F(-1, 3)]])]
+
+
 def test_intersect_coincident_points_fail():
     # both lines of the second hypersurface pass through the same x2 value
     report = intersect_factorable(parse_system_text("x1*(x1-1)\nx2*(2*x2)\n"))
@@ -201,6 +225,14 @@ def test_curve_manifold_carries_witness(cube_system):
     curve = cube_system.curve_manifold(2)
     assert curve.s == 2
     assert curve.witnesses == (cube_system.polynomials[1],)
+
+
+def test_manifold_curve_range(cube_system):
+    manifold = cube_system.manifold()
+    assert manifold.curve(3).polynomials == cube_system.polynomials[:2]
+    for t in (0, 4):
+        with pytest.raises(InputError, match="out of range 1..3"):
+            manifold.curve(t)
 
 
 def test_ambient_expected_count_is_binomial():
