@@ -56,11 +56,7 @@ def _infer_dimension(lines: List[str], override: Optional[int]) -> int:
 
 
 def _parse_poly_lines(text: str, n_override: Optional[int]) -> List[Polynomial]:
-    lines = [
-        stripped
-        for raw in text.splitlines()
-        if (stripped := raw.split("#", 1)[0].strip())
-    ]
+    lines = [line for _, line in nodes.content_lines(text)]
     if not lines:
         raise InputError("no polynomials in file")
     n = _infer_dimension(lines, n_override)
@@ -104,12 +100,7 @@ def _parse_number(token: str, kind=as_fraction):
 
 
 def _load_values(path: str) -> List[Fraction]:
-    vals = []
-    for raw in _read_file(path).splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            vals.append(_parse_number(line))
-    return vals
+    return [_parse_number(line) for _, line in nodes.content_lines(_read_file(path))]
 
 
 def _cert_dict(cert: nodes.PPSNCertificate) -> Dict:
@@ -143,6 +134,8 @@ def _report_base(args, **inputs) -> Dict:
 
 
 def cmd_dim(args) -> int:
+    if args.n is None:
+        raise InputError("--n is required")
     ks = tuple(_parse_number(k, int) for k in args.degrees.split(","))
     profile = dimension.DegreeProfile(args.n, ks)
     mmax = args.mmax if args.mmax is not None else args.m
@@ -375,8 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="canonical form modulo a manifold")
     common(p)
     p.add_argument("--manifold", required=True)
-    p.add_argument("--poly", help="polynomial expression")
-    p.add_argument("--poly-file", dest="poly_file", help="file with one expression")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--poly", help="polynomial expression")
+    source.add_argument("--poly-file", dest="poly_file", help="file with one expression")
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("hbase", help="sampled H-base round-trip verification")

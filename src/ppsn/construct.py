@@ -24,7 +24,7 @@ from .errors import (
     InternalCheckError,
 )
 from .macaulay import Manifold, canonical_monomials
-from .mpoly import Point, Polynomial, as_fraction, as_point
+from .mpoly import Point, Polynomial, as_fraction, as_point, monomial_basis
 from .nodes import (
     FactorableSystem,
     NodeSet,
@@ -393,13 +393,12 @@ def cb_check(
     vanishes = all(f.evaluate(q) == 0 for q in partition.removed)
     exception = None
     if not vanishes and comp_degree >= 0:
-        from .mpoly import monomial_basis
-
-        basis = monomial_basis(manifold.n, comp_degree)
-        matrix = evaluation_matrix(partition.removed.points, list(basis))
-        kernel = linalg.nullspace(matrix)
+        # scaling the rows leaves the right kernel unchanged
+        basis = monomial_basis(manifold.n, comp_degree).monomials
+        rows = evaluation_rows(partition.removed.points, basis)
+        kernel = linalg.nullspace([row for _, row in rows])
         if kernel:
-            exception = Polynomial(manifold.n, dict(zip(basis.monomials, kernel[0])))
+            exception = Polynomial(manifold.n, dict(zip(basis, kernel[0])))
     consistent = vanishes or exception is not None
     return CBVerdict(
         vanishes_on_removed=vanishes,

@@ -29,12 +29,17 @@ def binom_e(m: int, n: int) -> int:
 
 
 def backward_diff_e(m: int, n: int, ks: Sequence[int]) -> int:
-    """Nested backward difference of C(m+n, n) with steps k_1..k_s."""
-    if not ks:
-        return binom_e(m, n)
-    head = list(ks[:-1])
-    k = ks[-1]
-    return backward_diff_e(m, n, head) - backward_diff_e(m - k, n, head)
+    """Nested backward difference of C(m+n, n) with steps k_1..k_s, as an
+    O(s*m) table: v[j] = C(j+n, n) for j <= m, then v[j] -= v[j-k] per step.
+    Independent of the series route, which convolves the product of the
+    (1 - t^k) with C(j+n-1, n-1) and then accumulates."""
+    if m < 0:
+        return 0
+    v = [binom_e(j, n) for j in range(m + 1)]
+    for k in ks:
+        for j in range(m, k - 1, -1):
+            v[j] -= v[j - k]
+    return v[m]
 
 
 @dataclass(frozen=True)

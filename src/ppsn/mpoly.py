@@ -104,7 +104,8 @@ class Polynomial:
             c = as_fraction(c)
             if c == 0:
                 continue
-            alpha = tuple(int(e) for e in alpha)
+            if type(alpha) is not tuple or not all(type(e) is int for e in alpha):
+                alpha = tuple(int(e) for e in alpha)  # keep int tuples shared
             if len(alpha) != n or any(e < 0 for e in alpha):
                 raise InputError(f"bad multi-index {alpha} for dimension {n}")
             clean[alpha] = c

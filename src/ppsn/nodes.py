@@ -1,11 +1,14 @@
-"""Node sets, exact Vandermonde matrices, properly-posed certificates,
+"""Node sets, exact evaluation matrices, properly-posed certificates,
 factorable-system intersection, and nested extraction from complete
 intersections.
 
-Well-posedness along a manifold follows the solvability definition: a set
-of points is properly posed at degree m exactly when its evaluation matrix
-over the full degree-<=m monomial basis has full row rank. Certificates
-carry either the witnessing pivot columns or an explicit nonzero row
+Well-posedness along a manifold follows the solvability definition. On the
+manifold's points the canonical (unselected) monomials of degrees <= m span
+the degree-<=m polynomials, so N points are properly posed at degree m
+exactly when their N x N evaluation matrix over the canonical monomials,
+the system `construct.interpolate` solves, is nonsingular (in the ambient
+case these monomials are the full basis). Certificates carry either the
+canonical support's indices in the full basis or an explicit nonzero row
 functional annihilating every row.
 
 Evaluation rows are built over Python ints (`evaluation_rows`): a point q
@@ -36,7 +39,6 @@ from .errors import (
 )
 from .macaulay import Manifold, canonical_monomials
 from .mpoly import (
-    MonomialBasis,
     MultiIndex,
     Point,
     Polynomial,
@@ -95,13 +97,6 @@ class NodeSet:
         return f"NodeSet({len(self.points)} points in dim {self.n})"
 
 
-def vandermonde(nodes: NodeSet, basis: MonomialBasis) -> List[List[Fraction]]:
-    """Rows indexed by nodes, columns by basis monomials, entries exact."""
-    if len(nodes) and nodes.n != basis.n:
-        raise DimensionMismatchError("node/basis dimension mismatch")
-    return evaluation_matrix(nodes.points, basis.monomials)
-
-
 def evaluation_rows(
     points: Sequence[Point], monomials: Sequence[MultiIndex]
 ) -> List[Tuple[int, List[int]]]:
@@ -142,7 +137,9 @@ def evaluation_matrix(
 
 @dataclass(frozen=True)
 class PPSNCertificate:
-    """Exact-rank certificate of (im)proper posedness at a stated degree."""
+    """Exact-rank certificate of (im)proper posedness at a stated degree:
+    proper means the canonical N x N evaluation matrix is nonsingular, and
+    `witness_columns` are the canonical monomials' full-basis indices."""
 
     degree: int
     n: int
@@ -160,7 +157,8 @@ def verify_ppsn(
     nodes: NodeSet, manifold: Optional[Manifold], m: int
 ) -> PPSNCertificate:
     """Certify well-posedness of `nodes` at degree m along `manifold`
-    (ambient space when manifold is None)."""
+    (ambient space when manifold is None) by eliminating the square
+    evaluation matrix over the canonical monomials."""
     if manifold is not None:
         n = manifold.n
         expected = dim_along(m, manifold.profile)
@@ -179,26 +177,27 @@ def verify_ppsn(
         manifold.require_on_manifold(nodes.points)
     if nodes.n != n:
         raise DimensionMismatchError("node/basis dimension mismatch")
-    basis = monomial_basis(n, m)
-    rows = evaluation_rows(nodes.points, basis.monomials)
-    ech = linalg.row_reduce([row for _, row in rows])
-    if ech.rank == len(nodes):
+    columns = canonical_monomials(manifold, n, m)
+    rows = evaluation_rows(nodes.points, columns)
+    if linalg.row_reduce([row for _, row in rows]).rank == len(nodes):
+        index = {mu: j for j, mu in enumerate(monomial_basis(n, m))}
         return PPSNCertificate(
             degree=m,
             n=n,
             expected_count=expected,
             proper=True,
-            witness_columns=ech.pivot_columns,
+            witness_columns=tuple(index[mu] for mu in columns),
         )
-    # the functional is taken over the rational matrix: on the row-scaled
-    # integer rows it would come out scaled entry by entry
-    kernel = linalg.left_null_vector(vandermonde(nodes, basis))
+    # the canonical columns span the full-basis ones on manifold points, so
+    # the left kernels agree; over the row-scaled integer rows the functional
+    # would come out scaled entry by entry
+    kernel = linalg.left_null_vector(evaluation_matrix(nodes.points, columns))
     return PPSNCertificate(
         degree=m,
         n=n,
         expected_count=expected,
         proper=False,
-        kernel_functional=tuple(kernel) if kernel else (),
+        kernel_functional=tuple(kernel),
     )
 
 
@@ -214,6 +213,8 @@ class FactorableSystem:
         )
         if not self.factors:
             raise InputError("empty system")
+        if not all(self.factors):
+            raise InputError("hypersurface with no linear forms")
         n = self.factors[0][0].n
         self.n = n
         if len(self.factors) != n:
@@ -223,8 +224,6 @@ class FactorableSystem:
             )
         polys = []
         for fs in self.factors:
-            if not fs:
-                raise InputError("hypersurface with no linear forms")
             prod = Polynomial.constant(n, 1)
             for form in fs:
                 if form.n != n:
@@ -380,13 +379,19 @@ def extract_nested_ppsn(points: NodeSet, manifold: Manifold, m: int) -> NodeSet:
 # -- text formats -------------------------------------------------------------
 
 
+def content_lines(text: str) -> Iterator[Tuple[int, str]]:
+    """(file line number, content) for every line that is not blank once
+    its '#' comment is dropped."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def parse_nodes_text(text: str, n: Optional[int] = None) -> NodeSet:
     """One point per line, comma-separated rationals; '#' comments."""
     points: List[Point] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         try:
             coords = tuple(as_fraction(c.strip()) for c in line.split(","))
         except ParseError as exc:
@@ -431,16 +436,12 @@ def split_top_level_factors(line: str) -> List[str]:
 def parse_system_text(text: str) -> FactorableSystem:
     """One hypersurface per line: '*'-joined linear forms; any form with
     more than one term must be parenthesized."""
-    lines = [
-        stripped
-        for raw in text.splitlines()
-        if (stripped := raw.split("#", 1)[0].strip())
-    ]
+    lines = list(content_lines(text))
     if not lines:
         raise ParseError("empty system file")
     n = len(lines)
     factors = []
-    for lineno, line in enumerate(lines, 1):
+    for lineno, line in lines:
         forms = []
         for piece in split_top_level_factors(line):
             form = parse_polynomial(piece, n)

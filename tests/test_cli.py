@@ -1,6 +1,13 @@
+import contextlib
+import io
 import json
+import os
+import re
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppsn.cli import main
 
@@ -219,3 +226,83 @@ def test_report_names_the_argv_given_to_main(capsys, monkeypatch):
     code, out = run(argv, capsys)
     assert code == 0
     assert json.loads(out)["command"] == " ".join(argv)
+
+
+# -- exit-code contract under malformed input ----------------------------------
+
+FRAGMENTS = [
+    "x1", "x2", "x3", "x0", "x4", "^", "^2", "*", "+", "-", "/", "(", ")", ",",
+    "0", "1", "2", "3", "1/2", "1/0", "a", ".", "e", "@", "#", " ", "\n",
+    "x1^2 + x2^2 - 1", "(x1 - 1)", "0,0", "1,0", "-1/3,2",
+]
+
+
+def _small_numbers(text):
+    """Cap variable indices and exponents at one digit, so the input stays
+    malformed in content but small in size."""
+    return re.sub(r"(x|\^)(\d)\d+", r"\1\2", text)
+
+
+MALFORMED = st.lists(st.sampled_from(FRAGMENTS), max_size=10).map("".join).map(_small_numbers)
+VALID = {
+    "poly": [CIRCLE, "x2\n", "x1^2 - x1\nx2^2 - x2\n"],
+    "system": [GRID, CUBE, "x1*(x1 + x2)\n(2*x1 + 2*x2 - 1)*x2\n"],
+    "nodes": ["0,0\n1,0\n0,1\n", "1,0\n0,1\n-1,0\n", "0,0\n1,1\n2,2\n"],
+    "values": ["1\n2\n3\n", "0\n"],
+    "int": ["0", "1", "2", "3", "-1"],
+    "expr": ["x1", "x1^2 + x2^2 - 1", "x1*x2"],
+    "coords": ["0,0", "1/2,0,1/3", "2,1/2,0"],
+    "degrees": ["1", "2,2", "2,3"],
+}
+FILES = ("poly", "system", "nodes", "values")
+COMMANDS = {
+    "dim": [("--n", "int"), ("--degrees", "degrees"), ("--m", "int"), ("--mmax", "int")],
+    "verify": [("--manifold", "poly"), ("--witnesses", "poly"), ("--nodes", "nodes"), ("--m", "int")],
+    "reduce": [("--manifold", "poly"), ("--poly", "expr"), ("--n", "int")],
+    "hbase": [("--manifold", "poly"), ("--witnesses", "poly"), ("--mmax", "int"), ("--trials", "int")],
+    "extract": [("--system", "system"), ("--m", "int")],
+    "interpolate": [("--manifold", "poly"), ("--nodes", "nodes"), ("--values", "values"), ("--m", "int")],
+    "superpose": [("--manifold", "poly"), ("--sub", "nodes"), ("--super", "nodes"), ("--m", "int")],
+    "cb-reduce": [("--system", "system"), ("--remove", "nodes"), ("--m", "int")],
+    "cb-check": [("--system", "system"), ("--remove", "nodes"), ("--m", "int"), ("--poly", "expr")],
+    "chain": [("--system", "system"), ("--t", "int"), ("--mmax", "int"), ("--x0", "coords")],
+}
+
+
+@st.composite
+def malformed_invocations(draw):
+    """(subcommand, [(flag, kind, content)], --json): each option is left
+    out, given a well-formed value or given malformed text. Integer options
+    are mostly well-formed, so most calls get past argument parsing."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    options = []
+    for flag, kind in COMMANDS[command]:
+        valid, malformed = (6, 1) if kind == "int" else (3, 3)
+        choice = draw(st.sampled_from(["omit"] + ["valid"] * valid + ["malformed"] * malformed))
+        if choice != "omit":
+            content = draw(st.sampled_from(VALID[kind]) if choice == "valid" else MALFORMED)
+            options.append((flag, kind, content))
+    return command, options, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(malformed_invocations())
+def test_malformed_input_keeps_the_exit_code_contract(case):
+    command, options, as_json = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command] + (["--json"] if as_json else [])
+        for i, (flag, kind, content) in enumerate(options):
+            if kind in FILES:
+                path = os.path.join(tmp, f"{i}.{kind}")
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(content)
+                content = path
+            argv += [flag, content]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the arguments
+                code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from ppsn import (
     CountMismatchError,
     FactorableSystem,
+    InsufficientIntersectionError,
     InterpolationProblem,
     PPSNCertificate,
     Polynomial,
@@ -26,7 +27,6 @@ from ppsn import (
     parse_nodes_text,
     parse_polynomial,
     parse_system_text,
-    vandermonde,
     verify_ppsn,
 )
 from ppsn import linalg
@@ -55,10 +55,9 @@ def test_node_set_operations():
     assert (F(1), F(0)) in a
 
 
-def test_vandermonde_shape_and_values():
-    nodes = NodeSet(pts((0, 0), (1, 0), (0, 1)))
+def test_full_basis_matrix_shape_and_values():
     basis = monomial_basis(2, 1)
-    v = vandermonde(nodes, basis)
+    v = evaluation_matrix(pts((0, 0), (1, 0), (0, 1)), basis.monomials)
     assert v == [[1, 0, 0], [1, 1, 0], [1, 0, 1]]
 
 
@@ -97,6 +96,15 @@ def test_verify_along_line(line_manifold):
         assert verify_ppsn(nodes, line_manifold, m).proper
 
 
+def test_verify_refuses_insufficient_leading_forms():
+    # the leading forms x1*x2 and x1*x3 share the plane x1 = 0, so the
+    # canonical-monomial count of the profile does not hold at degree 3
+    manifold = Manifold([parse_polynomial("x1*x2 - x3", 3), parse_polynomial("x1*x3 - 1", 3)])
+    points = [(F(a), F(1, a * a), F(1, a)) for a in range(1, 13)]
+    with pytest.raises(InsufficientIntersectionError):
+        verify_ppsn(NodeSet(points, manifold), manifold, 3)
+
+
 def test_verify_trivial_negative_degree():
     cert = verify_ppsn(NodeSet([]), None, -1)
     assert cert.proper
@@ -126,6 +134,11 @@ def test_parse_system_grid(grid_system):
     assert grid_system.n == 2
     assert grid_system.degrees == (3, 3)
     assert all(f.degree == 3 for f in grid_system.polynomials)
+
+
+def test_parse_system_numbers_file_lines():
+    with pytest.raises(ParseError, match="line 3: factor 'x2\\^2' is not affine-linear"):
+        parse_system_text("# grid\nx1*(x1-1)\nx2*(x2^2)\n")
 
 
 def test_parse_system_rejects_nonlinear_factor():
@@ -317,3 +330,78 @@ def test_verify_and_interpolate_match_fraction_matrix(case):
         poly = interpolate(InterpolationProblem(None, m, nodes, values), cert)
         coeffs = linalg.solve(matrix, list(values))
         assert poly == Polynomial(2, dict(zip(basis, coeffs)))
+
+
+# -- canonical certificates against the full-basis matrix ------------------------
+
+CIRCLE = Manifold([parse_polynomial("x1^2 + x2^2 - 1", 2)])
+SPHERE = Manifold([parse_polynomial("x1^2 + x2^2 + x3^2 - 1", 3)])
+QUADRIC_CURVE = Manifold([parse_polynomial("x1^2 - x1", 3), parse_polynomial("x2^2 - x2", 3)])
+GRID = parse_system_text("x1*(x1-1)*(x1-2)\nx2*(x2-1)*(x2-2)\n").manifold()
+GRID_POINTS = [(F(i), F(j)) for i in range(3) for j in range(3)]
+
+
+def circle_point(t):
+    d = 1 + t * t
+    return ((1 - t * t) / d, 2 * t / d)
+
+
+def sphere_point(u, v):
+    d = 1 + u * u + v * v
+    return (2 * u / d, 2 * v / d, (u * u + v * v - 1) / d)
+
+
+@st.composite
+def manifold_node_sets(draw):
+    """(nodes, manifold, m) on the circle, the sphere, the four lines
+    x1, x2 in {0, 1} in 3-space or the 3x3 grid. A planted set contains
+    points that satisfy a degree-m relation on the manifold, so it is
+    improper; the others are random and may be either."""
+    space = draw(st.sampled_from(["circle", "sphere", "quadric curve", "grid"]))
+    planted = draw(st.booleans())
+    fixed = []
+    if space == "circle":
+        # 2m+1 distinct points of a conic are always proper: nothing to plant
+        manifold, m = CIRCLE, draw(st.integers(0, 4))
+        pool = coords_st.map(circle_point)
+    elif space == "sphere":
+        manifold, m = SPHERE, draw(st.integers(1, 3))
+        pool = st.tuples(coords_st, coords_st).map(lambda uv: sphere_point(*uv))
+        if planted:  # 2m+2 points on the great circle x3 = 0
+            ts = draw(st.lists(coords_st, min_size=2 * m + 2, max_size=2 * m + 2, unique=True))
+            fixed = [circle_point(t) + (F(0),) for t in ts]
+    elif space == "quadric curve":
+        manifold, m = QUADRIC_CURVE, draw(st.integers(0, 3))
+        pool = st.tuples(st.integers(0, 1), st.integers(0, 1), coords_st)
+        if planted and m >= 1:  # m+2 points on one line
+            ts = draw(st.lists(coords_st, min_size=m + 2, max_size=m + 2, unique=True))
+            fixed = [(0, 1, t) for t in ts]
+    else:
+        manifold, m = GRID, draw(st.integers(0, 3))
+        if planted and m in (1, 2):  # the 3m points on x1 (x1 - 1) ... (x1 - m + 1) = 0
+            fixed = GRID_POINTS[: 3 * m]
+        pool = st.sampled_from([p for p in GRID_POINTS if p not in fixed])
+    fixed = [tuple(F(c) for c in p) for p in fixed]
+    count = dim_along(m, manifold.profile) - len(fixed)
+    rest = draw(
+        st.lists(pool, min_size=count, max_size=count, unique=True).filter(
+            lambda r: not set(r) & set(fixed)
+        )
+    )
+    points = draw(st.permutations(fixed + [tuple(F(c) for c in p) for p in rest]))
+    return NodeSet(points, manifold), manifold, m
+
+
+@settings(max_examples=60, deadline=None)
+@given(manifold_node_sets())
+def test_canonical_certificate_matches_full_basis_matrix(case):
+    nodes, manifold, m = case
+    basis = list(monomial_basis(manifold.n, m))
+    full = naive_matrix(nodes.points, basis)
+    cert = verify_ppsn(nodes, manifold, m)
+    assert cert.proper == (linalg.rank(full) == len(nodes))
+    if cert.proper:
+        block = [[row[j] for j in cert.witness_columns] for row in full]
+        assert linalg.rank(block) == len(nodes) == len(cert.witness_columns)
+    else:
+        assert list(cert.kernel_functional) == linalg.left_null_vector(full)
