@@ -66,7 +66,11 @@ def interpolate(
 ) -> Polynomial:
     """The canonical interpolant: its support is restricted to the
     unselected monomials of degrees <= m, which makes it the unique
-    representative in the canonical remainder space."""
+    representative in the canonical remainder space.
+
+    The coefficients are first guessed mod `linalg.PRIME` and rebuilt by
+    rational reconstruction. The guess is returned only when it takes every
+    node value exactly; otherwise the exact elimination of [A | b] runs."""
     manifold, m, nodes = problem.manifold, problem.m, problem.nodes
     if manifold is not None:
         n = manifold.n
@@ -85,22 +89,51 @@ def interpolate(
     columns = canonical_monomials(manifold, n, m)
     if len(columns) != len(nodes):
         raise InternalCheckError("canonical support size differs from node count")
-    # one elimination of [A | b]: A is square, so full rank puts a pivot in
-    # every column of A and leaves the solution in the last column. Row i is
-    # scaled by scale_i throughout, which leaves the RREF unchanged.
+    # Row i of [A | b] is scaled by scale_i throughout, which leaves the
+    # solution unchanged. A is square, so full rank puts a pivot in every
+    # column of A and leaves the solution in the last column.
     rows = evaluation_rows(nodes.points, columns)
+    coeffs = _solve_mod_p(rows, problem.values)
+    if coeffs is not None:
+        # A is nonsingular mod p, hence over Q, so the system has exactly one
+        # solution and a guess that fits every node exactly is that solution
+        poly = Polynomial(n, dict(zip(columns, coeffs)))
+        if _fits(poly, nodes.points, problem.values):
+            return poly
     augmented = [row + [scale * v] for (scale, row), v in zip(rows, problem.values)]
     ech = linalg.row_reduce(augmented)
     if sum(c < len(columns) for c in ech.pivot_columns) != len(nodes):
         raise InternalCheckError(
             "canonical evaluation matrix is singular for a certified node set"
         )
-    coeffs = [row[-1] for row in ech.rows]
-    poly = Polynomial(n, dict(zip(columns, coeffs)))
-    for q, v in zip(nodes.points, problem.values):
-        if poly.evaluate(q) != v:
-            raise InternalCheckError("interpolant misses a node value")
+    poly = Polynomial(n, dict(zip(columns, (row[-1] for row in ech.rows))))
+    if not _fits(poly, nodes.points, problem.values):
+        raise InternalCheckError("interpolant misses a node value")
     return poly
+
+
+def _solve_mod_p(
+    rows: Sequence[Tuple[int, List[int]]], values: Sequence[Fraction]
+) -> Optional[List[Fraction]]:
+    """A guess at the solution of the square system [A | b] from one
+    elimination mod `linalg.PRIME`, each coefficient rebuilt by rational
+    reconstruction; None when A is singular mod p, a value's denominator is
+    divisible by p or a residue has no small fraction."""
+    p = linalg.PRIME
+    augmented = []
+    for (scale, row), v in zip(rows, values):
+        if v.denominator % p == 0:
+            return None
+        augmented.append(row + [scale * v.numerator * pow(v.denominator, -1, p)])
+    ech = linalg.row_reduce_mod(augmented)
+    if sum(c < len(rows) for c in ech.pivot_columns) != len(rows):
+        return None
+    coeffs = [linalg.rational_reconstruct(row[-1], p) for row in ech.rows]
+    return None if None in coeffs else coeffs
+
+
+def _fits(poly: Polynomial, points: Sequence[Point], values: Sequence[Fraction]) -> bool:
+    return all(poly.evaluate(q) == v for q, v in zip(points, values))
 
 
 # -- superposition -------------------------------------------------------------

@@ -16,16 +16,34 @@ as rational elimination does, so every intermediate row is a nonzero multiple
 of its rational counterpart. Zero tests therefore agree, which gives the same
 pivots and swaps, and the final rows divided by the last pivot are the unique
 RREF. Only the result is converted back to Fractions.
+
+`row_reduce_mod` is the same Gauss-Jordan elimination over the integers mod
+the fixed prime `PRIME`. Its answers are used only where they need no trust:
+
+* A rank of N mod p for an integer N x N matrix is a certificate of
+  nonsingularity over Q. The determinant is an integer, and the elimination
+  mod p shows that it is nonzero mod p, so it is nonzero. A rank below N
+  proves nothing: p may divide the determinant of a nonsingular matrix.
+  Callers then take the exact path.
+* A solution mod p is a guess. `rational_reconstruct` turns each residue
+  into the unique small fraction congruent to it, if one exists (Wang's
+  method, as in Dixon, Numer. Math. 40, 1982). The guess is accepted only
+  after an exact check over Q; otherwise the caller solves with
+  `row_reduce`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from typing import List, Optional, Sequence, Tuple
 
 Row = List[Fraction]
+
+# 2^62 - 57, a prime (deterministic Miller-Rabin). It differs from the
+# benchmark oracle's 2^61 - 1, so the two rank checks share no blind spot.
+PRIME = 2**62 - 57
 
 
 @dataclass(frozen=True)
@@ -33,7 +51,8 @@ class Echelon:
     """Result of an exact row reduction.
 
     pivots[i] = (original_row_index, column) for the i-th pivot, in the
-    order pivots were found. `rows` is the reduced matrix (RREF).
+    order pivots were found. `rows` is the reduced matrix (RREF); from
+    `row_reduce_mod` it holds residues in [0, PRIME).
     """
 
     rank: int
@@ -87,6 +106,56 @@ def row_reduce(matrix: Sequence[Sequence[Fraction]]) -> Echelon:
         pivots=tuple(pivots),
         rows=tuple(tuple(Fraction(a, prev) for a in row) for row in m),
     )
+
+
+def row_reduce_mod(matrix: Sequence[Sequence[int]]) -> Echelon:
+    """`row_reduce` of an integer matrix over the integers mod `PRIME`:
+    the same pivot policy, each pivot scaled to 1."""
+    p = PRIME
+    m = [[v % p for v in row] for row in matrix]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    origin = list(range(nrows))
+    pivots: List[Tuple[int, int]] = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        origin[r], origin[pr] = origin[pr], origin[r]
+        # every row is zero left of c outside earlier pivot columns, where
+        # the pivot row is zero: only the tail from c changes
+        inv = pow(m[r][c], -1, p)
+        tail = [a * inv % p for a in m[r][c:]]
+        m[r][c:] = tail
+        for i in range(nrows):
+            f = m[i][c]
+            if f and i != r:
+                m[i][c:] = [(a - f * b) % p for a, b in zip(m[i][c:], tail)]
+        pivots.append((origin[r], c))
+        r += 1
+        if r == nrows:
+            break
+    return Echelon(rank=r, pivots=tuple(pivots), rows=tuple(map(tuple, m)))
+
+
+def rational_reconstruct(u: int, p: int) -> Optional[Fraction]:
+    """The fraction a/b with a = b*u (mod p), |a| <= sqrt(p/2) and
+    0 < b <= sqrt(p/2), or None when there is none, for a prime p. It is
+    unique when it exists, and the half-extended Euclidean algorithm on
+    (p, u) finds it: each remainder r and cofactor t satisfy r = t*u (mod p)
+    and gcd(r, t) divides p, so a prime p leaves nothing to cancel."""
+    bound = isqrt(p // 2)
+    r0, r1 = p, u % p
+    t0, t1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) > bound:
+        return None
+    return Fraction(r1, t1)
 
 
 def rank(matrix: Sequence[Sequence[Fraction]]) -> int:

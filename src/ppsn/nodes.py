@@ -18,6 +18,14 @@ Scaling a row by a nonzero constant changes neither the pivots nor the RREF
 of `linalg.row_reduce`, so rank certificates and interpolants come straight
 from the integer rows; `evaluation_matrix` divides them back out for callers
 that need the rational entries.
+
+`verify_ppsn` first eliminates the integer rows mod the prime
+`linalg.PRIME`. A rank of N there means the N x N integer determinant is
+nonzero mod p, hence nonzero: the set is proper, with no trust in the prime.
+A smaller rank is either a genuinely improper set or a prime dividing the
+determinant, so the exact `linalg.left_null_vector` of the rational matrix
+decides: a kernel vector is the improper certificate, and no kernel vector
+means the set is proper after all.
 """
 
 from __future__ import annotations
@@ -51,28 +59,39 @@ from .mpoly import (
 
 class NodeSet:
     """Ordered set of pairwise distinct rational points, optionally tagged
-    with the manifold they are claimed to lie on (checked exactly)."""
+    with the manifold they are claimed to lie on (checked exactly). It is
+    immutable, so the tag stays a proof: `verify_ppsn` skips the membership
+    check for nodes tagged with the very manifold it verifies on."""
+
+    __slots__ = ("n", "points", "manifold")
+    n: int
+    points: Tuple[Point, ...]
+    manifold: Optional[Manifold]
 
     def __init__(self, points: Iterable[Sequence], manifold: Optional[Manifold] = None):
         pts = [as_point(p) for p in points]
         if not pts:
-            self.n = manifold.n if manifold is not None else 0
+            n = manifold.n if manifold is not None else 0
         else:
-            self.n = len(pts[0])
+            n = len(pts[0])
             for p in pts:
-                if len(p) != self.n:
+                if len(p) != n:
                     raise DimensionMismatchError("points of mixed dimension")
         seen = set()
         for p in pts:
             if p in seen:
                 raise InputError(f"duplicate point {tuple(str(c) for c in p)}")
             seen.add(p)
-        self.points: Tuple[Point, ...] = tuple(pts)
-        self.manifold = manifold
         if manifold is not None:
-            if pts and manifold.n != self.n:
+            if pts and manifold.n != n:
                 raise DimensionMismatchError("node/manifold dimension mismatch")
-            manifold.require_on_manifold(self.points)
+            manifold.require_on_manifold(pts)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "points", tuple(pts))
+        object.__setattr__(self, "manifold", manifold)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("NodeSet is immutable")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -139,7 +158,13 @@ def evaluation_matrix(
 class PPSNCertificate:
     """Exact-rank certificate of (im)proper posedness at a stated degree:
     proper means the canonical N x N evaluation matrix is nonsingular, and
-    `witness_columns` are the canonical monomials' full-basis indices."""
+    `witness_columns` are the canonical monomials' full-basis indices.
+
+    A proper verdict is proved by a rank of N modulo `linalg.PRIME` (a
+    nonzero determinant mod p is a nonzero integer) or, when that rank falls
+    short, by an exact elimination that finds no left kernel. An improper
+    verdict always carries the exact kernel functional. The fields are the
+    same whichever path decided, and nothing else is kept."""
 
     degree: int
     n: int
@@ -158,7 +183,8 @@ def verify_ppsn(
 ) -> PPSNCertificate:
     """Certify well-posedness of `nodes` at degree m along `manifold`
     (ambient space when manifold is None) by eliminating the square
-    evaluation matrix over the canonical monomials."""
+    evaluation matrix over the canonical monomials: mod p first, exactly
+    only when the rank mod p falls short."""
     if manifold is not None:
         n = manifold.n
         expected = dim_along(m, manifold.profile)
@@ -173,31 +199,34 @@ def verify_ppsn(
         )
     if m < 0 or expected == 0:
         return PPSNCertificate(degree=m, n=n, expected_count=0, proper=True)
-    if manifold is not None:
+    if manifold is not None and nodes.manifold is not manifold:
+        # the NodeSet constructor already checked its points on its manifold
         manifold.require_on_manifold(nodes.points)
     if nodes.n != n:
         raise DimensionMismatchError("node/basis dimension mismatch")
     columns = canonical_monomials(manifold, n, m)
-    rows = evaluation_rows(nodes.points, columns)
-    if linalg.row_reduce([row for _, row in rows]).rank == len(nodes):
-        index = {mu: j for j, mu in enumerate(monomial_basis(n, m))}
-        return PPSNCertificate(
-            degree=m,
-            n=n,
-            expected_count=expected,
-            proper=True,
-            witness_columns=tuple(index[mu] for mu in columns),
-        )
-    # the canonical columns span the full-basis ones on manifold points, so
-    # the left kernels agree; over the row-scaled integer rows the functional
-    # would come out scaled entry by entry
-    kernel = linalg.left_null_vector(evaluation_matrix(nodes.points, columns))
+    rows = [row for _, row in evaluation_rows(nodes.points, columns)]
+    if linalg.row_reduce_mod(rows).rank < len(nodes):
+        # improper, or the prime divides the determinant: decide exactly.
+        # The canonical columns span the full-basis ones on manifold points,
+        # so the left kernels agree; over the row-scaled integer rows the
+        # functional would come out scaled entry by entry
+        kernel = linalg.left_null_vector(evaluation_matrix(nodes.points, columns))
+        if kernel is not None:
+            return PPSNCertificate(
+                degree=m,
+                n=n,
+                expected_count=expected,
+                proper=False,
+                kernel_functional=tuple(kernel),
+            )
+    index = {mu: j for j, mu in enumerate(monomial_basis(n, m))}
     return PPSNCertificate(
         degree=m,
         n=n,
         expected_count=expected,
-        proper=False,
-        kernel_functional=tuple(kernel),
+        proper=True,
+        witness_columns=tuple(index[mu] for mu in columns),
     )
 
 
@@ -443,8 +472,15 @@ def parse_system_text(text: str) -> FactorableSystem:
     factors = []
     for lineno, line in lines:
         forms = []
-        for piece in split_top_level_factors(line):
-            form = parse_polynomial(piece, n)
+        try:
+            pieces = split_top_level_factors(line)
+        except ParseError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from exc
+        for piece in pieces:
+            try:
+                form = parse_polynomial(piece, n)
+            except ParseError as exc:
+                raise ParseError(f"line {lineno}: factor {piece!r}: {exc}") from exc
             if form.degree != 1:
                 raise ParseError(
                     f"line {lineno}: factor {piece!r} is not affine-linear"

@@ -184,6 +184,14 @@ def test_exit_code_two_on_malformed_input(files, capsys):
     capsys.readouterr()
 
 
+def test_bad_system_token_exits_two_naming_the_line(files, capsys):
+    system = files("bad.sys", "x1*(x1-1)\n# c\nx2*(x2 + @)\n")
+    assert main(["extract", "--system", system, "--m", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "line 3: factor 'x2 + @'" in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
 def test_json_outputs_are_deterministic(files, capsys):
     system = files("grid.sys", GRID)
     argv = ["extract", "--system", system, "--m", "3", "--json"]

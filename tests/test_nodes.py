@@ -105,6 +105,21 @@ def test_verify_refuses_insufficient_leading_forms():
         verify_ppsn(NodeSet(points, manifold), manifold, 3)
 
 
+def test_verify_checks_nodes_not_checked_on_the_same_manifold(circle, line_manifold, monkeypatch):
+    on_circle = pts((1, 0), (0, 1))
+    for nodes in (NodeSet(on_circle), NodeSet(on_circle, circle)):
+        with pytest.raises(OffManifoldError):
+            verify_ppsn(nodes, line_manifold, 1)
+        with pytest.raises(AttributeError):
+            nodes.manifold = line_manifold  # the tag cannot be forged
+    checked = []
+    monkeypatch.setattr(Manifold, "require_on_manifold", lambda self, points: checked.append(self))
+    verify_ppsn(NodeSet(on_circle, line_manifold), line_manifold, 1)
+    assert checked == [line_manifold]  # by the constructor only
+    verify_ppsn(NodeSet(on_circle), line_manifold, 1)
+    assert checked == [line_manifold] * 2
+
+
 def test_verify_trivial_negative_degree():
     cert = verify_ppsn(NodeSet([]), None, -1)
     assert cert.proper
@@ -139,6 +154,13 @@ def test_parse_system_grid(grid_system):
 def test_parse_system_numbers_file_lines():
     with pytest.raises(ParseError, match="line 3: factor 'x2\\^2' is not affine-linear"):
         parse_system_text("# grid\nx1*(x1-1)\nx2*(x2^2)\n")
+
+
+def test_parse_system_names_the_line_of_a_bad_token():
+    with pytest.raises(ParseError, match=r"^line 3: factor 'x2 \+ @': unexpected character '@'"):
+        parse_system_text("x1*(x1-1)\n# c\nx2*(x2 + @)\n")
+    with pytest.raises(ParseError, match=r"^line 2: unbalanced '\('"):
+        parse_system_text("x1*(x1-1)\n(x2*(x2-1)\n")
 
 
 def test_parse_system_rejects_nonlinear_factor():
