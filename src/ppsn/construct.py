@@ -106,7 +106,7 @@ def interpolate(
         raise InternalCheckError(
             "canonical evaluation matrix is singular for a certified node set"
         )
-    poly = Polynomial(n, dict(zip(columns, (row[-1] for row in ech.rows))))
+    poly = Polynomial(n, dict(zip(columns, ech.column(len(columns)))))
     if not _fits(poly, nodes.points, problem.values):
         raise InternalCheckError("interpolant misses a node value")
     return poly
@@ -128,7 +128,7 @@ def _solve_mod_p(
     ech = linalg.row_reduce_mod(augmented)
     if sum(c < len(rows) for c in ech.pivot_columns) != len(rows):
         return None
-    coeffs = [linalg.rational_reconstruct(row[-1], p) for row in ech.rows]
+    coeffs = [linalg.rational_reconstruct(u, p) for u in ech.column(len(rows))]
     return None if None in coeffs else coeffs
 
 
@@ -537,9 +537,9 @@ def _curve_lines(
         base = [Fraction(0)] * n
         direction = [Fraction(0)] * n
         direction[free[0]] = Fraction(1)
-        for row, c in zip(ech.rows, ech.pivot_columns):
-            base[c] = row[n]
-            direction[c] = -row[free[0]]
+        for c, b, d in zip(ech.pivot_columns, ech.column(n), ech.column(free[0])):
+            base[c] = b
+            direction[c] = -d
         lines.append((tuple(base), tuple(direction)))
     return lines
 

@@ -15,7 +15,10 @@ multiply rows by nonzero scalars or add multiples of the pivot row, exactly
 as rational elimination does, so every intermediate row is a nonzero multiple
 of its rational counterpart. Zero tests therefore agree, which gives the same
 pivots and swaps, and the final rows divided by the last pivot are the unique
-RREF. Only the result is converted back to Fractions.
+RREF. The `Echelon` keeps those integer rows and that one denominator; it
+builds Fractions only for the entries a caller reads, and callers read at
+most a column or two (`solve` the right-hand side, `nullspace` the free
+columns).
 
 `row_reduce_mod` is the same Gauss-Jordan elimination over the integers mod
 the fixed prime `PRIME`. Its answers are used only where they need no trust:
@@ -51,13 +54,17 @@ class Echelon:
     """Result of an exact row reduction.
 
     pivots[i] = (original_row_index, column) for the i-th pivot, in the
-    order pivots were found. `rows` is the reduced matrix (RREF); from
-    `row_reduce_mod` it holds residues in [0, PRIME).
+    order pivots were found. The reduced matrix (RREF) is kept as integer
+    rows `ints` over one common `denominator`: entry (i, j) is
+    ints[i][j] / denominator. `column(j)` and `rows` build Fractions only
+    for the entries they return. From `row_reduce_mod` the ints are residues
+    in [0, PRIME), there is no denominator, and both return the residues.
     """
 
     rank: int
     pivots: Tuple[Tuple[int, int], ...]
-    rows: Tuple[Tuple[Fraction, ...], ...]
+    ints: Tuple[Tuple[int, ...], ...]
+    denominator: Optional[int] = None
 
     @property
     def pivot_columns(self) -> Tuple[int, ...]:
@@ -66,6 +73,20 @@ class Echelon:
     @property
     def pivot_rows(self) -> Tuple[int, ...]:
         return tuple(r for r, _ in self.pivots)
+
+    def column(self, j: int) -> List[Fraction]:
+        """Column j of the RREF (residues from `row_reduce_mod`)."""
+        d = self.denominator
+        if d is None:
+            return [row[j] for row in self.ints]
+        return [Fraction(row[j], d) for row in self.ints]
+
+    @property
+    def rows(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        d = self.denominator
+        if d is None:
+            return self.ints
+        return tuple(tuple(Fraction(a, d) for a in row) for row in self.ints)
 
 
 def row_reduce(matrix: Sequence[Sequence[Fraction]]) -> Echelon:
@@ -101,11 +122,7 @@ def row_reduce(matrix: Sequence[Sequence[Fraction]]) -> Echelon:
         r += 1
         if r == nrows:
             break
-    return Echelon(
-        rank=r,
-        pivots=tuple(pivots),
-        rows=tuple(tuple(Fraction(a, prev) for a in row) for row in m),
-    )
+    return Echelon(rank=r, pivots=tuple(pivots), ints=tuple(map(tuple, m)), denominator=prev)
 
 
 def row_reduce_mod(matrix: Sequence[Sequence[int]]) -> Echelon:
@@ -137,7 +154,7 @@ def row_reduce_mod(matrix: Sequence[Sequence[int]]) -> Echelon:
         r += 1
         if r == nrows:
             break
-    return Echelon(rank=r, pivots=tuple(pivots), rows=tuple(map(tuple, m)))
+    return Echelon(rank=r, pivots=tuple(pivots), ints=tuple(map(tuple, m)))
 
 
 def rational_reconstruct(u: int, p: int) -> Optional[Fraction]:
@@ -179,8 +196,8 @@ def solve(
     for _, c in ech.pivots:
         if c == ncols:
             return None  # pivot in the rhs column: inconsistent
-    for i, (_, c) in enumerate(ech.pivots):
-        x[c] = ech.rows[i][ncols]
+    for (_, c), v in zip(ech.pivots, ech.column(ncols)):
+        x[c] = v
     return x
 
 
@@ -198,8 +215,8 @@ def nullspace(matrix: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
             continue
         v = [Fraction(0)] * ncols
         v[free] = Fraction(1)
-        for i, (_, c) in enumerate(ech.pivots):
-            v[c] = -ech.rows[i][free]
+        for (_, c), a in zip(ech.pivots, ech.column(free)):
+            v[c] = -a
         basis.append(v)
     return basis
 

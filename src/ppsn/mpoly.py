@@ -10,6 +10,7 @@ so for n=2 the basis starts 1, x1, x2, x1^2, x1*x2, x2^2, ...
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
@@ -92,7 +93,15 @@ def monomial_basis(n: int, m: int) -> MonomialBasis:
 
 
 class Polynomial:
-    """Immutable sparse polynomial. `terms` maps multi-index -> nonzero Fraction."""
+    """Immutable sparse polynomial. `terms` maps multi-index -> nonzero Fraction.
+
+    Every instance keeps one invariant: each key is a tuple of n nonnegative
+    ints and each value a nonzero `Fraction`. `__init__` establishes it for
+    any input. Arithmetic on polynomials only adds, multiplies and negates
+    Fractions and adds exponent tuples of length n, so its results keep the
+    invariant except for coefficients that cancel to zero; they are built by
+    `_trusted`, which only drops those and computes the degree.
+    """
 
     __slots__ = ("n", "terms", "_degree", "_hash")
 
@@ -109,9 +118,20 @@ class Polynomial:
             if len(alpha) != n or any(e < 0 for e in alpha):
                 raise InputError(f"bad multi-index {alpha} for dimension {n}")
             clean[alpha] = c
+        self._set(n, clean)
+
+    @classmethod
+    def _trusted(cls, n: int, terms: Dict[MultiIndex, Fraction]) -> "Polynomial":
+        """A polynomial from terms that keep the class invariant except for
+        zero coefficients, which are dropped; nothing else is checked."""
+        poly = object.__new__(cls)
+        poly._set(n, {a: c for a, c in terms.items() if c})
+        return poly
+
+    def _set(self, n: int, clean: Dict[MultiIndex, Fraction]):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_degree", max((sum(a) for a in clean), default=-1))
+        object.__setattr__(self, "_degree", max(map(sum, clean), default=-1))
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
@@ -158,10 +178,11 @@ class Polynomial:
         return self.is_zero() or self._degree <= m
 
     def coefficient(self, alpha: MultiIndex) -> Fraction:
-        return self.terms.get(tuple(alpha), Fraction(0))
+        c = self.terms.get(tuple(alpha))
+        return Fraction(0) if c is None else c
 
     def homogeneous_component(self, d: int) -> "Polynomial":
-        return Polynomial(self.n, {a: c for a, c in self.terms.items() if sum(a) == d})
+        return Polynomial._trusted(self.n, {a: c for a, c in self.terms.items() if sum(a) == d})
 
     def leading_form(self) -> "Polynomial":
         """Sum of all terms of top total degree."""
@@ -181,14 +202,20 @@ class Polynomial:
         self._check(other)
         terms = dict(self.terms)
         for a, c in other.terms.items():
-            terms[a] = terms.get(a, Fraction(0)) + c
-        return Polynomial(self.n, terms)
+            t = terms.get(a)
+            terms[a] = c if t is None else t + c
+        return Polynomial._trusted(self.n, terms)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        self._check(other)
+        terms = dict(self.terms)
+        for a, c in other.terms.items():
+            t = terms.get(a)
+            terms[a] = -c if t is None else t - c
+        return Polynomial._trusted(self.n, terms)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.n, {a: -c for a, c in self.terms.items()})
+        return Polynomial._trusted(self.n, {a: -c for a, c in self.terms.items()})
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -197,16 +224,17 @@ class Polynomial:
         terms: Dict[MultiIndex, Fraction] = {}
         for a1, c1 in self.terms.items():
             for a2, c2 in other.terms.items():
-                a = tuple(e1 + e2 for e1, e2 in zip(a1, a2))
-                terms[a] = terms.get(a, Fraction(0)) + c1 * c2
-        return Polynomial(self.n, terms)
+                a = tuple(map(operator.add, a1, a2))
+                t = terms.get(a)
+                terms[a] = c1 * c2 if t is None else t + c1 * c2
+        return Polynomial._trusted(self.n, terms)
 
     def __rmul__(self, other) -> "Polynomial":
         return self.__mul__(other)
 
     def scale(self, c) -> "Polynomial":
         c = as_fraction(c)
-        return Polynomial(self.n, {a: c * v for a, v in self.terms.items()})
+        return Polynomial._trusted(self.n, {a: c * v for a, v in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return (
@@ -340,8 +368,10 @@ class _Tokenizer:
 
 def parse_polynomial(text: str, n: int) -> Polynomial:
     """Parse an expression in the fixed grammar into a canonical polynomial."""
+    if n < 1:
+        raise InputError("ambient dimension must be >= 1")
     tok = _Tokenizer(text)
-    result = Polynomial.zero(n)
+    terms: Dict[MultiIndex, Fraction] = {}
     first = True
     while True:
         kind, _, pos = tok.peek()
@@ -358,12 +388,14 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
                 sign = -1
         elif not first:
             raise ParseError("expected '+' or '-' between terms", pos)
-        result = result + _parse_term(tok, n).scale(sign)
+        alpha, coeff = _parse_term(tok, n)
+        t = terms.get(alpha)
+        terms[alpha] = sign * coeff if t is None else t + sign * coeff
         first = False
-    return result
+    return Polynomial(n, terms)
 
 
-def _parse_term(tok: _Tokenizer, n: int) -> Polynomial:
+def _parse_term(tok: _Tokenizer, n: int) -> Tuple[MultiIndex, Fraction]:
     coeff = Fraction(1)
     factors: Dict[int, int] = {}
     expect_atom = True
@@ -416,4 +448,4 @@ def _parse_term(tok: _Tokenizer, n: int) -> Polynomial:
     alpha = [0] * n
     for idx, exp in factors.items():
         alpha[idx - 1] = exp
-    return Polynomial(n, {tuple(alpha): coeff})
+    return tuple(alpha), coeff

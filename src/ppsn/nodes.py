@@ -23,9 +23,9 @@ that need the rational entries.
 `linalg.PRIME`. A rank of N there means the N x N integer determinant is
 nonzero mod p, hence nonzero: the set is proper, with no trust in the prime.
 A smaller rank is either a genuinely improper set or a prime dividing the
-determinant, so the exact `linalg.left_null_vector` of the rational matrix
-decides: a kernel vector is the improper certificate, and no kernel vector
-means the set is proper after all.
+determinant, so the exact `linalg.left_null_vector` of the integer rows
+decides: a kernel vector, rescaled by the row scales, is the improper
+certificate, and no kernel vector means the set is proper after all.
 """
 
 from __future__ import annotations
@@ -205,28 +205,36 @@ def verify_ppsn(
     if nodes.n != n:
         raise DimensionMismatchError("node/basis dimension mismatch")
     columns = canonical_monomials(manifold, n, m)
-    rows = [row for _, row in evaluation_rows(nodes.points, columns)]
+    scales, rows = zip(*evaluation_rows(nodes.points, columns))
     if linalg.row_reduce_mod(rows).rank < len(nodes):
         # improper, or the prime divides the determinant: decide exactly.
         # The canonical columns span the full-basis ones on manifold points,
-        # so the left kernels agree; over the row-scaled integer rows the
-        # functional would come out scaled entry by entry
-        kernel = linalg.left_null_vector(evaluation_matrix(nodes.points, columns))
+        # so the left kernels agree. Row i is s_i times the rational row, so
+        # a kernel vector w of the integer rows gives s_i * w_i on the
+        # rational ones. The first dependent row f is w's last nonzero entry,
+        # with w_f = 1, so dividing by s_f gives the vector that
+        # `left_null_vector` returns for the rational matrix, entry for entry
+        kernel = linalg.left_null_vector(rows)
         if kernel is not None:
+            f = max(i for i, w in enumerate(kernel) if w)
             return PPSNCertificate(
                 degree=m,
                 n=n,
                 expected_count=expected,
                 proper=False,
-                kernel_functional=tuple(kernel),
+                kernel_functional=tuple(w * s / scales[f] for w, s in zip(kernel, scales)),
             )
-    index = {mu: j for j, mu in enumerate(monomial_basis(n, m))}
+    if manifold is None:
+        witness = tuple(range(len(columns)))  # the columns are the full basis
+    else:
+        index = {mu: j for j, mu in enumerate(monomial_basis(n, m))}
+        witness = tuple(index[mu] for mu in columns)
     return PPSNCertificate(
         degree=m,
         n=n,
         expected_count=expected,
         proper=True,
-        witness_columns=tuple(index[mu] for mu in columns),
+        witness_columns=witness,
     )
 
 
@@ -325,7 +333,7 @@ def intersect_factorable(system: FactorableSystem) -> IntersectionReport:
                 "point at infinity or a positive-dimensional component"
             )
             continue
-        p = tuple(row[n] for row in ech.rows)
+        p = tuple(ech.column(n))
         if p in points:
             coincident.append(
                 f"coincident intersection points (selections {points[p]} and {choice})"

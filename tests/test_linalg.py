@@ -4,11 +4,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ppsn.linalg import (
+    PRIME,
     IncrementalRank,
     left_null_vector,
     nullspace,
     rank,
     row_reduce,
+    row_reduce_mod,
     solve,
 )
 
@@ -184,3 +186,17 @@ def test_solve_solution_satisfies_system(m):
     assert sol is not None
     for row, target in zip(m, b):
         assert sum(a * x for a, x in zip(row, sol)) == target
+
+
+@settings(max_examples=60)
+@given(st.one_of(matrices(5, 5, wide_fractions_st), rank_deficient_products(), with_zero_columns()))
+def test_echelon_column_is_the_column_of_rows(m):
+    ech = row_reduce(m)
+    for j in range(len(m[0])):
+        assert ech.column(j) == [row[j] for row in ech.rows]
+        assert all(type(v) is Fraction for v in ech.column(j))
+    ints = [[v.numerator * 3 for v in row] for row in m]
+    mod = row_reduce_mod(ints)
+    for j in range(len(m[0])):
+        assert mod.column(j) == [row[j] for row in mod.rows]
+        assert all(type(v) is int and 0 <= v < PRIME for v in mod.column(j))

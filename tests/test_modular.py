@@ -209,6 +209,34 @@ def test_modular_and_exact_paths_agree(case):
         assert interpolate(InterpolationProblem(manifold, m, nodes, values), cert) == poly
 
 
+@st.composite
+def deep_collinear_sets(draw):
+    """Plane sets at degree m with k > m+2 points on one line, so the
+    evaluation matrix loses k-m-1 ranks, and rational points of mixed
+    denominators, so the integer rows carry different scales."""
+    m = draw(st.integers(2, 4))
+    count = (m + 1) * (m + 2) // 2
+    k = draw(st.integers(m + 3, min(m + 5, count)))
+    a, b = draw(coords_st), draw(coords_st)
+    ts = draw(st.lists(coords_st, min_size=k, max_size=k, unique=True))
+    fixed = [(t, a * t + b) for t in ts]
+    rest = draw(
+        st.lists(st.tuples(coords_st, coords_st), min_size=count - k, max_size=count - k, unique=True)
+        .filter(lambda r: not set(r) & set(fixed))
+    )
+    return NodeSet(draw(st.permutations(fixed + rest))), m
+
+
+@settings(max_examples=40, deadline=None)
+@given(deep_collinear_sets())
+def test_improper_functional_for_any_corank_is_the_rational_one(case):
+    nodes, m = case
+    cert = verify_ppsn(nodes, None, m)
+    assert not cert.proper
+    assert cert == exact_path(nodes, None, m, ())[0]
+    assert all(type(y) is Fraction for y in cert.kernel_functional)
+
+
 # -- fallbacks ------------------------------------------------------------------------
 
 

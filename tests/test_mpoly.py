@@ -203,3 +203,128 @@ def test_as_fraction_names_a_bad_token():
         as_fraction("abc")
     with pytest.raises(ParseError, match="not a number: '1/0'"):
         as_fraction("1/0")
+
+
+# -- arithmetic results against the validating constructor -----------------------
+
+
+def assert_validated(result, raw_terms, n):
+    """`result` is exactly what the validating constructor makes of raw_terms:
+    the same terms, only nonzero Fraction values, the same degree and hash."""
+    ref = Polynomial(n, raw_terms)
+    assert result.n == n
+    assert result.terms == ref.terms
+    assert all(type(c) is Fraction and c != 0 for c in result.terms.values())
+    assert all(type(a) is tuple and len(a) == n for a in result.terms)
+    assert result.degree == ref.degree
+    assert hash(result) == hash(ref)
+    assert result == ref
+
+
+@st.composite
+def overlapping_pairs(draw):
+    """(p, q) in one dimension, q negating some of p's terms, so that sums
+    and differences cancel, down to the zero polynomial."""
+    n = draw(st.integers(1, 3))
+    p = draw(polynomials(n, max_degree=3))
+    negate = draw(st.lists(st.booleans(), min_size=len(p.terms), max_size=len(p.terms)))
+    terms = dict(draw(polynomials(n, max_degree=3)).terms)
+    for (a, c), flip in zip(p.terms.items(), negate):
+        if flip:
+            terms[a] = -c
+    return p, Polynomial(n, terms)
+
+
+scalars_st = st.one_of(fractions_st, st.integers(-5, 5))
+
+
+@settings(max_examples=100)
+@given(overlapping_pairs(), scalars_st, st.integers(-1, 7))
+@example((parse_polynomial("x1 + x2", 2), parse_polynomial("x1 - x2", 2)), 0, 1)
+@example((parse_polynomial("x1 - 1/2", 1), parse_polynomial("-x1 + 1/2", 1)), Fraction(0), 0)
+def test_arithmetic_matches_the_validating_constructor(pair, c, d):
+    p, q = pair
+    n = p.n
+    keys = set(p.terms) | set(q.terms)
+    assert all(type(p.coefficient(a)) is Fraction for a in keys)
+    assert_validated(p + q, {a: p.coefficient(a) + q.coefficient(a) for a in keys}, n)
+    assert_validated(p - q, {a: p.coefficient(a) - q.coefficient(a) for a in keys}, n)
+    assert_validated(q - q, {}, n)
+    assert_validated(p + -p, {}, n)
+    assert_validated(-p, {a: -v for a, v in p.terms.items()}, n)
+    product = {}
+    for a1, c1 in p.terms.items():
+        for a2, c2 in q.terms.items():
+            a = tuple(e1 + e2 for e1, e2 in zip(a1, a2))
+            product[a] = product.get(a, 0) + c1 * c2
+    assert_validated(p * q, product, n)
+    scaled = {a: c * v for a, v in p.terms.items()}
+    assert_validated(p.scale(c), scaled, n)
+    assert_validated(p * c, scaled, n)
+    assert_validated(c * p, scaled, n)
+    assert_validated(
+        p.homogeneous_component(d), {a: v for a, v in p.terms.items() if sum(a) == d}, n
+    )
+
+
+# -- parsing against a term-by-term reference -------------------------------------
+
+
+@st.composite
+def expressions(draw):
+    """(n, terms) with terms [(sign, atoms)]: an atom is ("num", num, den) or
+    ("var", index, exponent). Few variables and small exponents repeat
+    monomials, and negated copies of some terms cancel them."""
+    n = draw(st.integers(1, 2))
+    atom = st.one_of(
+        st.tuples(st.just("num"), st.integers(0, 12), st.integers(1, 6)),
+        st.tuples(st.just("var"), st.integers(1, n), st.integers(0, 3)),
+    )
+    term = st.tuples(st.sampled_from([1, -1]), st.lists(atom, min_size=1, max_size=4))
+    terms = draw(st.lists(term, min_size=1, max_size=8))
+    copies = draw(st.lists(st.sampled_from(terms), max_size=4))
+    terms = draw(st.permutations(terms + [(-sign, atoms) for sign, atoms in copies]))
+    return n, terms
+
+
+def render(terms, separator):
+    out = []
+    for k, (sign, atoms) in enumerate(terms):
+        pieces = []
+        for kind, a, b in atoms:
+            if kind == "num":
+                pieces.append(str(a) if b == 1 else f"{a}/{b}")
+            else:
+                pieces.append(f"x{a}" if b == 1 else f"x{a}^{b}")
+        body = separator.join(pieces)
+        if k == 0:
+            out.append(("-" if sign < 0 else "") + body)
+        else:
+            out.append(("- " if sign < 0 else "+ ") + body)
+    return " ".join(out)
+
+
+def reference_parse(terms, n):
+    """Each term as its own polynomial, added one at a time."""
+    total = Polynomial.zero(n)
+    for sign, atoms in terms:
+        coeff = Fraction(sign)
+        alpha = [0] * n
+        for kind, a, b in atoms:
+            if kind == "num":
+                coeff *= Fraction(a, b)
+            else:
+                alpha[a - 1] += b
+        total = total + Polynomial(n, {tuple(alpha): coeff})
+    return total
+
+
+@settings(max_examples=120)
+@given(expressions(), st.sampled_from(["*", " * ", " "]))
+@example((2, [(1, [("var", 1, 2)]), (-1, [("num", 3, 1)]), (-1, [("var", 1, 1), ("var", 1, 1)])]), "*")
+@example((1, [(1, [("num", 1, 2), ("var", 1, 1)]), (-1, [("var", 1, 1), ("num", 2, 4)])]), " ")
+def test_parse_matches_term_by_term_reference(expression, separator):
+    n, terms = expression
+    parsed = parse_polynomial(render(terms, separator), n)
+    ref = reference_parse(terms, n)
+    assert_validated(parsed, dict(ref.terms), n)
