@@ -427,7 +427,7 @@ def cb_check(
     exception = None
     if not vanishes and comp_degree >= 0:
         # scaling the rows leaves the right kernel unchanged
-        basis = monomial_basis(manifold.n, comp_degree).monomials
+        basis = monomial_basis(manifold.n, comp_degree)
         rows = evaluation_rows(partition.removed.points, basis)
         kernel = linalg.nullspace([row for _, row in rows])
         if kernel:

@@ -6,10 +6,19 @@ vectors of the elementary items X^alpha * g_i (|alpha| + k_i = m) over the
 degree-m monomials, where g_i is the leading form of the i-th defining
 polynomial. Its pivot columns are the selected monomials; the complement
 spans the canonical remainder space on the manifold.
+
+`reduce_modulo` descends degree by degree in one mutable coefficient dict:
+at each degree one solve against the selected columns gives the item
+weights, which are the cofactor coefficients, and subtracting each weighted
+X^alpha * f_i term by term leaves only unselected monomials of that degree,
+which join the remainder. `hbase_decompose` writes each unknown's column
+X^beta * f_i straight from f_i's terms into one row-major system. Both build
+their result polynomials once, at the end.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -195,7 +204,7 @@ def canonical_monomials(
     unselected in the ambient case.
     """
     if manifold is None:
-        return list(monomial_basis(n, upto)) if upto >= 0 else []
+        return list(monomial_basis(n, upto))
     out: List[MultiIndex] = []
     for t in range(0, upto + 1):
         out.extend(select_monomials(manifold, t).unselected_monomials())
@@ -218,6 +227,13 @@ def infinity_check(manifold: Manifold) -> bool:
     return linalg.rank(rows) == len(monos)
 
 
+def _expand(total: Polynomial, cofactors: Sequence[Polynomial], manifold: Manifold) -> Polynomial:
+    """total + sum_j cofactors[j] * f_j."""
+    for c, f in zip(cofactors, manifold.polynomials):
+        total = total + c * f
+    return total
+
+
 @dataclass(frozen=True)
 class ReducedForm:
     """Exact identity original = remainder + sum_j cofactors[j] * f_j,
@@ -227,77 +243,57 @@ class ReducedForm:
     cofactors: Tuple[Polynomial, ...]
 
     def reassemble(self, manifold: Manifold) -> Polynomial:
-        total = self.remainder
-        for c, f in zip(self.cofactors, manifold.polynomials):
-            total = total + c * f
-        return total
+        return _expand(self.remainder, self.cofactors, manifold)
 
 
 def reduce_modulo(f: Polynomial, manifold: Manifold) -> ReducedForm:
-    """Canonical-form reduction by degreewise descent.
+    """Canonical-form reduction by degreewise descent in one coefficient dict.
 
-    At each degree t the top homogeneous part splits into an unselected part
-    (kept in the remainder) plus a combination of elementary items; each
-    leading form is then traded for its full polynomial, pushing the
-    difference down to degree t-1.
+    `work` starts as f's terms. At each degree t, from deg f down, whose
+    part in `work` is nonzero, lambda solves the transposed selected block
+    of the elementary items against that part's selected coefficients. Each
+    nonzero lambda on item (alpha, i) is the coefficient of X^alpha in
+    cofactor i, and lambda * X^alpha * f_i is subtracted from `work` term by
+    term: its leading form clears the selected monomials of degree t, its
+    lower terms fall to lower degrees. What is left of degree t lies on
+    unselected monomials and moves to the remainder. Each Polynomial is
+    built once, at the end.
     """
     if f.n != manifold.n:
         raise DimensionMismatchError("polynomial/manifold dimension mismatch")
-    s = manifold.s
-    zero = Polynomial.zero(manifold.n)
-    if f.is_zero():
-        return ReducedForm(zero, (zero,) * s)
-
-    work = f
-    remainder = zero
-    cofactors = [zero] * s
+    n = manifold.n
+    work: Dict[MultiIndex, Fraction] = dict(f.terms)
+    remainder: Dict[MultiIndex, Fraction] = {}
+    cofactors: List[Dict[MultiIndex, Fraction]] = [{} for _ in manifold.polynomials]
     for t in range(f.degree, -1, -1):
-        hom = work.homogeneous_component(t)
-        if hom.is_zero():
+        if not any(c for mu, c in work.items() if sum(mu) == t):
             continue
         sel = select_monomials(manifold, t)
-        if not sel.labeled_items:
-            remainder = remainder + hom
-            work = work - hom
-            continue
-        v = [hom.coefficient(mu) for mu in sel.monomials]
-        # lambda solves (G_t[:, selected])^T lambda = v[selected]; always
-        # consistent because the selected columns are the pivot columns
-        system = [
-            [sel.matrix[r][c] for r in range(len(sel.matrix))] for c in sel.selected
-        ]
-        rhs = [v[c] for c in sel.selected]
-        lam = linalg.solve(system, rhs)
-        if lam is None:
-            raise InternalCheckError("selected-column system unexpectedly inconsistent")
-        combo = [Fraction(0)] * len(sel.monomials)
-        for r, weight in enumerate(lam):
-            if weight == 0:
-                continue
-            for j, entry in enumerate(sel.matrix[r]):
-                if entry != 0:
-                    combo[j] += weight * entry
-        u = Polynomial(
-            manifold.n,
-            {mu: v[j] - combo[j] for j, mu in enumerate(sel.monomials)},
-        )
-        for j in sel.selected:
-            if u.coefficient(sel.monomials[j]) != 0:
-                raise InternalCheckError("remainder touches a selected monomial")
-        remainder = remainder + u
-        subtract = u
-        for r, (alpha, i) in enumerate(sel.labeled_items):
-            if lam[r] == 0:
-                continue
-            mono = Polynomial.monomial(alpha, lam[r])
-            cofactors[i] = cofactors[i] + mono
-            subtract = subtract + mono * manifold.polynomials[i]
-        work = work - subtract
-        if not work.homogeneous_component(t).is_zero():
-            raise InternalCheckError("degree-t part survived its own reduction step")
-    if not work.is_zero():
+        if sel.labeled_items:
+            # lambda solves (G_t[:, selected])^T lambda = work[selected];
+            # always consistent because the selected columns are the pivot columns
+            system = [[row[c] for row in sel.matrix] for c in sel.selected]
+            rhs = [work.get(sel.monomials[c], 0) for c in sel.selected]
+            lam = linalg.solve(system, rhs)
+            if lam is None:
+                raise InternalCheckError("selected-column system unexpectedly inconsistent")
+            for weight, (alpha, i) in zip(lam, sel.labeled_items):
+                if not weight:
+                    continue
+                cofactors[i][alpha] = weight
+                for beta, c in manifold.polynomials[i].terms.items():
+                    mu = tuple(map(operator.add, alpha, beta))
+                    work[mu] = work.get(mu, 0) - weight * c
+        if any(work.get(sel.monomials[j]) for j in sel.selected):
+            raise InternalCheckError("remainder touches a selected monomial")
+        for mu in [mu for mu in work if sum(mu) == t]:
+            remainder[mu] = work.pop(mu)
+    if any(work.values()):
         raise InternalCheckError("descent left a nonzero residue")
-    return ReducedForm(remainder, tuple(cofactors))
+    return ReducedForm(
+        Polynomial._trusted(n, remainder),
+        tuple(Polynomial._trusted(n, c) for c in cofactors),
+    )
 
 
 @dataclass(frozen=True)
@@ -307,10 +303,7 @@ class Decomposition:
     cofactors: Tuple[Polynomial, ...]
 
     def reassemble(self, manifold: Manifold) -> Polynomial:
-        total = Polynomial.zero(manifold.n)
-        for c, f in zip(self.cofactors, manifold.polynomials):
-            total = total + c * f
-        return total
+        return _expand(Polynomial.zero(manifold.n), self.cofactors, manifold)
 
 
 def hbase_decompose(
@@ -321,16 +314,14 @@ def hbase_decompose(
     """Degree-respecting ideal-membership decomposition by one exact solve.
 
     Unknowns are the coefficients of each cofactor over the monomials of
-    degree <= deg(g) - k_i. A missing solution contradicts proper posedness
-    of the node set backing the membership claim and is raised as such.
+    degree <= deg(g) - k_i; the column of unknown (i, beta) holds the
+    coefficients of X^beta * f_i, written from f_i's terms. A missing
+    solution contradicts proper posedness of the node set backing the
+    membership claim and is raised as such.
     """
     if g.n != manifold.n:
         raise DimensionMismatchError("polynomial/manifold dimension mismatch")
     n = manifold.n
-    s = manifold.s
-    zero = Polynomial.zero(n)
-    if g.is_zero():
-        return Decomposition((zero,) * s)
     if nodes is not None:
         for q in nodes:
             val = g.evaluate(q)
@@ -340,33 +331,28 @@ def hbase_decompose(
                 )
     m = g.degree
     basis = monomial_basis(n, m)
-    row_of = {mu: j for j, mu in enumerate(basis.monomials)}
-    columns: List[List[Fraction]] = []
-    labels: List[Tuple[int, MultiIndex]] = []
-    for i, f in enumerate(manifold.polynomials):
-        k = manifold.profile.ks[i]
-        if k > m:
-            continue
-        for beta in monomial_basis(n, m - k):
-            prod = Polynomial.monomial(beta) * f
-            colv = [Fraction(0)] * len(basis)
-            for mu, c in prod.terms.items():
-                colv[row_of[mu]] = c
-            columns.append(colv)
-            labels.append((i, beta))
-    matrix = [[columns[c][r] for c in range(len(columns))] for r in range(len(basis))]
-    rhs = [g.coefficient(mu) for mu in basis.monomials]
+    row_of = {mu: r for r, mu in enumerate(basis)}
+    labels = [
+        (i, beta)
+        for i, k in enumerate(manifold.profile.ks)
+        if k <= m
+        for beta in monomial_basis(n, m - k)
+    ]
+    matrix: List[List[Fraction]] = [[0] * len(labels) for _ in basis]
+    for col, (i, beta) in enumerate(labels):
+        for alpha, c in manifold.polynomials[i].terms.items():
+            matrix[row_of[tuple(map(operator.add, beta, alpha))]][col] = c
+    rhs = [g.coefficient(mu) for mu in basis]
     sol = linalg.solve(matrix, rhs)
     if sol is None:
         raise DecompositionError(
             f"no degree-respecting decomposition of {g} exists: "
             "the polynomial is not an ideal member with the claimed bounds"
         )
-    cof_terms: List[Dict[MultiIndex, Fraction]] = [dict() for _ in range(s)]
+    cof_terms: List[Dict[MultiIndex, Fraction]] = [{} for _ in manifold.polynomials]
     for (i, beta), c in zip(labels, sol):
-        if c != 0:
-            cof_terms[i][beta] = c
-    cofactors = tuple(Polynomial(n, t) for t in cof_terms)
+        cof_terms[i][beta] = c
+    cofactors = tuple(Polynomial._trusted(n, t) for t in cof_terms)
     dec = Decomposition(cofactors)
     if dec.reassemble(manifold) != g:
         raise InternalCheckError("decomposition failed to re-expand exactly")
@@ -407,6 +393,8 @@ def verify_hbase(
 ) -> HBaseReport:
     """Sample ideal members per degree and confirm degree-respecting
     decompositions exist; any failure is a counterexample to sufficiency."""
+    if trials < 1:
+        raise InputError(f"trials must be >= 1, got {trials}")
     if not infinity_check(manifold):
         raise InsufficientIntersectionError(
             "leading forms share a projective zero; H-base verification refused"
@@ -424,9 +412,6 @@ def verify_hbase(
                 if k > m:
                     continue
                 g = g + random_polynomial(rng, n, m - k) * f
-            if g.is_zero():
-                ok += 1  # zero member decomposes trivially
-                continue
             try:
                 hbase_decompose(g, manifold)
                 ok += 1

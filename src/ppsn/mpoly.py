@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import DimensionMismatchError, InputError, ParseError
 
@@ -63,33 +63,11 @@ def monomials_of_degree(n: int, d: int) -> List[MultiIndex]:
     return out
 
 
-class MonomialBasis:
-    """Ordered basis of all n-variate monomials of total degree <= m."""
-
-    def __init__(self, n: int, m: int):
-        if n < 1:
-            raise InputError("ambient dimension must be >= 1")
-        self.n = n
-        self.m = m
-        mono: List[MultiIndex] = []
-        for d in range(0, m + 1):
-            mono.extend(monomials_of_degree(n, d))
-        self.monomials: Tuple[MultiIndex, ...] = tuple(mono)
-
-    def __len__(self) -> int:
-        return len(self.monomials)
-
-    def __iter__(self) -> Iterator[MultiIndex]:
-        return iter(self.monomials)
-
-    def __getitem__(self, i: int) -> MultiIndex:
-        return self.monomials[i]
-
-
-def monomial_basis(n: int, m: int) -> MonomialBasis:
-    basis = MonomialBasis(n, m)
-    assert len(basis) == (math.comb(m + n, n) if m >= 0 else 0)
-    return basis
+def monomial_basis(n: int, m: int) -> Tuple[MultiIndex, ...]:
+    """All n-variate monomials of total degree <= m, in the fixed graded order."""
+    if n < 1:
+        raise InputError("ambient dimension must be >= 1")
+    return tuple(mu for d in range(m + 1) for mu in monomials_of_degree(n, d))
 
 
 class Polynomial:

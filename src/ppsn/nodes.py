@@ -45,14 +45,13 @@ from .errors import (
     InsufficientIntersectionError,
     ParseError,
 )
-from .macaulay import Manifold, canonical_monomials
+from .macaulay import Manifold, canonical_monomials, select_monomials
 from .mpoly import (
     MultiIndex,
     Point,
     Polynomial,
     as_fraction,
     as_point,
-    monomial_basis,
     parse_polynomial,
 )
 
@@ -227,8 +226,12 @@ def verify_ppsn(
     if manifold is None:
         witness = tuple(range(len(columns)))  # the columns are the full basis
     else:
-        index = {mu: j for j, mu in enumerate(monomial_basis(n, m))}
-        witness = tuple(index[mu] for mu in columns)
+        # the degree-t monomials start at index binom_e(t - 1, n) of the basis
+        witness = tuple(
+            binom_e(t - 1, n) + j
+            for t in range(m + 1)
+            for j in select_monomials(manifold, t).unselected
+        )
     return PPSNCertificate(
         degree=m,
         n=n,

@@ -92,6 +92,19 @@ def test_hbase_passes(files, capsys):
     assert code == 0
 
 
+def test_hbase_rejects_trials_below_one(files, capsys):
+    manifold = files("circle.poly", CIRCLE)
+    witness = files("circle.wit", "x2 - 2\n")
+    for trials in ("0", "-2"):
+        code, out = run(
+            ["hbase", "--manifold", manifold, "--witnesses", witness,
+             "--mmax", "4", "--trials", trials],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+
+
 def test_extract_grid(files, capsys):
     system = files("grid.sys", GRID)
     code, out = run(["extract", "--system", system, "--m", "2"], capsys)

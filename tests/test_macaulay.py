@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ppsn import (
     DecompositionError,
+    InputError,
     InsufficientIntersectionError,
     Manifold,
     OffManifoldError,
@@ -12,6 +15,8 @@ from ppsn import (
     canonical_monomials,
     hbase_decompose,
     infinity_check,
+    linalg,
+    monomial_basis,
     parse_polynomial,
     reduce_modulo,
     select_monomials,
@@ -143,3 +148,162 @@ def test_verify_hbase_is_seed_deterministic(cube_quadrics):
     a = verify_hbase(cube_quadrics, 4, trials=2, seed=9)
     b = verify_hbase(cube_quadrics, 4, trials=2, seed=9)
     assert a == b
+
+
+def test_verify_hbase_rejects_trials_below_one(circle):
+    for trials in (0, -2):
+        with pytest.raises(InputError):
+            verify_hbase(circle, 4, trials=trials)
+
+
+# -- differential tests against the Polynomial-based descent and solve ---------------
+
+
+def reference_reduce_modulo(f, manifold):
+    """Reference: the canonical-form descent built from Polynomial
+    temporaries (a homogeneous component per degree, a polynomial per item),
+    as computed before the one-dict descent."""
+    s = manifold.s
+    zero = Polynomial.zero(manifold.n)
+    if f.is_zero():
+        return zero, (zero,) * s
+    work = f
+    remainder = zero
+    cofactors = [zero] * s
+    for t in range(f.degree, -1, -1):
+        hom = work.homogeneous_component(t)
+        if hom.is_zero():
+            continue
+        sel = select_monomials(manifold, t)
+        if not sel.labeled_items:
+            remainder = remainder + hom
+            work = work - hom
+            continue
+        v = [hom.coefficient(mu) for mu in sel.monomials]
+        system = [
+            [sel.matrix[r][c] for r in range(len(sel.matrix))] for c in sel.selected
+        ]
+        lam = linalg.solve(system, [v[c] for c in sel.selected])
+        combo = [Fraction(0)] * len(sel.monomials)
+        for r, weight in enumerate(lam):
+            for j, entry in enumerate(sel.matrix[r]):
+                combo[j] += weight * entry
+        u = Polynomial(
+            manifold.n,
+            {mu: v[j] - combo[j] for j, mu in enumerate(sel.monomials)},
+        )
+        remainder = remainder + u
+        subtract = u
+        for r, (alpha, i) in enumerate(sel.labeled_items):
+            if lam[r] == 0:
+                continue
+            mono = Polynomial.monomial(alpha, lam[r])
+            cofactors[i] = cofactors[i] + mono
+            subtract = subtract + mono * manifold.polynomials[i]
+        work = work - subtract
+    assert work.is_zero()
+    return remainder, tuple(cofactors)
+
+
+def reference_hbase_decompose(g, manifold):
+    """Reference: the H-base system assembled column by column from
+    X^beta * f_i products and transposed, as computed before the row-major
+    build. None when no decomposition exists."""
+    n = manifold.n
+    m = g.degree
+    basis = monomial_basis(n, m)
+    row_of = {mu: j for j, mu in enumerate(basis)}
+    columns = []
+    labels = []
+    for i, f in enumerate(manifold.polynomials):
+        k = manifold.profile.ks[i]
+        if k > m:
+            continue
+        for beta in monomial_basis(n, m - k):
+            prod = Polynomial.monomial(beta) * f
+            colv = [Fraction(0)] * len(basis)
+            for mu, c in prod.terms.items():
+                colv[row_of[mu]] = c
+            columns.append(colv)
+            labels.append((i, beta))
+    matrix = [[columns[c][r] for c in range(len(columns))] for r in range(len(basis))]
+    sol = linalg.solve(matrix, [g.coefficient(mu) for mu in basis])
+    if sol is None:
+        return None
+    cof_terms = [dict() for _ in manifold.polynomials]
+    for (i, beta), c in zip(labels, sol):
+        if c != 0:
+            cof_terms[i][beta] = c
+    return tuple(Polynomial(n, t) for t in cof_terms)
+
+
+DIFF_MANIFOLDS = {
+    "circle": Manifold([parse_polynomial("x1^2 + x2^2 - 1", 2)]),
+    "sphere": Manifold([parse_polynomial("x1^2 + x2^2 + x3^2 - 1", 3)]),
+    # s = 2: the items x2^2 * g_1 and x1^2 * g_2 are dependent from degree 4
+    "cube_quadrics": Manifold(
+        [parse_polynomial("x1^2 - x1", 3), parse_polynomial("x2^2 - x2", 3)]
+    ),
+    # the sheared grid x1*(x1-1)*(x1+x2-2) = 0 = x2*(x2-1)*(x2-2)
+    "grid": Manifold(
+        [
+            parse_polynomial("x1^3 + x1^2*x2 - 3*x1^2 - x1*x2 + 2*x1", 2),
+            parse_polynomial("x2^3 - 3*x2^2 + 2*x2", 2),
+        ]
+    ),
+}
+
+
+@st.composite
+def manifold_polynomials(draw):
+    """(manifold name, polynomial of degree <= 8): sparse random polynomials,
+    or ideal members sum_i c_i * f_i with deg c_i <= degree - k_i."""
+    name = draw(st.sampled_from(sorted(DIFF_MANIFOLDS)))
+    manifold = DIFF_MANIFOLDS[name]
+    n = manifold.n
+    coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+    def sparse(degree):
+        monos = st.sampled_from(monomial_basis(n, degree))
+        return Polynomial(n, draw(st.dictionaries(monos, coefficients, max_size=6)))
+
+    degree = draw(st.integers(0, 8))
+    if not draw(st.booleans()):
+        return name, sparse(degree)
+    member = Polynomial.zero(n)
+    for f in manifold.polynomials:
+        if f.degree <= degree:
+            member = member + sparse(degree - f.degree) * f
+    return name, member
+
+
+@settings(max_examples=60, deadline=None)
+@given(manifold_polynomials())
+@example(("circle", Polynomial.zero(2)))
+@example(("cube_quadrics", Polynomial.zero(3)))
+def test_reduce_modulo_matches_polynomial_reference(case):
+    name, f = case
+    manifold = DIFF_MANIFOLDS[name]
+    form = reduce_modulo(f, manifold)
+    remainder, cofactors = reference_reduce_modulo(f, manifold)
+    assert form.remainder.terms == remainder.terms
+    assert [c.terms for c in form.cofactors] == [c.terms for c in cofactors]
+    assert str(form.remainder) == str(remainder)
+    assert [str(c) for c in form.cofactors] == [str(c) for c in cofactors]
+
+
+@settings(max_examples=60, deadline=None)
+@given(manifold_polynomials())
+@example(("sphere", Polynomial.zero(3)))
+@example(("grid", Polynomial.zero(2)))
+def test_hbase_decompose_matches_polynomial_reference(case):
+    name, g = case
+    manifold = DIFF_MANIFOLDS[name]
+    expected = reference_hbase_decompose(g, manifold)
+    if expected is None:
+        with pytest.raises(DecompositionError):
+            hbase_decompose(g, manifold)
+        return
+    dec = hbase_decompose(g, manifold)
+    assert [c.terms for c in dec.cofactors] == [c.terms for c in expected]
+    assert [str(c) for c in dec.cofactors] == [str(c) for c in expected]

@@ -57,7 +57,7 @@ def test_node_set_operations():
 
 def test_full_basis_matrix_shape_and_values():
     basis = monomial_basis(2, 1)
-    v = evaluation_matrix(pts((0, 0), (1, 0), (0, 1)), basis.monomials)
+    v = evaluation_matrix(pts((0, 0), (1, 0), (0, 1)), basis)
     assert v == [[1, 0, 0], [1, 1, 0], [1, 0, 1]]
 
 
