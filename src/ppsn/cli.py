@@ -337,105 +337,124 @@ def cmd_chain(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ppsn",
-        description="Exact multivariate interpolation on algebraic manifolds: "
-        "dimension tables, node-set certificates, and constructions.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+def _common(p):
+    p.add_argument("--json", action="store_true", help="emit a JSON report")
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+    p.add_argument("--n", type=int, default=None, help="ambient dimension override")
 
-    def common(p):
-        p.add_argument("--json", action="store_true", help="emit a JSON report")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-        p.add_argument("--n", type=int, default=None, help="ambient dimension override")
 
-    p = sub.add_parser("dim", help="dimension table for a degree profile")
-    common(p)
+def _dim_args(p):
     p.add_argument("--degrees", required=True, help="comma-separated degrees k_1..k_s")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--mmax", type=int, default=None)
-    p.set_defaults(func=cmd_dim)
 
-    p = sub.add_parser("verify", help="certify a node set at a degree")
-    common(p)
+
+def _verify_args(p):
     p.add_argument("--manifold", help="file: one defining polynomial per line")
     p.add_argument("--witnesses", help="file: completing hypersurfaces")
     p.add_argument("--nodes", required=True, help="file: one point per line")
     p.add_argument("--m", type=int, required=True)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("reduce", help="canonical form modulo a manifold")
-    common(p)
+
+def _reduce_args(p):
     p.add_argument("--manifold", required=True)
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--poly", help="polynomial expression")
     source.add_argument("--poly-file", dest="poly_file", help="file with one expression")
-    p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("hbase", help="sampled H-base round-trip verification")
-    common(p)
+
+def _hbase_args(p):
     p.add_argument("--manifold", required=True)
     p.add_argument("--witnesses")
     p.add_argument("--mmax", type=int, required=True)
     p.add_argument("--trials", type=int, default=5)
-    p.set_defaults(func=cmd_hbase)
 
-    p = sub.add_parser("extract", help="nested extraction from a factorable system")
-    common(p)
+
+def _extract_args(p):
     p.add_argument("--system", required=True, help="file: one factored hypersurface per line")
     p.add_argument("--m", type=int, required=True)
-    p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("interpolate", help="exact interpolation at certified nodes")
-    common(p)
+
+def _interpolate_args(p):
     p.add_argument("--manifold")
     p.add_argument("--witnesses")
     p.add_argument("--nodes", required=True)
     p.add_argument("--values", required=True, help="file: one rational per line")
     p.add_argument("--m", type=int, required=True)
-    p.set_defaults(func=cmd_interpolate)
 
-    p = sub.add_parser("superpose", help="superposition of two node sets")
-    common(p)
+
+def _superpose_args(p):
     p.add_argument("--manifold", required=True, help="sub-manifold; last line is the splitting polynomial")
     p.add_argument("--witnesses")
     p.add_argument("--sub", required=True, help="file: nodes on the sub-manifold")
     p.add_argument("--super", dest="super_nodes", required=True, help="file: nodes on the larger manifold")
     p.add_argument("--m", type=int, required=True)
-    p.set_defaults(func=cmd_superpose)
 
-    p = sub.add_parser("cb-reduce", help="Cayley-Bacharach reduction of an intersection")
-    common(p)
+
+def _cb_reduce_args(p):
     p.add_argument("--system", required=True)
     p.add_argument("--remove", required=True, help="file: points to remove")
     p.add_argument("--m", type=int, required=True)
-    p.set_defaults(func=cmd_cb_reduce)
 
-    p = sub.add_parser("cb-check", help="vanish-or-degenerate trichotomy check")
-    common(p)
+
+def _cb_check_args(p):
     p.add_argument("--system", required=True)
     p.add_argument("--remove", required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--poly", required=True)
     p.add_argument("--require-ppsn", dest="require_ppsn", action="store_true")
-    p.set_defaults(func=cmd_cb_check)
 
-    p = sub.add_parser("chain", help="PPSN chain along a curve of a factorable system")
-    common(p)
+
+def _chain_args(p):
     p.add_argument("--system", required=True)
     p.add_argument("--t", type=int, required=True, help="1-based index of the omitted hypersurface")
     p.add_argument("--mmax", type=int, required=True)
     p.add_argument("--x0", required=True, help="comma-separated coordinates of the seed point")
-    p.set_defaults(func=cmd_chain)
 
+
+# name -> (help, handler, arguments), in the order the help lists them
+SUBCOMMANDS = {
+    "dim": ("dimension table for a degree profile", cmd_dim, _dim_args),
+    "verify": ("certify a node set at a degree", cmd_verify, _verify_args),
+    "reduce": ("canonical form modulo a manifold", cmd_reduce, _reduce_args),
+    "hbase": ("sampled H-base round-trip verification", cmd_hbase, _hbase_args),
+    "extract": ("nested extraction from a factorable system", cmd_extract, _extract_args),
+    "interpolate": ("exact interpolation at certified nodes", cmd_interpolate, _interpolate_args),
+    "superpose": ("superposition of two node sets", cmd_superpose, _superpose_args),
+    "cb-reduce": ("Cayley-Bacharach reduction of an intersection", cmd_cb_reduce, _cb_reduce_args),
+    "cb-check": ("vanish-or-degenerate trichotomy check", cmd_cb_check, _cb_check_args),
+    "chain": ("PPSN chain along a curve of a factorable system", cmd_chain, _chain_args),
+}
+
+
+def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser for every subcommand, or for the one named `only`, whose
+    help, usage and error text are then the same as the full parser's."""
+    parser = argparse.ArgumentParser(
+        prog="ppsn",
+        description="Exact multivariate interpolation on algebraic manifolds: "
+        "dimension tables, node-set certificates, and constructions.",
+    )
+    # the full parser's usage lists every subcommand: keep that text when
+    # only one is built (the full parser keeps argparse's default, which its
+    # missing-subcommand error also uses)
+    listing = {} if only is None else {"metavar": "{" + ",".join(SUBCOMMANDS) + "}"}
+    sub = parser.add_subparsers(dest="subcommand", required=True, **listing)
+    for name, (help_text, func, add_arguments) in SUBCOMMANDS.items():
+        if only in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            _common(p)
+            add_arguments(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
+    # a named subcommand needs only its own parser; help, an unknown name
+    # and an empty argv get the full one
+    parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
     args = parser.parse_args(argv)
     args.argv = list(argv)
     start = time.monotonic()

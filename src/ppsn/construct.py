@@ -4,13 +4,17 @@ line/conic node generators.
 
 Every construction returns its result together with an exact-rank
 certificate; hypothesis checks are exact and refusals are exceptions, so a
-returned node set is always certified.
+returned node set is always certified. An interpolant solved mod the
+word-size primes `linalg.PRIMES` is returned only after an exact integer
+check of every node equation, and the exact elimination is the fallback.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -68,9 +72,11 @@ def interpolate(
     unselected monomials of degrees <= m, which makes it the unique
     representative in the canonical remainder space.
 
-    The coefficients are first guessed mod `linalg.PRIME` and rebuilt by
-    rational reconstruction. The guess is returned only when it takes every
-    node value exactly; otherwise the exact elimination of [A | b] runs."""
+    The coefficients are guessed mod the word-size primes `linalg.PRIMES`,
+    combined by the Chinese remainder theorem and rebuilt by rational
+    reconstruction. A guess is returned only when it solves every node
+    equation exactly; when no prime gives one, the exact elimination of
+    [A | b] runs."""
     manifold, m, nodes = problem.manifold, problem.m, problem.nodes
     if manifold is not None:
         n = manifold.n
@@ -94,46 +100,70 @@ def interpolate(
     # column of A and leaves the solution in the last column.
     rows = evaluation_rows(nodes.points, columns)
     coeffs = _solve_mod_p(rows, problem.values)
-    if coeffs is not None:
-        # A is nonsingular mod p, hence over Q, so the system has exactly one
-        # solution and a guess that fits every node exactly is that solution
-        poly = Polynomial(n, dict(zip(columns, coeffs)))
-        if _fits(poly, nodes.points, problem.values):
-            return poly
-    augmented = [row + [scale * v] for (scale, row), v in zip(rows, problem.values)]
-    ech = linalg.row_reduce(augmented)
-    if sum(c < len(columns) for c in ech.pivot_columns) != len(nodes):
-        raise InternalCheckError(
-            "canonical evaluation matrix is singular for a certified node set"
-        )
-    poly = Polynomial(n, dict(zip(columns, ech.column(len(columns)))))
-    if not _fits(poly, nodes.points, problem.values):
-        raise InternalCheckError("interpolant misses a node value")
-    return poly
+    if coeffs is None:
+        augmented = [row + [scale * v] for (scale, row), v in zip(rows, problem.values)]
+        ech = linalg.row_reduce(augmented)
+        if sum(c < len(columns) for c in ech.pivot_columns) != len(nodes):
+            raise InternalCheckError(
+                "canonical evaluation matrix is singular for a certified node set"
+            )
+        coeffs = ech.column(len(columns))
+        if not _solves(rows, problem.values, coeffs):
+            raise InternalCheckError("interpolant misses a node value")
+    return Polynomial._trusted(n, dict(zip(columns, coeffs)))
 
 
 def _solve_mod_p(
     rows: Sequence[Tuple[int, List[int]]], values: Sequence[Fraction]
 ) -> Optional[List[Fraction]]:
-    """A guess at the solution of the square system [A | b] from one
-    elimination mod `linalg.PRIME`, each coefficient rebuilt by rational
-    reconstruction; None when A is singular mod p, a value's denominator is
-    divisible by p or a residue has no small fraction."""
-    p = linalg.PRIME
-    augmented = []
-    for (scale, row), v in zip(rows, values):
-        if v.denominator % p == 0:
-            return None
-        augmented.append(row + [scale * v.numerator * pow(v.denominator, -1, p)])
-    ech = linalg.row_reduce_mod(augmented)
-    if sum(c < len(rows) for c in ech.pivot_columns) != len(rows):
-        return None
-    coeffs = [linalg.rational_reconstruct(u, p) for u in ech.column(len(rows))]
-    return None if None in coeffs else coeffs
+    """The solution of the square system [A | b] from eliminations mod
+    `linalg.PRIMES` in turn, or None when no prime gives it. A prime that
+    divides a value's denominator or leaves A singular is skipped. Each other
+    prime's solution column joins the residues so far by the Chinese
+    remainder theorem, every coefficient is rebuilt mod the running product,
+    and the first guess that passes `_solves` is returned: a nonsingular A
+    mod p is nonsingular over Q, so that guess is the unique solution."""
+    residues = [0] * len(rows)
+    modulus = 1
+    for p in linalg.PRIMES:
+        if any(v.denominator % p == 0 for v in values):
+            continue
+        augmented = [
+            row + [scale * v.numerator * pow(v.denominator, -1, p)]
+            for (scale, row), v in zip(rows, values)
+        ]
+        ech = linalg.row_reduce_mod(augmented, p)
+        if sum(c < len(rows) for c in ech.pivot_columns) != len(rows):
+            continue
+        # x = r (mod modulus) and x = u (mod p) give x = r + modulus * k
+        # with k = (u - r) / modulus (mod p)
+        inv = pow(modulus, -1, p)
+        residues = [
+            r + modulus * ((u - r) * inv % p)
+            for r, u in zip(residues, ech.column(len(rows)))
+        ]
+        modulus *= p
+        coeffs = [linalg.rational_reconstruct(u, modulus) for u in residues]
+        if None not in coeffs and _solves(rows, values, coeffs):
+            return coeffs
+    return None
 
 
-def _fits(poly: Polynomial, points: Sequence[Point], values: Sequence[Fraction]) -> bool:
-    return all(poly.evaluate(q) == v for q, v in zip(points, values))
+def _solves(
+    rows: Sequence[Tuple[int, List[int]]],
+    values: Sequence[Fraction],
+    coeffs: Sequence[Fraction],
+) -> bool:
+    """Whether the coefficients x satisfy every node equation
+    (row_i / scale_i) . x = v_i exactly. With D the lcm of the denominators
+    of x, the equation for node i is the integer identity
+    sum_j row_ij * (D * x_j) * den(v_i) == scale_i * D * num(v_i)."""
+    D = lcm(*(x.denominator for x in coeffs))
+    scaled = [x.numerator * (D // x.denominator) for x in coeffs]
+    return all(
+        sum(map(mul, row, scaled)) * v.denominator == scale * D * v.numerator
+        for (scale, row), v in zip(rows, values)
+    )
 
 
 # -- superposition -------------------------------------------------------------

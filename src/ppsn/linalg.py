@@ -21,32 +21,38 @@ most a column or two (`solve` the right-hand side, `nullspace` the free
 columns).
 
 `row_reduce_mod` is the same Gauss-Jordan elimination over the integers mod
-the fixed prime `PRIME`. Its answers are used only where they need no trust:
+a prime p, one of the fixed word-size primes `PRIMES`. Below 2^30 a residue
+is one CPython digit, so each row operation stays on the single-digit fast
+paths. Its answers are used only where they need no trust:
 
 * A rank of N mod p for an integer N x N matrix is a certificate of
   nonsingularity over Q. The determinant is an integer, and the elimination
   mod p shows that it is nonzero mod p, so it is nonzero. A rank below N
   proves nothing: p may divide the determinant of a nonsingular matrix.
   Callers then take the exact path.
-* A solution mod p is a guess. `rational_reconstruct` turns each residue
-  into the unique small fraction congruent to it, if one exists (Wang's
-  method, as in Dixon, Numer. Math. 40, 1982). The guess is accepted only
-  after an exact check over Q; otherwise the caller solves with
-  `row_reduce`.
+* A solution mod p is a guess. Solutions mod several primes combine by the
+  Chinese remainder theorem into one mod their product M, and
+  `rational_reconstruct` turns each residue into the unique small fraction
+  congruent to it mod M, if one exists (Wang, Guy & Davenport, SIGSAM Bull.
+  16(2), 1982). The guess is accepted only after an exact check over Q, as
+  in Dixon (Numer. Math. 40, 1982); otherwise the caller tries the next
+  prime and, after the last, solves with `row_reduce`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import List, Optional, Sequence, Tuple
 
 Row = List[Fraction]
 
-# 2^62 - 57, a prime (deterministic Miller-Rabin). It differs from the
-# benchmark oracle's 2^61 - 1, so the two rank checks share no blind spot.
-PRIME = 2**62 - 57
+# Primes below 2^30 (deterministic Miller-Rabin), all apart from the
+# benchmark oracle's 2^61 - 1, so the rank checks share no blind spot. Mod
+# their product, about 2^90, reconstruction recovers numerators and
+# denominators up to about 2^44.5.
+PRIMES = (2**30 - 35, 2**30 - 41, 2**30 - 83)
 
 
 @dataclass(frozen=True)
@@ -58,7 +64,7 @@ class Echelon:
     rows `ints` over one common `denominator`: entry (i, j) is
     ints[i][j] / denominator. `column(j)` and `rows` build Fractions only
     for the entries they return. From `row_reduce_mod` the ints are residues
-    in [0, PRIME), there is no denominator, and both return the residues.
+    in [0, p), there is no denominator, and both return the residues.
     """
 
     rank: int
@@ -125,10 +131,9 @@ def row_reduce(matrix: Sequence[Sequence[Fraction]]) -> Echelon:
     return Echelon(rank=r, pivots=tuple(pivots), ints=tuple(map(tuple, m)), denominator=prev)
 
 
-def row_reduce_mod(matrix: Sequence[Sequence[int]]) -> Echelon:
-    """`row_reduce` of an integer matrix over the integers mod `PRIME`:
+def row_reduce_mod(matrix: Sequence[Sequence[int]], p: int) -> Echelon:
+    """`row_reduce` of an integer matrix over the integers mod the prime p:
     the same pivot policy, each pivot scaled to 1."""
-    p = PRIME
     m = [[v % p for v in row] for row in matrix]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
@@ -157,20 +162,24 @@ def row_reduce_mod(matrix: Sequence[Sequence[int]]) -> Echelon:
     return Echelon(rank=r, pivots=tuple(pivots), ints=tuple(map(tuple, m)))
 
 
-def rational_reconstruct(u: int, p: int) -> Optional[Fraction]:
-    """The fraction a/b with a = b*u (mod p), |a| <= sqrt(p/2) and
-    0 < b <= sqrt(p/2), or None when there is none, for a prime p. It is
-    unique when it exists, and the half-extended Euclidean algorithm on
-    (p, u) finds it: each remainder r and cofactor t satisfy r = t*u (mod p)
-    and gcd(r, t) divides p, so a prime p leaves nothing to cancel."""
-    bound = isqrt(p // 2)
-    r0, r1 = p, u % p
+def rational_reconstruct(u: int, M: int) -> Optional[Fraction]:
+    """The fraction a/b in lowest terms with a = b*u (mod M),
+    |a| <= sqrt(M/2) and 0 < b <= sqrt(M/2), or None when there is none, for
+    M a prime or a product of distinct odd primes. Such a fraction is unique
+    (2|a|b < M), and the half-extended Euclidean algorithm on (M, u) finds it
+    as the first remainder r within the bound over its cofactor t, where
+    r = t*u (mod M). gcd(r, t) divides M. For a prime M it is 1; for a
+    composite M a common factor means that no fraction in range exists (r/t
+    in lowest terms is then not congruent to u), so rejecting it is what
+    keeps the result unique. With gcd(r, t) = 1, t is invertible mod M."""
+    bound = isqrt(M // 2)
+    r0, r1 = M, u % M
     t0, t1 = 0, 1
     while r1 > bound:
         q = r0 // r1
         r0, r1 = r1, r0 - q * r1
         t0, t1 = t1, t0 - q * t1
-    if abs(t1) > bound:
+    if abs(t1) > bound or gcd(r1, t1) != 1:
         return None
     return Fraction(r1, t1)
 

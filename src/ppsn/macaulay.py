@@ -395,6 +395,11 @@ def verify_hbase(
     decompositions exist; any failure is a counterexample to sufficiency."""
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
+    if mmax < manifold.profile.L:
+        # no ideal member of degree <= mmax is sampled: nothing would be checked
+        raise InputError(
+            f"mmax must be >= {manifold.profile.L}, the smallest defining degree, got {mmax}"
+        )
     if not infinity_check(manifold):
         raise InsufficientIntersectionError(
             "leading forms share a projective zero; H-base verification refused"

@@ -19,8 +19,8 @@ of `linalg.row_reduce`, so rank certificates and interpolants come straight
 from the integer rows; `evaluation_matrix` divides them back out for callers
 that need the rational entries.
 
-`verify_ppsn` first eliminates the integer rows mod the prime
-`linalg.PRIME`. A rank of N there means the N x N integer determinant is
+`verify_ppsn` first eliminates the integer rows mod the word-size prime
+`linalg.PRIMES[0]`. A rank of N there means the N x N integer determinant is
 nonzero mod p, hence nonzero: the set is proper, with no trust in the prime.
 A smaller rank is either a genuinely improper set or a prime dividing the
 determinant, so the exact `linalg.left_null_vector` of the integer rows
@@ -159,7 +159,7 @@ class PPSNCertificate:
     proper means the canonical N x N evaluation matrix is nonsingular, and
     `witness_columns` are the canonical monomials' full-basis indices.
 
-    A proper verdict is proved by a rank of N modulo `linalg.PRIME` (a
+    A proper verdict is proved by a rank of N modulo `linalg.PRIMES[0]` (a
     nonzero determinant mod p is a nonzero integer) or, when that rank falls
     short, by an exact elimination that finds no left kernel. An improper
     verdict always carries the exact kernel functional. The fields are the
@@ -205,7 +205,7 @@ def verify_ppsn(
         raise DimensionMismatchError("node/basis dimension mismatch")
     columns = canonical_monomials(manifold, n, m)
     scales, rows = zip(*evaluation_rows(nodes.points, columns))
-    if linalg.row_reduce_mod(rows).rank < len(nodes):
+    if linalg.row_reduce_mod(rows, linalg.PRIMES[0]).rank < len(nodes):
         # improper, or the prime divides the determinant: decide exactly.
         # The canonical columns span the full-basis ones on manifold points,
         # so the left kernels agree. Row i is s_i times the rational row, so

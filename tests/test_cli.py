@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppsn.cli import main
+from ppsn.cli import SUBCOMMANDS, build_parser, main
 
 GRID = "x1*(x1-1)*(x1-2)\nx2*(x2-1)*(x2-2)\n"
 CUBE = "x1*(x1-1)\nx2*(x2-1)\nx3*(x3-1)\n"
@@ -99,6 +99,18 @@ def test_hbase_rejects_trials_below_one(files, capsys):
         code, out = run(
             ["hbase", "--manifold", manifold, "--witnesses", witness,
              "--mmax", "4", "--trials", trials],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+
+
+def test_hbase_rejects_mmax_below_the_smallest_degree(files, capsys):
+    manifold = files("circle.poly", CIRCLE)
+    witness = files("circle.wit", "x2 - 2\n")
+    for mmax in ("1", "-3"):
+        code, out = run(
+            ["hbase", "--manifold", manifold, "--witnesses", witness, "--mmax", mmax, "--json"],
             capsys,
         )
         assert code == 2
@@ -327,3 +339,57 @@ def test_malformed_input_keeps_the_exit_code_contract(case):
                 code = exc.code
     assert code in (0, 1, 2), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+# -- one subcommand's parser against the full parser --------------------------
+
+# the required options of each subcommand, with values that parse
+REQUIRED = {
+    "dim": ["--degrees", "1", "--m", "1"],
+    "verify": ["--nodes", "a", "--m", "1"],
+    "reduce": ["--manifold", "a", "--poly", "x1"],
+    "hbase": ["--manifold", "a", "--mmax", "2"],
+    "extract": ["--system", "a", "--m", "1"],
+    "interpolate": ["--nodes", "a", "--values", "b", "--m", "1"],
+    "superpose": ["--manifold", "a", "--sub", "b", "--super", "c", "--m", "1"],
+    "cb-reduce": ["--system", "a", "--remove", "b", "--m", "1"],
+    "cb-check": ["--system", "a", "--remove", "b", "--m", "1", "--poly", "x1"],
+    "chain": ["--system", "a", "--t", "1", "--mmax", "1", "--x0", "0,0"],
+}
+
+
+def test_required_table_covers_every_subcommand():
+    assert list(REQUIRED) == list(SUBCOMMANDS)
+
+
+def _parse(parse, argv):
+    """(exit code, stdout, stderr) of an argparse exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["--help"], ["-h"], ["nope"], ["--json", "dim"]]
+    + [
+        argv
+        for name, required in REQUIRED.items()
+        for argv in (
+            [name, "--help"],
+            [name],  # required options missing
+            [name, *required, "--bogus"],  # unrecognized, reported by the top parser
+            [name, *required[:-1], "x"] if required[-2] == "--m" else [name, *required, "--n", "x"],
+        )
+    ],
+)
+def test_main_speaks_like_the_full_parser(argv):
+    assert _parse(main, argv) == _parse(build_parser().parse_args, argv)
+
+
+@pytest.mark.parametrize("name", list(REQUIRED))
+def test_single_subcommand_parser_parses_like_the_full_parser(name):
+    argv = [name, *REQUIRED[name], "--json"]
+    assert vars(build_parser(name).parse_args(argv)) == vars(build_parser().parse_args(argv))

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ppsn.linalg import (
-    PRIME,
+    PRIMES,
     IncrementalRank,
     left_null_vector,
     nullspace,
@@ -196,7 +196,8 @@ def test_echelon_column_is_the_column_of_rows(m):
         assert ech.column(j) == [row[j] for row in ech.rows]
         assert all(type(v) is Fraction for v in ech.column(j))
     ints = [[v.numerator * 3 for v in row] for row in m]
-    mod = row_reduce_mod(ints)
+    p = PRIMES[0]
+    mod = row_reduce_mod(ints, p)
     for j in range(len(m[0])):
         assert mod.column(j) == [row[j] for row in mod.rows]
-        assert all(type(v) is int and 0 <= v < PRIME for v in mod.column(j))
+        assert all(type(v) is int and 0 <= v < p for v in mod.column(j))

@@ -156,6 +156,15 @@ def test_verify_hbase_rejects_trials_below_one(circle):
             verify_hbase(circle, 4, trials=trials)
 
 
+def test_verify_hbase_rejects_mmax_below_the_smallest_degree(circle, cube_quadrics):
+    for manifold in (circle, cube_quadrics):
+        assert manifold.profile.L == 2
+        for mmax in (1, 0, -3):
+            with pytest.raises(InputError, match="smallest defining degree"):
+                verify_hbase(manifold, mmax)
+        assert verify_hbase(manifold, 2, trials=1).passes == ((2, 1),)
+
+
 # -- differential tests against the Polynomial-based descent and solve ---------------
 
 

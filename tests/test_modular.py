@@ -1,11 +1,12 @@
 """The modular paths: rank mod p as a properness certificate and the
 interpolant solved mod p, each checked against the exact path it replaces."""
 
+import random
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ppsn import (
@@ -26,6 +27,7 @@ from ppsn import linalg
 from ppsn.nodes import evaluation_matrix, evaluation_rows
 
 F = Fraction
+PRIMES = linalg.PRIMES
 
 CIRCLE = Manifold([parse_polynomial("x1^2 + x2^2 - 1", 2)])
 SPHERE = Manifold([parse_polynomial("x1^2 + x2^2 + x3^2 - 1", 3)])
@@ -57,11 +59,18 @@ def miller_rabin(n):
     return True
 
 
-def test_prime_is_a_62_bit_prime_apart_from_the_oracle():
-    assert miller_rabin(linalg.PRIME)
-    assert linalg.PRIME.bit_length() == 62
-    assert linalg.PRIME != 2**61 - 1
-    assert not miller_rabin(linalg.PRIME - 2)  # the test can say no
+MODULUS = prod(PRIMES)
+
+
+def test_primes_are_word_size_primes_apart_from_the_oracle():
+    for p in linalg.PRIMES:
+        assert miller_rabin(p)
+        assert p < 2**30
+        assert p != 2**61 - 1
+    assert len(set(linalg.PRIMES)) == len(linalg.PRIMES)
+    # reconstruction mod the product covers what one 62-bit prime covered
+    assert MODULUS > 2**62 - 57
+    assert not miller_rabin(linalg.PRIMES[0] - 2)  # the test can say no
 
 
 # -- rational reconstruction -------------------------------------------------------
@@ -73,11 +82,12 @@ def test_prime_is_a_62_bit_prime_apart_from_the_oracle():
 @example(-1, 1)
 @example(-(2**30), 2**30 - 1)
 def test_rational_reconstruct_round_trip_with_signs(a, b):
-    p = linalg.PRIME
+    M = MODULUS
     x = F(a, b)
-    u = x.numerator * pow(x.denominator, -1, p) % p
-    assert linalg.rational_reconstruct(u, p) == x
-    assert linalg.rational_reconstruct(-x.numerator * pow(x.denominator, -1, p), p) == -x
+    assume(gcd(x.denominator, M) == 1)
+    u = x.numerator * pow(x.denominator, -1, M) % M
+    assert linalg.rational_reconstruct(u, M) == x
+    assert linalg.rational_reconstruct(-x.numerator * pow(x.denominator, -1, M), M) == -x
 
 
 def test_rational_reconstruct_matches_search_and_gives_none_past_the_bound():
@@ -98,6 +108,21 @@ def test_rational_reconstruct_matches_search_and_gives_none_past_the_bound():
     assert linalg.rational_reconstruct(pow(bound + 1, -1, p), p) is None
 
 
+@pytest.mark.parametrize("M", [105, 1155])
+def test_rational_reconstruct_mod_a_composite_rejects_a_common_factor(M):
+    bound = isqrt(M // 2)
+    small = {}
+    for b in range(1, bound + 1):
+        for a in range(-bound, bound + 1):
+            if gcd(a, b) == 1 and gcd(b, M) == 1:
+                small[a * pow(b, -1, M) % M] = F(a, b)
+    for u in range(M):
+        assert linalg.rational_reconstruct(u, M) == small.get(u)
+    # 17 = 3 * (-6)^-1 is not invertible as written: the Euclidean remainder
+    # and cofactor (3, -6) share 3, -1/2 is 52 mod 105, and nothing in range is 17
+    assert linalg.rational_reconstruct(17, 105) is None
+
+
 # -- the kernel against exact elimination ------------------------------------------
 
 small_int_matrices = st.integers(1, 5).flatmap(
@@ -112,15 +137,16 @@ small_int_matrices = st.integers(1, 5).flatmap(
 @example([[0, 2, 1], [0, 0, 3], [5, 1, 0]])
 @example([[0, 0], [1, 1], [2, 2]])
 def test_row_reduce_mod_is_row_reduce_mod_p(m):
-    # every minor is below p in size, so zero mod p means zero: same pivots,
-    # and the RREF mod p is the exact RREF reduced mod p
-    p = linalg.PRIME
+    # every minor is below p in size (at most (9 * sqrt(5))^5 < 2^22), so
+    # zero mod p means zero: same pivots, and the RREF mod p is the exact
+    # RREF reduced mod p
     exact = linalg.row_reduce(m)
-    mod = linalg.row_reduce_mod(m)
-    assert (mod.rank, mod.pivots) == (exact.rank, exact.pivots)
-    assert mod.rows == tuple(
-        tuple(x.numerator * pow(x.denominator, -1, p) % p for x in row) for row in exact.rows
-    )
+    for p in linalg.PRIMES:
+        mod = linalg.row_reduce_mod(m, p)
+        assert (mod.rank, mod.pivots) == (exact.rank, exact.pivots)
+        assert mod.rows == tuple(
+            tuple(x.numerator * pow(x.denominator, -1, p) % p for x in row) for row in exact.rows
+        )
 
 
 # -- modular verify and interpolate against the exact path ---------------------------
@@ -240,11 +266,10 @@ def test_improper_functional_for_any_corank_is_the_rational_one(case):
 # -- fallbacks ------------------------------------------------------------------------
 
 
-@pytest.fixture
-def exact_calls(monkeypatch):
-    """Counts of the exact eliminations run beneath the calls under test."""
-    counts = {"row_reduce": 0, "left_null_vector": 0}
-    for name in counts:
+def spy_on(monkeypatch, *names):
+    """Counts of the calls to the named `linalg` functions from here on."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
         original = getattr(linalg, name)
 
         def spy(*args, _name=name, _original=original):
@@ -253,6 +278,12 @@ def exact_calls(monkeypatch):
 
         monkeypatch.setattr(linalg, name, spy)
     return counts
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """Counts of the exact eliminations run beneath the calls under test."""
+    return spy_on(monkeypatch, "row_reduce", "left_null_vector")
 
 
 TRIANGLE = NodeSet([(F(0), F(0)), (F(1), F(0)), (F(0), F(7))])  # determinant 7
@@ -266,21 +297,33 @@ def test_small_prime_dividing_the_determinant_falls_back_exactly(monkeypatch, ex
     assert (verify_ppsn(TRIANGLE, None, 1), interpolate(problem)) == (cert, poly)
     assert exact_calls == {"row_reduce": 0, "left_null_vector": 0}  # all mod p
 
-    monkeypatch.setattr(linalg, "PRIME", 7)  # rank 2 mod 7, rank 3 over Q
+    monkeypatch.setattr(linalg, "PRIMES", (7,))  # rank 2 mod 7, rank 3 over Q
     assert verify_ppsn(TRIANGLE, None, 1) == cert
     assert exact_calls == {"row_reduce": 1, "left_null_vector": 1}  # one exact elimination
     exact_calls.update(row_reduce=0, left_null_vector=0)
     assert interpolate(problem, cert) == poly
     assert exact_calls["row_reduce"] == 1
 
+    # a later prime takes over from one that divides the determinant
+    monkeypatch.setattr(linalg, "PRIMES", (7,) + PRIMES)
+    exact_calls.update(row_reduce=0, left_null_vector=0)
+    assert interpolate(problem, cert) == poly
+    assert exact_calls["row_reduce"] == 0
+
 
 def test_value_denominator_divisible_by_the_prime_falls_back(monkeypatch, exact_calls):
-    monkeypatch.setattr(linalg, "PRIME", 11)  # the triangle is nonsingular mod 11
+    monkeypatch.setattr(linalg, "PRIMES", (11,))  # the triangle is nonsingular mod 11
     values = (F(1, 11), F(2), F(3))
+    problem = InterpolationProblem(None, 1, TRIANGLE, values)
     cert, poly = exact_path(TRIANGLE, None, 1, values)
     exact_calls.update(row_reduce=0, left_null_vector=0)
-    assert interpolate(InterpolationProblem(None, 1, TRIANGLE, values), cert) == poly
+    assert interpolate(problem, cert) == poly
     assert exact_calls["row_reduce"] == 1
+
+    monkeypatch.setattr(linalg, "PRIMES", (11,) + PRIMES)
+    exact_calls.update(row_reduce=0, left_null_vector=0)
+    assert interpolate(problem, cert) == poly
+    assert exact_calls["row_reduce"] == 0
 
 
 def test_corrupted_coefficient_is_rejected_by_the_node_check(monkeypatch, exact_calls):
@@ -297,17 +340,33 @@ def test_corrupted_coefficient_is_rejected_by_the_node_check(monkeypatch, exact_
     assert exact_calls["row_reduce"] == 0  # the modular guess was accepted
 
     original = linalg.rational_reconstruct
-    calls = []
 
-    def corrupt(u, p):
-        calls.append(u)
-        x = original(u, p)
-        return x + 1 if len(calls) == 1 else x
+    def corrupting(rounds):
+        """Add 1 to the first coefficient of each of the first `rounds`
+        guesses, one guess per prime."""
+        calls = []
 
-    monkeypatch.setattr(linalg, "rational_reconstruct", corrupt)
+        def corrupt(u, M):
+            calls.append(u)
+            x = original(u, M)
+            return x + 1 if len(calls) % len(points) == 1 and len(calls) < rounds * len(points) else x
+
+        monkeypatch.setattr(linalg, "rational_reconstruct", corrupt)
+        return calls
+
+    # every prime's guess is corrupted: none is returned, Bareiss decides
+    calls = corrupting(len(PRIMES))
+    exact_calls.update(row_reduce=0, left_null_vector=0)
     assert interpolate(problem, cert) == poly
-    assert len(calls) == len(points)
+    assert len(calls) == len(PRIMES) * len(points)
     assert exact_calls["row_reduce"] == 1
+
+    # only the first guess is corrupted: the second prime's guess is returned
+    calls = corrupting(1)
+    exact_calls.update(row_reduce=0, left_null_vector=0)
+    assert interpolate(problem, cert) == poly
+    assert len(calls) == 2 * len(points)
+    assert exact_calls["row_reduce"] == 0
 
 
 def test_forged_certificate_is_not_trusted():
@@ -318,3 +377,76 @@ def test_forged_certificate_is_not_trusted():
     forged = PPSNCertificate(1, 2, 3, True, witness_columns=(0, 1, 2))
     with pytest.raises(InternalCheckError, match="singular"):
         interpolate(InterpolationProblem(None, 1, nodes, (F(0), F(1), F(2))), forged)
+
+
+# -- how many primes a solve takes --------------------------------------------------
+
+# a fraction a/b with |a|, b <= BOUNDS[k] is recovered mod the first k primes
+BOUNDS = [isqrt(prod(PRIMES[:k]) // 2) for k in range(len(PRIMES) + 1)]
+
+
+@st.composite
+def sized_line_problems(draw):
+    """(nodes, values, planted, k): distinct rational points on the line, so
+    the square (Vandermonde) system is nonsingular, with no minor divisible by
+    a word-size prime. The planted interpolant's largest numerator or
+    denominator lies in (BOUNDS[k - 1], BOUNDS[k]], so it needs exactly k
+    primes; k = 4 puts it past all three."""
+    k = draw(st.integers(1, len(PRIMES) + 1))
+    lo = BOUNDS[k - 1]
+    hi = BOUNDS[k] if k <= len(PRIMES) else 2**64
+    m = draw(st.integers(0, 4))
+    ts = draw(st.lists(coords_st, min_size=m + 1, max_size=m + 1, unique=True))
+    size = st.integers(1, hi)
+    coeffs = [
+        F(draw(st.sampled_from([-1, 1])) * draw(size), draw(size)) for _ in range(m + 1)
+    ]
+    # one coefficient is an integer or a unit fraction of size in (lo, hi]
+    big = draw(st.integers(lo + 1, hi))
+    coeffs[draw(st.integers(0, m))] = F(big) if draw(st.booleans()) else F(-1, big)
+    assume(all(c.denominator % p for c in coeffs for p in PRIMES))
+    planted = Polynomial(1, {(j,): c for j, c in enumerate(coeffs)})
+    nodes = NodeSet([(t,) for t in ts])
+    return nodes, tuple(planted.evaluate(q) for q in nodes), planted, k
+
+
+@settings(max_examples=80, deadline=None)
+@given(sized_line_problems())
+def test_solve_takes_exactly_the_primes_the_coefficients_need(case):
+    nodes, values, planted, k = case
+    m = len(nodes) - 1
+    cert, poly = exact_path(nodes, None, m, values)
+    assert poly == planted
+    with pytest.MonkeyPatch.context() as mp:
+        calls = spy_on(mp, "row_reduce", "row_reduce_mod")
+        assert interpolate(InterpolationProblem(None, m, nodes, values), cert) == poly
+    # Bareiss runs only past the range of all three primes
+    assert calls == {"row_reduce": int(k > len(PRIMES)), "row_reduce_mod": min(k, len(PRIMES))}
+
+
+def random_rational(rng):
+    return F(rng.randint(-12, 12), rng.randint(1, 12))
+
+
+@pytest.mark.parametrize(
+    "manifold, m, point",
+    [
+        (CIRCLE, 10, lambda rng: circle_point(random_rational(rng))),
+        (SPHERE, 4, lambda rng: sphere_point(random_rational(rng), random_rational(rng))),
+    ],
+)
+def test_small_planted_interpolants_never_take_the_exact_path(exact_calls, manifold, m, point):
+    rng = random.Random(2024)
+    support = canonical_monomials(manifold, manifold.n, m)
+    exact_calls.update(row_reduce=0)  # the monomial selection, cached on the manifold
+    for _ in range(4):
+        points = set()
+        while len(points) < len(support):
+            points.add(point(rng))
+        nodes = NodeSet(sorted(points), manifold)
+        planted = Polynomial(manifold.n, {mu: F(rng.randint(-5, 5)) for mu in support})
+        values = tuple(planted.evaluate(q) for q in nodes)
+        cert = verify_ppsn(nodes, manifold, m)
+        assert cert.proper
+        assert interpolate(InterpolationProblem(manifold, m, nodes, values), cert) == planted
+    assert exact_calls == {"row_reduce": 0, "left_null_vector": 0}
