@@ -145,7 +145,10 @@ def _solve_mod_p(
         modulus *= p
         coeffs = [linalg.rational_reconstruct(u, modulus) for u in residues]
         if None not in coeffs and _solves(rows, values, coeffs):
-            return coeffs
+            # equal coefficients share one Fraction, which keeps the
+            # interpolant small
+            shared: Dict[Fraction, Fraction] = {}
+            return [shared.setdefault(x, x) for x in coeffs]
     return None
 
 

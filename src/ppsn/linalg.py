@@ -21,9 +21,17 @@ most a column or two (`solve` the right-hand side, `nullspace` the free
 columns).
 
 `row_reduce_mod` is the same Gauss-Jordan elimination over the integers mod
-a prime p, one of the fixed word-size primes `PRIMES`. Below 2^30 a residue
-is one CPython digit, so each row operation stays on the single-digit fast
-paths. Its answers are used only where they need no trust:
+a prime p, one of the fixed word-size primes `PRIMES`, with delayed
+reduction (Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008) on rows packed as
+in Kronecker substitution. Each row is one Python int with a slot of
+W = bit_length((nrows+1)*p^2) + 1 bits per column, a row operation is one
+big-int multiply-add of the negated pivot row, and a slot is reduced mod p
+only when it is read. Slots stay nonnegative and below p + nrows*(p-1)^2,
+which is below 2^W, so no borrow or carry ever crosses a slot (the function
+gives the argument). The row operations, and so the pivots and the RREF
+residues, are those of an entry-by-entry elimination mod p. The slot width
+grows with p^2, so a smaller prime still pays: narrower rows make each
+multiply-add cheaper. Its answers are used only where they need no trust:
 
 * A rank of N mod p for an integer N x N matrix is a certificate of
   nonsingularity over Q. The determinant is an integer, and the elimination
@@ -131,35 +139,72 @@ def row_reduce(matrix: Sequence[Sequence[Fraction]]) -> Echelon:
     return Echelon(rank=r, pivots=tuple(pivots), ints=tuple(map(tuple, m)), denominator=prev)
 
 
+def _pack(values: Sequence[int], width: int) -> int:
+    """One int holding values[j] in bits [j*width, (j+1)*width)."""
+    x = 0
+    for v in reversed(values):
+        x = x << width | v
+    return x
+
+
+def _unpack(x: int, width: int, count: int, p: int) -> List[int]:
+    """The first `count` slots of a packed row, each reduced mod p."""
+    mask = (1 << width) - 1
+    out = []
+    for _ in range(count):
+        out.append((x & mask) % p)
+        x >>= width
+    return out
+
+
 def row_reduce_mod(matrix: Sequence[Sequence[int]], p: int) -> Echelon:
     """`row_reduce` of an integer matrix over the integers mod the prime p:
-    the same pivot policy, each pivot scaled to 1."""
-    m = [[v % p for v in row] for row in matrix]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
+    the same pivot policy, each pivot scaled to 1.
+
+    Each row is one packed int (`_pack`) with column j in the slot of bits
+    [j*W, (j+1)*W), W = bit_length((nrows+1)*p^2) + 1, and a slot is reduced
+    mod p only when it is read: the pivot search, the factor f, the pivot
+    tail and the final unpack. Eliminating with pivot row b (pivot 1) adds
+    f times the negated row, whose slots are p - b_j (0 for 0), to each
+    other row whose column-c slot is f mod p: one big-int multiply-add, and
+    slot c becomes a multiple of p. Slots never go negative, so nothing
+    borrows. A row is repacked reduced when it becomes the pivot row and
+    otherwise takes at most one addition of at most (p-1)^2 per pivot, so
+    every slot stays below p + nrows*(p-1)^2 < (nrows+1)*p^2 < 2^W and
+    nothing carries into the next slot. W grows with p^2, so a smaller
+    prime gives narrower rows and cheaper multiply-adds."""
+    nrows = len(matrix)
+    ncols = len(matrix[0]) if nrows else 0
+    width = ((nrows + 1) * p * p).bit_length() + 1
+    mask = (1 << width) - 1
+    m = [_pack([v % p for v in row], width) for row in matrix]
     origin = list(range(nrows))
     pivots: List[Tuple[int, int]] = []
     r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
+        shift = c * width
+        slots = [(x >> shift & mask) % p for x in m]
+        pr = next((i for i in range(r, nrows) if slots[i]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
         origin[r], origin[pr] = origin[pr], origin[r]
-        # every row is zero left of c outside earlier pivot columns, where
-        # the pivot row is zero: only the tail from c changes
-        inv = pow(m[r][c], -1, p)
-        tail = [a * inv % p for a in m[r][c:]]
-        m[r][c:] = tail
-        for i in range(nrows):
-            f = m[i][c]
-            if f and i != r:
-                m[i][c:] = [(a - f * b) % p for a, b in zip(m[i][c:], tail)]
+        # every row is zero mod p left of c outside earlier pivot columns,
+        # where the pivot row is zero mod p: only the tail from c is kept
+        inv = pow(slots[pr], -1, p)
+        slots[pr], slots[r] = slots[r], 0  # the pivot row takes no update
+        tail = [a * inv % p for a in _unpack(m[r] >> shift, width, ncols - c, p)]
+        m[r] = _pack(tail, width) << shift
+        neg = _pack([p - a if a else 0 for a in tail], width) << shift
+        for i, f in enumerate(slots):
+            if f:
+                m[i] += f * neg
         pivots.append((origin[r], c))
         r += 1
         if r == nrows:
             break
-    return Echelon(rank=r, pivots=tuple(pivots), ints=tuple(map(tuple, m)))
+    ints = tuple(tuple(_unpack(x, width, ncols, p)) for x in m)
+    return Echelon(rank=r, pivots=tuple(pivots), ints=ints)
 
 
 def rational_reconstruct(u: int, M: int) -> Optional[Fraction]:

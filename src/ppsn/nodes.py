@@ -115,30 +115,38 @@ class NodeSet:
         return f"NodeSet({len(self.points)} points in dim {self.n})"
 
 
+def _powers(x: int, top: int) -> List[int]:
+    """[1, x, x^2, ..., x^top] by repeated multiplication."""
+    out = [1]
+    for _ in range(top):
+        out.append(out[-1] * x)
+    return out
+
+
 def evaluation_rows(
     points: Sequence[Point], monomials: Sequence[MultiIndex]
 ) -> List[Tuple[int, List[int]]]:
     """(scale, row) per point, where row / scale is the point's exact
     evaluation row: with B the lcm of the coordinate denominators, c = B*q
     and d the largest monomial degree, the entry for alpha is
-    c^alpha * B^(d-|alpha|) and scale = B^d."""
-    degrees = [sum(alpha) for alpha in monomials]
-    d = max(degrees, default=0)
+    c^alpha * B^(d-|alpha|) and scale = B^d. Each monomial's power of B and
+    nonzero (variable, exponent) pairs are found once per call."""
+    d = max(map(sum, monomials), default=0)
     tops = [max(e) for e in zip(*monomials)]
+    plan = [
+        (d - sum(alpha), [(j, e) for j, e in enumerate(alpha) if e])
+        for alpha in monomials
+    ]
     out = []
     for q in points:
         B = lcm(*(x.denominator for x in q))
-        powers = [
-            [(x.numerator * (B // x.denominator)) ** e for e in range(top + 1)]
-            for x, top in zip(q, tops)
-        ]
-        b_powers = [B**k for k in range(d + 1)]
+        powers = [_powers(x.numerator * (B // x.denominator), top) for x, top in zip(q, tops)]
+        b_powers = _powers(B, d)
         row = []
-        for alpha, k in zip(monomials, degrees):
-            v = b_powers[d - k]
-            for pw, e in zip(powers, alpha):
-                if e:
-                    v *= pw[e]
+        for k, factors in plan:
+            v = b_powers[k]
+            for j, e in factors:
+                v *= powers[j][e]
             row.append(v)
         out.append((b_powers[d], row))
     return out

@@ -3,12 +3,15 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ppsn
 from ppsn.cli import SUBCOMMANDS, build_parser, main
 
 GRID = "x1*(x1-1)*(x1-2)\nx2*(x2-1)*(x2-2)\n"
@@ -30,6 +33,22 @@ def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["dim", "--n", "2", "--degrees", "2", "--m", "3", "--json"]
+    code, out = run(argv, capsys)
+    # the package under test, wherever the interpreter would find another
+    src = os.path.dirname(os.path.dirname(ppsn.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ppsn", *argv],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert proc.returncode == code == 0
+    assert proc.stdout == out.encode()
 
 
 def test_dim_human_output(capsys):

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -201,3 +202,87 @@ def test_echelon_column_is_the_column_of_rows(m):
     for j in range(len(m[0])):
         assert mod.column(j) == [row[j] for row in mod.rows]
         assert all(type(v) is int and 0 <= v < p for v in mod.column(j))
+
+
+# -- packed-row elimination mod p against the list-based kernel ----------------
+
+
+def list_row_reduce_mod(matrix, p):
+    """Reference: the list-based Gauss-Jordan mod p that the packed-row
+    kernel replaced, with one reduction per entry per row operation."""
+    m = [[v % p for v in row] for row in matrix]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    origin = list(range(nrows))
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        origin[r], origin[pr] = origin[pr], origin[r]
+        inv = pow(m[r][c], -1, p)
+        tail = [a * inv % p for a in m[r][c:]]
+        m[r][c:] = tail
+        for i in range(nrows):
+            f = m[i][c]
+            if f and i != r:
+                m[i][c:] = [(a - f * b) % p for a, b in zip(m[i][c:], tail)]
+        pivots.append((origin[r], c))
+        r += 1
+        if r == nrows:
+            break
+    return r, tuple(pivots), tuple(map(tuple, m))
+
+
+SMALL_PRIMES = (2, 3, 5, 7)
+
+
+@st.composite
+def matrices_mod(draw):
+    """(matrix, p): up to 14 x 15 integer matrices of every shape, including
+    the augmented N x (N+1) one, with zero and repeated rows, and entries up
+    to 2^70 in size or near multiples of p."""
+    p = draw(st.sampled_from(PRIMES + SMALL_PRIMES))
+    nrows = draw(st.integers(1, 14))
+    ncols = draw(st.one_of(st.integers(1, 15), st.just(nrows), st.just(nrows + 1)))
+    entries = st.one_of(
+        st.integers(-(2**70), 2**70),
+        st.integers(-3, 3),
+        st.integers(-3, 3).map(lambda k: k * p + (p - 1) * (k % 2)),
+    )
+    m = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=1, max_size=nrows))
+    for _ in range(draw(st.integers(0, 14 - len(m)))):
+        row = draw(st.one_of(st.just([0] * ncols), st.sampled_from(m)))
+        m.insert(draw(st.integers(0, len(m))), list(row))
+    return m, p
+
+
+def near_bound_matrix(nrows, ncols):
+    """Entry (i, j) is -1 - j left of the diagonal and 1 - i from it on. Every
+    pivot is 1 with a tail of ones, and each row below the pivot has -1 in
+    its column, so row i takes i additions of (p - 1)^2 in every slot from
+    column i - 1 on before it becomes a pivot row: the last row's trailing
+    slots end just below p + (nrows - 1)(p - 1)^2."""
+    return [[-1 - j if j < i else 1 - i for j in range(ncols)] for i in range(nrows)]
+
+
+@settings(max_examples=300)
+@given(matrices_mod())
+@example(([[0] * 5] * 3, PRIMES[0]))
+@example(([[2**70, -(2**70), 1]] * 4, PRIMES[2]))
+@example(([[1, 2, 3], [2, 4, 6], [0, 0, 1]], 2))
+def test_row_reduce_mod_matches_list_kernel(case):
+    m, p = case
+    ech = row_reduce_mod(m, p)
+    assert (ech.rank, ech.pivots, ech.ints) == list_row_reduce_mod(m, p)
+
+
+@pytest.mark.parametrize("p", PRIMES + SMALL_PRIMES)
+@pytest.mark.parametrize("shape", [(14, 14), (14, 15), (9, 15), (14, 3)])
+def test_row_reduce_mod_near_the_slot_bound(p, shape):
+    m = near_bound_matrix(*shape)
+    ech = row_reduce_mod(m, p)
+    assert (ech.rank, ech.pivots, ech.ints) == list_row_reduce_mod(m, p)
+    assert ech.rank == min(shape)  # every pivot is 1 over the integers

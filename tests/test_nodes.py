@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ppsn import (
@@ -305,6 +305,10 @@ def naive_matrix(points, monomials):
         )
     )
 )
+@example(([(F(0), F(3, 2)), (F(0), F(0)), (F(-2, 3), F(0))], [(0, 0), (1, 0), (0, 2), (2, 1)]))  # zero coordinates
+@example(([(F(1, 2), F(-3)), (F(5), F(2, 7))], [(1, 1), (0, 0), (1, 1)]))  # a repeated monomial
+@example(([(F(2, 3), F(5)), (F(-1, 6), F(0))], [(0, 0)]))  # the constant monomial alone
+@example(([(F(1), F(2)), (F(1, 3), F(0))], []))  # no monomials
 def test_evaluation_rows_match_fraction_products(case):
     points, monomials = case
     rows = evaluation_rows(points, monomials)
