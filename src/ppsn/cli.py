@@ -63,13 +63,8 @@ def _parse_poly_lines(text: str, n_override: Optional[int]) -> List[Polynomial]:
     return [parse_polynomial(line, n) for line in lines]
 
 
-def _load_manifold(args, required: bool = True) -> Optional[macaulay.Manifold]:
-    path = getattr(args, "manifold", None)
-    if path is None:
-        if required:
-            raise InputError("--manifold is required")
-        return None
-    polys = _parse_poly_lines(_read_file(path), getattr(args, "n", None))
+def _load_manifold(args) -> macaulay.Manifold:
+    polys = _parse_poly_lines(_read_file(args.manifold), args.n)
     witnesses = ()
     wpath = getattr(args, "witnesses", None)
     if wpath:
@@ -87,8 +82,8 @@ def _load_system(args) -> Tuple[str, nodes.NodeSet]:
     return text, res.nodes
 
 
-def _load_nodes(path: str, n: Optional[int] = None) -> nodes.NodeSet:
-    return nodes.parse_nodes_text(_read_file(path), n)
+def _load_nodes(path: str) -> nodes.NodeSet:
+    return nodes.parse_nodes_text(_read_file(path))
 
 
 def _parse_number(token: str, kind=as_fraction):
@@ -99,8 +94,21 @@ def _parse_number(token: str, kind=as_fraction):
         raise ParseError(f"not a number: {token.strip()!r}") from exc
 
 
-def _load_values(path: str) -> List[Fraction]:
-    return [_parse_number(line) for _, line in nodes.content_lines(_read_file(path))]
+def _load_problem(
+    args,
+) -> Tuple[Dict, Optional[macaulay.Manifold], nodes.NodeSet, List[Fraction]]:
+    """The report base, the --manifold (None without one), the --nodes on
+    it and the --values (empty without them). Each file is read once, so
+    the report digests the very text that was parsed."""
+    manifold = _load_manifold(args) if args.manifold is not None else None
+    texts = {"nodes": _read_file(args.nodes)}
+    if hasattr(args, "values"):
+        texts["values"] = _read_file(args.values)
+    node_set = nodes.parse_nodes_text(texts["nodes"])
+    if manifold is not None:
+        node_set = nodes.NodeSet(node_set.points, manifold)
+    values = [_parse_number(line) for _, line in nodes.content_lines(texts.get("values", ""))]
+    return _report_base(args, **texts), manifold, node_set, values
 
 
 def _cert_dict(cert: nodes.PPSNCertificate) -> Dict:
@@ -128,6 +136,18 @@ def _report_base(args, **inputs) -> Dict:
         "command": " ".join(args.argv),
         "inputs": {k: _digest(v) for k, v in inputs.items()},
     }
+
+
+def _emit_nodes(args, report: Dict, node_set: nodes.NodeSet, cert) -> int:
+    """Report a constructed node set and its certificate at degree --m."""
+    report.update(
+        {
+            "points": [[str(c) for c in p] for p in node_set.points],
+            "certificate": _cert_dict(cert),
+        }
+    )
+    _emit(args, report, nodes.format_nodes(node_set) + f"\n# {cert.verdict} at degree {args.m}")
+    return EXIT_OK if cert.proper else EXIT_FAIL
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -159,12 +179,8 @@ def cmd_dim(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    manifold = _load_manifold(args, required=False)
-    node_set = _load_nodes(args.nodes)
-    if manifold is not None:
-        node_set = nodes.NodeSet(node_set.points, manifold)
+    report, manifold, node_set, _ = _load_problem(args)
     cert = nodes.verify_ppsn(node_set, manifold, args.m)
-    report = _report_base(args, nodes=_read_file(args.nodes))
     report["certificate"] = _cert_dict(cert)
     _emit(args, report, f"{cert.verdict} at degree {args.m} ({len(node_set)} nodes)")
     return EXIT_OK if cert.proper else EXIT_FAIL
@@ -220,28 +236,15 @@ def cmd_extract(args) -> int:
     manifold = full.manifold
     out = nodes.extract_nested_ppsn(full, manifold, args.m)
     cert = nodes.verify_ppsn(out, manifold, args.m)
-    report = _report_base(args, system=text)
-    report.update(
-        {
-            "points": [[str(c) for c in p] for p in out.points],
-            "certificate": _cert_dict(cert),
-        }
-    )
-    _emit(args, report, nodes.format_nodes(out) + f"\n# {cert.verdict} at degree {args.m}")
-    return EXIT_OK if cert.proper else EXIT_FAIL
+    return _emit_nodes(args, _report_base(args, system=text), out, cert)
 
 
 def cmd_interpolate(args) -> int:
-    manifold = _load_manifold(args, required=False)
-    node_set = _load_nodes(args.nodes)
-    if manifold is not None:
-        node_set = nodes.NodeSet(node_set.points, manifold)
-    values = _load_values(args.values)
+    report, manifold, node_set, values = _load_problem(args)
     problem = construct.InterpolationProblem(
         manifold=manifold, m=args.m, nodes=node_set, values=tuple(values)
     )
     poly = construct.interpolate(problem)
-    report = _report_base(args, nodes=_read_file(args.nodes), values=_read_file(args.values))
     report["polynomial"] = str(poly)
     _emit(args, report, str(poly))
     return EXIT_OK
@@ -255,15 +258,7 @@ def cmd_superpose(args) -> int:
         sub_manifold=manifold, sub_nodes=sub, super_nodes=sup, m=args.m
     )
     union, cert = construct.superpose_nodes(step)
-    report = _report_base(args)
-    report.update(
-        {
-            "points": [[str(c) for c in p] for p in union.points],
-            "certificate": _cert_dict(cert),
-        }
-    )
-    _emit(args, report, nodes.format_nodes(union) + f"\n# {cert.verdict} at degree {args.m}")
-    return EXIT_OK
+    return _emit_nodes(args, _report_base(args), union, cert)
 
 
 def cmd_cb_reduce(args) -> int:
@@ -271,15 +266,7 @@ def cmd_cb_reduce(args) -> int:
     removed = _load_nodes(args.remove)
     partition = construct.CBPartition(full=full, removed=removed)
     remaining, cert = construct.cb_reduce(partition, full.manifold, args.m)
-    report = _report_base(args, system=text)
-    report.update(
-        {
-            "points": [[str(c) for c in p] for p in remaining.points],
-            "certificate": _cert_dict(cert),
-        }
-    )
-    _emit(args, report, nodes.format_nodes(remaining) + f"\n# {cert.verdict} at degree {args.m}")
-    return EXIT_OK
+    return _emit_nodes(args, _report_base(args, system=text), remaining, cert)
 
 
 def cmd_cb_check(args) -> int:

@@ -4,7 +4,9 @@ line/conic node generators.
 
 Every construction returns its result together with an exact-rank
 certificate; hypothesis checks are exact and refusals are exceptions, so a
-returned node set is always certified. An interpolant solved mod the
+returned node set is always certified. `cb_reduce`, `cb_check` and
+`cb_extend_curve` open with `nodes._require_full_intersection`, the check
+that their input is the full point intersection of a 0-dimensional manifold. An interpolant solved mod the
 word-size primes `linalg.PRIMES` is returned only after an exact integer
 check of every node equation, and the exact elimination is the fallback.
 """
@@ -33,6 +35,7 @@ from .nodes import (
     FactorableSystem,
     NodeSet,
     PPSNCertificate,
+    _require_full_intersection,
     evaluation_matrix,
     evaluation_rows,
     intersect_factorable,
@@ -225,14 +228,6 @@ def superpose_nodes(step: SuperpositionStep) -> Tuple[NodeSet, PPSNCertificate]:
     if not step.sub_nodes.is_disjoint(step.super_nodes):
         raise HypothesisError("node sets are not disjoint")
     union = step.sub_nodes.union(step.super_nodes, super_manifold)
-    if super_manifold is not None:
-        expected = dim_along(m, super_manifold.profile)
-    else:
-        expected = binom_e(m, union.n)
-    if len(union) != expected:
-        raise CountMismatchError(
-            f"union has {len(union)} points, expected {expected} at degree {m}"
-        )
     cert = verify_ppsn(union, super_manifold, m)
     if not cert.proper:
         raise ImproperNodeSetError(
@@ -367,17 +362,11 @@ def cb_reduce(
 ) -> Tuple[NodeSet, PPSNCertificate]:
     """Remove a complementary-degree PPSN from a complete intersection and
     certify what is left at degree m."""
-    if manifold.s != manifold.n:
-        raise InputError("Cayley-Bacharach reduction needs s = n")
+    _require_full_intersection(partition.full, manifold, "Cayley-Bacharach reduction")
     profile = manifold.profile
     M = profile.M
     if not 0 <= m <= M - 1:
         raise InputError(f"degree m={m} out of range 0..{M - 1}")
-    if len(partition.full) != profile.N:
-        raise CountMismatchError(
-            f"expected the full {profile.N}-point intersection, got {len(partition.full)}"
-        )
-    manifold.require_on_manifold(partition.full.points)
     comp_degree = M - m - 1
     removed_cert = verify_ppsn(partition.removed, manifold, comp_degree)
     if not removed_cert.proper:
@@ -423,8 +412,7 @@ def cb_check(
     set is first verified properly posed at the complementary degree, under
     which hypothesis vanishing is forced.
     """
-    if manifold.s != manifold.n:
-        raise InputError("Cayley-Bacharach check needs s = n")
+    _require_full_intersection(partition.full, manifold, "Cayley-Bacharach check")
     profile = manifold.profile
     M, L = profile.M, profile.L
     if require_ppsn_removed:
@@ -435,10 +423,6 @@ def cb_check(
             raise InputError(f"degree m={m} out of range {M - L + 1}..{M - 1}")
     if not f.in_space(m):
         raise InputError(f"polynomial degree {f.degree} exceeds m={m}")
-    if len(partition.full) != profile.N:
-        raise CountMismatchError(
-            f"expected the full {profile.N}-point intersection, got {len(partition.full)}"
-        )
     comp_degree = M - m - 1
     expected_removed = binom_e(comp_degree, manifold.n)
     if len(partition.removed) != expected_removed and not require_ppsn_removed:
@@ -483,17 +467,11 @@ def cb_extend_curve(
 ) -> Tuple[NodeSet, PPSNCertificate]:
     """Glue a curve node set onto a (possibly reduced) complete intersection
     and certify the union along the curve omitting hypersurface t (1-based)."""
-    if manifold.s != manifold.n:
-        raise InputError("curve extension needs the 0-dimensional manifold (s = n)")
+    _require_full_intersection(full, manifold, "curve extension")
     profile = manifold.profile
     M, L = profile.M, profile.L
     curve = manifold.curve(t)
     k_t = profile.ks[t - 1]
-    if len(full) != profile.N:
-        raise CountMismatchError(
-            f"expected the full {profile.N}-point intersection, got {len(full)}"
-        )
-    manifold.require_on_manifold(full.points)
     if m >= 0:
         if m > L - 1:
             raise InputError(f"degree m={m} exceeds L-1={L - 1}")
@@ -517,11 +495,6 @@ def cb_extend_curve(
     out_degree = M - m - 1
     remaining = full.difference(b) if len(b) else full
     union = NodeSet(a_t.points + remaining.points, curve)
-    expected = dim_along(out_degree, curve.profile)
-    if len(union) != expected:
-        raise CountMismatchError(
-            f"union has {len(union)} points, expected {expected} at degree {out_degree}"
-        )
     cert = verify_ppsn(union, curve, out_degree)
     if not cert.proper:
         raise ImproperNodeSetError(cert, "extended curve set is improper")

@@ -84,10 +84,6 @@ class Echelon:
     def pivot_columns(self) -> Tuple[int, ...]:
         return tuple(c for _, c in self.pivots)
 
-    @property
-    def pivot_rows(self) -> Tuple[int, ...]:
-        return tuple(r for r, _ in self.pivots)
-
     def column(self, j: int) -> List[Fraction]:
         """Column j of the RREF (residues from `row_reduce_mod`)."""
         d = self.denominator
@@ -227,10 +223,6 @@ def rational_reconstruct(u: int, M: int) -> Optional[Fraction]:
     if abs(t1) > bound or gcd(r1, t1) != 1:
         return None
     return Fraction(r1, t1)
-
-
-def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
-    return row_reduce(matrix).rank
 
 
 def solve(

@@ -95,11 +95,8 @@ class Manifold:
             return 0
         return self.hilbert(m).h[m]
 
-    def residuals(self, point: Point) -> List[Fraction]:
-        return [p.evaluate(point) for p in self.polynomials]
-
     def contains(self, point: Point) -> bool:
-        return all(r == 0 for r in self.residuals(point))
+        return all(p.evaluate(point) == 0 for p in self.polynomials)
 
     def require_on_manifold(self, points: Sequence[Point]):
         for q in points:
@@ -133,9 +130,6 @@ class MonomialSelection:
 
     def unselected_monomials(self) -> Tuple[MultiIndex, ...]:
         return tuple(self.monomials[j] for j in self.unselected)
-
-    def selected_monomials(self) -> Tuple[MultiIndex, ...]:
-        return tuple(self.monomials[j] for j in self.selected)
 
 
 def elementary_items(
@@ -224,7 +218,7 @@ def infinity_check(manifold: Manifold) -> bool:
         )
     target = sum(g.degree for g in gs) - n + 1
     monos, rows, _ = elementary_items(gs, n, target)
-    return linalg.rank(rows) == len(monos)
+    return linalg.row_reduce(rows).rank == len(monos)
 
 
 def _expand(total: Polynomial, cofactors: Sequence[Polynomial], manifold: Manifold) -> Polynomial:
@@ -306,29 +300,17 @@ class Decomposition:
         return _expand(Polynomial.zero(manifold.n), self.cofactors, manifold)
 
 
-def hbase_decompose(
-    g: Polynomial,
-    manifold: Manifold,
-    nodes: Optional[Sequence[Point]] = None,
-) -> Decomposition:
+def hbase_decompose(g: Polynomial, manifold: Manifold) -> Decomposition:
     """Degree-respecting ideal-membership decomposition by one exact solve.
 
     Unknowns are the coefficients of each cofactor over the monomials of
     degree <= deg(g) - k_i; the column of unknown (i, beta) holds the
     coefficients of X^beta * f_i, written from f_i's terms. A missing
-    solution contradicts proper posedness of the node set backing the
-    membership claim and is raised as such.
+    solution means g is no ideal member with these degree bounds.
     """
     if g.n != manifold.n:
         raise DimensionMismatchError("polynomial/manifold dimension mismatch")
     n = manifold.n
-    if nodes is not None:
-        for q in nodes:
-            val = g.evaluate(q)
-            if val != 0:
-                raise InputError(
-                    f"polynomial does not vanish at node {tuple(str(c) for c in q)}: value {val}"
-                )
     m = g.degree
     basis = monomial_basis(n, m)
     row_of = {mu: r for r, mu in enumerate(basis)}

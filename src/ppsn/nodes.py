@@ -2,6 +2,10 @@
 factorable-system intersection, and nested extraction from complete
 intersections.
 
+Membership has one rule, `NodeSet.require_on`, which evaluates only sets
+not tagged with the manifold in hand. Nested extraction and the
+Cayley-Bacharach procedures share one preamble, `_require_full_intersection`.
+
 Well-posedness along a manifold follows the solvability definition. On the
 manifold's points the canonical (unselected) monomials of degrees <= m span
 the degree-<=m polynomials, so N points are properly posed at degree m
@@ -59,8 +63,8 @@ from .mpoly import (
 class NodeSet:
     """Ordered set of pairwise distinct rational points, optionally tagged
     with the manifold they are claimed to lie on (checked exactly). It is
-    immutable, so the tag stays a proof: `verify_ppsn` skips the membership
-    check for nodes tagged with the very manifold it verifies on."""
+    immutable, so the tag stays a proof: `require_on` skips the membership
+    check for a set tagged with the very manifold it is asked about."""
 
     __slots__ = ("n", "points", "manifold")
     n: int
@@ -100,6 +104,11 @@ class NodeSet:
 
     def __contains__(self, point) -> bool:
         return as_point(point) in set(self.points)
+
+    def require_on(self, manifold: Manifold) -> None:
+        """OffManifoldError unless every point lies on `manifold`."""
+        if self.manifold is not manifold:
+            manifold.require_on_manifold(self.points)
 
     def union(self, other: "NodeSet", manifold: Optional[Manifold] = None) -> "NodeSet":
         return NodeSet(self.points + other.points, manifold)
@@ -206,9 +215,8 @@ def verify_ppsn(
         )
     if m < 0 or expected == 0:
         return PPSNCertificate(degree=m, n=n, expected_count=0, proper=True)
-    if manifold is not None and nodes.manifold is not manifold:
-        # the NodeSet constructor already checked its points on its manifold
-        manifold.require_on_manifold(nodes.points)
+    if manifold is not None:
+        nodes.require_on(manifold)
     if nodes.n != n:
         raise DimensionMismatchError("node/basis dimension mismatch")
     columns = canonical_monomials(manifold, n, m)
@@ -289,10 +297,6 @@ class FactorableSystem:
     def manifold(self) -> Manifold:
         """The 0-dimensional manifold cut out by all n product polynomials."""
         return Manifold(self.polynomials)
-
-    def curve_manifold(self, t: int) -> Manifold:
-        """The curve obtained by omitting hypersurface t (1-based)."""
-        return self.manifold().curve(t)
 
     def selections(
         self, omit: Optional[int] = None
@@ -402,18 +406,25 @@ def nested_levels(
         yield d, selected
 
 
-def extract_nested_ppsn(points: NodeSet, manifold: Manifold, m: int) -> NodeSet:
-    """Extract a degree-m properly posed subset of a full complete
-    intersection, nested across degrees: the last level of the descent from
-    the saturation degree M, where all points are proper."""
+def _require_full_intersection(points: NodeSet, manifold: Manifold, what: str) -> None:
+    """The hypothesis of nested extraction and of the Cayley-Bacharach
+    procedures: `points` is the full N = k_1...k_n point intersection of
+    the 0-dimensional `manifold`."""
     if manifold.s != manifold.n:
-        raise InputError("nested extraction needs a 0-dimensional manifold (s = n)")
+        raise InputError(f"{what} needs a 0-dimensional manifold (s = n)")
     N = manifold.profile.N
     if len(points) != N:
         raise CountMismatchError(
             f"expected the full {N}-point intersection, got {len(points)} points"
         )
-    manifold.require_on_manifold(points.points)
+    points.require_on(manifold)
+
+
+def extract_nested_ppsn(points: NodeSet, manifold: Manifold, m: int) -> NodeSet:
+    """Extract a degree-m properly posed subset of a full complete
+    intersection, nested across degrees: the last level of the descent from
+    the saturation degree M, where all points are proper."""
+    _require_full_intersection(points, manifold, "nested extraction")
     if m < 0:
         raise InputError("extraction degree must be >= 0")
     M = manifold.profile.M
@@ -436,7 +447,7 @@ def content_lines(text: str) -> Iterator[Tuple[int, str]]:
             yield lineno, line
 
 
-def parse_nodes_text(text: str, n: Optional[int] = None) -> NodeSet:
+def parse_nodes_text(text: str) -> NodeSet:
     """One point per line, comma-separated rationals; '#' comments."""
     points: List[Point] = []
     for lineno, line in content_lines(text):
@@ -444,8 +455,6 @@ def parse_nodes_text(text: str, n: Optional[int] = None) -> NodeSet:
             coords = tuple(as_fraction(c.strip()) for c in line.split(","))
         except ParseError as exc:
             raise ParseError(f"bad point on line {lineno}: {exc}") from exc
-        if n is not None and len(coords) != n:
-            raise ParseError(f"line {lineno}: expected {n} coordinates")
         points.append(coords)
     return NodeSet(points)
 

@@ -11,6 +11,7 @@ from ppsn import (
     InterpolationProblem,
     Manifold,
     NodeSet,
+    OffManifoldError,
     ParseError,
     binom_e,
     build_curve_chain,
@@ -236,6 +237,41 @@ def test_cb_check_ppsn_hypothesis_forces_vanishing(grid_system):
     verdict = cb_check(f, CBPartition(full=full, removed=triple), manifold, 2,
                        require_ppsn_removed=True)
     assert verdict.vanishes_on_removed
+
+
+# the four procedures whose hypothesis is the full intersection, each called
+# on the 3x3 grid with one removed point, m = 3 or below
+FULL_INTERSECTION_CALLS = {
+    "extract_nested_ppsn": lambda full, mf: extract_nested_ppsn(full, mf, 2),
+    "cb_reduce": lambda full, mf: cb_reduce(CBPartition(full, NodeSet(full.points[:1])), mf, 3),
+    "cb_check": lambda full, mf: cb_check(
+        mf.polynomials[0], CBPartition(full, NodeSet(full.points[:1])), mf, 3
+    ),
+    "cb_extend_curve": lambda full, mf: cb_extend_curve(
+        full, NodeSet(pts((0, 5))), NodeSet(full.points[:1]), mf, t=2, m=0
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FULL_INTERSECTION_CALLS)
+def test_full_intersection_preamble_checks_membership_once(grid_system, name, monkeypatch):
+    call = FULL_INTERSECTION_CALLS[name]
+    full = grid_nodes(grid_system)
+    manifold = full.manifold
+    # x1*(x1-1)*(x1-2) still vanishes at (2, 5/2), so only the membership
+    # check can tell this set from the grid
+    off = NodeSet([(F(2), F(5, 2)) if p == (F(2), F(2)) else p for p in full.points])
+    with pytest.raises(OffManifoldError):
+        call(off, manifold)
+    checked = []
+    check = Manifold.require_on_manifold
+    monkeypatch.setattr(
+        Manifold,
+        "require_on_manifold",
+        lambda self, points: checked.append((self, tuple(points))) or check(self, points),
+    )
+    call(full, manifold)
+    assert (manifold, full.points) not in checked  # the tag already proves it
 
 
 def test_cb_extend_curve_cube(cube_system):

@@ -41,14 +41,14 @@ def test_circle_selection_degree_two(circle):
     sel = select_monomials(circle, 2)
     # elementary-item row for the leading form x1^2 + x2^2 over (x1^2, x1x2, x2^2)
     assert [list(row) for row in sel.matrix] == [[F(1), F(0), F(1)]]
-    assert sel.selected_monomials() == ((2, 0),)
+    assert tuple(sel.monomials[j] for j in sel.selected) == ((2, 0),)
     assert sel.unselected_monomials() == ((1, 1), (0, 2))
 
 
 def test_circle_selection_degree_three(circle):
     sel = select_monomials(circle, 3)
     # x1*g and x2*g select x1^3 and x1^2 x2; x1 x2^2 and x2^3 remain
-    assert sel.selected_monomials() == ((3, 0), (2, 1))
+    assert tuple(sel.monomials[j] for j in sel.selected) == ((3, 0), (2, 1))
     assert sel.unselected_monomials() == ((1, 2), (0, 3))
 
 

@@ -257,7 +257,7 @@ def test_extract_full_degree_returns_everything(grid_system):
 
 
 def test_curve_manifold_carries_witness(cube_system):
-    curve = cube_system.curve_manifold(2)
+    curve = cube_system.manifold().curve(2)
     assert curve.s == 2
     assert curve.witnesses == (cube_system.polynomials[1],)
 
@@ -425,9 +425,9 @@ def test_canonical_certificate_matches_full_basis_matrix(case):
     basis = list(monomial_basis(manifold.n, m))
     full = naive_matrix(nodes.points, basis)
     cert = verify_ppsn(nodes, manifold, m)
-    assert cert.proper == (linalg.rank(full) == len(nodes))
+    assert cert.proper == (linalg.row_reduce(full).rank == len(nodes))
     if cert.proper:
         block = [[row[j] for j in cert.witness_columns] for row in full]
-        assert linalg.rank(block) == len(nodes) == len(cert.witness_columns)
+        assert linalg.row_reduce(block).rank == len(nodes) == len(cert.witness_columns)
     else:
         assert list(cert.kernel_functional) == linalg.left_null_vector(full)
