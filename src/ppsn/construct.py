@@ -36,6 +36,7 @@ from .nodes import (
     NodeSet,
     PPSNCertificate,
     _require_full_intersection,
+    _square_system,
     evaluation_matrix,
     evaluation_rows,
     intersect_factorable,
@@ -79,7 +80,10 @@ def interpolate(
     combined by the Chinese remainder theorem and rebuilt by rational
     reconstruction. A guess is returned only when it solves every node
     equation exactly; when no prime gives one, the exact elimination of
-    [A | b] runs."""
+    [A | b] runs. Without a certificate, the elimination mod `PRIMES[0]`
+    that gives the first guess also certifies the nodes: a pivot in every
+    column of A proves A nonsingular. When that prime leaves A singular or
+    divides a value's denominator, `verify_ppsn` decides."""
     manifold, m, nodes = problem.manifold, problem.m, problem.nodes
     if manifold is not None:
         n = manifold.n
@@ -92,17 +96,21 @@ def interpolate(
             raise CountMismatchError("negative degree admits only the empty node set")
         return Polynomial.zero(n)
     if certificate is None:
-        certificate = verify_ppsn(nodes, manifold, m)
-    if not certificate.proper:
+        _square_system(nodes, manifold, m)
+    elif not certificate.proper:
         raise ImproperNodeSetError(certificate)
     columns = canonical_monomials(manifold, n, m)
     if len(columns) != len(nodes):
         raise InternalCheckError("canonical support size differs from node count")
     # Row i of [A | b] is scaled by scale_i throughout, which leaves the
-    # solution unchanged. A is square, so full rank puts a pivot in every
-    # column of A and leaves the solution in the last column.
+    # solution unchanged.
     rows = evaluation_rows(nodes.points, columns)
-    coeffs = _solve_mod_p(rows, problem.values)
+    first = _solution_mod(rows, problem.values, linalg.PRIMES[0])
+    if certificate is None and first is None:
+        certificate = verify_ppsn(nodes, manifold, m)
+        if not certificate.proper:
+            raise ImproperNodeSetError(certificate)
+    coeffs = _solve_mod_p(rows, problem.values, first)
     if coeffs is None:
         augmented = [row + [scale * v] for (scale, row), v in zip(rows, problem.values)]
         ech = linalg.row_reduce(augmented)
@@ -116,35 +124,46 @@ def interpolate(
     return Polynomial._trusted(n, dict(zip(columns, coeffs)))
 
 
+def _solution_mod(
+    rows: Sequence[Tuple[int, List[int]]], values: Sequence[Fraction], p: int
+) -> Optional[List[int]]:
+    """The solution mod p of the square system [A | b], or None when p
+    divides a value's denominator or A is singular mod p. A is square, so
+    a pivot in every column of A leaves the solution to `back_substitute`."""
+    if any(v.denominator % p == 0 for v in values):
+        return None
+    augmented = [
+        row + [scale * v.numerator * pow(v.denominator, -1, p)]
+        for (scale, row), v in zip(rows, values)
+    ]
+    ech = linalg.row_reduce_mod(augmented, p)
+    if sum(c < len(rows) for c in ech.pivot_columns) != len(rows):
+        return None
+    return linalg.back_substitute(ech, p)
+
+
 def _solve_mod_p(
-    rows: Sequence[Tuple[int, List[int]]], values: Sequence[Fraction]
+    rows: Sequence[Tuple[int, List[int]]],
+    values: Sequence[Fraction],
+    first: Optional[List[int]],
 ) -> Optional[List[Fraction]]:
-    """The solution of the square system [A | b] from eliminations mod
-    `linalg.PRIMES` in turn, or None when no prime gives it. A prime that
-    divides a value's denominator or leaves A singular is skipped. Each other
-    prime's solution column joins the residues so far by the Chinese
-    remainder theorem, every coefficient is rebuilt mod the running product,
-    and the first guess that passes `_solves` is returned: a nonsingular A
-    mod p is nonsingular over Q, so that guess is the unique solution."""
+    """The solution of the square system [A | b] from its solutions mod
+    `linalg.PRIMES` in turn (`first` is the one mod `PRIMES[0]`), or None
+    when no prime gives it. A prime with no solution is skipped. Each other
+    prime's solution joins the residues so far by the Chinese remainder
+    theorem, every coefficient is rebuilt mod the running product, and the
+    first guess that passes `_solves` is returned: a nonsingular A mod p is
+    nonsingular over Q, so that guess is the unique solution."""
     residues = [0] * len(rows)
     modulus = 1
-    for p in linalg.PRIMES:
-        if any(v.denominator % p == 0 for v in values):
-            continue
-        augmented = [
-            row + [scale * v.numerator * pow(v.denominator, -1, p)]
-            for (scale, row), v in zip(rows, values)
-        ]
-        ech = linalg.row_reduce_mod(augmented, p)
-        if sum(c < len(rows) for c in ech.pivot_columns) != len(rows):
+    for i, p in enumerate(linalg.PRIMES):
+        solution = first if i == 0 else _solution_mod(rows, values, p)
+        if solution is None:
             continue
         # x = r (mod modulus) and x = u (mod p) give x = r + modulus * k
         # with k = (u - r) / modulus (mod p)
         inv = pow(modulus, -1, p)
-        residues = [
-            r + modulus * ((u - r) * inv % p)
-            for r, u in zip(residues, ech.column(len(rows)))
-        ]
+        residues = [r + modulus * ((u - r) * inv % p) for r, u in zip(residues, solution)]
         modulus *= p
         coeffs = [linalg.rational_reconstruct(u, modulus) for u in residues]
         if None not in coeffs and _solves(rows, values, coeffs):

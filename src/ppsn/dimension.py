@@ -8,12 +8,13 @@ vector (k_1..k_s) in n-space:
     (1 - t^{k_1}) ... (1 - t^{k_s}) * (1 - t)^{-n}, accumulated;
   * nested backward differences of the binomials C(m+n, n).
 
-They agree on every valid profile; `dim_along` checks the identity on
-every call and fails loudly on mismatch.
+They agree on every valid profile; `dim_along` checks the identity for
+every (m, profile) it returns and fails loudly on mismatch.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
@@ -127,11 +128,17 @@ def dim_along(m: int, profile: DegreeProfile) -> int:
     """Dimension of the degree-<=m polynomial space along the manifold.
 
     Cross-checks the generating-function value against the backward
-    difference on every call; disagreement is an implementation bug.
-    Negative m denotes the zero space and has dimension 0.
+    difference once for each (m, profile), whose value is then cached;
+    disagreement is an implementation bug. Negative m denotes the zero
+    space and has dimension 0.
     """
     if m < 0:
         return 0
+    return _checked_dim(m, profile)
+
+
+@functools.lru_cache(maxsize=1024)
+def _checked_dim(m: int, profile: DegreeProfile) -> int:
     value = hilbert_table(profile, m).H[m]
     check = backward_diff_e(m, profile.n, profile.ks)
     if value != check:

@@ -20,18 +20,25 @@ builds Fractions only for the entries a caller reads, and callers read at
 most a column or two (`solve` the right-hand side, `nullspace` the free
 columns).
 
-`row_reduce_mod` is the same Gauss-Jordan elimination over the integers mod
-a prime p, one of the fixed word-size primes `PRIMES`, with delayed
-reduction (Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008) on rows packed as
-in Kronecker substitution. Each row is one Python int with a slot of
-W = bit_length((nrows+1)*p^2) + 1 bits per column, a row operation is one
-big-int multiply-add of the negated pivot row, and a slot is reduced mod p
-only when it is read. Slots stay nonnegative and below p + nrows*(p-1)^2,
-which is below 2^W, so no borrow or carry ever crosses a slot (the function
-gives the argument). The row operations, and so the pivots and the RREF
-residues, are those of an entry-by-entry elimination mod p. The slot width
-grows with p^2, so a smaller prime still pays: narrower rows make each
-multiply-add cheaper. Its answers are used only where they need no trust:
+`row_reduce_mod` is forward elimination over the integers mod a prime p,
+one of the fixed word-size primes `PRIMES`, with `row_reduce`'s pivot
+policy, delayed reduction (Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008)
+and rows packed as in Kronecker substitution. Each row is one Python int
+with a slot of W = bit_length((nrows+1)*p^2) + 1 bits per column, a row
+operation is one big-int multiply-add of the negated pivot row, and a slot
+is reduced mod p only when it is read. Slots stay nonnegative and below
+p + nrows*(p-1)^2, which is below 2^W, so no borrow or carry ever crosses a
+slot (the function gives the argument). The row operations, and so the
+pivots and the echelon residues, are those of an entry-by-entry
+elimination mod p. The slot width grows with p^2, so a smaller prime still
+pays: narrower rows make each multiply-add cheaper. It clears only below
+each pivot and returns the pivot rows of a row echelon form, not the RREF,
+because no caller needs more. The pivot search reads only the rows below
+the pivots found so far, so clearing above them changes neither the pivots
+nor the rank. A square system [A | b] with a pivot in every column of A has
+one solution, and `back_substitute` reads it off the echelon rows in O(N^2)
+word operations, where clearing above every pivot costs O(N^3). Its
+answers are used only where they need no trust:
 
 * A rank of N mod p for an integer N x N matrix is a certificate of
   nonsingularity over Q. The determinant is an integer, and the elimination
@@ -52,6 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 Row = List[Fraction]
@@ -68,11 +76,13 @@ class Echelon:
     """Result of an exact row reduction.
 
     pivots[i] = (original_row_index, column) for the i-th pivot, in the
-    order pivots were found. The reduced matrix (RREF) is kept as integer
-    rows `ints` over one common `denominator`: entry (i, j) is
-    ints[i][j] / denominator. `column(j)` and `rows` build Fractions only
-    for the entries they return. From `row_reduce_mod` the ints are residues
-    in [0, p), there is no denominator, and both return the residues.
+    order pivots were found. From `row_reduce` the reduced matrix (RREF) is
+    kept as integer rows `ints` over one common `denominator`: entry (i, j)
+    is ints[i][j] / denominator. `column(j)` and `rows` build Fractions only
+    for the entries they return. From `row_reduce_mod` there is no
+    denominator, `ints` holds the `rank` nonzero rows of a row echelon form
+    mod p, residues in [0, p) in pivot order, each zero left of its pivot
+    and 1 at it, and both return the residues.
     """
 
     rank: int
@@ -85,7 +95,7 @@ class Echelon:
         return tuple(c for _, c in self.pivots)
 
     def column(self, j: int) -> List[Fraction]:
-        """Column j of the RREF (residues from `row_reduce_mod`)."""
+        """Column j of the RREF (of the echelon rows from `row_reduce_mod`)."""
         d = self.denominator
         if d is None:
             return [row[j] for row in self.ints]
@@ -143,32 +153,26 @@ def _pack(values: Sequence[int], width: int) -> int:
     return x
 
 
-def _unpack(x: int, width: int, count: int, p: int) -> List[int]:
-    """The first `count` slots of a packed row, each reduced mod p."""
-    mask = (1 << width) - 1
-    out = []
-    for _ in range(count):
-        out.append((x & mask) % p)
-        x >>= width
-    return out
-
-
 def row_reduce_mod(matrix: Sequence[Sequence[int]], p: int) -> Echelon:
-    """`row_reduce` of an integer matrix over the integers mod the prime p:
-    the same pivot policy, each pivot scaled to 1.
+    """Forward elimination of an integer matrix over the integers mod the
+    prime p, with `row_reduce`'s pivot policy (so the same rank and pivots
+    as Gauss-Jordan mod p), each pivot scaled to 1 and nothing cleared
+    above it. `ints` holds the pivot rows of the row echelon form.
 
-    Each row is one packed int (`_pack`) with column j in the slot of bits
-    [j*W, (j+1)*W), W = bit_length((nrows+1)*p^2) + 1, and a slot is reduced
-    mod p only when it is read: the pivot search, the factor f, the pivot
-    tail and the final unpack. Eliminating with pivot row b (pivot 1) adds
-    f times the negated row, whose slots are p - b_j (0 for 0), to each
-    other row whose column-c slot is f mod p: one big-int multiply-add, and
-    slot c becomes a multiple of p. Slots never go negative, so nothing
-    borrows. A row is repacked reduced when it becomes the pivot row and
-    otherwise takes at most one addition of at most (p-1)^2 per pivot, so
-    every slot stays below p + nrows*(p-1)^2 < (nrows+1)*p^2 < 2^W and
-    nothing carries into the next slot. W grows with p^2, so a smaller
-    prime gives narrower rows and cheaper multiply-adds."""
+    Each row is one packed int (`_pack`), W = bit_length((nrows+1)*p^2) + 1
+    bits per slot, holding the columns from the current one on: column c is
+    the lowest slot, and each step drops it. A slot is reduced mod p only
+    when it is read: the pivot search, the factor f and the pivot tail. The
+    pivot row leaves the packed rows once its tail is unpacked and scaled.
+    Eliminating with it adds f times its negation, whose slots are p - b_j
+    (0 for 0), to each row below whose column-c slot is f mod p: one big-int
+    multiply-add, and slot c becomes a multiple of p. Slots never go
+    negative, so nothing borrows. A row starts reduced and takes at most one
+    addition of at most (p-1)^2 per pivot, so every slot stays below
+    p + nrows*(p-1)^2 < (nrows+1)*p^2 < 2^W and nothing carries into the
+    next slot. The rows below the last pivot are never unpacked. W grows
+    with p^2, so a smaller prime gives narrower rows and cheaper
+    multiply-adds."""
     nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0
     width = ((nrows + 1) * p * p).bit_length() + 1
@@ -176,31 +180,43 @@ def row_reduce_mod(matrix: Sequence[Sequence[int]], p: int) -> Echelon:
     m = [_pack([v % p for v in row], width) for row in matrix]
     origin = list(range(nrows))
     pivots: List[Tuple[int, int]] = []
-    r = 0
+    ints: List[Tuple[int, ...]] = []
     for c in range(ncols):
-        shift = c * width
-        slots = [(x >> shift & mask) % p for x in m]
-        pr = next((i for i in range(r, nrows) if slots[i]), None)
-        if pr is None:
+        slots = [(x & mask) % p for x in m]
+        k = next((i for i, f in enumerate(slots) if f), None)
+        if k is None:
+            m = [x >> width for x in m]
             continue
-        m[r], m[pr] = m[pr], m[r]
-        origin[r], origin[pr] = origin[pr], origin[r]
-        # every row is zero mod p left of c outside earlier pivot columns,
-        # where the pivot row is zero mod p: only the tail from c is kept
-        inv = pow(slots[pr], -1, p)
-        slots[pr], slots[r] = slots[r], 0  # the pivot row takes no update
-        tail = [a * inv % p for a in _unpack(m[r] >> shift, width, ncols - c, p)]
-        m[r] = _pack(tail, width) << shift
-        neg = _pack([p - a if a else 0 for a in tail], width) << shift
-        for i, f in enumerate(slots):
-            if f:
-                m[i] += f * neg
-        pivots.append((origin[r], c))
-        r += 1
-        if r == nrows:
+        # swap the pivot row with the first remaining row, as Gauss-Jordan
+        # does, so later pivot searches see the rows in the same order
+        x, o = m[k], origin[k]
+        inv = pow(slots[k], -1, p)
+        m[k], slots[k], origin[k] = m[0], slots[0], origin[0]
+        del m[0], slots[0], origin[0]
+        tail = []
+        for _ in range(ncols - c):
+            tail.append((x & mask) * inv % p)
+            x >>= width
+        ints.append((0,) * c + tuple(tail))
+        pivots.append((o, c))
+        neg = _pack([p - a if a else 0 for a in tail], width)
+        m = [(x + f * neg) >> width if f else x >> width for x, f in zip(m, slots)]
+        if not m:
             break
-    ints = tuple(tuple(_unpack(x, width, ncols, p)) for x in m)
-    return Echelon(rank=r, pivots=tuple(pivots), ints=ints)
+    return Echelon(rank=len(pivots), pivots=tuple(pivots), ints=tuple(ints))
+
+
+def back_substitute(ech: Echelon, p: int) -> List[int]:
+    """The solution mod p of a square system [A | b] from its
+    `row_reduce_mod` echelon, which must have a pivot in every column of A.
+    Row i is then x_i + sum_{j > i} ints[i][j] * x_j = ints[i][N], solved
+    from the last row up."""
+    n = len(ech.ints)
+    x = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = ech.ints[i]
+        x[i] = (row[n] - sum(map(mul, row[i + 1 : n], x[i + 1 :]))) % p
+    return x
 
 
 def rational_reconstruct(u: int, M: int) -> Optional[Fraction]:

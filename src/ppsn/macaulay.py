@@ -191,14 +191,15 @@ def select_monomials(manifold: Manifold, m: int) -> MonomialSelection:
 
 def canonical_monomials(
     manifold: Optional[Manifold], n: int, upto: int
-) -> List[MultiIndex]:
+) -> Sequence[MultiIndex]:
     """Unselected monomials of degrees 0..upto, in the fixed graded order.
 
-    With no manifold this is the full monomial basis: every monomial is
-    unselected in the ambient case.
+    With no manifold this is the full monomial basis, the shared tuple
+    `monomial_basis` returns: every monomial is unselected in the ambient
+    case.
     """
     if manifold is None:
-        return list(monomial_basis(n, upto))
+        return monomial_basis(n, upto)
     out: List[MultiIndex] = []
     for t in range(0, upto + 1):
         out.extend(select_monomials(manifold, t).unselected_monomials())

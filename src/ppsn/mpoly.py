@@ -9,6 +9,7 @@ so for n=2 the basis starts 1, x1, x2, x1^2, x1*x2, x2^2, ...
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -63,8 +64,11 @@ def monomials_of_degree(n: int, d: int) -> List[MultiIndex]:
     return out
 
 
+@functools.lru_cache(maxsize=64)
 def monomial_basis(n: int, m: int) -> Tuple[MultiIndex, ...]:
-    """All n-variate monomials of total degree <= m, in the fixed graded order."""
+    """All n-variate monomials of total degree <= m, in the fixed graded order.
+
+    Cached: every caller shares one immutable basis and its key tuples."""
     if n < 1:
         raise InputError("ambient dimension must be >= 1")
     return tuple(mu for d in range(m + 1) for mu in monomials_of_degree(n, d))

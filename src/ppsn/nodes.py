@@ -194,13 +194,13 @@ class PPSNCertificate:
         return "proper" if self.proper else "improper"
 
 
-def verify_ppsn(
+def _square_system(
     nodes: NodeSet, manifold: Optional[Manifold], m: int
-) -> PPSNCertificate:
-    """Certify well-posedness of `nodes` at degree m along `manifold`
-    (ambient space when manifold is None) by eliminating the square
-    evaluation matrix over the canonical monomials: mod p first, exactly
-    only when the rank mod p falls short."""
+) -> Tuple[int, int]:
+    """The ambient dimension n and the size N of the canonical system at
+    degree m, after the checks that make it square: exactly N nodes, where
+    N is the dimension of the degree-<=m space along `manifold` (the ambient
+    space when None), and, when N > 0, nodes in n-space on the manifold."""
     if manifold is not None:
         n = manifold.n
         expected = dim_along(m, manifold.profile)
@@ -213,12 +213,24 @@ def verify_ppsn(
         raise CountMismatchError(
             f"degree-{m} well-posedness needs exactly {expected} nodes, got {len(nodes)}"
         )
-    if m < 0 or expected == 0:
+    if expected:
+        if manifold is not None:
+            nodes.require_on(manifold)
+        if nodes.n != n:
+            raise DimensionMismatchError("node/basis dimension mismatch")
+    return n, expected
+
+
+def verify_ppsn(
+    nodes: NodeSet, manifold: Optional[Manifold], m: int
+) -> PPSNCertificate:
+    """Certify well-posedness of `nodes` at degree m along `manifold`
+    (ambient space when manifold is None) by eliminating the square
+    evaluation matrix over the canonical monomials: mod p first, exactly
+    only when the rank mod p falls short."""
+    n, expected = _square_system(nodes, manifold, m)
+    if expected == 0:  # m < 0: the zero space
         return PPSNCertificate(degree=m, n=n, expected_count=0, proper=True)
-    if manifold is not None:
-        nodes.require_on(manifold)
-    if nodes.n != n:
-        raise DimensionMismatchError("node/basis dimension mismatch")
     columns = canonical_monomials(manifold, n, m)
     scales, rows = zip(*evaluation_rows(nodes.points, columns))
     if linalg.row_reduce_mod(rows, linalg.PRIMES[0]).rank < len(nodes):

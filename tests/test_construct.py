@@ -29,7 +29,7 @@ from ppsn import (
     parse_system_text,
     verify_ppsn,
 )
-from ppsn import linalg
+from ppsn import construct, linalg
 from ppsn.construct import (
     SuperpositionStep,
     _curve_lines,
@@ -54,6 +54,13 @@ def test_interpolate_linear_fixture():
     )
     p = interpolate(problem)
     assert p == parse_polynomial("1 + x1 + 2*x2", 2)
+
+
+def test_ambient_interpolants_share_monomial_keys():
+    first = interpolate(InterpolationProblem(None, 1, NodeSet(pts((0, 0), (1, 0), (0, 1))), (1, 2, 3)))
+    second = interpolate(InterpolationProblem(None, 1, NodeSet(pts((0, 0), (2, 0), (0, 3))), (4, 5, 6)))
+    assert len(first.terms) == len(second.terms) == 3
+    assert all(a is b for a, b in zip(first.terms, second.terms))
 
 
 def test_interpolate_reproduces_values_on_manifold(circle):
@@ -142,6 +149,25 @@ def test_superpose_interpolate_round_trip(line_manifold):
     assert p.in_space(2)
     for pt, v in zip(union, values):
         assert p(pt) == v
+
+
+def test_superpose_interpolate_certifies_each_set_once(line_manifold, monkeypatch):
+    on_line = NodeSet(pts((0, 0), (1, 0), (2, 0)), line_manifold)
+    off_line = NodeSet(pts((0, 1), (1, 1), (0, 2)))
+    step = SuperpositionStep(
+        sub_manifold=line_manifold, sub_nodes=on_line, super_nodes=off_line, m=2
+    )
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return verify_ppsn(*args)
+
+    monkeypatch.setattr(construct, "verify_ppsn", spy)
+    superpose_interpolate(step, [F(i) for i in range(6)])
+    # superpose_nodes certifies the sub, super and union sets; each
+    # interpolate certifies its set with the elimination that solves it
+    assert [(len(nodes), m) for nodes, _, m in calls] == [(3, 2), (3, 1), (6, 2)]
 
 
 def test_conic_superposition(circle):

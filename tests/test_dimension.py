@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from ppsn import (
     DegreeProfile,
     InputError,
+    InternalCheckError,
     backward_diff_e,
     binom_e,
     curve_dimension_closed_form,
     dim_along,
     hilbert_table,
 )
+from ppsn import dimension
 
 
 def test_binom_e_values():
@@ -152,3 +154,23 @@ def test_backward_difference_is_polynomial_in_s():
     value = backward_diff_e(20, 20, (1,) * 20)
     assert time.perf_counter() - start < 0.1
     assert value == 1  # 20 hyperplanes in 20-space meet in one point
+
+
+
+def test_dim_along_cross_checks_each_key_once(monkeypatch):
+    profile = DegreeProfile(3, (2, 2))
+    original = dimension.backward_diff_e
+    calls = []
+
+    def spy(m, n, ks):
+        calls.append(m)
+        return original(m, n, ks)
+
+    dimension._checked_dim.cache_clear()
+    monkeypatch.setattr(dimension, "backward_diff_e", lambda m, n, ks: original(m, n, ks) + 1)
+    with pytest.raises(InternalCheckError, match="cross-check"):
+        dim_along(4, profile)
+    # a failed check caches nothing, and a passing one runs once per (m, profile)
+    monkeypatch.setattr(dimension, "backward_diff_e", spy)
+    assert {dim_along(4, DegreeProfile(3, (2, 2))) for _ in range(3)} == {original(4, 3, (2, 2))}
+    assert calls == [4]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from ppsn.linalg import (
     PRIMES,
     IncrementalRank,
+    back_substitute,
     left_null_vector,
     nullspace,
     row_reduce,
@@ -198,17 +199,23 @@ def test_echelon_column_is_the_column_of_rows(m):
     ints = [[v.numerator * 3 for v in row] for row in m]
     p = PRIMES[0]
     mod = row_reduce_mod(ints, p)
+    # the rank nonzero rows of an echelon form, each 0 left of its pivot and 1 at it
+    assert len(mod.ints) == len(mod.rows) == mod.rank
+    for row, c in zip(mod.ints, mod.pivot_columns):
+        assert row[:c] == (0,) * c and row[c] == 1
     for j in range(len(m[0])):
         assert mod.column(j) == [row[j] for row in mod.rows]
         assert all(type(v) is int and 0 <= v < p for v in mod.column(j))
 
 
-# -- packed-row elimination mod p against the list-based kernel ----------------
+# -- packed-row elimination mod p against list-based kernels ---------------------
 
 
 def list_row_reduce_mod(matrix, p):
-    """Reference: the list-based Gauss-Jordan mod p that the packed-row
-    kernel replaced, with one reduction per entry per row operation."""
+    """Reference: list-based Gauss-Jordan mod p, with one reduction per
+    entry per row operation. Its rank and pivots are those of any
+    elimination with the same pivot policy, and the last column of its RREF
+    is the solution of a square system."""
     m = [[v % p for v in row] for row in matrix]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
@@ -233,6 +240,39 @@ def list_row_reduce_mod(matrix, p):
         if r == nrows:
             break
     return r, tuple(pivots), tuple(map(tuple, m))
+
+
+def list_forward_reduce_mod(matrix, p):
+    """Reference: list-based forward elimination mod p with the same pivot
+    policy, clearing only below each pivot row scaled to 1. Returns the
+    pivot rows, the row echelon form that `row_reduce_mod` keeps."""
+    m = [[v % p for v in row] for row in matrix]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = pow(m[r][c], -1, p)
+        m[r][c:] = [a * inv % p for a in m[r][c:]]
+        for i in range(r + 1, nrows):
+            f = m[i][c]
+            if f:
+                m[i][c:] = [(a - f * b) % p for a, b in zip(m[i][c:], m[r][c:])]
+        r += 1
+        if r == nrows:
+            break
+    return tuple(map(tuple, m[:r]))
+
+
+def assert_matches_list_kernels(m, p):
+    ech = row_reduce_mod(m, p)
+    rank, pivots, _ = list_row_reduce_mod(m, p)
+    assert (ech.rank, ech.pivots) == (rank, pivots)
+    assert ech.ints == list_forward_reduce_mod(m, p)
+    return ech
 
 
 SMALL_PRIMES = (2, 3, 5, 7)
@@ -273,15 +313,43 @@ def near_bound_matrix(nrows, ncols):
 @example(([[2**70, -(2**70), 1]] * 4, PRIMES[2]))
 @example(([[1, 2, 3], [2, 4, 6], [0, 0, 1]], 2))
 def test_row_reduce_mod_matches_list_kernel(case):
-    m, p = case
-    ech = row_reduce_mod(m, p)
-    assert (ech.rank, ech.pivots, ech.ints) == list_row_reduce_mod(m, p)
+    assert_matches_list_kernels(*case)
 
 
 @pytest.mark.parametrize("p", PRIMES + SMALL_PRIMES)
 @pytest.mark.parametrize("shape", [(14, 14), (14, 15), (9, 15), (14, 3)])
 def test_row_reduce_mod_near_the_slot_bound(p, shape):
-    m = near_bound_matrix(*shape)
-    ech = row_reduce_mod(m, p)
-    assert (ech.rank, ech.pivots, ech.ints) == list_row_reduce_mod(m, p)
+    ech = assert_matches_list_kernels(near_bound_matrix(*shape), p)
     assert ech.rank == min(shape)  # every pivot is 1 over the integers
+
+
+@st.composite
+def full_rank_systems(draw):
+    """(matrix, p): an N x (N+1) integer matrix [A | b] with A nonsingular
+    mod p, drawn as A = P L U mod p (row permutation P, unit lower
+    triangular L, upper triangular U with a nonzero diagonal), which reaches
+    every nonsingular A, with up to 2^40 times p added to entries."""
+    p = draw(st.sampled_from(PRIMES + SMALL_PRIMES))
+    n = draw(st.integers(1, 12))
+    residues = st.integers(0, p - 1)
+    lower = [[1 if i == j else draw(residues) if j < i else 0 for j in range(n)] for i in range(n)]
+    upper = [
+        [draw(st.integers(1, p - 1)) if i == j else draw(residues) if j > i else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    a = [[sum(lower[i][k] * upper[k][j] for k in range(n)) % p for j in range(n)] for i in range(n)]
+    a = [row + [draw(residues)] for row in draw(st.permutations(a))]
+    lift = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(2**40), 2**40))
+    return [[v + p * draw(lift) for v in row] for row in a], p
+
+
+@settings(max_examples=200)
+@given(full_rank_systems())
+@example(([[0, 1, 5], [1, 0, 6]], 2))
+def test_back_substitution_is_the_rref_solution_column(case):
+    m, p = case
+    n = len(m)
+    ech = row_reduce_mod(m, p)
+    assert ech.pivot_columns == tuple(range(n))
+    _, _, rref = list_row_reduce_mod(m, p)
+    assert back_substitute(ech, p) == [row[n] for row in rref]

@@ -10,10 +10,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ppsn import (
+    CountMismatchError,
+    ImproperNodeSetError,
     InternalCheckError,
     InterpolationProblem,
     Manifold,
     NodeSet,
+    OffManifoldError,
     PPSNCertificate,
     Polynomial,
     canonical_monomials,
@@ -23,7 +26,7 @@ from ppsn import (
     parse_polynomial,
     verify_ppsn,
 )
-from ppsn import linalg
+from ppsn import construct, linalg
 from ppsn.nodes import evaluation_matrix, evaluation_rows
 
 F = Fraction
@@ -138,15 +141,36 @@ small_int_matrices = st.integers(1, 5).flatmap(
 @example([[0, 0], [1, 1], [2, 2]])
 def test_row_reduce_mod_is_row_reduce_mod_p(m):
     # every minor is below p in size (at most (9 * sqrt(5))^5 < 2^22), so
-    # zero mod p means zero: same pivots, and the RREF mod p is the exact
-    # RREF reduced mod p
+    # zero mod p means zero: same pivots, and the row echelon form mod p is
+    # the exact forward elimination's reduced mod p
     exact = linalg.row_reduce(m)
+    forward = fraction_forward_reduce(m)
     for p in linalg.PRIMES:
         mod = linalg.row_reduce_mod(m, p)
         assert (mod.rank, mod.pivots) == (exact.rank, exact.pivots)
         assert mod.rows == tuple(
-            tuple(x.numerator * pow(x.denominator, -1, p) % p for x in row) for row in exact.rows
+            tuple(x.numerator * pow(x.denominator, -1, p) % p for x in row) for row in forward
         )
+
+
+def fraction_forward_reduce(matrix):
+    """Reference: the pivot rows of exact forward elimination over Q with
+    the kernels' pivot policy, each scaled to 1, nothing cleared above."""
+    m = [[F(v) for v in row] for row in matrix]
+    r = 0
+    for c in range(len(m[0])):
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        m[r] = [v / m[r][c] for v in m[r]]
+        for i in range(r + 1, len(m)):
+            f = m[i][c]
+            m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        r += 1
+        if r == len(m):
+            break
+    return m[:r]
 
 
 # -- modular verify and interpolate against the exact path ---------------------------
@@ -309,6 +333,59 @@ def test_small_prime_dividing_the_determinant_falls_back_exactly(monkeypatch, ex
     exact_calls.update(row_reduce=0, left_null_vector=0)
     assert interpolate(problem, cert) == poly
     assert exact_calls["row_reduce"] == 0
+
+
+@pytest.fixture
+def verify_calls(monkeypatch):
+    """The `verify_ppsn` calls made by `interpolate`, as (nodes, manifold, m)."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return verify_ppsn(*args)
+
+    monkeypatch.setattr(construct, "verify_ppsn", spy)
+    return calls
+
+
+def test_interpolate_without_certificate_eliminates_once(monkeypatch, verify_calls):
+    values = (F(1), F(2), F(3))
+    problem = InterpolationProblem(None, 1, TRIANGLE, values)
+    poly = exact_path(TRIANGLE, None, 1, values)[1]
+    counts = spy_on(monkeypatch, "row_reduce", "row_reduce_mod", "left_null_vector")
+    assert interpolate(problem) == poly
+    # [A | b] mod PRIMES[0] certifies the nodes and gives the solution
+    assert counts == {"row_reduce": 0, "row_reduce_mod": 1, "left_null_vector": 0}
+    assert verify_calls == []
+
+    # the first prime divides the determinant: verify_ppsn decides exactly
+    monkeypatch.setattr(linalg, "PRIMES", (7,) + PRIMES)
+    assert interpolate(problem) == poly
+    assert verify_calls == [(TRIANGLE, None, 1)]
+
+    # the first prime divides a value's denominator
+    verify_calls.clear()
+    monkeypatch.setattr(linalg, "PRIMES", (11,) + PRIMES)
+    values = (F(1, 11), F(2), F(3))
+    poly = exact_path(TRIANGLE, None, 1, values)[1]
+    assert interpolate(InterpolationProblem(None, 1, TRIANGLE, values)) == poly
+    assert verify_calls == [(TRIANGLE, None, 1)]
+
+
+def test_interpolate_without_certificate_refuses_improper_nodes(verify_calls):
+    nodes = NodeSet([(F(0), F(0)), (F(1), F(1)), (F(2), F(2))])
+    with pytest.raises(ImproperNodeSetError) as refused:
+        interpolate(InterpolationProblem(None, 1, nodes, (F(0), F(1), F(2))))
+    assert refused.value.certificate == verify_ppsn(nodes, None, 1)
+    assert not refused.value.certificate.proper
+    assert len(verify_calls) == 1
+    # the checks that make the system square still come first
+    with pytest.raises(CountMismatchError):
+        interpolate(InterpolationProblem(None, 2, nodes, (F(0), F(1), F(2))))
+    off = NodeSet([(F(1), F(0)), (F(0), F(1)), (F(1), F(1))])
+    with pytest.raises(OffManifoldError):
+        interpolate(InterpolationProblem(CIRCLE, 1, off, (F(0), F(1), F(2))))
+    assert len(verify_calls) == 1
 
 
 def test_value_denominator_divisible_by_the_prime_falls_back(monkeypatch, exact_calls):
