@@ -194,16 +194,13 @@ def cmd_reduce(args) -> int:
         text = args.poly
     f = parse_polynomial(text, manifold.n)
     form = macaulay.reduce_modulo(f, manifold)
+    remainder = str(form.remainder)
+    cofactors = [str(c) for c in form.cofactors]
     report = _report_base(args)
-    report.update(
-        {
-            "remainder": str(form.remainder),
-            "cofactors": [str(c) for c in form.cofactors],
-        }
-    )
+    report.update({"remainder": remainder, "cofactors": cofactors})
     human = "remainder: {}\n{}".format(
-        form.remainder,
-        "\n".join(f"cofactor {i + 1}: {c}" for i, c in enumerate(form.cofactors)),
+        remainder,
+        "\n".join(f"cofactor {i + 1}: {c}" for i, c in enumerate(cofactors)),
     )
     _emit(args, report, human)
     return EXIT_OK

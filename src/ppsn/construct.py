@@ -139,7 +139,7 @@ def _solution_mod(
     ech = linalg.row_reduce_mod(augmented, p)
     if sum(c < len(rows) for c in ech.pivot_columns) != len(rows):
         return None
-    return linalg.back_substitute(ech, p)
+    return linalg.back_substitute(ech.ints, p)
 
 
 def _solve_mod_p(
@@ -160,17 +160,14 @@ def _solve_mod_p(
         solution = first if i == 0 else _solution_mod(rows, values, p)
         if solution is None:
             continue
-        # x = r (mod modulus) and x = u (mod p) give x = r + modulus * k
-        # with k = (u - r) / modulus (mod p)
-        inv = pow(modulus, -1, p)
-        residues = [r + modulus * ((u - r) * inv % p) for r, u in zip(residues, solution)]
+        residues = linalg.crt(residues, modulus, solution, p)
         modulus *= p
         coeffs = [linalg.rational_reconstruct(u, modulus) for u in residues]
-        if None not in coeffs and _solves(rows, values, coeffs):
+        if all(x is not None for x in coeffs) and _solves(rows, values, coeffs):
             # equal coefficients share one Fraction, which keeps the
-            # interpolant small
-            shared: Dict[Fraction, Fraction] = {}
-            return [shared.setdefault(x, x) for x in coeffs]
+            # interpolant small; equal fractions have equal residues
+            shared: Dict[int, Fraction] = {}
+            return [shared.setdefault(u, x) for u, x in zip(residues, coeffs)]
     return None
 
 

@@ -44,9 +44,9 @@ answers are used only where they need no trust:
   nonsingularity over Q. The determinant is an integer, and the elimination
   mod p shows that it is nonzero mod p, so it is nonzero. A rank below N
   proves nothing: p may divide the determinant of a nonsingular matrix.
-  Callers then take the exact path.
+  Callers then try the next prime and, after the last, the exact path.
 * A solution mod p is a guess. Solutions mod several primes combine by the
-  Chinese remainder theorem into one mod their product M, and
+  Chinese remainder theorem (`crt`) into one mod their product M, and
   `rational_reconstruct` turns each residue into the unique small fraction
   congruent to it mod M, if one exists (Wang, Guy & Davenport, SIGSAM Bull.
   16(2), 1982). The guess is accepted only after an exact check over Q, as
@@ -206,17 +206,25 @@ def row_reduce_mod(matrix: Sequence[Sequence[int]], p: int) -> Echelon:
     return Echelon(rank=len(pivots), pivots=tuple(pivots), ints=tuple(ints))
 
 
-def back_substitute(ech: Echelon, p: int) -> List[int]:
-    """The solution mod p of a square system [A | b] from its
-    `row_reduce_mod` echelon, which must have a pivot in every column of A.
-    Row i is then x_i + sum_{j > i} ints[i][j] * x_j = ints[i][N], solved
+def back_substitute(rows: Sequence[Sequence[int]], p: int) -> List[int]:
+    """The solution mod p of the square system whose first N = len(rows)
+    `row_reduce_mod` echelon rows are given, each with its pivot in its own
+    column: row i is x_i + sum_{i<j<N} rows[i][j] * x_j = rows[i][N], solved
     from the last row up."""
-    n = len(ech.ints)
+    n = len(rows)
     x = [0] * n
     for i in range(n - 1, -1, -1):
-        row = ech.ints[i]
+        row = rows[i]
         x[i] = (row[n] - sum(map(mul, row[i + 1 : n], x[i + 1 :]))) % p
     return x
+
+
+def crt(residues: Sequence[int], modulus: int, solution: Sequence[int], p: int) -> List[int]:
+    """The residues mod modulus * p that are `residues` mod `modulus` and
+    `solution` mod the prime p, which must not divide modulus (Chinese
+    remainder theorem): x = r + modulus * k with k = (u - r) / modulus mod p."""
+    inv = pow(modulus, -1, p)
+    return [r + modulus * ((u - r) * inv % p) for r, u in zip(residues, solution)]
 
 
 def rational_reconstruct(u: int, M: int) -> Optional[Fraction]:

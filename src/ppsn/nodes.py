@@ -21,23 +21,41 @@ of degree <= d is B^d times the rational row, entry c^alpha * B^(d-|alpha|).
 Scaling a row by a nonzero constant changes neither the pivots nor the RREF
 of `linalg.row_reduce`, so rank certificates and interpolants come straight
 from the integer rows; `evaluation_matrix` divides them back out for callers
-that need the rational entries.
+that need the rational entries. A cached plan per monomial tuple
+(`_evaluation_plan`) gives each c^alpha as its parent's value times one
+coordinate: the parent of alpha is alpha - e_j, j its first variable. The
+plan runs over the monomials closed under taking parents, which canonical
+sets already are (the selected monomials form a monomial ideal), and the
+closure keeps any other input correct.
 
-`verify_ppsn` first eliminates the integer rows mod the word-size prime
-`linalg.PRIMES[0]`. A rank of N there means the N x N integer determinant is
-nonzero mod p, hence nonzero: the set is proper, with no trust in the prime.
-A smaller rank is either a genuinely improper set or a prime dividing the
-determinant, so the exact `linalg.left_null_vector` of the integer rows
-decides: a kernel vector, rescaled by the row scales, is the improper
-certificate, and no kernel vector means the set is proper after all.
+`verify_ppsn` eliminates the transpose of the integer rows mod the
+word-size prime `linalg.PRIMES[0]`; the transpose has the matrix's rank. A
+rank of N means the N x N integer determinant is nonzero mod p, hence
+nonzero: the set is proper, with no trust in the prime. A smaller rank is
+either a genuinely improper set or a prime dividing the determinant. The
+first non-pivot column f of that echelon is the first node row that
+depends mod p on the rows before it, and back-substitution over the first
+f echelon rows gives the combination y mod p with y_f = 1. The primes
+combine by the Chinese remainder theorem (a prime with a larger f restarts
+the combination, one with a smaller f is skipped, and one with rank N
+proves the set proper), y is rebuilt by `linalg.rational_reconstruct`, and
+it is accepted only if sum_{i<=f} y_i * row_i = 0 holds exactly over the
+integers. Rows 0..f-1 are independent mod p, hence over Q, and row f depends
+on them, so y is their unique combination: the vector that the exact
+`linalg.left_null_vector` returns, entry for entry. Anything else falls back
+to that exact elimination, whose kernel vector, rescaled by the row scales,
+is the improper certificate; no kernel vector means the set is proper after
+all.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -132,32 +150,58 @@ def _powers(x: int, top: int) -> List[int]:
     return out
 
 
+def _parent(alpha: MultiIndex) -> Tuple[MultiIndex, int]:
+    """(alpha - e_j, j) for j the first variable of the nonconstant alpha."""
+    j = next(j for j, e in enumerate(alpha) if e)
+    return alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :], j
+
+
+@functools.lru_cache(maxsize=256)
+def _evaluation_plan(
+    monomials: Tuple[MultiIndex, ...]
+) -> Tuple[int, Tuple[Tuple[int, int], ...], Tuple[Tuple[int, int], ...]]:
+    """(d, steps, picks) for `evaluation_rows`, keyed on the monomials
+    alone, never on the points. d is the largest monomial degree. The
+    closure of `monomials` under taking parents is listed by degree, the
+    constant first; steps[k] = (closure index of the parent, j) for closure
+    entry k + 1, and picks[i] = (closure index, d - |alpha|) for
+    alpha = monomials[i]."""
+    closure = set()
+    for alpha in monomials:
+        while alpha not in closure:
+            closure.add(alpha)
+            if not any(alpha):
+                break
+            alpha = _parent(alpha)[0]
+    order = sorted(closure, key=lambda alpha: (sum(alpha), alpha))
+    index = {alpha: k for k, alpha in enumerate(order)}
+    steps = []
+    for alpha in order[1:]:
+        parent, j = _parent(alpha)
+        steps.append((index[parent], j))
+    d = max(map(sum, monomials), default=0)
+    picks = tuple((index[alpha], d - sum(alpha)) for alpha in monomials)
+    return d, tuple(steps), picks
+
+
 def evaluation_rows(
     points: Sequence[Point], monomials: Sequence[MultiIndex]
 ) -> List[Tuple[int, List[int]]]:
     """(scale, row) per point, where row / scale is the point's exact
     evaluation row: with B the lcm of the coordinate denominators, c = B*q
     and d the largest monomial degree, the entry for alpha is
-    c^alpha * B^(d-|alpha|) and scale = B^d. Each monomial's power of B and
-    nonzero (variable, exponent) pairs are found once per call."""
-    d = max(map(sum, monomials), default=0)
-    tops = [max(e) for e in zip(*monomials)]
-    plan = [
-        (d - sum(alpha), [(j, e) for j, e in enumerate(alpha) if e])
-        for alpha in monomials
-    ]
+    c^alpha * B^(d-|alpha|) and scale = B^d. c^alpha is its parent's value
+    times one coordinate, over the plan's closure (`_evaluation_plan`)."""
+    d, steps, picks = _evaluation_plan(tuple(monomials))
     out = []
     for q in points:
         B = lcm(*(x.denominator for x in q))
-        powers = [_powers(x.numerator * (B // x.denominator), top) for x, top in zip(q, tops)]
+        c = [x.numerator * (B // x.denominator) for x in q]
         b_powers = _powers(B, d)
-        row = []
-        for k, factors in plan:
-            v = b_powers[k]
-            for j, e in factors:
-                v *= powers[j][e]
-            row.append(v)
-        out.append((b_powers[d], row))
+        values = [1]
+        for parent, j in steps:
+            values.append(values[parent] * c[j])
+        out.append((b_powers[d], [values[k] * b_powers[e] for k, e in picks]))
     return out
 
 
@@ -176,11 +220,13 @@ class PPSNCertificate:
     proper means the canonical N x N evaluation matrix is nonsingular, and
     `witness_columns` are the canonical monomials' full-basis indices.
 
-    A proper verdict is proved by a rank of N modulo `linalg.PRIMES[0]` (a
-    nonzero determinant mod p is a nonzero integer) or, when that rank falls
-    short, by an exact elimination that finds no left kernel. An improper
-    verdict always carries the exact kernel functional. The fields are the
-    same whichever path decided, and nothing else is kept."""
+    A proper verdict is proved by a rank of N modulo one of `linalg.PRIMES`
+    (a nonzero determinant mod p is a nonzero integer) or by an exact
+    elimination that finds no left kernel. An improper verdict carries the
+    exact kernel functional: the combination rebuilt from the primes and
+    checked exactly over the integers, or else the exact elimination's. The
+    two are equal entry for entry. The fields are the same whichever path
+    decided, and nothing else is kept."""
 
     degree: int
     n: int
@@ -227,30 +273,28 @@ def verify_ppsn(
     """Certify well-posedness of `nodes` at degree m along `manifold`
     (ambient space when manifold is None) by eliminating the square
     evaluation matrix over the canonical monomials: mod p first, exactly
-    only when the rank mod p falls short."""
+    only when the primes leave the verdict open."""
     n, expected = _square_system(nodes, manifold, m)
     if expected == 0:  # m < 0: the zero space
         return PPSNCertificate(degree=m, n=n, expected_count=0, proper=True)
     columns = canonical_monomials(manifold, n, m)
     scales, rows = zip(*evaluation_rows(nodes.points, columns))
-    if linalg.row_reduce_mod(rows, linalg.PRIMES[0]).rank < len(nodes):
-        # improper, or the prime divides the determinant: decide exactly.
+    kernel = _left_kernel(rows)
+    if kernel is not None:
         # The canonical columns span the full-basis ones on manifold points,
         # so the left kernels agree. Row i is s_i times the rational row, so
         # a kernel vector w of the integer rows gives s_i * w_i on the
         # rational ones. The first dependent row f is w's last nonzero entry,
         # with w_f = 1, so dividing by s_f gives the vector that
         # `left_null_vector` returns for the rational matrix, entry for entry
-        kernel = linalg.left_null_vector(rows)
-        if kernel is not None:
-            f = max(i for i, w in enumerate(kernel) if w)
-            return PPSNCertificate(
-                degree=m,
-                n=n,
-                expected_count=expected,
-                proper=False,
-                kernel_functional=tuple(w * s / scales[f] for w, s in zip(kernel, scales)),
-            )
+        f = max(i for i, w in enumerate(kernel) if w)
+        return PPSNCertificate(
+            degree=m,
+            n=n,
+            expected_count=expected,
+            proper=False,
+            kernel_functional=tuple(w * s / scales[f] for w, s in zip(kernel, scales)),
+        )
     if manifold is None:
         witness = tuple(range(len(columns)))  # the columns are the full basis
     else:
@@ -267,6 +311,49 @@ def verify_ppsn(
         proper=True,
         witness_columns=witness,
     )
+
+
+def _left_kernel(rows: Sequence[Sequence[int]]) -> Optional[List[Fraction]]:
+    """`linalg.left_null_vector(rows)` for square integer rows, found mod
+    `linalg.PRIMES` when it can be: None when the rows are independent,
+    otherwise the combination y with y_f = 1 of the first row f that
+    depends on the rows before it, zero after f.
+
+    Each prime eliminates the transpose, whose first non-pivot column is the
+    first row f_p dependent mod p, and a rank of N proves the rows
+    independent. A row dependent over Q stays dependent mod p, so f_p is at
+    most f over Q: a larger f_p restarts the combination and a smaller one
+    is skipped. The first f_p echelon rows read
+    x_i + sum_{i<j<f_p} e_ij x_j = e_if_p, solved by `back_substitute`, and
+    y = (-x, 1). The rebuilt y is returned only if sum_{i<=f} y_i * row_i = 0
+    over the integers; otherwise, after the last prime, the exact
+    `left_null_vector` decides."""
+    N = len(rows)
+    transpose = list(zip(*rows))
+    residues: List[int] = []
+    modulus, f = 1, -1
+    for p in linalg.PRIMES:
+        ech = linalg.row_reduce_mod(transpose, p)
+        if ech.rank == N:
+            return None  # the determinant is nonzero mod p
+        g = next((i for i, c in enumerate(ech.pivot_columns) if c != i), ech.rank)
+        if g < f:
+            continue
+        if g > f:
+            residues, modulus, f = [0] * g, 1, g
+        x = linalg.back_substitute(ech.ints[:f], p)
+        residues = linalg.crt(residues, modulus, [-u for u in x], p)
+        modulus *= p
+        y = [linalg.rational_reconstruct(u, modulus) for u in residues]
+        if any(v is None for v in y):
+            continue
+        y.append(Fraction(1))
+        D = lcm(*(v.denominator for v in y))
+        scaled = [v.numerator * (D // v.denominator) for v in y]
+        # map stops after f + 1 entries: column j of rows 0..f times D*y
+        if not any(sum(map(mul, column, scaled)) for column in transpose):
+            return y + [Fraction(0)] * (N - f - 1)
+    return linalg.left_null_vector(rows)
 
 
 # -- factorable-system intersection -----------------------------------------

@@ -352,4 +352,4 @@ def test_back_substitution_is_the_rref_solution_column(case):
     ech = row_reduce_mod(m, p)
     assert ech.pivot_columns == tuple(range(n))
     _, _, rref = list_row_reduce_mod(m, p)
-    assert back_substitute(ech, p) == [row[n] for row in rref]
+    assert back_substitute(ech.ints, p) == [row[n] for row in rref]

@@ -335,6 +335,74 @@ def test_small_prime_dividing_the_determinant_falls_back_exactly(monkeypatch, ex
     assert exact_calls["row_reduce"] == 0
 
 
+def planted_improper(space, m, seed):
+    """A plane set with m+2 points on a line, or a sphere set with 2m+2
+    points on the great circle x3 = 0, each completed by random points."""
+    rng = random.Random(seed)
+    if space == "plane":
+        manifold, count = None, (m + 1) * (m + 2) // 2
+        fixed = [(F(t), F(2 * t - 3, 5)) for t in range(m + 2)]
+        point = lambda: (random_rational(rng), random_rational(rng))
+    else:
+        manifold, count = SPHERE, dim_along(m, SPHERE.profile)
+        fixed = [circle_point(F(t, 2)) + (F(0),) for t in range(2 * m + 2)]
+        point = lambda: sphere_point(random_rational(rng), random_rational(rng))
+    points = list(fixed)
+    while len(points) < count:
+        q = point()
+        if q not in points:
+            points.append(q)
+    rng.shuffle(points)
+    return NodeSet(points, manifold), manifold, m
+
+
+@pytest.mark.parametrize("space, m", [("plane", 3), ("plane", 5), ("sphere", 2), ("sphere", 3)])
+def test_planted_improper_sets_are_certified_mod_p(exact_calls, space, m):
+    nodes, manifold, m = planted_improper(space, m, seed=7)
+    cert = exact_path(nodes, manifold, m, ())[0]
+    assert not cert.proper
+    exact_calls.update(row_reduce=0, left_null_vector=0)
+    assert verify_ppsn(nodes, manifold, m) == cert
+    assert exact_calls == {"row_reduce": 0, "left_null_vector": 0}
+
+
+# rows 1, x1, x2 of (0, 0), (7, 0) and (14, 0): row 2 = 2 * row 1 - row 0
+# over Q, but row 1 is row 0 mod 7
+SPREAD = NodeSet([(F(0), F(0)), (F(7), F(0)), (F(14), F(0))])
+
+
+def test_prime_making_an_earlier_row_dependent_is_not_trusted(monkeypatch, exact_calls):
+    cert = exact_path(SPREAD, None, 1, ())[0]
+    assert cert.kernel_functional == (F(1), F(-2), F(1))
+
+    monkeypatch.setattr(linalg, "PRIMES", (7,))  # f = 1 mod 7, f = 2 over Q
+    exact_calls.update(row_reduce=0, left_null_vector=0)
+    assert verify_ppsn(SPREAD, None, 1) == cert
+    assert exact_calls == {"row_reduce": 1, "left_null_vector": 1}
+
+    # a later prime with a larger f restarts the combination
+    monkeypatch.setattr(linalg, "PRIMES", (7,) + PRIMES)
+    exact_calls.update(row_reduce=0, left_null_vector=0)
+    assert verify_ppsn(SPREAD, None, 1) == cert
+    assert exact_calls == {"row_reduce": 0, "left_null_vector": 0}
+
+    # a later prime with rank N proves a set proper that 7 left singular
+    cert = exact_path(TRIANGLE, None, 1, ())[0]
+    exact_calls.update(row_reduce=0, left_null_vector=0)
+    assert verify_ppsn(TRIANGLE, None, 1) == cert
+    assert exact_calls == {"row_reduce": 0, "left_null_vector": 0}
+
+
+@pytest.mark.parametrize("space, m", [("plane", 3), ("sphere", 2)])
+def test_failed_reconstruction_falls_back_to_the_exact_kernel(monkeypatch, exact_calls, space, m):
+    nodes, manifold, m = planted_improper(space, m, seed=11)
+    cert = exact_path(nodes, manifold, m, ())[0]
+    monkeypatch.setattr(linalg, "rational_reconstruct", lambda u, M: None)
+    exact_calls.update(row_reduce=0, left_null_vector=0)
+    assert verify_ppsn(nodes, manifold, m) == cert
+    assert exact_calls == {"row_reduce": 1, "left_null_vector": 1}
+
+
 @pytest.fixture
 def verify_calls(monkeypatch):
     """The `verify_ppsn` calls made by `interpolate`, as (nodes, manifold, m)."""

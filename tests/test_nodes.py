@@ -30,7 +30,7 @@ from ppsn import (
     verify_ppsn,
 )
 from ppsn import linalg
-from ppsn.nodes import evaluation_rows
+from ppsn.nodes import _evaluation_plan, evaluation_rows
 
 F = Fraction
 
@@ -309,6 +309,9 @@ def naive_matrix(points, monomials):
 @example(([(F(1, 2), F(-3)), (F(5), F(2, 7))], [(1, 1), (0, 0), (1, 1)]))  # a repeated monomial
 @example(([(F(2, 3), F(5)), (F(-1, 6), F(0))], [(0, 0)]))  # the constant monomial alone
 @example(([(F(1), F(2)), (F(1, 3), F(0))], []))  # no monomials
+@example(([(F(2, 3), F(-5, 2)), (F(0), F(7))], [(3, 0), (0, 2)]))  # not closed under parents
+@example(([(F(-1, 2), F(3)), (F(4, 5), F(1, 6))], [(2, 1)]))  # one monomial, no constant
+@example(([(F(1, 2), F(2, 3), F(-3, 4))], [(0, 0, 2), (1, 2, 0), (0, 1, 1)]))
 def test_evaluation_rows_match_fraction_products(case):
     points, monomials = case
     rows = evaluation_rows(points, monomials)
@@ -316,6 +319,10 @@ def test_evaluation_rows_match_fraction_products(case):
     assert [[F(v, scale) for v in row] for scale, row in rows] == naive
     assert all(type(v) is int for _, row in rows for v in row)
     assert evaluation_matrix(points, monomials) == naive
+
+
+def test_evaluation_plan_cache_is_bounded():
+    assert _evaluation_plan.cache_info().maxsize is not None
 
 
 @st.composite
