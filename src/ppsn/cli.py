@@ -26,7 +26,7 @@ from .errors import (
     ParseError,
     PpsnError,
 )
-from .mpoly import Polynomial, as_fraction, parse_polynomial
+from .mpoly import Polynomial, as_fraction, parse_polynomial, require_dense_size
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -46,13 +46,18 @@ def _digest(text: str) -> str:
 
 
 def _infer_dimension(lines: List[str], override: Optional[int]) -> int:
+    """--n, or else the largest variable index in the lines, refused
+    before a single n-tuple is built when the n + 1 monomials of degree
+    <= 1 are over the budget (`require_dense_size`)."""
     if override is not None:
-        return override
-    indices = re.findall(r"x(\d+)", "\n".join(lines))
-    best = max(map(int, indices), default=0)
-    if best == 0:
-        raise InputError("cannot infer the ambient dimension; pass --n")
-    return best
+        n = override
+    else:
+        indices = re.findall(r"x(\d+)", "\n".join(lines))
+        n = max(map(int, indices), default=0)
+        if n == 0:
+            raise InputError("cannot infer the ambient dimension; pass --n")
+    require_dense_size(n, 1)
+    return n
 
 
 def _parse_poly_lines(text: str, n_override: Optional[int]) -> List[Polynomial]:

@@ -6,9 +6,12 @@ Every construction returns its result together with an exact-rank
 certificate; hypothesis checks are exact and refusals are exceptions, so a
 returned node set is always certified. `cb_reduce`, `cb_check` and
 `cb_extend_curve` open with `nodes._require_full_intersection`, the check
-that their input is the full point intersection of a 0-dimensional manifold. An interpolant solved mod the
-word-size primes `linalg.PRIMES` is returned only after an exact integer
-check of every node equation, and the exact elimination is the fallback.
+that their input is the full point intersection of a 0-dimensional
+manifold. An interpolant solved mod the word-size primes `linalg.PRIMES` is
+returned only after an exact integer check of every node equation, and the
+exact elimination is the fallback. The solve mod each prime reads the
+echelon of A^T that `verify_ppsn` made for the same node set, kept by the
+memo in `nodes`, instead of evaluating and eliminating [A | b] again.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ from .nodes import (
     FactorableSystem,
     NodeSet,
     PPSNCertificate,
+    _CanonicalSystem,
+    _canonical_system,
     _require_full_intersection,
     _square_system,
     evaluation_matrix,
@@ -80,10 +85,12 @@ def interpolate(
     combined by the Chinese remainder theorem and rebuilt by rational
     reconstruction. A guess is returned only when it solves every node
     equation exactly; when no prime gives one, the exact elimination of
-    [A | b] runs. Without a certificate, the elimination mod `PRIMES[0]`
-    that gives the first guess also certifies the nodes: a pivot in every
-    column of A proves A nonsingular. When that prime leaves A singular or
-    divides a value's denominator, `verify_ppsn` decides."""
+    [A | b] runs. Each prime's solve reads the echelon of A^T kept by
+    `nodes._canonical_system`, so after `verify_ppsn` on the same node set
+    the evaluation rows and the first elimination are not made again.
+    Without a certificate, that echelon mod `PRIMES[0]` also certifies the
+    nodes: a rank of N proves A nonsingular. When that prime leaves A
+    singular, `verify_ppsn` decides."""
     manifold, m, nodes = problem.manifold, problem.m, problem.nodes
     if manifold is not None:
         n = manifold.n
@@ -102,68 +109,59 @@ def interpolate(
     columns = canonical_monomials(manifold, n, m)
     if len(columns) != len(nodes):
         raise InternalCheckError("canonical support size differs from node count")
-    # Row i of [A | b] is scaled by scale_i throughout, which leaves the
-    # solution unchanged.
-    rows = evaluation_rows(nodes.points, columns)
-    first = _solution_mod(rows, problem.values, linalg.PRIMES[0])
-    if certificate is None and first is None:
+    system = _canonical_system(nodes, columns)
+    if certificate is None and system.echelon(linalg.PRIMES[0]).rank < len(nodes):
         certificate = verify_ppsn(nodes, manifold, m)
         if not certificate.proper:
             raise ImproperNodeSetError(certificate)
-    coeffs = _solve_mod_p(rows, problem.values, first)
+    coeffs = _solve_mod_p(system, problem.values)
     if coeffs is None:
-        augmented = [row + [scale * v] for (scale, row), v in zip(rows, problem.values)]
+        # Row i of [A | b] is scaled by scale_i, which leaves the solution
+        # unchanged.
+        augmented = [
+            row + [scale * v] for scale, row, v in zip(system.scales, system.rows, problem.values)
+        ]
         ech = linalg.row_reduce(augmented)
         if sum(c < len(columns) for c in ech.pivot_columns) != len(nodes):
             raise InternalCheckError(
                 "canonical evaluation matrix is singular for a certified node set"
             )
         coeffs = ech.column(len(columns))
-        if not _solves(rows, problem.values, coeffs):
+        if not _solves(system, problem.values, coeffs):
             raise InternalCheckError("interpolant misses a node value")
     return Polynomial._trusted(n, dict(zip(columns, coeffs)))
 
 
-def _solution_mod(
-    rows: Sequence[Tuple[int, List[int]]], values: Sequence[Fraction], p: int
-) -> Optional[List[int]]:
-    """The solution mod p of the square system [A | b], or None when p
-    divides a value's denominator or A is singular mod p. A is square, so
-    a pivot in every column of A leaves the solution to `back_substitute`."""
-    if any(v.denominator % p == 0 for v in values):
-        return None
-    augmented = [
-        row + [scale * v.numerator * pow(v.denominator, -1, p)]
-        for (scale, row), v in zip(rows, values)
-    ]
-    ech = linalg.row_reduce_mod(augmented, p)
-    if sum(c < len(rows) for c in ech.pivot_columns) != len(rows):
-        return None
-    return linalg.back_substitute(ech.ints, p)
-
-
 def _solve_mod_p(
-    rows: Sequence[Tuple[int, List[int]]],
-    values: Sequence[Fraction],
-    first: Optional[List[int]],
+    system: _CanonicalSystem, values: Sequence[Fraction]
 ) -> Optional[List[Fraction]]:
-    """The solution of the square system [A | b] from its solutions mod
-    `linalg.PRIMES` in turn (`first` is the one mod `PRIMES[0]`), or None
-    when no prime gives it. A prime with no solution is skipped. Each other
-    prime's solution joins the residues so far by the Chinese remainder
-    theorem, every coefficient is rebuilt mod the running product, and the
-    first guess that passes `_solves` is returned: a nonsingular A mod p is
-    nonsingular over Q, so that guess is the unique solution."""
-    residues = [0] * len(rows)
+    """The solution of the square system A x = b, row i of A the integer row
+    of node i and b_i its scale times its value, from its solutions mod
+    `linalg.PRIMES` in turn, or None when no prime gives it. A prime that
+    divides a value's denominator or leaves A singular is skipped. Each
+    other prime solves through the system's echelon of A^T
+    (`linalg.solve_transposed`), the one `verify_ppsn` may already have
+    made, joins the residues so far by the Chinese remainder theorem, every
+    coefficient is rebuilt mod the running product, and the first guess
+    that passes `_solves` is returned: a nonsingular A mod p is nonsingular
+    over Q, so that guess is the unique solution."""
+    N = len(system.rows)
+    residues = [0] * N
     modulus = 1
-    for i, p in enumerate(linalg.PRIMES):
-        solution = first if i == 0 else _solution_mod(rows, values, p)
-        if solution is None:
+    for p in linalg.PRIMES:
+        if any(v.denominator % p == 0 for v in values):
             continue
-        residues = linalg.crt(residues, modulus, solution, p)
+        ech = system.echelon(p)
+        if ech.rank < N:
+            continue
+        b = [
+            scale * v.numerator * pow(v.denominator, -1, p) % p
+            for scale, v in zip(system.scales, values)
+        ]
+        residues = linalg.crt(residues, modulus, linalg.solve_transposed(ech, b, p), p)
         modulus *= p
         coeffs = [linalg.rational_reconstruct(u, modulus) for u in residues]
-        if all(x is not None for x in coeffs) and _solves(rows, values, coeffs):
+        if all(x is not None for x in coeffs) and _solves(system, values, coeffs):
             # equal coefficients share one Fraction, which keeps the
             # interpolant small; equal fractions have equal residues
             shared: Dict[int, Fraction] = {}
@@ -172,9 +170,7 @@ def _solve_mod_p(
 
 
 def _solves(
-    rows: Sequence[Tuple[int, List[int]]],
-    values: Sequence[Fraction],
-    coeffs: Sequence[Fraction],
+    system: _CanonicalSystem, values: Sequence[Fraction], coeffs: Sequence[Fraction]
 ) -> bool:
     """Whether the coefficients x satisfy every node equation
     (row_i / scale_i) . x = v_i exactly. With D the lcm of the denominators
@@ -184,7 +180,7 @@ def _solves(
     scaled = [x.numerator * (D // x.denominator) for x in coeffs]
     return all(
         sum(map(mul, row, scaled)) * v.denominator == scale * D * v.numerator
-        for (scale, row), v in zip(rows, values)
+        for scale, row, v in zip(system.scales, system.rows, values)
     )
 
 

@@ -37,8 +37,15 @@ because no caller needs more. The pivot search reads only the rows below
 the pivots found so far, so clearing above them changes neither the pivots
 nor the rank. A square system [A | b] with a pivot in every column of A has
 one solution, and `back_substitute` reads it off the echelon rows in O(N^2)
-word operations, where clearing above every pivot costs O(N^3). Its
-answers are used only where they need no trust:
+word operations, where clearing above every pivot costs O(N^3).
+
+`row_reduce_mod` also records its steps: each pivot's inverse, its
+position among the remaining rows and the factor of every row it clears. They factor the matrix as P^T L U, so the
+echelon of A^T alone solves A x = b for any b (`solve_transposed`, O(N^2)):
+forward substitution with U^T, then the steps applied transposed, in
+reverse. One elimination of A^T thus decides whether A is nonsingular mod p
+and solves every right-hand side mod p after it. Its answers are used only
+where they need no trust:
 
 * A rank of N mod p for an integer N x N matrix is a certificate of
   nonsingularity over Q. The determinant is an integer, and the elimination
@@ -82,13 +89,18 @@ class Echelon:
     for the entries they return. From `row_reduce_mod` there is no
     denominator, `ints` holds the `rank` nonzero rows of a row echelon form
     mod p, residues in [0, p) in pivot order, each zero left of its pivot
-    and 1 at it, and both return the residues.
+    and 1 at it, and both return the residues. `steps[i]` is then
+    (inverse, k, factors) for the i-th pivot: the inverse of its value mod
+    p; its position k among the rows not yet pivots, whose first row takes
+    its place before it leaves; and the factor each remaining row, in that
+    new order, was cleared with.
     """
 
     rank: int
     pivots: Tuple[Tuple[int, int], ...]
     ints: Tuple[Tuple[int, ...], ...]
     denominator: Optional[int] = None
+    steps: Tuple[Tuple[int, int, Tuple[int, ...]], ...] = ()
 
     @property
     def pivot_columns(self) -> Tuple[int, ...]:
@@ -157,7 +169,8 @@ def row_reduce_mod(matrix: Sequence[Sequence[int]], p: int) -> Echelon:
     """Forward elimination of an integer matrix over the integers mod the
     prime p, with `row_reduce`'s pivot policy (so the same rank and pivots
     as Gauss-Jordan mod p), each pivot scaled to 1 and nothing cleared
-    above it. `ints` holds the pivot rows of the row echelon form.
+    above it. `ints` holds the pivot rows of the row echelon form and
+    `steps` the row operations that made them.
 
     Each row is one packed int (`_pack`), W = bit_length((nrows+1)*p^2) + 1
     bits per slot, holding the columns from the current one on: column c is
@@ -181,6 +194,7 @@ def row_reduce_mod(matrix: Sequence[Sequence[int]], p: int) -> Echelon:
     origin = list(range(nrows))
     pivots: List[Tuple[int, int]] = []
     ints: List[Tuple[int, ...]] = []
+    steps = []
     for c in range(ncols):
         slots = [(x & mask) % p for x in m]
         k = next((i for i, f in enumerate(slots) if f), None)
@@ -199,11 +213,12 @@ def row_reduce_mod(matrix: Sequence[Sequence[int]], p: int) -> Echelon:
             x >>= width
         ints.append((0,) * c + tuple(tail))
         pivots.append((o, c))
+        steps.append((inv, k, tuple(slots)))
         neg = _pack([p - a if a else 0 for a in tail], width)
         m = [(x + f * neg) >> width if f else x >> width for x, f in zip(m, slots)]
         if not m:
             break
-    return Echelon(rank=len(pivots), pivots=tuple(pivots), ints=tuple(ints))
+    return Echelon(rank=len(pivots), pivots=tuple(pivots), ints=tuple(ints), steps=tuple(steps))
 
 
 def back_substitute(rows: Sequence[Sequence[int]], p: int) -> List[int]:
@@ -216,6 +231,38 @@ def back_substitute(rows: Sequence[Sequence[int]], p: int) -> List[int]:
     for i in range(n - 1, -1, -1):
         row = rows[i]
         x[i] = (row[n] - sum(map(mul, row[i + 1 : n], x[i + 1 :]))) % p
+    return x
+
+
+def solve_transposed(ech: Echelon, b: Sequence[int], p: int) -> List[int]:
+    """The x with A x = b mod p, from the `row_reduce_mod` echelon of A^T for
+    an N x N matrix A that is nonsingular mod p (rank N, so the i-th pivot
+    lies in column i).
+
+    With o_c the original row of the c-th pivot, its value v_c and f_cr the
+    factor step c cleared row r with, the steps give
+    A^T[o_c] = v_c U_c + sum_{c'<c} f_c'o_c U_c': A^T = P^T L U with L lower
+    triangular, L_cc = v_c and L_cc' = f_c'o_c. So A = U^T L^T P, and
+    A x = b is U^T z = b, solved by forward substitution (U has 1 on its
+    diagonal), then L^T (P x) = z, solved from the last step up: step c
+    gives x_{o_c} = (z_c - sum_r f_cr x_r) / v_c over the rows r it cleared,
+    which are the pivots of later steps and so already solved. Their order
+    is rebuilt on the way up by undoing each step's move of its first row
+    into the pivot's place, so the elimination records no row order."""
+    z: List[int] = []
+    for i, column in enumerate(zip(*ech.ints)):
+        # map stops after i entries: U_ci for c < i, times z_c
+        z.append((b[i] - sum(map(mul, column, z))) % p)
+    x = [0] * len(b)
+    cleared: List[int] = []  # original rows below the current pivot, in order
+    for (o, c), (inv, k, factors) in zip(reversed(ech.pivots), reversed(ech.steps)):
+        x[o] = (z[c] - sum(map(mul, factors, map(x.__getitem__, cleared)))) * inv % p
+        # undo the step's reordering: the first row took the pivot's place k
+        if k:
+            cleared.insert(0, cleared[k - 1])
+            cleared[k] = o
+        else:
+            cleared.insert(0, o)
     return x
 
 

@@ -40,6 +40,7 @@ from .mpoly import (
     Polynomial,
     monomial_basis,
     monomials_of_degree,
+    require_dense_size,
 )
 
 
@@ -161,6 +162,7 @@ def select_monomials(manifold: Manifold, m: int) -> MonomialSelection:
         return cached
 
     n = manifold.n
+    require_dense_size(n, m)
     monos, rows, labels = elementary_items(manifold.leading_forms, n, m)
     expected = binom_e(m, n - 1) - manifold.h_of(m)
     if rows:
@@ -383,6 +385,7 @@ def verify_hbase(
         raise InputError(
             f"mmax must be >= {manifold.profile.L}, the smallest defining degree, got {mmax}"
         )
+    require_dense_size(manifold.n, mmax)  # before the first degree's work
     if not infinity_check(manifold):
         raise InsufficientIntersectionError(
             "leading forms share a projective zero; H-base verification refused"

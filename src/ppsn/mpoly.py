@@ -5,11 +5,18 @@ denominator). A multi-index is a tuple of nonnegative ints of length n.
 The fixed monomial order everywhere is graded: ascending total degree,
 and within one degree descending lexicographic on the exponent tuple,
 so for n=2 the basis starts 1, x1, x2, x1^2, x1*x2, x2^2, ...
+
+A dense space of more than MAX_MONOMIALS monomials is refused with an
+InputError before it is built (`require_dense_size`): `monomial_basis`,
+`macaulay.select_monomials`, `macaulay.verify_hbase`, the square system of
+`nodes.verify_ppsn` and `construct.interpolate` on a manifold, and the
+CLI's dimension inference check the count first.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -19,6 +26,29 @@ from .errors import DimensionMismatchError, InputError, ParseError
 
 MultiIndex = Tuple[int, ...]
 Point = Tuple[Fraction, ...]
+
+# The most monomials a dense space may have before anything is built over
+# it: a dense square matrix over 2^12 columns has 2^24 cells. The test suite
+# and the benchmark stay below 500.
+MAX_MONOMIALS = 2**12
+
+
+def require_dense_size(n: int, d: int) -> None:
+    """InputError, before anything is allocated, when the monomials of
+    degree <= d in n variables, C(d + n, n) of them, exceed MAX_MONOMIALS.
+    The count is built as C(h + i, i) for i = 1..min(d, n), h = max(d, n),
+    each term at most the whole, and stops past the budget. Each step
+    multiplies by (h + i) / i >= 2, so it stops within 13 steps however
+    large d or n is."""
+    low, high = sorted((n, d))
+    size = 1
+    for i in range(1, low + 1):
+        size = size * (high + i) // i
+        if size > MAX_MONOMIALS:
+            raise InputError(
+                f"degree <= {d} in {n} variables spans at least {size} monomials, "
+                f"more than the budget of {MAX_MONOMIALS}"
+            )
 
 
 def as_fraction(value) -> Fraction:
@@ -48,19 +78,19 @@ def monomial_key(alpha: MultiIndex):
 
 
 def monomials_of_degree(n: int, d: int) -> List[MultiIndex]:
-    """All exponent tuples with |alpha| = d, in the fixed within-degree order."""
+    """All exponent tuples with |alpha| = d, in the fixed within-degree order.
+
+    A degree-d monomial is a multiset of d variables, and listing the
+    sorted multisets in ascending lex order lists the exponent tuples in
+    descending lex order, with no recursion over the n variables."""
     if d < 0:
         return []
     out: List[MultiIndex] = []
-
-    def rec(prefix: List[int], remaining: int, slots: int):
-        if slots == 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + [e], remaining - e, slots - 1)
-
-    rec([], d, n)
+    for combo in itertools.combinations_with_replacement(range(n), d):
+        alpha = [0] * n
+        for j in combo:
+            alpha[j] += 1
+        out.append(tuple(alpha))
     return out
 
 
@@ -71,6 +101,7 @@ def monomial_basis(n: int, m: int) -> Tuple[MultiIndex, ...]:
     Cached: every caller shares one immutable basis and its key tuples."""
     if n < 1:
         raise InputError("ambient dimension must be >= 1")
+    require_dense_size(n, m)
     return tuple(mu for d in range(m + 1) for mu in monomials_of_degree(n, d))
 
 

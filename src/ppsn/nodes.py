@@ -28,6 +28,16 @@ plan runs over the monomials closed under taking parents, which canonical
 sets already are (the selected monomials form a monomial ideal), and the
 closure keeps any other input correct.
 
+`verify_ppsn` and `construct.interpolate` share one factorization. A
+small memo (`_canonical_system`, the last `_SYSTEMS_KEPT` systems, keyed on
+the identity of the node tuple and on the columns) keeps each system's row
+scales, exact integer rows and, per prime, the `linalg.row_reduce_mod`
+echelon of the transpose with its recorded steps. The interpolant's
+solve mod p reads that echelon (`linalg.solve_transposed`), so a verify
+followed by an interpolate on one node set evaluates and eliminates once.
+Nothing is stored on a certificate or a `NodeSet`, so what a caller keeps
+holds no factorization, and an evicted system is simply built again.
+
 `verify_ppsn` eliminates the transpose of the integer rows mod the
 word-size prime `linalg.PRIMES[0]`; the transpose has the matrix's rank. A
 rank of N means the N x N integer determinant is nonzero mod p, hence
@@ -52,6 +62,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -75,6 +86,7 @@ from .mpoly import (
     as_fraction,
     as_point,
     parse_polynomial,
+    require_dense_size,
 )
 
 
@@ -214,7 +226,7 @@ def evaluation_matrix(
     ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PPSNCertificate:
     """Exact-rank certificate of (im)proper posedness at a stated degree:
     proper means the canonical N x N evaluation matrix is nonsingular, and
@@ -226,7 +238,8 @@ class PPSNCertificate:
     exact kernel functional: the combination rebuilt from the primes and
     checked exactly over the integers, or else the exact elimination's. The
     two are equal entry for entry. The fields are the same whichever path
-    decided, and nothing else is kept."""
+    decided, and nothing else is kept: no instance dict, and one shared
+    `witness_columns` tuple per (manifold, degree)."""
 
     degree: int
     n: int
@@ -249,6 +262,7 @@ def _square_system(
     space when None), and, when N > 0, nodes in n-space on the manifold."""
     if manifold is not None:
         n = manifold.n
+        require_dense_size(n, m)  # before dim_along's table of m + 1 rows
         expected = dim_along(m, manifold.profile)
     else:
         if len(nodes) == 0 and m >= 0:
@@ -278,8 +292,8 @@ def verify_ppsn(
     if expected == 0:  # m < 0: the zero space
         return PPSNCertificate(degree=m, n=n, expected_count=0, proper=True)
     columns = canonical_monomials(manifold, n, m)
-    scales, rows = zip(*evaluation_rows(nodes.points, columns))
-    kernel = _left_kernel(rows)
+    system = _canonical_system(nodes, columns)
+    kernel = _left_kernel(system)
     if kernel is not None:
         # The canonical columns span the full-basis ones on manifold points,
         # so the left kernels agree. Row i is s_i times the rational row, so
@@ -288,6 +302,7 @@ def verify_ppsn(
         # with w_f = 1, so dividing by s_f gives the vector that
         # `left_null_vector` returns for the rational matrix, entry for entry
         f = max(i for i, w in enumerate(kernel) if w)
+        scales = system.scales
         return PPSNCertificate(
             degree=m,
             n=n,
@@ -295,45 +310,99 @@ def verify_ppsn(
             proper=False,
             kernel_functional=tuple(w * s / scales[f] for w, s in zip(kernel, scales)),
         )
-    if manifold is None:
-        witness = tuple(range(len(columns)))  # the columns are the full basis
-    else:
-        # the degree-t monomials start at index binom_e(t - 1, n) of the basis
-        witness = tuple(
-            binom_e(t - 1, n) + j
-            for t in range(m + 1)
-            for j in select_monomials(manifold, t).unselected
-        )
     return PPSNCertificate(
         degree=m,
         n=n,
         expected_count=expected,
         proper=True,
-        witness_columns=witness,
+        witness_columns=_witness_columns(manifold, n, m),
     )
 
 
-def _left_kernel(rows: Sequence[Sequence[int]]) -> Optional[List[Fraction]]:
-    """`linalg.left_null_vector(rows)` for square integer rows, found mod
-    `linalg.PRIMES` when it can be: None when the rows are independent,
-    otherwise the combination y with y_f = 1 of the first row f that
-    depends on the rows before it, zero after f.
+@functools.lru_cache(maxsize=16)
+def _witness_columns(manifold: Optional[Manifold], n: int, m: int) -> Tuple[int, ...]:
+    """The full-basis indices of the canonical monomials of degrees <= m:
+    one tuple, shared by every proper certificate at (manifold, m)."""
+    if manifold is None:
+        return tuple(range(binom_e(m, n)))  # the columns are the full basis
+    # the degree-t monomials start at index binom_e(t - 1, n) of the basis
+    return tuple(
+        binom_e(t - 1, n) + j
+        for t in range(m + 1)
+        for j in select_monomials(manifold, t).unselected
+    )
 
-    Each prime eliminates the transpose, whose first non-pivot column is the
-    first row f_p dependent mod p, and a rank of N proves the rows
-    independent. A row dependent over Q stays dependent mod p, so f_p is at
-    most f over Q: a larger f_p restarts the combination and a smaller one
-    is skipped. The first f_p echelon rows read
+
+class _CanonicalSystem:
+    """The canonical square system of one node tuple: each node's row scale
+    and exact integer row (`evaluation_rows`), their transpose, and the
+    `linalg.row_reduce_mod` echelon of that transpose, with its steps, for
+    each prime asked for so far."""
+
+    __slots__ = ("points", "scales", "rows", "transpose", "_echelons")
+
+    def __init__(self, points: Tuple[Point, ...], columns: Sequence[MultiIndex]):
+        self.points = points
+        self.scales, self.rows = zip(*evaluation_rows(points, columns))
+        self.transpose = tuple(zip(*self.rows))
+        self._echelons: Dict[int, linalg.Echelon] = {}
+
+    def echelon(self, p: int) -> linalg.Echelon:
+        ech = self._echelons.get(p)
+        if ech is None:
+            ech = self._echelons[p] = linalg.row_reduce_mod(self.transpose, p)
+        return ech
+
+
+# The last few canonical systems, keyed on the identity of the node tuple
+# and on the columns. An entry keeps its node tuple alive, so no other tuple
+# can take that identity while the entry is kept. It is small on purpose: a
+# caller that verifies and then interpolates on one set finds its system
+# here, and nothing a caller keeps holds on to a factorization. The lock
+# makes look-up, eviction and insertion one step for callers on several
+# threads.
+_SYSTEMS: Dict[Tuple[int, Tuple[MultiIndex, ...]], _CanonicalSystem] = {}
+_SYSTEMS_KEPT = 4
+_SYSTEMS_LOCK = threading.Lock()
+
+
+def _canonical_system(nodes: NodeSet, columns: Sequence[MultiIndex]) -> _CanonicalSystem:
+    """The square system of `nodes` over `columns`, built once for the last
+    `_SYSTEMS_KEPT` node tuples asked for: `verify_ppsn` and then
+    `construct.interpolate` on one set evaluate and eliminate once."""
+    columns = tuple(columns)
+    key = (id(nodes.points), columns)
+    with _SYSTEMS_LOCK:
+        system = _SYSTEMS.get(key)
+        if system is None:
+            if len(_SYSTEMS) >= _SYSTEMS_KEPT:
+                del _SYSTEMS[next(iter(_SYSTEMS))]  # the oldest
+            system = _SYSTEMS[key] = _CanonicalSystem(nodes.points, columns)
+    return system
+
+
+def _left_kernel(system: _CanonicalSystem) -> Optional[List[Fraction]]:
+    """`linalg.left_null_vector(system.rows)`, found mod `linalg.PRIMES`
+    when it can be: None when the rows are independent, otherwise the
+    combination y with y_f = 1 of the first row f that depends on the rows
+    before it, zero after f.
+
+    Each prime's echelon of the transpose comes from the system, so a later
+    solve mod that prime eliminates nothing again. Its first non-pivot
+    column is the first row f_p dependent mod p, and a rank of N proves the
+    rows independent. A row dependent over Q stays dependent mod p, so f_p
+    is at most f over Q: a larger f_p restarts the combination and a
+    smaller one is skipped. The first f_p echelon rows read
     x_i + sum_{i<j<f_p} e_ij x_j = e_if_p, solved by `back_substitute`, and
     y = (-x, 1). The rebuilt y is returned only if sum_{i<=f} y_i * row_i = 0
     over the integers; otherwise, after the last prime, the exact
     `left_null_vector` decides."""
+    rows, transpose = system.rows, system.transpose
     N = len(rows)
-    transpose = list(zip(*rows))
     residues: List[int] = []
     modulus, f = 1, -1
     for p in linalg.PRIMES:
-        ech = linalg.row_reduce_mod(transpose, p)
+        ech = system.echelon(p)
         if ech.rank == N:
             return None  # the determinant is nonzero mod p
         g = next((i for i, c in enumerate(ech.pivot_columns) if c != i), ech.rank)

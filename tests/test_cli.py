@@ -282,6 +282,32 @@ def test_report_names_the_argv_given_to_main(capsys, monkeypatch):
 
 # -- exit-code contract under malformed input ----------------------------------
 
+@pytest.mark.parametrize(
+    "argv, manifold",
+    [
+        (["reduce", "--poly", "x1^99999999999"], CIRCLE),
+        (["reduce", "--poly", "x1"], "x99999999^2 - 1\n"),
+        (["reduce", "--poly", "x1", "--n", "99999999"], CIRCLE),
+        (["hbase", "--mmax", "999999999999"], CIRCLE),
+    ],
+)
+def test_oversized_input_exits_2_before_any_basis_is_built(
+    argv, manifold, files, monkeypatch, capsys
+):
+    built = []
+
+    def spy(n, d):
+        built.append((n, d))
+        raise AssertionError("a basis was built")  # instead of allocating it
+
+    monkeypatch.setattr("ppsn.mpoly.monomials_of_degree", spy)
+    monkeypatch.setattr("ppsn.macaulay.monomials_of_degree", spy)
+    code = main(argv + ["--manifold", files("manifold.txt", manifold)])
+    err = capsys.readouterr().err
+    assert (code, built) == (2, [])
+    assert "at least" in err and "more than the budget" in err
+
+
 FRAGMENTS = [
     "x1", "x2", "x3", "x0", "x4", "^", "^2", "*", "+", "-", "/", "(", ")", ",",
     "0", "1", "2", "3", "1/2", "1/0", "a", ".", "e", "@", "#", " ", "\n",

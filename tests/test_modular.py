@@ -2,11 +2,14 @@
 interpolant solved mod p, each checked against the exact path it replaces."""
 
 import random
+import sys
+import threading
 from fractions import Fraction
 from math import gcd, isqrt, prod
+from operator import mul
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from ppsn import (
@@ -27,7 +30,7 @@ from ppsn import (
     verify_ppsn,
 )
 from ppsn import construct, linalg
-from ppsn.nodes import evaluation_matrix, evaluation_rows
+from ppsn.nodes import _SYSTEMS, _SYSTEMS_KEPT, evaluation_matrix, evaluation_rows
 
 F = Fraction
 PRIMES = linalg.PRIMES
@@ -63,6 +66,12 @@ def miller_rabin(n):
 
 
 MODULUS = prod(PRIMES)
+
+# Every example of the problem-level tests runs whole eliminations, and
+# shrinking a failure replays hundreds of them: a broken modular path took
+# minutes to report. These tests skip the shrink phase and report the first
+# failing example as drawn.
+NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
 
 
 def test_primes_are_word_size_primes_apart_from_the_oracle():
@@ -173,6 +182,37 @@ def fraction_forward_reduce(matrix):
     return m[:r]
 
 
+@st.composite
+def nonsingular_systems(draw):
+    """(A, b): an N x N integer matrix, nonsingular over Q and so mod every
+    word-size prime (|det A| <= (9 * sqrt(6))^6 < 2^27), with A[0][0] = 0 so
+    that eliminating A or A^T swaps rows at once; entries are zero half the
+    time, which makes later swaps common too."""
+    n = draw(st.integers(2, 6))
+    entry = st.one_of(st.just(0), st.integers(-9, 9))
+    a = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    a[0][0] = 0
+    assume(linalg.row_reduce(a).rank == n)
+    b = draw(st.lists(st.integers(-(10**12), 10**12), min_size=n, max_size=n))
+    return a, b
+
+
+@settings(max_examples=100)
+@given(nonsingular_systems())
+@example(([[0, 0, 1], [0, 1, 0], [1, 0, 0]], [1, 2, 3]))  # a swap at every step
+@example(([[0, 1, 2], [3, 0, 0], [4, 5, 0]], [-1, 0, 1]))
+def test_transposed_solve_is_back_substitution_of_the_augmented_echelon(system):
+    a, b = system
+    transpose = [list(column) for column in zip(*a)]
+    for p in linalg.PRIMES:
+        ech = linalg.row_reduce_mod(transpose, p)
+        assert ech.rank == len(a) and ech.pivots[0][0] != 0  # a row swap
+        augmented = linalg.row_reduce_mod([row + [v] for row, v in zip(a, b)], p)
+        x = linalg.solve_transposed(ech, b, p)
+        assert x == linalg.back_substitute(augmented.ints, p)
+        assert all((sum(map(mul, row, x)) - v) % p == 0 for row, v in zip(a, b))
+
+
 # -- modular verify and interpolate against the exact path ---------------------------
 
 
@@ -249,7 +289,7 @@ def problems(draw):
     return nodes, manifold, m, values
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120, deadline=None, phases=NO_SHRINK)
 @given(problems())
 def test_modular_and_exact_paths_agree(case):
     nodes, manifold, m, values = case
@@ -277,7 +317,7 @@ def deep_collinear_sets(draw):
     return NodeSet(draw(st.permutations(fixed + rest))), m
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, phases=NO_SHRINK)
 @given(deep_collinear_sets())
 def test_improper_functional_for_any_corank_is_the_rational_one(case):
     nodes, m = case
@@ -422,22 +462,149 @@ def test_interpolate_without_certificate_eliminates_once(monkeypatch, verify_cal
     poly = exact_path(TRIANGLE, None, 1, values)[1]
     counts = spy_on(monkeypatch, "row_reduce", "row_reduce_mod", "left_null_vector")
     assert interpolate(problem) == poly
-    # [A | b] mod PRIMES[0] certifies the nodes and gives the solution
+    # A^T mod PRIMES[0] certifies the nodes and gives the solution
     assert counts == {"row_reduce": 0, "row_reduce_mod": 1, "left_null_vector": 0}
     assert verify_calls == []
 
-    # the first prime divides the determinant: verify_ppsn decides exactly
+    # the first prime divides the determinant: verify_ppsn decides, and the
+    # solve reuses its two echelons
+    _SYSTEMS.clear()
+    counts.update(row_reduce_mod=0)
     monkeypatch.setattr(linalg, "PRIMES", (7,) + PRIMES)
     assert interpolate(problem) == poly
     assert verify_calls == [(TRIANGLE, None, 1)]
+    assert counts == {"row_reduce": 0, "row_reduce_mod": 2, "left_null_vector": 0}
 
-    # the first prime divides a value's denominator
+    # the first prime divides a value's denominator: it still certifies the
+    # nodes, which needs no value, and the next prime solves
     verify_calls.clear()
-    monkeypatch.setattr(linalg, "PRIMES", (11,) + PRIMES)
+    _SYSTEMS.clear()
     values = (F(1, 11), F(2), F(3))
     poly = exact_path(TRIANGLE, None, 1, values)[1]
+    counts.update(row_reduce=0, row_reduce_mod=0)
+    monkeypatch.setattr(linalg, "PRIMES", (11,) + PRIMES)
     assert interpolate(InterpolationProblem(None, 1, TRIANGLE, values)) == poly
-    assert verify_calls == [(TRIANGLE, None, 1)]
+    assert verify_calls == []
+    assert counts == {"row_reduce": 0, "row_reduce_mod": 2, "left_null_vector": 0}
+
+
+# -- one factorization for verify and interpolate ------------------------------------
+
+
+def triangle(k):
+    """Nodes (0, 0), (1, 0), (0, k): proper at degree 1 for k != 0."""
+    return NodeSet([(F(0), F(0)), (F(1), F(0)), (F(0), F(k))])
+
+
+def count_evaluations(monkeypatch):
+    """The arguments of each `evaluation_rows` call from here on."""
+    calls = []
+    original = evaluation_rows
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr("ppsn.nodes.evaluation_rows", spy)
+    return calls
+
+
+def eliminated_primes(monkeypatch):
+    """The prime of every `row_reduce_mod` call from here on."""
+    primes = []
+    original = linalg.row_reduce_mod
+
+    def spy(matrix, p):
+        primes.append(p)
+        return original(matrix, p)
+
+    monkeypatch.setattr(linalg, "row_reduce_mod", spy)
+    return primes
+
+
+def test_verify_then_interpolate_evaluates_and_eliminates_once(monkeypatch, exact_calls):
+    points = [circle_point(F(t, 3)) for t in range(-4, 5)]
+    nodes = NodeSet(points, CIRCLE)
+    planted = parse_polynomial("3*x1^2 - x1*x2 + 2*x2 - 5", 2)
+    values = tuple(planted.evaluate(q) for q in points)
+    problem = InterpolationProblem(CIRCLE, 4, nodes, values)
+    cert, poly = exact_path(nodes, CIRCLE, 4, values)
+    exact_calls.update(row_reduce=0, left_null_vector=0)
+    evaluations, primes = count_evaluations(monkeypatch), eliminated_primes(monkeypatch)
+    assert verify_ppsn(nodes, CIRCLE, 4) == cert
+    assert interpolate(problem, cert) == poly
+    assert interpolate(problem) == poly
+    assert (len(evaluations), primes) == (1, [PRIMES[0]])
+    assert exact_calls == {"row_reduce": 0, "left_null_vector": 0}
+
+
+def test_memo_keeps_only_the_last_few_systems(monkeypatch):
+    sets = [triangle(k) for k in range(1, _SYSTEMS_KEPT + 2)]
+    primes = eliminated_primes(monkeypatch)
+    for node_set in sets:
+        assert verify_ppsn(node_set, None, 1).proper
+    assert len(_SYSTEMS) == _SYSTEMS_KEPT
+    # the last set is kept, the first was pushed out by the _SYSTEMS_KEPT after it
+    del primes[:]
+    verify_ppsn(sets[-1], None, 1)
+    assert primes == []
+    verify_ppsn(sets[0], None, 1)
+    assert primes == [PRIMES[0]]
+    # an equal node set is a different tuple: it is evaluated again
+    verify_ppsn(NodeSet(sets[-1].points), None, 1)
+    assert primes == [PRIMES[0]] * 2
+
+
+def test_memo_never_reads_another_primes_echelon(monkeypatch, exact_calls):
+    cert = exact_path(TRIANGLE, None, 1, ())[0]
+    exact_calls.update(row_reduce=0, left_null_vector=0)
+    primes = eliminated_primes(monkeypatch)
+    monkeypatch.setattr(linalg, "PRIMES", (7,))  # rank 2 mod 7: the exact path decides
+    assert verify_ppsn(TRIANGLE, None, 1) == cert
+    assert (primes, exact_calls["row_reduce"]) == ([7], 1)
+
+    # the same system: the first prime is eliminated for itself, and 7's
+    # echelon is still not trusted
+    monkeypatch.setattr(linalg, "PRIMES", PRIMES)
+    assert verify_ppsn(TRIANGLE, None, 1) == cert
+    assert (primes, exact_calls["row_reduce"]) == ([7, PRIMES[0]], 1)
+    monkeypatch.setattr(linalg, "PRIMES", (7,) + PRIMES)
+    assert verify_ppsn(TRIANGLE, None, 1) == cert
+    assert (primes, exact_calls["row_reduce"]) == ([7, PRIMES[0]], 1)
+
+
+def test_memo_serves_callers_on_several_threads():
+    # more threads than systems kept, switching often, each verifying and
+    # interpolating its own sets: a torn look-up or eviction would raise,
+    # or hand one thread another set's system
+    sets = [triangle(k) for k in range(1, 13)]
+    expected = [exact_path(s, None, 1, (F(1), F(2), F(k)))[1] for k, s in enumerate(sets)]
+    errors = []
+
+    def work(offset):
+        try:
+            for _ in range(20):
+                for k in range(offset, len(sets), 3):
+                    assert verify_ppsn(sets[k], None, 1).proper
+                    problem = InterpolationProblem(None, 1, sets[k], (F(1), F(2), F(k)))
+                    assert interpolate(problem) == expected[k]
+                    assert len(_SYSTEMS) <= _SYSTEMS_KEPT
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k % 3,)) for k in range(2 * _SYSTEMS_KEPT)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(_SYSTEMS) <= _SYSTEMS_KEPT
 
 
 def test_interpolate_without_certificate_refuses_improper_nodes(verify_calls):
@@ -555,7 +722,7 @@ def sized_line_problems(draw):
     return nodes, tuple(planted.evaluate(q) for q in nodes), planted, k
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, deadline=None, phases=NO_SHRINK)
 @given(sized_line_problems())
 def test_solve_takes_exactly_the_primes_the_coefficients_need(case):
     nodes, values, planted, k = case
@@ -564,7 +731,9 @@ def test_solve_takes_exactly_the_primes_the_coefficients_need(case):
     assert poly == planted
     with pytest.MonkeyPatch.context() as mp:
         calls = spy_on(mp, "row_reduce", "row_reduce_mod")
+        assert verify_ppsn(nodes, None, m) == cert
         assert interpolate(InterpolationProblem(None, m, nodes, values), cert) == poly
+    # the solve reuses the certificate's elimination mod PRIMES[0], and
     # Bareiss runs only past the range of all three primes
     assert calls == {"row_reduce": int(k > len(PRIMES)), "row_reduce_mod": min(k, len(PRIMES))}
 

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ppsn import (
+    InputError,
     NodeSet,
     ParseError,
     Polynomial,
@@ -16,6 +17,7 @@ from ppsn import (
     monomials_of_degree,
     parse_polynomial,
 )
+from ppsn.mpoly import MAX_MONOMIALS, require_dense_size
 
 # -- strategies -------------------------------------------------------------------
 
@@ -54,6 +56,24 @@ def test_monomials_of_degree_sorted():
     assert mons == sorted(mons, key=monomial_key)
     assert len(mons) == math.comb(4 + 2, 2)
     assert all(sum(a) == 4 for a in mons)
+
+
+def test_monomials_of_degree_in_many_variables_needs_no_recursion():
+    mons = monomials_of_degree(3000, 1)  # past the interpreter's recursion limit
+    assert len(mons) == 3000 and mons[0][0] == 1 and mons[-1][-1] == 1
+    assert monomials_of_degree(2, -1) == []
+
+
+def test_dense_size_over_the_budget_is_refused_before_it_is_built():
+    require_dense_size(1, MAX_MONOMIALS - 1)  # C(MAX, 1) monomials: at the budget
+    with pytest.raises(InputError, match=f"at least {MAX_MONOMIALS + 1} monomials"):
+        require_dense_size(1, MAX_MONOMIALS)
+    with pytest.raises(InputError, match="budget"):
+        monomial_basis(3, 10**12)
+    # the count stops past the budget, whatever the sizes
+    for n, d in [(10**12, 10**12), (10**12, 2), (2, 10**12), (40, 40)]:
+        with pytest.raises(InputError, match="budget"):
+            require_dense_size(n, d)
 
 
 # -- parsing ----------------------------------------------------------------------

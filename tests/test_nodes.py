@@ -30,7 +30,7 @@ from ppsn import (
     verify_ppsn,
 )
 from ppsn import linalg
-from ppsn.nodes import _evaluation_plan, evaluation_rows
+from ppsn.nodes import _evaluation_plan, _witness_columns, evaluation_rows
 
 F = Fraction
 
@@ -323,6 +323,30 @@ def test_evaluation_rows_match_fraction_products(case):
 
 def test_evaluation_plan_cache_is_bounded():
     assert _evaluation_plan.cache_info().maxsize is not None
+
+
+def test_huge_degree_on_a_manifold_is_refused_before_the_dimension_table(circle, monkeypatch):
+    tables = []
+    monkeypatch.setattr("ppsn.dimension.hilbert_table", lambda profile, mmax: tables.append(mmax))
+    nodes = NodeSet(pts((1, 0), (0, 1), (-1, 0)), circle)
+    with pytest.raises(InputError, match="more than the budget"):
+        verify_ppsn(nodes, circle, 10**9)
+    with pytest.raises(InputError, match="more than the budget"):
+        interpolate(InterpolationProblem(circle, 10**9, nodes, (1, 2, 3)))
+    assert tables == []
+
+
+def test_proper_certificates_share_one_witness_tuple(circle):
+    # a caller that keeps many certificates keeps one witness tuple per
+    # (manifold, degree) and no instance dict per certificate
+    first = verify_ppsn(NodeSet(pts((1, 0), (0, 1), (-1, 0)), circle), circle, 1)
+    second = verify_ppsn(NodeSet(pts((1, 0), (0, 1), (0, -1)), circle), circle, 1)
+    ambient = [verify_ppsn(NodeSet(pts((0, 0), (1, 0), (0, k))), None, 1) for k in (1, 2)]
+    assert first.proper and second.proper and all(c.proper for c in ambient)
+    assert first.witness_columns is second.witness_columns
+    assert ambient[0].witness_columns is ambient[1].witness_columns == (0, 1, 2)
+    assert not hasattr(first, "__dict__")
+    assert _witness_columns.cache_info().maxsize is not None
 
 
 @st.composite
