@@ -41,7 +41,6 @@ from .nodes import (
     _CanonicalSystem,
     _canonical_system,
     _require_full_intersection,
-    _square_system,
     evaluation_matrix,
     evaluation_rows,
     intersect_factorable,
@@ -88,9 +87,8 @@ def interpolate(
     [A | b] runs. Each prime's solve reads the echelon of A^T kept by
     `nodes._canonical_system`, so after `verify_ppsn` on the same node set
     the evaluation rows and the first elimination are not made again.
-    Without a certificate, that echelon mod `PRIMES[0]` also certifies the
-    nodes: a rank of N proves A nonsingular. When that prime leaves A
-    singular, `verify_ppsn` decides."""
+    Without a certificate, `interpolate` runs `verify_ppsn` itself, and the
+    solve reads the echelons it made."""
     manifold, m, nodes = problem.manifold, problem.m, problem.nodes
     if manifold is not None:
         n = manifold.n
@@ -103,17 +101,13 @@ def interpolate(
             raise CountMismatchError("negative degree admits only the empty node set")
         return Polynomial.zero(n)
     if certificate is None:
-        _square_system(nodes, manifold, m)
-    elif not certificate.proper:
+        certificate = verify_ppsn(nodes, manifold, m)
+    if not certificate.proper:
         raise ImproperNodeSetError(certificate)
     columns = canonical_monomials(manifold, n, m)
     if len(columns) != len(nodes):
         raise InternalCheckError("canonical support size differs from node count")
     system = _canonical_system(nodes, columns)
-    if certificate is None and system.echelon(linalg.PRIMES[0]).rank < len(nodes):
-        certificate = verify_ppsn(nodes, manifold, m)
-        if not certificate.proper:
-            raise ImproperNodeSetError(certificate)
     coeffs = _solve_mod_p(system, problem.values)
     if coeffs is None:
         # Row i of [A | b] is scaled by scale_i, which leaves the solution
@@ -216,10 +210,19 @@ class SuperpositionStep:
 def superpose_nodes(step: SuperpositionStep) -> Tuple[NodeSet, PPSNCertificate]:
     """Union of a PPSN on the sub-manifold and a lower-degree PPSN on the
     larger manifold, certified at degree m on the larger manifold."""
+    return _superpose(step)[:2]
+
+
+def _superpose(
+    step: SuperpositionStep,
+) -> Tuple[NodeSet, PPSNCertificate, PPSNCertificate, Optional[PPSNCertificate]]:
+    """`superpose_nodes`, also returning the sub and super sets' certificates
+    (None for the super set when m < deg f_s), so `superpose_interpolate`
+    does not certify them again."""
     f_s = step.splitting_poly
     k_s = f_s.degree
     m = step.m
-    sub_cert = verify_ppsn(step.sub_nodes, step.sub_manifold, m)
+    sub_cert, super_cert = verify_ppsn(step.sub_nodes, step.sub_manifold, m), None
     if not sub_cert.proper:
         raise ImproperNodeSetError(sub_cert, "sub-manifold node set is improper")
     super_manifold = step.super_manifold
@@ -246,7 +249,7 @@ def superpose_nodes(step: SuperpositionStep) -> Tuple[NodeSet, PPSNCertificate]:
             cert,
             "superposed set is improper: the configuration is not a sufficient intersection",
         )
-    return union, cert
+    return union, cert, sub_cert, super_cert
 
 
 def superpose_interpolate(
@@ -255,7 +258,7 @@ def superpose_interpolate(
     """Two-stage interpolation: solve on the sub-manifold, divide the
     residues by the splitting polynomial, solve the quotient problem on the
     larger manifold, and recombine."""
-    union, _ = superpose_nodes(step)
+    union, _, sub_cert, super_cert = _superpose(step)
     vals = tuple(as_fraction(v) for v in values)
     if len(vals) != len(union):
         raise CountMismatchError(f"{len(union)} nodes but {len(vals)} values")
@@ -266,7 +269,8 @@ def superpose_interpolate(
             m=step.m,
             nodes=step.sub_nodes,
             values=vals[:n_sub],
-        )
+        ),
+        sub_cert,
     )
     f_s = step.splitting_poly
     k_s = f_s.degree
@@ -283,7 +287,8 @@ def superpose_interpolate(
                 m=step.m - k_s,
                 nodes=step.super_nodes,
                 values=tuple(quotient_values),
-            )
+            ),
+            super_cert,
         )
     result = g_m + alpha * f_s
     for q, v in zip(union, vals):
@@ -575,7 +580,7 @@ def _fresh_curve_ppsn(
     f_t = system.polynomials[t - 1]
     target = dim_along(degree, curve.profile)
     columns = canonical_monomials(curve, curve.n, degree)[:target]
-    tracker = linalg.IncrementalRank(len(columns))
+    tracker = linalg.IncrementalRank()
     chosen: List[Point] = []
     avoid_set = set(avoid.points)
     lines = _curve_lines(system, t)

@@ -354,38 +354,30 @@ def left_null_vector(
 class IncrementalRank:
     """Grow a row set one candidate at a time, accepting rank increases.
 
-    Used by the greedy nested-submatrix extractions; deterministic because
-    reduction against the stored basis never reorders anything.
+    Used by the greedy nested-submatrix extractions. Each stored row is 1
+    at its pivot and zero at the pivots of the rows stored before it, so one
+    reduction pass in insertion order leaves a candidate zero at every
+    pivot. That reduced candidate is unique, so every verdict and pivot is
+    the one an RREF basis would give.
     """
 
-    def __init__(self, ncols: int):
-        self.ncols = ncols
+    def __init__(self):
         self._basis: List[Tuple[int, Row]] = []  # (pivot column, reduced row)
 
     @property
     def rank(self) -> int:
         return len(self._basis)
 
-    def _reduce(self, row: Sequence[Fraction]) -> Row:
-        v = list(row)
-        for c, b in self._basis:
-            if v[c] != 0:
-                f = v[c]
-                v = [a - f * bb for a, bb in zip(v, b)]
-        return v
-
     def add(self, row: Sequence[Fraction]) -> bool:
         """Add the row if independent of the current set; report acceptance."""
-        v = self._reduce(row)
-        c = next((i for i, val in enumerate(v) if val != 0), None)
+        v = list(row)
+        for c, b in self._basis:
+            f = v[c]
+            if f:
+                v = [a - f * bb for a, bb in zip(v, b)]
+        c = next((i for i, val in enumerate(v) if val), None)
         if c is None:
             return False
         inv = Fraction(1) / v[c]  # `1 / v[c]` is a float when v[c] is an int
-        v = [val * inv for val in v]
-        # keep the stored basis in RREF so a single reduction pass is enough
-        for idx, (pc, b) in enumerate(self._basis):
-            if b[c] != 0:
-                f = b[c]
-                self._basis[idx] = (pc, [a - f * vv for a, vv in zip(b, v)])
-        self._basis.append((c, v))
+        self._basis.append((c, [val * inv for val in v]))
         return True

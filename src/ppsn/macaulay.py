@@ -18,6 +18,7 @@ their result polynomials once, at the end.
 
 from __future__ import annotations
 
+import functools
 import operator
 import random
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .dimension import DegreeProfile, binom_e, hilbert_table
+from .dimension import DegreeProfile, binom_e, dim_along
 from .errors import (
     DecompositionError,
     DimensionMismatchError,
@@ -79,22 +80,10 @@ class Manifold:
                 raise InputError("witnesses must have degree >= 1")
         if len(polys) + len(self.witnesses) > n:
             raise InputError("more than n hypersurfaces supplied")
-        self._selections: Dict[int, MonomialSelection] = {}
-        self._table_cache = None
 
     @property
     def s(self) -> int:
         return len(self.polynomials)
-
-    def hilbert(self, m: int):
-        if self._table_cache is None or self._table_cache.mmax < m:
-            self._table_cache = hilbert_table(self.profile, max(m, self.profile.M + 1, 0))
-        return self._table_cache
-
-    def h_of(self, m: int) -> int:
-        if m < 0:
-            return 0
-        return self.hilbert(m).h[m]
 
     def contains(self, point: Point) -> bool:
         return all(p.evaluate(point) == 0 for p in self.polynomials)
@@ -154,17 +143,27 @@ def elementary_items(
 
 
 def select_monomials(manifold: Manifold, m: int) -> MonomialSelection:
-    """Leftmost-greedy pivot-column selection in the elementary-item matrix."""
+    """Leftmost-greedy pivot-column selection in the elementary-item matrix.
+
+    The selection depends only on the leading forms, the degree profile and
+    m, so manifolds with equal leading forms share one (`_selection`)."""
     if m < 0:
         raise InputError("degree must be >= 0")
-    cached = manifold._selections.get(m)
-    if cached is not None:
-        return cached
+    return _selection(manifold.leading_forms, manifold.profile, m)
 
-    n = manifold.n
+
+# The cache sits on this helper, not on `select_monomials`: the benchmark's
+# tracer wraps `select_monomials` through its module globals, which a
+# `functools.lru_cache` object does not have.
+@functools.lru_cache(maxsize=256)
+def _selection(
+    leading_forms: Tuple[Polynomial, ...], profile: DegreeProfile, m: int
+) -> MonomialSelection:
+    n = profile.n
     require_dense_size(n, m)
-    monos, rows, labels = elementary_items(manifold.leading_forms, n, m)
-    expected = binom_e(m, n - 1) - manifold.h_of(m)
+    monos, rows, labels = elementary_items(leading_forms, n, m)
+    # the degree-m monomials less h_m, the degree-m part of the Hilbert function
+    expected = binom_e(m, n - 1) - (dim_along(m, profile) - dim_along(m - 1, profile))
     if rows:
         ech = linalg.row_reduce(rows)
         rank = ech.rank
@@ -179,7 +178,7 @@ def select_monomials(manifold: Manifold, m: int) -> MonomialSelection:
         )
     selected_set = set(selected)
     unselected = tuple(j for j in range(len(monos)) if j not in selected_set)
-    sel = MonomialSelection(
+    return MonomialSelection(
         m=m,
         monomials=monos,
         matrix=tuple(tuple(r) for r in rows),
@@ -187,8 +186,6 @@ def select_monomials(manifold: Manifold, m: int) -> MonomialSelection:
         selected=tuple(selected),
         unselected=unselected,
     )
-    manifold._selections[m] = sel
-    return sel
 
 
 def canonical_monomials(

@@ -253,13 +253,14 @@ class PPSNCertificate:
         return "proper" if self.proper else "improper"
 
 
-def _square_system(
+def verify_ppsn(
     nodes: NodeSet, manifold: Optional[Manifold], m: int
-) -> Tuple[int, int]:
-    """The ambient dimension n and the size N of the canonical system at
-    degree m, after the checks that make it square: exactly N nodes, where
-    N is the dimension of the degree-<=m space along `manifold` (the ambient
-    space when None), and, when N > 0, nodes in n-space on the manifold."""
+) -> PPSNCertificate:
+    """Certify well-posedness of `nodes` at degree m along `manifold`
+    (ambient space when manifold is None) by eliminating the square
+    evaluation matrix over the canonical monomials: mod p first, exactly
+    only when the primes leave the verdict open. The checks first make the
+    system square: N nodes, N the dimension along `manifold`, all on it."""
     if manifold is not None:
         n = manifold.n
         require_dense_size(n, m)  # before dim_along's table of m + 1 rows
@@ -278,17 +279,6 @@ def _square_system(
             nodes.require_on(manifold)
         if nodes.n != n:
             raise DimensionMismatchError("node/basis dimension mismatch")
-    return n, expected
-
-
-def verify_ppsn(
-    nodes: NodeSet, manifold: Optional[Manifold], m: int
-) -> PPSNCertificate:
-    """Certify well-posedness of `nodes` at degree m along `manifold`
-    (ambient space when manifold is None) by eliminating the square
-    evaluation matrix over the canonical monomials: mod p first, exactly
-    only when the primes leave the verdict open."""
-    n, expected = _square_system(nodes, manifold, m)
     if expected == 0:  # m < 0: the zero space
         return PPSNCertificate(degree=m, n=n, expected_count=0, proper=True)
     columns = canonical_monomials(manifold, n, m)
@@ -558,7 +548,7 @@ def nested_levels(
     selected = list(range(len(points)))
     for d in range(top - 1, bottom - 1, -1):
         target = dim_along(d, manifold.profile)
-        tracker = linalg.IncrementalRank(target)
+        tracker = linalg.IncrementalRank()
         keep: List[int] = []
         for r in selected:
             if tracker.add(matrix[r][:target]):

@@ -2,14 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from ppsn import Manifold, nodes, parse_polynomial, parse_system_text
+from ppsn import Manifold, macaulay, nodes, parse_polynomial, parse_system_text
 
 
 @pytest.fixture(autouse=True)
-def fresh_system_memo():
-    """Start every test with an empty memo of canonical systems, so call
-    counts do not depend on which tests ran before."""
+def fresh_caches():
+    """Start every test with an empty memo of canonical systems and an empty
+    monomial-selection cache, so call counts do not depend on which tests
+    ran before."""
     nodes._SYSTEMS.clear()
+    macaulay._selection.cache_clear()
 
 
 @pytest.fixture

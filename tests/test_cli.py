@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ppsn
-from ppsn.cli import SUBCOMMANDS, build_parser, main
+from ppsn.cli import MAX_DIM_DEGREE, SUBCOMMANDS, build_parser, main
 
 GRID = "x1*(x1-1)*(x1-2)\nx2*(x2-1)*(x2-2)\n"
 CUBE = "x1*(x1-1)\nx2*(x2-1)\nx3*(x3-1)\n"
@@ -66,6 +66,47 @@ def test_dim_json_matches_columns(capsys):
     report = json.loads(out)
     assert [row["H"] for row in report["table"]] == [1, 4, 7, 8, 8]
     assert [row["bdiff"] for row in report["table"]] == [1, 4, 7, 8, 8]
+
+
+@pytest.mark.parametrize(
+    "degrees, flag",
+    [
+        (["--m", str(MAX_DIM_DEGREE + 1)], "--m"),
+        (["--m", "3", "--mmax", "1000000000000"], "--mmax"),
+        (["--m", "10000000", "--mmax", str(MAX_DIM_DEGREE + 1)], "--mmax"),
+    ],
+)
+def test_dim_above_the_degree_bound_exits_2_before_the_table(degrees, flag, monkeypatch, capsys):
+    def spy(profile, mmax):
+        raise AssertionError("a table was built")  # instead of allocating it
+
+    monkeypatch.setattr("ppsn.dimension.hilbert_table", spy)
+    code = main(["dim", "--n", "2", "--degrees", "2", *degrees, "--json"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert f"{flag} " in captured.err and f"largest table degree {MAX_DIM_DEGREE}" in captured.err
+
+
+def test_dim_builds_one_table_and_checks_every_row(monkeypatch, capsys):
+    calls = []
+    real = ppsn.dimension.hilbert_table
+
+    def spy(profile, mmax):
+        calls.append(mmax)
+        return real(profile, mmax)
+
+    monkeypatch.setattr("ppsn.dimension.hilbert_table", spy)
+    argv = ["dim", "--n", "2", "--degrees", "2", "--m", "40", "--json"]
+    code, out = run(argv, capsys)
+    assert (code, calls) == (0, [40])
+    assert [row["H"] for row in json.loads(out)["table"]] == [2 * j + 1 for j in range(41)]
+    # a row whose backward difference disagrees is an internal failure
+    real_diff = ppsn.dimension.backward_diff_e
+    monkeypatch.setattr(
+        "ppsn.dimension.backward_diff_e", lambda m, n, ks: real_diff(m, n, ks) + (m == 17)
+    )
+    code = main(argv)
+    assert (code, capsys.readouterr().out) == (1, "")
 
 
 def test_verify_proper_and_improper(files, capsys):

@@ -166,7 +166,7 @@ def test_superpose_interpolate_certifies_each_set_once(line_manifold, monkeypatc
     monkeypatch.setattr(construct, "verify_ppsn", spy)
     superpose_interpolate(step, [F(i) for i in range(6)])
     # superpose_nodes certifies the sub, super and union sets; each
-    # interpolate certifies its set with the elimination that solves it
+    # interpolate solves on its set with the certificate made there
     assert [(len(nodes), m) for nodes, _, m in calls] == [(3, 2), (3, 1), (6, 2)]
 
 

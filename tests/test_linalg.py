@@ -154,7 +154,7 @@ def test_left_null_vector_annihilates(m):
 @settings(max_examples=60)
 @given(matrices())
 def test_incremental_rank_agrees_with_batch_rank(m):
-    tracker = IncrementalRank(len(m[0]))
+    tracker = IncrementalRank()
     accepted = []
     for row in m:
         if tracker.add(row):
@@ -173,10 +173,84 @@ integer_matrices = st.integers(1, 5).flatmap(
 @given(integer_matrices)
 @example([[2, 1], [4, 2], [1, 3]])
 def test_incremental_rank_int_rows_match_fraction_rows(m):
-    ints, fracs = IncrementalRank(len(m[0])), IncrementalRank(len(m[0]))
+    ints, fracs = IncrementalRank(), IncrementalRank()
     assert [ints.add(row) for row in m] == [fracs.add([F(v) for v in row]) for row in m]
     assert ints._basis == fracs._basis
     assert all(type(v) is Fraction for _, row in ints._basis for v in row)
+
+
+class RREFIncrementalRank:
+    """Reference: `IncrementalRank` with its basis kept in RREF, clearing
+    each new pivot column from every stored row."""
+
+    def __init__(self):
+        self.basis = []
+
+    def add(self, row):
+        v = list(row)
+        for c, b in self.basis:
+            if v[c] != 0:
+                f = v[c]
+                v = [a - f * bb for a, bb in zip(v, b)]
+        c = next((i for i, val in enumerate(v) if val != 0), None)
+        if c is None:
+            return False
+        inv = F(1) / v[c]
+        v = [val * inv for val in v]
+        for idx, (pc, b) in enumerate(self.basis):
+            if b[c] != 0:
+                f = b[c]
+                self.basis[idx] = (pc, [a - f * vv for a, vv in zip(b, v)])
+        self.basis.append((c, v))
+        return True
+
+
+@st.composite
+def candidate_streams(draw):
+    """Rows offered one by one: fresh rows, combinations of the rows drawn
+    before (the zero row when there are none) and rows whose leading
+    entries are zero."""
+    ncols = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(draw(st.integers(1, 9))):
+        kind = draw(st.sampled_from(("fresh", "dependent", "zero_lead")))
+        if kind == "dependent":
+            coeffs = draw(st.lists(fractions_st, min_size=len(rows), max_size=len(rows)))
+            row = [sum((a * r[j] for a, r in zip(coeffs, rows)), F(0)) for j in range(ncols)]
+        else:
+            row = draw(st.lists(fractions_st, min_size=ncols, max_size=ncols))
+            if kind == "zero_lead":
+                k = draw(st.integers(1, ncols))
+                row = [F(0)] * k + row[k:]
+        rows.append(row)
+    return rows
+
+
+def _rank(rows, width):
+    return row_reduce([r[:width] for r in rows]).rank if rows else 0
+
+
+@settings(max_examples=150)
+@given(candidate_streams())
+@example([[F(0), F(1)], [F(1), F(0)], [F(1), F(1)]])
+@example([[F(1), F(2), F(3)], [F(0), F(0), F(1)], [F(2), F(4), F(7)], [F(0), F(1), F(0)]])
+def test_incremental_rank_matches_greedy_definition_and_rref_basis(rows):
+    ncols = len(rows[0])
+    tracker, reference = IncrementalRank(), RREFIncrementalRank()
+    verdicts = [tracker.add(row) for row in rows]
+    assert verdicts == [reference.add(row) for row in rows]
+    pivots = [c for c, _ in tracker._basis]
+    assert pivots == [c for c, _ in reference.basis]
+    # greedy: a row is accepted iff it raises the rank of the rows kept so far,
+    # and its pivot is the first column j at which rows[:j+1] gain rank
+    kept = []
+    for row, accepted in zip(rows, verdicts):
+        assert accepted == (_rank(kept + [row], ncols) > len(kept))
+        if accepted:
+            c = next(j for j in range(ncols) if _rank(kept + [row], j + 1) > _rank(kept, j + 1))
+            assert c == pivots[len(kept)]
+            kept.append(row)
+    assert tracker.rank == len(kept) == row_reduce(rows).rank
 
 
 @settings(max_examples=60)

@@ -16,6 +16,7 @@ from ppsn import (
     hbase_decompose,
     infinity_check,
     linalg,
+    macaulay,
     monomial_basis,
     parse_polynomial,
     reduce_modulo,
@@ -56,6 +57,44 @@ def test_canonical_monomials_counts(circle):
     mons = canonical_monomials(circle, 2, 3)
     assert len(mons) == 7  # 1 + 2 + 2 + 2 along the conic
     assert mons[:3] == [(0, 0), (1, 0), (0, 1)]
+
+
+def count_row_reduce(monkeypatch):
+    calls = []
+    real = linalg.row_reduce
+
+    def spy(matrix):
+        calls.append(len(matrix))
+        return real(matrix)
+
+    monkeypatch.setattr(linalg, "row_reduce", spy)
+    return calls
+
+
+def test_manifolds_with_equal_leading_forms_share_selections(monkeypatch):
+    unit = Manifold([parse_polynomial("x1^2 + x2^2 - 1", 2)])
+    wide = Manifold([parse_polynomial("x1^2 + x2^2 - 4", 2)])
+    calls = count_row_reduce(monkeypatch)
+    first = [select_monomials(unit, m) for m in range(6)]
+    assert len(calls) == 4  # degrees 0 and 1 have no elementary items
+    calls.clear()
+    assert [select_monomials(wide, m) for m in range(6)] == first
+    assert all(select_monomials(wide, m) is sel for m, sel in enumerate(first))
+    assert calls == []
+
+
+def test_equal_profiles_with_different_leading_forms_never_share(monkeypatch):
+    circle_form = Manifold([parse_polynomial("x1^2 + x2^2", 2)])
+    cross = Manifold([parse_polynomial("x1*x2", 2)])
+    assert circle_form.profile == cross.profile
+    for m in range(2, 6):
+        shared = select_monomials(circle_form, m), select_monomials(cross, m)
+        macaulay._selection.cache_clear()
+        alone = select_monomials(circle_form, m), select_monomials(cross, m)
+        assert shared == alone
+        assert shared[0].matrix != shared[1].matrix
+    assert select_monomials(circle_form, 2).selected == (0,)  # x1^2
+    assert select_monomials(cross, 2).selected == (1,)  # x1*x2
 
 
 def test_selection_detects_insufficient_intersection():

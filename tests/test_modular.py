@@ -462,9 +462,10 @@ def test_interpolate_without_certificate_eliminates_once(monkeypatch, verify_cal
     poly = exact_path(TRIANGLE, None, 1, values)[1]
     counts = spy_on(monkeypatch, "row_reduce", "row_reduce_mod", "left_null_vector")
     assert interpolate(problem) == poly
-    # A^T mod PRIMES[0] certifies the nodes and gives the solution
+    # verify_ppsn's echelon of A^T mod PRIMES[0] certifies the nodes and
+    # gives the solution
     assert counts == {"row_reduce": 0, "row_reduce_mod": 1, "left_null_vector": 0}
-    assert verify_calls == []
+    assert verify_calls == [(TRIANGLE, None, 1)]
 
     # the first prime divides the determinant: verify_ppsn decides, and the
     # solve reuses its two echelons
@@ -472,7 +473,7 @@ def test_interpolate_without_certificate_eliminates_once(monkeypatch, verify_cal
     counts.update(row_reduce_mod=0)
     monkeypatch.setattr(linalg, "PRIMES", (7,) + PRIMES)
     assert interpolate(problem) == poly
-    assert verify_calls == [(TRIANGLE, None, 1)]
+    assert verify_calls == [(TRIANGLE, None, 1)] * 2
     assert counts == {"row_reduce": 0, "row_reduce_mod": 2, "left_null_vector": 0}
 
     # the first prime divides a value's denominator: it still certifies the
@@ -484,7 +485,7 @@ def test_interpolate_without_certificate_eliminates_once(monkeypatch, verify_cal
     counts.update(row_reduce=0, row_reduce_mod=0)
     monkeypatch.setattr(linalg, "PRIMES", (11,) + PRIMES)
     assert interpolate(InterpolationProblem(None, 1, TRIANGLE, values)) == poly
-    assert verify_calls == []
+    assert verify_calls == [(TRIANGLE, None, 1)]
     assert counts == {"row_reduce": 0, "row_reduce_mod": 2, "left_null_vector": 0}
 
 
@@ -614,13 +615,13 @@ def test_interpolate_without_certificate_refuses_improper_nodes(verify_calls):
     assert refused.value.certificate == verify_ppsn(nodes, None, 1)
     assert not refused.value.certificate.proper
     assert len(verify_calls) == 1
-    # the checks that make the system square still come first
+    # the checks that make the system square are verify_ppsn's, and come first
     with pytest.raises(CountMismatchError):
         interpolate(InterpolationProblem(None, 2, nodes, (F(0), F(1), F(2))))
     off = NodeSet([(F(1), F(0)), (F(0), F(1)), (F(1), F(1))])
     with pytest.raises(OffManifoldError):
         interpolate(InterpolationProblem(CIRCLE, 1, off, (F(0), F(1), F(2))))
-    assert len(verify_calls) == 1
+    assert len(verify_calls) == 3
 
 
 def test_value_denominator_divisible_by_the_prime_falls_back(monkeypatch, exact_calls):
