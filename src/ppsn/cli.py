@@ -161,6 +161,17 @@ def _emit_nodes(args, report: Dict, node_set: nodes.NodeSet, cert) -> int:
 # `dim` is O(s * mmax^2): about 1 s at this degree for n = 2, degrees 2
 # (2-vCPU Xeon VM, CPython 3.11).
 MAX_DIM_DEGREE = 2000
+# Each of the (mmax + 1)^2 / 2 series terms and backward-difference rows
+# takes a binomial of min(n, mmax) factors and s differences, so a table
+# costs about (mmax + 1)^2 * (min(n, mmax) + s + 1) steps; 2e7 took 1.1 s
+# (n = 2, degrees 2,2, m = 2000, same machine). This bounds n as well.
+MAX_DIM_STEPS = 25_000_000
+
+
+def dim_steps(n: int, s: int, mmax: int) -> int:
+    """The estimated cost of a `dim` table, in the steps of MAX_DIM_STEPS."""
+    mmax = max(mmax, 0)
+    return (mmax + 1) ** 2 * (min(n, mmax) + s + 1)
 
 
 def cmd_dim(args) -> int:
@@ -171,6 +182,12 @@ def cmd_dim(args) -> int:
     flag, mmax = ("--mmax", args.mmax) if args.mmax is not None else ("--m", args.m)
     if mmax > MAX_DIM_DEGREE:
         raise InputError(f"{flag} {mmax} is above the largest table degree {MAX_DIM_DEGREE}")
+    steps = dim_steps(profile.n, profile.s, mmax)
+    if steps > MAX_DIM_STEPS:
+        raise InputError(
+            f"--n {profile.n} with {flag} {mmax} needs about {steps:.2g} table steps, "
+            f"above the budget of {MAX_DIM_STEPS:.2g}"
+        )
     table = dimension.hilbert_table(profile, mmax)
     rows = []
     for j in range(mmax + 1):

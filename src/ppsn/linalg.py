@@ -20,6 +20,29 @@ builds Fractions only for the entries a caller reads, and callers read at
 most a column or two (`solve` the right-hand side, `nullspace` the free
 columns).
 
+Rows are scaled lazily. A row with f = 0 at a step is only multiplied by
+p/prev in Bareiss's scheme, and over several such steps those factors
+telescope, so each row keeps `stage`, the pivot it was last brought to, and
+Bareiss's row is the kept row times prev/stage. That is an integer row, so
+the division is exact. A row is brought up when it is read: as the pivot
+row, or when it is cleared, where (p*(a*prev/s) - f*b)/prev is computed as
+(p*prev*a - f*s*b) / (s*prev) in one pass; and every row once at the end.
+Zero tests are unchanged, as kept rows are nonzero multiples of Bareiss's,
+so rank, pivots, rows and denominator are Bareiss's entry for entry, while
+a sparse matrix skips the rescaling of every row that a step does not touch.
+
+`row_reduce` records its steps in `Echelon.steps`: for each pivot the row
+swapped into place, p, prev, and the factor f of each row it cleared, as
+Bareiss sees it (its kept entry times prev/stage); every other row has
+f = 0. Elimination does not look at a right-hand side, so b's column in the
+elimination of [A | b] is b pushed through those steps, with the same
+stages: `replay` does that in O(rows * rank) integer operations. A nonzero
+entry below the rank is a pivot in b's column (the system is inconsistent);
+otherwise the entries at the pivots, over the denominator, are the solution
+with free variables zero. `solve` is `row_reduce` then `replay`, and a
+caller with many right-hand sides for one matrix eliminates once and
+replays each.
+
 `row_reduce_mod` is forward elimination over the integers mod a prime p,
 one of the fixed word-size primes `PRIMES`, with `row_reduce`'s pivot
 policy, delayed reduction (Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008)
@@ -86,10 +109,13 @@ class Echelon:
     order pivots were found. From `row_reduce` the reduced matrix (RREF) is
     kept as integer rows `ints` over one common `denominator`: entry (i, j)
     is ints[i][j] / denominator. `column(j)` and `rows` build Fractions only
-    for the entries they return. From `row_reduce_mod` there is no
-    denominator, `ints` holds the `rank` nonzero rows of a row echelon form
-    mod p, residues in [0, p) in pivot order, each zero left of its pivot
-    and 1 at it, and both return the residues. `steps[i]` is then
+    for the entries they return. `scales` are the lcms of each input row's
+    denominators, and `steps[i]` is (k, p, prev, factors) for the i-th
+    pivot: the row k swapped into place i, the pivot value, the previous
+    one, and (row, factor) for each row it cleared. From `row_reduce_mod`
+    there is no denominator, `ints` holds the `rank` nonzero rows of a row
+    echelon form mod p, residues in [0, p) in pivot order, each zero left
+    of its pivot and 1 at it, and both return the residues. `steps[i]` is then
     (inverse, k, factors) for the i-th pivot: the inverse of its value mod
     p; its position k among the rows not yet pivots, whose first row takes
     its place before it leaves; and the factor each remaining row, in that
@@ -100,7 +126,8 @@ class Echelon:
     pivots: Tuple[Tuple[int, int], ...]
     ints: Tuple[Tuple[int, ...], ...]
     denominator: Optional[int] = None
-    steps: Tuple[Tuple[int, int, Tuple[int, ...]], ...] = ()
+    steps: tuple = ()
+    scales: Tuple[int, ...] = ()
 
     @property
     def pivot_columns(self) -> Tuple[int, ...]:
@@ -122,39 +149,107 @@ class Echelon:
 
 
 def row_reduce(matrix: Sequence[Sequence[Fraction]]) -> Echelon:
-    """Reduced row echelon form with a replayable pivot trail."""
+    """Reduced row echelon form with a replayable record of its steps.
+
+    Fraction-free Gauss-Jordan with lazy row scaling: `stage[i]` is the
+    pivot that row i was last brought to, so Bareiss's row is
+    m[i] * prev / stage[i]. A row is brought up only when it is read, as the
+    pivot row or when it is cleared, and every row once at the end."""
     m: List[List[int]] = []
+    scales: List[int] = []
     for row in matrix:
         scale = lcm(*(v.denominator for v in row))
+        scales.append(scale)
         m.append([v.numerator * (scale // v.denominator) for v in row])
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     origin = list(range(nrows))
+    stage = [1] * nrows
     pivots: List[Tuple[int, int]] = []
+    steps = []
     prev = 1
     r = 0
     for c in range(ncols):
         pr = next((i for i in range(r, nrows) if m[i][c]), None)
         if pr is None:
             continue
-        m[r], m[pr] = m[pr], m[r]
-        origin[r], origin[pr] = origin[pr], origin[r]
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+            origin[r], origin[pr] = origin[pr], origin[r]
+            stage[r], stage[pr] = stage[pr], stage[r]
         pivot_row = m[r]
+        s = stage[r]
+        if s != prev:
+            pivot_row = m[r] = [a * prev // s for a in pivot_row]
         p = pivot_row[c]
-        for i in range(nrows):
-            if i == r:
-                continue
-            f = m[i][c]
-            if f:
-                m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], pivot_row)]
-            elif p != prev:
-                m[i] = [p * a // prev for a in m[i]]
+        factors = []
+        for i, row in enumerate(m):
+            a = row[c]
+            if a and row is not pivot_row:
+                s = stage[i]
+                if s == prev:
+                    m[i] = [(p * x - a * b) // prev for x, b in zip(row, pivot_row)]
+                    factors.append((i, a))
+                else:
+                    # Bareiss's row is row * prev / s: (p * that - f * b) / prev
+                    f = a * prev // s
+                    ps, fs, d = p * prev, f * s, s * prev
+                    m[i] = [(ps * x - fs * b) // d for x, b in zip(row, pivot_row)]
+                    factors.append((i, f))
+                stage[i] = p
+        stage[r] = p
+        steps.append((pr, p, prev, tuple(factors)))
         prev = p
         pivots.append((origin[r], c))
         r += 1
         if r == nrows:
             break
-    return Echelon(rank=r, pivots=tuple(pivots), ints=tuple(map(tuple, m)), denominator=prev)
+    ints = tuple(
+        tuple(row) if s == prev else tuple(a * prev // s for a in row)
+        for row, s in zip(m, stage)
+    )
+    return Echelon(
+        rank=r,
+        pivots=tuple(pivots),
+        ints=ints,
+        denominator=prev,
+        steps=tuple(steps),
+        scales=tuple(scales),
+    )
+
+
+def replay(ech: Echelon, rhs: Sequence[Fraction]) -> Optional[List[Fraction]]:
+    """The solution of A x = b with free variables set to zero, from the
+    `row_reduce` echelon of A alone, or None when the system is
+    inconsistent: b goes through A's recorded steps as one more column of
+    [A | b], in O(rows * rank) integer operations. b_i is scaled by row
+    i's scale and all by one common denominator D, so the column is
+    integral and stays so, as Bareiss's columns do."""
+    D = lcm(*(v.denominator for v in rhs))
+    b = [v.numerator * (D // v.denominator) * s for v, s in zip(rhs, ech.scales)]
+    stage = [1] * len(b)
+    for r, (pr, p, prev, factors) in enumerate(ech.steps):
+        b[r], b[pr] = b[pr], b[r]
+        stage[r], stage[pr] = stage[pr], stage[r]
+        s = stage[r]
+        pb = b[r] if s == prev else b[r] * prev // s
+        b[r] = pb
+        for i, f in factors:
+            s = stage[i]
+            if s == prev:
+                b[i] = (p * b[i] - f * pb) // prev
+            else:
+                b[i] = (p * prev * b[i] - f * s * pb) // (s * prev)
+            stage[i] = p
+        stage[r] = p
+    rank = ech.rank
+    if any(b[rank:]):
+        return None  # a pivot in the rhs column
+    x = [Fraction(0)] * len(ech.ints[0]) if ech.ints else []
+    for (_, c), v, s in zip(ech.pivots, b, stage):
+        # Bareiss's final entry is v * denominator / s, over denominator * D
+        x[c] = Fraction(v, s * D)
+    return x
 
 
 def _pack(values: Sequence[int], width: int) -> int:
@@ -299,23 +394,14 @@ def rational_reconstruct(u: int, M: int) -> Optional[Fraction]:
 def solve(
     matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
 ) -> Optional[List[Fraction]]:
-    """One exact solution of A x = b with free variables set to zero.
+    """One exact solution of A x = b with free variables set to zero:
+    `row_reduce` of A, then `replay` of b.
 
     Returns None when the system is inconsistent.
     """
-    nrows = len(matrix)
-    if nrows == 0:
+    if not matrix:
         return []
-    ncols = len(matrix[0])
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    ech = row_reduce(aug)
-    x: List[Fraction] = [Fraction(0)] * ncols
-    for _, c in ech.pivots:
-        if c == ncols:
-            return None  # pivot in the rhs column: inconsistent
-    for (_, c), v in zip(ech.pivots, ech.column(ncols)):
-        x[c] = v
-    return x
+    return replay(row_reduce(matrix), rhs)
 
 
 def nullspace(matrix: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:

@@ -8,12 +8,21 @@ polynomial. Its pivot columns are the selected monomials; the complement
 spans the canonical remainder space on the manifold.
 
 `reduce_modulo` descends degree by degree in one mutable coefficient dict:
-at each degree one solve against the selected columns gives the item
-weights, which are the cofactor coefficients, and subtracting each weighted
-X^alpha * f_i term by term leaves only unselected monomials of that degree,
-which join the remainder. `hbase_decompose` writes each unknown's column
-X^beta * f_i straight from f_i's terms into one row-major system. Both build
-their result polynomials once, at the end.
+at each degree the item weights, which are the cofactor coefficients, solve
+(G_S)^T lambda = work_S over the selected columns S, and subtracting each
+weighted X^alpha * f_i term by term leaves only unselected monomials of
+that degree, which join the remainder. (G_S)^T depends only on the
+selection, so its `linalg.row_reduce` record is kept on the selection
+(`MonomialSelection.block_echelon`, keyed with it on the leading forms, the
+profile and the degree) and made on the first reduce at that degree; every
+lambda is then one `linalg.replay`. G_S has independent columns, so
+(G_S)^T has full row rank, no right-hand side adds a pivot, and lambda is
+the solve's answer with the free items at zero. `hbase_decompose` and
+`verify_hbase` share one builder (`_hbase_system`), which writes each
+unknown's column X^beta * f_i straight from f_i's terms into one row-major
+system; `verify_hbase` eliminates each degree's system once and replays
+every sampled member against it. Both build their result polynomials once,
+at the end.
 """
 
 from __future__ import annotations
@@ -121,20 +130,29 @@ class MonomialSelection:
     def unselected_monomials(self) -> Tuple[MultiIndex, ...]:
         return tuple(self.monomials[j] for j in self.unselected)
 
+    @functools.cached_property
+    def block_echelon(self) -> linalg.Echelon:
+        """The `linalg.row_reduce` record of (G_S)^T, the selected columns
+        of the elementary-item matrix as rows, made on first use; each
+        cofactor weight vector of `reduce_modulo` at this degree is then
+        one `linalg.replay`."""
+        return linalg.row_reduce([[row[c] for row in self.matrix] for c in self.selected])
+
 
 def elementary_items(
     forms: Sequence[Polynomial], n: int, m: int
 ) -> Tuple[Tuple[MultiIndex, ...], List[List[Fraction]], List[Tuple[MultiIndex, int]]]:
     """The degree-m elementary items X^alpha * g_i of homogeneous forms g_i:
-    the degree-m monomials, each item's coefficient row over them, and each
-    item's label (alpha, i)."""
+    the degree-m monomials, each item's coefficient row over them (its
+    zeros are int 0, which `linalg.row_reduce` reads faster than a
+    Fraction), and each item's label (alpha, i)."""
     monos = tuple(monomials_of_degree(n, m))
     col = {mu: j for j, mu in enumerate(monos)}
     rows: List[List[Fraction]] = []
     labels: List[Tuple[MultiIndex, int]] = []
     for i, g in enumerate(forms):
         for alpha in monomials_of_degree(n, m - g.degree):
-            row = [Fraction(0)] * len(monos)
+            row: List[Fraction] = [0] * len(monos)
             for beta, c in g.terms.items():
                 row[col[tuple(a + b for a, b in zip(alpha, beta))]] = c
             rows.append(row)
@@ -266,9 +284,8 @@ def reduce_modulo(f: Polynomial, manifold: Manifold) -> ReducedForm:
         if sel.labeled_items:
             # lambda solves (G_t[:, selected])^T lambda = work[selected];
             # always consistent because the selected columns are the pivot columns
-            system = [[row[c] for row in sel.matrix] for c in sel.selected]
             rhs = [work.get(sel.monomials[c], 0) for c in sel.selected]
-            lam = linalg.solve(system, rhs)
+            lam = linalg.replay(sel.block_echelon, rhs)
             if lam is None:
                 raise InternalCheckError("selected-column system unexpectedly inconsistent")
             for weight, (alpha, i) in zip(lam, sel.labeled_items):
@@ -300,32 +317,36 @@ class Decomposition:
         return _expand(Polynomial.zero(manifold.n), self.cofactors, manifold)
 
 
-def hbase_decompose(g: Polynomial, manifold: Manifold) -> Decomposition:
-    """Degree-respecting ideal-membership decomposition by one exact solve.
-
-    Unknowns are the coefficients of each cofactor over the monomials of
-    degree <= deg(g) - k_i; the column of unknown (i, beta) holds the
-    coefficients of X^beta * f_i, written from f_i's terms. A missing
-    solution means g is no ideal member with these degree bounds.
-    """
-    if g.n != manifold.n:
-        raise DimensionMismatchError("polynomial/manifold dimension mismatch")
-    n = manifold.n
-    m = g.degree
-    basis = monomial_basis(n, m)
+def _hbase_system(
+    manifold: Manifold, m: int
+) -> Tuple[Tuple[MultiIndex, ...], List[Tuple[int, MultiIndex]], List[List[Fraction]]]:
+    """The degree-m H-base system: the monomials of degree <= m (its rows),
+    the label (i, beta) of each unknown, and the matrix whose column
+    (i, beta) holds the coefficients of X^beta * f_i, written from f_i's
+    terms, for every beta of degree <= m - k_i."""
+    basis = monomial_basis(manifold.n, m)
     row_of = {mu: r for r, mu in enumerate(basis)}
     labels = [
         (i, beta)
         for i, k in enumerate(manifold.profile.ks)
         if k <= m
-        for beta in monomial_basis(n, m - k)
+        for beta in monomial_basis(manifold.n, m - k)
     ]
     matrix: List[List[Fraction]] = [[0] * len(labels) for _ in basis]
     for col, (i, beta) in enumerate(labels):
         for alpha, c in manifold.polynomials[i].terms.items():
             matrix[row_of[tuple(map(operator.add, beta, alpha))]][col] = c
-    rhs = [g.coefficient(mu) for mu in basis]
-    sol = linalg.solve(matrix, rhs)
+    return basis, labels, matrix
+
+
+def _decomposition(
+    g: Polynomial,
+    manifold: Manifold,
+    labels: Sequence[Tuple[int, MultiIndex]],
+    sol: Optional[Sequence[Fraction]],
+) -> Decomposition:
+    """The decomposition of g read off a solution of its degree-deg(g)
+    H-base system, checked by re-expansion and the degree bounds."""
     if sol is None:
         raise DecompositionError(
             f"no degree-respecting decomposition of {g} exists: "
@@ -334,14 +355,28 @@ def hbase_decompose(g: Polynomial, manifold: Manifold) -> Decomposition:
     cof_terms: List[Dict[MultiIndex, Fraction]] = [{} for _ in manifold.polynomials]
     for (i, beta), c in zip(labels, sol):
         cof_terms[i][beta] = c
-    cofactors = tuple(Polynomial._trusted(n, t) for t in cof_terms)
+    cofactors = tuple(Polynomial._trusted(manifold.n, t) for t in cof_terms)
     dec = Decomposition(cofactors)
     if dec.reassemble(manifold) != g:
         raise InternalCheckError("decomposition failed to re-expand exactly")
     for c, k in zip(cofactors, manifold.profile.ks):
-        if not c.in_space(m - k):
+        if not c.in_space(g.degree - k):
             raise InternalCheckError("cofactor degree bound violated")
     return dec
+
+
+def hbase_decompose(g: Polynomial, manifold: Manifold) -> Decomposition:
+    """Degree-respecting ideal-membership decomposition by one exact solve.
+
+    Unknowns are the coefficients of each cofactor over the monomials of
+    degree <= deg(g) - k_i (`_hbase_system`). A missing solution means g
+    is no ideal member with these degree bounds.
+    """
+    if g.n != manifold.n:
+        raise DimensionMismatchError("polynomial/manifold dimension mismatch")
+    basis, labels, matrix = _hbase_system(manifold, g.degree)
+    sol = linalg.solve(matrix, [g.coefficient(mu) for mu in basis])
+    return _decomposition(g, manifold, labels, sol)
 
 
 def random_polynomial(rng: random.Random, n: int, degree: int) -> Polynomial:
@@ -391,6 +426,7 @@ def verify_hbase(
     n = manifold.n
     passes: List[Tuple[int, int]] = []
     failures: List[str] = []
+    systems: Dict[int, tuple] = {}  # degree -> (basis, labels, echelon), eliminated once
     for m in range(manifold.profile.L, mmax + 1):
         ok = 0
         for _ in range(trials):
@@ -400,8 +436,14 @@ def verify_hbase(
                 if k > m:
                     continue
                 g = g + random_polynomial(rng, n, m - k) * f
+            d = g.degree  # g is decomposed at its own degree, which cancellation may lower
+            if d not in systems:
+                basis, labels, matrix = _hbase_system(manifold, d)
+                systems[d] = basis, labels, linalg.row_reduce(matrix)
+            basis, labels, ech = systems[d]
+            rhs = [g.coefficient(mu) for mu in basis]
             try:
-                hbase_decompose(g, manifold)
+                _decomposition(g, manifold, labels, linalg.replay(ech, rhs))
                 ok += 1
             except DecompositionError as exc:
                 failures.append(f"degree {m}: {exc}")

@@ -70,7 +70,7 @@ from operator import mul
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .dimension import binom_e, dim_along
+from .dimension import DegreeProfile, binom_e, dim_along
 from .errors import (
     CountMismatchError,
     DimensionMismatchError,
@@ -78,7 +78,7 @@ from .errors import (
     InsufficientIntersectionError,
     ParseError,
 )
-from .macaulay import Manifold, canonical_monomials, select_monomials
+from .macaulay import Manifold, _selection, canonical_monomials
 from .mpoly import (
     MultiIndex,
     Point,
@@ -309,17 +309,26 @@ def verify_ppsn(
     )
 
 
-@functools.lru_cache(maxsize=16)
 def _witness_columns(manifold: Optional[Manifold], n: int, m: int) -> Tuple[int, ...]:
     """The full-basis indices of the canonical monomials of degrees <= m:
-    one tuple, shared by every proper certificate at (manifold, m)."""
+    one tuple, shared by every proper certificate on equal leading forms
+    and degree profile at degree m (`_canonical_indices`)."""
     if manifold is None:
+        return _canonical_indices(None, None, n, m)
+    return _canonical_indices(manifold.leading_forms, manifold.profile, n, m)
+
+
+@functools.lru_cache(maxsize=64)
+def _canonical_indices(
+    leading_forms: Optional[Tuple[Polynomial, ...]], profile: Optional[DegreeProfile], n: int, m: int
+) -> Tuple[int, ...]:
+    if leading_forms is None:
         return tuple(range(binom_e(m, n)))  # the columns are the full basis
     # the degree-t monomials start at index binom_e(t - 1, n) of the basis
     return tuple(
         binom_e(t - 1, n) + j
         for t in range(m + 1)
-        for j in select_monomials(manifold, t).unselected
+        for j in _selection(leading_forms, profile, t).unselected
     )
 
 

@@ -7,10 +7,11 @@ from ppsn import Manifold, macaulay, nodes, parse_polynomial, parse_system_text
 
 @pytest.fixture(autouse=True)
 def fresh_caches():
-    """Start every test with an empty memo of canonical systems and an empty
-    monomial-selection cache, so call counts do not depend on which tests
-    ran before."""
+    """Start every test with an empty memo of canonical systems and empty
+    monomial-selection and witness-column caches, so call counts do not
+    depend on which tests ran before."""
     nodes._SYSTEMS.clear()
+    nodes._canonical_indices.cache_clear()
     macaulay._selection.cache_clear()
 
 

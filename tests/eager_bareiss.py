@@ -1,0 +1,60 @@
+"""Test-only reference: fraction-free Gauss-Jordan (Bareiss) that rescales
+every row at every step, and a solve that eliminates [A | b] afresh, as
+`ppsn.linalg` computed them before rows were scaled lazily and right-hand
+sides replayed."""
+
+from fractions import Fraction
+from math import lcm
+
+
+def eager_row_reduce(matrix):
+    """(rank, pivots, integer rows, denominator) of the RREF."""
+    m = []
+    for row in matrix:
+        scale = lcm(*(v.denominator for v in row))
+        m.append([v.numerator * (scale // v.denominator) for v in row])
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    origin = list(range(nrows))
+    pivots = []
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        origin[r], origin[pr] = origin[pr], origin[r]
+        pivot_row = m[r]
+        p = pivot_row[c]
+        for i in range(nrows):
+            if i == r:
+                continue
+            f = m[i][c]
+            if f:
+                m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], pivot_row)]
+            elif p != prev:
+                m[i] = [p * a // prev for a in m[i]]
+        prev = p
+        pivots.append((origin[r], c))
+        r += 1
+        if r == nrows:
+            break
+    return r, tuple(pivots), tuple(map(tuple, m)), prev
+
+
+def eager_solve(matrix, rhs):
+    """One solution of A x = b, free variables zero, read off the RREF of
+    [A | b]; None when a pivot lands in the b column."""
+    if not matrix:
+        return []
+    ncols = len(matrix[0])
+    _, pivots, ints, d = eager_row_reduce(
+        [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    )
+    if any(c == ncols for _, c in pivots):
+        return None
+    x = [Fraction(0)] * ncols
+    for (_, c), row in zip(pivots, ints):
+        x[c] = Fraction(row[ncols], d)
+    return x

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ppsn
-from ppsn.cli import MAX_DIM_DEGREE, SUBCOMMANDS, build_parser, main
+from ppsn.cli import MAX_DIM_DEGREE, MAX_DIM_STEPS, SUBCOMMANDS, build_parser, dim_steps, main
 
 GRID = "x1*(x1-1)*(x1-2)\nx2*(x2-1)*(x2-2)\n"
 CUBE = "x1*(x1-1)\nx2*(x2-1)\nx3*(x3-1)\n"
@@ -85,6 +85,33 @@ def test_dim_above_the_degree_bound_exits_2_before_the_table(degrees, flag, monk
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert f"{flag} " in captured.err and f"largest table degree {MAX_DIM_DEGREE}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "50", "--degrees", "3", "--m", "2000"],
+        ["--n", "300", "--degrees", "2", "--m", "400"],
+        ["--n", "40", "--degrees", ",".join(["2"] * 40), "--m", "3", "--mmax", "1000"],
+    ],
+)
+def test_dim_above_the_step_budget_exits_2_before_the_table(argv, monkeypatch, capsys):
+    def spy(profile, mmax):
+        raise AssertionError("a table was built")  # instead of allocating it
+
+    monkeypatch.setattr("ppsn.dimension.hilbert_table", spy)
+    code = main(["dim", *argv, "--json"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    n = argv[1]
+    assert f"--n {n} with " in captured.err and "table steps" in captured.err
+    assert f"budget of {MAX_DIM_STEPS:.2g}" in captured.err
+
+
+def test_dim_step_budget_admits_the_largest_degree_in_the_plane_and_n_14():
+    assert dim_steps(2, 2, MAX_DIM_DEGREE) <= MAX_DIM_STEPS
+    assert dim_steps(14, 14, 16) <= MAX_DIM_STEPS
+    assert dim_steps(10**9, 1, 1) <= MAX_DIM_STEPS  # a binomial of one factor
 
 
 def test_dim_builds_one_table_and_checks_every_row(monkeypatch, capsys):

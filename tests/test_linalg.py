@@ -4,12 +4,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eager_bareiss import eager_row_reduce, eager_solve
 from ppsn.linalg import (
     PRIMES,
     IncrementalRank,
     back_substitute,
     left_null_vector,
     nullspace,
+    replay,
     row_reduce,
     row_reduce_mod,
     solve,
@@ -280,6 +282,79 @@ def test_echelon_column_is_the_column_of_rows(m):
     for j in range(len(m[0])):
         assert mod.column(j) == [row[j] for row in mod.rows]
         assert all(type(v) is int and 0 <= v < p for v in mod.column(j))
+
+
+# -- lazy row scaling and replay against eager Bareiss -----------------------------
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Mostly zero entries, so that most rows skip most steps and their
+    stages fall behind; sometimes one row the sum of two others."""
+    nrows = draw(st.integers(1, 7))
+    ncols = draw(st.integers(1, 7))
+    entry = st.one_of(st.just(F(0)), st.just(F(0)), st.just(F(0)), fractions_st)
+    m = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    if nrows > 2 and draw(st.booleans()):
+        m[-1] = [a + b for a, b in zip(m[0], m[1])]
+    return m
+
+
+any_matrices = st.one_of(
+    matrices(6, 6, wide_fractions_st),
+    sparse_matrices(),
+    rank_deficient_products(),
+    with_zero_columns(),
+    zero_matrices,
+)
+
+# row 2 becomes the pivot row at column 1 while row 1, its swap partner,
+# was brought to the first pivot and row 2 was not
+STALE_SWAP = [[F(2), F(1), F(0)], [F(2), F(1), F(5)], [F(0), F(3), F(1)]]
+
+
+@settings(max_examples=200)
+@given(any_matrices)
+@example(STALE_SWAP)
+@example([[F(0), F(2), F(1)], [F(0), F(0), F(3)], [F(5, 7), F(1), F(0)]])
+@example([[F(0), F(0)], [F(1, 999999), F(1)], [F(2, 999999), F(2)]])
+def test_lazy_row_reduce_matches_eager_bareiss_entry_for_entry(m):
+    ech = row_reduce(m)
+    assert (ech.rank, ech.pivots, ech.ints, ech.denominator) == eager_row_reduce(m)
+
+
+@st.composite
+def systems(draw):
+    """(A, b): b = A x for a random x, or a random b, which is mostly
+    inconsistent when A is rank deficient."""
+    m = draw(any_matrices)
+    if draw(st.booleans()):
+        x = draw(st.lists(fractions_st, min_size=len(m[0]), max_size=len(m[0])))
+        b = [sum((a * v for a, v in zip(row, x)), F(0)) for row in m]
+    else:
+        b = draw(st.lists(st.one_of(st.just(0), fractions_st), min_size=len(m), max_size=len(m)))
+    return m, b
+
+
+@settings(max_examples=200)
+@given(systems())
+@example((STALE_SWAP, [F(1), F(-2, 3), F(5)]))
+@example(([[F(0), F(2), F(1)], [F(0), F(0), F(3)], [F(5, 7), F(1), F(0)]], [F(1), F(2), F(3)]))
+@example(([[F(1), F(2)], [F(2), F(4)]], [F(1), F(3)]))  # inconsistent
+@example(([[F(0)], [F(0)]], [0, F(1, 2)]))  # inconsistent on a zero column
+def test_replay_is_a_fresh_elimination_of_the_augmented_matrix(case):
+    m, b = case
+    ech = row_reduce(m)
+    assert replay(ech, b) == eager_solve(m, b)
+    assert solve(m, b) == eager_solve(m, b)
+
+
+def test_replay_reuses_one_elimination_for_many_right_hand_sides():
+    m = [[F(1), F(2), F(0)], [F(0), F(1), F(1, 3)], [F(1), F(3), F(1, 3)]]  # row 3 = 1 + 2
+    ech = row_reduce(m)
+    for b in ([F(1), F(2), F(3)], [F(0), F(1, 7), F(1, 7)], [F(1), F(0), F(0)]):
+        assert replay(ech, b) == eager_solve(m, b)
+    assert replay(ech, [F(1), F(0), F(0)]) is None
 
 
 # -- packed-row elimination mod p against list-based kernels ---------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eager_bareiss import eager_solve
 from ppsn import (
     DecompositionError,
     InputError,
@@ -59,22 +60,23 @@ def test_canonical_monomials_counts(circle):
     assert mons[:3] == [(0, 0), (1, 0), (0, 1)]
 
 
-def count_row_reduce(monkeypatch):
+def count_calls(monkeypatch, name):
+    """The row counts of the matrices passed to linalg.<name>, call by call."""
     calls = []
-    real = linalg.row_reduce
+    real = getattr(linalg, name)
 
-    def spy(matrix):
-        calls.append(len(matrix))
-        return real(matrix)
+    def spy(*args):
+        calls.append(len(args[0]))
+        return real(*args)
 
-    monkeypatch.setattr(linalg, "row_reduce", spy)
+    monkeypatch.setattr(linalg, name, spy)
     return calls
 
 
 def test_manifolds_with_equal_leading_forms_share_selections(monkeypatch):
     unit = Manifold([parse_polynomial("x1^2 + x2^2 - 1", 2)])
     wide = Manifold([parse_polynomial("x1^2 + x2^2 - 4", 2)])
-    calls = count_row_reduce(monkeypatch)
+    calls = count_calls(monkeypatch, "row_reduce")
     first = [select_monomials(unit, m) for m in range(6)]
     assert len(calls) == 4  # degrees 0 and 1 have no elementary items
     calls.clear()
@@ -355,3 +357,172 @@ def test_hbase_decompose_matches_polynomial_reference(case):
     dec = hbase_decompose(g, manifold)
     assert [c.terms for c in dec.cofactors] == [c.terms for c in expected]
     assert [str(c) for c in dec.cofactors] == [str(c) for c in expected]
+
+
+# -- one elimination per degree: against copies of the per-call solves ---------------
+
+
+def seed_reduce_modulo(f, manifold):
+    """Reference: the one-dict descent with a fresh elimination of
+    [(G_S)^T | work_S] at every degree, as computed before the selected
+    block's elimination was recorded and replayed."""
+    n = manifold.n
+    work = dict(f.terms)
+    remainder = {}
+    cofactors = [{} for _ in manifold.polynomials]
+    for t in range(f.degree, -1, -1):
+        if not any(c for mu, c in work.items() if sum(mu) == t):
+            continue
+        sel = select_monomials(manifold, t)
+        if sel.labeled_items:
+            system = [[row[c] for row in sel.matrix] for c in sel.selected]
+            rhs = [work.get(sel.monomials[c], 0) for c in sel.selected]
+            lam = eager_solve(system, rhs)
+            for weight, (alpha, i) in zip(lam, sel.labeled_items):
+                if not weight:
+                    continue
+                cofactors[i][alpha] = weight
+                for beta, c in manifold.polynomials[i].terms.items():
+                    mu = tuple(a + b for a, b in zip(alpha, beta))
+                    work[mu] = work.get(mu, 0) - weight * c
+        for mu in [mu for mu in work if sum(mu) == t]:
+            remainder[mu] = work.pop(mu)
+    assert not any(work.values())
+    return Polynomial(n, remainder), tuple(Polynomial(n, c) for c in cofactors)
+
+
+def seed_hbase_decompose(g, manifold):
+    """Reference: the degree-deg(g) H-base system eliminated afresh with its
+    right-hand side; the cofactors, or None when there is no solution."""
+    n, m = manifold.n, g.degree
+    basis = monomial_basis(n, m)
+    row_of = {mu: r for r, mu in enumerate(basis)}
+    labels = [
+        (i, beta)
+        for i, k in enumerate(manifold.profile.ks)
+        if k <= m
+        for beta in monomial_basis(n, m - k)
+    ]
+    matrix = [[0] * len(labels) for _ in basis]
+    for col, (i, beta) in enumerate(labels):
+        for alpha, c in manifold.polynomials[i].terms.items():
+            matrix[row_of[tuple(a + b for a, b in zip(beta, alpha))]][col] = c
+    sol = eager_solve(matrix, [g.coefficient(mu) for mu in basis])
+    if sol is None:
+        return None
+    cof_terms = [{} for _ in manifold.polynomials]
+    for (i, beta), c in zip(labels, sol):
+        cof_terms[i][beta] = c
+    return tuple(Polynomial(n, t) for t in cof_terms)
+
+
+def seed_verify_hbase(manifold, mmax, trials, seed):
+    """Reference: (passes, failures) of the sampled round trips, one fresh
+    elimination per trial."""
+    rng = random.Random(seed)
+    n = manifold.n
+    passes, failures = [], []
+    for m in range(manifold.profile.L, mmax + 1):
+        ok = 0
+        for _ in range(trials):
+            g = Polynomial.zero(n)
+            for i, f in enumerate(manifold.polynomials):
+                k = manifold.profile.ks[i]
+                if k <= m:
+                    g = g + random_polynomial(rng, n, m - k) * f
+            if seed_hbase_decompose(g, manifold) is None:
+                failures.append(f"degree {m}: no degree-respecting decomposition of {g} exists: "
+                                "the polynomial is not an ideal member with the claimed bounds")
+            else:
+                ok += 1
+        passes.append((m, ok))
+    return tuple(passes), tuple(failures)
+
+
+def _manifold(polys, witnesses, n):
+    return Manifold(
+        [parse_polynomial(p, n) for p in polys],
+        witnesses=tuple(parse_polynomial(w, n) for w in witnesses),
+    )
+
+
+# the fixtures of the benchmark's CLI workload; the quadric's items are
+# dependent (syzygies) from degree 4 on
+SHAPES = {
+    "circle": _manifold(["x1^2 + x2^2 - 2"], ["x2 - 2"], 2),
+    "sphere": _manifold(["x1^2 + x2^2 + x3^2 + x1 - 3"], ["x2 - 2", "x3 - 3"], 3),
+    "quadric": _manifold(
+        ["x1^2 + x2^2 + x3^2 - 3", "x1*x2 - x3^2 + 2*x1 + x2 - 1"], ["x3 - 5"], 3
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_reduce_modulo_matches_a_fresh_solve_per_degree(shape):
+    manifold = SHAPES[shape]
+    rng = random.Random(len(shape))
+    for degree in range(0, 9):
+        for f in (
+            random_polynomial(rng, manifold.n, degree),
+            random_polynomial(rng, manifold.n, max(degree - 2, 0)) * manifold.polynomials[-1],
+        ):
+            form = reduce_modulo(f, manifold)
+            remainder, cofactors = seed_reduce_modulo(f, manifold)
+            assert form.remainder.terms == remainder.terms
+            assert [c.terms for c in form.cofactors] == [c.terms for c in cofactors]
+            assert str(form.remainder) == str(remainder)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("trials, seed", [(1, 0), (3, 7), (5, 11)])
+def test_verify_hbase_matches_a_fresh_solve_per_trial(shape, trials, seed):
+    manifold = SHAPES[shape]
+    mmax = 5 if manifold.n == 3 else 6
+    report = verify_hbase(manifold, mmax, trials=trials, seed=seed)
+    assert (report.passes, report.failures) == seed_verify_hbase(manifold, mmax, trials, seed)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("trials", [1, 4])
+def test_verify_hbase_eliminates_once_per_degree_for_any_trials(shape, trials, monkeypatch):
+    manifold = SHAPES[shape]
+    eliminations = count_calls(monkeypatch, "row_reduce")
+    solves = count_calls(monkeypatch, "solve")
+    report = verify_hbase(manifold, 5, trials=trials, seed=3)
+    assert report.all_passed
+    degrees = 5 - manifold.profile.L + 1
+    assert len(eliminations) == 1 + degrees  # the infinity check, then one per degree
+    assert solves == []
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_second_reduce_on_equal_leading_forms_eliminates_nothing(shape, monkeypatch):
+    manifold = SHAPES[shape]
+    n = manifold.n
+    dense = Polynomial(n, {mu: F(1) for mu in monomial_basis(n, 6)})
+    first = reduce_modulo(dense, manifold)
+    # equal leading forms, other lower terms, built apart: no elimination
+    shifted = Manifold([f + Polynomial.monomial((1,) + (0,) * (n - 1), F(3)) for f in manifold.polynomials])
+    assert shifted.leading_forms == manifold.leading_forms
+    eliminations = count_calls(monkeypatch, "row_reduce")
+    solves = count_calls(monkeypatch, "solve")
+    second = reduce_modulo(dense, shifted)
+    again = reduce_modulo(dense, manifold)
+    assert (eliminations, solves) == ([], [])
+    assert again == first
+    assert second.reassemble(shifted) == dense
+
+
+def test_records_are_not_shared_across_leading_forms_on_one_profile():
+    # four curves of profile (2,) in the plane: each reduce must use its
+    # own leading forms' record, in any order and with warm caches
+    curves = [
+        Manifold([parse_polynomial(text, 2)])
+        for text in ("x1^2 + x2^2 - 1", "x1*x2 - 1", "x1^2 - x2", "x2^2 + x1*x2 - x1")
+    ]
+    assert len({c.profile for c in curves}) == 1
+    f = parse_polynomial("x1^5*x2 - 3*x1^3*x2^2 + 2*x2^4 - x1*x2 + 7", 2)
+    for manifold in curves + curves[::-1]:
+        form = reduce_modulo(f, manifold)
+        remainder, cofactors = seed_reduce_modulo(f, manifold)
+        assert form.remainder == remainder and form.cofactors == cofactors
