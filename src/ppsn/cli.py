@@ -162,16 +162,22 @@ def _emit_nodes(args, report: Dict, node_set: nodes.NodeSet, cert) -> int:
 # (2-vCPU Xeon VM, CPython 3.11).
 MAX_DIM_DEGREE = 2000
 # Each of the (mmax + 1)^2 / 2 series terms and backward-difference rows
-# takes a binomial of min(n, mmax) factors and s differences, so a table
-# costs about (mmax + 1)^2 * (min(n, mmax) + s + 1) steps; 2e7 took 1.1 s
-# (n = 2, degrees 2,2, m = 2000, same machine). This bounds n as well.
+# takes a binomial of k = min(n, mmax) factors and s differences, on
+# integers below (n + mmax)^k, so of at most b = k * bit_length(n + mmax)
+# bits. A table costs about (mmax + 1)^2 * (k + s + 1) steps, each taking
+# at most 1 + b/1024 times a small-int step: 2e7 small-int steps took
+# 1.1 s (n = 2, degrees 2,2, m = 2000, same machine), and n = 1e30,
+# m = 200 (b = 2e4) 2.5 s, where the estimate is 1.6e8. Through b this
+# bounds n as well.
 MAX_DIM_STEPS = 25_000_000
 
 
 def dim_steps(n: int, s: int, mmax: int) -> int:
     """The estimated cost of a `dim` table, in the steps of MAX_DIM_STEPS."""
     mmax = max(mmax, 0)
-    return (mmax + 1) ** 2 * (min(n, mmax) + s + 1)
+    k = min(n, mmax)
+    bits = k * (n + mmax).bit_length()
+    return (mmax + 1) ** 2 * (k + s + 1) * (1 + bits // 1024)
 
 
 def cmd_dim(args) -> int:
@@ -187,6 +193,14 @@ def cmd_dim(args) -> int:
         raise InputError(
             f"--n {profile.n} with {flag} {mmax} needs about {steps:.2g} table steps, "
             f"above the budget of {MAX_DIM_STEPS:.2g}"
+        )
+    # every entry of the table is at most the ambient dimension C(n + mmax, n),
+    # and CPython refuses to print an int of more than this many digits
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits and dimension.binom_e(mmax, profile.n) >= 10**digits:
+        raise InputError(
+            f"--n {profile.n} with {flag} {mmax} gives table entries of more than "
+            f"{digits} digits, which Python does not print"
         )
     table = dimension.hilbert_table(profile, mmax)
     rows = []

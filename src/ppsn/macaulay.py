@@ -9,20 +9,15 @@ spans the canonical remainder space on the manifold.
 
 `reduce_modulo` descends degree by degree in one mutable coefficient dict:
 at each degree the item weights, which are the cofactor coefficients, solve
-(G_S)^T lambda = work_S over the selected columns S, and subtracting each
-weighted X^alpha * f_i term by term leaves only unselected monomials of
-that degree, which join the remainder. (G_S)^T depends only on the
-selection, so its `linalg.row_reduce` record is kept on the selection
-(`MonomialSelection.block_echelon`, keyed with it on the leading forms, the
-profile and the degree) and made on the first reduce at that degree; every
-lambda is then one `linalg.replay`. G_S has independent columns, so
-(G_S)^T has full row rank, no right-hand side adds a pivot, and lambda is
-the solve's answer with the free items at zero. `hbase_decompose` and
-`verify_hbase` share one builder (`_hbase_system`), which writes each
-unknown's column X^beta * f_i straight from f_i's terms into one row-major
-system; `verify_hbase` eliminates each degree's system once and replays
-every sampled member against it. Both build their result polynomials once,
-at the end.
+(G_S)^T lambda = work_S over the selected columns S by one `linalg.solve`,
+and subtracting each weighted X^alpha * f_i term by term leaves only
+unselected monomials of that degree, which join the remainder. G_S has
+independent columns, so (G_S)^T has full row rank and the system is always
+consistent. `hbase_decompose` and `verify_hbase` share one builder
+(`_hbase_system`), which writes each unknown's column X^beta * f_i straight
+from f_i's terms into one row-major system; `verify_hbase` eliminates each
+degree's system once and replays every sampled member against it
+(`linalg.replay`). Both build their result polynomials once, at the end.
 """
 
 from __future__ import annotations
@@ -129,14 +124,6 @@ class MonomialSelection:
 
     def unselected_monomials(self) -> Tuple[MultiIndex, ...]:
         return tuple(self.monomials[j] for j in self.unselected)
-
-    @functools.cached_property
-    def block_echelon(self) -> linalg.Echelon:
-        """The `linalg.row_reduce` record of (G_S)^T, the selected columns
-        of the elementary-item matrix as rows, made on first use; each
-        cofactor weight vector of `reduce_modulo` at this degree is then
-        one `linalg.replay`."""
-        return linalg.row_reduce([[row[c] for row in self.matrix] for c in self.selected])
 
 
 def elementary_items(
@@ -284,8 +271,9 @@ def reduce_modulo(f: Polynomial, manifold: Manifold) -> ReducedForm:
         if sel.labeled_items:
             # lambda solves (G_t[:, selected])^T lambda = work[selected];
             # always consistent because the selected columns are the pivot columns
+            system = [[row[c] for row in sel.matrix] for c in sel.selected]
             rhs = [work.get(sel.monomials[c], 0) for c in sel.selected]
-            lam = linalg.replay(sel.block_echelon, rhs)
+            lam = linalg.solve(system, rhs)
             if lam is None:
                 raise InternalCheckError("selected-column system unexpectedly inconsistent")
             for weight, (alpha, i) in zip(lam, sel.labeled_items):

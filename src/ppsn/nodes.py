@@ -300,30 +300,29 @@ def verify_ppsn(
             proper=False,
             kernel_functional=tuple(w * s / scales[f] for w, s in zip(kernel, scales)),
         )
+    forms, profile = (manifold.leading_forms, manifold.profile) if manifold else (None, None)
     return PPSNCertificate(
         degree=m,
         n=n,
         expected_count=expected,
         proper=True,
-        witness_columns=_witness_columns(manifold, n, m),
+        witness_columns=_witness_columns(forms, profile, n, m),
     )
 
 
-def _witness_columns(manifold: Optional[Manifold], n: int, m: int) -> Tuple[int, ...]:
-    """The full-basis indices of the canonical monomials of degrees <= m:
-    one tuple, shared by every proper certificate on equal leading forms
-    and degree profile at degree m (`_canonical_indices`)."""
-    if manifold is None:
-        return _canonical_indices(None, None, n, m)
-    return _canonical_indices(manifold.leading_forms, manifold.profile, n, m)
-
-
+# Keyed on the leading forms and the profile, which fix the selections, not
+# on the Manifold: construct builds a fresh one per step. The selections are
+# read from `_selection` directly; `canonical_monomials` has just looked up
+# the same degrees through `select_monomials`, so these are never misses.
 @functools.lru_cache(maxsize=64)
-def _canonical_indices(
+def _witness_columns(
     leading_forms: Optional[Tuple[Polynomial, ...]], profile: Optional[DegreeProfile], n: int, m: int
 ) -> Tuple[int, ...]:
+    """The full-basis indices of the canonical monomials of degrees <= m
+    (the full basis when leading_forms is None): one tuple, shared by every
+    proper certificate on equal leading forms at degree m."""
     if leading_forms is None:
-        return tuple(range(binom_e(m, n)))  # the columns are the full basis
+        return tuple(range(binom_e(m, n)))
     # the degree-t monomials start at index binom_e(t - 1, n) of the basis
     return tuple(
         binom_e(t - 1, n) + j

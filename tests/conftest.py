@@ -11,7 +11,7 @@ def fresh_caches():
     monomial-selection and witness-column caches, so call counts do not
     depend on which tests ran before."""
     nodes._SYSTEMS.clear()
-    nodes._canonical_indices.cache_clear()
+    nodes._witness_columns.cache_clear()
     macaulay._selection.cache_clear()
 
 

@@ -93,6 +93,9 @@ def test_dim_above_the_degree_bound_exits_2_before_the_table(degrees, flag, monk
         ["--n", "50", "--degrees", "3", "--m", "2000"],
         ["--n", "300", "--degrees", "2", "--m", "400"],
         ["--n", "40", "--degrees", ",".join(["2"] * 40), "--m", "3", "--mmax", "1000"],
+        # few factors, but binomials of about 27,000 bits
+        ["--n", str(10**30), "--degrees", "2", "--m", "290"],
+        ["--n", str(10**100), "--degrees", "2", "--m", "120"],
     ],
 )
 def test_dim_above_the_step_budget_exits_2_before_the_table(argv, monkeypatch, capsys):
@@ -108,10 +111,23 @@ def test_dim_above_the_step_budget_exits_2_before_the_table(argv, monkeypatch, c
     assert f"budget of {MAX_DIM_STEPS:.2g}" in captured.err
 
 
+@pytest.mark.parametrize("n, m", [(10**1000, 5), (10**4300 - 1, 1)])
+def test_dim_with_entries_too_long_to_print_exits_2_before_the_table(n, m, monkeypatch, capsys):
+    def spy(profile, mmax):
+        raise AssertionError("a table was built")  # instead of allocating it
+
+    monkeypatch.setattr("ppsn.dimension.hilbert_table", spy)
+    code = main(["dim", "--n", str(n), "--degrees", "2", "--m", str(m), "--json"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "digits, which Python does not print" in captured.err
+
+
 def test_dim_step_budget_admits_the_largest_degree_in_the_plane_and_n_14():
     assert dim_steps(2, 2, MAX_DIM_DEGREE) <= MAX_DIM_STEPS
     assert dim_steps(14, 14, 16) <= MAX_DIM_STEPS
     assert dim_steps(10**9, 1, 1) <= MAX_DIM_STEPS  # a binomial of one factor
+    assert dim_steps(10**30, 1, 100) <= MAX_DIM_STEPS  # 0.26 s; 2e4-bit binomials
 
 
 def test_dim_builds_one_table_and_checks_every_row(monkeypatch, capsys):

@@ -363,9 +363,8 @@ def test_hbase_decompose_matches_polynomial_reference(case):
 
 
 def seed_reduce_modulo(f, manifold):
-    """Reference: the one-dict descent with a fresh elimination of
-    [(G_S)^T | work_S] at every degree, as computed before the selected
-    block's elimination was recorded and replayed."""
+    """Reference: the one-dict descent with an eager Bareiss elimination
+    of [(G_S)^T | work_S] at every degree."""
     n = manifold.n
     work = dict(f.terms)
     remainder = {}
@@ -495,27 +494,9 @@ def test_verify_hbase_eliminates_once_per_degree_for_any_trials(shape, trials, m
     assert solves == []
 
 
-@pytest.mark.parametrize("shape", sorted(SHAPES))
-def test_second_reduce_on_equal_leading_forms_eliminates_nothing(shape, monkeypatch):
-    manifold = SHAPES[shape]
-    n = manifold.n
-    dense = Polynomial(n, {mu: F(1) for mu in monomial_basis(n, 6)})
-    first = reduce_modulo(dense, manifold)
-    # equal leading forms, other lower terms, built apart: no elimination
-    shifted = Manifold([f + Polynomial.monomial((1,) + (0,) * (n - 1), F(3)) for f in manifold.polynomials])
-    assert shifted.leading_forms == manifold.leading_forms
-    eliminations = count_calls(monkeypatch, "row_reduce")
-    solves = count_calls(monkeypatch, "solve")
-    second = reduce_modulo(dense, shifted)
-    again = reduce_modulo(dense, manifold)
-    assert (eliminations, solves) == ([], [])
-    assert again == first
-    assert second.reassemble(shifted) == dense
-
-
-def test_records_are_not_shared_across_leading_forms_on_one_profile():
+def test_reduce_on_one_profile_follows_each_manifolds_leading_forms():
     # four curves of profile (2,) in the plane: each reduce must use its
-    # own leading forms' record, in any order and with warm caches
+    # own leading forms' selections, in any order and with warm caches
     curves = [
         Manifold([parse_polynomial(text, 2)])
         for text in ("x1^2 + x2^2 - 1", "x1*x2 - 1", "x1^2 - x2", "x2^2 + x1*x2 - x1")

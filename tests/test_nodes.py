@@ -30,7 +30,7 @@ from ppsn import (
     verify_ppsn,
 )
 from ppsn import linalg
-from ppsn.nodes import _canonical_indices, _evaluation_plan, _witness_columns, evaluation_rows
+from ppsn.nodes import _evaluation_plan, _witness_columns, evaluation_rows
 
 F = Fraction
 
@@ -346,7 +346,7 @@ def test_proper_certificates_share_one_witness_tuple(circle):
     assert first.witness_columns is second.witness_columns
     assert ambient[0].witness_columns is ambient[1].witness_columns == (0, 1, 2)
     assert not hasattr(first, "__dict__")
-    assert _canonical_indices.cache_info().maxsize is not None
+    assert _witness_columns.cache_info().maxsize is not None
 
 
 def test_equal_manifolds_built_apart_share_one_witness_tuple():
@@ -361,10 +361,15 @@ def test_equal_manifolds_built_apart_share_one_witness_tuple():
     cb = verify_ppsn(NodeSet(pts((1, 0), (0, 1), (0, -1)), b), b, 1)
     assert ca.proper and cb.proper
     assert ca.witness_columns is cb.witness_columns
-    assert _witness_columns(a, 2, 3) is _witness_columns(b, 2, 3)
+    assert a.leading_forms is not b.leading_forms
+    assert _witness_columns(a.leading_forms, a.profile, 2, 3) is _witness_columns(
+        b.leading_forms, b.profile, 2, 3
+    )
     # other leading forms on the same profile get their own tuple
     shifted = Manifold([parse_polynomial("x1*x2 - 1", 2)])
-    assert _witness_columns(shifted, 2, 3) != _witness_columns(a, 2, 3)
+    assert _witness_columns(shifted.leading_forms, shifted.profile, 2, 3) != _witness_columns(
+        a.leading_forms, a.profile, 2, 3
+    )
 
 
 @st.composite
