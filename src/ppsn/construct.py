@@ -7,19 +7,16 @@ certificate; hypothesis checks are exact and refusals are exceptions, so a
 returned node set is always certified. `cb_reduce`, `cb_check` and
 `cb_extend_curve` open with `nodes._require_full_intersection`, the check
 that their input is the full point intersection of a 0-dimensional
-manifold. An interpolant solved mod the word-size primes `linalg.PRIMES` is
-returned only after an exact integer check of every node equation, and the
-exact elimination is the fallback. The solve mod each prime reads the
-echelon of A^T that `verify_ppsn` made for the same node set, kept by the
-memo in `nodes`, instead of evaluating and eliminating [A | b] again.
+manifold. `interpolate` checks its hypotheses, certifies the nodes with
+`verify_ppsn` and asks the canonical square system that `verify_ppsn` has
+just built, kept by the memo in `nodes`, for its solution
+(`_CanonicalSystem.solve`), so the nodes are evaluated and eliminated once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -38,7 +35,6 @@ from .nodes import (
     FactorableSystem,
     NodeSet,
     PPSNCertificate,
-    _CanonicalSystem,
     _canonical_system,
     _require_full_intersection,
     evaluation_matrix,
@@ -80,15 +76,12 @@ def interpolate(
     unselected monomials of degrees <= m, which makes it the unique
     representative in the canonical remainder space.
 
-    The coefficients are guessed mod the word-size primes `linalg.PRIMES`,
-    combined by the Chinese remainder theorem and rebuilt by rational
-    reconstruction. A guess is returned only when it solves every node
-    equation exactly; when no prime gives one, the exact elimination of
-    [A | b] runs. Each prime's solve reads the echelon of A^T kept by
-    `nodes._canonical_system`, so after `verify_ppsn` on the same node set
-    the evaluation rows and the first elimination are not made again.
-    Without a certificate, `interpolate` runs `verify_ppsn` itself, and the
-    solve reads the echelons it made."""
+    The coefficients come from `_canonical_system(...).solve`: guessed mod
+    the word-size primes `linalg.PRIMES`, returned only when they solve
+    every node equation exactly, and solved exactly otherwise. After
+    `verify_ppsn` on the same node set the evaluation rows and the first
+    elimination are not made again. Without a certificate, `interpolate`
+    runs `verify_ppsn` itself, and the solve reads the echelons it made."""
     manifold, m, nodes = problem.manifold, problem.m, problem.nodes
     if manifold is not None:
         n = manifold.n
@@ -104,78 +97,11 @@ def interpolate(
         certificate = verify_ppsn(nodes, manifold, m)
     if not certificate.proper:
         raise ImproperNodeSetError(certificate)
-    columns = canonical_monomials(manifold, n, m)
+    columns = tuple(canonical_monomials(manifold, n, m))
     if len(columns) != len(nodes):
         raise InternalCheckError("canonical support size differs from node count")
-    system = _canonical_system(nodes, columns)
-    coeffs = _solve_mod_p(system, problem.values)
-    if coeffs is None:
-        # Row i of [A | b] is scaled by scale_i, which leaves the solution
-        # unchanged.
-        augmented = [
-            row + [scale * v] for scale, row, v in zip(system.scales, system.rows, problem.values)
-        ]
-        ech = linalg.row_reduce(augmented)
-        if sum(c < len(columns) for c in ech.pivot_columns) != len(nodes):
-            raise InternalCheckError(
-                "canonical evaluation matrix is singular for a certified node set"
-            )
-        coeffs = ech.column(len(columns))
-        if not _solves(system, problem.values, coeffs):
-            raise InternalCheckError("interpolant misses a node value")
+    coeffs = _canonical_system(nodes, columns).solve(problem.values)
     return Polynomial._trusted(n, dict(zip(columns, coeffs)))
-
-
-def _solve_mod_p(
-    system: _CanonicalSystem, values: Sequence[Fraction]
-) -> Optional[List[Fraction]]:
-    """The solution of the square system A x = b, row i of A the integer row
-    of node i and b_i its scale times its value, from its solutions mod
-    `linalg.PRIMES` in turn, or None when no prime gives it. A prime that
-    divides a value's denominator or leaves A singular is skipped. Each
-    other prime solves through the system's echelon of A^T
-    (`linalg.solve_transposed`), the one `verify_ppsn` may already have
-    made, joins the residues so far by the Chinese remainder theorem, every
-    coefficient is rebuilt mod the running product, and the first guess
-    that passes `_solves` is returned: a nonsingular A mod p is nonsingular
-    over Q, so that guess is the unique solution."""
-    N = len(system.rows)
-    residues = [0] * N
-    modulus = 1
-    for p in linalg.PRIMES:
-        if any(v.denominator % p == 0 for v in values):
-            continue
-        ech = system.echelon(p)
-        if ech.rank < N:
-            continue
-        b = [
-            scale * v.numerator * pow(v.denominator, -1, p) % p
-            for scale, v in zip(system.scales, values)
-        ]
-        residues = linalg.crt(residues, modulus, linalg.solve_transposed(ech, b, p), p)
-        modulus *= p
-        coeffs = [linalg.rational_reconstruct(u, modulus) for u in residues]
-        if all(x is not None for x in coeffs) and _solves(system, values, coeffs):
-            # equal coefficients share one Fraction, which keeps the
-            # interpolant small; equal fractions have equal residues
-            shared: Dict[int, Fraction] = {}
-            return [shared.setdefault(u, x) for u, x in zip(residues, coeffs)]
-    return None
-
-
-def _solves(
-    system: _CanonicalSystem, values: Sequence[Fraction], coeffs: Sequence[Fraction]
-) -> bool:
-    """Whether the coefficients x satisfy every node equation
-    (row_i / scale_i) . x = v_i exactly. With D the lcm of the denominators
-    of x, the equation for node i is the integer identity
-    sum_j row_ij * (D * x_j) * den(v_i) == scale_i * D * num(v_i)."""
-    D = lcm(*(x.denominator for x in coeffs))
-    scaled = [x.numerator * (D // x.denominator) for x in coeffs]
-    return all(
-        sum(map(mul, row, scaled)) * v.denominator == scale * D * v.numerator
-        for scale, row, v in zip(system.scales, system.rows, values)
-    )
 
 
 # -- superposition -------------------------------------------------------------

@@ -79,9 +79,9 @@ where they need no trust:
   Chinese remainder theorem (`crt`) into one mod their product M, and
   `rational_reconstruct` turns each residue into the unique small fraction
   congruent to it mod M, if one exists (Wang, Guy & Davenport, SIGSAM Bull.
-  16(2), 1982). The guess is accepted only after an exact check over Q, as
-  in Dixon (Numer. Math. 40, 1982); otherwise the caller tries the next
-  prime and, after the last, solves with `row_reduce`.
+  16(2), 1982). The guess is accepted only after an exact check over Q
+  (`satisfies`), as in Dixon (Numer. Math. 40, 1982); otherwise the caller
+  tries the next prime and, after the last, solves with `row_reduce`.
 """
 
 from __future__ import annotations
@@ -389,6 +389,25 @@ def rational_reconstruct(u: int, M: int) -> Optional[Fraction]:
     if abs(t1) > bound or gcd(r1, t1) != 1:
         return None
     return Fraction(r1, t1)
+
+
+def satisfies(
+    rows: Sequence[Sequence[int]],
+    x: Sequence[Fraction],
+    scales: Sequence[int],
+    values: Sequence[Fraction],
+) -> bool:
+    """Whether (rows[i] / scales[i]) . x == values[i] holds exactly for
+    every i, each row read over its first len(x) entries. With D the lcm of
+    the denominators of x, the equation for row i is the integer identity
+    sum_j rows[i][j] * (D * x_j) * den(v_i) == scales[i] * D * num(v_i)."""
+    D = lcm(*(v.denominator for v in x))
+    scaled = [v.numerator * (D // v.denominator) for v in x]
+    # map stops after len(x) entries of each row
+    return all(
+        sum(map(mul, row, scaled)) * v.denominator == s * D * v.numerator
+        for row, s, v in zip(rows, scales, values)
+    )
 
 
 def solve(

@@ -13,9 +13,11 @@ at each degree the item weights, which are the cofactor coefficients, solve
 and subtracting each weighted X^alpha * f_i term by term leaves only
 unselected monomials of that degree, which join the remainder. G_S has
 independent columns, so (G_S)^T has full row rank and the system is always
-consistent. `hbase_decompose` and `verify_hbase` share one builder
-(`_hbase_system`), which writes each unknown's column X^beta * f_i straight
-from f_i's terms into one row-major system; `verify_hbase` eliminates each
+consistent. One builder, `elementary_items`, writes every item matrix from
+the terms of its polynomials: the degree-m items for monomial selection and
+the infinity check, and, over the monomial basis, the items X^beta * f_i
+whose transpose is the H-base system (`_hbase_system`) that
+`hbase_decompose` and `verify_hbase` share; `verify_hbase` eliminates each
 degree's system once and replays every sampled member against it
 (`linalg.replay`). Both build their result polynomials once, at the end.
 """
@@ -27,7 +29,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .dimension import DegreeProfile, binom_e, dim_along
@@ -127,21 +129,27 @@ class MonomialSelection:
 
 
 def elementary_items(
-    forms: Sequence[Polynomial], n: int, m: int
+    forms: Sequence[Polynomial],
+    n: int,
+    m: int,
+    monomials: Callable[[int, int], Sequence[MultiIndex]] = monomials_of_degree,
 ) -> Tuple[Tuple[MultiIndex, ...], List[List[Fraction]], List[Tuple[MultiIndex, int]]]:
-    """The degree-m elementary items X^alpha * g_i of homogeneous forms g_i:
-    the degree-m monomials, each item's coefficient row over them (its
-    zeros are int 0, which `linalg.row_reduce` reads faster than a
-    Fraction), and each item's label (alpha, i)."""
-    monos = tuple(monomials_of_degree(n, m))
+    """The elementary items X^alpha * g_i, alpha in monomials(n, m - deg g_i):
+    the monomials(n, m) their rows run over, each item's coefficient row
+    over them (its zeros are int 0, which `linalg.row_reduce` reads faster
+    than a Fraction), and each item's label (alpha, i). The degree-m
+    monomials (`monomials_of_degree`) and homogeneous forms give the
+    degree-m items; the monomials of degree <= m (`monomial_basis`) and the
+    defining polynomials give the columns of the H-base system."""
+    monos = tuple(monomials(n, m))
     col = {mu: j for j, mu in enumerate(monos)}
     rows: List[List[Fraction]] = []
     labels: List[Tuple[MultiIndex, int]] = []
     for i, g in enumerate(forms):
-        for alpha in monomials_of_degree(n, m - g.degree):
+        for alpha in monomials(n, m - g.degree):
             row: List[Fraction] = [0] * len(monos)
             for beta, c in g.terms.items():
-                row[col[tuple(a + b for a, b in zip(alpha, beta))]] = c
+                row[col[tuple(map(operator.add, alpha, beta))]] = c
             rows.append(row)
             labels.append((alpha, i))
     return monos, rows, labels
@@ -307,30 +315,20 @@ class Decomposition:
 
 def _hbase_system(
     manifold: Manifold, m: int
-) -> Tuple[Tuple[MultiIndex, ...], List[Tuple[int, MultiIndex]], List[List[Fraction]]]:
+) -> Tuple[Tuple[MultiIndex, ...], List[Tuple[MultiIndex, int]], List[List[Fraction]]]:
     """The degree-m H-base system: the monomials of degree <= m (its rows),
-    the label (i, beta) of each unknown, and the matrix whose column
-    (i, beta) holds the coefficients of X^beta * f_i, written from f_i's
-    terms, for every beta of degree <= m - k_i."""
-    basis = monomial_basis(manifold.n, m)
-    row_of = {mu: r for r, mu in enumerate(basis)}
-    labels = [
-        (i, beta)
-        for i, k in enumerate(manifold.profile.ks)
-        if k <= m
-        for beta in monomial_basis(manifold.n, m - k)
-    ]
-    matrix: List[List[Fraction]] = [[0] * len(labels) for _ in basis]
-    for col, (i, beta) in enumerate(labels):
-        for alpha, c in manifold.polynomials[i].terms.items():
-            matrix[row_of[tuple(map(operator.add, beta, alpha))]][col] = c
-    return basis, labels, matrix
+    the label (beta, i) of each unknown, and the matrix whose column
+    (beta, i) holds the coefficients of X^beta * f_i for every beta of
+    degree <= m - k_i: the transpose of the elementary items over the
+    monomial basis. With no item, every row is empty."""
+    basis, items, labels = elementary_items(manifold.polynomials, manifold.n, m, monomial_basis)
+    return basis, labels, [list(column) for column in zip(*items)] or [[] for _ in basis]
 
 
 def _decomposition(
     g: Polynomial,
     manifold: Manifold,
-    labels: Sequence[Tuple[int, MultiIndex]],
+    labels: Sequence[Tuple[MultiIndex, int]],
     sol: Optional[Sequence[Fraction]],
 ) -> Decomposition:
     """The decomposition of g read off a solution of its degree-deg(g)
@@ -341,7 +339,7 @@ def _decomposition(
             "the polynomial is not an ideal member with the claimed bounds"
         )
     cof_terms: List[Dict[MultiIndex, Fraction]] = [{} for _ in manifold.polynomials]
-    for (i, beta), c in zip(labels, sol):
+    for (beta, i), c in zip(labels, sol):
         cof_terms[i][beta] = c
     cofactors = tuple(Polynomial._trusted(manifold.n, t) for t in cof_terms)
     dec = Decomposition(cofactors)

@@ -28,45 +28,48 @@ plan runs over the monomials closed under taking parents, which canonical
 sets already are (the selected monomials form a monomial ideal), and the
 closure keeps any other input correct.
 
-`verify_ppsn` and `construct.interpolate` share one factorization. A
-small memo (`_canonical_system`, the last `_SYSTEMS_KEPT` systems, keyed on
-the identity of the node tuple and on the columns) keeps each system's row
-scales, exact integer rows and, per prime, the `linalg.row_reduce_mod`
-echelon of the transpose with its recorded steps. The interpolant's
-solve mod p reads that echelon (`linalg.solve_transposed`), so a verify
-followed by an interpolate on one node set evaluates and eliminates once.
-Nothing is stored on a certificate or a `NodeSet`, so what a caller keeps
-holds no factorization, and an evicted system is simply built again.
+The canonical square system A x = b of a node set answers both questions
+asked of it, in one class, `_CanonicalSystem`: is A singular
+(`kernel`, for `verify_ppsn`), and what is A^-1 b (`solve`, for
+`construct.interpolate`)? It keeps the row scales, the exact integer rows
+and, per prime, the `linalg.row_reduce_mod` echelon of the transpose with
+its recorded steps, so a verify followed by an interpolate on one node set
+evaluates and eliminates once. A `functools.lru_cache` of the last four
+systems (`_canonical_system`, keyed on the `NodeSet`, which hashes by
+identity, and on the columns) holds them between the two calls. Nothing is
+stored on a certificate or a `NodeSet`, so what a caller keeps holds no
+factorization, and an evicted system is simply built again.
 
-`verify_ppsn` eliminates the transpose of the integer rows mod the
-word-size prime `linalg.PRIMES[0]`; the transpose has the matrix's rank. A
-rank of N means the N x N integer determinant is nonzero mod p, hence
-nonzero: the set is proper, with no trust in the prime. A smaller rank is
-either a genuinely improper set or a prime dividing the determinant. The
-first non-pivot column f of that echelon is the first node row that
-depends mod p on the rows before it, and back-substitution over the first
-f echelon rows gives the combination y mod p with y_f = 1. The primes
-combine by the Chinese remainder theorem (a prime with a larger f restarts
-the combination, one with a smaller f is skipped, and one with rank N
-proves the set proper), y is rebuilt by `linalg.rational_reconstruct`, and
-it is accepted only if sum_{i<=f} y_i * row_i = 0 holds exactly over the
-integers. Rows 0..f-1 are independent mod p, hence over Q, and row f depends
-on them, so y is their unique combination: the vector that the exact
-`linalg.left_null_vector` returns, entry for entry. Anything else falls back
-to that exact elimination, whose kernel vector, rescaled by the row scales,
-is the improper certificate; no kernel vector means the set is proper after
-all.
+Each answer mod p is a guess until one exact integer check,
+`linalg.satisfies`, accepts it. `kernel` eliminates the transpose of the
+integer rows mod the word-size prime `linalg.PRIMES[0]`; the transpose has
+the matrix's rank. A rank of N means the N x N integer determinant is
+nonzero mod p, hence nonzero: the set is proper, with no trust in the
+prime. A smaller rank is either a genuinely improper set or a prime
+dividing the determinant. The first non-pivot column f of that echelon is
+the first node row that depends mod p on the rows before it, and
+back-substitution over the first f echelon rows gives the combination y mod
+p with y_f = 1. The primes combine by the Chinese remainder theorem (a
+prime with a larger f restarts the combination, one with a smaller f is
+skipped, and one with rank N proves the set proper), y is rebuilt by
+`linalg.rational_reconstruct`, and it is accepted only if
+sum_{i<=f} y_i * row_i = 0 holds exactly over the integers. Rows 0..f-1 are
+independent mod p, hence over Q, and row f depends on them, so y is their
+unique combination: the vector that the exact `linalg.left_null_vector`
+returns, entry for entry. Anything else falls back to that exact
+elimination, whose kernel vector, rescaled by the row scales, is the
+improper certificate; no kernel vector means the set is proper after all.
+`solve` reads the same echelons (`linalg.solve_transposed`) and falls back
+to `linalg.row_reduce` of A and `linalg.replay` of b.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import mul
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -76,6 +79,7 @@ from .errors import (
     DimensionMismatchError,
     InputError,
     InsufficientIntersectionError,
+    InternalCheckError,
     ParseError,
 )
 from .macaulay import Manifold, _selection, canonical_monomials
@@ -281,9 +285,8 @@ def verify_ppsn(
             raise DimensionMismatchError("node/basis dimension mismatch")
     if expected == 0:  # m < 0: the zero space
         return PPSNCertificate(degree=m, n=n, expected_count=0, proper=True)
-    columns = canonical_monomials(manifold, n, m)
-    system = _canonical_system(nodes, columns)
-    kernel = _left_kernel(system)
+    system = _canonical_system(nodes, tuple(canonical_monomials(manifold, n, m)))
+    kernel = system.kernel()
     if kernel is not None:
         # The canonical columns span the full-basis ones on manifold points,
         # so the left kernels agree. Row i is s_i times the rational row, so
@@ -332,10 +335,14 @@ def _witness_columns(
 
 
 class _CanonicalSystem:
-    """The canonical square system of one node tuple: each node's row scale
-    and exact integer row (`evaluation_rows`), their transpose, and the
-    `linalg.row_reduce_mod` echelon of that transpose, with its steps, for
-    each prime asked for so far."""
+    """The canonical square system A x = b of one node tuple, and both
+    questions asked of it: is A singular (`kernel`), and what is A^-1 b
+    (`solve`)? It keeps each node's row scale and exact integer row
+    (`evaluation_rows`), their transpose, and the `linalg.row_reduce_mod`
+    echelon of that transpose, with its steps, for each prime asked for so
+    far, so either question after the other eliminates nothing again mod
+    that prime. Both answers mod p are guesses until `linalg.satisfies`
+    checks them over the integers; the exact elimination is the fallback."""
 
     __slots__ = ("points", "scales", "rows", "transpose", "_echelons")
 
@@ -351,76 +358,101 @@ class _CanonicalSystem:
             ech = self._echelons[p] = linalg.row_reduce_mod(self.transpose, p)
         return ech
 
+    def kernel(self) -> Optional[List[Fraction]]:
+        """`linalg.left_null_vector(self.rows)`, found mod `linalg.PRIMES`
+        when it can be: None when the rows are independent, otherwise the
+        combination y with y_f = 1 of the first row f that depends on the
+        rows before it, zero after f.
 
-# The last few canonical systems, keyed on the identity of the node tuple
-# and on the columns. An entry keeps its node tuple alive, so no other tuple
-# can take that identity while the entry is kept. It is small on purpose: a
-# caller that verifies and then interpolates on one set finds its system
-# here, and nothing a caller keeps holds on to a factorization. The lock
-# makes look-up, eviction and insertion one step for callers on several
-# threads.
-_SYSTEMS: Dict[Tuple[int, Tuple[MultiIndex, ...]], _CanonicalSystem] = {}
-_SYSTEMS_KEPT = 4
-_SYSTEMS_LOCK = threading.Lock()
+        The first non-pivot column of a prime's echelon of the transpose is
+        the first row f_p dependent mod p, and a rank of N proves the rows
+        independent. A row dependent over Q stays dependent mod p, so f_p is
+        at most f over Q: a larger f_p restarts the combination and a
+        smaller one is skipped. The first f_p echelon rows read
+        x_i + sum_{i<j<f_p} e_ij x_j = e_if_p, solved by `back_substitute`,
+        and y = (-x, 1). The rebuilt y is returned only if
+        sum_{i<=f} y_i * row_i = 0 over the integers, which `satisfies`
+        checks on the transpose; otherwise, after the last prime, the exact
+        `left_null_vector` decides."""
+        N = len(self.rows)
+        residues: List[int] = []
+        modulus, f = 1, -1
+        for p in linalg.PRIMES:
+            ech = self.echelon(p)
+            if ech.rank == N:
+                return None  # the determinant is nonzero mod p
+            g = next((i for i, c in enumerate(ech.pivot_columns) if c != i), ech.rank)
+            if g < f:
+                continue
+            if g > f:
+                residues, modulus, f = [0] * g, 1, g
+            x = linalg.back_substitute(ech.ints[:f], p)
+            residues = linalg.crt(residues, modulus, [-u for u in x], p)
+            modulus *= p
+            y = [linalg.rational_reconstruct(u, modulus) for u in residues]
+            if any(v is None for v in y):
+                continue
+            y.append(Fraction(1))
+            if linalg.satisfies(self.transpose, y, [1] * N, [0] * N):
+                return y + [Fraction(0)] * (N - f - 1)
+        return linalg.left_null_vector(self.rows)
+
+    def solve(self, values: Sequence[Fraction]) -> List[Fraction]:
+        """The unique x with (row_i / scale_i) . x = values_i for every node
+        i, for a system that `verify_ppsn` certified proper.
+
+        A x = b, with b_i the scale times the value, is solved mod
+        `linalg.PRIMES` in turn. A prime that divides a value's denominator
+        or leaves A singular is skipped. Each other prime solves through its
+        echelon of A^T (`linalg.solve_transposed`), the residues so far are
+        joined by the Chinese remainder theorem, every coefficient is rebuilt
+        mod the running product, and the first guess that `satisfies` every
+        equation is returned: A is nonsingular over Q, so that guess is the
+        unique solution. Otherwise the one exact path runs: `row_reduce` of
+        A, a rank check, and `replay` of b."""
+        N = len(self.rows)
+        residues = [0] * N
+        modulus = 1
+        for p in linalg.PRIMES:
+            if any(v.denominator % p == 0 for v in values):
+                continue
+            ech = self.echelon(p)
+            if ech.rank < N:
+                continue
+            b = [
+                s * v.numerator * pow(v.denominator, -1, p) % p
+                for s, v in zip(self.scales, values)
+            ]
+            residues = linalg.crt(residues, modulus, linalg.solve_transposed(ech, b, p), p)
+            modulus *= p
+            x = [linalg.rational_reconstruct(u, modulus) for u in residues]
+            if all(v is not None for v in x) and linalg.satisfies(self.rows, x, self.scales, values):
+                # equal coefficients share one Fraction, which keeps the
+                # interpolant small; equal fractions have equal residues
+                shared: Dict[int, Fraction] = {}
+                return [shared.setdefault(u, v) for u, v in zip(residues, x)]
+        ech = linalg.row_reduce(self.rows)
+        if ech.rank != N:
+            raise InternalCheckError(
+                "canonical evaluation matrix is singular for a certified node set"
+            )
+        x = linalg.replay(ech, [s * v for s, v in zip(self.scales, values)])
+        if not linalg.satisfies(self.rows, x, self.scales, values):
+            raise InternalCheckError("interpolant misses a node value")
+        return x
 
 
-def _canonical_system(nodes: NodeSet, columns: Sequence[MultiIndex]) -> _CanonicalSystem:
+# The last few canonical systems. A `NodeSet` hashes by identity, so an
+# equal but separately built set is evaluated again, and a kept entry keeps
+# its set alive, so no other set can take that identity meanwhile. It is
+# small on purpose: a caller that verifies and then interpolates on one set
+# finds its system here, and nothing a caller keeps holds a factorization.
+@functools.lru_cache(maxsize=4)
+def _canonical_system(nodes: NodeSet, columns: Tuple[MultiIndex, ...]) -> _CanonicalSystem:
     """The square system of `nodes` over `columns`, built once for the last
-    `_SYSTEMS_KEPT` node tuples asked for: `verify_ppsn` and then
+    few (node set, columns) pairs asked for: `verify_ppsn` and then
     `construct.interpolate` on one set evaluate and eliminate once."""
-    columns = tuple(columns)
-    key = (id(nodes.points), columns)
-    with _SYSTEMS_LOCK:
-        system = _SYSTEMS.get(key)
-        if system is None:
-            if len(_SYSTEMS) >= _SYSTEMS_KEPT:
-                del _SYSTEMS[next(iter(_SYSTEMS))]  # the oldest
-            system = _SYSTEMS[key] = _CanonicalSystem(nodes.points, columns)
-    return system
-
-
-def _left_kernel(system: _CanonicalSystem) -> Optional[List[Fraction]]:
-    """`linalg.left_null_vector(system.rows)`, found mod `linalg.PRIMES`
-    when it can be: None when the rows are independent, otherwise the
-    combination y with y_f = 1 of the first row f that depends on the rows
-    before it, zero after f.
-
-    Each prime's echelon of the transpose comes from the system, so a later
-    solve mod that prime eliminates nothing again. Its first non-pivot
-    column is the first row f_p dependent mod p, and a rank of N proves the
-    rows independent. A row dependent over Q stays dependent mod p, so f_p
-    is at most f over Q: a larger f_p restarts the combination and a
-    smaller one is skipped. The first f_p echelon rows read
-    x_i + sum_{i<j<f_p} e_ij x_j = e_if_p, solved by `back_substitute`, and
-    y = (-x, 1). The rebuilt y is returned only if sum_{i<=f} y_i * row_i = 0
-    over the integers; otherwise, after the last prime, the exact
-    `left_null_vector` decides."""
-    rows, transpose = system.rows, system.transpose
-    N = len(rows)
-    residues: List[int] = []
-    modulus, f = 1, -1
-    for p in linalg.PRIMES:
-        ech = system.echelon(p)
-        if ech.rank == N:
-            return None  # the determinant is nonzero mod p
-        g = next((i for i, c in enumerate(ech.pivot_columns) if c != i), ech.rank)
-        if g < f:
-            continue
-        if g > f:
-            residues, modulus, f = [0] * g, 1, g
-        x = linalg.back_substitute(ech.ints[:f], p)
-        residues = linalg.crt(residues, modulus, [-u for u in x], p)
-        modulus *= p
-        y = [linalg.rational_reconstruct(u, modulus) for u in residues]
-        if any(v is None for v in y):
-            continue
-        y.append(Fraction(1))
-        D = lcm(*(v.denominator for v in y))
-        scaled = [v.numerator * (D // v.denominator) for v in y]
-        # map stops after f + 1 entries: column j of rows 0..f times D*y
-        if not any(sum(map(mul, column, scaled)) for column in transpose):
-            return y + [Fraction(0)] * (N - f - 1)
-    return linalg.left_null_vector(rows)
+    return _CanonicalSystem(nodes.points, columns)
 
 
 # -- factorable-system intersection -----------------------------------------

@@ -1,8 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase
 
 from ppsn import Manifold, macaulay, nodes, parse_polynomial, parse_system_text
+
+
+# Each example of the elimination-heavy property tests runs whole
+# eliminations, and shrinking a failure replays hundreds of them: a broken
+# modular path or `row_reduce` took minutes to report. Those tests skip the
+# shrink phase and report the first failing example as drawn.
+NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
 
 
 @pytest.fixture(autouse=True)
@@ -10,7 +18,7 @@ def fresh_caches():
     """Start every test with an empty memo of canonical systems and empty
     monomial-selection and witness-column caches, so call counts do not
     depend on which tests ran before."""
-    nodes._SYSTEMS.clear()
+    nodes._canonical_system.cache_clear()
     nodes._witness_columns.cache_clear()
     macaulay._selection.cache_clear()
 

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import NO_SHRINK
 from eager_bareiss import eager_row_reduce, eager_solve
 from ppsn.linalg import (
     PRIMES,
@@ -14,6 +16,7 @@ from ppsn.linalg import (
     replay,
     row_reduce,
     row_reduce_mod,
+    satisfies,
     solve,
 )
 
@@ -92,7 +95,7 @@ zero_matrices = st.tuples(st.integers(1, 5), st.integers(1, 5)).map(
 )
 
 
-@settings(max_examples=200)
+@settings(max_examples=200, phases=NO_SHRINK)
 @given(
     st.one_of(
         matrices(6, 6, wide_fractions_st),
@@ -502,3 +505,48 @@ def test_back_substitution_is_the_rref_solution_column(case):
     assert ech.pivot_columns == tuple(range(n))
     _, _, rref = list_row_reduce_mod(m, p)
     assert back_substitute(ech.ints, p) == [row[n] for row in rref]
+
+
+@st.composite
+def satisfies_cases(draw):
+    """(rows, x, scales, values) for `satisfies`: integer rows at least as
+    long as x, and values that are the rows' own (row_i / s_i) . x, those
+    with one entry moved, or zeros. A "kernel" case sets x's last entry to 1
+    and each row's entry there so that the row annihilates x, with unit
+    scales and zero values, as `_CanonicalSystem.kernel` calls it."""
+    x = draw(st.lists(fractions_st, max_size=4))
+    width = len(x) + draw(st.integers(0, 3))
+    nrows = draw(st.integers(1, 4))
+    entries = st.one_of(st.integers(-9, 9), st.integers(-(10**12), 10**12))
+    rows = draw(st.lists(st.lists(entries, min_size=width, max_size=width), min_size=nrows, max_size=nrows))
+    kind = draw(st.sampled_from(["own", "moved", "zero", "kernel"] if x else ["own", "moved", "zero"]))
+    if kind == "kernel":
+        x[-1] = F(1)
+        D = lcm(*(v.denominator for v in x))
+        for row in rows:
+            row[: len(x)] = [a * D for a in row[: len(x)]]
+            row[len(x) - 1] = 0
+            row[len(x) - 1] = -sum(a * v for a, v in zip(row, x))
+        return rows, x, [1] * nrows, [0] * nrows
+    scales = draw(st.lists(st.integers(1, 10**4), min_size=nrows, max_size=nrows))
+    values = [sum(a * v for a, v in zip(row, x)) / F(s) for row, s in zip(rows, scales)]
+    if kind == "zero":
+        values = [0] * nrows
+    elif kind == "moved":
+        i = draw(st.integers(0, nrows - 1))
+        values[i] += draw(fractions_st.filter(bool))
+    return rows, x, scales, values
+
+
+@settings(max_examples=300)
+@given(satisfies_cases())
+@example(([[1, 2, 3]], [F(1, 2)], [2], [F(1, 4)]))  # a row longer than x, scaled
+@example(([[1, 2, 3]], [F(1, 2)], [2], [F(1, 2)]))  # the unscaled value is refused
+@example(([[3, 5]], [F(-5, 3), F(1)], [1], [0]))  # a kernel vector with its trailing 1
+def test_satisfies_is_the_fraction_identity(case):
+    rows, x, scales, values = case
+    expected = all(
+        sum((a * v for a, v in zip(row, x)), F(0)) / s == v
+        for row, s, v in zip(rows, scales, values)
+    )
+    assert satisfies(rows, x, scales, values) == expected

@@ -9,9 +9,10 @@ from math import gcd, isqrt, prod
 from operator import mul
 
 import pytest
-from hypothesis import Phase, assume, example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import NO_SHRINK
 from ppsn import (
     CountMismatchError,
     ImproperNodeSetError,
@@ -30,7 +31,7 @@ from ppsn import (
     verify_ppsn,
 )
 from ppsn import construct, linalg
-from ppsn.nodes import _SYSTEMS, _SYSTEMS_KEPT, evaluation_matrix, evaluation_rows
+from ppsn.nodes import _canonical_system, evaluation_matrix, evaluation_rows
 
 F = Fraction
 PRIMES = linalg.PRIMES
@@ -66,13 +67,6 @@ def miller_rabin(n):
 
 
 MODULUS = prod(PRIMES)
-
-# Every example of the problem-level tests runs whole eliminations, and
-# shrinking a failure replays hundreds of them: a broken modular path took
-# minutes to report. These tests skip the shrink phase and report the first
-# failing example as drawn.
-NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
-
 
 def test_primes_are_word_size_primes_apart_from_the_oracle():
     for p in linalg.PRIMES:
@@ -469,7 +463,7 @@ def test_interpolate_without_certificate_eliminates_once(monkeypatch, verify_cal
 
     # the first prime divides the determinant: verify_ppsn decides, and the
     # solve reuses its two echelons
-    _SYSTEMS.clear()
+    _canonical_system.cache_clear()
     counts.update(row_reduce_mod=0)
     monkeypatch.setattr(linalg, "PRIMES", (7,) + PRIMES)
     assert interpolate(problem) == poly
@@ -479,7 +473,7 @@ def test_interpolate_without_certificate_eliminates_once(monkeypatch, verify_cal
     # the first prime divides a value's denominator: it still certifies the
     # nodes, which needs no value, and the next prime solves
     verify_calls.clear()
-    _SYSTEMS.clear()
+    _canonical_system.cache_clear()
     values = (F(1, 11), F(2), F(3))
     poly = exact_path(TRIANGLE, None, 1, values)[1]
     counts.update(row_reduce=0, row_reduce_mod=0)
@@ -540,20 +534,26 @@ def test_verify_then_interpolate_evaluates_and_eliminates_once(monkeypatch, exac
 
 
 def test_memo_keeps_only_the_last_few_systems(monkeypatch):
-    sets = [triangle(k) for k in range(1, _SYSTEMS_KEPT + 2)]
+    kept = _canonical_system.cache_info().maxsize
+    assert kept == 4
+    sets = [triangle(k) for k in range(1, kept + 2)]
     primes = eliminated_primes(monkeypatch)
     for node_set in sets:
         assert verify_ppsn(node_set, None, 1).proper
-    assert len(_SYSTEMS) == _SYSTEMS_KEPT
-    # the last set is kept, the first was pushed out by the _SYSTEMS_KEPT after it
+    info = _canonical_system.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, kept + 1, kept)
+    # the last set is kept, the first was pushed out by the `kept` after it
     del primes[:]
     verify_ppsn(sets[-1], None, 1)
     assert primes == []
+    assert _canonical_system.cache_info().hits == 1
     verify_ppsn(sets[0], None, 1)
     assert primes == [PRIMES[0]]
-    # an equal node set is a different tuple: it is evaluated again
+    # an equal but separately built node set is a new key: it is evaluated again
     verify_ppsn(NodeSet(sets[-1].points), None, 1)
     assert primes == [PRIMES[0]] * 2
+    info = _canonical_system.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, kept + 3, kept)
 
 
 def test_memo_never_reads_another_primes_echelon(monkeypatch, exact_calls):
@@ -578,6 +578,7 @@ def test_memo_serves_callers_on_several_threads():
     # more threads than systems kept, switching often, each verifying and
     # interpolating its own sets: a torn look-up or eviction would raise,
     # or hand one thread another set's system
+    kept = _canonical_system.cache_info().maxsize
     sets = [triangle(k) for k in range(1, 13)]
     expected = [exact_path(s, None, 1, (F(1), F(2), F(k)))[1] for k, s in enumerate(sets)]
     errors = []
@@ -589,14 +590,14 @@ def test_memo_serves_callers_on_several_threads():
                     assert verify_ppsn(sets[k], None, 1).proper
                     problem = InterpolationProblem(None, 1, sets[k], (F(1), F(2), F(k)))
                     assert interpolate(problem) == expected[k]
-                    assert len(_SYSTEMS) <= _SYSTEMS_KEPT
+                    assert _canonical_system.cache_info().currsize <= kept
         except Exception as exc:  # reported by the main thread
             errors.append(exc)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=work, args=(k % 3,)) for k in range(2 * _SYSTEMS_KEPT)]
+        threads = [threading.Thread(target=work, args=(k % 3,)) for k in range(2 * kept)]
         for t in threads:
             t.start()
         for t in threads:
@@ -605,7 +606,7 @@ def test_memo_serves_callers_on_several_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert len(_SYSTEMS) <= _SYSTEMS_KEPT
+    assert _canonical_system.cache_info().currsize <= kept
 
 
 def test_interpolate_without_certificate_refuses_improper_nodes(verify_calls):
