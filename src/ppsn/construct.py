@@ -40,7 +40,7 @@ from .nodes import (
     evaluation_matrix,
     evaluation_rows,
     intersect_factorable,
-    nested_levels,
+    nested_level,
     verify_ppsn,
 )
 
@@ -560,16 +560,16 @@ def build_curve_chain(
     if x0_pt in full:
         raise InputError("x0 coincides with an intersection point")
 
-    # one descent of the intersection gives the extracted levels of degrees
-    # k_t..M-1; at and above M a level is the whole intersection
-    levels = {
-        d: tuple(full.points[r] for r in kept)
-        for d, kept in nested_levels(full.points, s0, s0.profile.M, k_t)
-    }
+    # a level of the intersection for k_t <= d < M; at and above M a level
+    # is the whole intersection
+    def level(d: int) -> Tuple[Point, ...]:
+        if d >= s0.profile.M:
+            return full.points
+        return tuple(full.points[r] for r in nested_level(full.points, s0, d))
 
     # anchor level: the extracted degree-k_t set on the points, plus x0;
     # x0 goes first so the degree-0 extraction lands exactly on it
-    anchor_nodes = NodeSet((x0_pt,) + levels.get(k_t, full.points), curve)
+    anchor_nodes = NodeSet((x0_pt,) + level(k_t), curve)
     entries: Dict[int, ChainEntry] = {}
     cert = verify_ppsn(anchor_nodes, curve, k_t)
     if not cert.proper:
@@ -577,19 +577,19 @@ def build_curve_chain(
     if k_t <= mmax:
         entries[k_t] = ChainEntry(k_t, anchor_nodes, cert)
 
-    # downward: the same nested descent over the curve's canonical columns
-    for d, kept in nested_levels(anchor_nodes.points, curve, k_t, 0):
-        if d <= mmax:
-            nodes_d = NodeSet([anchor_nodes.points[r] for r in kept], curve)
-            cert_d = verify_ppsn(nodes_d, curve, d)
-            if not cert_d.proper:
-                raise ImproperNodeSetError(cert_d, f"degree-{d} chain level improper")
-            entries[d] = ChainEntry(d, nodes_d, cert_d)
+    # downward: the levels of the anchor over the curve's canonical columns
+    for d in range(min(k_t, mmax + 1)):
+        kept = nested_level(anchor_nodes.points, curve, d)
+        nodes_d = NodeSet([anchor_nodes.points[r] for r in kept], curve)
+        cert_d = verify_ppsn(nodes_d, curve, d)
+        if not cert_d.proper:
+            raise ImproperNodeSetError(cert_d, f"degree-{d} chain level improper")
+        entries[d] = ChainEntry(d, nodes_d, cert_d)
 
     # upward: superpose extracted point-set levels with fresh curve points
     reordered = Manifold(curve.polynomials + (f_t,))
     for d in range(k_t + 1, mmax + 1):
-        sub = NodeSet(levels.get(d, full.points), reordered)
+        sub = NodeSet(level(d), reordered)
         fresh = _fresh_curve_ppsn(system, t, curve, d - k_t, avoid=full)
         union, cert_d = superpose_nodes(
             SuperpositionStep(
@@ -602,5 +602,5 @@ def build_curve_chain(
         union = NodeSet(union.points, curve)
         entries[d] = ChainEntry(d, union, cert_d)
 
-    ordered = tuple(entries[d] for d in sorted(entries) if d <= mmax)
+    ordered = tuple(entries[d] for d in sorted(entries))
     return CurveChain(curve=curve, entries=ordered)

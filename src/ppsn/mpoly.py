@@ -116,7 +116,7 @@ class Polynomial:
     `_trusted`, which only drops those and computes the degree.
     """
 
-    __slots__ = ("n", "terms", "_degree", "_hash")
+    __slots__ = ("n", "terms", "_degree", "_hash", "_leading")
 
     def __init__(self, n: int, terms: Dict[MultiIndex, Fraction]):
         if n < 1:
@@ -146,6 +146,7 @@ class Polynomial:
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_degree", max(map(sum, clean), default=-1))
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_leading", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -198,10 +199,13 @@ class Polynomial:
         return Polynomial._trusted(self.n, {a: c for a, c in self.terms.items() if sum(a) == d})
 
     def leading_form(self) -> "Polynomial":
-        """Sum of all terms of top total degree."""
-        if self.is_zero():
-            raise InputError("zero polynomial has no leading form")
-        return self.homogeneous_component(self._degree)
+        """Sum of all terms of top total degree, built once per polynomial,
+        so every manifold on this polynomial shares it."""
+        if self._leading is None:
+            if self.is_zero():
+                raise InputError("zero polynomial has no leading form")
+            object.__setattr__(self, "_leading", self.homogeneous_component(self._degree))
+        return self._leading
 
     # -- arithmetic --------------------------------------------------------
 

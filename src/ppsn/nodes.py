@@ -6,6 +6,12 @@ Membership has one rule, `NodeSet.require_on`, which evaluates only sets
 not tagged with the manifold in hand. Nested extraction and the
 Cayley-Bacharach procedures share one preamble, `_require_full_intersection`.
 
+The degree-d level of a node set (`nested_level`) is the greedy choice, in
+order, of rows of its evaluation matrix over the first t_d = dim_along(d)
+canonical columns. A row that depends on the rows before it over the first
+t_{d+1} columns still depends on them over the first t_d, so each level
+lies inside the next, and each is found in one pass over all N rows.
+
 Well-posedness along a manifold follows the solvability definition. On the
 manifold's points the canonical (unselected) monomials of degrees <= m span
 the degree-<=m polynomials, so N points are properly posed at degree m
@@ -243,7 +249,7 @@ class PPSNCertificate:
     checked exactly over the integers, or else the exact elimination's. The
     two are equal entry for entry. The fields are the same whichever path
     decided, and nothing else is kept: no instance dict, and one shared
-    `witness_columns` tuple per (manifold, degree)."""
+    proper certificate per (leading forms, degree)."""
 
     degree: int
     n: int
@@ -304,13 +310,7 @@ def verify_ppsn(
             kernel_functional=tuple(w * s / scales[f] for w, s in zip(kernel, scales)),
         )
     forms, profile = (manifold.leading_forms, manifold.profile) if manifold else (None, None)
-    return PPSNCertificate(
-        degree=m,
-        n=n,
-        expected_count=expected,
-        proper=True,
-        witness_columns=_witness_columns(forms, profile, n, m),
-    )
+    return _proper_certificate(forms, profile, n, m)
 
 
 # Keyed on the leading forms and the profile, which fix the selections, not
@@ -318,19 +318,25 @@ def verify_ppsn(
 # read from `_selection` directly; `canonical_monomials` has just looked up
 # the same degrees through `select_monomials`, so these are never misses.
 @functools.lru_cache(maxsize=64)
-def _witness_columns(
+def _proper_certificate(
     leading_forms: Optional[Tuple[Polynomial, ...]], profile: Optional[DegreeProfile], n: int, m: int
-) -> Tuple[int, ...]:
-    """The full-basis indices of the canonical monomials of degrees <= m
-    (the full basis when leading_forms is None): one tuple, shared by every
-    proper certificate on equal leading forms at degree m."""
+) -> PPSNCertificate:
+    """The proper certificate at degree m: one instance, shared by every set
+    certified proper on equal leading forms (the ambient space when
+    leading_forms is None) at degree m. Its witness columns are the
+    full-basis indices of the canonical monomials of degrees <= m, one per
+    node."""
     if leading_forms is None:
-        return tuple(range(binom_e(m, n)))
-    # the degree-t monomials start at index binom_e(t - 1, n) of the basis
-    return tuple(
-        binom_e(t - 1, n) + j
-        for t in range(m + 1)
-        for j in _selection(leading_forms, profile, t).unselected
+        columns = tuple(range(binom_e(m, n)))
+    else:
+        # the degree-t monomials start at index binom_e(t - 1, n) of the basis
+        columns = tuple(
+            binom_e(t - 1, n) + j
+            for t in range(m + 1)
+            for j in _selection(leading_forms, profile, t).unselected
+        )
+    return PPSNCertificate(
+        degree=m, n=n, expected_count=len(columns), proper=True, witness_columns=columns
     )
 
 
@@ -487,6 +493,7 @@ class FactorableSystem:
                 prod = prod * form
             polys.append(prod)
         self.polynomials: Tuple[Polynomial, ...] = tuple(polys)
+        self._intersection: Optional[IntersectionReport] = None
 
     @property
     def degrees(self) -> Tuple[int, ...]:
@@ -529,12 +536,18 @@ def intersect_factorable(system: FactorableSystem) -> IntersectionReport:
     """Solve every choice of one linear form per hypersurface exactly.
 
     Sufficient intersection means every n x n selection system is uniquely
-    solvable and all product-count points are pairwise distinct.
+    solvable and all product-count points are pairwise distinct. The report
+    is computed once per system and kept on it, so a caller and
+    `construct.build_curve_chain` on one system share its points.
     """
+    if system._intersection is not None:
+        return system._intersection
     n = system.n
     failures: List[str] = []
     coincident: List[str] = []  # reported after every singular selection
     points: Dict[Point, Tuple[int, ...]] = {}
+    # equal coordinates share one Fraction, which keeps the nodes small
+    shared: Dict[Fraction, Fraction] = {}
     for choice, rows in system.selections():
         # one elimination of [A | b]: A is n x n, so it is singular exactly
         # when fewer than n pivots fall in its columns; otherwise row i of the
@@ -546,7 +559,7 @@ def intersect_factorable(system: FactorableSystem) -> IntersectionReport:
                 "point at infinity or a positive-dimensional component"
             )
             continue
-        p = tuple(ech.column(n))
+        p = tuple(shared.setdefault(c, c) for c in ech.column(n))
         if p in points:
             coincident.append(
                 f"coincident intersection points (selections {points[p]} and {choice})"
@@ -554,54 +567,32 @@ def intersect_factorable(system: FactorableSystem) -> IntersectionReport:
         else:
             points[p] = choice
     failures += coincident
-    if failures:
-        return IntersectionReport(sufficient=False, nodes=None, failures=tuple(failures))
-    return IntersectionReport(
-        sufficient=True,
-        nodes=NodeSet(list(points), system.manifold()),
-        failures=(),
-    )
+    nodes = None if failures else NodeSet(list(points), system.manifold())
+    system._intersection = IntersectionReport(not failures, nodes, tuple(failures))
+    return system._intersection
 
 
 # -- nested extraction -------------------------------------------------------
 
 
-def nested_levels(
-    points: Sequence[Point], manifold: Manifold, top: int, bottom: int
-) -> Iterator[Tuple[int, List[int]]]:
-    """The greedy nested descent: (d, kept row indices) for each degree d
-    from top-1 down to bottom.
-
-    `points` must be properly posed at degree `top` along `manifold`. Each
-    step greedily keeps, among the rows kept one degree higher, rows spanning
-    the leading columns of the evaluation matrix over the unselected-monomial
-    sequence. Determinism makes every level a subset of the one above it.
-    """
-    if bottom >= top:
-        return
-    columns = canonical_monomials(manifold, manifold.n, top)
-    if len(columns) != len(points):
-        raise InsufficientIntersectionError(
-            f"unselected-monomial count {len(columns)} differs from N={len(points)}"
-        )
-    matrix = evaluation_matrix(points, columns)
-    selected = list(range(len(points)))
-    for d in range(top - 1, bottom - 1, -1):
-        target = dim_along(d, manifold.profile)
-        tracker = linalg.IncrementalRank()
-        keep: List[int] = []
-        for r in selected:
-            if tracker.add(matrix[r][:target]):
-                keep.append(r)
+def nested_level(points: Sequence[Point], manifold: Manifold, d: int) -> List[int]:
+    """The indices of the degree-d level of `points`: the rows that one
+    greedy pass, in order, keeps from their evaluation matrix over the
+    canonical monomials of degrees <= d, until they span its
+    t_d = dim_along(d) columns. Levels nest (see the module docstring)."""
+    target = dim_along(d, manifold.profile)
+    tracker = linalg.IncrementalRank()
+    keep: List[int] = []
+    columns = canonical_monomials(manifold, manifold.n, d)
+    for r, row in enumerate(evaluation_matrix(points, columns)):
+        if tracker.add(row):
+            keep.append(r)
             if tracker.rank == target:
-                break
-        if tracker.rank != target:
-            raise InsufficientIntersectionError(
-                f"rank {tracker.rank} < {target} at degree {d}: "
-                "input was not a genuine sufficient intersection"
-            )
-        selected = keep
-        yield d, selected
+                return keep
+    raise InsufficientIntersectionError(
+        f"rank {tracker.rank} < {target} at degree {d}: "
+        "input was not a genuine sufficient intersection"
+    )
 
 
 def _require_full_intersection(points: NodeSet, manifold: Manifold, what: str) -> None:
@@ -620,17 +611,18 @@ def _require_full_intersection(points: NodeSet, manifold: Manifold, what: str) -
 
 def extract_nested_ppsn(points: NodeSet, manifold: Manifold, m: int) -> NodeSet:
     """Extract a degree-m properly posed subset of a full complete
-    intersection, nested across degrees: the last level of the descent from
-    the saturation degree M, where all points are proper."""
+    intersection, nested across degrees: `nested_level` of all N points,
+    which are proper at the saturation degree M and are returned whole for
+    m >= M. A row dependent on the rows before it over the columns of
+    degree <= m + 1 stays dependent over those of degree <= m, so the
+    level of degree m lies inside the level of degree m + 1."""
     _require_full_intersection(points, manifold, "nested extraction")
     if m < 0:
         raise InputError("extraction degree must be >= 0")
-    M = manifold.profile.M
-    if m >= M:
+    if m >= manifold.profile.M:
         return points
-    for _, selected in nested_levels(points.points, manifold, M, m):
-        pass
-    return NodeSet([points.points[r] for r in selected], manifold)
+    kept = nested_level(points.points, manifold, m)
+    return NodeSet([points.points[r] for r in kept], manifold)
 
 
 # -- text formats -------------------------------------------------------------

@@ -16,10 +16,10 @@ NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
 @pytest.fixture(autouse=True)
 def fresh_caches():
     """Start every test with an empty memo of canonical systems and empty
-    monomial-selection and witness-column caches, so call counts do not
+    monomial-selection and proper-certificate caches, so call counts do not
     depend on which tests ran before."""
     nodes._canonical_system.cache_clear()
-    nodes._witness_columns.cache_clear()
+    nodes._proper_certificate.cache_clear()
     macaulay._selection.cache_clear()
 
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from nested_descent import descent_levels
 from ppsn import (
     CBPartition,
     HypothesisError,
@@ -357,7 +358,8 @@ def test_build_curve_chain_cube(cube_system):
     ],
 )
 def test_curve_chain_levels_restrict_to_extractions(text, t, mmax, x0):
-    # one descent of the intersection serves every level from the anchor up
+    # the chain takes each level of the intersection from the anchor up by
+    # the same `nested_level` call as the extraction of that degree
     system = parse_system_text(text)
     full = intersect_factorable(system).nodes
     chain = build_curve_chain(system, t, mmax, tuple(F(c) for c in x0))
@@ -366,6 +368,10 @@ def test_curve_chain_levels_restrict_to_extractions(text, t, mmax, x0):
     for d in range(k_t, mmax + 1):
         kept = tuple(p for p in chain.at(d).nodes.points if p in on_points)
         assert kept == extract_nested_ppsn(full, full.manifold, d).points
+    # below k_t each level is the one the old descent from the anchor kept
+    anchor = chain.at(k_t).nodes.points
+    for d, kept in descent_levels(anchor, chain.curve, k_t).items():
+        assert chain.at(d).nodes.points == tuple(anchor[r] for r in kept)
 
 
 @pytest.mark.parametrize(
@@ -403,6 +409,15 @@ def test_build_curve_chain_line_pair_matches_line_counts():
     for e in chain.entries:
         assert len(e.nodes) == dim_along(e.degree, chain.curve.profile)
         assert e.certificate.proper
+
+
+def test_curve_chain_shares_the_intersection_its_caller_holds(grid_system):
+    report = intersect_factorable(grid_system)
+    assert intersect_factorable(grid_system) is report
+    chain = build_curve_chain(grid_system, 2, 3, (F(0), F(5)))
+    held = {id(p) for p in report.nodes.points}
+    on_points = [p for e in chain.entries for p in e.nodes.points if p in report.nodes]
+    assert on_points and all(id(p) in held for p in on_points)
 
 
 def test_build_curve_chain_validates_seed(cube_system):

@@ -85,6 +85,15 @@ def test_manifolds_with_equal_leading_forms_share_selections(monkeypatch):
     assert calls == []
 
 
+def test_manifolds_on_one_polynomial_share_its_leading_form():
+    polys = [parse_polynomial("x1^2 - x1 + x2", 3), parse_polynomial("x2^2 - 3*x3", 3)]
+    first, second = Manifold(polys), Manifold(polys)
+    for i, p in enumerate(polys):
+        assert first.leading_forms[i] is p.leading_form() is second.leading_forms[i]
+    assert first.curve(1).leading_forms[0] is polys[1].leading_form()
+    assert polys[0].leading_form() == parse_polynomial("x1^2", 3)
+
+
 def test_equal_profiles_with_different_leading_forms_never_share(monkeypatch):
     circle_form = Manifold([parse_polynomial("x1^2 + x2^2", 2)])
     cross = Manifold([parse_polynomial("x1*x2", 2)])

@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import NO_SHRINK
+from nested_descent import descent_levels
 from ppsn import (
     CountMismatchError,
     FactorableSystem,
@@ -30,7 +32,7 @@ from ppsn import (
     verify_ppsn,
 )
 from ppsn import linalg
-from ppsn.nodes import _evaluation_plan, _witness_columns, evaluation_rows
+from ppsn.nodes import _evaluation_plan, _proper_certificate, evaluation_rows
 
 F = Fraction
 
@@ -256,6 +258,49 @@ def test_extract_full_degree_returns_everything(grid_system):
     assert set(out.points) == set(report.nodes.points)
 
 
+@st.composite
+def sheared_factorable_systems(draw):
+    """A factorable system with one affine-linear form per factor: the
+    diagonal coefficient n dominates shears of size at most 1, so every
+    selection system is nonsingular, and each hypersurface has distinct
+    integer offsets."""
+    n = draw(st.integers(2, 3))
+    shears = st.sampled_from([F(-1), F(-1, 2), F(0), F(1, 2), F(1)])
+    factors = []
+    for i in range(n):
+        k = draw(st.integers(1, 4 if n == 2 else 2))
+        forms = []
+        for c in draw(st.lists(st.integers(-4, 6), min_size=k, max_size=k, unique=True)):
+            terms = {(0,) * n: F(-c)}
+            for j in range(n):
+                unit = tuple(int(j == v) for v in range(n))
+                terms[unit] = F(n) if j == i else draw(shears)
+            forms.append(Polynomial(n, terms))
+        factors.append(forms)
+    return FactorableSystem(factors)
+
+
+@settings(max_examples=100, deadline=None, phases=NO_SHRINK)
+@given(sheared_factorable_systems())
+def test_each_extraction_is_the_level_of_the_nested_descent(system):
+    report = intersect_factorable(system)
+    assume(report.sufficient)
+    full = report.nodes
+    manifold = full.manifold
+    levels = descent_levels(full.points, manifold, manifold.profile.M)
+    for m, kept in levels.items():
+        assert extract_nested_ppsn(full, manifold, m).points == tuple(full.points[r] for r in kept)
+
+
+def test_intersection_shares_one_fraction_per_coordinate_value():
+    report = intersect_factorable(
+        parse_system_text("x1*(x1-1)*(x1-2)*(x1-3)\nx2*(x2-1)*(x2-2)*(x2-3)\n")
+    )
+    coords = [c for p in report.nodes.points for c in p]
+    assert len(coords) == 32
+    assert len({id(c) for c in coords}) == len(set(coords)) == 4
+
+
 def test_curve_manifold_carries_witness(cube_system):
     curve = cube_system.manifold().curve(2)
     assert curve.s == 2
@@ -337,16 +382,16 @@ def test_huge_degree_on_a_manifold_is_refused_before_the_dimension_table(circle,
 
 
 def test_proper_certificates_share_one_witness_tuple(circle):
-    # a caller that keeps many certificates keeps one witness tuple per
-    # (manifold, degree) and no instance dict per certificate
+    # a caller that keeps many certificates keeps one proper certificate
+    # and witness tuple per (manifold, degree) and no instance dict
     first = verify_ppsn(NodeSet(pts((1, 0), (0, 1), (-1, 0)), circle), circle, 1)
     second = verify_ppsn(NodeSet(pts((1, 0), (0, 1), (0, -1)), circle), circle, 1)
     ambient = [verify_ppsn(NodeSet(pts((0, 0), (1, 0), (0, k))), None, 1) for k in (1, 2)]
     assert first.proper and second.proper and all(c.proper for c in ambient)
-    assert first.witness_columns is second.witness_columns
-    assert ambient[0].witness_columns is ambient[1].witness_columns == (0, 1, 2)
+    assert first is second and first.witness_columns is second.witness_columns
+    assert ambient[0] is ambient[1] and ambient[0].witness_columns == (0, 1, 2)
     assert not hasattr(first, "__dict__")
-    assert _witness_columns.cache_info().maxsize is not None
+    assert _proper_certificate.cache_info().maxsize is not None
 
 
 def test_equal_manifolds_built_apart_share_one_witness_tuple():
@@ -362,14 +407,14 @@ def test_equal_manifolds_built_apart_share_one_witness_tuple():
     assert ca.proper and cb.proper
     assert ca.witness_columns is cb.witness_columns
     assert a.leading_forms is not b.leading_forms
-    assert _witness_columns(a.leading_forms, a.profile, 2, 3) is _witness_columns(
+    assert _proper_certificate(a.leading_forms, a.profile, 2, 3) is _proper_certificate(
         b.leading_forms, b.profile, 2, 3
     )
     # other leading forms on the same profile get their own tuple
     shifted = Manifold([parse_polynomial("x1*x2 - 1", 2)])
-    assert _witness_columns(shifted.leading_forms, shifted.profile, 2, 3) != _witness_columns(
-        a.leading_forms, a.profile, 2, 3
-    )
+    assert _proper_certificate(
+        shifted.leading_forms, shifted.profile, 2, 3
+    ).witness_columns != _proper_certificate(a.leading_forms, a.profile, 2, 3).witness_columns
 
 
 @st.composite
@@ -387,7 +432,7 @@ def ambient_node_sets(draw):
     return NodeSet(points), m
 
 
-@settings(max_examples=80)
+@settings(max_examples=80, phases=NO_SHRINK)
 @given(ambient_node_sets())
 def test_verify_and_interpolate_match_fraction_matrix(case):
     nodes, m = case
