@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import re
 import sys
 import time
@@ -130,10 +131,15 @@ def _cert_dict(cert: nodes.PPSNCertificate) -> Dict:
 
 
 def _emit(args, report: Dict, human: str) -> None:
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(human)
+    try:
+        print(json.dumps(report, indent=2, sort_keys=True) if args.json else human, flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout early (`ppsn ... | head`): the output is
+        # cut short, the verdict is not, so the command keeps its exit code;
+        # stdout now writes to the null device, so the flush at exit succeeds
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _report_base(args, **inputs) -> Dict:

@@ -7,24 +7,26 @@ degree-m monomials, where g_i is the leading form of the i-th defining
 polynomial. Its pivot columns are the selected monomials; the complement
 spans the canonical remainder space on the manifold.
 
-`reduce_modulo` descends degree by degree in one mutable coefficient dict:
-at each degree the item weights, which are the cofactor coefficients, solve
-(G_S)^T lambda = work_S over the selected columns S by one `linalg.solve`,
-and subtracting each weighted X^alpha * f_i term by term leaves only
-unselected monomials of that degree, which join the remainder. G_S has
-independent columns, so (G_S)^T has full row rank and the system is always
-consistent. One builder, `elementary_items`, writes every item matrix from
-the terms of its polynomials: the degree-m items for monomial selection and
-the infinity check, and, over the monomial basis, the items X^beta * f_i
-whose transpose is the H-base system (`_hbase_system`) that
-`hbase_decompose` and `verify_hbase` share; `verify_hbase` eliminates each
-degree's system once and replays every sampled member against it
-(`linalg.replay`). Both build their result polynomials once, at the end.
+`reduce_modulo` descends degree by degree in one mutable table of integer
+numerators over one denominator: at each degree the item weights, which are
+the cofactor coefficients, solve (G_S)^T lambda = work_S over the selected
+columns S by one `linalg.solve`, and subtracting each weighted
+X^alpha * f_i term by term leaves only unselected monomials of that degree,
+which join the remainder. G_S has independent columns, so (G_S)^T has full
+row rank and the system is always consistent. One builder,
+`elementary_items`, writes every item matrix from the terms of its
+polynomials: the degree-m items for monomial selection and the infinity
+check, and, over the monomial basis, the items X^beta * f_i whose transpose
+is the H-base system (`_hbase_system`) that `hbase_decompose` and
+`verify_hbase` share; `verify_hbase` eliminates each degree's system once
+and replays every sampled member against it (`linalg.replay`). Both build
+their result polynomials once, at the end.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import random
 from dataclasses import dataclass
@@ -254,49 +256,78 @@ class ReducedForm:
 
 
 def reduce_modulo(f: Polynomial, manifold: Manifold) -> ReducedForm:
-    """Canonical-form reduction by degreewise descent in one coefficient dict.
+    """Canonical-form reduction by degreewise descent in one coefficient table.
 
-    `work` starts as f's terms. At each degree t, from deg f down, whose
-    part in `work` is nonzero, lambda solves the transposed selected block
-    of the elementary items against that part's selected coefficients. Each
-    nonzero lambda on item (alpha, i) is the coefficient of X^alpha in
+    `work` holds f's coefficients as integer numerators over one
+    denominator D, bucketed by degree. At each degree t, from deg f down,
+    whose part in `work` is nonzero, lambda' solves the transposed selected
+    block of the elementary items against that part's selected numerators,
+    so lambda' = D * lambda for the weights lambda of the rational part.
+    Each nonzero lambda on item (alpha, i) is the coefficient of X^alpha in
     cofactor i, and lambda * X^alpha * f_i is subtracted from `work` term by
     term: its leading form clears the selected monomials of degree t, its
-    lower terms fall to lower degrees. What is left of degree t lies on
-    unselected monomials and moves to the remainder. Each Polynomial is
-    built once, at the end.
+    lower terms fall to lower degrees. To keep the subtraction integral,
+    `work` and D are first multiplied by L * F, with L the lcm of the
+    lambda' denominators and F that of the denominators of the f_i used;
+    lambda * c is then (L * lambda') * (F * c) over the new D. What is left
+    of degree t lies on unselected monomials and moves to the remainder.
+    Each coefficient becomes a Fraction once, as it leaves `work`.
     """
     if f.n != manifold.n:
         raise DimensionMismatchError("polynomial/manifold dimension mismatch")
     n = manifold.n
-    work: Dict[MultiIndex, Fraction] = dict(f.terms)
+    D, numerators = f._numerators()
+    work: Dict[int, Dict[MultiIndex, int]] = {}
+    for mu, v in numerators:
+        work.setdefault(sum(mu), {})[mu] = v
+    # each f_i as (F_i, k_i, [(beta, |beta|, F_i * c)])
+    polys = []
+    for p, k in zip(manifold.polynomials, manifold.profile.ks):
+        F, terms = p._numerators()
+        polys.append((F, k, [(beta, sum(beta), c) for beta, c in terms]))
     remainder: Dict[MultiIndex, Fraction] = {}
     cofactors: List[Dict[MultiIndex, Fraction]] = [{} for _ in manifold.polynomials]
-    for t in range(f.degree, -1, -1):
-        if not any(c for mu, c in work.items() if sum(mu) == t):
+    while work:
+        t = max(work)
+        part = work[t]
+        if not any(part.values()):
+            del work[t]
             continue
         sel = select_monomials(manifold, t)
         if sel.labeled_items:
-            # lambda solves (G_t[:, selected])^T lambda = work[selected];
+            # lambda' solves (G_t[:, selected])^T lambda' = part[selected];
             # always consistent because the selected columns are the pivot columns
             system = [[row[c] for row in sel.matrix] for c in sel.selected]
-            rhs = [work.get(sel.monomials[c], 0) for c in sel.selected]
+            rhs = [part.get(sel.monomials[c], 0) for c in sel.selected]
             lam = linalg.solve(system, rhs)
             if lam is None:
                 raise InternalCheckError("selected-column system unexpectedly inconsistent")
-            for weight, (alpha, i) in zip(lam, sel.labeled_items):
-                if not weight:
-                    continue
-                cofactors[i][alpha] = weight
-                for beta, c in manifold.polynomials[i].terms.items():
+            items = [(w, alpha, i) for w, (alpha, i) in zip(lam, sel.labeled_items) if w]
+            L = math.lcm(*(w.denominator for w, _, _ in items))
+            F = math.lcm(*(polys[i][0] for _, _, i in items))
+            scale = L * F
+            if scale != 1:
+                for bucket in work.values():
+                    for mu in bucket:
+                        bucket[mu] *= scale
+            for w, alpha, i in items:
+                cofactors[i][alpha] = Fraction(w.numerator, w.denominator * D)
+                Fi, k, terms = polys[i]
+                factor = w.numerator * (L // w.denominator) * (F // Fi)
+                low = t - k  # |alpha|
+                for beta, e, c in terms:
                     mu = tuple(map(operator.add, alpha, beta))
-                    work[mu] = work.get(mu, 0) - weight * c
-        if any(work.get(sel.monomials[j]) for j in sel.selected):
+                    bucket = work.get(low + e)
+                    if bucket is None:
+                        bucket = work[low + e] = {}
+                    bucket[mu] = bucket.get(mu, 0) - factor * c
+            D *= scale
+        del work[t]
+        if any(part.get(sel.monomials[j]) for j in sel.selected):
             raise InternalCheckError("remainder touches a selected monomial")
-        for mu in [mu for mu in work if sum(mu) == t]:
-            remainder[mu] = work.pop(mu)
-    if any(work.values()):
-        raise InternalCheckError("descent left a nonzero residue")
+        for mu, v in part.items():
+            if v:
+                remainder[mu] = Fraction(v, D)
     return ReducedForm(
         Polynomial._trusted(n, remainder),
         tuple(Polynomial._trusted(n, c) for c in cofactors),

@@ -19,8 +19,9 @@ import functools
 import itertools
 import math
 import operator
+import re
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatchError, InputError, ParseError
 
@@ -113,7 +114,10 @@ class Polynomial:
     any input. Arithmetic on polynomials only adds, multiplies and negates
     Fractions and adds exponent tuples of length n, so its results keep the
     invariant except for coefficients that cancel to zero; they are built by
-    `_trusted`, which only drops those and computes the degree.
+    `_trusted`, which only drops those and computes the degree. A product,
+    and `macaulay.reduce_modulo`, computes on integer numerators over one
+    denominator (`_numerators`) and builds each result coefficient once, in
+    lowest terms, by `_over`.
     """
 
     __slots__ = ("n", "terms", "_degree", "_hash", "_leading")
@@ -140,6 +144,23 @@ class Polynomial:
         poly = object.__new__(cls)
         poly._set(n, {a: c for a, c in terms.items() if c})
         return poly
+
+    @classmethod
+    def _over(cls, n: int, numerators: Dict[MultiIndex, int], D: int) -> "Polynomial":
+        """The polynomial with coefficients numerators[alpha] / D, for a
+        positive D, zero numerators dropped: one Fraction per term."""
+        poly = object.__new__(cls)
+        if D == 1:
+            poly._set(n, {a: Fraction(v) for a, v in numerators.items() if v})
+        else:
+            poly._set(n, {a: Fraction(v, D) for a, v in numerators.items() if v})
+        return poly
+
+    def _numerators(self) -> Tuple[int, List[Tuple[MultiIndex, int]]]:
+        """(D, [(alpha, D * coefficient)]): the coefficients as integer
+        numerators over D, the lcm of their denominators."""
+        D = math.lcm(*(c.denominator for c in self.terms.values()))
+        return D, [(a, c.numerator * (D // c.denominator)) for a, c in self.terms.items()]
 
     def _set(self, n: int, clean: Dict[MultiIndex, Fraction]):
         object.__setattr__(self, "n", n)
@@ -238,13 +259,15 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        terms: Dict[MultiIndex, Fraction] = {}
-        for a1, c1 in self.terms.items():
-            for a2, c2 in other.terms.items():
+        # integer numerators over D1 * D2, one Fraction per result term
+        D1, left = self._numerators()
+        D2, right = other._numerators()
+        terms: Dict[MultiIndex, int] = {}
+        for a1, c1 in left:
+            for a2, c2 in right:
                 a = tuple(map(operator.add, a1, a2))
-                t = terms.get(a)
-                terms[a] = c1 * c2 if t is None else t + c1 * c2
-        return Polynomial._trusted(self.n, terms)
+                terms[a] = terms.get(a, 0) + c1 * c2
+        return Polynomial._over(self.n, terms, D1 * D2)
 
     def __rmul__(self, other) -> "Polynomial":
         return self.__mul__(other)
@@ -309,17 +332,18 @@ class Polynomial:
                 for i, e in enumerate(alpha)
                 if e > 0
             ]
-            mag = abs(c)
+            num, den = c.numerator, c.denominator
+            mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
             if not factors:
-                body = str(mag)
-            elif mag == 1:
+                body = mag
+            elif mag == "1":
                 body = "*".join(factors)
             else:
-                body = "*".join([str(mag)] + factors)
+                body = mag + "*" + "*".join(factors)
             if not pieces:
-                pieces.append(body if c > 0 else "-" + body)
+                pieces.append("-" + body if num < 0 else body)
             else:
-                pieces.append(("+ " if c > 0 else "- ") + body)
+                pieces.append(("- " if num < 0 else "+ ") + body)
         return " ".join(pieces)
 
     def __repr__(self) -> str:
@@ -331,138 +355,109 @@ class Polynomial:
 # Grammar: terms joined by + / -; term = [rational][*]factor*... ;
 # factor = x<k>[^e] with 1-based k; rational = int[/posint];
 # whitespace ignored; '#' starts a comment running to end of line.
+#
+# One pattern scans the whole text before any of it is parsed. Blanks are
+# what str.isspace accepts and digits what str.isdecimal accepts, which is
+# what int() reads, so a superscript such as '²' is an unexpected character.
+_TOKEN = re.compile(
+    r"\s+|#[^\n]*|(?P<int>\d+)|x(?P<var>\d*)|(?P<op>[-+*/^])|(?P<bad>.)", re.DOTALL
+)
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.tokens: List[Tuple[str, str, int]] = []
-        self._scan()
-        self.i = 0
-
-    def _scan(self):
-        text, i = self.text, 0
-        while i < len(text):
-            ch = text[i]
-            if ch == "#":
-                while i < len(text) and text[i] != "\n":
-                    i += 1
-                continue
-            if ch.isspace():
-                i += 1
-                continue
-            if ch in "+-*/^":
-                self.tokens.append((ch, ch, i))
-                i += 1
-                continue
-            if ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                self.tokens.append(("int", text[i:j], i))
-                i = j
-                continue
-            if ch == "x":
-                j = i + 1
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                if j == i + 1:
-                    raise ParseError("variable must be x<k> with a numeric index", i)
-                self.tokens.append(("var", text[i + 1 : j], i))
-                i = j
-                continue
-            raise ParseError(f"unexpected character {ch!r}", i)
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
-
-    def next(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
+def _tokens(text: str) -> List[Tuple[Optional[str], str, int]]:
+    """The tokens of the whole text as (kind, text, position), where kind is
+    "int", "var" (its text is the index) or the operator character, closed
+    by (None, "", len(text))."""
+    tokens: List[Tuple[Optional[str], str, int]] = []
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        if kind is None:
+            continue
+        value, pos = match[kind], match.start()
+        if kind == "op":
+            kind = value
+        elif kind == "var" and not value:
+            raise ParseError("variable must be x<k> with a numeric index", pos)
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", pos)
+        tokens.append((kind, value, pos))
+    tokens.append((None, "", len(text)))
+    return tokens
 
 
 def parse_polynomial(text: str, n: int) -> Polynomial:
     """Parse an expression in the fixed grammar into a canonical polynomial."""
     if n < 1:
         raise InputError("ambient dimension must be >= 1")
-    tok = _Tokenizer(text)
+    tokens = _tokens(text)
     terms: Dict[MultiIndex, Fraction] = {}
-    first = True
+    i = 0
     while True:
-        kind, _, pos = tok.peek()
+        kind, _, pos = tokens[i]
         if kind is None:
-            if first:
+            if i == 0:
                 raise ParseError("empty expression", pos)
             break
         sign = 1
-        if kind in ("+", "-"):
-            if first and kind == "+":
+        if kind == "+" or kind == "-":
+            if i == 0 and kind == "+":
                 raise ParseError("expression may not start with '+'", pos)
-            tok.next()
+            i += 1
             if kind == "-":
                 sign = -1
-        elif not first:
+        elif i:  # every term consumes at least one token
             raise ParseError("expected '+' or '-' between terms", pos)
-        alpha, coeff = _parse_term(tok, n)
+        i, alpha, num, den = _parse_term(tokens, i, n)
+        coeff = Fraction(sign * num, den)
         t = terms.get(alpha)
-        terms[alpha] = sign * coeff if t is None else t + sign * coeff
-        first = False
-    return Polynomial(n, terms)
+        terms[alpha] = coeff if t is None else t + coeff
+    return Polynomial._trusted(n, terms)
 
 
-def _parse_term(tok: _Tokenizer, n: int) -> Tuple[MultiIndex, Fraction]:
-    coeff = Fraction(1)
+def _parse_term(tokens, i: int, n: int) -> Tuple[int, MultiIndex, int, int]:
+    """The term at tokens[i]: the index of the token after it, its exponents,
+    and its coefficient as an integer numerator and a positive denominator.
+    A '*' with no factor after it ends the term."""
+    kind, _, pos = tokens[i]
+    if kind != "int" and kind != "var":
+        raise ParseError("expected a coefficient or a variable", pos)
+    num, den = 1, 1
     factors: Dict[int, int] = {}
-    expect_atom = True
-    saw_atom = False
     while True:
-        kind, value, pos = tok.peek()
+        kind, value, pos = tokens[i]
         if kind == "int":
-            tok.next()
-            num = int(value)
-            k2, v2, _ = tok.peek()
-            if k2 == "/":
-                tok.next()
-                k3, v3, p3 = tok.next()
-                if k3 != "int":
-                    raise ParseError("expected a positive integer denominator", p3)
-                den = int(v3)
-                if den == 0:
-                    raise ParseError("zero denominator", p3)
-                coeff *= Fraction(num, den)
-            else:
-                coeff *= num
-            saw_atom = True
+            num *= int(value)
+            i += 1
+            if tokens[i][0] == "/":
+                kind, value, pos = tokens[i + 1]
+                if kind != "int":
+                    raise ParseError("expected a positive integer denominator", pos)
+                d = int(value)
+                if d == 0:
+                    raise ParseError("zero denominator", pos)
+                den *= d
+                i += 2
         elif kind == "var":
-            tok.next()
             idx = int(value)
             if not 1 <= idx <= n:
                 raise ParseError(f"variable index {idx} out of range 1..{n}", pos)
+            i += 1
             exp = 1
-            k2, _, _ = tok.peek()
-            if k2 == "^":
-                tok.next()
-                k3, v3, p3 = tok.next()
-                if k3 != "int":
-                    raise ParseError("expected an integer exponent", p3)
-                exp = int(v3)
+            if tokens[i][0] == "^":
+                kind, value, pos = tokens[i + 1]
+                if kind != "int":
+                    raise ParseError("expected an integer exponent", pos)
+                exp = int(value)
+                i += 2
             factors[idx] = factors.get(idx, 0) + exp
-            saw_atom = True
         else:
-            if expect_atom and not saw_atom:
-                raise ParseError("expected a coefficient or a variable", pos)
             break
-        k2, _, _ = tok.peek()
-        if k2 == "*":
-            tok.next()
-            expect_atom = True
-        else:
-            expect_atom = False
-            if k2 not in ("int", "var"):
-                break
+        kind = tokens[i][0]
+        if kind == "*":
+            i += 1
+        elif kind != "int" and kind != "var":
+            break
     alpha = [0] * n
     for idx, exp in factors.items():
         alpha[idx - 1] = exp
-    return tuple(alpha), coeff
+    return i, tuple(alpha), num, den

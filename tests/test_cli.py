@@ -38,17 +38,39 @@ def run(argv, capsys):
 def test_python_dash_m_runs_the_cli(capsys):
     argv = ["dim", "--n", "2", "--degrees", "2", "--m", "3", "--json"]
     code, out = run(argv, capsys)
-    # the package under test, wherever the interpreter would find another
+    proc = _ppsn_process(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    stdout, _ = proc.communicate(timeout=60)
+    assert proc.returncode == code == 0
+    assert stdout == out.encode()
+
+
+def _ppsn_process(argv, **kwargs):
+    """`python -m ppsn <argv>` on the package under test, wherever the
+    interpreter would find another."""
     src = os.path.dirname(os.path.dirname(ppsn.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ppsn", *argv],
-        capture_output=True,
-        env=dict(os.environ, PYTHONPATH=path),
-        timeout=60,
+    return subprocess.Popen(
+        [sys.executable, "-m", "ppsn", *argv], env=dict(os.environ, PYTHONPATH=path), **kwargs
     )
-    assert proc.returncode == code == 0
-    assert proc.stdout == out.encode()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["dim", "--n", "2", "--degrees", "2", "--m", "3", "--json"], 0),
+        (["extract", "--system", "{grid}", "--m", "2", "--json"], 0),
+        (["verify", "--nodes", "{line}", "--m", "1"], 1),
+    ],
+)
+def test_closed_stdout_keeps_the_exit_code_without_a_traceback(argv, code, files):
+    paths = {"grid": files("grid.sys", GRID), "line": files("line.nodes", "0,0\n1,1\n2,2\n")}
+    proc = _ppsn_process(
+        [a.format(**paths) for a in argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    proc.stdout.close()  # before the process can have written anything
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == code
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err
 
 
 def test_dim_human_output(capsys):
@@ -310,6 +332,15 @@ def test_exit_code_two_on_malformed_input(files, capsys):
     missing = ["verify", "--nodes", "/nonexistent/file", "--m", "1"]
     assert main(missing) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("poly, position", [("x1^²", 3), ("x1²", 2)])
+def test_superscript_digit_exits_two_at_that_character(poly, position, files, capsys):
+    manifold = files("circle.poly", CIRCLE)
+    assert main(["reduce", "--manifold", manifold, "--poly", poly]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"input error: unexpected character '²' (at position {position})\n"
+    assert captured.out == ""
 
 
 def test_bad_system_token_exits_two_naming_the_line(files, capsys):

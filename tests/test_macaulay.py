@@ -296,6 +296,9 @@ def reference_hbase_decompose(g, manifold):
     return tuple(Polynomial(n, t) for t in cof_terms)
 
 
+ELLIPSE = "x1^2 + 1/3*x2^2 - 7/2"
+SADDLE = "1/2*x2^2 - 2/5*x3^2 + 3/4*x1"
+
 DIFF_MANIFOLDS = {
     "circle": Manifold([parse_polynomial("x1^2 + x2^2 - 1", 2)]),
     "sphere": Manifold([parse_polynomial("x1^2 + x2^2 + x3^2 - 1", 3)]),
@@ -310,6 +313,10 @@ DIFF_MANIFOLDS = {
             parse_polynomial("x2^3 - 3*x2^2 + 2*x2", 2),
         ]
     ),
+    # non-integer rational coefficients: the descent's common denominator
+    # grows by the f_i's denominators and by those of the weights
+    "ellipse": Manifold([parse_polynomial(ELLIPSE, 2)]),
+    "rational_pair": Manifold([parse_polynomial(ELLIPSE, 3), parse_polynomial(SADDLE, 3)]),
 }
 
 
@@ -454,14 +461,17 @@ def _manifold(polys, witnesses, n):
     )
 
 
-# the fixtures of the benchmark's CLI workload; the quadric's items are
-# dependent (syzygies) from degree 4 on
+# the fixtures of the benchmark's CLI workload, whose quadric's items are
+# dependent (syzygies) from degree 4 on, then two with non-integer rational
+# coefficients
 SHAPES = {
     "circle": _manifold(["x1^2 + x2^2 - 2"], ["x2 - 2"], 2),
     "sphere": _manifold(["x1^2 + x2^2 + x3^2 + x1 - 3"], ["x2 - 2", "x3 - 3"], 3),
     "quadric": _manifold(
         ["x1^2 + x2^2 + x3^2 - 3", "x1*x2 - x3^2 + 2*x1 + x2 - 1"], ["x3 - 5"], 3
     ),
+    "ellipse": _manifold([ELLIPSE], ["x2 - 1/2"], 2),
+    "rational_pair": _manifold([ELLIPSE, SADDLE], ["x1 - 1/2"], 3),
 }
 
 

@@ -110,6 +110,58 @@ def test_parse_rejects_garbage():
             parse_polynomial(bad, 2)
 
 
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("", "empty expression", 0),
+        ("  # only a comment", "empty expression", 18),
+        ("+x1", "expression may not start with '+'", 0),
+        ("x1 / 2", "expected '+' or '-' between terms", 3),
+        ("x1^2^3", "expected '+' or '-' between terms", 4),
+        ("x + 1", "variable must be x<k> with a numeric index", 0),
+        ("2*x1 - x3", "variable index 3 out of range 1..2", 7),
+        ("x0", "variable index 0 out of range 1..2", 0),
+        ("1/", "expected a positive integer denominator", 2),
+        ("1/ x1", "expected a positive integer denominator", 3),
+        ("1/0", "zero denominator", 2),
+        ("x1^", "expected an integer exponent", 3),
+        ("x1^x2", "expected an integer exponent", 3),
+        ("x1 + @", "unexpected character '@'", 5),
+        # the whole text is scanned before it is parsed
+        ("x3 + @", "unexpected character '@'", 5),
+        ("1 +", "expected a coefficient or a variable", 3),
+        ("x1 + * x2", "expected a coefficient or a variable", 5),
+    ],
+)
+def test_parse_error_names_its_branch_and_position(text, message, position):
+    with pytest.raises(ParseError) as info:
+        parse_polynomial(text, 2)
+    assert info.value.position == position
+    assert str(info.value) == f"{message} (at position {position})"
+
+
+@pytest.mark.parametrize(
+    "text, position", [("x1^²", 3), ("x1²", 2), ("1/²", 2), ("²*x1", 0), ("x1^2 + x2^③", 10)]
+)
+def test_parse_refuses_digits_that_are_not_decimal(text, position):
+    # str.isdigit accepts superscripts and circled digits, which int() refuses
+    with pytest.raises(ParseError) as info:
+        parse_polynomial(text, 2)
+    assert info.value.position == position
+    assert str(info.value) == f"unexpected character {text[position]!r} (at position {position})"
+
+
+def test_parse_reads_any_decimal_digit_and_unicode_space():
+    # int() reads every Unicode decimal digit, and str.isspace blanks separate
+    text = "\u0663\u00a0x\u0661^\u0662 +\u2003x2"  # Arabic-Indic 3, 1, 2; no-break and em space
+    assert parse_polynomial(text, 2) == parse_polynomial("3*x1^2 + x2", 2)
+
+
+def test_parse_accepts_a_trailing_product_sign_and_juxtaposed_numbers():
+    assert parse_polynomial("x1 *", 2) == parse_polynomial("x1", 2)
+    assert parse_polynomial("2 3/4 x1", 2) == parse_polynomial("3/2*x1", 2)
+
+
 def test_parse_str_round_trip_examples():
     for text in ("1 + x1 + 2*x2", "x1^2 + x2^2 - 1", "-x1 + 1/2"):
         p = parse_polynomial(text, 2)
