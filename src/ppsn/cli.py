@@ -27,7 +27,7 @@ from .errors import (
     ParseError,
     PpsnError,
 )
-from .mpoly import Polynomial, as_fraction, parse_polynomial, require_dense_size
+from .mpoly import Polynomial, as_fraction, int_digit_limit, parse_polynomial, require_dense_size
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -54,6 +54,12 @@ def _infer_dimension(lines: List[str], override: Optional[int]) -> int:
         n = override
     else:
         indices = re.findall(r"x(\d+)", "\n".join(lines))
+        digits = int_digit_limit()
+        longest = max(map(len, indices), default=0)
+        if digits and longest > digits:
+            raise ParseError(
+                f"{longest}-digit variable index, more than the {digits} digits Python converts"
+            )
         n = max(map(int, indices), default=0)
         if n == 0:
             raise InputError("cannot infer the ambient dimension; pass --n")
@@ -202,7 +208,7 @@ def cmd_dim(args) -> int:
         )
     # every entry of the table is at most the ambient dimension C(n + mmax, n),
     # and CPython refuses to print an int of more than this many digits
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = int_digit_limit()
     if digits and dimension.binom_e(mmax, profile.n) >= 10**digits:
         raise InputError(
             f"--n {profile.n} with {flag} {mmax} gives table entries of more than "

@@ -4,7 +4,8 @@ Matrices are lists of lists of exact rationals: Fractions or Python ints.
 Every elimination uses the same deterministic pivot policy: sweep columns
 left to right and take the first remaining row with a nonzero entry, so
 pivot columns are the leftmost maximal independent set and results are
-reproducible bit for bit.
+reproducible bit for bit. `IntegerEchelon` takes rows in order instead and
+finds the same pivot columns.
 
 `row_reduce` is a fraction-free Gauss-Jordan elimination (Bareiss, Math.
 Comp. 22, 1968) over Python ints. Each row is first scaled by the lcm of its
@@ -42,6 +43,19 @@ otherwise the entries at the pivots, over the denominator, are the solution
 with free variables zero. `solve` is `row_reduce` then `replay`, and a
 caller with many right-hand sides for one matrix eliminates once and
 replays each.
+
+`IntegerEchelon` is a fraction-free incremental row echelon form over
+Python ints, with `row_reduce`'s pivot columns but not its RREF. Rows
+arrive in order, each scaled by the lcm of its denominators, and a row is
+reduced only at its leading entry, by the stored row whose pivot is that
+column, until its leading column is new (the row is kept) or nothing is
+left (it depends on the rows before it). Each kept row also carries its
+integer combination of the input rows, and the content of both is divided
+out after each step. The kept rows are then the greedy independent rows,
+and their leading columns the leftmost independent columns, the pivot
+columns of the RREF. `weights` reads off the unique combination of the
+kept rows that takes given values on those columns by substitution in
+pivot order.
 
 `row_reduce_mod` is forward elimination over the integers mod a prime p,
 one of the fixed word-size primes `PRIMES`, with `row_reduce`'s pivot
@@ -86,11 +100,12 @@ where they need no trust:
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 Row = List[Fraction]
 
@@ -454,6 +469,120 @@ def left_null_vector(
         return [Fraction(1)] * nrows if nrows else None
     kernel = nullspace(transpose)
     return kernel[0] if kernel else None
+
+
+class IntegerEchelon:
+    """Fraction-free incremental row echelon form over Python ints.
+
+    `add` takes the rows of a matrix A in order. A row is scaled by the lcm
+    of its denominators, its combination of the input rows starts as that
+    scale on itself, and while its leading column c is the pivot column of
+    a kept row u, with pivot p = u[c], a = v[c] and g = gcd(p, a), the row
+    becomes (p/g) v - (a/g) u, and its combination likewise; then the gcd
+    of the row's and the combination's entries is divided out of both.
+    Entry c cancels and everything left of it stays zero (u is zero left of
+    c), so the leading column moves right. A row with no entry left is
+    rejected; otherwise it is kept, with its leading column as its pivot.
+
+    Each step adds a multiple of a kept row, so the kept rows always span
+    the rows added so far, and a row reduces to zero exactly when it lies
+    in the span of the rows before it: the kept rows are the greedy
+    independent rows I, and `accepted` their indices. Each kept row equals
+    its combination of the input rows as given (the scale is part of the
+    coefficient), which involves only rows of I. The kept rows are a basis of the row space with
+    distinct leading columns, so their leading columns are the leading
+    columns of the nonzero vectors of the row space: the pivot columns of
+    the RREF, the leftmost independent columns of A, which `columns` lists
+    in ascending order.
+    """
+
+    def __init__(self, rows: Sequence[Sequence[Fraction]] = ()):
+        self.columns: List[int] = []  # pivot columns, ascending
+        self.accepted: List[int] = []  # indices of the kept input rows
+        # pivot column -> (kept row, {input row index: integer coefficient})
+        self._kept: Dict[int, Tuple[List[int], Dict[int, int]]] = {}
+        self._count = 0
+        for row in rows:
+            self.add(row)
+
+    @property
+    def rank(self) -> int:
+        return len(self.columns)
+
+    def add(self, row: Sequence[Fraction]) -> bool:
+        """Add the next input row; report whether it is independent of the
+        rows before it (and so kept)."""
+        index = self._count
+        self._count += 1
+        scale = lcm(*(x.denominator for x in row))
+        v = [x.numerator * (scale // x.denominator) for x in row]
+        combination = {index: scale}
+        c = next((j for j, x in enumerate(v) if x), None)
+        while c is not None and c in self._kept:
+            u, u_combination = self._kept[c]
+            p, a = u[c], v[c]
+            g = gcd(p, a)
+            p, a = p // g, a // g
+            # both rows are zero left of c, and entry c cancels
+            tail = [p * x - a * y for x, y in zip(v[c + 1 :], u[c + 1 :])]
+            for k in combination:
+                combination[k] *= p
+            for k, y in u_combination.items():
+                combination[k] = combination.get(k, 0) - a * y
+            content = gcd(*tail, *combination.values())
+            if content != 1:
+                tail = [x // content for x in tail]
+                combination = {k: y // content for k, y in combination.items()}
+            v = [0] * (c + 1) + tail
+            c = next((j for j, x in enumerate(tail, c + 1) if x), None)
+        if c is None:
+            return False
+        insort(self.columns, c)
+        self.accepted.append(index)
+        self._kept[c] = v, combination
+        return True
+
+    def weights(self, values: Sequence[int]) -> Tuple[List[int], int]:
+        """The unique lambda supported on the kept rows with
+        sum_r lambda_r A_r = values on the pivot columns (values[k] on
+        columns[k]), as integer numerators over one positive denominator,
+        a numerator for every row added.
+
+        Substitution in pivot order: the kept rows of later pivots are zero
+        at columns[k], each being zero left of its pivot, so after steps
+        0..k-1 only the kept row of columns[k] still meets that column,
+        and the multiple mu of it that clears the residual there is final:
+        mu = a / p for the residual entry a and pivot p. When p does not
+        divide a, the residual, the lambda so far and the denominator are
+        first multiplied by |p| / gcd(p, a). mu times the kept row's
+        combination joins lambda, which therefore lies on I.
+        Unique: A restricted to I and the pivot columns is square, and
+        nonsingular because A_I has full rank and its other columns depend
+        on its pivot columns."""
+        columns = self.columns
+        residual = list(values)
+        lam = [0] * self._count
+        denominator = 1
+        for k, c in enumerate(columns):
+            a = residual[k]
+            if not a:
+                continue
+            u, combination = self._kept[c]
+            p = u[c]
+            if a % p:
+                q = abs(p) // gcd(p, a)
+                residual = [x * q for x in residual]
+                lam = [x * q for x in lam]
+                denominator *= q
+                a *= q
+            mu = a // p
+            for j in range(k + 1, len(columns)):
+                x = u[columns[j]]
+                if x:
+                    residual[j] -= mu * x
+            for r, y in combination.items():
+                lam[r] += mu * y
+        return lam, denominator
 
 
 class IncrementalRank:

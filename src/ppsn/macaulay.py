@@ -5,15 +5,18 @@ The central object is the degree-m matrix whose rows are the coefficient
 vectors of the elementary items X^alpha * g_i (|alpha| + k_i = m) over the
 degree-m monomials, where g_i is the leading form of the i-th defining
 polynomial. Its pivot columns are the selected monomials; the complement
-spans the canonical remainder space on the manifold.
+spans the canonical remainder space on the manifold. One fraction-free
+integer echelon of that matrix (`linalg.IntegerEchelon`) finds them, and the
+selection keeps it.
 
 `reduce_modulo` descends degree by degree in one mutable table of integer
 numerators over one denominator: at each degree the item weights, which are
 the cofactor coefficients, solve (G_S)^T lambda = work_S over the selected
-columns S by one `linalg.solve`, and subtracting each weighted
-X^alpha * f_i term by term leaves only unselected monomials of that degree,
-which join the remainder. G_S has independent columns, so (G_S)^T has full
-row rank and the system is always consistent. One builder,
+columns S, read off the selection's echelon by substitution in pivot order
+(no elimination per call), and subtracting each weighted X^alpha * f_i term
+by term leaves only unselected monomials of that degree, which join the
+remainder. G_S has independent columns, so (G_S)^T has full row rank and
+the system is always consistent. One builder,
 `elementary_items`, writes every item matrix from the terms of its
 polynomials: the degree-m items for monomial selection and the infinity
 check, and, over the monomial basis, the items X^beta * f_i whose transpose
@@ -29,7 +32,7 @@ import functools
 import math
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -117,7 +120,10 @@ class Manifold:
 
 @dataclass(frozen=True)
 class MonomialSelection:
-    """Partition of the degree-m monomials into selected and unselected columns."""
+    """Partition of the degree-m monomials into selected and unselected
+    columns, with the integer echelon of the elementary items that chose
+    them (`reduce_modulo` reads its cofactor weights off it). The echelon
+    is left out of equality and repr: it is determined by the other fields."""
 
     m: int
     monomials: Tuple[MultiIndex, ...]
@@ -125,6 +131,7 @@ class MonomialSelection:
     labeled_items: Tuple[Tuple[MultiIndex, int], ...]
     selected: Tuple[int, ...]
     unselected: Tuple[int, ...]
+    echelon: linalg.IntegerEchelon = field(compare=False, repr=False)
 
     def unselected_monomials(self) -> Tuple[MultiIndex, ...]:
         return tuple(self.monomials[j] for j in self.unselected)
@@ -160,8 +167,13 @@ def elementary_items(
 def select_monomials(manifold: Manifold, m: int) -> MonomialSelection:
     """Leftmost-greedy pivot-column selection in the elementary-item matrix.
 
-    The selection depends only on the leading forms, the degree profile and
-    m, so manifolds with equal leading forms share one (`_selection`)."""
+    One `linalg.IntegerEchelon` of the items, in order, gives the selected
+    columns, the leftmost independent ones, and keeps the greedy independent
+    items I with the integer combinations that `reduce_modulo` substitutes
+    against, so a selection is eliminated once and a reduction eliminates
+    nothing. The selection depends only on the leading forms, the degree
+    profile and m, so manifolds with equal leading forms share one
+    (`_selection`)."""
     if m < 0:
         raise InputError("degree must be >= 0")
     return _selection(manifold.leading_forms, manifold.profile, m)
@@ -179,18 +191,13 @@ def _selection(
     monos, rows, labels = elementary_items(leading_forms, n, m)
     # the degree-m monomials less h_m, the degree-m part of the Hilbert function
     expected = binom_e(m, n - 1) - (dim_along(m, profile) - dim_along(m - 1, profile))
-    if rows:
-        ech = linalg.row_reduce(rows)
-        rank = ech.rank
-        selected = ech.pivot_columns
-    else:
-        rank = 0
-        selected = ()
-    if rank != expected:
+    echelon = linalg.IntegerEchelon(rows)
+    if echelon.rank != expected:
         raise InsufficientIntersectionError(
-            f"elementary items of degree {m} have rank {rank}, expected {expected}: "
+            f"elementary items of degree {m} have rank {echelon.rank}, expected {expected}: "
             "the leading forms do not meet only at the origin"
         )
+    selected = tuple(echelon.columns)
     selected_set = set(selected)
     unselected = tuple(j for j in range(len(monos)) if j not in selected_set)
     return MonomialSelection(
@@ -198,8 +205,9 @@ def _selection(
         monomials=monos,
         matrix=tuple(tuple(r) for r in rows),
         labeled_items=tuple(labels),
-        selected=tuple(selected),
+        selected=selected,
         unselected=unselected,
+        echelon=echelon,
     )
 
 
@@ -260,18 +268,30 @@ def reduce_modulo(f: Polynomial, manifold: Manifold) -> ReducedForm:
 
     `work` holds f's coefficients as integer numerators over one
     denominator D, bucketed by degree. At each degree t, from deg f down,
-    whose part in `work` is nonzero, lambda' solves the transposed selected
-    block of the elementary items against that part's selected numerators,
-    so lambda' = D * lambda for the weights lambda of the rational part.
+    whose part in `work` is nonzero, the item weights lambda solve
+    sum_r lambda_r G_t[r, S] = part[S] / D over the selected columns S.
+    They are read off the selection's `linalg.IntegerEchelon` by
+    substitution on the part's selected numerators (`weights`), as integer
+    numerators over one denominator: no elimination runs here.
+    That lambda is the one `linalg.solve` gives for the transposed selected
+    block (G_t[:, S])^T, with free variables zero. `solve` sets to zero
+    every unknown off the pivot columns of (G_t[:, S])^T, its leftmost
+    independent columns, which are the greedy independent rows of
+    G_t[:, S]. Every column of G_t depends on those in S, so a set of rows
+    of G_t[:, S] is independent exactly when it is in G_t, and those rows
+    are the echelon's kept items I. The system has exactly one solution
+    supported on I (`weights`), so the two agree.
     Each nonzero lambda on item (alpha, i) is the coefficient of X^alpha in
     cofactor i, and lambda * X^alpha * f_i is subtracted from `work` term by
     term: its leading form clears the selected monomials of degree t, its
     lower terms fall to lower degrees. To keep the subtraction integral,
     `work` and D are first multiplied by L * F, with L the lcm of the
-    lambda' denominators and F that of the denominators of the f_i used;
-    lambda * c is then (L * lambda') * (F * c) over the new D. What is left
-    of degree t lies on unselected monomials and moves to the remainder.
-    Each coefficient becomes a Fraction once, as it leaves `work`.
+    denominators of D * lambda in lowest terms and F that of the
+    denominators of the f_i used; each term lambda * c of
+    lambda * X^alpha * f_i is then the integer (L * D * lambda) * (F * c)
+    over the new D. What is left of degree t lies on unselected monomials
+    and moves to the remainder. Each coefficient becomes a Fraction once, as
+    it leaves `work`.
     """
     if f.n != manifold.n:
         raise DimensionMismatchError("polynomial/manifold dimension mismatch")
@@ -295,15 +315,12 @@ def reduce_modulo(f: Polynomial, manifold: Manifold) -> ReducedForm:
             continue
         sel = select_monomials(manifold, t)
         if sel.labeled_items:
-            # lambda' solves (G_t[:, selected])^T lambda' = part[selected];
-            # always consistent because the selected columns are the pivot columns
-            system = [[row[c] for row in sel.matrix] for c in sel.selected]
             rhs = [part.get(sel.monomials[c], 0) for c in sel.selected]
-            lam = linalg.solve(system, rhs)
-            if lam is None:
-                raise InternalCheckError("selected-column system unexpectedly inconsistent")
-            items = [(w, alpha, i) for w, (alpha, i) in zip(lam, sel.labeled_items) if w]
-            L = math.lcm(*(w.denominator for w, _, _ in items))
+            lam, den = sel.echelon.weights(rhs)
+            # the weights on the numerators are lam / den, over L in lowest terms
+            g = math.gcd(den, *lam)
+            L = den // g
+            items = [(w // g, alpha, i) for w, (alpha, i) in zip(lam, sel.labeled_items) if w]
             F = math.lcm(*(polys[i][0] for _, _, i in items))
             scale = L * F
             if scale != 1:
@@ -311,9 +328,9 @@ def reduce_modulo(f: Polynomial, manifold: Manifold) -> ReducedForm:
                     for mu in bucket:
                         bucket[mu] *= scale
             for w, alpha, i in items:
-                cofactors[i][alpha] = Fraction(w.numerator, w.denominator * D)
+                cofactors[i][alpha] = Fraction(w, L * D)
                 Fi, k, terms = polys[i]
-                factor = w.numerator * (L // w.denominator) * (F // Fi)
+                factor = w * (F // Fi)
                 low = t - k  # |alpha|
                 for beta, e, c in terms:
                     mu = tuple(map(operator.add, alpha, beta))

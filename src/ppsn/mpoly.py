@@ -20,6 +20,7 @@ import itertools
 import math
 import operator
 import re
+import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -364,10 +365,18 @@ _TOKEN = re.compile(
 )
 
 
+def int_digit_limit() -> int:
+    """The most digits int() converts from a string, 0 for no limit
+    (`sys.get_int_max_str_digits`, which CPython 3.10 lacks)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def _tokens(text: str) -> List[Tuple[Optional[str], str, int]]:
     """The tokens of the whole text as (kind, text, position), where kind is
     "int", "var" (its text is the index) or the operator character, closed
-    by (None, "", len(text))."""
+    by (None, "", len(text)). A number or index longer than int() converts
+    is a ParseError at its token."""
+    digits = int_digit_limit()
     tokens: List[Tuple[Optional[str], str, int]] = []
     for match in _TOKEN.finditer(text):
         kind = match.lastgroup
@@ -380,6 +389,10 @@ def _tokens(text: str) -> List[Tuple[Optional[str], str, int]]:
             raise ParseError("variable must be x<k> with a numeric index", pos)
         elif kind == "bad":
             raise ParseError(f"unexpected character {value!r}", pos)
+        elif digits and len(value) > digits:
+            raise ParseError(
+                f"{len(value)}-digit number, more than the {digits} digits Python converts", pos
+            )
         tokens.append((kind, value, pos))
     tokens.append((None, "", len(text)))
     return tokens

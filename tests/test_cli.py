@@ -343,6 +343,29 @@ def test_superscript_digit_exits_two_at_that_character(poly, position, files, ca
     assert captured.out == ""
 
 
+LONG = "7" * 5000  # past the 4,300 digits int() converts by default (CPython 3.11+)
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not 0 < INT_DIGIT_LIMIT < len(LONG), reason="int() converts 5,000 digits here")
+@pytest.mark.parametrize(
+    "manifold, poly, message",
+    [
+        (CIRCLE, LONG, "5000-digit number"),
+        (CIRCLE, "x1^" + LONG, "5000-digit number"),
+        # the dimension is inferred from the manifold's largest variable index
+        ("x" + LONG + "^2 - 1\n", "x1", "5000-digit variable index"),
+    ],
+    ids=["coefficient", "exponent", "manifold-index"],
+)
+def test_a_number_longer_than_int_converts_exits_two(manifold, poly, message, files, capsys):
+    path = files("long.poly", manifold)
+    assert main(["reduce", "--manifold", path, "--poly", poly]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"input error: {message}, more than the {INT_DIGIT_LIMIT} digits")
+    assert captured.out == ""
+
+
 def test_bad_system_token_exits_two_naming_the_line(files, capsys):
     system = files("bad.sys", "x1*(x1-1)\n# c\nx2*(x2 + @)\n")
     assert main(["extract", "--system", system, "--m", "1"]) == 2

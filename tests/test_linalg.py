@@ -10,6 +10,7 @@ from eager_bareiss import eager_row_reduce, eager_solve
 from ppsn.linalg import (
     PRIMES,
     IncrementalRank,
+    IntegerEchelon,
     back_substitute,
     left_null_vector,
     nullspace,
@@ -256,6 +257,51 @@ def test_incremental_rank_matches_greedy_definition_and_rref_basis(rows):
             assert c == pivots[len(kept)]
             kept.append(row)
     assert tracker.rank == len(kept) == row_reduce(rows).rank
+
+
+@settings(max_examples=100, phases=NO_SHRINK)
+@given(candidate_streams())
+@example([[F(0), F(1)], [F(1), F(0)], [F(1), F(1)]])
+@example([[F(1), F(2), F(3)], [F(0), F(0), F(1)], [F(2), F(4), F(7)], [F(0), F(1), F(0)]])
+@example([[F(0), F(2)], [F(0), F(4)], [F(3), F(0)]])  # row_reduce's pivot rows are 2 and 1
+def test_integer_echelon_keeps_the_greedy_rows_as_their_combinations(rows):
+    ncols = len(rows[0])
+    echelon = IntegerEchelon()
+    verdicts = [echelon.add(row) for row in rows]
+    # the accepted rows are the greedy independent rows
+    kept = []
+    for row, accepted in zip(rows, verdicts):
+        assert accepted == (_rank(kept + [row], ncols) > len(kept))
+        if accepted:
+            kept.append(row)
+    assert echelon.accepted == [r for r, accepted in enumerate(verdicts) if accepted]
+    # the pivots are the leftmost independent columns
+    assert tuple(echelon.columns) == row_reduce(rows).pivot_columns
+    assert echelon.rank == len(kept)
+    # each kept row is an integer row, zero left of its pivot, and equal to its
+    # integer combination of the accepted input rows
+    assert sorted(echelon._kept) == echelon.columns
+    for c, (row, combination) in echelon._kept.items():
+        assert row[c] and not any(row[:c])
+        assert set(combination) <= set(echelon.accepted)
+        assert all(type(x) is int for x in row + list(combination.values()))
+        assert row == [sum(y * rows[r][j] for r, y in combination.items()) for j in range(ncols)]
+
+
+@settings(max_examples=100, phases=NO_SHRINK)
+@given(candidate_streams(), st.lists(st.integers(-20, 20), min_size=6, max_size=6))
+@example([[F(3), F(1)], [F(0), F(2)]], [1, 1, 0, 0, 0, 0])  # pivots divide no entry
+@example([[F(0), F(2)], [F(0), F(4)], [F(3), F(0)]], [5, 7, 0, 0, 0, 0])
+def test_integer_echelon_weights_are_the_solve_of_the_transposed_selected_block(rows, values):
+    echelon = IntegerEchelon(rows)
+    b = values[: echelon.rank]
+    lam, denominator = echelon.weights(b)
+    assert denominator > 0 and len(lam) == len(rows)
+    if not echelon.columns:
+        assert lam == [0] * len(rows)
+        return
+    system = [[row[c] for row in rows] for c in echelon.columns]
+    assert [F(x, denominator) for x in lam] == solve(system, [F(v) for v in b])
 
 
 @settings(max_examples=60)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import NO_SHRINK
 from eager_bareiss import eager_solve
 from ppsn import (
     DecompositionError,
@@ -24,7 +25,9 @@ from ppsn import (
     select_monomials,
     verify_hbase,
 )
+from ppsn.dimension import binom_e, dim_along
 from ppsn.macaulay import random_polynomial
+from ppsn.mpoly import monomials_of_degree
 
 F = Fraction
 
@@ -61,7 +64,8 @@ def test_canonical_monomials_counts(circle):
 
 
 def count_calls(monkeypatch, name):
-    """The row counts of the matrices passed to linalg.<name>, call by call."""
+    """The row counts of the matrices passed to linalg.<name> (a function or
+    a class), call by call."""
     calls = []
     real = getattr(linalg, name)
 
@@ -76,9 +80,9 @@ def count_calls(monkeypatch, name):
 def test_manifolds_with_equal_leading_forms_share_selections(monkeypatch):
     unit = Manifold([parse_polynomial("x1^2 + x2^2 - 1", 2)])
     wide = Manifold([parse_polynomial("x1^2 + x2^2 - 4", 2)])
-    calls = count_calls(monkeypatch, "row_reduce")
+    calls = count_calls(monkeypatch, "IntegerEchelon")
     first = [select_monomials(unit, m) for m in range(6)]
-    assert len(calls) == 4  # degrees 0 and 1 have no elementary items
+    assert calls == [0, 0, 1, 2, 3, 4]  # one echelon per degree; 0 and 1 have no items
     calls.clear()
     assert [select_monomials(wide, m) for m in range(6)] == first
     assert all(select_monomials(wide, m) is sel for m, sel in enumerate(first))
@@ -115,6 +119,49 @@ def test_selection_detects_insufficient_intersection():
     )
     with pytest.raises(InsufficientIntersectionError):
         select_monomials(bad, 4)
+
+
+@st.composite
+def leading_forms(draw):
+    """(s = 1 or 2 homogeneous forms of degree 1..3 in 2 or 3 variables,
+    with sparse small rational coefficients, and a degree m <= 7): two forms'
+    items are dependent (syzygies) from degree k_1 + k_2 <= 6 on, and forms
+    sharing a zero at infinity lose rank."""
+    n = draw(st.integers(2, 3))
+    coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    forms = []
+    for _ in range(draw(st.integers(1, 2))):
+        monos = monomials_of_degree(n, draw(st.integers(1, 3)))
+        terms = draw(st.dictionaries(st.sampled_from(monos), coefficients, min_size=1, max_size=4))
+        terms = {mu: c for mu, c in terms.items() if c} or {monos[-1]: F(2)}
+        forms.append(Polynomial(n, terms))
+    return forms, draw(st.integers(0, 7))
+
+
+@settings(max_examples=150, deadline=None, phases=NO_SHRINK)
+@given(leading_forms())
+@example(([parse_polynomial("x1^2", 3), parse_polynomial("x2^2", 3)], 4))
+@example(([parse_polynomial("3*x1^2 + 2*x2^2", 2)], 5))
+@example(
+    (
+        [parse_polynomial("x1^2 + x2^2 + x3^2", 3), parse_polynomial("x1*x2 - x3^2", 3)],
+        6,
+    )
+)
+def test_selection_is_the_row_reduce_pivot_columns_of_its_items(case):
+    forms, m = case
+    manifold = Manifold(forms)
+    monos, rows, _ = macaulay.elementary_items(forms, manifold.n, m)
+    reference = linalg.row_reduce(rows) if rows else None
+    rank = reference.rank if rows else 0
+    h = dim_along(m, manifold.profile) - dim_along(m - 1, manifold.profile)
+    if rank != binom_e(m, manifold.n - 1) - h:
+        with pytest.raises(InsufficientIntersectionError):
+            select_monomials(manifold, m)
+        return
+    sel = select_monomials(manifold, m)
+    assert sel.selected == (reference.pivot_columns if rows else ())
+    assert sel.unselected == tuple(j for j in range(len(monos)) if j not in sel.selected)
 
 
 def test_reduce_circle_square(circle):
@@ -298,6 +345,7 @@ def reference_hbase_decompose(g, manifold):
 
 ELLIPSE = "x1^2 + 1/3*x2^2 - 7/2"
 SADDLE = "1/2*x2^2 - 2/5*x3^2 + 3/4*x1"
+NON_MONIC = "3*x1^2 + 2*x2^2 - 5"
 
 DIFF_MANIFOLDS = {
     "circle": Manifold([parse_polynomial("x1^2 + x2^2 - 1", 2)]),
@@ -317,6 +365,8 @@ DIFF_MANIFOLDS = {
     # grows by the f_i's denominators and by those of the weights
     "ellipse": Manifold([parse_polynomial(ELLIPSE, 2)]),
     "rational_pair": Manifold([parse_polynomial(ELLIPSE, 3), parse_polynomial(SADDLE, 3)]),
+    # integer, not monic: the echelon's pivots are 3, so weights are rescaled
+    "non_monic": Manifold([parse_polynomial(NON_MONIC, 2)]),
 }
 
 
@@ -463,7 +513,7 @@ def _manifold(polys, witnesses, n):
 
 # the fixtures of the benchmark's CLI workload, whose quadric's items are
 # dependent (syzygies) from degree 4 on, then two with non-integer rational
-# coefficients
+# coefficients and one with integer pivots other than 1
 SHAPES = {
     "circle": _manifold(["x1^2 + x2^2 - 2"], ["x2 - 2"], 2),
     "sphere": _manifold(["x1^2 + x2^2 + x3^2 + x1 - 3"], ["x2 - 2", "x3 - 3"], 3),
@@ -472,6 +522,7 @@ SHAPES = {
     ),
     "ellipse": _manifold([ELLIPSE], ["x2 - 1/2"], 2),
     "rational_pair": _manifold([ELLIPSE, SADDLE], ["x1 - 1/2"], 3),
+    "non_monic": _manifold([NON_MONIC], ["x2 - 2"], 2),
 }
 
 
@@ -489,6 +540,22 @@ def test_reduce_modulo_matches_a_fresh_solve_per_degree(shape):
             assert form.remainder.terms == remainder.terms
             assert [c.terms for c in form.cofactors] == [c.terms for c in cofactors]
             assert str(form.remainder) == str(remainder)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_reduce_modulo_eliminates_nothing_once_selections_are_cached(shape, monkeypatch):
+    manifold = SHAPES[shape]
+    f = random_polynomial(random.Random(5), manifold.n, 7)
+    echelons = count_calls(monkeypatch, "IntegerEchelon")
+    eliminations = count_calls(monkeypatch, "row_reduce")
+    solves = count_calls(monkeypatch, "solve")
+    cold = reduce_modulo(f, manifold)
+    # cold: each degree met is eliminated once, by its selection's echelon
+    assert 0 < len(echelons) <= f.degree + 1
+    assert eliminations == solves == []
+    echelons.clear()
+    assert reduce_modulo(f, manifold) == cold
+    assert echelons == eliminations == solves == []
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))

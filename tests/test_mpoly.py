@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -149,6 +150,30 @@ def test_parse_refuses_digits_that_are_not_decimal(text, position):
         parse_polynomial(text, 2)
     assert info.value.position == position
     assert str(info.value) == f"unexpected character {text[position]!r} (at position {position})"
+
+
+# 5,000 digits: past the 4,300 that int() converts by default (CPython 3.11+)
+LONG = "7" * 5000
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_int_digit_limit = pytest.mark.skipif(
+    not 0 < INT_DIGIT_LIMIT < len(LONG), reason="int() converts 5,000 digits here"
+)
+
+
+@needs_int_digit_limit
+@pytest.mark.parametrize(
+    "text, position",
+    [(LONG, 0), ("1/" + LONG, 2), ("x1 + x" + LONG, 5), ("x1^" + LONG, 3)],
+    ids=["coefficient", "denominator", "index", "exponent"],
+)
+def test_parse_refuses_a_number_longer_than_int_converts(text, position):
+    with pytest.raises(ParseError) as info:
+        parse_polynomial(text, 2)
+    assert info.value.position == position
+    assert str(info.value) == (
+        f"5000-digit number, more than the {INT_DIGIT_LIMIT} digits Python converts"
+        f" (at position {position})"
+    )
 
 
 def test_parse_reads_any_decimal_digit_and_unicode_space():
