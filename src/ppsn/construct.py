@@ -317,7 +317,7 @@ def cb_reduce(
             removed_cert,
             f"removed set is not a degree-{comp_degree} PPSN; reduction refused",
         )
-    remaining = NodeSet(partition.remaining.points, manifold)
+    remaining = NodeSet._subset(partition.remaining.points, manifold)
     expected = dim_along(m, profile)
     if len(remaining) != expected:
         raise InternalCheckError(
@@ -580,7 +580,7 @@ def build_curve_chain(
     # downward: the levels of the anchor over the curve's canonical columns
     for d in range(min(k_t, mmax + 1)):
         kept = nested_level(anchor_nodes.points, curve, d)
-        nodes_d = NodeSet([anchor_nodes.points[r] for r in kept], curve)
+        nodes_d = NodeSet._subset([anchor_nodes.points[r] for r in kept], curve)
         cert_d = verify_ppsn(nodes_d, curve, d)
         if not cert_d.proper:
             raise ImproperNodeSetError(cert_d, f"degree-{d} chain level improper")

@@ -40,9 +40,8 @@ elimination of [A | b] is b pushed through those steps, with the same
 stages: `replay` does that in O(rows * rank) integer operations. A nonzero
 entry below the rank is a pivot in b's column (the system is inconsistent);
 otherwise the entries at the pivots, over the denominator, are the solution
-with free variables zero. `solve` is `row_reduce` then `replay`, and a
-caller with many right-hand sides for one matrix eliminates once and
-replays each.
+with free variables zero. `solve` is `row_reduce` then `replay`, which only
+the exact fallback of `nodes._CanonicalSystem.solve` calls on its own.
 
 `IntegerEchelon` is a fraction-free incremental row echelon form over
 Python ints, with `row_reduce`'s pivot columns but not its RREF. Rows

@@ -16,14 +16,13 @@ columns S, read off the selection's echelon by substitution in pivot order
 (no elimination per call), and subtracting each weighted X^alpha * f_i term
 by term leaves only unselected monomials of that degree, which join the
 remainder. G_S has independent columns, so (G_S)^T has full row rank and
-the system is always consistent. One builder,
-`elementary_items`, writes every item matrix from the terms of its
-polynomials: the degree-m items for monomial selection and the infinity
-check, and, over the monomial basis, the items X^beta * f_i whose transpose
-is the H-base system (`_hbase_system`) that `hbase_decompose` and
-`verify_hbase` share; `verify_hbase` eliminates each degree's system once
-and replays every sampled member against it (`linalg.replay`). Both build
-their result polynomials once, at the end.
+the system is always consistent. One builder, `elementary_items`, writes
+every item matrix from the terms of its polynomials: the degree-m items for
+monomial selection and the infinity check, and, over the monomial basis,
+the H-base items X^beta * (F_i f_i), F_i f_i the integer numerators of f_i.
+`hbase_decompose` and `verify_hbase` eliminate those items once per degree
+in one integer echelon, untransposed, read each member's weights off it by
+substitution and accept them by one exact integer check (`_HBaseSystems`).
 """
 
 from __future__ import annotations
@@ -145,11 +144,11 @@ def elementary_items(
 ) -> Tuple[Tuple[MultiIndex, ...], List[List[Fraction]], List[Tuple[MultiIndex, int]]]:
     """The elementary items X^alpha * g_i, alpha in monomials(n, m - deg g_i):
     the monomials(n, m) their rows run over, each item's coefficient row
-    over them (its zeros are int 0, which `linalg.row_reduce` reads faster
-    than a Fraction), and each item's label (alpha, i). The degree-m
+    over them (its zeros are int 0, which `linalg.IntegerEchelon` scales
+    faster than a Fraction), and each item's label (alpha, i). The degree-m
     monomials (`monomials_of_degree`) and homogeneous forms give the
     degree-m items; the monomials of degree <= m (`monomial_basis`) and the
-    defining polynomials give the columns of the H-base system."""
+    integer numerators of the defining polynomials give the H-base items."""
     monos = tuple(monomials(n, m))
     col = {mu: j for j, mu in enumerate(monos)}
     rows: List[List[Fraction]] = []
@@ -241,7 +240,7 @@ def infinity_check(manifold: Manifold) -> bool:
         )
     target = sum(g.degree for g in gs) - n + 1
     monos, rows, _ = elementary_items(gs, n, target)
-    return linalg.row_reduce(rows).rank == len(monos)
+    return linalg.IntegerEchelon(rows).rank == len(monos)
 
 
 def _expand(total: Polynomial, cofactors: Sequence[Polynomial], manifold: Manifold) -> Polynomial:
@@ -361,66 +360,76 @@ class Decomposition:
         return _expand(Polynomial.zero(manifold.n), self.cofactors, manifold)
 
 
-def _hbase_system(
-    manifold: Manifold, m: int
-) -> Tuple[Tuple[MultiIndex, ...], List[Tuple[MultiIndex, int]], List[List[Fraction]]]:
-    """The degree-m H-base system: the monomials of degree <= m (its rows),
-    the label (beta, i) of each unknown, and the matrix whose column
-    (beta, i) holds the coefficients of X^beta * f_i for every beta of
-    degree <= m - k_i: the transpose of the elementary items over the
-    monomial basis. With no item, every row is empty."""
-    basis, items, labels = elementary_items(manifold.polynomials, manifold.n, m, monomial_basis)
-    return basis, labels, [list(column) for column in zip(*items)] or [[] for _ in basis]
+class _HBaseSystems:
+    """The H-base systems of one manifold, one integer echelon per degree.
 
+    The degree-d system asks for weights lambda_r of the items r = (beta, i),
+    X^beta * (F_i f_i) with |beta| <= d - k_i (so each cofactor keeps its
+    degree bound), with sum lambda_r item_r = G for a member g = G / D. The
+    `linalg.IntegerEchelon` of the items keeps the greedy independent ones,
+    the pivot columns of the transposed system, so `weights` at its pivot
+    monomials is the solution with free variables zero. It solves the
+    system iff sum lambda_r item_r = den * G on every monomial."""
 
-def _decomposition(
-    g: Polynomial,
-    manifold: Manifold,
-    labels: Sequence[Tuple[MultiIndex, int]],
-    sol: Optional[Sequence[Fraction]],
-) -> Decomposition:
-    """The decomposition of g read off a solution of its degree-deg(g)
-    H-base system, checked by re-expansion and the degree bounds."""
-    if sol is None:
-        raise DecompositionError(
-            f"no degree-respecting decomposition of {g} exists: "
-            "the polynomial is not an ideal member with the claimed bounds"
-        )
-    cof_terms: List[Dict[MultiIndex, Fraction]] = [{} for _ in manifold.polynomials]
-    for (beta, i), c in zip(labels, sol):
-        cof_terms[i][beta] = c
-    cofactors = tuple(Polynomial._trusted(manifold.n, t) for t in cof_terms)
-    dec = Decomposition(cofactors)
-    if dec.reassemble(manifold) != g:
-        raise InternalCheckError("decomposition failed to re-expand exactly")
-    for c, k in zip(cofactors, manifold.profile.ks):
-        if not c.in_space(g.degree - k):
-            raise InternalCheckError("cofactor degree bound violated")
-    return dec
+    def __init__(self, manifold: Manifold):
+        self.n = manifold.n
+        # each f_i as (F_i, [(beta, F_i * c)], k_i)
+        self.polys = [(*p._numerators(), p.degree) for p in manifold.polynomials]
+        self._items = [Polynomial._over(self.n, dict(terms), 1) for _, terms, _ in self.polys]
+        self._echelons: Dict[int, tuple] = {}
+
+    def weights(self, G: Dict[MultiIndex, int], D: int) -> Tuple[list, List[int], int]:
+        """(labels, lambda, den): the item weights lambda / den, one per
+        label, that decompose g = G / D at its own degree, which cancellation
+        may have lowered; DecompositionError when there are none."""
+        d = max((sum(mu) for mu, v in G.items() if v), default=-1)
+        if d not in self._echelons:
+            basis, rows, labels = elementary_items(self._items, self.n, d, monomial_basis)
+            echelon = linalg.IntegerEchelon(rows)
+            self._echelons[d] = labels, echelon, [basis[c] for c in echelon.columns]
+        labels, echelon, pivots = self._echelons[d]
+        lam, den = echelon.weights([G.get(mu, 0) for mu in pivots])
+        residual = {mu: -den * v for mu, v in G.items()}
+        for w, (beta, i) in zip(lam, labels):
+            if w:
+                for alpha, c in self.polys[i][1]:
+                    mu = tuple(map(operator.add, beta, alpha))
+                    residual[mu] = residual.get(mu, 0) + w * c
+        if any(residual.values()):
+            g = Polynomial._over(self.n, G, D)
+            raise DecompositionError(
+                f"no degree-respecting decomposition of {g} exists: "
+                "the polynomial is not an ideal member with the claimed bounds"
+            )
+        return labels, lam, den
 
 
 def hbase_decompose(g: Polynomial, manifold: Manifold) -> Decomposition:
-    """Degree-respecting ideal-membership decomposition by one exact solve.
-
-    Unknowns are the coefficients of each cofactor over the monomials of
-    degree <= deg(g) - k_i (`_hbase_system`). A missing solution means g
-    is no ideal member with these degree bounds.
-    """
+    """Degree-respecting ideal-membership decomposition by one exact solve
+    (`_HBaseSystems`): item (beta, i) has weight lambda / den for g's
+    numerators over D, so X^beta has coefficient lambda * F_i / (den * D) in
+    cofactor i. A missing solution means g is no ideal member with these
+    degree bounds."""
     if g.n != manifold.n:
         raise DimensionMismatchError("polynomial/manifold dimension mismatch")
-    basis, labels, matrix = _hbase_system(manifold, g.degree)
-    sol = linalg.solve(matrix, [g.coefficient(mu) for mu in basis])
-    return _decomposition(g, manifold, labels, sol)
+    D, numerators = g._numerators()
+    systems = _HBaseSystems(manifold)
+    labels, lam, den = systems.weights(dict(numerators), D)
+    cofactors: List[Dict[MultiIndex, int]] = [{} for _ in manifold.polynomials]
+    for w, (beta, i) in zip(lam, labels):
+        cofactors[i][beta] = w * systems.polys[i][0]
+    return Decomposition(tuple(Polynomial._over(g.n, c, den * D) for c in cofactors))
+
+
+def _random_terms(rng: random.Random, n: int, degree: int) -> List[Tuple[MultiIndex, int]]:
+    """One draw of rng.randint(-3, 3) per monomial of degree <= degree, in
+    basis order; the nonzero ones with their monomials."""
+    return [(mu, c) for mu in monomial_basis(n, degree) if (c := rng.randint(-3, 3))]
 
 
 def random_polynomial(rng: random.Random, n: int, degree: int) -> Polynomial:
     """Small random polynomial of total degree <= degree, integer coefficients."""
-    terms: Dict[MultiIndex, Fraction] = {}
-    for mu in monomial_basis(n, degree):
-        c = rng.randint(-3, 3)
-        if c:
-            terms[mu] = Fraction(c)
-    return Polynomial(n, terms)
+    return Polynomial._over(n, dict(_random_terms(rng, n, degree)), 1)
 
 
 @dataclass(frozen=True)
@@ -458,26 +467,24 @@ def verify_hbase(
         )
     rng = random.Random(seed)
     n = manifold.n
+    systems = _HBaseSystems(manifold)
+    F = math.lcm(*(Fi for Fi, _, _ in systems.polys))
     passes: List[Tuple[int, int]] = []
     failures: List[str] = []
-    systems: Dict[int, tuple] = {}  # degree -> (basis, labels, echelon), eliminated once
     for m in range(manifold.profile.L, mmax + 1):
         ok = 0
         for _ in range(trials):
-            g = Polynomial.zero(n)
-            for i, f in enumerate(manifold.polynomials):
-                k = manifold.profile.ks[i]
-                if k > m:
-                    continue
-                g = g + random_polynomial(rng, n, m - k) * f
-            d = g.degree  # g is decomposed at its own degree, which cancellation may lower
-            if d not in systems:
-                basis, labels, matrix = _hbase_system(manifold, d)
-                systems[d] = basis, labels, linalg.row_reduce(matrix)
-            basis, labels, ech = systems[d]
-            rhs = [g.coefficient(mu) for mu in basis]
+            # g = sum_i r_i f_i, r_i drawn as `random_polynomial` draws it (none
+            # when k_i > m), as numerators over F: sum_i (F / F_i) r_i (F_i f_i)
+            G: Dict[MultiIndex, int] = {}
+            for Fi, terms, k in systems.polys:
+                for beta, r in _random_terms(rng, n, m - k):
+                    r *= F // Fi
+                    for alpha, c in terms:
+                        mu = tuple(map(operator.add, beta, alpha))
+                        G[mu] = G.get(mu, 0) + r * c
             try:
-                _decomposition(g, manifold, labels, linalg.replay(ech, rhs))
+                systems.weights(G, F)
                 ok += 1
             except DecompositionError as exc:
                 failures.append(f"degree {m}: {exc}")

@@ -102,9 +102,9 @@ from .mpoly import (
 
 class NodeSet:
     """Ordered set of pairwise distinct rational points, optionally tagged
-    with the manifold they are claimed to lie on (checked exactly). It is
-    immutable, so the tag stays a proof: `require_on` skips the membership
-    check for a set tagged with the very manifold it is asked about."""
+    with the manifold they are claimed to lie on (checked exactly, unless a
+    checked set's `_subset`). It is immutable, so the tag stays a proof:
+    `require_on` skips the check for a set tagged with that very manifold."""
 
     __slots__ = ("n", "points", "manifold")
     n: int
@@ -132,6 +132,15 @@ class NodeSet:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "points", tuple(pts))
         object.__setattr__(self, "manifold", manifold)
+
+    @classmethod
+    def _subset(cls, points: Sequence[Point], manifold: Manifold) -> "NodeSet":
+        """Points drawn from a set already checked on `manifold`, tagged unchecked."""
+        subset = object.__new__(cls)
+        object.__setattr__(subset, "n", manifold.n)
+        object.__setattr__(subset, "points", tuple(points))
+        object.__setattr__(subset, "manifold", manifold)
+        return subset
 
     def __setattr__(self, name, value):
         raise AttributeError("NodeSet is immutable")
@@ -622,7 +631,7 @@ def extract_nested_ppsn(points: NodeSet, manifold: Manifold, m: int) -> NodeSet:
     if m >= manifold.profile.M:
         return points
     kept = nested_level(points.points, manifold, m)
-    return NodeSet([points.points[r] for r in kept], manifold)
+    return NodeSet._subset([points.points[r] for r in kept], manifold)
 
 
 # -- text formats -------------------------------------------------------------

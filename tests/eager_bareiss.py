@@ -1,7 +1,7 @@
-"""Test-only reference: fraction-free Gauss-Jordan (Bareiss) that rescales
+"""Test-only references: fraction-free Gauss-Jordan (Bareiss) that rescales
 every row at every step, and a solve that eliminates [A | b] afresh, as
 `ppsn.linalg` computed them before rows were scaled lazily and right-hand
-sides replayed."""
+sides replayed; and plain rational Gauss-Jordan on Fractions."""
 
 from fractions import Fraction
 from math import lcm
@@ -58,3 +58,31 @@ def eager_solve(matrix, rhs):
     for (_, c), row in zip(pivots, ints):
         x[c] = Fraction(row[ncols], d)
     return x
+
+
+def fraction_row_reduce(matrix):
+    """(rank, pivots, RREF rows): rational Gauss-Jordan on Fractions with the
+    kernels' pivot policy."""
+    m = [[Fraction(v) for v in row] for row in matrix]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    origin = list(range(nrows))
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        origin[r], origin[pr] = origin[pr], origin[r]
+        inv = 1 / m[r][c]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append((origin[r], c))
+        r += 1
+        if r == nrows:
+            break
+    return r, tuple(pivots), tuple(tuple(row) for row in m)

@@ -301,6 +301,42 @@ def test_full_intersection_preamble_checks_membership_once(grid_system, name, mo
     assert (manifold, full.points) not in checked  # the tag already proves it
 
 
+# procedures that tag subsets of a set already checked on the same manifold:
+# (call on the 3x3 grid system, the point counts of the membership checks
+# left, which are the chain's anchor on the curve: x0 and eight grid points)
+TAGGED_SUBSETS = {
+    "extract_nested_ppsn": (
+        lambda system, full, removed: extract_nested_ppsn(full, full.manifold, 2),
+        [],
+    ),
+    "cb_reduce": (
+        lambda system, full, removed: cb_reduce(CBPartition(full, removed), full.manifold, 3),
+        [],
+    ),
+    # mmax below k_t = 3: every level is a subset of the anchor
+    "build_curve_chain": (
+        lambda system, full, removed: build_curve_chain(system, 2, 2, (F(0), F(5))),
+        [9],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", TAGGED_SUBSETS)
+def test_subsets_of_a_checked_set_are_not_checked_again(grid_system, name, monkeypatch):
+    call, expected = TAGGED_SUBSETS[name]
+    full = grid_nodes(grid_system)
+    removed = NodeSet(full.points[:1], full.manifold)
+    checked = []
+    check = Manifold.require_on_manifold
+    monkeypatch.setattr(
+        Manifold,
+        "require_on_manifold",
+        lambda self, points: checked.append(len(points)) or check(self, points),
+    )
+    call(grid_system, full, removed)
+    assert checked == expected
+
+
 def test_cb_extend_curve_cube(cube_system):
     full = intersect_factorable(cube_system).nodes
     manifold = full.manifold

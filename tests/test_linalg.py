@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import NO_SHRINK
-from eager_bareiss import eager_row_reduce, eager_solve
+from eager_bareiss import eager_row_reduce, eager_solve, fraction_row_reduce
 from ppsn.linalg import (
     PRIMES,
     IncrementalRank,
@@ -37,33 +37,6 @@ def matrices(max_rows=5, max_cols=5, entries=fractions_st):
             st.lists(entries, min_size=c, max_size=c), min_size=1, max_size=max_rows
         )
     )
-
-
-def fraction_row_reduce(matrix):
-    """Reference: rational Gauss-Jordan with the kernel's pivot policy."""
-    m = [list(row) for row in matrix]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    origin = list(range(nrows))
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        origin[r], origin[pr] = origin[pr], origin[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append((origin[r], c))
-        r += 1
-        if r == nrows:
-            break
-    return r, tuple(pivots), tuple(tuple(row) for row in m)
 
 
 @st.composite

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import NO_SHRINK
-from eager_bareiss import eager_solve
+from eager_bareiss import eager_solve, fraction_row_reduce
 from ppsn import (
     DecompositionError,
     InputError,
@@ -203,6 +203,56 @@ def test_infinity_check_false():
         [parse_polynomial("x1^2 - 1", 2)], witnesses=(parse_polynomial("x1 - 1", 2),)
     )
     assert not infinity_check(bad)
+
+
+@st.composite
+def completed_leading_forms(draw):
+    """(polynomials, witnesses, shared): n = 2 or 3 polynomials of degree
+    1..3 with sparse small rational leading forms and a constant term, the
+    last n - s of them witnesses. With `shared`, every leading form drops
+    its x_j^k term, so all of them vanish at e_j, a common projective zero;
+    otherwise they may or may not share one."""
+    n = draw(st.integers(2, 3))
+    shared = draw(st.booleans())
+    j = draw(st.integers(0, n - 1))
+    coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    polys = []
+    for _ in range(n):
+        k = draw(st.integers(1, 3))
+        monos = monomials_of_degree(n, k)
+        if shared:
+            monos = [mu for mu in monos if mu[j] != k]
+        terms = draw(st.dictionaries(st.sampled_from(monos), coefficients, max_size=4))
+        terms = {mu: c for mu, c in terms.items() if c} or {monos[-1]: F(2)}
+        terms[(0,) * n] = draw(coefficients)
+        polys.append(Polynomial(n, terms))
+    s = draw(st.integers(1, n))
+    return polys[:s], polys[s:], shared
+
+
+@settings(max_examples=100, deadline=None, phases=NO_SHRINK)
+@given(completed_leading_forms())
+@example(([parse_polynomial("x1^2 + x2^2 - 1", 2)], [parse_polynomial("x2 - 2", 2)], False))
+@example(([parse_polynomial("x1^2 - 1", 2)], [parse_polynomial("x1 - 1", 2)], True))
+@example(
+    (
+        [parse_polynomial("x1^2 + x2^2 + x3^2 - 3", 3), parse_polynomial("x1*x2 - x3^2 + 1", 3)],
+        [parse_polynomial("x3 - 5", 3)],
+        False,
+    )
+)
+def test_infinity_check_matches_a_fraction_rank(case):
+    polys, witnesses, shared = case
+    manifold = Manifold(polys, witnesses=tuple(witnesses))
+    forms = [p.leading_form() for p in polys + witnesses]
+    n = manifold.n
+    target = sum(g.degree for g in forms) - n + 1
+    monos, rows, _ = macaulay.elementary_items(forms, n, target)
+    rank, _, _ = fraction_row_reduce(rows)
+    verdict = infinity_check(manifold)
+    assert verdict == (rank == len(monos))
+    if shared:
+        assert not verdict
 
 
 def test_hbase_decompose_ideal_member(circle):
@@ -571,13 +621,15 @@ def test_verify_hbase_matches_a_fresh_solve_per_trial(shape, trials, seed):
 @pytest.mark.parametrize("trials", [1, 4])
 def test_verify_hbase_eliminates_once_per_degree_for_any_trials(shape, trials, monkeypatch):
     manifold = SHAPES[shape]
+    echelons = count_calls(monkeypatch, "IntegerEchelon")
     eliminations = count_calls(monkeypatch, "row_reduce")
+    replays = count_calls(monkeypatch, "replay")
     solves = count_calls(monkeypatch, "solve")
     report = verify_hbase(manifold, 5, trials=trials, seed=3)
     assert report.all_passed
     degrees = 5 - manifold.profile.L + 1
-    assert len(eliminations) == 1 + degrees  # the infinity check, then one per degree
-    assert solves == []
+    assert len(echelons) == 1 + degrees  # the infinity check, then one per degree
+    assert eliminations == replays == solves == []
 
 
 def test_reduce_on_one_profile_follows_each_manifolds_leading_forms():
