@@ -474,22 +474,17 @@ def _curve_lines(
     n = system.n
     lines: List[Tuple[Point, Point]] = []
     for _, rows in system.selections(omit=t):
-        # one elimination of the (n-1) x (n+1) matrix [A | b]: when A has
-        # rank n-1 its one free column gives the direction and the last
-        # column the base point with the free coordinate at zero
-        ech = linalg.row_reduce(rows)
-        free = [c for c in range(n) if c not in ech.pivot_columns]
-        if len(free) != 1:
+        # [A | b] is (n-1) x (n+1): when A has rank n-1 its one kernel vector
+        # is the direction, and the solution with the free coordinate at
+        # zero, which always exists, the base point
+        a = [row[:n] for row in rows]
+        kernel = linalg.nullspace(a)
+        if len(kernel) != 1:
             raise InsufficientIntersectionError(
                 "a curve component is not a line: parallel or dependent forms"
             )
-        base = [Fraction(0)] * n
-        direction = [Fraction(0)] * n
-        direction[free[0]] = Fraction(1)
-        for c, b, d in zip(ech.pivot_columns, ech.column(n), ech.column(free[0])):
-            base[c] = b
-            direction[c] = -d
-        lines.append((tuple(base), tuple(direction)))
+        base = linalg.solve(a, [row[n] for row in rows])
+        lines.append((tuple(base), tuple(kernel[0])))
     return lines
 
 

@@ -1,65 +1,49 @@
 """Exact linear algebra over the rationals.
 
 Matrices are lists of lists of exact rationals: Fractions or Python ints.
-Every elimination uses the same deterministic pivot policy: sweep columns
-left to right and take the first remaining row with a nonzero entry, so
-pivot columns are the leftmost maximal independent set and results are
-reproducible bit for bit. `IntegerEchelon` takes rows in order instead and
-finds the same pivot columns.
-
-`row_reduce` is a fraction-free Gauss-Jordan elimination (Bareiss, Math.
-Comp. 22, 1968) over Python ints. Each row is first scaled by the lcm of its
-denominators. A step with pivot p replaces every other row by
-(p*a - f*b) / prev, where prev is the previous pivot; the division is exact
-because every entry stays a minor of the scaled matrix. Both operations only
-multiply rows by nonzero scalars or add multiples of the pivot row, exactly
-as rational elimination does, so every intermediate row is a nonzero multiple
-of its rational counterpart. Zero tests therefore agree, which gives the same
-pivots and swaps, and the final rows divided by the last pivot are the unique
-RREF. The `Echelon` keeps those integer rows and that one denominator; it
-builds Fractions only for the entries a caller reads, and callers read at
-most a column or two (`solve` the right-hand side, `nullspace` the free
-columns).
-
-Rows are scaled lazily. A row with f = 0 at a step is only multiplied by
-p/prev in Bareiss's scheme, and over several such steps those factors
-telescope, so each row keeps `stage`, the pivot it was last brought to, and
-Bareiss's row is the kept row times prev/stage. That is an integer row, so
-the division is exact. A row is brought up when it is read: as the pivot
-row, or when it is cleared, where (p*(a*prev/s) - f*b)/prev is computed as
-(p*prev*a - f*s*b) / (s*prev) in one pass; and every row once at the end.
-Zero tests are unchanged, as kept rows are nonzero multiples of Bareiss's,
-so rank, pivots, rows and denominator are Bareiss's entry for entry, while
-a sparse matrix skips the rescaling of every row that a step does not touch.
-
-`row_reduce` records its steps in `Echelon.steps`: for each pivot the row
-swapped into place, p, prev, and the factor f of each row it cleared, as
-Bareiss sees it (its kept entry times prev/stage); every other row has
-f = 0. Elimination does not look at a right-hand side, so b's column in the
-elimination of [A | b] is b pushed through those steps, with the same
-stages: `replay` does that in O(rows * rank) integer operations. A nonzero
-entry below the rank is a pivot in b's column (the system is inconsistent);
-otherwise the entries at the pivots, over the denominator, are the solution
-with free variables zero. `solve` is `row_reduce` then `replay`, which only
-the exact fallback of `nodes._CanonicalSystem.solve` calls on its own.
+There is one exact elimination, `IntegerEchelon`, and one modular one,
+`row_reduce_mod`. Both find the leftmost independent columns (mod p for
+`row_reduce_mod`), the pivot columns of the RREF, so results are
+reproducible bit for bit.
 
 `IntegerEchelon` is a fraction-free incremental row echelon form over
-Python ints, with `row_reduce`'s pivot columns but not its RREF. Rows
-arrive in order, each scaled by the lcm of its denominators, and a row is
-reduced only at its leading entry, by the stored row whose pivot is that
-column, until its leading column is new (the row is kept) or nothing is
-left (it depends on the rows before it). Each kept row also carries its
-integer combination of the input rows, and the content of both is divided
-out after each step. The kept rows are then the greedy independent rows,
-and their leading columns the leftmost independent columns, the pivot
-columns of the RREF. `weights` reads off the unique combination of the
-kept rows that takes given values on those columns by substitution in
-pivot order.
+Python ints. Rows arrive in order, each scaled by the lcm of its
+denominators, and a row is reduced only at its leading entry, by the stored
+row whose pivot is that column, until its leading column is new (the row is
+kept) or nothing is left (it depends on the rows before it). Each row also
+carries its integer combination of the input rows, and the content of both
+is divided out after each step. The kept rows are then the greedy
+independent rows, and their leading columns the pivot columns of the RREF.
+`weights` reads off the unique combination of the kept rows that takes
+given values on those columns by substitution in pivot order. A rejected
+row's combination (`dependency`) is a vector y with y^T A = 0, nonzero on
+that row and supported on it and the kept rows before it.
+
+Every exact answer is read off one such echelon:
+
+* `row_reduce(A)` adds A's rows in order: its rank, pivot columns and kept
+  rows.
+* `solve(A, b)` adds A's columns. The kept ones are the pivot columns of A,
+  and the echelon's pivot columns are the greedy independent rows I of A.
+  `weights` at I gives the x supported on A's pivot columns that meets b on
+  I, the RREF solution with free variables zero, since A restricted to I
+  and those columns is square and nonsingular. Every other row of A is a
+  combination of the rows in I, so A x = b holds on every row exactly when
+  the system is consistent; one integer check over all rows decides.
+* `nullspace(A)` also adds A's columns. A rejected column's dependency,
+  scaled to 1 on that column, is supported on it and the pivot columns
+  before it, like the RREF's kernel vector for that free column; both are
+  the unique such vector, so they are equal.
+* The first row of A that its echelon rejects gives, scaled the same way,
+  the first vector of the RREF kernel of A^T: the left dependency that
+  `nodes._CanonicalSystem.kernel` falls back to.
 
 `row_reduce_mod` is forward elimination over the integers mod a prime p,
-one of the fixed word-size primes `PRIMES`, with `row_reduce`'s pivot
-policy, delayed reduction (Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008)
-and rows packed as in Kronecker substitution. Each row is one Python int
+one of the fixed word-size primes `PRIMES`. It sweeps columns left to
+right and takes the first remaining row with a nonzero entry as the pivot
+(Gauss-Jordan's policy, so the pivot columns are the RREF's), with delayed
+reduction (Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008) and rows packed
+as in Kronecker substitution. Each row is one Python int
 with a slot of W = bit_length((nrows+1)*p^2) + 1 bits per column, a row
 operation is one big-int multiply-add of the negated pivot row, and a slot
 is reduced mod p only when it is read. Slots stay nonnegative and below
@@ -94,7 +78,7 @@ where they need no trust:
   congruent to it mod M, if one exists (Wang, Guy & Davenport, SIGSAM Bull.
   16(2), 1982). The guess is accepted only after an exact check over Q
   (`satisfies`), as in Dixon (Numer. Math. 40, 1982); otherwise the caller
-  tries the next prime and, after the last, solves with `row_reduce`.
+  tries the next prime and, after the last, takes the exact path.
 """
 
 from __future__ import annotations
@@ -117,153 +101,25 @@ PRIMES = (2**30 - 35, 2**30 - 41, 2**30 - 83)
 
 @dataclass(frozen=True)
 class Echelon:
-    """Result of an exact row reduction.
+    """Result of `row_reduce_mod`, a forward elimination mod p.
 
     pivots[i] = (original_row_index, column) for the i-th pivot, in the
-    order pivots were found. From `row_reduce` the reduced matrix (RREF) is
-    kept as integer rows `ints` over one common `denominator`: entry (i, j)
-    is ints[i][j] / denominator. `column(j)` and `rows` build Fractions only
-    for the entries they return. `scales` are the lcms of each input row's
-    denominators, and `steps[i]` is (k, p, prev, factors) for the i-th
-    pivot: the row k swapped into place i, the pivot value, the previous
-    one, and (row, factor) for each row it cleared. From `row_reduce_mod`
-    there is no denominator, `ints` holds the `rank` nonzero rows of a row
-    echelon form mod p, residues in [0, p) in pivot order, each zero left
-    of its pivot and 1 at it, and both return the residues. `steps[i]` is then
-    (inverse, k, factors) for the i-th pivot: the inverse of its value mod
-    p; its position k among the rows not yet pivots, whose first row takes
-    its place before it leaves; and the factor each remaining row, in that
-    new order, was cleared with.
+    order pivots were found. `ints` holds the `rank` nonzero rows of a row
+    echelon form mod p, residues in [0, p) in pivot order, each zero left of
+    its pivot and 1 at it. `steps[i]` is (inverse, k, factors) for the i-th
+    pivot: the inverse of its value mod p; its position k among the rows not
+    yet pivots, whose first row takes its place before it leaves; and the
+    factor each remaining row, in that new order, was cleared with.
     """
 
     rank: int
     pivots: Tuple[Tuple[int, int], ...]
     ints: Tuple[Tuple[int, ...], ...]
-    denominator: Optional[int] = None
     steps: tuple = ()
-    scales: Tuple[int, ...] = ()
 
     @property
     def pivot_columns(self) -> Tuple[int, ...]:
         return tuple(c for _, c in self.pivots)
-
-    def column(self, j: int) -> List[Fraction]:
-        """Column j of the RREF (of the echelon rows from `row_reduce_mod`)."""
-        d = self.denominator
-        if d is None:
-            return [row[j] for row in self.ints]
-        return [Fraction(row[j], d) for row in self.ints]
-
-    @property
-    def rows(self) -> Tuple[Tuple[Fraction, ...], ...]:
-        d = self.denominator
-        if d is None:
-            return self.ints
-        return tuple(tuple(Fraction(a, d) for a in row) for row in self.ints)
-
-
-def row_reduce(matrix: Sequence[Sequence[Fraction]]) -> Echelon:
-    """Reduced row echelon form with a replayable record of its steps.
-
-    Fraction-free Gauss-Jordan with lazy row scaling: `stage[i]` is the
-    pivot that row i was last brought to, so Bareiss's row is
-    m[i] * prev / stage[i]. A row is brought up only when it is read, as the
-    pivot row or when it is cleared, and every row once at the end."""
-    m: List[List[int]] = []
-    scales: List[int] = []
-    for row in matrix:
-        scale = lcm(*(v.denominator for v in row))
-        scales.append(scale)
-        m.append([v.numerator * (scale // v.denominator) for v in row])
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    origin = list(range(nrows))
-    stage = [1] * nrows
-    pivots: List[Tuple[int, int]] = []
-    steps = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pr is None:
-            continue
-        if pr != r:
-            m[r], m[pr] = m[pr], m[r]
-            origin[r], origin[pr] = origin[pr], origin[r]
-            stage[r], stage[pr] = stage[pr], stage[r]
-        pivot_row = m[r]
-        s = stage[r]
-        if s != prev:
-            pivot_row = m[r] = [a * prev // s for a in pivot_row]
-        p = pivot_row[c]
-        factors = []
-        for i, row in enumerate(m):
-            a = row[c]
-            if a and row is not pivot_row:
-                s = stage[i]
-                if s == prev:
-                    m[i] = [(p * x - a * b) // prev for x, b in zip(row, pivot_row)]
-                    factors.append((i, a))
-                else:
-                    # Bareiss's row is row * prev / s: (p * that - f * b) / prev
-                    f = a * prev // s
-                    ps, fs, d = p * prev, f * s, s * prev
-                    m[i] = [(ps * x - fs * b) // d for x, b in zip(row, pivot_row)]
-                    factors.append((i, f))
-                stage[i] = p
-        stage[r] = p
-        steps.append((pr, p, prev, tuple(factors)))
-        prev = p
-        pivots.append((origin[r], c))
-        r += 1
-        if r == nrows:
-            break
-    ints = tuple(
-        tuple(row) if s == prev else tuple(a * prev // s for a in row)
-        for row, s in zip(m, stage)
-    )
-    return Echelon(
-        rank=r,
-        pivots=tuple(pivots),
-        ints=ints,
-        denominator=prev,
-        steps=tuple(steps),
-        scales=tuple(scales),
-    )
-
-
-def replay(ech: Echelon, rhs: Sequence[Fraction]) -> Optional[List[Fraction]]:
-    """The solution of A x = b with free variables set to zero, from the
-    `row_reduce` echelon of A alone, or None when the system is
-    inconsistent: b goes through A's recorded steps as one more column of
-    [A | b], in O(rows * rank) integer operations. b_i is scaled by row
-    i's scale and all by one common denominator D, so the column is
-    integral and stays so, as Bareiss's columns do."""
-    D = lcm(*(v.denominator for v in rhs))
-    b = [v.numerator * (D // v.denominator) * s for v, s in zip(rhs, ech.scales)]
-    stage = [1] * len(b)
-    for r, (pr, p, prev, factors) in enumerate(ech.steps):
-        b[r], b[pr] = b[pr], b[r]
-        stage[r], stage[pr] = stage[pr], stage[r]
-        s = stage[r]
-        pb = b[r] if s == prev else b[r] * prev // s
-        b[r] = pb
-        for i, f in factors:
-            s = stage[i]
-            if s == prev:
-                b[i] = (p * b[i] - f * pb) // prev
-            else:
-                b[i] = (p * prev * b[i] - f * s * pb) // (s * prev)
-            stage[i] = p
-        stage[r] = p
-    rank = ech.rank
-    if any(b[rank:]):
-        return None  # a pivot in the rhs column
-    x = [Fraction(0)] * len(ech.ints[0]) if ech.ints else []
-    for (_, c), v, s in zip(ech.pivots, b, stage):
-        # Bareiss's final entry is v * denominator / s, over denominator * D
-        x[c] = Fraction(v, s * D)
-    return x
 
 
 def _pack(values: Sequence[int], width: int) -> int:
@@ -276,7 +132,7 @@ def _pack(values: Sequence[int], width: int) -> int:
 
 def row_reduce_mod(matrix: Sequence[Sequence[int]], p: int) -> Echelon:
     """Forward elimination of an integer matrix over the integers mod the
-    prime p, with `row_reduce`'s pivot policy (so the same rank and pivots
+    prime p, with Gauss-Jordan's pivot policy (so the same rank and pivots
     as Gauss-Jordan mod p), each pivot scaled to 1 and nothing cleared
     above it. `ints` holds the pivot rows of the row echelon form and
     `steps` the row operations that made them.
@@ -424,52 +280,6 @@ def satisfies(
     )
 
 
-def solve(
-    matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> Optional[List[Fraction]]:
-    """One exact solution of A x = b with free variables set to zero:
-    `row_reduce` of A, then `replay` of b.
-
-    Returns None when the system is inconsistent.
-    """
-    if not matrix:
-        return []
-    return replay(row_reduce(matrix), rhs)
-
-
-def nullspace(matrix: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
-    """Basis of the right kernel {x : A x = 0}."""
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    if nrows == 0:
-        return [[Fraction(1) if i == j else Fraction(0) for j in range(ncols)] for i in range(ncols)]
-    ech = row_reduce(matrix)
-    pivot_cols = set(ech.pivot_columns)
-    basis: List[List[Fraction]] = []
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for (_, c), a in zip(ech.pivots, ech.column(free)):
-            v[c] = -a
-        basis.append(v)
-    return basis
-
-
-def left_null_vector(
-    matrix: Sequence[Sequence[Fraction]],
-) -> Optional[List[Fraction]]:
-    """A nonzero y with y^T A = 0, or None when rows are independent."""
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    transpose = [[matrix[i][j] for i in range(nrows)] for j in range(ncols)]
-    if not transpose:
-        return [Fraction(1)] * nrows if nrows else None
-    kernel = nullspace(transpose)
-    return kernel[0] if kernel else None
-
-
 class IntegerEchelon:
     """Fraction-free incremental row echelon form over Python ints.
 
@@ -488,25 +298,35 @@ class IntegerEchelon:
     in the span of the rows before it: the kept rows are the greedy
     independent rows I, and `accepted` their indices. Each kept row equals
     its combination of the input rows as given (the scale is part of the
-    coefficient), which involves only rows of I. The kept rows are a basis of the row space with
-    distinct leading columns, so their leading columns are the leading
-    columns of the nonzero vectors of the row space: the pivot columns of
-    the RREF, the leftmost independent columns of A, which `columns` lists
-    in ascending order.
+    coefficient), which involves only rows of I. The kept rows are a basis
+    of the row space with distinct leading columns, so their leading columns
+    are the leading columns of the nonzero vectors of the row space: the
+    pivot columns of the RREF, the leftmost independent columns of A, which
+    `columns` lists in ascending order.
+
+    A rejected row's combination sums the input rows to zero. Its
+    coefficient on that row is its scale times the multipliers p/g, divided
+    by contents that divide it, so it is nonzero. `add` keeps that
+    combination as `dependency` until the next rejection replaces it.
     """
 
-    def __init__(self, rows: Sequence[Sequence[Fraction]] = ()):
+    def __init__(self):
         self.columns: List[int] = []  # pivot columns, ascending
         self.accepted: List[int] = []  # indices of the kept input rows
+        # the combination of the last rejected row, which it sums to zero
+        self.dependency: Optional[Dict[int, int]] = None
         # pivot column -> (kept row, {input row index: integer coefficient})
         self._kept: Dict[int, Tuple[List[int], Dict[int, int]]] = {}
         self._count = 0
-        for row in rows:
-            self.add(row)
 
     @property
     def rank(self) -> int:
         return len(self.columns)
+
+    @property
+    def rows(self) -> Tuple[List[int], ...]:
+        """The kept integer rows, in pivot order."""
+        return tuple(self._kept[c][0] for c in self.columns)
 
     def add(self, row: Sequence[Fraction]) -> bool:
         """Add the next input row; report whether it is independent of the
@@ -535,6 +355,7 @@ class IntegerEchelon:
             v = [0] * (c + 1) + tail
             c = next((j for j, x in enumerate(tail, c + 1) if x), None)
         if c is None:
+            self.dependency = combination
             return False
         insort(self.columns, c)
         self.accepted.append(index)
@@ -582,6 +403,49 @@ class IntegerEchelon:
             for r, y in combination.items():
                 lam[r] += mu * y
         return lam, denominator
+
+    def solution(self, values: Sequence[Fraction]) -> List[Fraction]:
+        """`weights` for rational values, as Fractions: the values are
+        brought to integers over their common denominator D, and each
+        numerator goes over D times the weights' denominator."""
+        D = lcm(*(v.denominator for v in values))
+        lam, denominator = self.weights([v.numerator * (D // v.denominator) for v in values])
+        D *= denominator
+        return [Fraction(w, D) for w in lam]
+
+
+def row_reduce(matrix: Sequence[Sequence[Fraction]]) -> IntegerEchelon:
+    """The `IntegerEchelon` of a whole matrix, its rows added in order."""
+    echelon = IntegerEchelon()
+    for row in matrix:
+        echelon.add(row)
+    return echelon
+
+
+def solve(
+    matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+) -> Optional[List[Fraction]]:
+    """One exact solution of A x = b with free variables set to zero, or
+    None when the system is inconsistent: `solution` at the pivot rows of
+    the echelon of A's columns, then one integer check of every row."""
+    echelon = row_reduce(list(zip(*matrix)))
+    x = echelon.solution([rhs[i] for i in echelon.columns])
+    scales = [lcm(*(v.denominator for v in row)) for row in matrix]
+    rows = [[v.numerator * (s // v.denominator) for v in row] for row, s in zip(matrix, scales)]
+    return x if satisfies(rows, x, scales, rhs) else None
+
+
+def nullspace(matrix: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
+    """Basis of the right kernel {x : A x = 0}: for each column that the
+    echelon of A's columns rejects, its dependency scaled to 1 on it."""
+    ncols = len(matrix[0]) if matrix else 0
+    echelon = IntegerEchelon()
+    basis: List[List[Fraction]] = []
+    for j, column in enumerate(zip(*matrix)):
+        if not echelon.add(column):
+            y = echelon.dependency
+            basis.append([Fraction(y.get(i, 0), y[j]) for i in range(ncols)])
+    return basis
 
 
 class IncrementalRank:

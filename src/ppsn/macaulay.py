@@ -6,7 +6,7 @@ vectors of the elementary items X^alpha * g_i (|alpha| + k_i = m) over the
 degree-m monomials, where g_i is the leading form of the i-th defining
 polynomial. Its pivot columns are the selected monomials; the complement
 spans the canonical remainder space on the manifold. One fraction-free
-integer echelon of that matrix (`linalg.IntegerEchelon`) finds them, and the
+integer echelon of that matrix (`linalg.row_reduce`) finds them, and the
 selection keeps it.
 
 `reduce_modulo` descends degree by degree in one mutable table of integer
@@ -121,12 +121,13 @@ class Manifold:
 class MonomialSelection:
     """Partition of the degree-m monomials into selected and unselected
     columns, with the integer echelon of the elementary items that chose
-    them (`reduce_modulo` reads its cofactor weights off it). The echelon
-    is left out of equality and repr: it is determined by the other fields."""
+    them (`reduce_modulo` reads its cofactor weights off it;
+    `elementary_items` rebuilds the items). The echelon is left out of
+    equality and repr, so selections of different leading forms that label
+    and select alike compare equal."""
 
     m: int
     monomials: Tuple[MultiIndex, ...]
-    matrix: Tuple[Tuple[Fraction, ...], ...]
     labeled_items: Tuple[Tuple[MultiIndex, int], ...]
     selected: Tuple[int, ...]
     unselected: Tuple[int, ...]
@@ -166,7 +167,7 @@ def elementary_items(
 def select_monomials(manifold: Manifold, m: int) -> MonomialSelection:
     """Leftmost-greedy pivot-column selection in the elementary-item matrix.
 
-    One `linalg.IntegerEchelon` of the items, in order, gives the selected
+    One `linalg.row_reduce` of the items, in order, gives the selected
     columns, the leftmost independent ones, and keeps the greedy independent
     items I with the integer combinations that `reduce_modulo` substitutes
     against, so a selection is eliminated once and a reduction eliminates
@@ -190,7 +191,7 @@ def _selection(
     monos, rows, labels = elementary_items(leading_forms, n, m)
     # the degree-m monomials less h_m, the degree-m part of the Hilbert function
     expected = binom_e(m, n - 1) - (dim_along(m, profile) - dim_along(m - 1, profile))
-    echelon = linalg.IntegerEchelon(rows)
+    echelon = linalg.row_reduce(rows)
     if echelon.rank != expected:
         raise InsufficientIntersectionError(
             f"elementary items of degree {m} have rank {echelon.rank}, expected {expected}: "
@@ -202,7 +203,6 @@ def _selection(
     return MonomialSelection(
         m=m,
         monomials=monos,
-        matrix=tuple(tuple(r) for r in rows),
         labeled_items=tuple(labels),
         selected=selected,
         unselected=unselected,
@@ -240,7 +240,7 @@ def infinity_check(manifold: Manifold) -> bool:
         )
     target = sum(g.degree for g in gs) - n + 1
     monos, rows, _ = elementary_items(gs, n, target)
-    return linalg.IntegerEchelon(rows).rank == len(monos)
+    return linalg.row_reduce(rows).rank == len(monos)
 
 
 def _expand(total: Polynomial, cofactors: Sequence[Polynomial], manifold: Manifold) -> Polynomial:
@@ -366,7 +366,7 @@ class _HBaseSystems:
     The degree-d system asks for weights lambda_r of the items r = (beta, i),
     X^beta * (F_i f_i) with |beta| <= d - k_i (so each cofactor keeps its
     degree bound), with sum lambda_r item_r = G for a member g = G / D. The
-    `linalg.IntegerEchelon` of the items keeps the greedy independent ones,
+    `linalg.row_reduce` echelon of the items keeps the greedy independent ones,
     the pivot columns of the transposed system, so `weights` at its pivot
     monomials is the solution with free variables zero. It solves the
     system iff sum lambda_r item_r = den * G on every monomial."""
@@ -385,7 +385,7 @@ class _HBaseSystems:
         d = max((sum(mu) for mu, v in G.items() if v), default=-1)
         if d not in self._echelons:
             basis, rows, labels = elementary_items(self._items, self.n, d, monomial_basis)
-            echelon = linalg.IntegerEchelon(rows)
+            echelon = linalg.row_reduce(rows)
             self._echelons[d] = labels, echelon, [basis[c] for c in echelon.columns]
         labels, echelon, pivots = self._echelons[d]
         lam, den = echelon.weights([G.get(mu, 0) for mu in pivots])

@@ -24,8 +24,8 @@ functional annihilating every row.
 Evaluation rows are built over Python ints (`evaluation_rows`): a point q
 with common denominator B is written q = c / B, and its row over monomials
 of degree <= d is B^d times the rational row, entry c^alpha * B^(d-|alpha|).
-Scaling a row by a nonzero constant changes neither the pivots nor the RREF
-of `linalg.row_reduce`, so rank certificates and interpolants come straight
+Scaling a row by a nonzero constant changes neither the rank nor the
+solutions of the system, so rank certificates and interpolants come straight
 from the integer rows; `evaluation_matrix` divides them back out for callers
 that need the rational entries. A cached plan per monomial tuple
 (`_evaluation_plan`) gives each c^alpha as its parent's value times one
@@ -61,12 +61,13 @@ skipped, and one with rank N proves the set proper), y is rebuilt by
 `linalg.rational_reconstruct`, and it is accepted only if
 sum_{i<=f} y_i * row_i = 0 holds exactly over the integers. Rows 0..f-1 are
 independent mod p, hence over Q, and row f depends on them, so y is their
-unique combination: the vector that the exact `linalg.left_null_vector`
-returns, entry for entry. Anything else falls back to that exact
-elimination, whose kernel vector, rescaled by the row scales, is the
-improper certificate; no kernel vector means the set is proper after all.
-`solve` reads the same echelons (`linalg.solve_transposed`) and falls back
-to `linalg.row_reduce` of A and `linalg.replay` of b.
+unique combination: the `dependency` of row f, scaled to 1 there, that an
+exact `linalg.IntegerEchelon` of the rows finds, entry for entry. Anything
+else falls back to that exact elimination, whose vector, rescaled by the
+row scales, is the improper certificate; no rejected row means the set is
+proper after all. `solve` reads the same echelons
+(`linalg.solve_transposed`) and falls back to `weights` on the exact
+`linalg.row_reduce` of A^T.
 """
 
 from __future__ import annotations
@@ -307,8 +308,8 @@ def verify_ppsn(
         # so the left kernels agree. Row i is s_i times the rational row, so
         # a kernel vector w of the integer rows gives s_i * w_i on the
         # rational ones. The first dependent row f is w's last nonzero entry,
-        # with w_f = 1, so dividing by s_f gives the vector that
-        # `left_null_vector` returns for the rational matrix, entry for entry
+        # with w_f = 1, so dividing by s_f gives the first row's dependency
+        # in the rational matrix, scaled to 1 on that row, entry for entry
         f = max(i for i, w in enumerate(kernel) if w)
         scales = system.scales
         return PPSNCertificate(
@@ -357,7 +358,8 @@ class _CanonicalSystem:
     echelon of that transpose, with its steps, for each prime asked for so
     far, so either question after the other eliminates nothing again mod
     that prime. Both answers mod p are guesses until `linalg.satisfies`
-    checks them over the integers; the exact elimination is the fallback."""
+    checks them over the integers; an exact `linalg.IntegerEchelon` is the
+    fallback."""
 
     __slots__ = ("points", "scales", "rows", "transpose", "_echelons")
 
@@ -374,10 +376,9 @@ class _CanonicalSystem:
         return ech
 
     def kernel(self) -> Optional[List[Fraction]]:
-        """`linalg.left_null_vector(self.rows)`, found mod `linalg.PRIMES`
-        when it can be: None when the rows are independent, otherwise the
-        combination y with y_f = 1 of the first row f that depends on the
-        rows before it, zero after f.
+        """None when the rows are independent, otherwise the combination y
+        with y_f = 1 of the first row f that depends on the rows before it,
+        zero after f: found mod `linalg.PRIMES` when it can be.
 
         The first non-pivot column of a prime's echelon of the transpose is
         the first row f_p dependent mod p, and a rank of N proves the rows
@@ -387,8 +388,9 @@ class _CanonicalSystem:
         x_i + sum_{i<j<f_p} e_ij x_j = e_if_p, solved by `back_substitute`,
         and y = (-x, 1). The rebuilt y is returned only if
         sum_{i<=f} y_i * row_i = 0 over the integers, which `satisfies`
-        checks on the transpose; otherwise, after the last prime, the exact
-        `left_null_vector` decides."""
+        checks on the transpose; otherwise, after the last prime, an exact
+        `linalg.IntegerEchelon` of the rows decides: the `dependency` of the
+        first row it rejects, scaled to 1 on that row, or None."""
         N = len(self.rows)
         residues: List[int] = []
         modulus, f = 1, -1
@@ -410,7 +412,12 @@ class _CanonicalSystem:
             y.append(Fraction(1))
             if linalg.satisfies(self.transpose, y, [1] * N, [0] * N):
                 return y + [Fraction(0)] * (N - f - 1)
-        return linalg.left_null_vector(self.rows)
+        echelon = linalg.IntegerEchelon()
+        for f, row in enumerate(self.rows):
+            if not echelon.add(row):
+                y = echelon.dependency
+                return [Fraction(y.get(i, 0), y[f]) for i in range(N)]
+        return None
 
     def solve(self, values: Sequence[Fraction]) -> List[Fraction]:
         """The unique x with (row_i / scale_i) . x = values_i for every node
@@ -424,7 +431,8 @@ class _CanonicalSystem:
         mod the running product, and the first guess that `satisfies` every
         equation is returned: A is nonsingular over Q, so that guess is the
         unique solution. Otherwise the one exact path runs: `row_reduce` of
-        A, a rank check, and `replay` of b."""
+        A^T, a rank check, and `solution` at its pivot rows, which are all N
+        rows of A."""
         N = len(self.rows)
         residues = [0] * N
         modulus = 1
@@ -446,12 +454,12 @@ class _CanonicalSystem:
                 # interpolant small; equal fractions have equal residues
                 shared: Dict[int, Fraction] = {}
                 return [shared.setdefault(u, v) for u, v in zip(residues, x)]
-        ech = linalg.row_reduce(self.rows)
+        ech = linalg.row_reduce(self.transpose)
         if ech.rank != N:
             raise InternalCheckError(
                 "canonical evaluation matrix is singular for a certified node set"
             )
-        x = linalg.replay(ech, [s * v for s, v in zip(self.scales, values)])
+        x = ech.solution([s * v for s, v in zip(self.scales, values)])
         if not linalg.satisfies(self.rows, x, self.scales, values):
             raise InternalCheckError("interpolant misses a node value")
         return x
@@ -558,17 +566,18 @@ def intersect_factorable(system: FactorableSystem) -> IntersectionReport:
     # equal coordinates share one Fraction, which keeps the nodes small
     shared: Dict[Fraction, Fraction] = {}
     for choice, rows in system.selections():
-        # one elimination of [A | b]: A is n x n, so it is singular exactly
-        # when fewer than n pivots fall in its columns; otherwise row i of the
-        # RREF is e_i | x_i
-        ech = linalg.row_reduce(rows)
-        if sum(c < n for c in ech.pivot_columns) < n:
+        # one echelon of A's columns: A is n x n, so it is singular exactly
+        # when their rank is below n; otherwise every row of A is a pivot
+        # row, and `solution` at them is A^-1 b
+        columns = list(zip(*rows))
+        ech = linalg.row_reduce(columns[:n])
+        if ech.rank < n:
             failures.append(
                 f"selection {choice} is singular: "
                 "point at infinity or a positive-dimensional component"
             )
             continue
-        p = tuple(shared.setdefault(c, c) for c in ech.column(n))
+        p = tuple(shared.setdefault(c, c) for c in ech.solution(columns[n]))
         if p in points:
             coincident.append(
                 f"coincident intersection points (selections {points[p]} and {choice})"

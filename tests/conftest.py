@@ -7,9 +7,9 @@ from ppsn import Manifold, macaulay, nodes, parse_polynomial, parse_system_text
 
 
 # Each example of the elimination-heavy property tests runs whole
-# eliminations, and shrinking a failure replays hundreds of them: a broken
-# modular path or `row_reduce` took minutes to report. Those tests skip the
-# shrink phase and report the first failing example as drawn.
+# eliminations, and shrinking a failure repeats hundreds of them: a broken
+# modular path or exact elimination took minutes to report. Those tests skip
+# the shrink phase and report the first failing example as drawn.
 NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
 
 

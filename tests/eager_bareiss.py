@@ -1,7 +1,7 @@
-"""Test-only references: fraction-free Gauss-Jordan (Bareiss) that rescales
-every row at every step, and a solve that eliminates [A | b] afresh, as
-`ppsn.linalg` computed them before rows were scaled lazily and right-hand
-sides replayed; and plain rational Gauss-Jordan on Fractions."""
+"""Test-only references, independent of `ppsn.linalg`'s integer echelon:
+fraction-free Gauss-Jordan (Bareiss) that rescales every row at every step,
+with a solve that eliminates [A | b] afresh; and plain rational
+Gauss-Jordan on Fractions, with the RREF kernel basis it gives."""
 
 from fractions import Fraction
 from math import lcm
@@ -86,3 +86,21 @@ def fraction_row_reduce(matrix):
         if r == nrows:
             break
     return r, tuple(pivots), tuple(tuple(row) for row in m)
+
+
+def fraction_nullspace(matrix):
+    """The RREF basis of the right kernel: for each free column, 1 there
+    and minus that column of the RREF at the pivot columns."""
+    ncols = len(matrix[0]) if matrix else 0
+    _, pivots, rows = fraction_row_reduce(matrix)
+    columns = [c for _, c in pivots]
+    basis = []
+    for free in range(ncols):
+        if free in columns:
+            continue
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for c, row in zip(columns, rows):
+            v[c] = -row[free]
+        basis.append(v)
+    return basis

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from eager_bareiss import fraction_nullspace
 from ppsn import (
     CBPartition,
     DegreeProfile,
@@ -43,7 +44,6 @@ from ppsn import (
     verify_ppsn,
 )
 from ppsn.construct import SuperpositionStep, superpose_nodes
-from ppsn.linalg import nullspace
 from ppsn.macaulay import random_polynomial
 
 F = Fraction
@@ -220,7 +220,7 @@ def test_criterion_07_grid_cayley_bacharach():
     for point in full.points:
         partition = CBPartition(full=full, removed=NodeSet([point]))
         matrix = evaluation_matrix(partition.remaining.points, basis3)
-        kernel = nullspace(matrix)
+        kernel = fraction_nullspace(matrix)
         assert kernel
         for vec in kernel:
             cubic = Polynomial(2, dict(zip(basis3, vec)))

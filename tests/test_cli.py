@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -6,12 +7,14 @@ import re
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ppsn
+from ppsn import linalg
 from ppsn.cli import MAX_DIM_DEGREE, MAX_DIM_STEPS, SUBCOMMANDS, build_parser, dim_steps, main
 
 GRID = "x1*(x1-1)*(x1-2)\nx2*(x2-1)*(x2-2)\n"
@@ -296,6 +299,53 @@ def test_cb_check_branches(files, capsys):
     )
     assert code == 0
     assert "vanishes" in out
+
+
+def test_cb_check_exception_hypersurface(files, capsys):
+    # f vanishes on the ten remaining points of the 4x4 grid but not on the
+    # six removed ones, which lie on a conic: the first kernel vector of
+    # their evaluation rows at degree M - m - 1 = 2
+    system = files("grid4.sys", "x1*(x1-1)*(x1-2)*(x1-3)\nx2*(x2-1)*(x2-2)*(x2-3)\n")
+    removed = files("six.nodes", "0,0\n1,0\n2,0\n3,0\n0,1\n2,2\n")
+    code, out = run(
+        ["cb-check", "--system", system, "--remove", removed, "--m", "3",
+         "--poly", "x2^3 - 6*x2^2 + 11*x2 - 6", "--json"],
+        capsys,
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert not report["vanishes_on_removed"]
+    assert report["exception_hypersurface"] == "-x2 - 1/2*x1*x2 + x2^2"
+
+
+def test_interpolate_generic_values_through_the_exact_fallback(files, capsys, monkeypatch):
+    # 21 rational circle points and values 1/(k+2): the interpolant's
+    # coefficients are past what the primes reconstruct, so the exact
+    # fallback solves the 21 x 21 system, once
+    points = []
+    for k in range(1, 22):
+        t = Fraction(k, 3)
+        points.append(f"{(1 - t * t) / (1 + t * t)},{2 * t / (1 + t * t)}")
+    manifold = files("circle.mani", CIRCLE)
+    nodes = files("circle21.nodes", "\n".join(points) + "\n")
+    values = files("circle21.vals", "".join(f"{Fraction(1, k + 2)}\n" for k in range(21)))
+    circle = ppsn.Manifold([ppsn.parse_polynomial(CIRCLE, 2)])
+    ppsn.canonical_monomials(circle, 2, 10)  # the selections, so only the fallback is counted
+    builds = []
+    real = linalg.row_reduce
+    monkeypatch.setattr(linalg, "row_reduce", lambda matrix: builds.append(len(matrix)) or real(matrix))
+    code, out = run(
+        ["interpolate", "--manifold", manifold, "--nodes", nodes, "--values", values,
+         "--m", "10", "--json"],
+        capsys,
+    )
+    assert code == 0
+    assert builds == [21]
+    polynomial = json.loads(out)["polynomial"]
+    assert len(polynomial) == 1093
+    assert hashlib.sha256(polynomial.encode()).hexdigest() == (
+        "b9f96829fbff03c59f26b005af0e092b60401dfc48855b3626b8e0a80471aea0"
+    )
 
 
 def test_chain_counts(files, capsys):

@@ -6,15 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import NO_SHRINK
-from eager_bareiss import eager_row_reduce, eager_solve, fraction_row_reduce
+from eager_bareiss import eager_solve, fraction_nullspace, fraction_row_reduce
 from ppsn.linalg import (
     PRIMES,
     IncrementalRank,
     IntegerEchelon,
     back_substitute,
-    left_null_vector,
     nullspace,
-    replay,
     row_reduce,
     row_reduce_mod,
     satisfies,
@@ -84,9 +82,10 @@ def test_row_reduce_matches_fraction_reference(m):
     ech = row_reduce(m)
     rank_, pivots, rows = fraction_row_reduce(m)
     assert ech.rank == rank_
-    assert ech.pivots == pivots
-    assert ech.rows == rows
-    assert all(type(v) is Fraction for row in ech.rows for v in row)
+    assert tuple(ech.columns) == tuple(c for _, c in pivots)
+    # the kept integer rows span the row space: their RREF is the matrix's
+    assert all(type(v) is int for row in ech.rows for v in row)
+    assert fraction_row_reduce(ech.rows)[2] == rows[:rank_]
 
 
 def test_rank_examples():
@@ -97,7 +96,7 @@ def test_rank_examples():
 
 def test_row_reduce_pivots_are_leftmost():
     ech = row_reduce([[F(0), F(1), F(1)], [F(1), F(0), F(2)]])
-    assert ech.pivot_columns == (0, 1)
+    assert ech.columns == [0, 1]
     assert ech.rank == 2
 
 
@@ -113,21 +112,23 @@ def test_nullspace_vectors_annihilate(m):
     for v in nullspace(m):
         for row in m:
             assert sum(a * b for a, b in zip(row, v)) == 0
-    assert len(nullspace(m)) == len(m[0]) - row_reduce(m).rank
+    assert len(nullspace(m)) == len(m[0]) - fraction_row_reduce(m)[0]
 
 
 @settings(max_examples=60)
 @given(matrices())
 def test_left_null_vector_annihilates(m):
-    v = left_null_vector(m)
-    if v is None:
+    # the dependency of the first row the echelon rejects
+    echelon = IntegerEchelon()
+    f = next((i for i, row in enumerate(m) if not echelon.add(row)), None)
+    if f is None:
         # full row rank: the rows are independent
-        assert row_reduce(m).rank == len(m)
+        assert fraction_row_reduce(m)[0] == len(m)
         return
-    assert any(c != 0 for c in v)
-    ncols = len(m[0])
-    for j in range(ncols):
-        assert sum(v[i] * m[i][j] for i in range(len(m))) == 0
+    y = echelon.dependency
+    assert y[f] and set(y) <= set(echelon.accepted) | {f}
+    for j in range(len(m[0])):
+        assert sum(c * m[i][j] for i, c in y.items()) == 0
 
 
 @settings(max_examples=60)
@@ -138,9 +139,9 @@ def test_incremental_rank_agrees_with_batch_rank(m):
     for row in m:
         if tracker.add(row):
             accepted.append(row)
-    assert tracker.rank == row_reduce(m).rank
+    assert tracker.rank == fraction_row_reduce(m)[0]
     if accepted:
-        assert row_reduce(accepted).rank == len(accepted)
+        assert fraction_row_reduce(accepted)[0] == len(accepted)
 
 
 integer_matrices = st.integers(1, 5).flatmap(
@@ -206,7 +207,7 @@ def candidate_streams(draw):
 
 
 def _rank(rows, width):
-    return row_reduce([r[:width] for r in rows]).rank if rows else 0
+    return fraction_row_reduce([r[:width] for r in rows])[0] if rows else 0
 
 
 @settings(max_examples=150)
@@ -229,14 +230,14 @@ def test_incremental_rank_matches_greedy_definition_and_rref_basis(rows):
             c = next(j for j in range(ncols) if _rank(kept + [row], j + 1) > _rank(kept, j + 1))
             assert c == pivots[len(kept)]
             kept.append(row)
-    assert tracker.rank == len(kept) == row_reduce(rows).rank
+    assert tracker.rank == len(kept) == fraction_row_reduce(rows)[0]
 
 
 @settings(max_examples=100, phases=NO_SHRINK)
 @given(candidate_streams())
 @example([[F(0), F(1)], [F(1), F(0)], [F(1), F(1)]])
 @example([[F(1), F(2), F(3)], [F(0), F(0), F(1)], [F(2), F(4), F(7)], [F(0), F(1), F(0)]])
-@example([[F(0), F(2)], [F(0), F(4)], [F(3), F(0)]])  # row_reduce's pivot rows are 2 and 1
+@example([[F(0), F(2)], [F(0), F(4)], [F(3), F(0)]])  # Gauss-Jordan's pivot rows are 2 and 1
 def test_integer_echelon_keeps_the_greedy_rows_as_their_combinations(rows):
     ncols = len(rows[0])
     echelon = IntegerEchelon()
@@ -249,7 +250,7 @@ def test_integer_echelon_keeps_the_greedy_rows_as_their_combinations(rows):
             kept.append(row)
     assert echelon.accepted == [r for r, accepted in enumerate(verdicts) if accepted]
     # the pivots are the leftmost independent columns
-    assert tuple(echelon.columns) == row_reduce(rows).pivot_columns
+    assert tuple(echelon.columns) == tuple(c for _, c in fraction_row_reduce(rows)[1])
     assert echelon.rank == len(kept)
     # each kept row is an integer row, zero left of its pivot, and equal to its
     # integer combination of the accepted input rows
@@ -266,7 +267,7 @@ def test_integer_echelon_keeps_the_greedy_rows_as_their_combinations(rows):
 @example([[F(3), F(1)], [F(0), F(2)]], [1, 1, 0, 0, 0, 0])  # pivots divide no entry
 @example([[F(0), F(2)], [F(0), F(4)], [F(3), F(0)]], [5, 7, 0, 0, 0, 0])
 def test_integer_echelon_weights_are_the_solve_of_the_transposed_selected_block(rows, values):
-    echelon = IntegerEchelon(rows)
+    echelon = row_reduce(rows)
     b = values[: echelon.rank]
     lam, denominator = echelon.weights(b)
     assert denominator > 0 and len(lam) == len(rows)
@@ -274,7 +275,7 @@ def test_integer_echelon_weights_are_the_solve_of_the_transposed_selected_block(
         assert lam == [0] * len(rows)
         return
     system = [[row[c] for row in rows] for c in echelon.columns]
-    assert [F(x, denominator) for x in lam] == solve(system, [F(v) for v in b])
+    assert [F(x, denominator) for x in lam] == eager_solve(system, [F(v) for v in b])
 
 
 @settings(max_examples=60)
@@ -287,32 +288,13 @@ def test_solve_solution_satisfies_system(m):
         assert sum(a * x for a, x in zip(row, sol)) == target
 
 
-@settings(max_examples=60)
-@given(st.one_of(matrices(5, 5, wide_fractions_st), rank_deficient_products(), with_zero_columns()))
-def test_echelon_column_is_the_column_of_rows(m):
-    ech = row_reduce(m)
-    for j in range(len(m[0])):
-        assert ech.column(j) == [row[j] for row in ech.rows]
-        assert all(type(v) is Fraction for v in ech.column(j))
-    ints = [[v.numerator * 3 for v in row] for row in m]
-    p = PRIMES[0]
-    mod = row_reduce_mod(ints, p)
-    # the rank nonzero rows of an echelon form, each 0 left of its pivot and 1 at it
-    assert len(mod.ints) == len(mod.rows) == mod.rank
-    for row, c in zip(mod.ints, mod.pivot_columns):
-        assert row[:c] == (0,) * c and row[c] == 1
-    for j in range(len(m[0])):
-        assert mod.column(j) == [row[j] for row in mod.rows]
-        assert all(type(v) is int and 0 <= v < p for v in mod.column(j))
-
-
-# -- lazy row scaling and replay against eager Bareiss -----------------------------
+# -- solve, nullspace and the first dependency against Fraction references ---------
 
 
 @st.composite
 def sparse_matrices(draw):
-    """Mostly zero entries, so that most rows skip most steps and their
-    stages fall behind; sometimes one row the sum of two others."""
+    """Mostly zero entries, so that most rows reduce at few columns;
+    sometimes one row the sum of two others."""
     nrows = draw(st.integers(1, 7))
     ncols = draw(st.integers(1, 7))
     entry = st.one_of(st.just(F(0)), st.just(F(0)), st.just(F(0)), fractions_st)
@@ -330,21 +312,6 @@ any_matrices = st.one_of(
     zero_matrices,
 )
 
-# row 2 becomes the pivot row at column 1 while row 1, its swap partner,
-# was brought to the first pivot and row 2 was not
-STALE_SWAP = [[F(2), F(1), F(0)], [F(2), F(1), F(5)], [F(0), F(3), F(1)]]
-
-
-@settings(max_examples=200)
-@given(any_matrices)
-@example(STALE_SWAP)
-@example([[F(0), F(2), F(1)], [F(0), F(0), F(3)], [F(5, 7), F(1), F(0)]])
-@example([[F(0), F(0)], [F(1, 999999), F(1)], [F(2, 999999), F(2)]])
-def test_lazy_row_reduce_matches_eager_bareiss_entry_for_entry(m):
-    ech = row_reduce(m)
-    assert (ech.rank, ech.pivots, ech.ints, ech.denominator) == eager_row_reduce(m)
-
-
 @st.composite
 def systems(draw):
     """(A, b): b = A x for a random x, or a random b, which is mostly
@@ -360,23 +327,55 @@ def systems(draw):
 
 @settings(max_examples=200)
 @given(systems())
-@example((STALE_SWAP, [F(1), F(-2, 3), F(5)]))
+@example(([[F(2), F(1), F(0)], [F(2), F(1), F(5)], [F(0), F(3), F(1)]], [F(1), F(-2, 3), F(5)]))
 @example(([[F(0), F(2), F(1)], [F(0), F(0), F(3)], [F(5, 7), F(1), F(0)]], [F(1), F(2), F(3)]))
 @example(([[F(1), F(2)], [F(2), F(4)]], [F(1), F(3)]))  # inconsistent
 @example(([[F(0)], [F(0)]], [0, F(1, 2)]))  # inconsistent on a zero column
-def test_replay_is_a_fresh_elimination_of_the_augmented_matrix(case):
+def test_solve_is_a_fresh_elimination_of_the_augmented_matrix(case):
     m, b = case
-    ech = row_reduce(m)
-    assert replay(ech, b) == eager_solve(m, b)
     assert solve(m, b) == eager_solve(m, b)
 
 
-def test_replay_reuses_one_elimination_for_many_right_hand_sides():
-    m = [[F(1), F(2), F(0)], [F(0), F(1), F(1, 3)], [F(1), F(3), F(1, 3)]]  # row 3 = 1 + 2
-    ech = row_reduce(m)
-    for b in ([F(1), F(2), F(3)], [F(0), F(1, 7), F(1, 7)], [F(1), F(0), F(0)]):
-        assert replay(ech, b) == eager_solve(m, b)
-    assert replay(ech, [F(1), F(0), F(0)]) is None
+@st.composite
+def mixed_systems(draw):
+    """(A, b) as `systems` draws them, consistent, inconsistent or rank
+    deficient, with each integral entry of A and b an int half the time."""
+    m, b = draw(systems())
+
+    def mix(v):
+        return int(v) if F(v).denominator == 1 and draw(st.booleans()) else v
+
+    return [[mix(v) for v in row] for row in m], [mix(v) for v in b]
+
+
+@settings(max_examples=200, phases=NO_SHRINK)
+@given(mixed_systems())
+@example(([], []))  # no rows: the empty solution and the identity basis on no columns
+@example(([[F(0), 1], [F(0), F(2)]], [F(1), 2]))  # a zero column, and dependent rows
+@example(([[1, F(1, 2)], [2, 1], [0, 3]], [F(1), 2, 0]))  # inconsistent
+def test_solve_nullspace_and_first_dependency_match_the_fraction_rref(case):
+    m, b = case
+    ncols = len(m[0]) if m else 0
+    # solve: the RREF of [A | b], free variables zero, None past a pivot in b
+    _, pivots, rref = fraction_row_reduce([list(row) + [v] for row, v in zip(m, b)])
+    expected = None
+    if all(c < ncols for _, c in pivots):
+        expected = [F(0)] * ncols
+        for (_, c), row in zip(pivots, rref):
+            expected[c] = row[ncols]
+    assert solve(m, b) == expected
+    # nullspace: one RREF kernel vector per free column
+    assert nullspace(m) == fraction_nullspace(m)
+    # the first rejected row's dependency, scaled to 1 on that row, is the
+    # first RREF kernel vector of the transpose
+    echelon = IntegerEchelon()
+    f = next((i for i, row in enumerate(m) if not echelon.add(row)), None)
+    left = fraction_nullspace([list(column) for column in zip(*m)])
+    if f is None:
+        assert left == []
+    else:
+        y = echelon.dependency
+        assert [F(y.get(i, 0), y[f]) for i in range(len(m))] == left[0]
 
 
 # -- packed-row elimination mod p against list-based kernels ---------------------

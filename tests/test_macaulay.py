@@ -45,7 +45,7 @@ def test_manifold_basic_properties(circle):
 def test_circle_selection_degree_two(circle):
     sel = select_monomials(circle, 2)
     # elementary-item row for the leading form x1^2 + x2^2 over (x1^2, x1x2, x2^2)
-    assert [list(row) for row in sel.matrix] == [[F(1), F(0), F(1)]]
+    assert macaulay.elementary_items(circle.leading_forms, 2, 2)[1] == [[F(1), F(0), F(1)]]
     assert tuple(sel.monomials[j] for j in sel.selected) == ((2, 0),)
     assert sel.unselected_monomials() == ((1, 1), (0, 2))
 
@@ -64,8 +64,7 @@ def test_canonical_monomials_counts(circle):
 
 
 def count_calls(monkeypatch, name):
-    """The row counts of the matrices passed to linalg.<name> (a function or
-    a class), call by call."""
+    """The row counts of the matrices passed to linalg.<name>, call by call."""
     calls = []
     real = getattr(linalg, name)
 
@@ -80,7 +79,7 @@ def count_calls(monkeypatch, name):
 def test_manifolds_with_equal_leading_forms_share_selections(monkeypatch):
     unit = Manifold([parse_polynomial("x1^2 + x2^2 - 1", 2)])
     wide = Manifold([parse_polynomial("x1^2 + x2^2 - 4", 2)])
-    calls = count_calls(monkeypatch, "IntegerEchelon")
+    calls = count_calls(monkeypatch, "row_reduce")
     first = [select_monomials(unit, m) for m in range(6)]
     assert calls == [0, 0, 1, 2, 3, 4]  # one echelon per degree; 0 and 1 have no items
     calls.clear()
@@ -107,7 +106,8 @@ def test_equal_profiles_with_different_leading_forms_never_share(monkeypatch):
         macaulay._selection.cache_clear()
         alone = select_monomials(circle_form, m), select_monomials(cross, m)
         assert shared == alone
-        assert shared[0].matrix != shared[1].matrix
+        items = [macaulay.elementary_items(M.leading_forms, 2, m)[1] for M in (circle_form, cross)]
+        assert items[0] != items[1]
     assert select_monomials(circle_form, 2).selected == (0,)  # x1^2
     assert select_monomials(cross, 2).selected == (1,)  # x1*x2
 
@@ -152,15 +152,14 @@ def test_selection_is_the_row_reduce_pivot_columns_of_its_items(case):
     forms, m = case
     manifold = Manifold(forms)
     monos, rows, _ = macaulay.elementary_items(forms, manifold.n, m)
-    reference = linalg.row_reduce(rows) if rows else None
-    rank = reference.rank if rows else 0
+    rank, pivots, _ = fraction_row_reduce(rows) if rows else (0, (), ())
     h = dim_along(m, manifold.profile) - dim_along(m - 1, manifold.profile)
     if rank != binom_e(m, manifold.n - 1) - h:
         with pytest.raises(InsufficientIntersectionError):
             select_monomials(manifold, m)
         return
     sel = select_monomials(manifold, m)
-    assert sel.selected == (reference.pivot_columns if rows else ())
+    assert sel.selected == tuple(c for _, c in pivots)
     assert sel.unselected == tuple(j for j in range(len(monos)) if j not in sel.selected)
 
 
@@ -336,13 +335,12 @@ def reference_reduce_modulo(f, manifold):
             work = work - hom
             continue
         v = [hom.coefficient(mu) for mu in sel.monomials]
-        system = [
-            [sel.matrix[r][c] for r in range(len(sel.matrix))] for c in sel.selected
-        ]
-        lam = linalg.solve(system, [v[c] for c in sel.selected])
+        items = macaulay.elementary_items(manifold.leading_forms, manifold.n, t)[1]
+        system = [[row[c] for row in items] for c in sel.selected]
+        lam = eager_solve(system, [v[c] for c in sel.selected])
         combo = [Fraction(0)] * len(sel.monomials)
         for r, weight in enumerate(lam):
-            for j, entry in enumerate(sel.matrix[r]):
+            for j, entry in enumerate(items[r]):
                 combo[j] += weight * entry
         u = Polynomial(
             manifold.n,
@@ -383,7 +381,7 @@ def reference_hbase_decompose(g, manifold):
             columns.append(colv)
             labels.append((i, beta))
     matrix = [[columns[c][r] for c in range(len(columns))] for r in range(len(basis))]
-    sol = linalg.solve(matrix, [g.coefficient(mu) for mu in basis])
+    sol = eager_solve(matrix, [g.coefficient(mu) for mu in basis])
     if sol is None:
         return None
     cof_terms = [dict() for _ in manifold.polynomials]
@@ -490,7 +488,8 @@ def seed_reduce_modulo(f, manifold):
             continue
         sel = select_monomials(manifold, t)
         if sel.labeled_items:
-            system = [[row[c] for row in sel.matrix] for c in sel.selected]
+            items = macaulay.elementary_items(manifold.leading_forms, n, t)[1]
+            system = [[row[c] for row in items] for c in sel.selected]
             rhs = [work.get(sel.monomials[c], 0) for c in sel.selected]
             lam = eager_solve(system, rhs)
             for weight, (alpha, i) in zip(lam, sel.labeled_items):
@@ -596,16 +595,16 @@ def test_reduce_modulo_matches_a_fresh_solve_per_degree(shape):
 def test_reduce_modulo_eliminates_nothing_once_selections_are_cached(shape, monkeypatch):
     manifold = SHAPES[shape]
     f = random_polynomial(random.Random(5), manifold.n, 7)
-    echelons = count_calls(monkeypatch, "IntegerEchelon")
-    eliminations = count_calls(monkeypatch, "row_reduce")
+    echelons = count_calls(monkeypatch, "row_reduce")
     solves = count_calls(monkeypatch, "solve")
+    nullspaces = count_calls(monkeypatch, "nullspace")
     cold = reduce_modulo(f, manifold)
     # cold: each degree met is eliminated once, by its selection's echelon
     assert 0 < len(echelons) <= f.degree + 1
-    assert eliminations == solves == []
+    assert solves == nullspaces == []
     echelons.clear()
     assert reduce_modulo(f, manifold) == cold
-    assert echelons == eliminations == solves == []
+    assert echelons == solves == nullspaces == []
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
@@ -621,15 +620,14 @@ def test_verify_hbase_matches_a_fresh_solve_per_trial(shape, trials, seed):
 @pytest.mark.parametrize("trials", [1, 4])
 def test_verify_hbase_eliminates_once_per_degree_for_any_trials(shape, trials, monkeypatch):
     manifold = SHAPES[shape]
-    echelons = count_calls(monkeypatch, "IntegerEchelon")
-    eliminations = count_calls(monkeypatch, "row_reduce")
-    replays = count_calls(monkeypatch, "replay")
+    echelons = count_calls(monkeypatch, "row_reduce")
     solves = count_calls(monkeypatch, "solve")
+    nullspaces = count_calls(monkeypatch, "nullspace")
     report = verify_hbase(manifold, 5, trials=trials, seed=3)
     assert report.all_passed
     degrees = 5 - manifold.profile.L + 1
     assert len(echelons) == 1 + degrees  # the infinity check, then one per degree
-    assert eliminations == replays == solves == []
+    assert solves == nullspaces == []
 
 
 def test_reduce_on_one_profile_follows_each_manifolds_leading_forms():

@@ -13,6 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import NO_SHRINK
+from eager_bareiss import fraction_nullspace, fraction_row_reduce
 from ppsn import (
     CountMismatchError,
     ImproperNodeSetError,
@@ -146,12 +147,12 @@ def test_row_reduce_mod_is_row_reduce_mod_p(m):
     # every minor is below p in size (at most (9 * sqrt(5))^5 < 2^22), so
     # zero mod p means zero: same pivots, and the row echelon form mod p is
     # the exact forward elimination's reduced mod p
-    exact = linalg.row_reduce(m)
+    rank, pivots, _ = fraction_row_reduce(m)
     forward = fraction_forward_reduce(m)
     for p in linalg.PRIMES:
         mod = linalg.row_reduce_mod(m, p)
-        assert (mod.rank, mod.pivots) == (exact.rank, exact.pivots)
-        assert mod.rows == tuple(
+        assert (mod.rank, mod.pivots) == (rank, pivots)
+        assert mod.ints == tuple(
             tuple(x.numerator * pow(x.denominator, -1, p) % p for x in row) for row in forward
         )
 
@@ -186,7 +187,7 @@ def nonsingular_systems(draw):
     entry = st.one_of(st.just(0), st.integers(-9, 9))
     a = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
     a[0][0] = 0
-    assume(linalg.row_reduce(a).rank == n)
+    assume(fraction_row_reduce(a)[0] == n)
     b = draw(st.lists(st.integers(-(10**12), 10**12), min_size=n, max_size=n))
     return a, b
 
@@ -211,19 +212,21 @@ def test_transposed_solve_is_back_substitution_of_the_augmented_echelon(system):
 
 
 def exact_path(nodes, manifold, m, values):
-    """Reference: the certificate and interpolant from Bareiss elimination
-    alone, as computed before the modular path existed."""
+    """Reference: the certificate and interpolant from rational Gauss-Jordan
+    alone (the first RREF kernel vector of the transpose for an improper
+    set), as computed before the modular path existed."""
     n = manifold.n if manifold is not None else nodes.n
     columns = canonical_monomials(manifold, n, m)
     rows = evaluation_rows(nodes.points, columns)
-    if linalg.row_reduce([row for _, row in rows]).rank < len(nodes):
-        functional = linalg.left_null_vector(evaluation_matrix(nodes.points, columns))
+    if fraction_row_reduce([row for _, row in rows])[0] < len(nodes):
+        transpose = zip(*evaluation_matrix(nodes.points, columns))
+        functional = fraction_nullspace([list(column) for column in transpose])[0]
         cert = PPSNCertificate(m, n, len(nodes), False, kernel_functional=tuple(functional))
         return cert, None
     index = {mu: j for j, mu in enumerate(monomial_basis(n, m))}
     cert = PPSNCertificate(m, n, len(nodes), True, witness_columns=tuple(index[mu] for mu in columns))
     augmented = [row + [scale * v] for (scale, row), v in zip(rows, values)]
-    coeffs = [row[-1] for row in linalg.row_reduce(augmented).rows]
+    coeffs = [row[-1] for row in fraction_row_reduce(augmented)[2]]
     return cert, Polynomial(n, dict(zip(columns, coeffs)))
 
 
@@ -340,8 +343,11 @@ def spy_on(monkeypatch, *names):
 
 @pytest.fixture
 def exact_calls(monkeypatch):
-    """Counts of the exact eliminations run beneath the calls under test."""
-    return spy_on(monkeypatch, "row_reduce", "left_null_vector")
+    """Counts of the exact eliminations run beneath the calls under test:
+    whole-matrix `row_reduce` builds, and every `IntegerEchelon`, which the
+    fallback of `verify_ppsn` builds row by row and `row_reduce` builds
+    once."""
+    return spy_on(monkeypatch, "row_reduce", "IntegerEchelon")
 
 
 TRIANGLE = NodeSet([(F(0), F(0)), (F(1), F(0)), (F(0), F(7))])  # determinant 7
@@ -351,20 +357,20 @@ def test_small_prime_dividing_the_determinant_falls_back_exactly(monkeypatch, ex
     values = (F(1), F(2), F(3))
     problem = InterpolationProblem(None, 1, TRIANGLE, values)
     cert, poly = exact_path(TRIANGLE, None, 1, values)
-    exact_calls.update(row_reduce=0, left_null_vector=0)
+    exact_calls.update(row_reduce=0, IntegerEchelon=0)
     assert (verify_ppsn(TRIANGLE, None, 1), interpolate(problem)) == (cert, poly)
-    assert exact_calls == {"row_reduce": 0, "left_null_vector": 0}  # all mod p
+    assert exact_calls == {"row_reduce": 0, "IntegerEchelon": 0}  # all mod p
 
     monkeypatch.setattr(linalg, "PRIMES", (7,))  # rank 2 mod 7, rank 3 over Q
     assert verify_ppsn(TRIANGLE, None, 1) == cert
-    assert exact_calls == {"row_reduce": 1, "left_null_vector": 1}  # one exact elimination
-    exact_calls.update(row_reduce=0, left_null_vector=0)
+    assert exact_calls == {"row_reduce": 0, "IntegerEchelon": 1}  # one exact elimination
+    exact_calls.update(row_reduce=0, IntegerEchelon=0)
     assert interpolate(problem, cert) == poly
     assert exact_calls["row_reduce"] == 1
 
     # a later prime takes over from one that divides the determinant
     monkeypatch.setattr(linalg, "PRIMES", (7,) + PRIMES)
-    exact_calls.update(row_reduce=0, left_null_vector=0)
+    exact_calls.update(row_reduce=0, IntegerEchelon=0)
     assert interpolate(problem, cert) == poly
     assert exact_calls["row_reduce"] == 0
 
@@ -395,9 +401,9 @@ def test_planted_improper_sets_are_certified_mod_p(exact_calls, space, m):
     nodes, manifold, m = planted_improper(space, m, seed=7)
     cert = exact_path(nodes, manifold, m, ())[0]
     assert not cert.proper
-    exact_calls.update(row_reduce=0, left_null_vector=0)
+    exact_calls.update(row_reduce=0, IntegerEchelon=0)
     assert verify_ppsn(nodes, manifold, m) == cert
-    assert exact_calls == {"row_reduce": 0, "left_null_vector": 0}
+    assert exact_calls == {"row_reduce": 0, "IntegerEchelon": 0}
 
 
 # rows 1, x1, x2 of (0, 0), (7, 0) and (14, 0): row 2 = 2 * row 1 - row 0
@@ -410,21 +416,21 @@ def test_prime_making_an_earlier_row_dependent_is_not_trusted(monkeypatch, exact
     assert cert.kernel_functional == (F(1), F(-2), F(1))
 
     monkeypatch.setattr(linalg, "PRIMES", (7,))  # f = 1 mod 7, f = 2 over Q
-    exact_calls.update(row_reduce=0, left_null_vector=0)
+    exact_calls.update(row_reduce=0, IntegerEchelon=0)
     assert verify_ppsn(SPREAD, None, 1) == cert
-    assert exact_calls == {"row_reduce": 1, "left_null_vector": 1}
+    assert exact_calls == {"row_reduce": 0, "IntegerEchelon": 1}
 
     # a later prime with a larger f restarts the combination
     monkeypatch.setattr(linalg, "PRIMES", (7,) + PRIMES)
-    exact_calls.update(row_reduce=0, left_null_vector=0)
+    exact_calls.update(row_reduce=0, IntegerEchelon=0)
     assert verify_ppsn(SPREAD, None, 1) == cert
-    assert exact_calls == {"row_reduce": 0, "left_null_vector": 0}
+    assert exact_calls == {"row_reduce": 0, "IntegerEchelon": 0}
 
     # a later prime with rank N proves a set proper that 7 left singular
     cert = exact_path(TRIANGLE, None, 1, ())[0]
-    exact_calls.update(row_reduce=0, left_null_vector=0)
+    exact_calls.update(row_reduce=0, IntegerEchelon=0)
     assert verify_ppsn(TRIANGLE, None, 1) == cert
-    assert exact_calls == {"row_reduce": 0, "left_null_vector": 0}
+    assert exact_calls == {"row_reduce": 0, "IntegerEchelon": 0}
 
 
 @pytest.mark.parametrize("space, m", [("plane", 3), ("sphere", 2)])
@@ -432,9 +438,9 @@ def test_failed_reconstruction_falls_back_to_the_exact_kernel(monkeypatch, exact
     nodes, manifold, m = planted_improper(space, m, seed=11)
     cert = exact_path(nodes, manifold, m, ())[0]
     monkeypatch.setattr(linalg, "rational_reconstruct", lambda u, M: None)
-    exact_calls.update(row_reduce=0, left_null_vector=0)
+    exact_calls.update(row_reduce=0, IntegerEchelon=0)
     assert verify_ppsn(nodes, manifold, m) == cert
-    assert exact_calls == {"row_reduce": 1, "left_null_vector": 1}
+    assert exact_calls == {"row_reduce": 0, "IntegerEchelon": 1}
 
 
 @pytest.fixture
@@ -454,11 +460,11 @@ def test_interpolate_without_certificate_eliminates_once(monkeypatch, verify_cal
     values = (F(1), F(2), F(3))
     problem = InterpolationProblem(None, 1, TRIANGLE, values)
     poly = exact_path(TRIANGLE, None, 1, values)[1]
-    counts = spy_on(monkeypatch, "row_reduce", "row_reduce_mod", "left_null_vector")
+    counts = spy_on(monkeypatch, "row_reduce", "row_reduce_mod", "IntegerEchelon")
     assert interpolate(problem) == poly
     # verify_ppsn's echelon of A^T mod PRIMES[0] certifies the nodes and
     # gives the solution
-    assert counts == {"row_reduce": 0, "row_reduce_mod": 1, "left_null_vector": 0}
+    assert counts == {"row_reduce": 0, "row_reduce_mod": 1, "IntegerEchelon": 0}
     assert verify_calls == [(TRIANGLE, None, 1)]
 
     # the first prime divides the determinant: verify_ppsn decides, and the
@@ -468,7 +474,7 @@ def test_interpolate_without_certificate_eliminates_once(monkeypatch, verify_cal
     monkeypatch.setattr(linalg, "PRIMES", (7,) + PRIMES)
     assert interpolate(problem) == poly
     assert verify_calls == [(TRIANGLE, None, 1)] * 2
-    assert counts == {"row_reduce": 0, "row_reduce_mod": 2, "left_null_vector": 0}
+    assert counts == {"row_reduce": 0, "row_reduce_mod": 2, "IntegerEchelon": 0}
 
     # the first prime divides a value's denominator: it still certifies the
     # nodes, which needs no value, and the next prime solves
@@ -480,7 +486,7 @@ def test_interpolate_without_certificate_eliminates_once(monkeypatch, verify_cal
     monkeypatch.setattr(linalg, "PRIMES", (11,) + PRIMES)
     assert interpolate(InterpolationProblem(None, 1, TRIANGLE, values)) == poly
     assert verify_calls == [(TRIANGLE, None, 1)]
-    assert counts == {"row_reduce": 0, "row_reduce_mod": 2, "left_null_vector": 0}
+    assert counts == {"row_reduce": 0, "row_reduce_mod": 2, "IntegerEchelon": 0}
 
 
 # -- one factorization for verify and interpolate ------------------------------------
@@ -524,13 +530,13 @@ def test_verify_then_interpolate_evaluates_and_eliminates_once(monkeypatch, exac
     values = tuple(planted.evaluate(q) for q in points)
     problem = InterpolationProblem(CIRCLE, 4, nodes, values)
     cert, poly = exact_path(nodes, CIRCLE, 4, values)
-    exact_calls.update(row_reduce=0, left_null_vector=0)
+    exact_calls.update(row_reduce=0, IntegerEchelon=0)
     evaluations, primes = count_evaluations(monkeypatch), eliminated_primes(monkeypatch)
     assert verify_ppsn(nodes, CIRCLE, 4) == cert
     assert interpolate(problem, cert) == poly
     assert interpolate(problem) == poly
     assert (len(evaluations), primes) == (1, [PRIMES[0]])
-    assert exact_calls == {"row_reduce": 0, "left_null_vector": 0}
+    assert exact_calls == {"row_reduce": 0, "IntegerEchelon": 0}
 
 
 def test_memo_keeps_only_the_last_few_systems(monkeypatch):
@@ -558,20 +564,20 @@ def test_memo_keeps_only_the_last_few_systems(monkeypatch):
 
 def test_memo_never_reads_another_primes_echelon(monkeypatch, exact_calls):
     cert = exact_path(TRIANGLE, None, 1, ())[0]
-    exact_calls.update(row_reduce=0, left_null_vector=0)
+    exact_calls.update(row_reduce=0, IntegerEchelon=0)
     primes = eliminated_primes(monkeypatch)
     monkeypatch.setattr(linalg, "PRIMES", (7,))  # rank 2 mod 7: the exact path decides
     assert verify_ppsn(TRIANGLE, None, 1) == cert
-    assert (primes, exact_calls["row_reduce"]) == ([7], 1)
+    assert (primes, exact_calls["IntegerEchelon"]) == ([7], 1)
 
     # the same system: the first prime is eliminated for itself, and 7's
     # echelon is still not trusted
     monkeypatch.setattr(linalg, "PRIMES", PRIMES)
     assert verify_ppsn(TRIANGLE, None, 1) == cert
-    assert (primes, exact_calls["row_reduce"]) == ([7, PRIMES[0]], 1)
+    assert (primes, exact_calls["IntegerEchelon"]) == ([7, PRIMES[0]], 1)
     monkeypatch.setattr(linalg, "PRIMES", (7,) + PRIMES)
     assert verify_ppsn(TRIANGLE, None, 1) == cert
-    assert (primes, exact_calls["row_reduce"]) == ([7, PRIMES[0]], 1)
+    assert (primes, exact_calls["IntegerEchelon"]) == ([7, PRIMES[0]], 1)
 
 
 def test_memo_serves_callers_on_several_threads():
@@ -630,12 +636,12 @@ def test_value_denominator_divisible_by_the_prime_falls_back(monkeypatch, exact_
     values = (F(1, 11), F(2), F(3))
     problem = InterpolationProblem(None, 1, TRIANGLE, values)
     cert, poly = exact_path(TRIANGLE, None, 1, values)
-    exact_calls.update(row_reduce=0, left_null_vector=0)
+    exact_calls.update(row_reduce=0, IntegerEchelon=0)
     assert interpolate(problem, cert) == poly
     assert exact_calls["row_reduce"] == 1
 
     monkeypatch.setattr(linalg, "PRIMES", (11,) + PRIMES)
-    exact_calls.update(row_reduce=0, left_null_vector=0)
+    exact_calls.update(row_reduce=0, IntegerEchelon=0)
     assert interpolate(problem, cert) == poly
     assert exact_calls["row_reduce"] == 0
 
@@ -649,7 +655,7 @@ def test_corrupted_coefficient_is_rejected_by_the_node_check(monkeypatch, exact_
     cert, poly = exact_path(nodes, CIRCLE, 4, values)
     assert cert.proper
 
-    exact_calls.update(row_reduce=0, left_null_vector=0)
+    exact_calls.update(row_reduce=0, IntegerEchelon=0)
     assert interpolate(problem, cert) == poly
     assert exact_calls["row_reduce"] == 0  # the modular guess was accepted
 
@@ -668,16 +674,16 @@ def test_corrupted_coefficient_is_rejected_by_the_node_check(monkeypatch, exact_
         monkeypatch.setattr(linalg, "rational_reconstruct", corrupt)
         return calls
 
-    # every prime's guess is corrupted: none is returned, Bareiss decides
+    # every prime's guess is corrupted: none is returned, the exact path decides
     calls = corrupting(len(PRIMES))
-    exact_calls.update(row_reduce=0, left_null_vector=0)
+    exact_calls.update(row_reduce=0, IntegerEchelon=0)
     assert interpolate(problem, cert) == poly
     assert len(calls) == len(PRIMES) * len(points)
     assert exact_calls["row_reduce"] == 1
 
     # only the first guess is corrupted: the second prime's guess is returned
     calls = corrupting(1)
-    exact_calls.update(row_reduce=0, left_null_vector=0)
+    exact_calls.update(row_reduce=0, IntegerEchelon=0)
     assert interpolate(problem, cert) == poly
     assert len(calls) == 2 * len(points)
     assert exact_calls["row_reduce"] == 0
@@ -736,7 +742,7 @@ def test_solve_takes_exactly_the_primes_the_coefficients_need(case):
         assert verify_ppsn(nodes, None, m) == cert
         assert interpolate(InterpolationProblem(None, m, nodes, values), cert) == poly
     # the solve reuses the certificate's elimination mod PRIMES[0], and
-    # Bareiss runs only past the range of all three primes
+    # the exact path runs only past the range of all three primes
     assert calls == {"row_reduce": int(k > len(PRIMES)), "row_reduce_mod": min(k, len(PRIMES))}
 
 
@@ -754,7 +760,7 @@ def random_rational(rng):
 def test_small_planted_interpolants_never_take_the_exact_path(exact_calls, manifold, m, point):
     rng = random.Random(2024)
     support = canonical_monomials(manifold, manifold.n, m)
-    exact_calls.update(row_reduce=0)  # the monomial selection, cached on the manifold
+    exact_calls.update(row_reduce=0, IntegerEchelon=0)  # the monomial selections, now cached
     for _ in range(4):
         points = set()
         while len(points) < len(support):
@@ -765,4 +771,4 @@ def test_small_planted_interpolants_never_take_the_exact_path(exact_calls, manif
         cert = verify_ppsn(nodes, manifold, m)
         assert cert.proper
         assert interpolate(InterpolationProblem(manifold, m, nodes, values), cert) == planted
-    assert exact_calls == {"row_reduce": 0, "left_null_vector": 0}
+    assert exact_calls == {"row_reduce": 0, "IntegerEchelon": 0}

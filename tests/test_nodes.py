@@ -5,6 +5,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import NO_SHRINK
+from eager_bareiss import eager_solve, fraction_nullspace, fraction_row_reduce
 from nested_descent import descent_levels
 from ppsn import (
     CountMismatchError,
@@ -31,7 +32,6 @@ from ppsn import (
     parse_system_text,
     verify_ppsn,
 )
-from ppsn import linalg
 from ppsn.nodes import _evaluation_plan, _proper_certificate, evaluation_rows
 
 F = Fraction
@@ -327,6 +327,11 @@ def test_ambient_expected_count_is_binomial():
 coords_st = st.fractions(min_value=F(-6), max_value=F(6), max_denominator=7)
 
 
+def left_null_vector(matrix):
+    """Reference: the first RREF kernel vector of the transpose."""
+    return fraction_nullspace([list(column) for column in zip(*matrix)])[0]
+
+
 def naive_matrix(points, monomials):
     """Reference: each entry as a product of Fraction powers."""
     rows = []
@@ -438,22 +443,22 @@ def test_verify_and_interpolate_match_fraction_matrix(case):
     nodes, m = case
     basis = list(monomial_basis(2, m))
     matrix = naive_matrix(nodes.points, basis)
-    ech = linalg.row_reduce(matrix)
-    proper = ech.rank == len(nodes)
+    rank, pivots, _ = fraction_row_reduce(matrix)
+    proper = rank == len(nodes)
     expected = PPSNCertificate(
         degree=m,
         n=2,
         expected_count=len(nodes),
         proper=proper,
-        witness_columns=ech.pivot_columns if proper else (),
-        kernel_functional=() if proper else tuple(linalg.left_null_vector(matrix)),
+        witness_columns=tuple(c for _, c in pivots) if proper else (),
+        kernel_functional=() if proper else tuple(left_null_vector(matrix)),
     )
     cert = verify_ppsn(nodes, None, m)
     assert cert == expected
     if proper:
         values = tuple(F(i * i - 3, i + 2) for i in range(len(nodes)))
         poly = interpolate(InterpolationProblem(None, m, nodes, values), cert)
-        coeffs = linalg.solve(matrix, list(values))
+        coeffs = eager_solve(matrix, list(values))
         assert poly == Polynomial(2, dict(zip(basis, coeffs)))
 
 
@@ -524,9 +529,9 @@ def test_canonical_certificate_matches_full_basis_matrix(case):
     basis = list(monomial_basis(manifold.n, m))
     full = naive_matrix(nodes.points, basis)
     cert = verify_ppsn(nodes, manifold, m)
-    assert cert.proper == (linalg.row_reduce(full).rank == len(nodes))
+    assert cert.proper == (fraction_row_reduce(full)[0] == len(nodes))
     if cert.proper:
         block = [[row[j] for j in cert.witness_columns] for row in full]
-        assert linalg.row_reduce(block).rank == len(nodes) == len(cert.witness_columns)
+        assert fraction_row_reduce(block)[0] == len(nodes) == len(cert.witness_columns)
     else:
-        assert list(cert.kernel_functional) == linalg.left_null_vector(full)
+        assert list(cert.kernel_functional) == left_null_vector(full)
