@@ -84,14 +84,15 @@ def _load_manifold(args) -> macaulay.Manifold:
     return macaulay.Manifold(polys, witnesses=witnesses)
 
 
-def _load_system(args) -> Tuple[str, nodes.NodeSet]:
-    """The --system file's text and its intersection points; HypothesisError
-    when the system is not a sufficient intersection."""
+def _load_system(args) -> Tuple[str, nodes.FactorableSystem, nodes.NodeSet]:
+    """The --system file's text, its system and its intersection points;
+    HypothesisError when the system is not a sufficient intersection."""
     text = _read_file(args.system)
-    res = nodes.intersect_factorable(nodes.parse_system_text(text))
+    system = nodes.parse_system_text(text)
+    res = nodes.intersect_factorable(system)
     if not res.sufficient:
         raise HypothesisError("; ".join(res.failures))
-    return text, res.nodes
+    return text, system, res.nodes
 
 
 def _load_nodes(path: str) -> nodes.NodeSet:
@@ -285,7 +286,7 @@ def cmd_hbase(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    text, full = _load_system(args)
+    text, _, full = _load_system(args)
     manifold = full.manifold
     out = nodes.extract_nested_ppsn(full, manifold, args.m)
     cert = nodes.verify_ppsn(out, manifold, args.m)
@@ -315,7 +316,7 @@ def cmd_superpose(args) -> int:
 
 
 def cmd_cb_reduce(args) -> int:
-    text, full = _load_system(args)
+    text, _, full = _load_system(args)
     removed = _load_nodes(args.remove)
     partition = construct.CBPartition(full=full, removed=removed)
     remaining, cert = construct.cb_reduce(partition, full.manifold, args.m)
@@ -323,7 +324,7 @@ def cmd_cb_reduce(args) -> int:
 
 
 def cmd_cb_check(args) -> int:
-    text, full = _load_system(args)
+    text, _, full = _load_system(args)
     manifold = full.manifold
     removed = _load_nodes(args.remove)
     f = parse_polynomial(args.poly, manifold.n)
@@ -354,9 +355,9 @@ def cmd_cb_check(args) -> int:
 
 
 def cmd_chain(args) -> int:
-    text = _read_file(args.system)
-    system = nodes.parse_system_text(text)
+    # a malformed --x0 exits 2 even on an insufficient system
     x0 = tuple(_parse_number(c) for c in args.x0.split(","))
+    text, system, _ = _load_system(args)
     chain = construct.build_curve_chain(system, args.t, args.mmax, x0)
     report = _report_base(args, system=text)
     report["levels"] = [

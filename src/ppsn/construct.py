@@ -3,11 +3,12 @@ curve chains, Cayley-Bacharach reduction/extension, and the classical
 line/conic node generators.
 
 Every construction returns its result together with an exact-rank
-certificate; hypothesis checks are exact and refusals are exceptions, so a
-returned node set is always certified. `cb_reduce`, `cb_check` and
-`cb_extend_curve` open with `nodes._require_full_intersection`, the check
-that their input is the full point intersection of a 0-dimensional
-manifold. `interpolate` checks its hypotheses, certifies the nodes with
+certificate from one step, `_certified`; hypothesis checks are exact and
+refusals are exceptions, so a returned node set is always certified. A
+curve chain picks every node set by `nodes.nested_level`, the one greedy
+pass. `cb_reduce`, `cb_check` and `cb_extend_curve` open with
+`nodes._require_full_intersection`, the check that their input is the full
+point intersection of a 0-dimensional manifold. `interpolate` checks its hypotheses, certifies the nodes with
 `verify_ppsn` and asks the canonical square system that `verify_ppsn` has
 just built, kept by the memo in `nodes`, for its solution
 (`_CanonicalSystem.solve`), so the nodes are evaluated and eliminated once.
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .dimension import binom_e, dim_along
@@ -30,19 +31,28 @@ from .errors import (
     InternalCheckError,
 )
 from .macaulay import Manifold, canonical_monomials
-from .mpoly import Point, Polynomial, as_fraction, as_point, monomial_basis
+from .mpoly import Point, Polynomial, as_fraction, as_point, monomial_basis, require_dense_size
 from .nodes import (
     FactorableSystem,
     NodeSet,
     PPSNCertificate,
     _canonical_system,
     _require_full_intersection,
-    evaluation_matrix,
     evaluation_rows,
+    extract_nested_ppsn,
     intersect_factorable,
     nested_level,
     verify_ppsn,
 )
+
+
+def _certified(nodes: NodeSet, manifold: Optional[Manifold], m: int, message: str) -> PPSNCertificate:
+    """`verify_ppsn`'s certificate of a properly posed set; otherwise
+    ImproperNodeSetError carrying the improper certificate and `message`."""
+    cert = verify_ppsn(nodes, manifold, m)
+    if not cert.proper:
+        raise ImproperNodeSetError(cert, message)
+    return cert
 
 
 # -- interpolation ------------------------------------------------------------
@@ -148,9 +158,8 @@ def _superpose(
     f_s = step.splitting_poly
     k_s = f_s.degree
     m = step.m
-    sub_cert, super_cert = verify_ppsn(step.sub_nodes, step.sub_manifold, m), None
-    if not sub_cert.proper:
-        raise ImproperNodeSetError(sub_cert, "sub-manifold node set is improper")
+    sub_cert = _certified(step.sub_nodes, step.sub_manifold, m, "sub-manifold node set is improper")
+    super_cert = None
     super_manifold = step.super_manifold
     if m - k_s < 0:
         if len(step.super_nodes):
@@ -158,9 +167,9 @@ def _superpose(
                 "degree m - k is negative: the larger-manifold node set must be empty"
             )
     else:
-        super_cert = verify_ppsn(step.super_nodes, super_manifold, m - k_s)
-        if not super_cert.proper:
-            raise ImproperNodeSetError(super_cert, "larger-manifold node set is improper")
+        super_cert = _certified(
+            step.super_nodes, super_manifold, m - k_s, "larger-manifold node set is improper"
+        )
     for q in step.super_nodes:
         if f_s.evaluate(q) == 0:
             raise HypothesisError(
@@ -169,13 +178,8 @@ def _superpose(
     if not step.sub_nodes.is_disjoint(step.super_nodes):
         raise HypothesisError("node sets are not disjoint")
     union = step.sub_nodes.union(step.super_nodes, super_manifold)
-    cert = verify_ppsn(union, super_manifold, m)
-    if not cert.proper:
-        raise ImproperNodeSetError(
-            cert,
-            "superposed set is improper: the configuration is not a sufficient intersection",
-        )
-    return union, cert, sub_cert, super_cert
+    message = "superposed set is improper: the configuration is not a sufficient intersection"
+    return union, _certified(union, super_manifold, m, message), sub_cert, super_cert
 
 
 def superpose_interpolate(
@@ -311,24 +315,16 @@ def cb_reduce(
     if not 0 <= m <= M - 1:
         raise InputError(f"degree m={m} out of range 0..{M - 1}")
     comp_degree = M - m - 1
-    removed_cert = verify_ppsn(partition.removed, manifold, comp_degree)
-    if not removed_cert.proper:
-        raise ImproperNodeSetError(
-            removed_cert,
-            f"removed set is not a degree-{comp_degree} PPSN; reduction refused",
-        )
+    message = f"removed set is not a degree-{comp_degree} PPSN; reduction refused"
+    _certified(partition.removed, manifold, comp_degree, message)
     remaining = NodeSet._subset(partition.remaining.points, manifold)
     expected = dim_along(m, profile)
     if len(remaining) != expected:
         raise InternalCheckError(
             f"remaining count {len(remaining)} differs from dimension {expected}"
         )
-    cert = verify_ppsn(remaining, manifold, m)
-    if not cert.proper:
-        raise ImproperNodeSetError(
-            cert, "remaining points are improper: input was not a complete intersection"
-        )
-    return remaining, cert
+    message = "remaining points are improper: input was not a complete intersection"
+    return remaining, _certified(remaining, manifold, m, message)
 
 
 @dataclass(frozen=True)
@@ -373,9 +369,7 @@ def cb_check(
             f"removed set must have {expected_removed} points, got {len(partition.removed)}"
         )
     if require_ppsn_removed:
-        cert = verify_ppsn(partition.removed, manifold, comp_degree)
-        if not cert.proper:
-            raise ImproperNodeSetError(cert, "removed set is not properly posed")
+        _certified(partition.removed, manifold, comp_degree, "removed set is not properly posed")
     for q in partition.remaining:
         v = f.evaluate(q)
         if v != 0:
@@ -422,26 +416,17 @@ def cb_extend_curve(
         for q in b:
             if q not in full_set:
                 raise InputError("B must be a subset of the intersection points")
-        b_cert = verify_ppsn(b, None, m)
-        if not b_cert.proper:
-            raise ImproperNodeSetError(b_cert, "B is not an ambient PPSN")
+        _certified(b, None, m, "B is not an ambient PPSN")
     elif len(b):
         raise InputError("negative m requires an empty B")
     if not a_t.is_disjoint(full):
         raise HypothesisError("curve node set must be disjoint from the intersection")
     a_degree = M - m - k_t - 1
-    a_cert = verify_ppsn(a_t, curve, a_degree)
-    if not a_cert.proper:
-        raise ImproperNodeSetError(
-            a_cert, f"curve node set is not a degree-{a_degree} PPSN"
-        )
+    _certified(a_t, curve, a_degree, f"curve node set is not a degree-{a_degree} PPSN")
     out_degree = M - m - 1
     remaining = full.difference(b) if len(b) else full
     union = NodeSet(a_t.points + remaining.points, curve)
-    cert = verify_ppsn(union, curve, out_degree)
-    if not cert.proper:
-        raise ImproperNodeSetError(cert, "extended curve set is improper")
-    return union, cert
+    return union, _certified(union, curve, out_degree, "extended curve set is improper")
 
 
 # -- curve chains ----------------------------------------------------------------
@@ -495,36 +480,26 @@ def _fresh_curve_ppsn(
     degree: int,
     avoid: NodeSet,
 ) -> NodeSet:
-    """A properly posed degree-`degree` node set on the curve, off the
-    omitted hypersurface and away from `avoid`, built greedily from a
-    deterministic stream of rational points on the curve's lines."""
-    f_t = system.polynomials[t - 1]
-    target = dim_along(degree, curve.profile)
-    columns = canonical_monomials(curve, curve.n, degree)[:target]
-    tracker = linalg.IncrementalRank()
-    chosen: List[Point] = []
-    avoid_set = set(avoid.points)
+    """A properly posed degree-`degree` node set on the curve: the
+    `nested_level` of a stream of rational points on the curve's lines,
+    round r offering base + r * direction on each, for 8 * t_degree + 16
+    rounds. The stream skips `avoid`, the full intersection, and so the
+    omitted hypersurface f_t: a curve point where f_t vanishes zeroes all n
+    products, so it zeroes one linear form of each hypersurface and is an
+    intersection point (`superpose_nodes` would refuse it all the same)."""
     lines = _curve_lines(system, t)
-    max_rounds = 8 * target + 16
-    for round_no in range(max_rounds):
-        if tracker.rank == target:
-            break
-        for base, direction in lines:
-            pt = tuple(b + round_no * d for b, d in zip(base, direction))
-            if pt in avoid_set or pt in chosen:
-                continue
-            if f_t.evaluate(pt) == 0:
-                continue
-            row = evaluation_matrix([pt], columns)[0]
-            if tracker.add(row):
-                chosen.append(pt)
-            if tracker.rank == target:
-                break
-    if tracker.rank != target:
-        raise InsufficientIntersectionError(
-            f"could not assemble a degree-{degree} node set on the curve"
-        )
-    return NodeSet(chosen, curve)
+    rounds = 8 * dim_along(degree, curve.profile) + 16
+
+    def candidates() -> Iterator[Point]:
+        seen = set(avoid.points)
+        for round_no in range(rounds):
+            for base, direction in lines:
+                pt = tuple(b + round_no * d for b, d in zip(base, direction))
+                if pt not in seen:
+                    seen.add(pt)
+                    yield pt
+
+    return NodeSet(nested_level(candidates(), curve, degree), curve)
 
 
 def build_curve_chain(
@@ -554,37 +529,34 @@ def build_curve_chain(
         raise InputError("x0 lies on the omitted hypersurface")
     if x0_pt in full:
         raise InputError("x0 coincides with an intersection point")
+    # the top level is certified at degree mmax (the anchor at k_t >= mmax):
+    # refuse an over-budget mmax before any lower level is built
+    require_dense_size(system.n, mmax)
 
-    # a level of the intersection for k_t <= d < M; at and above M a level
-    # is the whole intersection
+    # a level of the intersection for d >= k_t, the whole of it at d >= M
     def level(d: int) -> Tuple[Point, ...]:
-        if d >= s0.profile.M:
-            return full.points
-        return tuple(full.points[r] for r in nested_level(full.points, s0, d))
+        return extract_nested_ppsn(full, s0, d).points
 
     # anchor level: the extracted degree-k_t set on the points, plus x0;
     # x0 goes first so the degree-0 extraction lands exactly on it
     anchor_nodes = NodeSet((x0_pt,) + level(k_t), curve)
     entries: Dict[int, ChainEntry] = {}
-    cert = verify_ppsn(anchor_nodes, curve, k_t)
-    if not cert.proper:
-        raise ImproperNodeSetError(cert, "anchor level is improper")
+    cert = _certified(anchor_nodes, curve, k_t, "anchor level is improper")
     if k_t <= mmax:
         entries[k_t] = ChainEntry(k_t, anchor_nodes, cert)
 
     # downward: the levels of the anchor over the curve's canonical columns
     for d in range(min(k_t, mmax + 1)):
-        kept = nested_level(anchor_nodes.points, curve, d)
-        nodes_d = NodeSet._subset([anchor_nodes.points[r] for r in kept], curve)
-        cert_d = verify_ppsn(nodes_d, curve, d)
-        if not cert_d.proper:
-            raise ImproperNodeSetError(cert_d, f"degree-{d} chain level improper")
+        nodes_d = NodeSet._subset(nested_level(anchor_nodes.points, curve, d), curve)
+        cert_d = _certified(nodes_d, curve, d, f"degree-{d} chain level improper")
         entries[d] = ChainEntry(d, nodes_d, cert_d)
 
-    # upward: superpose extracted point-set levels with fresh curve points
+    # upward: superpose extracted point-set levels with fresh curve points.
+    # `reordered` has the intersection's polynomials and `superpose_nodes`
+    # checks the union on the curve's, so both are tagged unchecked
     reordered = Manifold(curve.polynomials + (f_t,))
     for d in range(k_t + 1, mmax + 1):
-        sub = NodeSet(level(d), reordered)
+        sub = NodeSet._subset(level(d), reordered)
         fresh = _fresh_curve_ppsn(system, t, curve, d - k_t, avoid=full)
         union, cert_d = superpose_nodes(
             SuperpositionStep(
@@ -594,8 +566,7 @@ def build_curve_chain(
                 m=d,
             )
         )
-        union = NodeSet(union.points, curve)
-        entries[d] = ChainEntry(d, union, cert_d)
+        entries[d] = ChainEntry(d, NodeSet._subset(union.points, curve), cert_d)
 
     ordered = tuple(entries[d] for d in sorted(entries))
     return CurveChain(curve=curve, entries=ordered)

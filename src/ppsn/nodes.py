@@ -10,7 +10,8 @@ The degree-d level of a node set (`nested_level`) is the greedy choice, in
 order, of rows of its evaluation matrix over the first t_d = dim_along(d)
 canonical columns. A row that depends on the rows before it over the first
 t_{d+1} columns still depends on them over the first t_d, so each level
-lies inside the next, and each is found in one pass over all N rows.
+lies inside the next, and each is found in one pass over the points. Every
+extraction, chain level and fresh curve set comes from this one pass.
 
 Well-posedness along a manifold follows the solvability definition. On the
 manifold's points the canonical (unselected) monomials of degrees <= m span
@@ -593,20 +594,22 @@ def intersect_factorable(system: FactorableSystem) -> IntersectionReport:
 # -- nested extraction -------------------------------------------------------
 
 
-def nested_level(points: Sequence[Point], manifold: Manifold, d: int) -> List[int]:
-    """The indices of the degree-d level of `points`: the rows that one
-    greedy pass, in order, keeps from their evaluation matrix over the
-    canonical monomials of degrees <= d, until they span its
-    t_d = dim_along(d) columns. Levels nest (see the module docstring)."""
+def nested_level(points: Iterable[Point], manifold: Manifold, d: int) -> List[Point]:
+    """The degree-d level of `points`: the points whose rows over the
+    canonical monomials of degrees <= d one greedy pass, in order, keeps
+    until they span those t_d = dim_along(d) columns. A point's row is
+    evaluated only when the point is offered, so `points` may be a lazy
+    stream, read no further than the last point kept. Levels nest (see the
+    module docstring)."""
     target = dim_along(d, manifold.profile)
+    columns = tuple(canonical_monomials(manifold, manifold.n, d))
     tracker = linalg.IncrementalRank()
-    keep: List[int] = []
-    columns = canonical_monomials(manifold, manifold.n, d)
-    for r, row in enumerate(evaluation_matrix(points, columns)):
-        if tracker.add(row):
-            keep.append(r)
+    kept: List[Point] = []
+    for q in points:
+        if tracker.add(evaluation_matrix([q], columns)[0]):
+            kept.append(q)
             if tracker.rank == target:
-                return keep
+                return kept
     raise InsufficientIntersectionError(
         f"rank {tracker.rank} < {target} at degree {d}: "
         "input was not a genuine sufficient intersection"
@@ -639,8 +642,7 @@ def extract_nested_ppsn(points: NodeSet, manifold: Manifold, m: int) -> NodeSet:
         raise InputError("extraction degree must be >= 0")
     if m >= manifold.profile.M:
         return points
-    kept = nested_level(points.points, manifold, m)
-    return NodeSet._subset([points.points[r] for r in kept], manifold)
+    return NodeSet._subset(nested_level(points.points, manifold, m), manifold)
 
 
 # -- text formats -------------------------------------------------------------

@@ -1,0 +1,144 @@
+"""Mutation catalogue: each entry breaks the package on purpose, and the
+tests it names must then fail.
+
+Run from the repository root:
+
+    python tests/mutants.py
+
+For each entry the script copies `src/`, `tests/` and `pyproject.toml` to
+a temporary directory, replaces the entry's snippet (which must occur in
+its file exactly once) and runs the entry's tests there with a timeout. A
+mutant is caught when pytest reports failing tests (or times out). First
+the named tests run once on the unmutated copy, and must pass, so that a
+catch is the mutant's doing. A snippet that no longer matches, a test id
+that collects nothing, or a mutant that survives makes the script exit 1.
+It uses the standard library only; pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import List, NamedTuple, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 60
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    snippet: str
+    replacement: str
+    tests: Tuple[str, ...]
+
+
+CATALOGUE: List[Mutant] = [
+    Mutant(
+        "a construction accepts an improper set",
+        "src/ppsn/construct.py",
+        "    if not cert.proper:\n        raise ImproperNodeSetError(cert, message)\n    return cert\n",
+        "    return cert\n",
+        (
+            "tests/test_construct.py::test_cb_reduce_refuses_collinear_triple",
+            "tests/test_construct.py::test_superpose_refuses_an_improper_sub_set",
+            "tests/test_construct.py::test_cb_extend_curve_refuses_an_improper_curve_set",
+        ),
+    ),
+    Mutant(
+        "nested_level keeps a point without the rank test",
+        "src/ppsn/nodes.py",
+        "        if tracker.add(evaluation_matrix([q], columns)[0]):\n",
+        "        if tracker.add(evaluation_matrix([q], columns)[0]) or True:\n",
+        (
+            "tests/test_nodes.py::test_extract_nested_grid",
+            "tests/test_nodes.py::test_nested_level_reads_a_stream_no_further_than_its_last_kept_point",
+        ),
+    ),
+    Mutant(
+        "the fresh curve stream offers intersection points",
+        "src/ppsn/construct.py",
+        "        seen = set(avoid.points)\n",
+        "        seen = set()\n",
+        ("tests/test_construct.py::test_curve_chain_levels_restrict_to_extractions",),
+    ),
+    Mutant(
+        "a chain builds its lower levels before refusing an over-budget mmax",
+        "src/ppsn/construct.py",
+        "    require_dense_size(system.n, mmax)\n",
+        "",
+        ("tests/test_cli.py::test_oversized_input_exits_2_before_any_basis_is_built",),
+    ),
+]
+
+
+def run_tests(where: Path, tests: Tuple[str, ...]) -> Tuple[str, str]:
+    """(outcome, last output line): outcome is "passed", "failed",
+    "timeout" or "error: ..." for anything pytest could not run."""
+    env = dict(os.environ, PYTHONPATH=str(where / "src"), PYTHONDONTWRITEBYTECODE="1")
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+            cwd=where,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return "timeout", f"no result in {TIMEOUT_S} s"
+    lines = proc.stdout.strip().splitlines() or [proc.stderr.strip()]
+    outcome = {0: "passed", 1: "failed"}.get(proc.returncode, f"error: pytest exit {proc.returncode}")
+    return outcome, lines[-1]
+
+
+def fresh_copy(into: Path) -> Path:
+    copy = into / "tree"
+    ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, copy / part, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
+    return copy
+
+
+def main() -> int:
+    problems = []
+    for mutant in CATALOGUE:
+        count = (ROOT / mutant.file).read_text().count(mutant.snippet)
+        if count != 1:
+            problems.append(f"{mutant.name}: snippet occurs {count} times in {mutant.file}")
+    if problems:
+        print("\n".join(["catalogue out of date:"] + problems))
+        return 1
+
+    with tempfile.TemporaryDirectory(prefix="ppsn-mutants-") as tmp:
+        tests = tuple(dict.fromkeys(t for m in CATALOGUE for t in m.tests))
+        outcome, last = run_tests(fresh_copy(Path(tmp) / "base"), tests)
+        if outcome != "passed":
+            print(f"the named tests do not pass unmutated ({outcome}): {last}")
+            return 1
+        missed = 0
+        for k, mutant in enumerate(CATALOGUE):
+            tree = fresh_copy(Path(tmp) / f"m{k}")
+            path = tree / mutant.file
+            path.write_text(path.read_text().replace(mutant.snippet, mutant.replacement))
+            start = time.perf_counter()
+            outcome, last = run_tests(tree, mutant.tests)
+            elapsed = time.perf_counter() - start
+            if outcome in ("failed", "timeout"):
+                verdict = "caught" if outcome == "failed" else "caught (timeout)"
+            else:
+                verdict = "SURVIVED" if outcome == "passed" else f"ERROR ({outcome})"
+                missed += 1
+            print(f"{verdict:<16} {elapsed:5.1f} s  {mutant.name}: {last}")
+    print(f"{len(CATALOGUE) - missed}/{len(CATALOGUE)} mutants caught")
+    return 1 if missed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

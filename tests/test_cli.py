@@ -18,6 +18,7 @@ from ppsn import linalg
 from ppsn.cli import MAX_DIM_DEGREE, MAX_DIM_STEPS, SUBCOMMANDS, build_parser, dim_steps, main
 
 GRID = "x1*(x1-1)*(x1-2)\nx2*(x2-1)*(x2-2)\n"
+GRID4 = "x1*(x1-1)*(x1-2)*(x1-3)\nx2*(x2-1)*(x2-2)*(x2-3)\n"
 CUBE = "x1*(x1-1)\nx2*(x2-1)\nx3*(x3-1)\n"
 CIRCLE = "x1^2 + x2^2 - 1\n"
 
@@ -305,7 +306,7 @@ def test_cb_check_exception_hypersurface(files, capsys):
     # f vanishes on the ten remaining points of the 4x4 grid but not on the
     # six removed ones, which lie on a conic: the first kernel vector of
     # their evaluation rows at degree M - m - 1 = 2
-    system = files("grid4.sys", "x1*(x1-1)*(x1-2)*(x1-3)\nx2*(x2-1)*(x2-2)*(x2-3)\n")
+    system = files("grid4.sys", GRID4)
     removed = files("six.nodes", "0,0\n1,0\n2,0\n3,0\n0,1\n2,2\n")
     code, out = run(
         ["cb-check", "--system", system, "--remove", removed, "--m", "3",
@@ -470,27 +471,32 @@ def test_report_names_the_argv_given_to_main(capsys, monkeypatch):
 
 # -- exit-code contract under malformed input ----------------------------------
 
+# each argv ends in the flag that takes the input file
 @pytest.mark.parametrize(
-    "argv, manifold",
+    "argv, text",
     [
-        (["reduce", "--poly", "x1^99999999999"], CIRCLE),
-        (["reduce", "--poly", "x1"], "x99999999^2 - 1\n"),
-        (["reduce", "--poly", "x1", "--n", "99999999"], CIRCLE),
-        (["hbase", "--mmax", "999999999999"], CIRCLE),
+        (["reduce", "--poly", "x1^99999999999", "--manifold"], CIRCLE),
+        (["reduce", "--poly", "x1", "--manifold"], "x99999999^2 - 1\n"),
+        (["reduce", "--poly", "x1", "--n", "99999999", "--manifold"], CIRCLE),
+        (["hbase", "--mmax", "999999999999", "--manifold"], CIRCLE),
+        # refused before the lower levels, which took minutes at this mmax
+        (["chain", "--t", "2", "--mmax", "200", "--x0", "0,7", "--system"], GRID4),
     ],
 )
 def test_oversized_input_exits_2_before_any_basis_is_built(
-    argv, manifold, files, monkeypatch, capsys
+    argv, text, files, monkeypatch, capsys
 ):
     built = []
 
-    def spy(n, d):
-        built.append((n, d))
+    def spy(*args):
+        built.append(args)
         raise AssertionError("a basis was built")  # instead of allocating it
 
     monkeypatch.setattr("ppsn.mpoly.monomials_of_degree", spy)
     monkeypatch.setattr("ppsn.macaulay.monomials_of_degree", spy)
-    code = main(argv + ["--manifold", files("manifold.txt", manifold)])
+    # a selection's items are built over a basis bound at import
+    monkeypatch.setattr("ppsn.macaulay.elementary_items", spy)
+    code = main(argv + [files("input.txt", text)])
     err = capsys.readouterr().err
     assert (code, built) == (2, [])
     assert "at least" in err and "more than the budget" in err

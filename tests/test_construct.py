@@ -206,6 +206,30 @@ def test_cb_reduce_refuses_collinear_triple(grid_system):
         cb_reduce(CBPartition(full=full, removed=collinear), manifold, 2)
 
 
+def test_superpose_refuses_an_improper_sub_set():
+    # three points of the line pair x1^2 - x1 = 0, all on its line x1 = 0:
+    # the degree-1 polynomial x1 vanishes on them
+    lines = Manifold([parse_polynomial("x1^2 - x1", 2)])
+    step = SuperpositionStep(
+        sub_manifold=lines,
+        sub_nodes=NodeSet(pts((0, 0), (0, 1), (0, 2)), lines),
+        super_nodes=NodeSet([]),
+        m=1,
+    )
+    with pytest.raises(ImproperNodeSetError, match="^sub-manifold node set is improper$") as info:
+        superpose_nodes(step)
+    assert not info.value.certificate.proper
+
+
+def test_cb_extend_curve_refuses_an_improper_curve_set(cube_system):
+    full = intersect_factorable(cube_system).nodes
+    # four points of the curve x1^2 - x1 = x3^2 - x3 = 0 on the plane x2 = 2
+    a_t = NodeSet(pts((0, 2, 0), (1, 2, 0), (0, 2, 1), (1, 2, 1)))
+    with pytest.raises(ImproperNodeSetError, match="^curve node set is not a degree-1 PPSN$") as info:
+        cb_extend_curve(full, a_t, NodeSet([]), full.manifold, t=2, m=-1)
+    assert not info.value.certificate.proper
+
+
 def test_cb_reduce_accepts_non_collinear_triple(grid_system):
     full = grid_nodes(grid_system)
     manifold = full.manifold
@@ -303,7 +327,9 @@ def test_full_intersection_preamble_checks_membership_once(grid_system, name, mo
 
 # procedures that tag subsets of a set already checked on the same manifold:
 # (call on the 3x3 grid system, the point counts of the membership checks
-# left, which are the chain's anchor on the curve: x0 and eight grid points)
+# left). Those left in a chain are its anchor on the curve (x0 and eight
+# grid points) and, per degree above k_t = 3, the fresh curve set, which
+# `superpose_nodes` checks again on its larger manifold with the union
 TAGGED_SUBSETS = {
     "extract_nested_ppsn": (
         lambda system, full, removed: extract_nested_ppsn(full, full.manifold, 2),
@@ -317,6 +343,12 @@ TAGGED_SUBSETS = {
     "build_curve_chain": (
         lambda system, full, removed: build_curve_chain(system, 2, 2, (F(0), F(5))),
         [9],
+    ),
+    # mmax above k_t: the sub sets are intersection points and the unions
+    # were checked on the curve's polynomials
+    "build_curve_chain_upward": (
+        lambda system, full, removed: build_curve_chain(system, 2, 5, (F(0), F(5))),
+        [9, 3, 3, 12, 6, 6, 15],
     ),
 }
 
@@ -434,6 +466,16 @@ def test_curve_lines_reject_parallel_forms():
     system = parse_system_text("x1*(x1-1)\n(x1-2)*x2\nx3*(x3-1)\n")
     with pytest.raises(InsufficientIntersectionError, match="not a line"):
         _curve_lines(system, 3)
+
+
+def test_fresh_curve_stream_that_runs_out_is_refused(monkeypatch):
+    # on one line of the 4x4 grid's curve x1 (x1-1)(x1-2)(x1-3) = 0 every
+    # degree-1 set is collinear: rank 2 of the 3 needed at degree 5 - k_t
+    system = parse_system_text("x1*(x1-1)*(x1-2)*(x1-3)\nx2*(x2-1)*(x2-2)*(x2-3)\n")
+    one_line = _curve_lines(system, 2)[:1]
+    monkeypatch.setattr(construct, "_curve_lines", lambda system, t: one_line)
+    with pytest.raises(InsufficientIntersectionError, match="rank 2 < 3 at degree 1"):
+        build_curve_chain(system, 2, 5, (F(0), F(7)))
 
 
 def test_build_curve_chain_line_pair_matches_line_counts():

@@ -32,7 +32,7 @@ from ppsn import (
     parse_system_text,
     verify_ppsn,
 )
-from ppsn.nodes import _evaluation_plan, _proper_certificate, evaluation_rows
+from ppsn.nodes import _evaluation_plan, _proper_certificate, evaluation_rows, nested_level
 
 F = Fraction
 
@@ -256,6 +256,24 @@ def test_extract_full_degree_returns_everything(grid_system):
     manifold = report.nodes.manifold
     out = extract_nested_ppsn(report.nodes, manifold, manifold.profile.M)
     assert set(out.points) == set(report.nodes.points)
+
+
+def test_nested_level_reads_a_stream_no_further_than_its_last_kept_point(grid_system):
+    full = intersect_factorable(grid_system).nodes
+    read = []
+
+    def stream():
+        for q in full.points:
+            read.append(q)
+            yield q
+
+    # degree 1 on the 3x3 grid: (0, 2) lies on the line through (0, 0) and
+    # (0, 1), and (1, 0) completes the three columns 1, x1, x2
+    points = stream()
+    level = nested_level(points, full.manifold, 1)
+    assert level == pts((0, 0), (0, 1), (1, 0))
+    assert read == pts((0, 0), (0, 1), (0, 2), (1, 0))
+    assert next(points) == full.points[4]
 
 
 @st.composite
