@@ -186,8 +186,8 @@ MAX_DIM_STEPS = 25_000_000
 
 
 def dim_steps(n: int, s: int, mmax: int) -> int:
-    """The estimated cost of a `dim` table, in the steps of MAX_DIM_STEPS."""
-    mmax = max(mmax, 0)
+    """The estimated cost of a `dim` table, in the steps of MAX_DIM_STEPS,
+    for mmax >= 0."""
     k = min(n, mmax)
     bits = k * (n + mmax).bit_length()
     return (mmax + 1) ** 2 * (k + s + 1) * (1 + bits // 1024)
@@ -199,6 +199,8 @@ def cmd_dim(args) -> int:
     ks = tuple(_parse_number(k, int) for k in args.degrees.split(","))
     profile = dimension.DegreeProfile(args.n, ks)
     flag, mmax = ("--mmax", args.mmax) if args.mmax is not None else ("--m", args.m)
+    if mmax < 0:
+        raise InputError(f"{flag} must be >= 0, got {mmax}")
     if mmax > MAX_DIM_DEGREE:
         raise InputError(f"{flag} {mmax} is above the largest table degree {MAX_DIM_DEGREE}")
     steps = dim_steps(profile.n, profile.s, mmax)

@@ -175,9 +175,9 @@ def _superpose(
             raise HypothesisError(
                 f"splitting polynomial vanishes at {tuple(str(c) for c in q)}"
             )
-    if not step.sub_nodes.is_disjoint(step.super_nodes):
-        raise HypothesisError("node sets are not disjoint")
-    union = step.sub_nodes.union(step.super_nodes, super_manifold)
+    # the sets are disjoint: every sub point lies on f_s = 0, the last
+    # polynomial of the sub-manifold it was certified on, and no super point does
+    union = step.sub_nodes.union(step.super_nodes)
     message = "superposed set is improper: the configuration is not a sufficient intersection"
     return union, _certified(union, super_manifold, m, message), sub_cert, super_cert
 
@@ -512,6 +512,8 @@ def build_curve_chain(
     below the omitted degree, superposition with fresh curve points handles
     degrees above it.
     """
+    if mmax < 0:
+        raise InputError("chain degree mmax must be >= 0")
     report = intersect_factorable(system)
     if not report.sufficient:
         raise InsufficientIntersectionError(
@@ -533,13 +535,9 @@ def build_curve_chain(
     # refuse an over-budget mmax before any lower level is built
     require_dense_size(system.n, mmax)
 
-    # a level of the intersection for d >= k_t, the whole of it at d >= M
-    def level(d: int) -> Tuple[Point, ...]:
-        return extract_nested_ppsn(full, s0, d).points
-
     # anchor level: the extracted degree-k_t set on the points, plus x0;
     # x0 goes first so the degree-0 extraction lands exactly on it
-    anchor_nodes = NodeSet((x0_pt,) + level(k_t), curve)
+    anchor_nodes = NodeSet((x0_pt,) + extract_nested_ppsn(full, s0, k_t).points, curve)
     entries: Dict[int, ChainEntry] = {}
     cert = _certified(anchor_nodes, curve, k_t, "anchor level is improper")
     if k_t <= mmax:
@@ -551,12 +549,10 @@ def build_curve_chain(
         cert_d = _certified(nodes_d, curve, d, f"degree-{d} chain level improper")
         entries[d] = ChainEntry(d, nodes_d, cert_d)
 
-    # upward: superpose extracted point-set levels with fresh curve points.
-    # `reordered` has the intersection's polynomials and `superpose_nodes`
-    # checks the union on the curve's, so both are tagged unchecked
+    # upward: superpose extracted point-set levels with fresh curve points
     reordered = Manifold(curve.polynomials + (f_t,))
     for d in range(k_t + 1, mmax + 1):
-        sub = NodeSet._subset(level(d), reordered)
+        sub = extract_nested_ppsn(full, s0, d)
         fresh = _fresh_curve_ppsn(system, t, curve, d - k_t, avoid=full)
         union, cert_d = superpose_nodes(
             SuperpositionStep(
@@ -566,7 +562,7 @@ def build_curve_chain(
                 m=d,
             )
         )
-        entries[d] = ChainEntry(d, NodeSet._subset(union.points, curve), cert_d)
+        entries[d] = ChainEntry(d, union, cert_d)
 
     ordered = tuple(entries[d] for d in sorted(entries))
     return CurveChain(curve=curve, entries=ordered)

@@ -23,6 +23,8 @@ the H-base items X^beta * (F_i f_i), F_i f_i the integer numerators of f_i.
 `hbase_decompose` and `verify_hbase` eliminate those items once per degree
 in one integer echelon, untransposed, read each member's weights off it by
 substitution and accept them by one exact integer check (`_HBaseSystems`).
+Membership (`Manifold.require_on_manifold`) evaluates each defining
+polynomial at all the points in one integer batch.
 """
 
 from __future__ import annotations
@@ -99,10 +101,12 @@ class Manifold:
         return all(p.evaluate(point) == 0 for p in self.polynomials)
 
     def require_on_manifold(self, points: Sequence[Point]):
-        for q in points:
-            for i, p in enumerate(self.polynomials):
-                r = p.evaluate(q)
-                if r != 0:
+        """OffManifoldError at the first point off the manifold, with the
+        first polynomial that does not vanish there and its value."""
+        residuals = [p._values(points) for p in self.polynomials]
+        for q, row in zip(points, zip(*residuals)):
+            for i, r in enumerate(row):
+                if r:
                     raise OffManifoldError(q, i, r)
 
     def curve(self, t: int) -> "Manifold":

@@ -11,6 +11,15 @@ InputError before it is built (`require_dense_size`): `monomial_basis`,
 `macaulay.select_monomials`, `macaulay.verify_hbase`, the square system of
 `nodes.verify_ppsn` and `construct.interpolate` on a manifold, and the
 CLI's dimension inference check the count first.
+
+Evaluation has one integer kernel, `evaluation_rows`: a point q = c / B,
+B the lcm of its denominators, has as row over the monomials of degree
+<= d its rational row times B^d, entry c^alpha * B^(d-|alpha|). A cached
+plan per monomial tuple (`_evaluation_plan`) gives each c^alpha as its
+parent's value, alpha - e_j for j its first variable, times c_j. A
+polynomial's values at a batch of points (`Polynomial._values`, behind
+`evaluate` and manifold membership) are its rows over its own terms dotted
+with its integer numerators.
 """
 
 from __future__ import annotations
@@ -105,6 +114,69 @@ def monomial_basis(n: int, m: int) -> Tuple[MultiIndex, ...]:
         raise InputError("ambient dimension must be >= 1")
     require_dense_size(n, m)
     return tuple(mu for d in range(m + 1) for mu in monomials_of_degree(n, d))
+
+
+def _powers(x: int, top: int) -> List[int]:
+    """[1, x, x^2, ..., x^top] by repeated multiplication."""
+    out = [1]
+    for _ in range(top):
+        out.append(out[-1] * x)
+    return out
+
+
+def _parent(alpha: MultiIndex) -> Tuple[MultiIndex, int]:
+    """(alpha - e_j, j) for j the first variable of the nonconstant alpha."""
+    j = next(j for j, e in enumerate(alpha) if e)
+    return alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :], j
+
+
+@functools.lru_cache(maxsize=256)
+def _evaluation_plan(
+    monomials: Tuple[MultiIndex, ...]
+) -> Tuple[int, Tuple[Tuple[int, int], ...], Tuple[Tuple[int, int], ...]]:
+    """(d, steps, picks) for `evaluation_rows`, keyed on the monomials
+    alone, never on the points. d is the largest monomial degree. The
+    closure of `monomials` under taking parents is listed by degree, the
+    constant first; steps[k] = (closure index of the parent, j) for closure
+    entry k + 1, and picks[i] = (closure index, d - |alpha|) for
+    alpha = monomials[i]."""
+    closure = set()
+    for alpha in monomials:
+        while alpha not in closure:
+            closure.add(alpha)
+            if not any(alpha):
+                break
+            alpha = _parent(alpha)[0]
+    order = sorted(closure, key=lambda alpha: (sum(alpha), alpha))
+    index = {alpha: k for k, alpha in enumerate(order)}
+    steps = []
+    for alpha in order[1:]:
+        parent, j = _parent(alpha)
+        steps.append((index[parent], j))
+    d = max(map(sum, monomials), default=0)
+    picks = tuple((index[alpha], d - sum(alpha)) for alpha in monomials)
+    return d, tuple(steps), picks
+
+
+def evaluation_rows(
+    points: Sequence[Point], monomials: Sequence[MultiIndex]
+) -> List[Tuple[int, List[int]]]:
+    """(scale, row) per point, where row / scale is the point's exact
+    evaluation row: with B the lcm of the coordinate denominators, c = B*q
+    and d the largest monomial degree, the entry for alpha is
+    c^alpha * B^(d-|alpha|) and scale = B^d. c^alpha is its parent's value
+    times one coordinate, over the plan's closure (`_evaluation_plan`)."""
+    d, steps, picks = _evaluation_plan(tuple(monomials))
+    out = []
+    for q in points:
+        B = math.lcm(*(x.denominator for x in q))
+        c = [x.numerator * (B // x.denominator) for x in q]
+        b_powers = _powers(B, d)
+        values = [1]
+        for parent, j in steps:
+            values.append(values[parent] * c[j])
+        out.append((b_powers[d], [values[k] * b_powers[e] for k, e in picks]))
+    return out
 
 
 class Polynomial:
@@ -294,28 +366,23 @@ class Polynomial:
     # -- evaluation --------------------------------------------------------
 
     def evaluate(self, point: Sequence) -> Fraction:
-        pt = as_point(point)
-        if len(pt) != self.n:
-            raise DimensionMismatchError(
-                f"point of length {len(pt)} for a {self.n}-variate polynomial"
-            )
-        if not self.terms:
-            return Fraction(0)
-        # over ints: with D the lcm of the coefficient denominators, B that of
-        # the coordinates and c = B*pt, sum (D*coef) * c^alpha * B^(deg-|alpha|)
-        # and divide by D * B^deg once
-        D = math.lcm(*(c.denominator for c in self.terms.values()))
-        B = math.lcm(*(x.denominator for x in pt))
-        cs = [x.numerator * (B // x.denominator) for x in pt]
-        deg = self._degree
-        total = 0
-        for alpha, coef in self.terms.items():
-            v = coef.numerator * (D // coef.denominator) * B ** (deg - sum(alpha))
-            for c, e in zip(cs, alpha):
-                if e:
-                    v *= c**e
-            total += v
-        return Fraction(total, D * B**deg)
+        return self._values([as_point(point)])[0]
+
+    def _values(self, points: Sequence[Point]) -> List[Fraction]:
+        """The exact values at the points: each point's integer row over the
+        terms' monomials, dotted with the numerators over D, is its value
+        times D * scale, and becomes one Fraction."""
+        for q in points:
+            if len(q) != self.n:
+                raise DimensionMismatchError(
+                    f"point of length {len(q)} for a {self.n}-variate polynomial"
+                )
+        D, numerators = self._numerators()
+        coefficients = [c for _, c in numerators]
+        return [
+            Fraction(sum(map(operator.mul, row, coefficients)), D * scale)
+            for scale, row in evaluation_rows(points, [a for a, _ in numerators])
+        ]
 
     def __call__(self, point: Sequence) -> Fraction:
         return self.evaluate(point)

@@ -2,9 +2,10 @@
 factorable-system intersection, and nested extraction from complete
 intersections.
 
-Membership has one rule, `NodeSet.require_on`, which evaluates only sets
-not tagged with the manifold in hand. Nested extraction and the
-Cayley-Bacharach procedures share one preamble, `_require_full_intersection`.
+Membership has one rule, `NodeSet.require_on`: a set is evaluated unless
+its tag's polynomials include all of the manifold's, since a point that
+zeroes some polynomials zeroes any subset of them. Nested extraction and
+the Cayley-Bacharach procedures share one preamble, `_require_full_intersection`.
 
 The degree-d level of a node set (`nested_level`) is the greedy choice, in
 order, of rows of its evaluation matrix over the first t_d = dim_along(d)
@@ -22,18 +23,11 @@ case these monomials are the full basis). Certificates carry either the
 canonical support's indices in the full basis or an explicit nonzero row
 functional annihilating every row.
 
-Evaluation rows are built over Python ints (`evaluation_rows`): a point q
-with common denominator B is written q = c / B, and its row over monomials
-of degree <= d is B^d times the rational row, entry c^alpha * B^(d-|alpha|).
-Scaling a row by a nonzero constant changes neither the rank nor the
-solutions of the system, so rank certificates and interpolants come straight
-from the integer rows; `evaluation_matrix` divides them back out for callers
-that need the rational entries. A cached plan per monomial tuple
-(`_evaluation_plan`) gives each c^alpha as its parent's value times one
-coordinate: the parent of alpha is alpha - e_j, j its first variable. The
-plan runs over the monomials closed under taking parents, which canonical
-sets already are (the selected monomials form a monomial ideal), and the
-closure keeps any other input correct.
+Evaluation rows are exact integer rows with one scale per point
+(`mpoly.evaluation_rows`). Scaling a row by a nonzero constant changes
+neither the rank nor the solutions of the system, so rank certificates and
+interpolants come straight from the integer rows; `evaluation_matrix`
+divides them back out for callers that need the rational entries.
 
 The canonical square system A x = b of a node set answers both questions
 asked of it, in one class, `_CanonicalSystem`: is A singular
@@ -77,7 +71,6 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -97,6 +90,7 @@ from .mpoly import (
     Polynomial,
     as_fraction,
     as_point,
+    evaluation_rows,
     parse_polynomial,
     require_dense_size,
 )
@@ -105,8 +99,8 @@ from .mpoly import (
 class NodeSet:
     """Ordered set of pairwise distinct rational points, optionally tagged
     with the manifold they are claimed to lie on (checked exactly, unless a
-    checked set's `_subset`). It is immutable, so the tag stays a proof:
-    `require_on` skips the check for a set tagged with that very manifold."""
+    checked set's `_subset`). It is immutable, so the tag stays a proof that
+    every point zeroes the tag's polynomials (see `require_on`)."""
 
     __slots__ = ("n", "points", "manifold")
     n: int
@@ -157,12 +151,15 @@ class NodeSet:
         return as_point(point) in set(self.points)
 
     def require_on(self, manifold: Manifold) -> None:
-        """OffManifoldError unless every point lies on `manifold`."""
-        if self.manifold is not manifold:
+        """OffManifoldError unless every point lies on `manifold`. A set whose
+        tag has every one of `manifold`'s polynomials is not evaluated: a
+        point that zeroes the tag's polynomials zeroes any subset of them."""
+        tag = self.manifold
+        if tag is None or not set(manifold.polynomials) <= set(tag.polynomials):
             manifold.require_on_manifold(self.points)
 
-    def union(self, other: "NodeSet", manifold: Optional[Manifold] = None) -> "NodeSet":
-        return NodeSet(self.points + other.points, manifold)
+    def union(self, other: "NodeSet") -> "NodeSet":
+        return NodeSet(self.points + other.points)
 
     def difference(self, other: "NodeSet") -> "NodeSet":
         drop = set(other.points)
@@ -173,69 +170,6 @@ class NodeSet:
 
     def __repr__(self):
         return f"NodeSet({len(self.points)} points in dim {self.n})"
-
-
-def _powers(x: int, top: int) -> List[int]:
-    """[1, x, x^2, ..., x^top] by repeated multiplication."""
-    out = [1]
-    for _ in range(top):
-        out.append(out[-1] * x)
-    return out
-
-
-def _parent(alpha: MultiIndex) -> Tuple[MultiIndex, int]:
-    """(alpha - e_j, j) for j the first variable of the nonconstant alpha."""
-    j = next(j for j, e in enumerate(alpha) if e)
-    return alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :], j
-
-
-@functools.lru_cache(maxsize=256)
-def _evaluation_plan(
-    monomials: Tuple[MultiIndex, ...]
-) -> Tuple[int, Tuple[Tuple[int, int], ...], Tuple[Tuple[int, int], ...]]:
-    """(d, steps, picks) for `evaluation_rows`, keyed on the monomials
-    alone, never on the points. d is the largest monomial degree. The
-    closure of `monomials` under taking parents is listed by degree, the
-    constant first; steps[k] = (closure index of the parent, j) for closure
-    entry k + 1, and picks[i] = (closure index, d - |alpha|) for
-    alpha = monomials[i]."""
-    closure = set()
-    for alpha in monomials:
-        while alpha not in closure:
-            closure.add(alpha)
-            if not any(alpha):
-                break
-            alpha = _parent(alpha)[0]
-    order = sorted(closure, key=lambda alpha: (sum(alpha), alpha))
-    index = {alpha: k for k, alpha in enumerate(order)}
-    steps = []
-    for alpha in order[1:]:
-        parent, j = _parent(alpha)
-        steps.append((index[parent], j))
-    d = max(map(sum, monomials), default=0)
-    picks = tuple((index[alpha], d - sum(alpha)) for alpha in monomials)
-    return d, tuple(steps), picks
-
-
-def evaluation_rows(
-    points: Sequence[Point], monomials: Sequence[MultiIndex]
-) -> List[Tuple[int, List[int]]]:
-    """(scale, row) per point, where row / scale is the point's exact
-    evaluation row: with B the lcm of the coordinate denominators, c = B*q
-    and d the largest monomial degree, the entry for alpha is
-    c^alpha * B^(d-|alpha|) and scale = B^d. c^alpha is its parent's value
-    times one coordinate, over the plan's closure (`_evaluation_plan`)."""
-    d, steps, picks = _evaluation_plan(tuple(monomials))
-    out = []
-    for q in points:
-        B = lcm(*(x.denominator for x in q))
-        c = [x.numerator * (B // x.denominator) for x in q]
-        b_powers = _powers(B, d)
-        values = [1]
-        for parent, j in steps:
-            values.append(values[parent] * c[j])
-        out.append((b_powers[d], [values[k] * b_powers[e] for k, e in picks]))
-    return out
 
 
 def evaluation_matrix(

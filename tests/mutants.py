@@ -74,6 +74,111 @@ CATALOGUE: List[Mutant] = [
         "",
         ("tests/test_cli.py::test_oversized_input_exits_2_before_any_basis_is_built",),
     ),
+    Mutant(
+        "membership skips any tagged set, whatever its polynomials",
+        "src/ppsn/nodes.py",
+        "        if tag is None or not set(manifold.polynomials) <= set(tag.polynomials):\n",
+        "        if tag is None:\n",
+        ("tests/test_nodes.py::test_verify_checks_nodes_not_checked_on_the_same_manifold",),
+    ),
+    Mutant(
+        "a batch of values drops the row scale",
+        "src/ppsn/mpoly.py",
+        "D * scale)",
+        "D)",
+        ("tests/test_mpoly.py::test_evaluate_matches_fraction_reference",),
+    ),
+    Mutant(
+        "membership reports the last point off the manifold",
+        "src/ppsn/macaulay.py",
+        "        for q, row in zip(points, zip(*residuals)):\n",
+        "        for q, row in reversed(list(zip(points, zip(*residuals)))):\n",
+        ("tests/test_macaulay.py::test_membership_raises_at_the_first_offending_point",),
+    ),
+    Mutant(
+        "H-base weights are accepted without the integer check",
+        "src/ppsn/macaulay.py",
+        "        if any(residual.values()):\n",
+        "        if False:\n",
+        (
+            "tests/test_macaulay.py::test_hbase_decompose_rejects_non_members",
+            "tests/test_macaulay.py::test_hbase_decompose_matches_polynomial_reference",
+        ),
+    ),
+    Mutant(
+        "H-base weights are read off the first rank monomials, not the pivots",
+        "src/ppsn/macaulay.py",
+        "[basis[c] for c in echelon.columns]",
+        "list(basis[: echelon.rank])",
+        (
+            "tests/test_macaulay.py::test_hbase_decompose_respects_degree_bounds",
+            "tests/test_acceptance.py::test_criterion_08_hbase_round_trip",
+        ),
+    ),
+    Mutant(
+        "the infinity check accepts a rank one short",
+        "src/ppsn/macaulay.py",
+        "rank == len(monos)",
+        "rank >= len(monos) - 1",
+        (
+            "tests/test_macaulay.py::test_infinity_check_false",
+            "tests/test_macaulay.py::test_infinity_check_matches_a_fraction_rank",
+        ),
+    ),
+    Mutant(
+        "solve returns its guess without the exact check",
+        "src/ppsn/linalg.py",
+        "    return x if satisfies(rows, x, scales, rhs) else None\n",
+        "    return x\n",
+        ("tests/test_linalg.py::test_solve_consistent_and_inconsistent",),
+    ),
+    Mutant(
+        "an echelon keeps the dependency of its first rejected row only",
+        "src/ppsn/linalg.py",
+        "            self.dependency = combination\n",
+        "            self.dependency = self.dependency or combination\n",
+        (
+            "tests/test_linalg.py::test_nullspace_vectors_annihilate",
+            "tests/test_construct.py::test_curve_lines_reject_parallel_forms",
+        ),
+    ),
+    Mutant(
+        "nullspace vectors are not scaled to 1 on their free column",
+        "src/ppsn/linalg.py",
+        "basis.append([Fraction(y.get(i, 0), y[j]) for i in range(ncols)])",
+        "basis.append([Fraction(y.get(i, 0)) for i in range(ncols)])",
+        (
+            "tests/test_linalg.py::test_solve_nullspace_and_first_dependency_match_the_fraction_rref",
+            "tests/test_cli.py::test_cb_check_exception_hypersurface",
+        ),
+    ),
+    Mutant(
+        "solution drops the weights' denominator",
+        "src/ppsn/linalg.py",
+        "        D *= denominator\n",
+        "",
+        (
+            "tests/test_linalg.py::test_solve_solution_satisfies_system",
+            "tests/test_nodes.py::test_intersect_rational_points_and_singular_selection",
+        ),
+    ),
+    Mutant(
+        "the exact kernel fallback is scaled by 2 on the dependent row",
+        "src/ppsn/nodes.py",
+        "return [Fraction(y.get(i, 0), y[f]) for i in range(N)]",
+        "return [Fraction(y.get(i, 0), 2 * y[f]) for i in range(N)]",
+        ("tests/test_modular.py::test_prime_making_an_earlier_row_dependent_is_not_trusted",),
+    ),
+    Mutant(
+        "the intersection accepts a selection of rank n - 1",
+        "src/ppsn/nodes.py",
+        "        if ech.rank < n:\n",
+        "        if ech.rank < n - 1:\n",
+        (
+            "tests/test_nodes.py::test_intersect_rational_points_and_singular_selection",
+            "tests/test_cli.py::test_insufficient_system_exits_one",
+        ),
+    ),
 ]
 
 

@@ -461,6 +461,26 @@ def test_bad_chain_seed_exits_two(files, capsys):
     assert "'zz'" in capsys.readouterr().err
 
 
+def test_negative_chain_degree_exits_2_before_any_level_is_certified(
+    files, monkeypatch, capsys
+):
+    certified = []
+    monkeypatch.setattr("ppsn.construct.verify_ppsn", lambda *args: certified.append(args))
+    system = files("grid.sys", GRID)
+    argv = ["chain", "--system", system, "--t", "2", "--mmax", "-1", "--x0", "0,7", "--json"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "input error: chain degree mmax must be >= 0\n"
+    assert certified == []
+
+
+@pytest.mark.parametrize(
+    "extra, flag", [(["--m", "-1"], "--m"), (["--m", "2", "--mmax", "-1"], "--mmax")]
+)
+def test_negative_dim_degree_exits_2_naming_its_flag(extra, flag, capsys):
+    assert main(["dim", "--n", "2", "--degrees", "3"] + extra) == 2
+    assert capsys.readouterr().err == f"input error: {flag} must be >= 0, got -1\n"
+
+
 def test_report_names_the_argv_given_to_main(capsys, monkeypatch):
     monkeypatch.setattr("sys.argv", ["ppsn", "something", "else"])
     argv = ["dim", "--n", "2", "--degrees", "1", "--m", "2", "--json"]

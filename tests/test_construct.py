@@ -1,7 +1,13 @@
+import itertools
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from conftest import NO_SHRINK
+from eager_bareiss import fraction_row_reduce
 from nested_descent import descent_levels
 from ppsn import (
     CBPartition,
@@ -37,6 +43,8 @@ from ppsn.construct import (
     superpose_interpolate,
     superpose_nodes,
 )
+from ppsn.mpoly import Polynomial, monomial_basis
+from ppsn.nodes import FactorableSystem
 
 F = Fraction
 
@@ -169,6 +177,27 @@ def test_superpose_interpolate_certifies_each_set_once(line_manifold, monkeypatc
     # superpose_nodes certifies the sub, super and union sets; each
     # interpolate solves on its set with the certificate made there
     assert [(len(nodes), m) for nodes, _, m in calls] == [(3, 2), (3, 1), (6, 2)]
+
+
+def test_superpose_does_not_check_a_super_set_tagged_with_the_same_polynomials(monkeypatch):
+    circle, line = parse_polynomial("x1^2 + x2^2 - 1", 2), parse_polynomial("x2", 2)
+    step = SuperpositionStep(
+        sub_manifold=Manifold([circle, line]),
+        sub_nodes=NodeSet(pts((1, 0), (-1, 0)), Manifold([circle, line])),
+        super_nodes=NodeSet(pts((0, 1)), Manifold([circle])),
+        m=1,
+    )
+    checked = []
+    check = Manifold.require_on_manifold
+    monkeypatch.setattr(
+        Manifold,
+        "require_on_manifold",
+        lambda self, points: checked.append(len(points)) or check(self, points),
+    )
+    union, cert = superpose_nodes(step)
+    # neither tagged set is evaluated again; the untagged union is, once
+    assert cert.proper and len(union) == 3
+    assert checked == [3]
 
 
 def test_conic_superposition(circle):
@@ -344,11 +373,13 @@ TAGGED_SUBSETS = {
         lambda system, full, removed: build_curve_chain(system, 2, 2, (F(0), F(5))),
         [9],
     ),
-    # mmax above k_t: the sub sets are intersection points and the unions
-    # were checked on the curve's polynomials
+    # mmax above k_t: the anchor, then per level the fresh curve set and
+    # the superposed union. The sub sets are tagged with the intersection,
+    # whose polynomials include the sub-manifold's, and the fresh sets with
+    # the curve, whose polynomials are the larger manifold's
     "build_curve_chain_upward": (
         lambda system, full, removed: build_curve_chain(system, 2, 5, (F(0), F(5))),
-        [9, 3, 3, 12, 6, 6, 15],
+        [9, 3, 12, 6, 15],
     ),
 }
 
@@ -503,3 +534,120 @@ def test_build_curve_chain_validates_seed(cube_system):
         build_curve_chain(cube_system, 3, 2, (F(0), F(0), F(0)))  # intersection point
     with pytest.raises(InputError):
         build_curve_chain(cube_system, 3, 2, (F(1), F(2), F(3)))  # off the curve
+
+
+# -- properties on sheared factorable systems ---------------------------------------
+#
+# Hypersurface i is the product over k of x_i + sum_{j != i} s_ij x_j - a_ik,
+# with shears s_ij in {-1/4, 0, 1/4} and distinct integer offsets a_ik. All
+# its forms share the linear part row i of S, which is diagonally dominant,
+# so every selection solves S x = a for one offset per hypersurface, and
+# distinct offsets give distinct points. Membership is checked on the forms
+# and properness by a rational row reduction, never by the package's own
+# evaluator: on a manifold's points the canonical columns span the full
+# basis, so N points are proper at degree m when their rows over it have
+# rank N.
+
+SHEARS = (F(-1, 4), F(0), F(1, 4))
+
+
+@st.composite
+def sheared_systems(draw):
+    """(shears, offsets): n = 2 with k_i <= 3 or n = 3 with k_i <= 2."""
+    n = draw(st.sampled_from((2, 3)))
+    ks = [draw(st.integers(1, 3 if n == 2 else 2)) for _ in range(n)]
+    shears = [
+        [F(1) if j == i else draw(st.sampled_from(SHEARS)) for j in range(n)] for i in range(n)
+    ]
+    offsets = [
+        draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k, unique=True)) for k in ks
+    ]
+    return shears, offsets
+
+
+def sheared_intersection(shears, offsets):
+    n = len(shears)
+    unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+
+    def form(i, a):
+        return Polynomial(n, {**dict(zip(unit, shears[i])), (0,) * n: -a})
+
+    system = FactorableSystem([[form(i, a) for a in offs] for i, offs in enumerate(offsets)])
+    report = intersect_factorable(system)
+    assume(report.sufficient)
+    return system, report.nodes
+
+
+def on_hypersurface(shears, offsets, i, q):
+    value = sum(s * x for s, x in zip(shears[i], q))
+    return value in offsets[i]
+
+
+def properly_posed(points, n, m):
+    rows = [[prod(x**e for x, e in zip(q, alpha)) for alpha in monomial_basis(n, m)] for q in points]
+    return fraction_row_reduce(rows)[0] == len(points)
+
+
+@settings(max_examples=20, phases=NO_SHRINK, deadline=None)
+@given(sheared_systems())
+def test_sheared_intersection_has_every_product_point(case):
+    shears, offsets = case
+    system, full = sheared_intersection(shears, offsets)
+    assert len(set(full.points)) == len(full) == prod(map(len, offsets))
+    for q in full:
+        assert all(on_hypersurface(shears, offsets, i, q) for i in range(system.n))
+
+
+@settings(max_examples=20, phases=NO_SHRINK, deadline=None)
+@given(sheared_systems())
+def test_sheared_extraction_levels_nest_with_their_dimensions(case):
+    system, full = sheared_intersection(*case)
+    manifold = full.manifold
+    above = set(full.points)
+    for m in reversed(range(manifold.profile.M + 1)):
+        level = extract_nested_ppsn(full, manifold, m).points
+        assert len(level) == dim_along(m, manifold.profile)
+        assert set(level) <= above
+        assert properly_posed(level, system.n, m)
+        above = set(level)
+
+
+@settings(max_examples=20, phases=NO_SHRINK, deadline=None)
+@given(sheared_systems(), st.data())
+def test_sheared_cb_reduce_leaves_a_proper_remainder(case, data):
+    system, full = sheared_intersection(*case)
+    manifold = full.manifold
+    M = manifold.profile.M
+    assume(M >= 1)
+    m = data.draw(st.integers(0, M - 1))
+    removed = extract_nested_ppsn(full, manifold, M - m - 1)
+    remaining, cert = cb_reduce(CBPartition(full, removed), manifold, m)
+    assert cert.proper
+    assert set(remaining.points) == set(full.points) - set(removed.points)
+    assert len(remaining) == dim_along(m, manifold.profile)
+    assert properly_posed(remaining.points, system.n, m)
+
+
+@settings(max_examples=20, phases=NO_SHRINK, deadline=None)
+@given(sheared_systems(), st.data())
+def test_sheared_chain_levels_lie_on_the_curve_and_are_proper(case, data):
+    shears, offsets = case
+    system, full = sheared_intersection(shears, offsets)
+    n = system.n
+    t = data.draw(st.integers(1, n))
+    mmax = data.draw(st.integers(0, len(offsets[t - 1]) + 2))
+    x0 = next(
+        q
+        for r in itertools.count()
+        for base, direction in _curve_lines(system, t)
+        for q in [tuple(b + r * d for b, d in zip(base, direction))]
+        if q not in full and not on_hypersurface(shears, offsets, t - 1, q)
+    )
+    chain = build_curve_chain(system, t, mmax, x0)
+    assert [e.degree for e in chain.entries] == list(range(mmax + 1))
+    for e in chain.entries:
+        assert e.certificate.proper
+        assert len(e.nodes) == dim_along(e.degree, chain.curve.profile)
+        for q in e.nodes:
+            assert all(on_hypersurface(shears, offsets, i, q) for i in range(n) if i != t - 1)
+        assert properly_posed(e.nodes.points, n, e.degree)

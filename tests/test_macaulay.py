@@ -42,6 +42,31 @@ def test_manifold_basic_properties(circle):
         circle.require_on_manifold([(F(1), F(1))])
 
 
+# x1 in {0, 1} and x2 = +-1/2, so points drawn from these coordinates often
+# lie on one, both or neither of the two polynomials
+TWO_POLYNOMIALS = (((2, 0), 1), ((1, 0), -1)), (((0, 2), 4), ((0, 0), -1))
+coordinates = st.sampled_from([F(0), F(1), F(1, 2), F(-1, 2), F(3)])
+
+
+@settings(max_examples=60, phases=NO_SHRINK)
+@given(st.lists(st.tuples(coordinates, coordinates), max_size=6))
+def test_membership_raises_at_the_first_offending_point(points):
+    manifold = Manifold([Polynomial(2, dict(terms)) for terms in TWO_POLYNOMIALS])
+    expected = None
+    for q in points:  # point-major reference on the polynomials' own terms
+        for i, terms in enumerate(TWO_POLYNOMIALS):
+            r = sum(c * q[0] ** a[0] * q[1] ** a[1] for a, c in terms)
+            if r and expected is None:
+                expected = (q, i, r)
+    if expected is None:
+        manifold.require_on_manifold(points)
+    else:
+        with pytest.raises(OffManifoldError) as raised:
+            manifold.require_on_manifold(points)
+        error = raised.value
+        assert (error.point, error.poly_index, error.residual) == expected
+
+
 def test_circle_selection_degree_two(circle):
     sel = select_monomials(circle, 2)
     # elementary-item row for the leading form x1^2 + x2^2 over (x1^2, x1x2, x2^2)

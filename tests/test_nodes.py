@@ -32,7 +32,8 @@ from ppsn import (
     parse_system_text,
     verify_ppsn,
 )
-from ppsn.nodes import _evaluation_plan, _proper_certificate, evaluation_rows, nested_level
+from ppsn.mpoly import _evaluation_plan
+from ppsn.nodes import _proper_certificate, evaluation_rows, nested_level
 
 F = Fraction
 
