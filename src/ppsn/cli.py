@@ -110,16 +110,15 @@ def _parse_number(token: str, kind=as_fraction):
 def _load_problem(
     args,
 ) -> Tuple[Dict, Optional[macaulay.Manifold], nodes.NodeSet, List[Fraction]]:
-    """The report base, the --manifold (None without one), the --nodes on
-    it and the --values (empty without them). Each file is read once, so
-    the report digests the very text that was parsed."""
+    """The report base, the --manifold (None without one), the --nodes and
+    the --values (empty without them). Each file is read once, so the
+    report digests the very text that was parsed. The nodes are untagged:
+    `verify_ppsn` checks their count before their membership."""
     manifold = _load_manifold(args) if args.manifold is not None else None
     texts = {"nodes": _read_file(args.nodes)}
     if hasattr(args, "values"):
         texts["values"] = _read_file(args.values)
     node_set = nodes.parse_nodes_text(texts["nodes"])
-    if manifold is not None:
-        node_set = nodes.NodeSet(node_set.points, manifold)
     values = [_parse_number(line) for _, line in nodes.content_lines(texts.get("values", ""))]
     return _report_base(args, **texts), manifold, node_set, values
 
@@ -308,8 +307,7 @@ def cmd_interpolate(args) -> int:
 
 def cmd_superpose(args) -> int:
     manifold = _load_manifold(args)
-    sub = nodes.NodeSet(_load_nodes(args.sub).points, manifold)
-    sup = _load_nodes(args.super_nodes)
+    sub, sup = _load_nodes(args.sub), _load_nodes(args.super_nodes)
     step = construct.SuperpositionStep(
         sub_manifold=manifold, sub_nodes=sub, super_nodes=sup, m=args.m
     )

@@ -383,7 +383,7 @@ def cb_check(
         # scaling the rows leaves the right kernel unchanged
         basis = monomial_basis(manifold.n, comp_degree)
         rows = evaluation_rows(partition.removed.points, basis)
-        kernel = linalg.nullspace([row for _, row in rows])
+        kernel = linalg.solution_set([row for _, row in rows], [0] * len(rows))[1]
         if kernel:
             exception = Polynomial(manifold.n, dict(zip(basis, kernel[0])))
     consistent = vanishes or exception is not None
@@ -462,13 +462,11 @@ def _curve_lines(
         # [A | b] is (n-1) x (n+1): when A has rank n-1 its one kernel vector
         # is the direction, and the solution with the free coordinate at
         # zero, which always exists, the base point
-        a = [row[:n] for row in rows]
-        kernel = linalg.nullspace(a)
+        base, kernel = linalg.solution_set([row[:n] for row in rows], [row[n] for row in rows])
         if len(kernel) != 1:
             raise InsufficientIntersectionError(
                 "a curve component is not a line: parallel or dependent forms"
             )
-        base = linalg.solve(a, [row[n] for row in rows])
         lines.append((tuple(base), tuple(kernel[0])))
     return lines
 

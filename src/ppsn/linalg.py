@@ -23,17 +23,16 @@ Every exact answer is read off one such echelon:
 
 * `row_reduce(A)` adds A's rows in order: its rank, pivot columns and kept
   rows.
-* `solve(A, b)` adds A's columns. The kept ones are the pivot columns of A,
-  and the echelon's pivot columns are the greedy independent rows I of A.
-  `weights` at I gives the x supported on A's pivot columns that meets b on
-  I, the RREF solution with free variables zero, since A restricted to I
-  and those columns is square and nonsingular. Every other row of A is a
-  combination of the rows in I, so A x = b holds on every row exactly when
-  the system is consistent; one integer check over all rows decides.
-* `nullspace(A)` also adds A's columns. A rejected column's dependency,
-  scaled to 1 on that column, is supported on it and the pivot columns
-  before it, like the RREF's kernel vector for that free column; both are
-  the unique such vector, so they are equal.
+* `solution_set(A, b)` adds A's columns once. The kept ones are the pivot
+  columns of A, and the echelon's pivot columns are the greedy independent
+  rows I of A. `weights` at I gives the x supported on A's pivot columns
+  that meets b on I, the RREF solution with free variables zero, since A
+  restricted to I and those columns is square and nonsingular. Every other
+  row of A is a combination of the rows in I, so A x = b holds on every row
+  exactly when the system is consistent; one integer check over all rows
+  decides. A rejected column's dependency, scaled to 1 on that column, is
+  supported on it and the pivot columns before it, like the RREF's kernel
+  vector for that free column; both are the unique such vector.
 * The first row of A that its echelon rejects gives, scaled the same way,
   the first vector of the RREF kernel of A^T: the left dependency that
   `nodes._CanonicalSystem.kernel` falls back to.
@@ -422,30 +421,32 @@ def row_reduce(matrix: Sequence[Sequence[Fraction]]) -> IntegerEchelon:
     return echelon
 
 
-def solve(
+def solution_set(
     matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> Optional[List[Fraction]]:
-    """One exact solution of A x = b with free variables set to zero, or
-    None when the system is inconsistent: `solution` at the pivot rows of
-    the echelon of A's columns, then one integer check of every row."""
-    echelon = row_reduce(list(zip(*matrix)))
-    x = echelon.solution([rhs[i] for i in echelon.columns])
-    scales = [lcm(*(v.denominator for v in row)) for row in matrix]
-    rows = [[v.numerator * (s // v.denominator) for v in row] for row, s in zip(matrix, scales)]
-    return x if satisfies(rows, x, scales, rhs) else None
-
-
-def nullspace(matrix: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
-    """Basis of the right kernel {x : A x = 0}: for each column that the
-    echelon of A's columns rejects, its dependency scaled to 1 on it."""
+) -> Tuple[Optional[List[Fraction]], List[List[Fraction]]]:
+    """(x, kernel) for A x = b from one echelon of A's columns: the solution
+    with free variables zero, or None when A x = b is inconsistent, and the
+    basis of {x : A x = 0}, one vector per rejected column."""
     ncols = len(matrix[0]) if matrix else 0
     echelon = IntegerEchelon()
-    basis: List[List[Fraction]] = []
+    kernel: List[List[Fraction]] = []
     for j, column in enumerate(zip(*matrix)):
         if not echelon.add(column):
             y = echelon.dependency
-            basis.append([Fraction(y.get(i, 0), y[j]) for i in range(ncols)])
-    return basis
+            kernel.append([Fraction(y.get(i, 0), y[j]) for i in range(ncols)])
+    x = echelon.solution([rhs[i] for i in echelon.columns])
+    scales = [lcm(*(v.denominator for v in row)) for row in matrix]
+    rows = [[v.numerator * (s // v.denominator) for v in row] for row, s in zip(matrix, scales)]
+    return (x if satisfies(rows, x, scales, rhs) else None), kernel
+
+
+# names that bench/tracer.py wraps; nothing in the package calls them
+def solve(matrix, rhs):
+    return solution_set(matrix, rhs)[0]
+
+
+def nullspace(matrix):
+    return solution_set(matrix, [0] * len(matrix))[1]
 
 
 class IncrementalRank:

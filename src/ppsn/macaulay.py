@@ -243,6 +243,7 @@ def infinity_check(manifold: Manifold) -> bool:
             "(supply witnesses to complete the intersection)"
         )
     target = sum(g.degree for g in gs) - n + 1
+    require_dense_size(n, target)  # before the items: a witness may have any degree
     monos, rows, _ = elementary_items(gs, n, target)
     return linalg.row_reduce(rows).rank == len(monos)
 
@@ -276,9 +277,9 @@ def reduce_modulo(f: Polynomial, manifold: Manifold) -> ReducedForm:
     They are read off the selection's `linalg.IntegerEchelon` by
     substitution on the part's selected numerators (`weights`), as integer
     numerators over one denominator: no elimination runs here.
-    That lambda is the one `linalg.solve` gives for the transposed selected
-    block (G_t[:, S])^T, with free variables zero. `solve` sets to zero
-    every unknown off the pivot columns of (G_t[:, S])^T, its leftmost
+    That lambda is the solution `linalg.solution_set` gives for the
+    transposed selected block (G_t[:, S])^T, with free variables zero: it is
+    zero at every unknown off the pivot columns of (G_t[:, S])^T, its leftmost
     independent columns, which are the greedy independent rows of
     G_t[:, S]. Every column of G_t depends on those in S, so a set of rows
     of G_t[:, S] is independent exactly when it is in G_t, and those rows

@@ -19,7 +19,8 @@ plan per monomial tuple (`_evaluation_plan`) gives each c^alpha as its
 parent's value, alpha - e_j for j its first variable, times c_j. A
 polynomial's values at a batch of points (`Polynomial._values`, behind
 `evaluate` and manifold membership) are its rows over its own terms dotted
-with its integer numerators.
+with its integer numerators; a polynomial of degree above MAX_MONOMIALS is
+refused before its plan is built.
 """
 
 from __future__ import annotations
@@ -371,7 +372,13 @@ class Polynomial:
     def _values(self, points: Sequence[Point]) -> List[Fraction]:
         """The exact values at the points: each point's integer row over the
         terms' monomials, dotted with the numerators over D, is its value
-        times D * scale, and becomes one Fraction."""
+        times D * scale, and becomes one Fraction. A degree-d plan holds a
+        chain of d + 1 monomials up from the constant, so a degree above
+        MAX_MONOMIALS is refused before any plan is built."""
+        if self._degree > MAX_MONOMIALS:
+            raise InputError(
+                f"degree {self._degree} is above the evaluation budget of {MAX_MONOMIALS}"
+            )
         for q in points:
             if len(q) != self.n:
                 raise DimensionMismatchError(

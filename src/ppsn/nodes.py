@@ -365,9 +365,9 @@ class _CanonicalSystem:
         joined by the Chinese remainder theorem, every coefficient is rebuilt
         mod the running product, and the first guess that `satisfies` every
         equation is returned: A is nonsingular over Q, so that guess is the
-        unique solution. Otherwise the one exact path runs: `row_reduce` of
-        A^T, a rank check, and `solution` at its pivot rows, which are all N
-        rows of A."""
+        unique solution. Otherwise the one exact path runs: the
+        `linalg.solution_set` of A x = b, whose kernel is empty for a
+        nonsingular A, and whose solution is None when A x = b fails."""
         N = len(self.rows)
         residues = [0] * N
         modulus = 1
@@ -389,13 +389,12 @@ class _CanonicalSystem:
                 # interpolant small; equal fractions have equal residues
                 shared: Dict[int, Fraction] = {}
                 return [shared.setdefault(u, v) for u, v in zip(residues, x)]
-        ech = linalg.row_reduce(self.transpose)
-        if ech.rank != N:
+        x, kernel = linalg.solution_set(self.rows, [s * v for s, v in zip(self.scales, values)])
+        if kernel:
             raise InternalCheckError(
                 "canonical evaluation matrix is singular for a certified node set"
             )
-        x = ech.solution([s * v for s, v in zip(self.scales, values)])
-        if not linalg.satisfies(self.rows, x, self.scales, values):
+        if x is None:
             raise InternalCheckError("interpolant misses a node value")
         return x
 
@@ -501,18 +500,16 @@ def intersect_factorable(system: FactorableSystem) -> IntersectionReport:
     # equal coordinates share one Fraction, which keeps the nodes small
     shared: Dict[Fraction, Fraction] = {}
     for choice, rows in system.selections():
-        # one echelon of A's columns: A is n x n, so it is singular exactly
-        # when their rank is below n; otherwise every row of A is a pivot
-        # row, and `solution` at them is A^-1 b
-        columns = list(zip(*rows))
-        ech = linalg.row_reduce(columns[:n])
-        if ech.rank < n:
+        # A is n x n, so it is singular exactly when its kernel is not
+        # empty; otherwise the solution is A^-1 b
+        x, kernel = linalg.solution_set([row[:n] for row in rows], [row[n] for row in rows])
+        if kernel:
             failures.append(
                 f"selection {choice} is singular: "
                 "point at infinity or a positive-dimensional component"
             )
             continue
-        p = tuple(shared.setdefault(c, c) for c in ech.solution(columns[n]))
+        p = tuple(shared.setdefault(c, c) for c in x)
         if p in points:
             coincident.append(
                 f"coincident intersection points (selections {points[p]} and {choice})"

@@ -126,10 +126,10 @@ CATALOGUE: List[Mutant] = [
         ),
     ),
     Mutant(
-        "solve returns its guess without the exact check",
+        "solution_set returns its solution without the exact check",
         "src/ppsn/linalg.py",
-        "    return x if satisfies(rows, x, scales, rhs) else None\n",
-        "    return x\n",
+        "    return (x if satisfies(rows, x, scales, rhs) else None), kernel\n",
+        "    return x, kernel\n",
         ("tests/test_linalg.py::test_solve_consistent_and_inconsistent",),
     ),
     Mutant(
@@ -143,13 +143,14 @@ CATALOGUE: List[Mutant] = [
         ),
     ),
     Mutant(
-        "nullspace vectors are not scaled to 1 on their free column",
+        "kernel vectors are not scaled to 1 on their free column",
         "src/ppsn/linalg.py",
-        "basis.append([Fraction(y.get(i, 0), y[j]) for i in range(ncols)])",
-        "basis.append([Fraction(y.get(i, 0)) for i in range(ncols)])",
+        "kernel.append([Fraction(y.get(i, 0), y[j]) for i in range(ncols)])",
+        "kernel.append([Fraction(y.get(i, 0)) for i in range(ncols)])",
         (
             "tests/test_linalg.py::test_solve_nullspace_and_first_dependency_match_the_fraction_rref",
             "tests/test_cli.py::test_cb_check_exception_hypersurface",
+            "tests/test_construct.py::test_curve_lines_match_nullspace_and_solve",
         ),
     ),
     Mutant(
@@ -163,6 +164,57 @@ CATALOGUE: List[Mutant] = [
         ),
     ),
     Mutant(
+        "weights skip the rescale when a pivot does not divide",
+        "src/ppsn/linalg.py",
+        "            if a % p:\n",
+        "            if False:\n",
+        (
+            "tests/test_linalg.py::test_integer_echelon_weights_are_the_solve_of_the_transposed_selected_block",
+            "tests/test_macaulay.py::test_reduce_modulo_matches_a_fresh_solve_per_degree",
+        ),
+    ),
+    Mutant(
+        "an add step drops the kept row's combination",
+        "src/ppsn/linalg.py",
+        "            for k, y in u_combination.items():\n"
+        "                combination[k] = combination.get(k, 0) - a * y\n",
+        "",
+        (
+            "tests/test_linalg.py::test_integer_echelon_keeps_the_greedy_rows_as_their_combinations",
+            "tests/test_linalg.py::test_solve_nullspace_and_first_dependency_match_the_fraction_rref",
+        ),
+    ),
+    Mutant(
+        "a curve line's direction is not scaled to 1 on its free coordinate",
+        "src/ppsn/construct.py",
+        "        lines.append((tuple(base), tuple(kernel[0])))\n",
+        "        lines.append((tuple(base), tuple(2 * v for v in kernel[0])))\n",
+        ("tests/test_construct.py::test_curve_lines_match_nullspace_and_solve",),
+    ),
+    Mutant(
+        "evaluation builds the plan of a degree above the budget",
+        "src/ppsn/mpoly.py",
+        "        if self._degree > MAX_MONOMIALS:\n",
+        "        if False:\n",
+        ("tests/test_mpoly.py::test_evaluation_refuses_a_degree_above_the_budget_before_its_plan",),
+    ),
+    Mutant(
+        "the infinity check builds its items whatever the witnesses' degree",
+        "src/ppsn/macaulay.py",
+        "    require_dense_size(n, target)  # before the items: a witness may have any degree\n",
+        "",
+        ("tests/test_macaulay.py::test_infinity_check_refuses_a_witness_degree_past_the_budget",),
+    ),
+    Mutant(
+        "the CLI checks membership as it loads the nodes, before their count",
+        "src/ppsn/cli.py",
+        "    node_set = nodes.parse_nodes_text(texts[\"nodes\"])\n",
+        "    node_set = nodes.parse_nodes_text(texts[\"nodes\"])\n"
+        "    if manifold is not None:\n"
+        "        node_set = nodes.NodeSet(node_set.points, manifold)\n",
+        ("tests/test_cli.py::test_node_count_is_checked_before_membership",),
+    ),
+    Mutant(
         "the exact kernel fallback is scaled by 2 on the dependent row",
         "src/ppsn/nodes.py",
         "return [Fraction(y.get(i, 0), y[f]) for i in range(N)]",
@@ -172,8 +224,8 @@ CATALOGUE: List[Mutant] = [
     Mutant(
         "the intersection accepts a selection of rank n - 1",
         "src/ppsn/nodes.py",
-        "        if ech.rank < n:\n",
-        "        if ech.rank < n - 1:\n",
+        "        if kernel:\n            failures.append(",
+        "        if len(kernel) > 1:\n            failures.append(",
         (
             "tests/test_nodes.py::test_intersect_rational_points_and_singular_selection",
             "tests/test_cli.py::test_insufficient_system_exits_one",

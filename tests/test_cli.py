@@ -203,6 +203,45 @@ def test_verify_parabola_fixture(files, capsys):
     assert code == 0
 
 
+def spy_membership(monkeypatch):
+    """The number of points of each manifold membership check, call by call."""
+    checked = []
+    real = ppsn.Manifold.require_on_manifold
+
+    def spy(self, points):
+        checked.append(len(points))
+        return real(self, points)
+
+    monkeypatch.setattr(ppsn.Manifold, "require_on_manifold", spy)
+    return checked
+
+
+@pytest.mark.parametrize("command", ["verify", "interpolate", "superpose"])
+def test_node_count_is_checked_before_membership(command, files, capsys, monkeypatch):
+    # three points, one off the circle, where degree 3 needs seven
+    nodes = files("three.nodes", "1,0\n0,1\n2,2\n")
+    argv = {
+        "verify": ["verify", "--nodes", nodes],
+        "interpolate": ["interpolate", "--nodes", nodes, "--values", files("v", "1\n2\n3\n")],
+        "superpose": ["superpose", "--sub", nodes, "--super", files("none.nodes", "")],
+    }[command]
+    checked = spy_membership(monkeypatch)
+    code = main(argv + ["--manifold", files("circle.poly", CIRCLE), "--m", "3"])
+    err = capsys.readouterr().err
+    assert (code, checked) == (2, [])
+    assert "needs exactly 7 nodes, got 3" in err
+
+
+def test_on_count_nodes_off_the_manifold_are_checked_once(files, capsys, monkeypatch):
+    nodes = files("seven.nodes", "1,0\n0,1\n-1,0\n0,-1\n3/5,4/5\n4/5,3/5\n2,2\n")
+    checked = spy_membership(monkeypatch)
+    argv = ["verify", "--manifold", files("circle.poly", CIRCLE), "--nodes", nodes, "--m", "3"]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert (code, checked) == (2, [7])
+    assert "point ('2', '2') has residual 7 on defining polynomial #1" in err
+
+
 def test_reduce_circle(files, capsys):
     manifold = files("circle.poly", CIRCLE)
     code, out = run(["reduce", "--manifold", manifold, "--poly", "x1^2"], capsys)
@@ -333,8 +372,10 @@ def test_interpolate_generic_values_through_the_exact_fallback(files, capsys, mo
     circle = ppsn.Manifold([ppsn.parse_polynomial(CIRCLE, 2)])
     ppsn.canonical_monomials(circle, 2, 10)  # the selections, so only the fallback is counted
     builds = []
-    real = linalg.row_reduce
-    monkeypatch.setattr(linalg, "row_reduce", lambda matrix: builds.append(len(matrix)) or real(matrix))
+    real = linalg.solution_set
+    monkeypatch.setattr(
+        linalg, "solution_set", lambda matrix, rhs: builds.append(len(matrix)) or real(matrix, rhs)
+    )
     code, out = run(
         ["interpolate", "--manifold", manifold, "--nodes", nodes, "--values", values,
          "--m", "10", "--json"],
@@ -523,21 +564,22 @@ def test_oversized_input_exits_2_before_any_basis_is_built(
 
 
 FRAGMENTS = [
-    "x1", "x2", "x3", "x0", "x4", "^", "^2", "*", "+", "-", "/", "(", ")", ",",
+    "x1", "x2", "x3", "x0", "x4", "x12", "x99999999", "^", "^2", "^40", "^99999999",
+    "*", "+", "-", "/", "(", ")", ",",
     "0", "1", "2", "3", "1/2", "1/0", "a", ".", "e", "@", "#", " ", "\n",
     "x1^2 + x2^2 - 1", "(x1 - 1)", "0,0", "1,0", "-1/3,2",
 ]
 
 
 def _small_numbers(text):
-    """Cap variable indices and exponents at one digit, so the input stays
-    malformed in content but small in size."""
-    return re.sub(r"(x|\^)(\d)\d+", r"\1\2", text)
+    """Cap every run of digits at one digit: an integer option has no upper
+    bound of its own (`--trials`), so a malformed one stays small."""
+    return re.sub(r"(\d)\d+", r"\1", text)
 
 
-MALFORMED = st.lists(st.sampled_from(FRAGMENTS), max_size=10).map("".join).map(_small_numbers)
+MALFORMED = st.lists(st.sampled_from(FRAGMENTS), max_size=10).map("".join)
 VALID = {
-    "poly": [CIRCLE, "x2\n", "x1^2 - x1\nx2^2 - x2\n"],
+    "poly": [CIRCLE, "x2\n", "x1^2 - x1\nx2^2 - x2\n", "x1^99999999 - x2\n"],
     "system": [GRID, CUBE, "x1*(x1 + x2)\n(2*x1 + 2*x2 - 1)*x2\n"],
     "nodes": ["0,0\n1,0\n0,1\n", "1,0\n0,1\n-1,0\n", "0,0\n1,1\n2,2\n"],
     "values": ["1\n2\n3\n", "0\n"],
@@ -572,7 +614,8 @@ def malformed_invocations(draw):
         valid, malformed = (6, 1) if kind == "int" else (3, 3)
         choice = draw(st.sampled_from(["omit"] + ["valid"] * valid + ["malformed"] * malformed))
         if choice != "omit":
-            content = draw(st.sampled_from(VALID[kind]) if choice == "valid" else MALFORMED)
+            garbled = MALFORMED.map(_small_numbers) if kind == "int" else MALFORMED
+            content = draw(st.sampled_from(VALID[kind]) if choice == "valid" else garbled)
             options.append((flag, kind, content))
     return command, options, draw(st.booleans())
 

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import NO_SHRINK
-from eager_bareiss import fraction_row_reduce
+from eager_bareiss import eager_solve, fraction_nullspace, fraction_row_reduce
 from nested_descent import descent_levels
 from ppsn import (
     CBPartition,
@@ -34,12 +34,14 @@ from ppsn import (
     parabola_manifold,
     parse_polynomial,
     parse_system_text,
+    select_monomials,
     verify_ppsn,
 )
-from ppsn import construct, linalg
+from ppsn import construct
 from ppsn.construct import (
     SuperpositionStep,
     _curve_lines,
+    _fresh_curve_ppsn,
     superpose_interpolate,
     superpose_nodes,
 )
@@ -489,8 +491,8 @@ def test_curve_lines_match_nullspace_and_solve(text, t):
     assert len(lines) == len(selections)
     for (_, rows), (base, direction) in zip(selections, lines):
         a = [row[:-1] for row in rows]
-        assert direction == tuple(linalg.nullspace(a)[0])
-        assert base == tuple(linalg.solve(a, [row[-1] for row in rows]))
+        assert [list(direction)] == fraction_nullspace(a)
+        assert list(base) == eager_solve(a, [row[-1] for row in rows])
 
 
 def test_curve_lines_reject_parallel_forms():
@@ -552,10 +554,12 @@ SHEARS = (F(-1, 4), F(0), F(1, 4))
 
 
 @st.composite
-def sheared_systems(draw):
-    """(shears, offsets): n = 2 with k_i <= 3 or n = 3 with k_i <= 2."""
-    n = draw(st.sampled_from((2, 3)))
-    ks = [draw(st.integers(1, 3 if n == 2 else 2)) for _ in range(n)]
+def sheared_systems(draw, sizes=((2, 1, 3), (3, 1, 2))):
+    """(shears, offsets): for one (n, lowest k, highest k) of `sizes`, n
+    hypersurfaces of k_i forms each, by default n = 2 with k_i <= 3 or
+    n = 3 with k_i <= 2."""
+    n, low, high = draw(st.sampled_from(sizes))
+    ks = [draw(st.integers(low, high)) for _ in range(n)]
     shears = [
         [F(1) if j == i else draw(st.sampled_from(SHEARS)) for j in range(n)] for i in range(n)
     ]
@@ -651,3 +655,98 @@ def test_sheared_chain_levels_lie_on_the_curve_and_are_proper(case, data):
         for q in e.nodes:
             assert all(on_hypersurface(shears, offsets, i, q) for i in range(n) if i != t - 1)
         assert properly_posed(e.nodes.points, n, e.degree)
+
+
+def fraction_value(poly, q):
+    return sum(c * prod(x**e for x, e in zip(q, alpha)) for alpha, c in poly.terms.items())
+
+
+# L >= 2, which the unchecked range of m needs, and k_i of 3 or 4 for
+# n = 2, so that M - m - 1 reaches 1 or 2 there
+@pytest.mark.parametrize("removal", ["proper", "random", "planted"])
+@settings(max_examples=15, phases=NO_SHRINK, deadline=None)
+@given(case=sheared_systems(sizes=((2, 3, 4), (3, 2, 2))), data=st.data())
+def test_sheared_cb_check_is_consistent_and_its_exception_holds(removal, case, data):
+    shears, offsets = case
+    system, full = sheared_intersection(shears, offsets)
+    manifold = full.manifold
+    n, M, L = system.n, manifold.profile.M, manifold.profile.L
+    require = removal == "proper"
+    planted = removal == "planted"
+    assume(not planted or L >= 3)
+    # m = M - comp - 1 runs over 0..M - 1 with the check, and over
+    # M - L + 1..M - 1 without it
+    comp = data.draw(st.integers(int(planted), M - 1 if require else L - 2))
+    m = M - comp - 1
+    count = binom_e(comp, n)
+    if require:
+        removed = extract_nested_ppsn(full, manifold, comp)
+    elif planted:
+        # points on comp forms of one hypersurface lie on their product, of
+        # degree comp: an exception hypersurface exists
+        i = data.draw(st.integers(0, n - 1))
+        forms = data.draw(st.permutations(offsets[i]))[:comp]
+        on_forms = [q for q in full if sum(s * x for s, x in zip(shears[i], q)) in forms]
+        removed = NodeSet(data.draw(st.permutations(on_forms))[:count])
+    else:
+        removed = NodeSet(data.draw(st.permutations(full.points))[:count])
+    # f: a combination with nonzero weights of the Fraction kernel of the
+    # remaining rows over the degree <= m basis, so it vanishes on them
+    basis = monomial_basis(n, m)
+    remaining = [q for q in full if q not in removed]
+    kernel = fraction_nullspace(
+        [[prod(x**e for x, e in zip(q, alpha)) for alpha in basis] for q in remaining]
+    )
+    nonzero = st.sampled_from((-2, -1, 1, 2))
+    weights = data.draw(st.lists(nonzero, min_size=len(kernel), max_size=len(kernel)))
+    f = Polynomial(
+        n, {alpha: sum(w * v[j] for w, v in zip(weights, kernel)) for j, alpha in enumerate(basis)}
+    )
+    verdict = cb_check(f, CBPartition(full, removed), manifold, m, require_ppsn_removed=require)
+    vanishes = all(fraction_value(f, q) == 0 for q in removed)
+    assert verdict.vanishes_on_removed == vanishes
+    assert verdict.consistent
+    if require:
+        assert vanishes  # the removed set is proper at M - m - 1
+    exception = verdict.exception_hypersurface
+    if vanishes:
+        assert exception is None
+    else:
+        assert not exception.is_zero() and exception.degree <= comp
+        assert all(fraction_value(exception, q) == 0 for q in removed)
+
+
+@settings(max_examples=20, phases=NO_SHRINK, deadline=None)
+@given(sheared_systems(), st.data())
+def test_sheared_superposed_union_is_proper(case, data):
+    shears, offsets = case
+    system, full = sheared_intersection(shears, offsets)
+    manifold = full.manifold
+    n, k = system.n, len(offsets[-1])
+    curve = manifold.curve(n)
+    m = data.draw(st.integers(k - 1, manifold.profile.M + 2))  # the first has no super set
+    sub = extract_nested_ppsn(full, manifold, m)
+    sup = _fresh_curve_ppsn(system, n, curve, m - k, full) if m >= k else NodeSet([])
+    union, cert = superpose_nodes(SuperpositionStep(manifold, sub, sup, m))
+    assert cert.proper
+    assert union.points == sub.points + sup.points
+    assert len(union) == dim_along(m, curve.profile)
+    for q in union:
+        assert all(on_hypersurface(shears, offsets, i, q) for i in range(n - 1))
+    assert properly_posed(union.points, n, m)
+
+
+@settings(max_examples=20, phases=NO_SHRINK, deadline=None)
+@given(sheared_systems())
+def test_sheared_selections_are_closed_under_multiplication(case):
+    system, full = sheared_intersection(*case)
+    manifold = full.manifold
+    n = system.n
+    below = set()
+    for d in range(manifold.profile.M + 3):
+        selection = select_monomials(manifold, d)
+        selected = {selection.monomials[j] for j in selection.selected}
+        for mu in below:
+            for j in range(n):
+                assert mu[:j] + (mu[j] + 1,) + mu[j + 1 :] in selected
+        below = selected

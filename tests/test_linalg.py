@@ -16,6 +16,7 @@ from ppsn.linalg import (
     row_reduce,
     row_reduce_mod,
     satisfies,
+    solution_set,
     solve,
 )
 
@@ -101,18 +102,23 @@ def test_row_reduce_pivots_are_leftmost():
 
 
 def test_solve_consistent_and_inconsistent():
-    sol = solve([[F(1), F(1)], [F(1), F(-1)]], [F(3), F(1)])
-    assert sol == [F(2), F(1)]
-    assert solve([[F(1), F(1)], [F(2), F(2)]], [F(1), F(3)]) is None
+    a, b = [[F(1), F(1)], [F(1), F(-1)]], [F(3), F(1)]
+    assert solution_set(a, b) == ([F(2), F(1)], [])
+    assert (solve(a, b), nullspace(a)) == solution_set(a, b)
+    a, b = [[F(1), F(1)], [F(2), F(2)]], [F(1), F(3)]
+    assert solution_set(a, b) == (None, [[F(-1), F(1)]])
+    assert (solve(a, b), nullspace(a)) == solution_set(a, b)
 
 
 @settings(max_examples=60)
 @given(matrices())
 def test_nullspace_vectors_annihilate(m):
-    for v in nullspace(m):
+    x, kernel = solution_set(m, [0] * len(m))
+    assert x == [0] * len(m[0])
+    for v in kernel:
         for row in m:
             assert sum(a * b for a, b in zip(row, v)) == 0
-    assert len(nullspace(m)) == len(m[0]) - fraction_row_reduce(m)[0]
+    assert len(kernel) == len(m[0]) - fraction_row_reduce(m)[0]
 
 
 @settings(max_examples=60)
@@ -282,13 +288,13 @@ def test_integer_echelon_weights_are_the_solve_of_the_transposed_selected_block(
 @given(matrices())
 def test_solve_solution_satisfies_system(m):
     b = [sum(row) for row in m]  # rhs in the column space by construction
-    sol = solve(m, b)
+    sol = solution_set(m, b)[0]
     assert sol is not None
     for row, target in zip(m, b):
         assert sum(a * x for a, x in zip(row, sol)) == target
 
 
-# -- solve, nullspace and the first dependency against Fraction references ---------
+# -- solution sets and the first dependency against Fraction references ----------
 
 
 @st.composite
@@ -333,7 +339,7 @@ def systems(draw):
 @example(([[F(0)], [F(0)]], [0, F(1, 2)]))  # inconsistent on a zero column
 def test_solve_is_a_fresh_elimination_of_the_augmented_matrix(case):
     m, b = case
-    assert solve(m, b) == eager_solve(m, b)
+    assert solution_set(m, b)[0] == eager_solve(m, b)
 
 
 @st.composite
@@ -356,16 +362,17 @@ def mixed_systems(draw):
 def test_solve_nullspace_and_first_dependency_match_the_fraction_rref(case):
     m, b = case
     ncols = len(m[0]) if m else 0
-    # solve: the RREF of [A | b], free variables zero, None past a pivot in b
+    # the solution: the RREF of [A | b], free variables zero, None past a pivot in b
     _, pivots, rref = fraction_row_reduce([list(row) + [v] for row, v in zip(m, b)])
     expected = None
     if all(c < ncols for _, c in pivots):
         expected = [F(0)] * ncols
         for (_, c), row in zip(pivots, rref):
             expected[c] = row[ncols]
-    assert solve(m, b) == expected
-    # nullspace: one RREF kernel vector per free column
-    assert nullspace(m) == fraction_nullspace(m)
+    x, kernel = solution_set(m, b)
+    assert x == expected
+    # the kernel: one RREF kernel vector per free column
+    assert kernel == fraction_nullspace(m)
     # the first rejected row's dependency, scaled to 1 on that row, is the
     # first RREF kernel vector of the transpose
     echelon = IntegerEchelon()

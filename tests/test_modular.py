@@ -345,7 +345,8 @@ def spy_on(monkeypatch, *names):
 def exact_calls(monkeypatch):
     """Counts of the exact eliminations run beneath the calls under test:
     whole-matrix `row_reduce` builds, and every `IntegerEchelon`, which the
-    fallback of `verify_ppsn` builds row by row and `row_reduce` builds
+    fallback of `verify_ppsn` builds row by row, the exact solve of
+    `interpolate` (`linalg.solution_set`) column by column and `row_reduce`
     once."""
     return spy_on(monkeypatch, "row_reduce", "IntegerEchelon")
 
@@ -366,13 +367,13 @@ def test_small_prime_dividing_the_determinant_falls_back_exactly(monkeypatch, ex
     assert exact_calls == {"row_reduce": 0, "IntegerEchelon": 1}  # one exact elimination
     exact_calls.update(row_reduce=0, IntegerEchelon=0)
     assert interpolate(problem, cert) == poly
-    assert exact_calls["row_reduce"] == 1
+    assert exact_calls == {"row_reduce": 0, "IntegerEchelon": 1}
 
     # a later prime takes over from one that divides the determinant
     monkeypatch.setattr(linalg, "PRIMES", (7,) + PRIMES)
     exact_calls.update(row_reduce=0, IntegerEchelon=0)
     assert interpolate(problem, cert) == poly
-    assert exact_calls["row_reduce"] == 0
+    assert exact_calls == {"row_reduce": 0, "IntegerEchelon": 0}
 
 
 def planted_improper(space, m, seed):
@@ -638,12 +639,12 @@ def test_value_denominator_divisible_by_the_prime_falls_back(monkeypatch, exact_
     cert, poly = exact_path(TRIANGLE, None, 1, values)
     exact_calls.update(row_reduce=0, IntegerEchelon=0)
     assert interpolate(problem, cert) == poly
-    assert exact_calls["row_reduce"] == 1
+    assert exact_calls == {"row_reduce": 0, "IntegerEchelon": 1}
 
     monkeypatch.setattr(linalg, "PRIMES", (11,) + PRIMES)
     exact_calls.update(row_reduce=0, IntegerEchelon=0)
     assert interpolate(problem, cert) == poly
-    assert exact_calls["row_reduce"] == 0
+    assert exact_calls == {"row_reduce": 0, "IntegerEchelon": 0}
 
 
 def test_corrupted_coefficient_is_rejected_by_the_node_check(monkeypatch, exact_calls):
@@ -657,7 +658,7 @@ def test_corrupted_coefficient_is_rejected_by_the_node_check(monkeypatch, exact_
 
     exact_calls.update(row_reduce=0, IntegerEchelon=0)
     assert interpolate(problem, cert) == poly
-    assert exact_calls["row_reduce"] == 0  # the modular guess was accepted
+    assert exact_calls == {"row_reduce": 0, "IntegerEchelon": 0}  # the modular guess was accepted
 
     original = linalg.rational_reconstruct
 
@@ -679,14 +680,14 @@ def test_corrupted_coefficient_is_rejected_by_the_node_check(monkeypatch, exact_
     exact_calls.update(row_reduce=0, IntegerEchelon=0)
     assert interpolate(problem, cert) == poly
     assert len(calls) == len(PRIMES) * len(points)
-    assert exact_calls["row_reduce"] == 1
+    assert exact_calls == {"row_reduce": 0, "IntegerEchelon": 1}
 
     # only the first guess is corrupted: the second prime's guess is returned
     calls = corrupting(1)
     exact_calls.update(row_reduce=0, IntegerEchelon=0)
     assert interpolate(problem, cert) == poly
     assert len(calls) == 2 * len(points)
-    assert exact_calls["row_reduce"] == 0
+    assert exact_calls == {"row_reduce": 0, "IntegerEchelon": 0}
 
 
 def test_forged_certificate_is_not_trusted():
@@ -738,12 +739,12 @@ def test_solve_takes_exactly_the_primes_the_coefficients_need(case):
     cert, poly = exact_path(nodes, None, m, values)
     assert poly == planted
     with pytest.MonkeyPatch.context() as mp:
-        calls = spy_on(mp, "row_reduce", "row_reduce_mod")
+        calls = spy_on(mp, "solution_set", "row_reduce_mod")
         assert verify_ppsn(nodes, None, m) == cert
         assert interpolate(InterpolationProblem(None, m, nodes, values), cert) == poly
     # the solve reuses the certificate's elimination mod PRIMES[0], and
     # the exact path runs only past the range of all three primes
-    assert calls == {"row_reduce": int(k > len(PRIMES)), "row_reduce_mod": min(k, len(PRIMES))}
+    assert calls == {"solution_set": int(k > len(PRIMES)), "row_reduce_mod": min(k, len(PRIMES))}
 
 
 def random_rational(rng):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ppsn import (
     InputError,
+    Manifold,
     NodeSet,
     ParseError,
     Polynomial,
@@ -18,6 +19,7 @@ from ppsn import (
     monomials_of_degree,
     parse_polynomial,
 )
+from ppsn import mpoly
 from ppsn.mpoly import MAX_MONOMIALS, require_dense_size
 
 # -- strategies -------------------------------------------------------------------
@@ -76,6 +78,24 @@ def test_dense_size_over_the_budget_is_refused_before_it_is_built():
         with pytest.raises(InputError, match="budget"):
             require_dense_size(n, d)
 
+
+
+def test_evaluation_refuses_a_degree_above_the_budget_before_its_plan(monkeypatch):
+    planned = []
+    real = mpoly._evaluation_plan
+    monkeypatch.setattr(
+        mpoly, "_evaluation_plan", lambda monomials: planned.append(monomials) or real(monomials)
+    )
+    q = (Fraction(1), Fraction(1))
+    at = Polynomial(2, {(MAX_MONOMIALS, 0): Fraction(1), (0, 1): Fraction(-1)})
+    assert at.evaluate(q) == 0
+    assert len(planned) == 1
+    above = parse_polynomial(f"x1^{MAX_MONOMIALS + 1} - x2", 2)
+    with pytest.raises(InputError, match=f"degree {MAX_MONOMIALS + 1} is above"):
+        above.evaluate(q)
+    with pytest.raises(InputError, match="evaluation budget"):
+        NodeSet([q], Manifold([above]))
+    assert len(planned) == 1
 
 # -- parsing ----------------------------------------------------------------------
 
