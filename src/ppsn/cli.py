@@ -4,12 +4,19 @@ Exit codes: 0 success / proper verdict; 1 proper-posedness, hypothesis, or
 internal cross-check failure; 2 malformed input. JSON output (--json) is
 deterministic byte for byte for fixed inputs and seed: timings go to stderr
 only, never into the report.
+
+Each call builds one argument parser: a named subcommand's own parser
+(`parse_command_line`), the same one the full parser (`build_parser`) adds
+as its sub-parser. The full parser is built only for help, an unknown or
+missing subcommand, or an argument the subcommand's parser leaves over, and
+it reports them. Nothing is kept across calls.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -27,7 +34,14 @@ from .errors import (
     ParseError,
     PpsnError,
 )
-from .mpoly import Polynomial, as_fraction, int_digit_limit, parse_polynomial, require_dense_size
+from .mpoly import (
+    MAX_MONOMIALS,
+    Polynomial,
+    as_fraction,
+    int_digit_limit,
+    parse_polynomial,
+    require_dense_size,
+)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -99,6 +113,20 @@ def _load_nodes(path: str) -> nodes.NodeSet:
     return nodes.parse_nodes_text(_read_file(path))
 
 
+def _read_node_set(path: str, flag: str) -> str:
+    """The text of a node set to certify, refused before any point is
+    parsed when it has more than MAX_MONOMIALS points: a set is accepted at
+    degree m only with as many points as a dimension of polynomials of
+    degree <= m, and no dense space within the budget has more."""
+    text = _read_file(path)
+    if len(list(itertools.islice(nodes.content_lines(text), MAX_MONOMIALS + 1))) > MAX_MONOMIALS:
+        raise InputError(
+            f"{flag} holds more than {MAX_MONOMIALS} points, more than any degree "
+            f"within the budget of {MAX_MONOMIALS} monomials admits"
+        )
+    return text
+
+
 def _parse_number(token: str, kind=as_fraction):
     """A number from the command line or a values file; ParseError if bad."""
     try:
@@ -115,7 +143,7 @@ def _load_problem(
     report digests the very text that was parsed. The nodes are untagged:
     `verify_ppsn` checks their count before their membership."""
     manifold = _load_manifold(args) if args.manifold is not None else None
-    texts = {"nodes": _read_file(args.nodes)}
+    texts = {"nodes": _read_node_set(args.nodes, "--nodes")}
     if hasattr(args, "values"):
         texts["values"] = _read_file(args.values)
     node_set = nodes.parse_nodes_text(texts["nodes"])
@@ -307,7 +335,8 @@ def cmd_interpolate(args) -> int:
 
 def cmd_superpose(args) -> int:
     manifold = _load_manifold(args)
-    sub, sup = _load_nodes(args.sub), _load_nodes(args.super_nodes)
+    texts = [_read_node_set(args.sub, "--sub"), _read_node_set(args.super_nodes, "--super")]
+    sub, sup = map(nodes.parse_nodes_text, texts)
     step = construct.SuperpositionStep(
         sub_manifold=manifold, sub_nodes=sub, super_nodes=sup, m=args.m
     )
@@ -468,35 +497,47 @@ SUBCOMMANDS = {
 }
 
 
-def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser for every subcommand, or for the one named `only`, whose
-    help, usage and error text are then the same as the full parser's."""
+def _subcommand(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """The parser with the options of the subcommand `name` and its handler."""
+    _, func, add_arguments = SUBCOMMANDS[name]
+    _common(parser)
+    add_arguments(parser)
+    parser.set_defaults(func=func)
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser for every subcommand."""
     parser = argparse.ArgumentParser(
         prog="ppsn",
         description="Exact multivariate interpolation on algebraic manifolds: "
         "dimension tables, node-set certificates, and constructions.",
     )
-    # the full parser's usage lists every subcommand: keep that text when
-    # only one is built (the full parser keeps argparse's default, which its
-    # missing-subcommand error also uses)
-    listing = {} if only is None else {"metavar": "{" + ",".join(SUBCOMMANDS) + "}"}
-    sub = parser.add_subparsers(dest="subcommand", required=True, **listing)
-    for name, (help_text, func, add_arguments) in SUBCOMMANDS.items():
-        if only in (None, name):
-            p = sub.add_parser(name, help=help_text)
-            _common(p)
-            add_arguments(p)
-            p.set_defaults(func=func)
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (help_text, _, _) in SUBCOMMANDS.items():
+        _subcommand(sub.add_parser(name, help=help_text), name)
     return parser
+
+
+def parse_command_line(argv: List[str]) -> argparse.Namespace:
+    """The parsed arguments, as the full parser gives them. A named
+    subcommand is parsed by its own parser, which the full parser adds as
+    its sub-parser `ppsn <name>`, so help, usage and errors read the same.
+    Only when that leaves an argument over, and for help, an unknown name
+    or an empty argv, is the full parser built: it reports what is left."""
+    if argv and argv[0] in SUBCOMMANDS:
+        name = argv[0]
+        parser = _subcommand(argparse.ArgumentParser(prog=f"ppsn {name}"), name)
+        args, rest = parser.parse_known_args(argv[1:], argparse.Namespace(subcommand=name))
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # a named subcommand needs only its own parser; help, an unknown name
-    # and an empty argv get the full one
-    parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
-    args = parser.parse_args(argv)
+    args = parse_command_line(argv)
     args.argv = list(argv)
     start = time.monotonic()
     try:

@@ -283,11 +283,12 @@ class IntegerEchelon:
     """Fraction-free incremental row echelon form over Python ints.
 
     `add` takes the rows of a matrix A in order. A row is scaled by the lcm
-    of its denominators, its combination of the input rows starts as that
-    scale on itself, and while its leading column c is the pivot column of
-    a kept row u, with pivot p = u[c], a = v[c] and g = gcd(p, a), the row
-    becomes (p/g) v - (a/g) u, and its combination likewise; then the gcd
-    of the row's and the combination's entries is divided out of both.
+    of its denominators (a row of ints is taken as it is, scale 1), its
+    combination of the input rows starts as that scale on itself, and while
+    its leading column c is the pivot column of a kept row u, with pivot
+    p = u[c], a = v[c] and g = gcd(p, a), the row becomes (p/g) v - (a/g) u,
+    and its combination likewise; then the gcd of the row's and the
+    combination's entries is divided out of both.
     Entry c cancels and everything left of it stays zero (u is zero left of
     c), so the leading column moves right. A row with no entry left is
     rejected; otherwise it is kept, with its leading column as its pivot.
@@ -332,8 +333,11 @@ class IntegerEchelon:
         rows before it (and so kept)."""
         index = self._count
         self._count += 1
-        scale = lcm(*(x.denominator for x in row))
-        v = [x.numerator * (scale // x.denominator) for x in row]
+        if {int}.issuperset(map(type, row)):
+            scale, v = 1, list(row)
+        else:
+            scale = lcm(*(x.denominator for x in row))
+            v = [x.numerator * (scale // x.denominator) for x in row]
         combination = {index: scale}
         c = next((j for j, x in enumerate(v) if x), None)
         while c is not None and c in self._kept:

@@ -149,8 +149,9 @@ def elementary_items(
 ) -> Tuple[Tuple[MultiIndex, ...], List[List[Fraction]], List[Tuple[MultiIndex, int]]]:
     """The elementary items X^alpha * g_i, alpha in monomials(n, m - deg g_i):
     the monomials(n, m) their rows run over, each item's coefficient row
-    over them (its zeros are int 0, which `linalg.IntegerEchelon` scales
-    faster than a Fraction), and each item's label (alpha, i). The degree-m
+    over them (its zeros are int 0 and its integral coefficients ints, so
+    an integral form gives int rows, which `linalg.IntegerEchelon` takes as
+    they are), and each item's label (alpha, i). The degree-m
     monomials (`monomials_of_degree`) and homogeneous forms give the
     degree-m items; the monomials of degree <= m (`monomial_basis`) and the
     integer numerators of the defining polynomials give the H-base items."""
@@ -159,9 +160,10 @@ def elementary_items(
     rows: List[List[Fraction]] = []
     labels: List[Tuple[MultiIndex, int]] = []
     for i, g in enumerate(forms):
+        terms = [(beta, c.numerator if c.denominator == 1 else c) for beta, c in g.terms.items()]
         for alpha in monomials(n, m - g.degree):
             row: List[Fraction] = [0] * len(monos)
-            for beta, c in g.terms.items():
+            for beta, c in terms:
                 row[col[tuple(map(operator.add, alpha, beta))]] = c
             rows.append(row)
             labels.append((alpha, i))

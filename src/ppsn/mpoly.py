@@ -21,6 +21,11 @@ polynomial's values at a batch of points (`Polynomial._values`, behind
 `evaluate` and manifold membership) are its rows over its own terms dotted
 with its integer numerators; a polynomial of degree above MAX_MONOMIALS is
 refused before its plan is built.
+
+Text is read by one term-level scanner, `parse_polynomial`: a lexical pass
+over the whole text, then one pattern per term whose factors are listed
+from its span, so every error is the one a token-by-token parser meets
+first. `str` prints the terms in the graded order.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import operator
 import re
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import DimensionMismatchError, InputError, ParseError
 
@@ -397,29 +402,27 @@ class Polynomial:
     # -- printing ----------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.is_zero():
+        terms = self.terms
+        if not terms:
             return "0"
+        names = [f"x{i}" for i in range(1, self.n + 1)]
         pieces: List[str] = []
-        for alpha in sorted(self.terms, key=monomial_key):
-            c = self.terms[alpha]
-            factors = [
-                f"x{i + 1}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(alpha)
-                if e > 0
-            ]
+        # descending lex order, then a stable sort by degree: the order of
+        # `monomial_key`, since the keys are distinct
+        for alpha in sorted(sorted(terms, reverse=True), key=sum):
+            c = terms[alpha]
             num, den = c.numerator, c.denominator
             mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+            factors = "*".join([f"{x}^{e}" if e > 1 else x for x, e in zip(names, alpha) if e])
             if not factors:
                 body = mag
             elif mag == "1":
-                body = "*".join(factors)
+                body = factors
             else:
-                body = mag + "*" + "*".join(factors)
-            if not pieces:
-                pieces.append("-" + body if num < 0 else body)
-            else:
-                pieces.append(("- " if num < 0 else "+ ") + body)
-        return " ".join(pieces)
+                body = f"{mag}*{factors}"
+            pieces.append(f"- {body}" if num < 0 else f"+ {body}")
+        text = " ".join(pieces)
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def __repr__(self) -> str:
         return f"Polynomial({self.n}, {self})"
@@ -431,12 +434,27 @@ class Polynomial:
 # factor = x<k>[^e] with 1-based k; rational = int[/posint];
 # whitespace ignored; '#' starts a comment running to end of line.
 #
-# One pattern scans the whole text before any of it is parsed. Blanks are
-# what str.isspace accepts and digits what str.isdecimal accepts, which is
-# what int() reads, so a superscript such as '²' is an unexpected character.
-_TOKEN = re.compile(
-    r"\s+|#[^\n]*|(?P<int>\d+)|x(?P<var>\d*)|(?P<op>[-+*/^])|(?P<bad>.)", re.DOTALL
-)
+# Blanks are what str.isspace accepts and digits what str.isdecimal accepts,
+# which is what int() reads, so a superscript such as '²' is an unexpected
+# character. The scanner reads the text in C-level passes. Comments become
+# blanks of the same length, so every position stays. One lexical pass over
+# the whole text (`_lexical_pass`) finds a character no token holds, an x
+# with no index or a number longer than int() converts before any grammar
+# error, wherever they are. Then one match per term (`_TERM`) and one list
+# of its factors (`_FACTOR`). Each '\s*' can give back its blanks in only
+# one way, so a failed match backtracks over a run of blanks in linear time.
+_COMMENT = re.compile(r"#[^\n]*")
+# the longest prefix with no lexical error: operators, blanks, digits and
+# variables with an index
+_LEXICAL = re.compile(r"[-+*/^\s\d]*(?:x\d[-+*/^\s\d]*)*")
+# [sign] factors, each with the optional '*' and the blanks after it; a
+# factor is a number over an optional denominator or a variable with an
+# optional exponent. Group 1 spans the factors.
+_TERM = re.compile(r"[-+]?\s*((?:(?:\d+(?:\s*/\s*\d+)?|x\d+(?:\s*\^\s*\d+)?)(?:\s*\*)?\s*)+)")
+# over a term's factors: ("x", index, exponent) or ("", coefficient,
+# denominator), "" for a number that is absent; in a term a '/' follows
+# only a coefficient and a '^' only an index
+_FACTOR = re.compile(r"(x?)(\d+)(?:\s*[/^]\s*(\d+))?")
 
 
 def int_digit_limit() -> int:
@@ -445,106 +463,104 @@ def int_digit_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
-def _tokens(text: str) -> List[Tuple[Optional[str], str, int]]:
-    """The tokens of the whole text as (kind, text, position), where kind is
-    "int", "var" (its text is the index) or the operator character, closed
-    by (None, "", len(text)). A number or index longer than int() converts
-    is a ParseError at its token."""
+def _lexical_pass(text: str) -> str:
+    """The text with each comment blanked, once no character outside the
+    comments is one no token holds, an x with no index or a digit of a
+    number longer than int() converts; otherwise the ParseError of the
+    first of these."""
+    if "#" in text:
+        text = _COMMENT.sub(lambda comment: " " * len(comment[0]), text)
+    pos = _LEXICAL.match(text).end()
     digits = int_digit_limit()
-    tokens: List[Tuple[Optional[str], str, int]] = []
-    for match in _TOKEN.finditer(text):
-        kind = match.lastgroup
-        if kind is None:
-            continue
-        value, pos = match[kind], match.start()
-        if kind == "op":
-            kind = value
-        elif kind == "var" and not value:
-            raise ParseError("variable must be x<k> with a numeric index", pos)
-        elif kind == "bad":
-            raise ParseError(f"unexpected character {value!r}", pos)
-        elif digits and len(value) > digits:
+    if digits and len(text) > digits:
+        # a number, or an x and its index, from its first digit or its x
+        long = re.search(rf"x?(?<!\d)\d{{{digits + 1},}}", text)
+        if long is not None and long.start() < pos:
             raise ParseError(
-                f"{len(value)}-digit number, more than the {digits} digits Python converts", pos
+                f"{len(long[0].lstrip('x'))}-digit number, more than the {digits} digits "
+                "Python converts",
+                long.start(),
             )
-        tokens.append((kind, value, pos))
-    tokens.append((None, "", len(text)))
-    return tokens
+    if pos < len(text):
+        if text[pos] == "x":
+            raise ParseError("variable must be x<k> with a numeric index", pos)
+        raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    return text
 
 
 def parse_polynomial(text: str, n: int) -> Polynomial:
     """Parse an expression in the fixed grammar into a canonical polynomial."""
     if n < 1:
         raise InputError("ambient dimension must be >= 1")
-    tokens = _tokens(text)
+    text = _lexical_pass(text)
+    end = len(text)
+    pos = _next_token(text, 0)
+    if pos == end:
+        raise ParseError("empty expression", pos)
+    if text[pos] == "+":
+        raise ParseError("expression may not start with '+'", pos)
     terms: Dict[MultiIndex, Fraction] = {}
-    i = 0
-    while True:
-        kind, _, pos = tokens[i]
-        if kind is None:
-            if i == 0:
-                raise ParseError("empty expression", pos)
-            break
-        sign = 1
-        if kind == "+" or kind == "-":
-            if i == 0 and kind == "+":
-                raise ParseError("expression may not start with '+'", pos)
-            i += 1
-            if kind == "-":
-                sign = -1
-        elif i:  # every term consumes at least one token
-            raise ParseError("expected '+' or '-' between terms", pos)
-        i, alpha, num, den = _parse_term(tokens, i, n)
-        coeff = Fraction(sign * num, den)
+    while pos < end:
+        term = _TERM.match(text, pos)
+        if term is None:
+            raise ParseError(
+                "expected a coefficient or a variable",
+                _next_token(text, pos + 1) if text[pos] in "+-" else pos,
+            )
+        num, den = (-1 if text[pos] == "-" else 1), 1
+        alpha = [0] * n
+        factors = _FACTOR.findall(text, *term.span(1))
+        for x, k, m in factors:
+            if x:
+                k = int(k)
+                if not 0 < k <= n:
+                    _factor_error(text, term, n)
+                alpha[k - 1] += int(m) if m else 1
+            else:
+                num *= int(k)
+                if m:
+                    m = int(m)
+                    if not m:
+                        _factor_error(text, term, n)
+                    den *= m
+        coeff = Fraction(num) if den == 1 else Fraction(num, den)
+        alpha = tuple(alpha)
         t = terms.get(alpha)
         terms[alpha] = coeff if t is None else t + coeff
+        pos = term.end()
+        if pos < end and text[pos] not in "+-":
+            _follow_error(text, pos, term, factors[-1])
     return Polynomial._trusted(n, terms)
 
 
-def _parse_term(tokens, i: int, n: int) -> Tuple[int, MultiIndex, int, int]:
-    """The term at tokens[i]: the index of the token after it, its exponents,
-    and its coefficient as an integer numerator and a positive denominator.
-    A '*' with no factor after it ends the term."""
-    kind, _, pos = tokens[i]
-    if kind != "int" and kind != "var":
-        raise ParseError("expected a coefficient or a variable", pos)
-    num, den = 1, 1
-    factors: Dict[int, int] = {}
-    while True:
-        kind, value, pos = tokens[i]
-        if kind == "int":
-            num *= int(value)
-            i += 1
-            if tokens[i][0] == "/":
-                kind, value, pos = tokens[i + 1]
-                if kind != "int":
-                    raise ParseError("expected a positive integer denominator", pos)
-                d = int(value)
-                if d == 0:
-                    raise ParseError("zero denominator", pos)
-                den *= d
-                i += 2
-        elif kind == "var":
-            idx = int(value)
-            if not 1 <= idx <= n:
-                raise ParseError(f"variable index {idx} out of range 1..{n}", pos)
-            i += 1
-            exp = 1
-            if tokens[i][0] == "^":
-                kind, value, pos = tokens[i + 1]
-                if kind != "int":
-                    raise ParseError("expected an integer exponent", pos)
-                exp = int(value)
-                i += 2
-            factors[idx] = factors.get(idx, 0) + exp
-        else:
-            break
-        kind = tokens[i][0]
-        if kind == "*":
-            i += 1
-        elif kind != "int" and kind != "var":
-            break
-    alpha = [0] * n
-    for idx, exp in factors.items():
-        alpha[idx - 1] = exp
-    return i, tuple(alpha), num, den
+def _next_token(text: str, pos: int) -> int:
+    """The position of the first character at or after pos that is not a
+    blank, or len(text)."""
+    return len(text) - len(text[pos:].lstrip())
+
+
+def _factor_error(text: str, term: re.Match, n: int) -> None:
+    """Raise the ParseError of the first factor of the term with an index
+    outside 1..n or a zero denominator."""
+    for factor in _FACTOR.finditer(text, *term.span(1)):
+        x, k, m = factor.groups()
+        if x and not 0 < int(k) <= n:
+            raise ParseError(f"variable index {int(k)} out of range 1..{n}", factor.start())
+        if not x and m and not int(m):
+            raise ParseError("zero denominator", factor.start(3))
+
+
+def _follow_error(text: str, pos: int, term: re.Match, last: Tuple[str, ...]) -> None:
+    """Raise the ParseError for the token at pos, the first after the term,
+    which is neither a sign nor a factor: a '/' right after a coefficient
+    with no denominator, or a '^' right after a variable with no exponent,
+    lacks its number at the token after it; anything else belongs to no
+    term."""
+    x, _, m = last
+    if not m and not text[term.start(1) : pos].rstrip().endswith("*"):
+        after = _next_token(text, pos + 1)
+        if text[pos] == "/" and not x:
+            raise ParseError("expected a positive integer denominator", after)
+        if text[pos] == "^" and x:
+            raise ParseError("expected an integer exponent", after)
+    raise ParseError("expected '+' or '-' between terms", pos)

@@ -231,6 +231,29 @@ CATALOGUE: List[Mutant] = [
             "tests/test_cli.py::test_insufficient_system_exits_one",
         ),
     ),
+    Mutant(
+        "a nested level stops one point short of t_d",
+        "src/ppsn/nodes.py",
+        "    target = dim_along(d, manifold.profile)\n",
+        "    target = dim_along(d, manifold.profile) - 1\n",
+        (
+            "tests/test_construct.py::test_sheared_extraction_levels_nest_with_their_dimensions",
+            "tests/test_construct.py::test_sheared_cb_reduce_leaves_a_proper_remainder",
+            "tests/test_construct.py::test_sheared_chain_levels_lie_on_the_curve_and_are_proper",
+            "tests/test_construct.py::test_sheared_cb_check_is_consistent_and_its_exception_holds",
+            "tests/test_construct.py::test_sheared_superposed_union_is_proper",
+        ),
+    ),
+    Mutant(
+        "the polynomial scanner parses terms before the lexical pass of the whole text",
+        "src/ppsn/mpoly.py",
+        "    pos = _LEXICAL.match(text).end()\n",
+        "    pos = len(text)\n",
+        (
+            "tests/test_mpoly.py::test_parse_error_names_its_branch_and_position",
+            "tests/test_mpoly.py::test_scanner_matches_the_token_reference",
+        ),
+    ),
 ]
 
 

@@ -15,7 +15,16 @@ from hypothesis import strategies as st
 
 import ppsn
 from ppsn import linalg
-from ppsn.cli import MAX_DIM_DEGREE, MAX_DIM_STEPS, SUBCOMMANDS, build_parser, dim_steps, main
+from ppsn.mpoly import MAX_MONOMIALS
+from ppsn.cli import (
+    MAX_DIM_DEGREE,
+    MAX_DIM_STEPS,
+    SUBCOMMANDS,
+    build_parser,
+    dim_steps,
+    main,
+    parse_command_line,
+)
 
 GRID = "x1*(x1-1)*(x1-2)\nx2*(x2-1)*(x2-2)\n"
 GRID4 = "x1*(x1-1)*(x1-2)*(x1-3)\nx2*(x2-1)*(x2-2)*(x2-3)\n"
@@ -563,6 +572,38 @@ def test_oversized_input_exits_2_before_any_basis_is_built(
     assert "at least" in err and "more than the budget" in err
 
 
+# a node file one point past any set the dense budget admits
+MANY_POINTS = "0,0\n" * (MAX_MONOMIALS + 1)
+FILE_OPTIONS = ("--nodes", "--values", "--manifold", "--sub", "--super")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "--m", "2", "--nodes", MANY_POINTS], "--nodes"),
+        (["interpolate", "--m", "2", "--values", "1\n", "--nodes", MANY_POINTS], "--nodes"),
+        (["superpose", "--m", "2", "--manifold", CIRCLE, "--super", "0,0\n", "--sub", MANY_POINTS], "--sub"),
+        (["superpose", "--m", "2", "--manifold", CIRCLE, "--sub", "0,0\n", "--super", MANY_POINTS], "--super"),
+    ],
+)
+def test_oversized_node_file_exits_2_before_any_point_is_parsed(
+    argv, flag, files, monkeypatch, capsys
+):
+    parsed = []
+
+    def spy(*args):
+        parsed.append(args)
+        raise AssertionError("a point was parsed")
+
+    monkeypatch.setattr("ppsn.nodes.as_fraction", spy)
+    # every argument after a file option is that file's content
+    argv = [files(f"in{k}", a) if k and argv[k - 1] in FILE_OPTIONS else a for k, a in enumerate(argv)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert (code, parsed) == (2, [])
+    assert f"{flag} holds more than {MAX_MONOMIALS} points" in err
+
+
 FRAGMENTS = [
     "x1", "x2", "x3", "x0", "x4", "x12", "x99999999", "^", "^2", "^40", "^99999999",
     "*", "+", "-", "/", "(", ")", ",",
@@ -693,5 +734,12 @@ def test_main_speaks_like_the_full_parser(argv):
 
 @pytest.mark.parametrize("name", list(REQUIRED))
 def test_single_subcommand_parser_parses_like_the_full_parser(name):
-    argv = [name, *REQUIRED[name], "--json"]
-    assert vars(build_parser(name).parse_args(argv)) == vars(build_parser().parse_args(argv))
+    # the subcommand's own parser answers these, abbreviated options too
+    for argv in ([name, *REQUIRED[name], "--json"], [name, "--js", *REQUIRED[name], "--se", "4"]):
+        assert vars(parse_command_line(argv)) == vars(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("name", list(REQUIRED))
+def test_main_reports_a_separator_like_the_full_parser(name):
+    for argv in ([name, *REQUIRED[name], "--"], [name, "--", *REQUIRED[name]]):
+        assert _parse(main, argv) == _parse(build_parser().parse_args, argv)

@@ -268,6 +268,28 @@ def test_integer_echelon_keeps_the_greedy_rows_as_their_combinations(rows):
         assert row == [sum(y * rows[r][j] for r, y in combination.items()) for j in range(ncols)]
 
 
+@settings(max_examples=60)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda ncols: st.lists(
+            st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols), min_size=1, max_size=6
+        )
+    ),
+    st.lists(st.integers(-9, 9), min_size=6, max_size=6),
+)
+@example([[0, 2], [0, 4], [3, 0]], [5, 7, 0, 0, 0, 0])
+def test_integer_echelon_takes_an_int_row_as_its_fraction_copy(rows, values):
+    ints, fractions = IntegerEchelon(), IntegerEchelon()
+    for row in rows:
+        assert ints.add(row) == fractions.add([F(x) for x in row])
+        assert ints.dependency == fractions.dependency
+    assert (ints.columns, ints.rows) == (fractions.columns, fractions.rows)
+    b = values[: ints.rank]
+    assert ints.weights(b) == fractions.weights(b)
+    # an int row is copied, so the caller's list is never kept
+    assert not any(kept is row for kept in ints.rows for row in rows)
+
+
 @settings(max_examples=100, phases=NO_SHRINK)
 @given(candidate_streams(), st.lists(st.integers(-20, 20), min_size=6, max_size=6))
 @example([[F(3), F(1)], [F(0), F(2)]], [1, 1, 0, 0, 0, 0])  # pivots divide no entry

@@ -21,6 +21,7 @@ from ppsn import (
 )
 from ppsn import mpoly
 from ppsn.mpoly import MAX_MONOMIALS, require_dense_size
+from token_parser import token_parse_polynomial
 
 # -- strategies -------------------------------------------------------------------
 
@@ -444,3 +445,34 @@ def test_parse_matches_term_by_term_reference(expression, separator):
     parsed = parse_polynomial(render(terms, separator), n)
     ref = reference_parse(terms, n)
     assert_validated(parsed, dict(ref.terms), n)
+
+
+# -- the scanner against the token-by-token reference ---------------------------
+
+# every lexical and grammar branch: comments, Unicode digits and blanks, a
+# superscript, an x with no index, and a number longer than int() converts
+SCANNER_FRAGMENTS = [
+    "x", "x1", "x2", "x3", "x0", "x12", "0", "1", "2", "7", "03", "\u0663",
+    " ", "\n", "\t", "\u00a0", "\u2003", "#", "# c x9 @", "+", "-", "*", "/", "^",
+    "\u00b2", "@",
+] + (["7" * (INT_DIGIT_LIMIT + 1)] if INT_DIGIT_LIMIT else [])
+
+
+def parse_outcome(parse, text, n):
+    """The polynomial's terms in order, or the ParseError's message and position."""
+    try:
+        p = parse(text, n)
+    except ParseError as exc:
+        return "error", str(exc), exc.position
+    return "parsed", p.n, list(p.terms.items())
+
+
+@settings(max_examples=400)
+@given(st.lists(st.sampled_from(SCANNER_FRAGMENTS), max_size=12).map("".join), st.integers(1, 3))
+@example("x3 + @", 2)
+@example("2 / # c\n 3 x1 ^ # d\n 2", 1)
+@example("1/ x1", 2)
+@example("x1^ + 2", 2)
+@example("2 * / 3", 2)
+def test_scanner_matches_the_token_reference(text, n):
+    assert parse_outcome(parse_polynomial, text, n) == parse_outcome(token_parse_polynomial, text, n)
