@@ -254,6 +254,13 @@ CATALOGUE: List[Mutant] = [
             "tests/test_mpoly.py::test_scanner_matches_the_token_reference",
         ),
     ),
+    Mutant(
+        "a named subcommand builds the full parser as well as its own",
+        "src/ppsn/cli.py",
+        "        if not rest:\n            return args\n",
+        "",
+        ("tests/test_cli.py::test_a_named_subcommand_builds_the_full_parser_only_to_report_an_error",),
+    ),
 ]
 
 

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 import ppsn
 from ppsn import linalg
-from ppsn.mpoly import MAX_MONOMIALS
 from ppsn.cli import (
     MAX_DIM_DEGREE,
     MAX_DIM_STEPS,
@@ -25,6 +24,7 @@ from ppsn.cli import (
     main,
     parse_command_line,
 )
+from ppsn.mpoly import MAX_MONOMIALS
 
 GRID = "x1*(x1-1)*(x1-2)\nx2*(x2-1)*(x2-2)\n"
 GRID4 = "x1*(x1-1)*(x1-2)*(x1-3)\nx2*(x2-1)*(x2-2)*(x2-3)\n"
@@ -737,6 +737,22 @@ def test_single_subcommand_parser_parses_like_the_full_parser(name):
     # the subcommand's own parser answers these, abbreviated options too
     for argv in ([name, *REQUIRED[name], "--json"], [name, "--js", *REQUIRED[name], "--se", "4"]):
         assert vars(parse_command_line(argv)) == vars(build_parser().parse_args(argv))
+
+
+def test_a_named_subcommand_builds_the_full_parser_only_to_report_an_error(monkeypatch, capsys):
+    built = []
+
+    def spy():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr("ppsn.cli.build_parser", spy)
+    assert main(["dim", "--n", "2", "--degrees", "1,1", "--m", "1"]) == 0
+    assert built == []
+    with pytest.raises(SystemExit):
+        main(["dim", "--n", "2", "--degrees", "1,1", "--m", "1", "--bogus"])
+    assert built == [1]
+    assert "ppsn: error: unrecognized arguments: --bogus" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", list(REQUIRED))
