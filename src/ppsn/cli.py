@@ -5,16 +5,20 @@ internal cross-check failure; 2 malformed input. JSON output (--json) is
 deterministic byte for byte for fixed inputs and seed: timings go to stderr
 only, never into the report.
 
-Each call builds one argument parser: a named subcommand's own parser
-(`parse_command_line`), the same one the full parser (`build_parser`) adds
-as its sub-parser. The full parser is built only for help, an unknown or
-missing subcommand, or an argument the subcommand's parser leaves over, and
-it reports them. Nothing is kept across calls.
+A named subcommand is parsed by its own parser (`parse_command_line`), the
+same one the full parser (`build_parser`) adds as its sub-parser. Each of
+the ten is built once per process, on its first call (`_named_parser`), and
+reused: argparse's parse reads a parser and never changes it, and each call
+parses into a fresh Namespace, so no value carries from one call to the
+next. The full parser is built, afresh each time, only for help, an unknown
+or missing subcommand, or an argument the subcommand's parser leaves over,
+and it reports them.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -519,16 +523,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=len(SUBCOMMANDS))
+def _named_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of the subcommand `name` alone, built on its first call."""
+    return _subcommand(argparse.ArgumentParser(prog=f"ppsn {name}"), name)
+
+
 def parse_command_line(argv: List[str]) -> argparse.Namespace:
     """The parsed arguments, as the full parser gives them. A named
     subcommand is parsed by its own parser, which the full parser adds as
     its sub-parser `ppsn <name>`, so help, usage and errors read the same.
-    Only when that leaves an argument over, and for help, an unknown name
-    or an empty argv, is the full parser built: it reports what is left."""
+    That parser is built once per process, and each call parses into a
+    fresh Namespace. Only when it leaves an argument over, and for help, an
+    unknown name or an empty argv, is the full parser built: it reports
+    what is left."""
     if argv and argv[0] in SUBCOMMANDS:
         name = argv[0]
-        parser = _subcommand(argparse.ArgumentParser(prog=f"ppsn {name}"), name)
-        args, rest = parser.parse_known_args(argv[1:], argparse.Namespace(subcommand=name))
+        namespace = argparse.Namespace(subcommand=name)
+        args, rest = _named_parser(name).parse_known_args(argv[1:], namespace)
         if not rest:
             return args
     return build_parser().parse_args(argv)

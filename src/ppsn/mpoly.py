@@ -441,8 +441,11 @@ class Polynomial:
 # the whole text (`_lexical_pass`) finds a character no token holds, an x
 # with no index or a number longer than int() converts before any grammar
 # error, wherever they are. Then one match per term (`_TERM`) and one list
-# of its factors (`_FACTOR`). Each '\s*' can give back its blanks in only
-# one way, so a failed match backtracks over a run of blanks in linear time.
+# of its factors (`_FACTOR`). Python 3.10 has no possessive quantifiers, so
+# each '\s*' is followed only by what cannot start with a blank: an
+# optional group that starts with its operator, or the next factor. A match
+# then keeps a run of blanks whole instead of giving it back one blank at a
+# time.
 _COMMENT = re.compile(r"#[^\n]*")
 # the longest prefix with no lexical error: operators, blanks, digits and
 # variables with an index
@@ -450,11 +453,12 @@ _LEXICAL = re.compile(r"[-+*/^\s\d]*(?:x\d[-+*/^\s\d]*)*")
 # [sign] factors, each with the optional '*' and the blanks after it; a
 # factor is a number over an optional denominator or a variable with an
 # optional exponent. Group 1 spans the factors.
-_TERM = re.compile(r"[-+]?\s*((?:(?:\d+(?:\s*/\s*\d+)?|x\d+(?:\s*\^\s*\d+)?)(?:\s*\*)?\s*)+)")
+_TERM = re.compile(r"[-+]?\s*((?:(?:\d+\s*(?:/\s*\d+\s*)?|x\d+\s*(?:\^\s*\d+\s*)?)(?:\*\s*)?)+)")
 # over a term's factors: ("x", index, exponent) or ("", coefficient,
 # denominator), "" for a number that is absent; in a term a '/' follows
-# only a coefficient and a '^' only an index
-_FACTOR = re.compile(r"(x?)(\d+)(?:\s*[/^]\s*(\d+))?")
+# only a coefficient and a '^' only an index. Like `_TERM`, each match
+# takes the '*' and the blanks up to the next factor.
+_FACTOR = re.compile(r"(x?)(\d+)\s*(?:[/^]\s*(\d+)\s*)?(?:\*\s*)?")
 
 
 def int_digit_limit() -> int:
@@ -472,13 +476,15 @@ def _lexical_pass(text: str) -> str:
         text = _COMMENT.sub(lambda comment: " " * len(comment[0]), text)
     pos = _LEXICAL.match(text).end()
     digits = int_digit_limit()
-    if digits and len(text) > digits:
-        # a number, or an x and its index, from its first digit or its x
-        long = re.search(rf"x?(?<!\d)\d{{{digits + 1},}}", text)
-        if long is not None and long.start() < pos:
+    if digits and pos > digits:
+        # the prefix's digit runs up to the first one longer than `digits`,
+        # each run read whole; then the factor of that run, from its x if
+        # it has one (the x ends the match)
+        short = re.compile(rf"\D*(?:\d{{1,{digits}}}(?!\d)\D*)*").match(text, 0, pos).end()
+        if short < pos:
+            long = _FACTOR.search(text, max(short - 1, 0))
             raise ParseError(
-                f"{len(long[0].lstrip('x'))}-digit number, more than the {digits} digits "
-                "Python converts",
+                f"{len(long[2])}-digit number, more than the {digits} digits Python converts",
                 long.start(),
             )
     if pos < len(text):

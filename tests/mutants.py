@@ -261,6 +261,26 @@ CATALOGUE: List[Mutant] = [
         "",
         ("tests/test_cli.py::test_a_named_subcommand_builds_the_full_parser_only_to_report_an_error",),
     ),
+    Mutant(
+        "the named parser is rebuilt on every call",
+        "src/ppsn/cli.py",
+        "@functools.lru_cache(maxsize=len(SUBCOMMANDS))\n",
+        "",
+        ("tests/test_cli.py::test_repeated_calls_of_a_subcommand_build_its_parser_once",),
+    ),
+    Mutant(
+        "one parser serves every subcommand",
+        "src/ppsn/cli.py",
+        "@functools.lru_cache(maxsize=len(SUBCOMMANDS))\n"
+        "def _named_parser(name: str) -> argparse.ArgumentParser:\n",
+        # a cache that ignores the name: the first parser built answers every call
+        "_first_parser = []\n\n\n"
+        "def _named_parser(name: str) -> argparse.ArgumentParser:\n"
+        "    if not _first_parser:\n"
+        "        _first_parser.append(_subcommand(argparse.ArgumentParser(prog=f\"ppsn {name}\"), name))\n"
+        "    return _first_parser[0]\n",
+        ("tests/test_cli.py::test_single_subcommand_parser_parses_like_the_full_parser",),
+    ),
 ]
 
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -19,7 +20,9 @@ from ppsn.cli import (
     MAX_DIM_DEGREE,
     MAX_DIM_STEPS,
     SUBCOMMANDS,
+    _subcommand,
     build_parser,
+    cmd_reduce,
     dim_steps,
     main,
     parse_command_line,
@@ -732,11 +735,48 @@ def test_main_speaks_like_the_full_parser(argv):
     assert _parse(main, argv) == _parse(build_parser().parse_args, argv)
 
 
+def _every_option(name):
+    """An argv of the subcommand `name` that sets each of its options, with
+    values other than REQUIRED's; of a mutually exclusive pair it sets the
+    side that REQUIRED[name] leaves out."""
+    parser = _subcommand(argparse.ArgumentParser(), name)
+    given = set(REQUIRED[name][::2])
+    grouped = {a for g in parser._mutually_exclusive_groups for a in g._group_actions}
+    argv = [name]
+    for action in parser._actions:
+        flag = action.option_strings[-1]
+        if flag == "--help" or (action in grouped and flag in given):
+            continue
+        argv += [flag] if action.nargs == 0 else [flag, "3" if action.type is int else "w"]
+    return argv
+
+
 @pytest.mark.parametrize("name", list(REQUIRED))
 def test_single_subcommand_parser_parses_like_the_full_parser(name):
-    # the subcommand's own parser answers these, abbreviated options too
-    for argv in ([name, *REQUIRED[name], "--json"], [name, "--js", *REQUIRED[name], "--se", "4"]):
+    # the subcommand's own parser answers these, abbreviated options too; each
+    # parse follows one that set every option, so a value kept from the call
+    # before would show
+    everything = _every_option(name)
+    assert vars(parse_command_line(everything)) == vars(build_parser().parse_args(everything))
+    required = REQUIRED[name]
+    for argv in ([name, *required], [name, *required, "--json"], [name, "--js", *required, "--se", "4"]):
+        parse_command_line(everything)
         assert vars(parse_command_line(argv)) == vars(build_parser().parse_args(argv))
+
+
+def test_repeated_calls_of_a_subcommand_build_its_parser_once(monkeypatch):
+    built = []
+
+    def spy(parser, name):
+        built.append(name)
+        return _subcommand(parser, name)
+
+    monkeypatch.setattr("ppsn.cli._subcommand", spy)
+    for _ in range(3):
+        assert main(["dim", "--n", "2", "--degrees", "1,1", "--m", "1"]) == 0
+        assert parse_command_line(["reduce", *REQUIRED["reduce"]]).func is cmd_reduce
+    # none, one or both, each once: an earlier test may have built either
+    assert len(built) == len(set(built)) and set(built) <= {"dim", "reduce"}
 
 
 def test_a_named_subcommand_builds_the_full_parser_only_to_report_an_error(monkeypatch, capsys):

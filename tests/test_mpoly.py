@@ -449,13 +449,18 @@ def test_parse_matches_term_by_term_reference(expression, separator):
 
 # -- the scanner against the token-by-token reference ---------------------------
 
-# every lexical and grammar branch: comments, Unicode digits and blanks, a
-# superscript, an x with no index, and a number longer than int() converts
+# every lexical and grammar branch: comments, Unicode digits and blanks, runs
+# of blanks, a superscript, an x with no index, and a number longer than
+# int() converts
 SCANNER_FRAGMENTS = [
     "x", "x1", "x2", "x3", "x0", "x12", "0", "1", "2", "7", "03", "\u0663",
-    " ", "\n", "\t", "\u00a0", "\u2003", "#", "# c x9 @", "+", "-", "*", "/", "^",
-    "\u00b2", "@",
+    " ", "\n", "\t", "\u00a0", "\u2003", "   ", " \t\n\u2003 ", "#", "# c x9 @",
+    "+", "-", "*", "/", "^", "\u00b2", "@",
 ] + (["7" * (INT_DIGIT_LIMIT + 1)] if INT_DIGIT_LIMIT else [])
+# texts longer than the 4,300 digits int() converts: the long-number check
+# reads them whole
+PAD = " " * 800
+LIMIT_DIGITS = "7" * max(INT_DIGIT_LIMIT, 1)
 
 
 def parse_outcome(parse, text, n):
@@ -474,5 +479,15 @@ def parse_outcome(parse, text, n):
 @example("1/ x1", 2)
 @example("x1^ + 2", 2)
 @example("2 * / 3", 2)
+@example(PAD.join(["x1", "+", "2", "/", "3", "*", "x2", "^", "2"]), 2)
+@example(PAD.join(["2", "/", "x1"]), 2)
+@example(PAD.join(["x1", "^", "+", "x2"]), 2)
+@example(PAD.join(["-", "+", "x1"]), 2)
+@example(PAD.join(["x1", "x2", "3", "@"]), 2)
+@example(PAD.join(["x1 x2", "7" + LIMIT_DIGITS]), 2)
+@example(PAD.join(["x1 x2", "x" + LIMIT_DIGITS + "7", "@"]), 2)
+@example(PAD.join(["x1 x2", "@", "7" + LIMIT_DIGITS]), 2)
+@example(PAD.join(["x1 x2", "x", "7" + LIMIT_DIGITS]), 2)
+@example(PAD.join([LIMIT_DIGITS, "/", LIMIT_DIGITS, "* x1 ^", "3"]), 2)
 def test_scanner_matches_the_token_reference(text, n):
     assert parse_outcome(parse_polynomial, text, n) == parse_outcome(token_parse_polynomial, text, n)
