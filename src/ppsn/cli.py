@@ -27,7 +27,8 @@ import re
 import sys
 import time
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from json.encoder import encode_basestring_ascii
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import construct, dimension, macaulay, nodes
 from .errors import (
@@ -168,9 +169,42 @@ def _cert_dict(cert: nodes.PPSNCertificate) -> Dict:
     return out
 
 
-def _emit(args, report: Dict, human: str) -> None:
+# how json.dumps writes each scalar type a report holds
+_JSON_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def json_text(value, newline: str = "\n") -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)`, written directly for the
+    values reports hold: str-keyed dicts, lists or tuples, str, int, bool and
+    None (any other scalar goes to `json.dumps`). With an indent, json.dumps
+    runs its pure-Python encoder; this writes the same bytes in one pass.
+    `newline` is the line break plus the indent of the value's own line."""
+    write = _JSON_SCALARS.get(type(value))
+    if write is not None:
+        return write(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        items = [
+            inner + encode_basestring_ascii(k) + ": " + json_text(v, inner)
+            for k, v in sorted(value.items())
+        ]
+        return "{" + ",".join(items) + newline + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [inner + json_text(v, inner) for v in value]
+        return "[" + ",".join(items) + newline + "]" if items else "[]"
+    return json.dumps(value)
+
+
+def _emit(args, report: Dict, human: Callable[[], str]) -> None:
+    """Print the report as JSON under --json, else the text `human()`
+    builds, which is then the only time it is built."""
     try:
-        print(json.dumps(report, indent=2, sort_keys=True) if args.json else human, flush=True)
+        print(json_text(report) if args.json else human(), flush=True)
     except BrokenPipeError:
         # the reader closed stdout early (`ppsn ... | head`): the output is
         # cut short, the verdict is not, so the command keeps its exit code;
@@ -195,24 +229,32 @@ def _emit_nodes(args, report: Dict, node_set: nodes.NodeSet, cert) -> int:
             "certificate": _cert_dict(cert),
         }
     )
-    _emit(args, report, nodes.format_nodes(node_set) + f"\n# {cert.verdict} at degree {args.m}")
+    _emit(
+        args,
+        report,
+        lambda: nodes.format_nodes(node_set) + f"\n# {cert.verdict} at degree {args.m}",
+    )
     return EXIT_OK if cert.proper else EXIT_FAIL
 
 
 # -- subcommands ----------------------------------------------------------------
 
 
-# `dim` is O(s * mmax^2): about 1 s at this degree for n = 2, degrees 2
-# (2-vCPU Xeon VM, CPython 3.11).
+# `dim` builds each route's table once, in one pass: the series convolves
+# its numerator with the mmax + 1 binomials C(i+n-1, n-1), (mmax + 1)^2 / 2
+# products, and the backward differences take the mmax + 1 binomials
+# C(j+n, n) and s passes of mmax subtractions. At this degree, for n = 2,
+# degrees 2,2, the table takes about 0.06 s in process, 0.15 s cold (2-vCPU
+# Xeon VM, CPython 3.11).
 MAX_DIM_DEGREE = 2000
-# Each of the (mmax + 1)^2 / 2 series terms and backward-difference rows
-# takes a binomial of k = min(n, mmax) factors and s differences, on
-# integers below (n + mmax)^k, so of at most b = k * bit_length(n + mmax)
-# bits. A table costs about (mmax + 1)^2 * (k + s + 1) steps, each taking
-# at most 1 + b/1024 times a small-int step: 2e7 small-int steps took
-# 1.1 s (n = 2, degrees 2,2, m = 2000, same machine), and n = 1e30,
-# m = 200 (b = 2e4) 2.5 s, where the estimate is 1.6e8. Through b this
-# bounds n as well.
+# Table entries are integers below (n + mmax)^k, k = min(n, mmax), so of at
+# most b = k * bit_length(n + mmax) bits. The estimate charges each of the
+# (mmax + 1)^2 cells k + s + 1 steps, each at most 1 + b/1024 times a
+# small-int step: the cost of a binomial and s differences per cell, which a
+# one-pass table no longer pays, so it bounds the work with room to spare
+# (a factor of about 2 * (k + s + 1)), and through b it bounds n as well.
+# Tables near the budget take 0.02-0.07 s in process on the same machine:
+# n = 2, degrees 2,2, m = 2000; n = s = 14, m = 900; n = 1e30, m = 110.
 MAX_DIM_STEPS = 25_000_000
 
 
@@ -241,30 +283,32 @@ def cmd_dim(args) -> int:
             f"above the budget of {MAX_DIM_STEPS:.2g}"
         )
     # every entry of the table is at most the ambient dimension C(n + mmax, n),
-    # and CPython refuses to print an int of more than this many digits
+    # and CPython refuses to print an int of more than this many digits; an
+    # int of at most 3 * digits bits is below 8**digits, so it needs no power
     digits = int_digit_limit()
-    if digits and dimension.binom_e(mmax, profile.n) >= 10**digits:
+    top = dimension.binom_e(mmax, profile.n)
+    if digits and top.bit_length() > 3 * digits and top >= 10**digits:
         raise InputError(
             f"--n {profile.n} with {flag} {mmax} gives table entries of more than "
             f"{digits} digits, which Python does not print"
         )
     table = dimension.hilbert_table(profile, mmax)
+    bdiff = dimension.backward_diff_table(mmax, profile.n, profile.ks)
     rows = []
-    for j in range(mmax + 1):
-        bd = dimension.backward_diff_e(j, profile.n, profile.ks)
-        if bd != table.H[j]:
-            raise InternalCheckError(f"dimension cross-check failed at m={j}: {table.H[j]} != {bd}")
-        rows.append(
-            {"m": j, "h": table.h[j], "H": table.H[j], "d": table.d[j], "bdiff": bd}
-        )
+    for j, (h, H, d, bd) in enumerate(zip(table.h, table.H, table.d, bdiff, strict=True)):
+        if bd != H:
+            raise InternalCheckError(f"dimension cross-check failed at m={j}: {H} != {bd}")
+        rows.append({"m": j, "h": h, "H": H, "d": d, "bdiff": bd})
     report = _report_base(args)
     report.update({"n": profile.n, "degrees": list(profile.ks), "table": rows})
-    lines = [f"{'m':>4} {'h':>8} {'H':>8} {'d':>8} {'bdiff':>8}"]
-    for r in rows:
-        lines.append(
-            f"{r['m']:>4} {r['h']:>8} {r['H']:>8} {r['d']:>8} {r['bdiff']:>8}"
-        )
-    _emit(args, report, "\n".join(lines))
+    _emit(
+        args,
+        report,
+        lambda: "\n".join(
+            [f"{'m':>4} {'h':>8} {'H':>8} {'d':>8} {'bdiff':>8}"]
+            + [f"{r['m']:>4} {r['h']:>8} {r['H']:>8} {r['d']:>8} {r['bdiff']:>8}" for r in rows]
+        ),
+    )
     return EXIT_OK
 
 
@@ -272,7 +316,7 @@ def cmd_verify(args) -> int:
     report, manifold, node_set, _ = _load_problem(args)
     cert = nodes.verify_ppsn(node_set, manifold, args.m)
     report["certificate"] = _cert_dict(cert)
-    _emit(args, report, f"{cert.verdict} at degree {args.m} ({len(node_set)} nodes)")
+    _emit(args, report, lambda: f"{cert.verdict} at degree {args.m} ({len(node_set)} nodes)")
     return EXIT_OK if cert.proper else EXIT_FAIL
 
 
@@ -288,11 +332,14 @@ def cmd_reduce(args) -> int:
     cofactors = [str(c) for c in form.cofactors]
     report = _report_base(args)
     report.update({"remainder": remainder, "cofactors": cofactors})
-    human = "remainder: {}\n{}".format(
-        remainder,
-        "\n".join(f"cofactor {i + 1}: {c}" for i, c in enumerate(cofactors)),
+    _emit(
+        args,
+        report,
+        lambda: "remainder: {}\n{}".format(
+            remainder,
+            "\n".join(f"cofactor {i + 1}: {c}" for i, c in enumerate(cofactors)),
+        ),
     )
-    _emit(args, report, human)
     return EXIT_OK
 
 
@@ -310,11 +357,14 @@ def cmd_hbase(args) -> int:
             "failures": list(rep.failures),
         }
     )
-    human = "\n".join(
-        [f"degree {m}: {ok}/{rep.trials_per_degree} passed" for m, ok in rep.passes]
-        + list(rep.failures)
+    _emit(
+        args,
+        report,
+        lambda: "\n".join(
+            [f"degree {m}: {ok}/{rep.trials_per_degree} passed" for m, ok in rep.passes]
+            + list(rep.failures)
+        ),
     )
-    _emit(args, report, human)
     return EXIT_OK if rep.all_passed else EXIT_FAIL
 
 
@@ -333,7 +383,7 @@ def cmd_interpolate(args) -> int:
     )
     poly = construct.interpolate(problem)
     report["polynomial"] = str(poly)
-    _emit(args, report, str(poly))
+    _emit(args, report, lambda: str(poly))
     return EXIT_OK
 
 
@@ -377,12 +427,14 @@ def cmd_cb_check(args) -> int:
             "consistent": verdict.consistent,
         }
     )
-    if verdict.vanishes_on_removed:
-        human = "vanishes on the removed points"
-    elif verdict.exception_hypersurface is not None:
-        human = f"exception branch: removed points lie on {verdict.exception_hypersurface}"
-    else:
-        human = "INCONSISTENT: trichotomy violated"
+
+    def human() -> str:
+        if verdict.vanishes_on_removed:
+            return "vanishes on the removed points"
+        if verdict.exception_hypersurface is not None:
+            return f"exception branch: removed points lie on {verdict.exception_hypersurface}"
+        return "INCONSISTENT: trichotomy violated"
+
     _emit(args, report, human)
     return EXIT_OK if verdict.consistent else EXIT_FAIL
 
@@ -401,10 +453,14 @@ def cmd_chain(args) -> int:
         }
         for e in chain.entries
     ]
-    human_lines = []
-    for e in chain.entries:
-        human_lines.append(f"degree {e.degree}: {len(e.nodes)} points ({e.certificate.verdict})")
-    _emit(args, report, "\n".join(human_lines))
+    _emit(
+        args,
+        report,
+        lambda: "\n".join(
+            f"degree {e.degree}: {len(e.nodes)} points ({e.certificate.verdict})"
+            for e in chain.entries
+        ),
+    )
     return EXIT_OK
 
 

@@ -5,11 +5,15 @@ space restricted to a complete-intersection-type manifold with degree
 vector (k_1..k_s) in n-space:
 
   * generating-function route: the coefficient of t^j in
-    (1 - t^{k_1}) ... (1 - t^{k_s}) * (1 - t)^{-n}, accumulated;
-  * nested backward differences of the binomials C(m+n, n).
+    (1 - t^{k_1}) ... (1 - t^{k_s}) * (1 - t)^{-n}, accumulated
+    (`hilbert_table`, O(mmax^2) products for degrees 0..mmax);
+  * nested backward differences of the binomials C(m+n, n)
+    (`backward_diff_table`, O(s*mmax) for degrees 0..mmax).
 
-They agree on every valid profile; `dim_along` checks the identity for
-every (m, profile) it returns and fails loudly on mismatch.
+Each route yields a whole table of degrees 0..mmax in one pass. They agree
+on every valid profile; `dim_along` checks the identity for every
+(m, profile) it returns and fails loudly on mismatch, and `ppsn dim` checks
+it on every row of its table.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul, sub
 from typing import List, Sequence, Tuple
 
 from .errors import InputError, InternalCheckError
@@ -29,18 +35,25 @@ def binom_e(m: int, n: int) -> int:
     return math.comb(m + n, n)
 
 
+def backward_diff_table(mmax: int, n: int, ks: Sequence[int]) -> List[int]:
+    """Nested backward differences of C(m+n, n) with steps k_1..k_s, for
+    every m = 0..mmax, as one O(s*mmax) table: v[m] = C(m+n, n), then
+    v[m] -= v[m-k] per step. Independent of the series route, which
+    convolves the product of the (1 - t^k) with C(j+n-1, n-1) and then
+    accumulates."""
+    v = [binom_e(m, n) for m in range(mmax + 1)]
+    for k in ks:
+        # every v[m - k] read is the value before this step
+        v[k:] = list(map(sub, v[k:], v))
+    return v
+
+
 def backward_diff_e(m: int, n: int, ks: Sequence[int]) -> int:
-    """Nested backward difference of C(m+n, n) with steps k_1..k_s, as an
-    O(s*m) table: v[j] = C(j+n, n) for j <= m, then v[j] -= v[j-k] per step.
-    Independent of the series route, which convolves the product of the
-    (1 - t^k) with C(j+n-1, n-1) and then accumulates."""
+    """The nested backward difference at m alone: the last entry of
+    `backward_diff_table(m, n, ks)`, and 0 for m < 0."""
     if m < 0:
         return 0
-    v = [binom_e(j, n) for j in range(m + 1)]
-    for k in ks:
-        for j in range(m, k - 1, -1):
-            v[j] -= v[j - k]
-    return v[m]
+    return backward_diff_table(m, n, ks)[m]
 
 
 @dataclass(frozen=True)
@@ -106,22 +119,18 @@ def series_numerator(ks: Sequence[int], mmax: int) -> List[int]:
 
 
 def hilbert_table(profile: DegreeProfile, mmax: int) -> HilbertTable:
-    """Exact truncated series expansion of the profile's generating function."""
+    """Exact truncated series expansion of the profile's generating function:
+    the series numerator convolved with the t^i coefficients C(i+n-1, n-1)
+    of (1 - t)^{-n}, each binomial taken once per table, in O(mmax^2)
+    products."""
     if mmax < 0:
         raise InputError("mmax must be >= 0")
     num = series_numerator(profile.ks, mmax)
-    n = profile.n
-    h: List[int] = []
-    for j in range(mmax + 1):
-        # multiply by (1 - t)^{-n}, whose t^i coefficient is C(i+n-1, n-1)
-        h.append(sum(num[i] * binom_e(j - i, n - 1) for i in range(j + 1)))
-    H: List[int] = []
-    acc = 0
-    for val in h:
-        acc += val
-        H.append(acc)
-    d = [binom_e(j, n - 1) - h[j] for j in range(mmax + 1)]
-    return HilbertTable(profile=profile, mmax=mmax, h=tuple(h), H=tuple(H), d=tuple(d))
+    b = [binom_e(i, profile.n - 1) for i in range(mmax + 1)]
+    h = [sum(map(mul, num, b[j::-1])) for j in range(mmax + 1)]
+    return HilbertTable(
+        profile=profile, mmax=mmax, h=tuple(h), H=tuple(accumulate(h)), d=tuple(map(sub, b, h))
+    )
 
 
 def dim_along(m: int, profile: DegreeProfile) -> int:

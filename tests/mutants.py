@@ -281,6 +281,41 @@ CATALOGUE: List[Mutant] = [
         "    return _first_parser[0]\n",
         ("tests/test_cli.py::test_single_subcommand_parser_parses_like_the_full_parser",),
     ),
+    Mutant(
+        "the JSON writer keeps each dict's insertion order",
+        "src/ppsn/cli.py",
+        "            for k, v in sorted(value.items())\n",
+        "            for k, v in value.items()\n",
+        ("tests/test_cli.py::test_json_text_writes_the_bytes_of_indented_sorted_json_dumps",),
+    ),
+    Mutant(
+        "the JSON writer indents a dict's nested values one level short",
+        "src/ppsn/cli.py",
+        'inner + encode_basestring_ascii(k) + ": " + json_text(v, inner)',
+        'inner + encode_basestring_ascii(k) + ": " + json_text(v, newline)',
+        ("tests/test_cli.py::test_json_text_writes_the_bytes_of_indented_sorted_json_dumps",),
+    ),
+    Mutant(
+        "the series convolution is shifted by one",
+        "src/ppsn/dimension.py",
+        "sum(map(mul, num, b[j::-1]))",
+        "sum(map(mul, num[1:], b[j::-1]))",
+        (
+            "tests/test_dimension.py::test_hilbert_table_is_the_per_term_convolution",
+            "tests/test_dimension.py::test_series_equals_backward_difference",
+            "tests/test_cli.py::test_dim_json_matches_columns",
+        ),
+    ),
+    Mutant(
+        "dim reads each row's backward difference from the row before",
+        "src/ppsn/cli.py",
+        "    bdiff = dimension.backward_diff_table(mmax, profile.n, profile.ks)\n",
+        "    bdiff = [0] + dimension.backward_diff_table(mmax, profile.n, profile.ks)[:-1]\n",
+        (
+            "tests/test_cli.py::test_dim_builds_one_table_and_checks_every_row",
+            "tests/test_cli.py::test_dim_json_matches_columns",
+        ),
+    ),
 ]
 
 

@@ -24,6 +24,7 @@ from ppsn.cli import (
     build_parser,
     cmd_reduce,
     dim_steps,
+    json_text,
     main,
     parse_command_line,
 )
@@ -106,6 +107,35 @@ def test_dim_json_matches_columns(capsys):
     assert [row["bdiff"] for row in report["table"]] == [1, 4, 7, 8, 8]
 
 
+# keys and strings with quotes, backslashes, control and non-ASCII characters
+JSON_CHARS = '"\\/\x00\x1f\x7f a\u00e9\u2028\ud800\U0001f600'
+json_strings = st.text(max_size=8) | st.text(st.sampled_from(JSON_CHARS), max_size=4)
+json_scalars = st.one_of(
+    json_strings,
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200),
+    st.integers(min_value=-(2**200), max_value=-1),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+)
+report_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(json_strings, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(report_values)
+def test_json_text_writes_the_bytes_of_indented_sorted_json_dumps(value):
+    assert json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
 @pytest.mark.parametrize(
     "degrees, flag",
     [
@@ -165,29 +195,43 @@ def test_dim_step_budget_admits_the_largest_degree_in_the_plane_and_n_14():
     assert dim_steps(2, 2, MAX_DIM_DEGREE) <= MAX_DIM_STEPS
     assert dim_steps(14, 14, 16) <= MAX_DIM_STEPS
     assert dim_steps(10**9, 1, 1) <= MAX_DIM_STEPS  # a binomial of one factor
-    assert dim_steps(10**30, 1, 100) <= MAX_DIM_STEPS  # 0.26 s; 2e4-bit binomials
+    assert dim_steps(10**30, 1, 100) <= MAX_DIM_STEPS  # 0.03 s; 2e4-bit binomials
 
 
 def test_dim_builds_one_table_and_checks_every_row(monkeypatch, capsys):
-    calls = []
+    calls, backward = [], []
     real = ppsn.dimension.hilbert_table
+    real_backward = ppsn.dimension.backward_diff_table
 
     def spy(profile, mmax):
         calls.append(mmax)
         return real(profile, mmax)
 
+    def backward_spy(mmax, n, ks):
+        backward.append(mmax)
+        return real_backward(mmax, n, ks)
+
     monkeypatch.setattr("ppsn.dimension.hilbert_table", spy)
+    monkeypatch.setattr("ppsn.dimension.backward_diff_table", backward_spy)
     argv = ["dim", "--n", "2", "--degrees", "2", "--m", "40", "--json"]
     code, out = run(argv, capsys)
-    assert (code, calls) == (0, [40])
-    assert [row["H"] for row in json.loads(out)["table"]] == [2 * j + 1 for j in range(41)]
-    # a row whose backward difference disagrees is an internal failure
-    real_diff = ppsn.dimension.backward_diff_e
-    monkeypatch.setattr(
-        "ppsn.dimension.backward_diff_e", lambda m, n, ks: real_diff(m, n, ks) + (m == 17)
-    )
+    assert (code, calls, backward) == (0, [40], [40])
+    table = json.loads(out)["table"]
+    assert [row["H"] for row in table] == [row["bdiff"] for row in table]
+    assert [row["H"] for row in table] == [2 * j + 1 for j in range(41)]
+
+    # a row of the one backward table that disagrees is an internal failure
+    def corrupt(mmax, n, ks):
+        rows = real_backward(mmax, n, ks)
+        rows[17] += 1
+        return rows
+
+    monkeypatch.setattr("ppsn.dimension.backward_diff_table", corrupt)
+    calls.clear()
     code = main(argv)
-    assert (code, capsys.readouterr().out) == (1, "")
+    captured = capsys.readouterr()
+    assert (code, captured.out, calls) == (1, "", [40])
+    assert "cross-check failed at m=17" in captured.err
 
 
 def test_verify_proper_and_improper(files, capsys):
@@ -303,6 +347,16 @@ def test_extract_grid(files, capsys):
     assert code == 0
     points = [line for line in out.splitlines() if line and not line.startswith("#")]
     assert len(points) == 6
+
+
+def test_a_json_report_builds_no_human_text(files, monkeypatch, capsys):
+    def format_nodes(node_set):
+        raise AssertionError("the human-readable text was built")
+
+    monkeypatch.setattr("ppsn.nodes.format_nodes", format_nodes)
+    system = files("grid.sys", GRID)
+    code, out = run(["extract", "--system", system, "--m", "2", "--json"], capsys)
+    assert code == 0 and len(json.loads(out)["points"]) == 6
 
 
 def test_interpolate_fixture(files, capsys):

@@ -1,8 +1,9 @@
+import itertools
 import math
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ppsn import (
@@ -146,6 +147,33 @@ def recursive_backward_diff(m, n, ks):
 )
 def test_backward_difference_table_matches_recursion(n, ks, m):
     assert backward_diff_e(m, n, tuple(ks)) == recursive_backward_diff(m, n, tuple(ks))
+    if m >= 0:
+        want = [recursive_backward_diff(j, n, tuple(ks)) for j in range(m + 1)]
+        assert dimension.backward_diff_table(m, n, tuple(ks)) == want
+
+
+@settings(max_examples=80)
+@given(
+    st.one_of(st.integers(1, 6), st.just(10**9)).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.integers(1, 5), min_size=1, max_size=min(n, 6)),
+        )
+    ),
+    st.integers(0, 14),
+)
+@example((1, [3]), 0)
+@example((1, [1]), 9)
+@example((4, [2, 1, 3, 2]), 11)  # s = n
+@example((10**9, [2, 3]), 6)  # binomials of a billion-dimensional space
+def test_hilbert_table_is_the_per_term_convolution(profile_args, m):
+    n, ks = profile_args
+    num = dimension.series_numerator(ks, m)
+    h = [sum(num[i] * binom_e(j - i, n - 1) for i in range(j + 1)) for j in range(m + 1)]
+    table = hilbert_table(DegreeProfile(n, tuple(ks)), m)
+    assert table.h == tuple(h)
+    assert table.H == tuple(itertools.accumulate(h))
+    assert table.d == tuple(binom_e(j, n - 1) - h[j] for j in range(m + 1))
 
 
 def test_backward_difference_is_polynomial_in_s():
