@@ -5,8 +5,12 @@ line/conic node generators.
 Every construction returns its result together with an exact-rank
 certificate from one step, `_certified`; hypothesis checks are exact and
 refusals are exceptions, so a returned node set is always certified. A
-curve chain picks every node set by `nodes.nested_level`, the one greedy
-pass. `cb_reduce`, `cb_check` and `cb_extend_curve` open with
+curve chain reads every level of the intersection, of its anchor and of
+its one fresh curve set (drawn at the top degree by `nodes.nested_level`
+from a lazy stream) off `nodes.levels_upto`, one exact elimination per
+set; the levels below the anchor are certified by that elimination's rank,
+the anchor and the superposed unions by `_certified`. `cb_reduce`,
+`cb_check` and `cb_extend_curve` open with
 `nodes._require_full_intersection`, the check that their input is the full
 point intersection of a 0-dimensional manifold. `interpolate` checks its hypotheses, certifies the nodes with
 `verify_ppsn` and asks the canonical square system that `verify_ppsn` has
@@ -37,10 +41,11 @@ from .nodes import (
     NodeSet,
     PPSNCertificate,
     _canonical_system,
+    _proper_certificate,
     _require_full_intersection,
     evaluation_rows,
-    extract_nested_ppsn,
     intersect_factorable,
+    levels_upto,
     nested_level,
     verify_ppsn,
 )
@@ -508,7 +513,9 @@ def build_curve_chain(
     The supplied point x0 (on the curve, off the omitted hypersurface)
     replaces any limiting argument: downward extraction handles degrees
     below the omitted degree, superposition with fresh curve points handles
-    degrees above it.
+    degrees above it. Each of the three sets (the intersection, the anchor
+    and the fresh curve set of the top degree) gives all its levels by one
+    `levels_upto`.
     """
     if mmax < 0:
         raise InputError("chain degree mmax must be >= 0")
@@ -533,29 +540,43 @@ def build_curve_chain(
     # refuse an over-budget mmax before any lower level is built
     require_dense_size(system.n, mmax)
 
-    # anchor level: the extracted degree-k_t set on the points, plus x0;
-    # x0 goes first so the degree-0 extraction lands exactly on it
-    anchor_nodes = NodeSet((x0_pt,) + extract_nested_ppsn(full, s0, k_t).points, curve)
+    # the intersection's levels, all N points from the saturation degree M
+    # on: the anchor's k_t and every superposed sub set, from one elimination
+    _require_full_intersection(full, s0, "nested extraction")
+    M = s0.profile.M
+    on_points = levels_upto(full.points, s0, min(max(k_t, mmax), M - 1))
+
+    def point_level(d: int) -> NodeSet:
+        return NodeSet._subset(on_points[d], s0) if d < M else full
+
+    # anchor level: the degree-k_t level of the points, plus x0; x0 goes
+    # first so the degree-0 level lands exactly on it
+    anchor_nodes = NodeSet((x0_pt,) + point_level(k_t).points, curve)
     entries: Dict[int, ChainEntry] = {}
     cert = _certified(anchor_nodes, curve, k_t, "anchor level is improper")
     if k_t <= mmax:
         entries[k_t] = ChainEntry(k_t, anchor_nodes, cert)
 
-    # downward: the levels of the anchor over the curve's canonical columns
-    for d in range(min(k_t, mmax + 1)):
-        nodes_d = NodeSet._subset(nested_level(anchor_nodes.points, curve, d), curve)
-        cert_d = _certified(nodes_d, curve, d, f"degree-{d} chain level improper")
-        entries[d] = ChainEntry(d, nodes_d, cert_d)
+    # downward: the anchor's levels over the curve's canonical columns. Each
+    # has rank t_d over exactly t_d canonical columns, so its square system
+    # is nonsingular over Q: the proper certificate, with nothing to verify
+    below = levels_upto(anchor_nodes.points, curve, min(k_t - 1, mmax))
+    for d, level in enumerate(below):
+        cert_d = _proper_certificate(curve.leading_forms, curve.profile, curve.n, d)
+        entries[d] = ChainEntry(d, NodeSet._subset(level, curve), cert_d)
 
-    # upward: superpose extracted point-set levels with fresh curve points
+    # upward: superpose the point levels with fresh curve points, the levels
+    # of one fresh set drawn at the top degree mmax - k_t
+    if mmax > k_t:
+        fresh_top = _fresh_curve_ppsn(system, t, curve, mmax - k_t, avoid=full)
+        fresh_below = levels_upto(fresh_top.points, curve, mmax - k_t - 1)
     reordered = Manifold(curve.polynomials + (f_t,))
     for d in range(k_t + 1, mmax + 1):
-        sub = extract_nested_ppsn(full, s0, d)
-        fresh = _fresh_curve_ppsn(system, t, curve, d - k_t, avoid=full)
+        fresh = fresh_top if d == mmax else NodeSet._subset(fresh_below[d - k_t], curve)
         union, cert_d = superpose_nodes(
             SuperpositionStep(
                 sub_manifold=reordered,
-                sub_nodes=sub,
+                sub_nodes=point_level(d),
                 super_nodes=fresh,
                 m=d,
             )

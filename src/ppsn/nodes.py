@@ -11,8 +11,12 @@ The degree-d level of a node set (`nested_level`) is the greedy choice, in
 order, of rows of its evaluation matrix over the first t_d = dim_along(d)
 canonical columns. A row that depends on the rows before it over the first
 t_{d+1} columns still depends on them over the first t_d, so each level
-lies inside the next, and each is found in one pass over the points. Every
-extraction, chain level and fresh curve set comes from this one pass.
+lies inside the next, and each is found in one pass over the points:
+`extract_nested_ppsn` runs that pass, and so does the lazy stream of a
+curve chain's fresh points. `levels_upto` reads every level up to a degree
+off one exact elimination of the transpose, whose pivot columns are the
+greedy rows; a curve chain takes all its levels from it, and a level
+chosen there is proper by that elimination's rank.
 
 Well-posedness along a manifold follows the solvability definition. On the
 manifold's points the canonical (unselected) monomials of degrees <= m span
@@ -545,6 +549,47 @@ def nested_level(points: Iterable[Point], manifold: Manifold, d: int) -> List[Po
         f"rank {tracker.rank} < {target} at degree {d}: "
         "input was not a genuine sufficient intersection"
     )
+
+
+def levels_upto(points: Sequence[Point], manifold: Manifold, top: int) -> List[List[Point]]:
+    """[`nested_level(points, manifold, d)` for d in 0..top], read off one
+    exact elimination: the points are evaluated once over the canonical
+    columns of degree <= top, and those columns, in order, are the rows of
+    A^T added to one `linalg.IntegerEchelon`. Level d is the points at its
+    pivot columns once the first t_d = dim_along(d) rows are in.
+
+    1. Greedy keeps a row of A_d (a point) exactly when it is independent
+       of the rows before it, so `nested_level`'s points are the leftmost
+       independent columns of A_d^T, which are `IntegerEchelon.columns`
+       once the t_d rows of A_d^T are in.
+    2. The canonical columns of degree <= d are the first t_d of those of
+       degree <= top, so A_d^T is the first t_d rows of A^T.
+    3. The one `evaluation_rows` batch gives each point one scale over all
+       columns, which scales a column of A^T and leaves its pivots where
+       they are. (Batches of different degrees would scale a point
+       differently in different rows, which moves them.)
+
+    A degree whose t_d rows have rank below t_d raises `nested_level`'s
+    InsufficientIntersectionError, with the same message."""
+    profile = manifold.profile
+    columns = canonical_monomials(manifold, manifold.n, top)
+    rows = [row for _, row in evaluation_rows(points, columns)]
+    transpose = list(zip(*rows))
+    echelon = linalg.IntegerEchelon()
+    levels: List[List[Point]] = []
+    added = 0
+    for d in range(top + 1):
+        t_d = dim_along(d, profile)
+        for row in transpose[added:t_d]:
+            echelon.add(row)
+        added = t_d
+        if echelon.rank < t_d:
+            raise InsufficientIntersectionError(
+                f"rank {echelon.rank} < {t_d} at degree {d}: "
+                "input was not a genuine sufficient intersection"
+            )
+        levels.append([points[i] for i in echelon.columns])
+    return levels
 
 
 def _require_full_intersection(points: NodeSet, manifold: Manifold, what: str) -> None:

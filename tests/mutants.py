@@ -61,6 +61,31 @@ CATALOGUE: List[Mutant] = [
         ),
     ),
     Mutant(
+        "levels_upto reads each level one row of A^T early",
+        "src/ppsn/nodes.py",
+        "        for row in transpose[added:t_d]:\n",
+        "        for row in transpose[added:t_d - 1]:\n",
+        (
+            "tests/test_construct.py::test_sheared_levels_from_one_elimination_match_nested_level",
+            "tests/test_construct.py::test_curve_chain_levels_restrict_to_extractions",
+        ),
+    ),
+    Mutant(
+        "levels_upto evaluates the columns of each degree in a batch of their own",
+        "src/ppsn/nodes.py",
+        "    rows = [row for _, row in evaluation_rows(points, columns)]\n",
+        # a point's scale is B^e in the degree-e batch, not B^top throughout
+        "    batches = [\n"
+        "        [row for _, row in evaluation_rows(points, [a for a in columns if sum(a) == e])]\n"
+        "        for e in range(top + 1)\n"
+        "    ]\n"
+        "    rows = [sum(parts, []) for parts in zip(*batches)]\n",
+        (
+            "tests/test_construct.py::test_sheared_levels_from_one_elimination_match_nested_level",
+            "tests/test_construct.py::test_sheared_chain_levels_lie_on_the_curve_and_are_proper",
+        ),
+    ),
+    Mutant(
         "the fresh curve stream offers intersection points",
         "src/ppsn/construct.py",
         "        seen = set(avoid.points)\n",

@@ -46,7 +46,7 @@ from ppsn.construct import (
     superpose_nodes,
 )
 from ppsn.mpoly import Polynomial, monomial_basis
-from ppsn.nodes import FactorableSystem
+from ppsn.nodes import FactorableSystem, levels_upto, nested_level
 
 F = Fraction
 
@@ -359,8 +359,10 @@ def test_full_intersection_preamble_checks_membership_once(grid_system, name, mo
 # procedures that tag subsets of a set already checked on the same manifold:
 # (call on the 3x3 grid system, the point counts of the membership checks
 # left). Those left in a chain are its anchor on the curve (x0 and eight
-# grid points) and, per degree above k_t = 3, the fresh curve set, which
-# `superpose_nodes` checks again on its larger manifold with the union
+# grid points), the fresh curve set, checked once at the top degree
+# mmax - k_t (its lower levels are tagged subsets of it), and, per degree
+# above k_t = 3, the union, which `superpose_nodes` checks on its larger
+# manifold
 TAGGED_SUBSETS = {
     "extract_nested_ppsn": (
         lambda system, full, removed: extract_nested_ppsn(full, full.manifold, 2),
@@ -375,13 +377,13 @@ TAGGED_SUBSETS = {
         lambda system, full, removed: build_curve_chain(system, 2, 2, (F(0), F(5))),
         [9],
     ),
-    # mmax above k_t: the anchor, then per level the fresh curve set and
-    # the superposed union. The sub sets are tagged with the intersection,
-    # whose polynomials include the sub-manifold's, and the fresh sets with
-    # the curve, whose polynomials are the larger manifold's
+    # mmax above k_t: the anchor, the fresh curve set of the top degree 2,
+    # then per level the superposed union. The sub sets are tagged with the
+    # intersection, whose polynomials include the sub-manifold's, and the
+    # fresh sets with the curve, whose polynomials are the larger manifold's
     "build_curve_chain_upward": (
         lambda system, full, removed: build_curve_chain(system, 2, 5, (F(0), F(5))),
-        [9, 3, 12, 6, 15],
+        [9, 6, 12, 15],
     ),
 }
 
@@ -459,8 +461,8 @@ def test_build_curve_chain_cube(cube_system):
     ],
 )
 def test_curve_chain_levels_restrict_to_extractions(text, t, mmax, x0):
-    # the chain takes each level of the intersection from the anchor up by
-    # the same `nested_level` call as the extraction of that degree
+    # each level of the intersection from the anchor up, read off the
+    # chain's one elimination, is the extraction of that degree
     system = parse_system_text(text)
     full = intersect_factorable(system).nodes
     chain = build_curve_chain(system, t, mmax, tuple(F(c) for c in x0))
@@ -632,6 +634,56 @@ def test_sheared_cb_reduce_leaves_a_proper_remainder(case, data):
     assert properly_posed(remaining.points, system.n, m)
 
 
+def curve_seed(system, full, shears, offsets, t):
+    """The first point of the curve lines' stream off the intersection and
+    off hypersurface t: a chain's x0."""
+    return next(
+        q
+        for r in itertools.count()
+        for base, direction in _curve_lines(system, t)
+        for q in [tuple(b + r * d for b, d in zip(base, direction))]
+        if q not in full and not on_hypersurface(shears, offsets, t - 1, q)
+    )
+
+
+def assert_levels_match_nested_level(points, manifold, top):
+    """`levels_upto` gives `nested_level` at every degree up to top, or the
+    error of the first degree where that raises."""
+    expected, error = [], None
+    for d in range(top + 1):
+        try:
+            expected.append(nested_level(points, manifold, d))
+        except InsufficientIntersectionError as exc:
+            error = str(exc)
+            break
+    if error is None:
+        assert levels_upto(points, manifold, top) == expected
+    else:
+        with pytest.raises(InsufficientIntersectionError) as info:
+            levels_upto(points, manifold, top)
+        assert str(info.value) == error
+
+
+@settings(max_examples=20, phases=NO_SHRINK, deadline=None)
+@given(sheared_systems(), st.data())
+def test_sheared_levels_from_one_elimination_match_nested_level(case, data):
+    # on the full intersection, on a chain anchor (x0 first) along its curve,
+    # and on a subset of the intersection too small to span degree M
+    shears, offsets = case
+    system, full = sheared_intersection(shears, offsets)
+    manifold = full.manifold
+    M = manifold.profile.M
+    t = data.draw(st.integers(1, system.n))
+    k_t = len(offsets[t - 1])
+    anchor = (curve_seed(system, full, shears, offsets, t),) + extract_nested_ppsn(
+        full, manifold, k_t
+    ).points
+    short = data.draw(st.permutations(full.points))[: data.draw(st.integers(0, len(full) - 1))]
+    assert_levels_match_nested_level(full.points, manifold, M + 1)
+    assert_levels_match_nested_level(anchor, manifold.curve(t), k_t)
+    assert_levels_match_nested_level(short, manifold, M)
+
+
 @settings(max_examples=20, phases=NO_SHRINK, deadline=None)
 @given(sheared_systems(), st.data())
 def test_sheared_chain_levels_lie_on_the_curve_and_are_proper(case, data):
@@ -639,18 +691,17 @@ def test_sheared_chain_levels_lie_on_the_curve_and_are_proper(case, data):
     system, full = sheared_intersection(shears, offsets)
     n = system.n
     t = data.draw(st.integers(1, n))
-    mmax = data.draw(st.integers(0, len(offsets[t - 1]) + 2))
-    x0 = next(
-        q
-        for r in itertools.count()
-        for base, direction in _curve_lines(system, t)
-        for q in [tuple(b + r * d for b, d in zip(base, direction))]
-        if q not in full and not on_hypersurface(shears, offsets, t - 1, q)
-    )
+    k_t = len(offsets[t - 1])
+    mmax = data.draw(st.integers(0, k_t + 2))
+    x0 = curve_seed(system, full, shears, offsets, t)
     chain = build_curve_chain(system, t, mmax, x0)
     assert [e.degree for e in chain.entries] == list(range(mmax + 1))
     for e in chain.entries:
         assert e.certificate.proper
+        if e.degree < k_t:
+            # certified by the elimination that chose the level, with no
+            # verify_ppsn: the same certificate that verify_ppsn gives
+            assert e.certificate == verify_ppsn(NodeSet(e.nodes.points), chain.curve, e.degree)
         assert len(e.nodes) == dim_along(e.degree, chain.curve.profile)
         for q in e.nodes:
             assert all(on_hypersurface(shears, offsets, i, q) for i in range(n) if i != t - 1)
