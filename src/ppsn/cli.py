@@ -2,8 +2,13 @@
 
 Exit codes: 0 success / proper verdict; 1 proper-posedness, hypothesis, or
 internal cross-check failure; 2 malformed input. JSON output (--json) is
-deterministic byte for byte for fixed inputs and seed: timings go to stderr
-only, never into the report.
+deterministic byte for byte for fixed inputs (and, for `hbase`, the only
+sampled check, its --seed): timings go to stderr only, never into the report.
+
+Each subcommand declares exactly the options its handler reads: --json on
+all, --n where a manifold file is parsed (and on `dim`, where it is
+required), --seed and --witnesses on `hbase` only. Any other option exits 2
+as an unrecognized argument.
 
 A named subcommand is parsed by its own parser (`parse_command_line`), the
 same one the full parser (`build_parser`) adds as its sub-parser. Each of
@@ -94,13 +99,12 @@ def _parse_poly_lines(text: str, n_override: Optional[int]) -> List[Polynomial]:
     return [parse_polynomial(line, n) for line in lines]
 
 
-def _load_manifold(args) -> macaulay.Manifold:
+def _load_manifold(args, witnesses: Optional[str] = None) -> macaulay.Manifold:
+    """The --manifold, completed by the hypersurfaces of the file `witnesses`."""
     polys = _parse_poly_lines(_read_file(args.manifold), args.n)
-    witnesses = ()
-    wpath = getattr(args, "witnesses", None)
-    if wpath:
-        witnesses = tuple(_parse_poly_lines(_read_file(wpath), polys[0].n))
-    return macaulay.Manifold(polys, witnesses=witnesses)
+    if witnesses:
+        return macaulay.Manifold(polys, _parse_poly_lines(_read_file(witnesses), polys[0].n))
+    return macaulay.Manifold(polys)
 
 
 def _load_system(args) -> Tuple[str, nodes.FactorableSystem, nodes.NodeSet]:
@@ -114,22 +118,30 @@ def _load_system(args) -> Tuple[str, nodes.FactorableSystem, nodes.NodeSet]:
     return text, system, res.nodes
 
 
-def _load_nodes(path: str) -> nodes.NodeSet:
-    return nodes.parse_nodes_text(_read_file(path))
+# why a node file may hold no more than MAX_MONOMIALS points
+_BUDGET = f"more than any degree within the budget of {MAX_MONOMIALS} monomials admits"
 
 
-def _read_node_set(path: str, flag: str) -> str:
-    """The text of a node set to certify, refused before any point is
-    parsed when it has more than MAX_MONOMIALS points: a set is accepted at
-    degree m only with as many points as a dimension of polynomials of
-    degree <= m, and no dense space within the budget has more."""
+def _read_node_set(path: str, flag: str, most: int = MAX_MONOMIALS, why: str = _BUDGET) -> str:
+    """The text of the node set `flag` names, refused before any point is
+    parsed when it has more than `most` points. By default that is
+    MAX_MONOMIALS: a set is accepted at degree m only with as many points as
+    a dimension of polynomials of degree <= m, and no dense space within the
+    budget has more."""
     text = _read_file(path)
-    if len(list(itertools.islice(nodes.content_lines(text), MAX_MONOMIALS + 1))) > MAX_MONOMIALS:
-        raise InputError(
-            f"{flag} holds more than {MAX_MONOMIALS} points, more than any degree "
-            f"within the budget of {MAX_MONOMIALS} monomials admits"
-        )
+    if len(list(itertools.islice(nodes.content_lines(text), most + 1))) > most:
+        raise InputError(f"{flag} holds more than {most} points, {why}")
     return text
+
+
+def _load_partition(args) -> Tuple[str, construct.CBPartition]:
+    """The --system file's text and its intersection split by the --remove
+    points, refused before any is parsed when there are more of them than
+    intersection points: the removed points are distinct intersection
+    points."""
+    text, _, full = _load_system(args)
+    removed = _read_node_set(args.remove, "--remove", len(full), "more than the intersection has")
+    return text, construct.CBPartition(full=full, removed=nodes.parse_nodes_text(removed))
 
 
 def _parse_number(token: str, kind=as_fraction):
@@ -267,19 +279,17 @@ def dim_steps(n: int, s: int, mmax: int) -> int:
 
 
 def cmd_dim(args) -> int:
-    if args.n is None:
-        raise InputError("--n is required")
     ks = tuple(_parse_number(k, int) for k in args.degrees.split(","))
     profile = dimension.DegreeProfile(args.n, ks)
-    flag, mmax = ("--mmax", args.mmax) if args.mmax is not None else ("--m", args.m)
+    mmax = args.m
     if mmax < 0:
-        raise InputError(f"{flag} must be >= 0, got {mmax}")
+        raise InputError(f"--m must be >= 0, got {mmax}")
     if mmax > MAX_DIM_DEGREE:
-        raise InputError(f"{flag} {mmax} is above the largest table degree {MAX_DIM_DEGREE}")
+        raise InputError(f"--m {mmax} is above the largest table degree {MAX_DIM_DEGREE}")
     steps = dim_steps(profile.n, profile.s, mmax)
     if steps > MAX_DIM_STEPS:
         raise InputError(
-            f"--n {profile.n} with {flag} {mmax} needs about {steps:.2g} table steps, "
+            f"--n {profile.n} with --m {mmax} needs about {steps:.2g} table steps, "
             f"above the budget of {MAX_DIM_STEPS:.2g}"
         )
     # every entry of the table is at most the ambient dimension C(n + mmax, n),
@@ -289,7 +299,7 @@ def cmd_dim(args) -> int:
     top = dimension.binom_e(mmax, profile.n)
     if digits and top.bit_length() > 3 * digits and top >= 10**digits:
         raise InputError(
-            f"--n {profile.n} with {flag} {mmax} gives table entries of more than "
+            f"--n {profile.n} with --m {mmax} gives table entries of more than "
             f"{digits} digits, which Python does not print"
         )
     table = dimension.hilbert_table(profile, mmax)
@@ -344,7 +354,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_hbase(args) -> int:
-    manifold = _load_manifold(args)
+    manifold = _load_manifold(args, args.witnesses)
     rep = macaulay.verify_hbase(
         manifold, args.mmax, trials=args.trials, seed=args.seed
     )
@@ -399,19 +409,15 @@ def cmd_superpose(args) -> int:
 
 
 def cmd_cb_reduce(args) -> int:
-    text, _, full = _load_system(args)
-    removed = _load_nodes(args.remove)
-    partition = construct.CBPartition(full=full, removed=removed)
-    remaining, cert = construct.cb_reduce(partition, full.manifold, args.m)
+    text, partition = _load_partition(args)
+    remaining, cert = construct.cb_reduce(partition, partition.full.manifold, args.m)
     return _emit_nodes(args, _report_base(args, system=text), remaining, cert)
 
 
 def cmd_cb_check(args) -> int:
-    text, _, full = _load_system(args)
-    manifold = full.manifold
-    removed = _load_nodes(args.remove)
+    text, partition = _load_partition(args)
+    manifold = partition.full.manifold
     f = parse_polynomial(args.poly, manifold.n)
-    partition = construct.CBPartition(full=full, removed=removed)
     verdict = construct.cb_check(
         f, partition, manifold, args.m, require_ppsn_removed=args.require_ppsn
     )
@@ -467,37 +473,36 @@ def cmd_chain(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
-def _common(p):
-    p.add_argument("--json", action="store_true", help="emit a JSON report")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+def _manifold_args(p, required=False, help="file: one defining polynomial per line"):
+    p.add_argument("--manifold", required=required, help=help)
     p.add_argument("--n", type=int, default=None, help="ambient dimension override")
 
 
 def _dim_args(p):
+    p.add_argument("--n", type=int, required=True, help="ambient dimension")
     p.add_argument("--degrees", required=True, help="comma-separated degrees k_1..k_s")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--mmax", type=int, default=None)
+    p.add_argument("--m", type=int, required=True, help="the table's top degree")
 
 
 def _verify_args(p):
-    p.add_argument("--manifold", help="file: one defining polynomial per line")
-    p.add_argument("--witnesses", help="file: completing hypersurfaces")
+    _manifold_args(p)
     p.add_argument("--nodes", required=True, help="file: one point per line")
     p.add_argument("--m", type=int, required=True)
 
 
 def _reduce_args(p):
-    p.add_argument("--manifold", required=True)
+    _manifold_args(p, required=True)
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--poly", help="polynomial expression")
     source.add_argument("--poly-file", dest="poly_file", help="file with one expression")
 
 
 def _hbase_args(p):
-    p.add_argument("--manifold", required=True)
-    p.add_argument("--witnesses")
+    _manifold_args(p, required=True)
+    p.add_argument("--witnesses", help="file: completing hypersurfaces")
     p.add_argument("--mmax", type=int, required=True)
     p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--seed", type=int, default=0, help="seed for the sampled checks")
 
 
 def _extract_args(p):
@@ -506,31 +511,24 @@ def _extract_args(p):
 
 
 def _interpolate_args(p):
-    p.add_argument("--manifold")
-    p.add_argument("--witnesses")
-    p.add_argument("--nodes", required=True)
+    _verify_args(p)
     p.add_argument("--values", required=True, help="file: one rational per line")
-    p.add_argument("--m", type=int, required=True)
 
 
 def _superpose_args(p):
-    p.add_argument("--manifold", required=True, help="sub-manifold; last line is the splitting polynomial")
-    p.add_argument("--witnesses")
+    _manifold_args(p, required=True, help="sub-manifold; last line is the splitting polynomial")
     p.add_argument("--sub", required=True, help="file: nodes on the sub-manifold")
     p.add_argument("--super", dest="super_nodes", required=True, help="file: nodes on the larger manifold")
     p.add_argument("--m", type=int, required=True)
 
 
 def _cb_reduce_args(p):
-    p.add_argument("--system", required=True)
+    _extract_args(p)
     p.add_argument("--remove", required=True, help="file: points to remove")
-    p.add_argument("--m", type=int, required=True)
 
 
 def _cb_check_args(p):
-    p.add_argument("--system", required=True)
-    p.add_argument("--remove", required=True)
-    p.add_argument("--m", type=int, required=True)
+    _cb_reduce_args(p)
     p.add_argument("--poly", required=True)
     p.add_argument("--require-ppsn", dest="require_ppsn", action="store_true")
 
@@ -560,7 +558,7 @@ SUBCOMMANDS = {
 def _subcommand(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
     """The parser with the options of the subcommand `name` and its handler."""
     _, func, add_arguments = SUBCOMMANDS[name]
-    _common(parser)
+    parser.add_argument("--json", action="store_true", help="emit a JSON report")
     add_arguments(parser)
     parser.set_defaults(func=func)
     return parser

@@ -247,6 +247,13 @@ CATALOGUE: List[Mutant] = [
         ("tests/test_modular.py::test_prime_making_an_earlier_row_dependent_is_not_trusted",),
     ),
     Mutant(
+        "the kernel joins the residues of a prime with a smaller first dependent row",
+        "src/ppsn/nodes.py",
+        "            if g < f:\n                continue\n",
+        "",
+        ("tests/test_modular.py::test_prime_with_a_smaller_first_dependent_row_is_skipped",),
+    ),
+    Mutant(
         "the intersection accepts a selection of rank n - 1",
         "src/ppsn/nodes.py",
         "        if kernel:\n            failures.append(",
@@ -305,6 +312,22 @@ CATALOGUE: List[Mutant] = [
         "        _first_parser.append(_subcommand(argparse.ArgumentParser(prog=f\"ppsn {name}\"), name))\n"
         "    return _first_parser[0]\n",
         ("tests/test_cli.py::test_single_subcommand_parser_parses_like_the_full_parser",),
+    ),
+    Mutant(
+        "every subcommand takes a --seed again",
+        "src/ppsn/cli.py",
+        '    parser.add_argument("--json", action="store_true", help="emit a JSON report")\n',
+        '    parser.add_argument("--json", action="store_true", help="emit a JSON report")\n'
+        '    if name != "hbase":\n'
+        '        parser.add_argument("--seed", type=int, default=0)\n',
+        ("tests/test_cli.py::test_each_subcommand_accepts_only_the_options_its_handler_reads",),
+    ),
+    Mutant(
+        "a --remove file is parsed whatever its number of points",
+        "src/ppsn/cli.py",
+        '    removed = _read_node_set(args.remove, "--remove", len(full), "more than the intersection has")\n',
+        "    removed = _read_file(args.remove)\n",
+        ("tests/test_cli.py::test_more_removed_points_than_intersection_points_exit_2_before_any_is_parsed",),
     ),
     Mutant(
         "the JSON writer keeps each dict's insertion order",

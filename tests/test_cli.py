@@ -5,10 +5,12 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -140,8 +142,8 @@ def test_json_text_writes_the_bytes_of_indented_sorted_json_dumps(value):
     "degrees, flag",
     [
         (["--m", str(MAX_DIM_DEGREE + 1)], "--m"),
-        (["--m", "3", "--mmax", "1000000000000"], "--mmax"),
-        (["--m", "10000000", "--mmax", str(MAX_DIM_DEGREE + 1)], "--mmax"),
+        (["--m", "1000000000000"], "--m"),
+        (["--m=" + str(10**30)], "--m"),
     ],
 )
 def test_dim_above_the_degree_bound_exits_2_before_the_table(degrees, flag, monkeypatch, capsys):
@@ -160,7 +162,7 @@ def test_dim_above_the_degree_bound_exits_2_before_the_table(degrees, flag, monk
     [
         ["--n", "50", "--degrees", "3", "--m", "2000"],
         ["--n", "300", "--degrees", "2", "--m", "400"],
-        ["--n", "40", "--degrees", ",".join(["2"] * 40), "--m", "3", "--mmax", "1000"],
+        ["--n", "40", "--degrees", ",".join(["2"] * 40), "--m", "1000"],
         # few factors, but binomials of about 27,000 bits
         ["--n", str(10**30), "--degrees", "2", "--m", "290"],
         ["--n", str(10**100), "--degrees", "2", "--m", "120"],
@@ -305,6 +307,25 @@ def test_reduce_circle(files, capsys):
     assert "1 - x2^2" in out
 
 
+def test_reduce_reads_the_polynomial_from_a_file_as_from_the_command_line(files, tmp_path, capsys):
+    manifold = files("circle.poly", CIRCLE)
+    poly = "x1^5*x2 - 3*x1^3 + x2^2 - 7"
+    reports = []
+    for source in (["--poly", poly], ["--poly-file", files("f.poly", poly + "\n")]):
+        code, out = run(["reduce", "--manifold", manifold, *source, "--json"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        reports.append((report["remainder"], report["cofactors"]))
+    assert reports[0] == reports[1]
+    # x1^2 = 1 - x2^2 on the circle
+    assert reports[0][0] == "-7 - 3*x1 + x1*x2 + x2^2 + 3*x1*x2^2 - 2*x1*x2^3 + x1*x2^5"
+    for unreadable in (str(tmp_path / "missing.poly"), str(tmp_path)):
+        argv = ["reduce", "--manifold", manifold, "--poly-file", unreadable, "--json"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"input error: cannot read {unreadable}")
+
+
 def test_hbase_passes(files, capsys):
     manifold = files("circle.poly", CIRCLE)
     witness = files("circle.wit", "x2 - 2\n")
@@ -393,6 +414,24 @@ def test_cb_reduce_and_refusal(files, capsys):
     bad = files("collinear.nodes", "0,0\n1,0\n2,0\n")
     code, _ = run(["cb-reduce", "--system", system, "--remove", bad, "--m", "2"], capsys)
     assert code == 1
+
+
+@pytest.mark.parametrize("command", [["cb-reduce"], ["cb-check", "--poly", "x1"]])
+def test_more_removed_points_than_intersection_points_exit_2_before_any_is_parsed(
+    command, files, monkeypatch, capsys
+):
+    parsed = []
+    real = ppsn.nodes.parse_nodes_text
+    monkeypatch.setattr("ppsn.nodes.parse_nodes_text", lambda text: parsed.append(text) or real(text))
+    system = files("grid.sys", GRID)  # nine intersection points
+    # ten lines, past the bound; nine, at it, are parsed (and refused as duplicates)
+    for count, message in ((10, "--remove holds more than 9 points"), (9, "duplicate")):
+        removed = files("many.nodes", "# removed\n" + "0,0\n" * count)
+        argv = [*command, "--system", system, "--remove", removed, "--m", "2", "--json"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+        assert len(parsed) == (0 if count == 10 else 1)
 
 
 def test_cb_check_branches(files, capsys):
@@ -581,7 +620,7 @@ def test_negative_chain_degree_exits_2_before_any_level_is_certified(
 
 
 @pytest.mark.parametrize(
-    "extra, flag", [(["--m", "-1"], "--m"), (["--m", "2", "--mmax", "-1"], "--mmax")]
+    "extra, flag", [(["--m", "-1"], "--m"), (["--m=-1"], "--m")]
 )
 def test_negative_dim_degree_exits_2_naming_its_flag(extra, flag, capsys):
     assert main(["dim", "--n", "2", "--degrees", "3"] + extra) == 2
@@ -688,8 +727,8 @@ VALID = {
 }
 FILES = ("poly", "system", "nodes", "values")
 COMMANDS = {
-    "dim": [("--n", "int"), ("--degrees", "degrees"), ("--m", "int"), ("--mmax", "int")],
-    "verify": [("--manifold", "poly"), ("--witnesses", "poly"), ("--nodes", "nodes"), ("--m", "int")],
+    "dim": [("--n", "int"), ("--degrees", "degrees"), ("--m", "int")],
+    "verify": [("--manifold", "poly"), ("--nodes", "nodes"), ("--m", "int")],
     "reduce": [("--manifold", "poly"), ("--poly", "expr"), ("--n", "int")],
     "hbase": [("--manifold", "poly"), ("--witnesses", "poly"), ("--mmax", "int"), ("--trials", "int")],
     "extract": [("--system", "system"), ("--m", "int")],
@@ -745,7 +784,7 @@ def test_malformed_input_keeps_the_exit_code_contract(case):
 
 # the required options of each subcommand, with values that parse
 REQUIRED = {
-    "dim": ["--degrees", "1", "--m", "1"],
+    "dim": ["--n", "2", "--degrees", "1", "--m", "1"],
     "verify": ["--nodes", "a", "--m", "1"],
     "reduce": ["--manifold", "a", "--poly", "x1"],
     "hbase": ["--manifold", "a", "--mmax", "2"],
@@ -813,7 +852,8 @@ def test_single_subcommand_parser_parses_like_the_full_parser(name):
     everything = _every_option(name)
     assert vars(parse_command_line(everything)) == vars(build_parser().parse_args(everything))
     required = REQUIRED[name]
-    for argv in ([name, *required], [name, *required, "--json"], [name, "--js", *required, "--se", "4"]):
+    abbreviated = [name, "--js", *required] + (["--se", "4"] if name == "hbase" else [])
+    for argv in ([name, *required], [name, *required, "--json"], abbreviated):
         parse_command_line(everything)
         assert vars(parse_command_line(argv)) == vars(build_parser().parse_args(argv))
 
@@ -853,3 +893,62 @@ def test_a_named_subcommand_builds_the_full_parser_only_to_report_an_error(monke
 def test_main_reports_a_separator_like_the_full_parser(name):
     for argv in ([name, *REQUIRED[name], "--"], [name, "--", *REQUIRED[name]]):
         assert _parse(main, argv) == _parse(build_parser().parse_args, argv)
+
+
+# -- the option surface ---------------------------------------------------------
+
+# the options of each subcommand: exactly those its handler reads
+OPTIONS = {
+    "dim": {"--json", "--n", "--degrees", "--m"},
+    "verify": {"--json", "--n", "--manifold", "--nodes", "--m"},
+    "reduce": {"--json", "--n", "--manifold", "--poly", "--poly-file"},
+    "hbase": {"--json", "--n", "--manifold", "--witnesses", "--mmax", "--trials", "--seed"},
+    "extract": {"--json", "--system", "--m"},
+    "interpolate": {"--json", "--n", "--manifold", "--nodes", "--values", "--m"},
+    "superpose": {"--json", "--n", "--manifold", "--sub", "--super", "--m"},
+    "cb-reduce": {"--json", "--system", "--remove", "--m"},
+    "cb-check": {"--json", "--system", "--remove", "--m", "--poly", "--require-ppsn"},
+    "chain": {"--json", "--system", "--t", "--mmax", "--x0"},
+}
+
+# (subcommand, option) pairs that no handler reads: only the sampled H-base
+# check takes a seed and witnesses, a system file fixes n by its line count,
+# and --m is the top degree of a dim table
+REMOVED = (
+    [(name, "--seed") for name in SUBCOMMANDS if name != "hbase"]
+    + [(name, "--n") for name in ("extract", "cb-reduce", "cb-check", "chain")]
+    + [(name, "--witnesses") for name in ("verify", "interpolate", "superpose")]
+    + [("dim", "--mmax")]
+)
+
+
+@pytest.mark.parametrize("name, option", REMOVED, ids=[" ".join(pair) for pair in REMOVED])
+def test_each_subcommand_accepts_only_the_options_its_handler_reads(name, option):
+    declared = {
+        command: {
+            flag
+            for action in _subcommand(argparse.ArgumentParser(), command)._actions
+            for flag in action.option_strings
+            if action.dest != "help"
+        }
+        for command in SUBCOMMANDS
+    }
+    assert declared == OPTIONS
+    assert sum(map(len, OPTIONS.values())) == 51
+    code, out, err = _parse(main, [name, *REQUIRED[name], option, "2"])
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {option} 2" in err and "Traceback" not in err
+
+
+def test_every_readme_command_line_parses():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    names = []
+    for line in block.splitlines():
+        program, *argv = shlex.split(line, comments=True)
+        assert program == "ppsn"
+        args = parse_command_line(argv)
+        assert args.func is SUBCOMMANDS[argv[0]][1]
+        names.append(argv[0])
+    assert sorted(names) == sorted(SUBCOMMANDS)

@@ -434,6 +434,39 @@ def test_prime_making_an_earlier_row_dependent_is_not_trusted(monkeypatch, exact
     assert exact_calls == {"row_reduce": 0, "IntegerEchelon": 0}
 
 
+def diagonal(p):
+    """Rows 1, x1, x2 of (0, 0), (p, p) and (1, 1): row 2 = (1 - 1/p) * row 0
+    + 1/p * row 1 over Q, so f = 2, but row 1 is row 0 mod p, so f_p = 1."""
+    return NodeSet([(F(0), F(0)), (F(p), F(p)), (F(1), F(1))])
+
+
+def test_prime_with_a_smaller_first_dependent_row_is_skipped(monkeypatch, exact_calls):
+    fed = []
+    real_crt = linalg.crt
+    monkeypatch.setattr(
+        linalg, "crt", lambda residues, modulus, x, p: fed.append(p) or real_crt(residues, modulus, x, p)
+    )
+    p = PRIMES[1]
+    cert = exact_path(diagonal(p), None, 1, ())[0]
+    assert cert.kernel_functional == (F(1 - p, p), F(-1, p), F(1))
+    exact_calls.update(row_reduce=0, IntegerEchelon=0)
+    assert verify_ppsn(diagonal(p), None, 1) == cert
+    # 1/p needs a modulus above 2 p^2, more than the other two primes give,
+    # so the exact kernel decides after all three
+    assert fed == [PRIMES[0], PRIMES[2]]
+    assert exact_calls == {"row_reduce": 0, "IntegerEchelon": 1}
+
+    # 5 reconstructs nothing, 3 is skipped, and with a prime after it the
+    # residues of 5 rebuild the dependency
+    monkeypatch.setattr(linalg, "PRIMES", (5, 3) + PRIMES[:1])
+    cert = exact_path(diagonal(3), None, 1, ())[0]
+    fed.clear()
+    exact_calls.update(row_reduce=0, IntegerEchelon=0)
+    assert verify_ppsn(diagonal(3), None, 1) == cert
+    assert fed == [5, PRIMES[0]]
+    assert exact_calls == {"row_reduce": 0, "IntegerEchelon": 0}
+
+
 @pytest.mark.parametrize("space, m", [("plane", 3), ("sphere", 2)])
 def test_failed_reconstruction_falls_back_to_the_exact_kernel(monkeypatch, exact_calls, space, m):
     nodes, manifold, m = planted_improper(space, m, seed=11)
