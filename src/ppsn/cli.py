@@ -568,19 +568,20 @@ def build_parser() -> argparse.ArgumentParser:
     """The parser for every subcommand."""
     parser = argparse.ArgumentParser(
         prog="ppsn",
+        allow_abbrev=False,
         description="Exact multivariate interpolation on algebraic manifolds: "
         "dimension tables, node-set certificates, and constructions.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (help_text, _, _) in SUBCOMMANDS.items():
-        _subcommand(sub.add_parser(name, help=help_text), name)
+        _subcommand(sub.add_parser(name, help=help_text, allow_abbrev=False), name)
     return parser
 
 
 @functools.lru_cache(maxsize=len(SUBCOMMANDS))
 def _named_parser(name: str) -> argparse.ArgumentParser:
     """The parser of the subcommand `name` alone, built on its first call."""
-    return _subcommand(argparse.ArgumentParser(prog=f"ppsn {name}"), name)
+    return _subcommand(argparse.ArgumentParser(prog=f"ppsn {name}", allow_abbrev=False), name)
 
 
 def parse_command_line(argv: List[str]) -> argparse.Namespace:
@@ -590,7 +591,8 @@ def parse_command_line(argv: List[str]) -> argparse.Namespace:
     That parser is built once per process, and each call parses into a
     fresh Namespace. Only when it leaves an argument over, and for help, an
     unknown name or an empty argv, is the full parser built: it reports
-    what is left."""
+    what is left. No parser reads an abbreviated option: `--m` is not
+    `--mmax`, and `--man` is not `--manifold`."""
     if argv and argv[0] in SUBCOMMANDS:
         name = argv[0]
         namespace = argparse.Namespace(subcommand=name)

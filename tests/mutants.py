@@ -309,8 +309,16 @@ CATALOGUE: List[Mutant] = [
         "_first_parser = []\n\n\n"
         "def _named_parser(name: str) -> argparse.ArgumentParser:\n"
         "    if not _first_parser:\n"
-        "        _first_parser.append(_subcommand(argparse.ArgumentParser(prog=f\"ppsn {name}\"), name))\n"
+        "        parser = argparse.ArgumentParser(prog=f\"ppsn {name}\", allow_abbrev=False)\n"
+        "        _first_parser.append(_subcommand(parser, name))\n"
         "    return _first_parser[0]\n",
+        ("tests/test_cli.py::test_single_subcommand_parser_parses_like_the_full_parser",),
+    ),
+    Mutant(
+        "a subcommand's own parser reads abbreviated options",
+        "src/ppsn/cli.py",
+        'argparse.ArgumentParser(prog=f"ppsn {name}", allow_abbrev=False)',
+        'argparse.ArgumentParser(prog=f"ppsn {name}")',
         ("tests/test_cli.py::test_single_subcommand_parser_parses_like_the_full_parser",),
     ),
     Mutant(

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from eager_bareiss import fraction_nullspace
+import reference
 from ppsn import (
     CBPartition,
     DegreeProfile,
@@ -220,7 +220,7 @@ def test_criterion_07_grid_cayley_bacharach():
     for point in full.points:
         partition = CBPartition(full=full, removed=NodeSet([point]))
         matrix = evaluation_matrix(partition.remaining.points, basis3)
-        kernel = fraction_nullspace(matrix)
+        kernel = reference.kernel(matrix)
         assert kernel
         for vec in kernel:
             cubic = Polynomial(2, dict(zip(basis3, vec)))

@@ -844,18 +844,30 @@ def _every_option(name):
     return argv
 
 
+# abbreviations of declared options, each of which argparse's prefix
+# matching would read as the full option
+ABBREVIATED = {
+    "reduce": [["reduce", "--man", "a", "--poly", "x1"]],
+    "chain": [["chain", "--system", "g", "--t", "2", "--m", "3", "--x0", "0,7"]],
+}
+
+
 @pytest.mark.parametrize("name", list(REQUIRED))
 def test_single_subcommand_parser_parses_like_the_full_parser(name):
-    # the subcommand's own parser answers these, abbreviated options too; each
-    # parse follows one that set every option, so a value kept from the call
-    # before would show
+    # the subcommand's own parser answers these; each parse follows one that
+    # set every option, so a value kept from the call before would show
     everything = _every_option(name)
     assert vars(parse_command_line(everything)) == vars(build_parser().parse_args(everything))
     required = REQUIRED[name]
-    abbreviated = [name, "--js", *required] + (["--se", "4"] if name == "hbase" else [])
-    for argv in ([name, *required], [name, *required, "--json"], abbreviated):
+    for argv in ([name, *required], [name, *required, "--json"]):
         parse_command_line(everything)
         assert vars(parse_command_line(argv)) == vars(build_parser().parse_args(argv))
+    # an abbreviated option is refused, by main as by the full parser
+    abbreviated = [name, "--js", *required] + (["--se", "4"] if name == "hbase" else [])
+    for argv in [abbreviated] + ABBREVIATED.get(name, []):
+        refused = _parse(main, argv)
+        assert refused == _parse(build_parser().parse_args, argv)
+        assert refused[0] == 2
 
 
 def test_repeated_calls_of_a_subcommand_build_its_parser_once(monkeypatch):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import reference
 from conftest import NO_SHRINK
-from eager_bareiss import eager_solve, fraction_nullspace, fraction_row_reduce
 from nested_descent import descent_levels
 from ppsn import (
     CBPartition,
@@ -493,8 +493,8 @@ def test_curve_lines_match_nullspace_and_solve(text, t):
     assert len(lines) == len(selections)
     for (_, rows), (base, direction) in zip(selections, lines):
         a = [row[:-1] for row in rows]
-        assert [list(direction)] == fraction_nullspace(a)
-        assert list(base) == eager_solve(a, [row[-1] for row in rows])
+        assert [list(direction)] == reference.kernel(a)
+        assert list(base) == reference.solve(a, [row[-1] for row in rows])
 
 
 def test_curve_lines_reject_parallel_forms():
@@ -590,8 +590,8 @@ def on_hypersurface(shears, offsets, i, q):
 
 
 def properly_posed(points, n, m):
-    rows = [[prod(x**e for x, e in zip(q, alpha)) for alpha in monomial_basis(n, m)] for q in points]
-    return fraction_row_reduce(rows)[0] == len(points)
+    basis = monomial_basis(n, m)
+    return reference.rref([reference.row(q, basis) for q in points])[0] == len(points)
 
 
 @settings(max_examples=20, phases=NO_SHRINK, deadline=None)
@@ -708,10 +708,6 @@ def test_sheared_chain_levels_lie_on_the_curve_and_are_proper(case, data):
         assert properly_posed(e.nodes.points, n, e.degree)
 
 
-def fraction_value(poly, q):
-    return sum(c * prod(x**e for x, e in zip(q, alpha)) for alpha, c in poly.terms.items())
-
-
 # L >= 2, which the unchecked range of m needs, and k_i of 3 or 4 for
 # n = 2, so that M - m - 1 reaches 1 or 2 there
 @pytest.mark.parametrize("removal", ["proper", "random", "planted"])
@@ -745,16 +741,14 @@ def test_sheared_cb_check_is_consistent_and_its_exception_holds(removal, case, d
     # remaining rows over the degree <= m basis, so it vanishes on them
     basis = monomial_basis(n, m)
     remaining = [q for q in full if q not in removed]
-    kernel = fraction_nullspace(
-        [[prod(x**e for x, e in zip(q, alpha)) for alpha in basis] for q in remaining]
-    )
+    kernel = reference.kernel([reference.row(q, basis) for q in remaining])
     nonzero = st.sampled_from((-2, -1, 1, 2))
     weights = data.draw(st.lists(nonzero, min_size=len(kernel), max_size=len(kernel)))
     f = Polynomial(
         n, {alpha: sum(w * v[j] for w, v in zip(weights, kernel)) for j, alpha in enumerate(basis)}
     )
     verdict = cb_check(f, CBPartition(full, removed), manifold, m, require_ppsn_removed=require)
-    vanishes = all(fraction_value(f, q) == 0 for q in removed)
+    vanishes = all(reference.value(f, q) == 0 for q in removed)
     assert verdict.vanishes_on_removed == vanishes
     assert verdict.consistent
     if require:
@@ -764,7 +758,7 @@ def test_sheared_cb_check_is_consistent_and_its_exception_holds(removal, case, d
         assert exception is None
     else:
         assert not exception.is_zero() and exception.degree <= comp
-        assert all(fraction_value(exception, q) == 0 for q in removed)
+        assert all(reference.value(exception, q) == 0 for q in removed)
 
 
 @settings(max_examples=20, phases=NO_SHRINK, deadline=None)

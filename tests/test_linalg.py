@@ -1,12 +1,13 @@
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from conftest import NO_SHRINK
-from eager_bareiss import eager_solve, fraction_nullspace, fraction_row_reduce
 from ppsn.linalg import (
     PRIMES,
     IncrementalRank,
@@ -81,12 +82,12 @@ zero_matrices = st.tuples(st.integers(1, 5), st.integers(1, 5)).map(
 @example([[F(0), F(0)], [F(1, 999999), F(1)], [F(2, 999999), F(2)]])  # swap, then rank 1
 def test_row_reduce_matches_fraction_reference(m):
     ech = row_reduce(m)
-    rank_, pivots, rows = fraction_row_reduce(m)
+    rank_, pivots, rows = reference.rref(m)
     assert ech.rank == rank_
     assert tuple(ech.columns) == tuple(c for _, c in pivots)
     # the kept integer rows span the row space: their RREF is the matrix's
     assert all(type(v) is int for row in ech.rows for v in row)
-    assert fraction_row_reduce(ech.rows)[2] == rows[:rank_]
+    assert reference.rref(ech.rows)[2] == rows[:rank_]
 
 
 def test_rank_examples():
@@ -118,7 +119,7 @@ def test_nullspace_vectors_annihilate(m):
     for v in kernel:
         for row in m:
             assert sum(a * b for a, b in zip(row, v)) == 0
-    assert len(kernel) == len(m[0]) - fraction_row_reduce(m)[0]
+    assert len(kernel) == len(m[0]) - reference.rref(m)[0]
 
 
 @settings(max_examples=60)
@@ -129,7 +130,7 @@ def test_left_null_vector_annihilates(m):
     f = next((i for i, row in enumerate(m) if not echelon.add(row)), None)
     if f is None:
         # full row rank: the rows are independent
-        assert fraction_row_reduce(m)[0] == len(m)
+        assert reference.rref(m)[0] == len(m)
         return
     y = echelon.dependency
     assert y[f] and set(y) <= set(echelon.accepted) | {f}
@@ -145,9 +146,9 @@ def test_incremental_rank_agrees_with_batch_rank(m):
     for row in m:
         if tracker.add(row):
             accepted.append(row)
-    assert tracker.rank == fraction_row_reduce(m)[0]
+    assert tracker.rank == reference.rref(m)[0]
     if accepted:
-        assert fraction_row_reduce(accepted)[0] == len(accepted)
+        assert reference.rref(accepted)[0] == len(accepted)
 
 
 integer_matrices = st.integers(1, 5).flatmap(
@@ -163,32 +164,6 @@ def test_incremental_rank_int_rows_match_fraction_rows(m):
     assert [ints.add(row) for row in m] == [fracs.add([F(v) for v in row]) for row in m]
     assert ints._basis == fracs._basis
     assert all(type(v) is Fraction for _, row in ints._basis for v in row)
-
-
-class RREFIncrementalRank:
-    """Reference: `IncrementalRank` with its basis kept in RREF, clearing
-    each new pivot column from every stored row."""
-
-    def __init__(self):
-        self.basis = []
-
-    def add(self, row):
-        v = list(row)
-        for c, b in self.basis:
-            if v[c] != 0:
-                f = v[c]
-                v = [a - f * bb for a, bb in zip(v, b)]
-        c = next((i for i, val in enumerate(v) if val != 0), None)
-        if c is None:
-            return False
-        inv = F(1) / v[c]
-        v = [val * inv for val in v]
-        for idx, (pc, b) in enumerate(self.basis):
-            if b[c] != 0:
-                f = b[c]
-                self.basis[idx] = (pc, [a - f * vv for a, vv in zip(b, v)])
-        self.basis.append((c, v))
-        return True
 
 
 @st.composite
@@ -212,31 +187,26 @@ def candidate_streams(draw):
     return rows
 
 
-def _rank(rows, width):
-    return fraction_row_reduce([r[:width] for r in rows])[0] if rows else 0
-
-
 @settings(max_examples=150)
 @given(candidate_streams())
 @example([[F(0), F(1)], [F(1), F(0)], [F(1), F(1)]])
 @example([[F(1), F(2), F(3)], [F(0), F(0), F(1)], [F(2), F(4), F(7)], [F(0), F(1), F(0)]])
 def test_incremental_rank_matches_greedy_definition_and_rref_basis(rows):
-    ncols = len(rows[0])
-    tracker, reference = IncrementalRank(), RREFIncrementalRank()
+    tracker = IncrementalRank()
     verdicts = [tracker.add(row) for row in rows]
-    assert verdicts == [reference.add(row) for row in rows]
-    pivots = [c for c, _ in tracker._basis]
-    assert pivots == [c for c, _ in reference.basis]
     # greedy: a row is accepted iff it raises the rank of the rows kept so far,
-    # and its pivot is the first column j at which rows[:j+1] gain rank
-    kept = []
+    # and its pivot is the first column j at which the first j + 1 columns
+    # gain rank, the one RREF pivot column that the kept rows lack
+    kept, columns = [], []
     for row, accepted in zip(rows, verdicts):
-        assert accepted == (_rank(kept + [row], ncols) > len(kept))
+        rank, pivots, _ = reference.rref(kept + [row])
+        assert accepted == (rank > len(kept))
         if accepted:
-            c = next(j for j in range(ncols) if _rank(kept + [row], j + 1) > _rank(kept, j + 1))
-            assert c == pivots[len(kept)]
+            (c,) = {c for _, c in pivots} - set(columns)
+            columns.append(c)
             kept.append(row)
-    assert tracker.rank == len(kept) == fraction_row_reduce(rows)[0]
+    assert [c for c, _ in tracker._basis] == columns
+    assert tracker.rank == len(kept) == reference.rref(rows)[0]
 
 
 @settings(max_examples=100, phases=NO_SHRINK)
@@ -251,12 +221,12 @@ def test_integer_echelon_keeps_the_greedy_rows_as_their_combinations(rows):
     # the accepted rows are the greedy independent rows
     kept = []
     for row, accepted in zip(rows, verdicts):
-        assert accepted == (_rank(kept + [row], ncols) > len(kept))
+        assert accepted == (reference.rref(kept + [row])[0] > len(kept))
         if accepted:
             kept.append(row)
     assert echelon.accepted == [r for r, accepted in enumerate(verdicts) if accepted]
     # the pivots are the leftmost independent columns
-    assert tuple(echelon.columns) == tuple(c for _, c in fraction_row_reduce(rows)[1])
+    assert tuple(echelon.columns) == tuple(c for _, c in reference.rref(rows)[1])
     assert echelon.rank == len(kept)
     # each kept row is an integer row, zero left of its pivot, and equal to its
     # integer combination of the accepted input rows
@@ -303,7 +273,7 @@ def test_integer_echelon_weights_are_the_solve_of_the_transposed_selected_block(
         assert lam == [0] * len(rows)
         return
     system = [[row[c] for row in rows] for c in echelon.columns]
-    assert [F(x, denominator) for x in lam] == eager_solve(system, [F(v) for v in b])
+    assert [F(x, denominator) for x in lam] == reference.solve(system, [F(v) for v in b])
 
 
 @settings(max_examples=60)
@@ -316,7 +286,7 @@ def test_solve_solution_satisfies_system(m):
         assert sum(a * x for a, x in zip(row, sol)) == target
 
 
-# -- solution sets and the first dependency against Fraction references ----------
+# -- solution sets and the first dependency against the Fraction reference ------
 
 
 @st.composite
@@ -361,7 +331,7 @@ def systems(draw):
 @example(([[F(0)], [F(0)]], [0, F(1, 2)]))  # inconsistent on a zero column
 def test_solve_is_a_fresh_elimination_of_the_augmented_matrix(case):
     m, b = case
-    assert solution_set(m, b)[0] == eager_solve(m, b)
+    assert solution_set(m, b)[0] == reference.solve(m, b)
 
 
 @st.composite
@@ -383,23 +353,16 @@ def mixed_systems(draw):
 @example(([[1, F(1, 2)], [2, 1], [0, 3]], [F(1), 2, 0]))  # inconsistent
 def test_solve_nullspace_and_first_dependency_match_the_fraction_rref(case):
     m, b = case
-    ncols = len(m[0]) if m else 0
     # the solution: the RREF of [A | b], free variables zero, None past a pivot in b
-    _, pivots, rref = fraction_row_reduce([list(row) + [v] for row, v in zip(m, b)])
-    expected = None
-    if all(c < ncols for _, c in pivots):
-        expected = [F(0)] * ncols
-        for (_, c), row in zip(pivots, rref):
-            expected[c] = row[ncols]
     x, kernel = solution_set(m, b)
-    assert x == expected
+    assert x == reference.solve(m, b)
     # the kernel: one RREF kernel vector per free column
-    assert kernel == fraction_nullspace(m)
+    assert kernel == reference.kernel(m)
     # the first rejected row's dependency, scaled to 1 on that row, is the
     # first RREF kernel vector of the transpose
     echelon = IntegerEchelon()
     f = next((i for i, row in enumerate(m) if not echelon.add(row)), None)
-    left = fraction_nullspace([list(column) for column in zip(*m)])
+    left = reference.kernel([list(column) for column in zip(*m)])
     if f is None:
         assert left == []
     else:
@@ -407,70 +370,12 @@ def test_solve_nullspace_and_first_dependency_match_the_fraction_rref(case):
         assert [F(y.get(i, 0), y[f]) for i in range(len(m))] == left[0]
 
 
-# -- packed-row elimination mod p against list-based kernels ---------------------
+# -- packed-row elimination mod p against the list kernel ------------------------
 
 
-def list_row_reduce_mod(matrix, p):
-    """Reference: list-based Gauss-Jordan mod p, with one reduction per
-    entry per row operation. Its rank and pivots are those of any
-    elimination with the same pivot policy, and the last column of its RREF
-    is the solution of a square system."""
-    m = [[v % p for v in row] for row in matrix]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    origin = list(range(nrows))
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        origin[r], origin[pr] = origin[pr], origin[r]
-        inv = pow(m[r][c], -1, p)
-        tail = [a * inv % p for a in m[r][c:]]
-        m[r][c:] = tail
-        for i in range(nrows):
-            f = m[i][c]
-            if f and i != r:
-                m[i][c:] = [(a - f * b) % p for a, b in zip(m[i][c:], tail)]
-        pivots.append((origin[r], c))
-        r += 1
-        if r == nrows:
-            break
-    return r, tuple(pivots), tuple(map(tuple, m))
-
-
-def list_forward_reduce_mod(matrix, p):
-    """Reference: list-based forward elimination mod p with the same pivot
-    policy, clearing only below each pivot row scaled to 1. Returns the
-    pivot rows, the row echelon form that `row_reduce_mod` keeps."""
-    m = [[v % p for v in row] for row in matrix]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = pow(m[r][c], -1, p)
-        m[r][c:] = [a * inv % p for a in m[r][c:]]
-        for i in range(r + 1, nrows):
-            f = m[i][c]
-            if f:
-                m[i][c:] = [(a - f * b) % p for a, b in zip(m[i][c:], m[r][c:])]
-        r += 1
-        if r == nrows:
-            break
-    return tuple(map(tuple, m[:r]))
-
-
-def assert_matches_list_kernels(m, p):
+def assert_matches_list_kernel(m, p):
     ech = row_reduce_mod(m, p)
-    rank, pivots, _ = list_row_reduce_mod(m, p)
-    assert (ech.rank, ech.pivots) == (rank, pivots)
-    assert ech.ints == list_forward_reduce_mod(m, p)
+    assert (ech.rank, ech.pivots, ech.ints) == reference.echelon_mod(m, p)
     return ech
 
 
@@ -512,13 +417,13 @@ def near_bound_matrix(nrows, ncols):
 @example(([[2**70, -(2**70), 1]] * 4, PRIMES[2]))
 @example(([[1, 2, 3], [2, 4, 6], [0, 0, 1]], 2))
 def test_row_reduce_mod_matches_list_kernel(case):
-    assert_matches_list_kernels(*case)
+    assert_matches_list_kernel(*case)
 
 
 @pytest.mark.parametrize("p", PRIMES + SMALL_PRIMES)
 @pytest.mark.parametrize("shape", [(14, 14), (14, 15), (9, 15), (14, 3)])
 def test_row_reduce_mod_near_the_slot_bound(p, shape):
-    ech = assert_matches_list_kernels(near_bound_matrix(*shape), p)
+    ech = assert_matches_list_kernel(near_bound_matrix(*shape), p)
     assert ech.rank == min(shape)  # every pivot is 1 over the integers
 
 
@@ -545,13 +450,15 @@ def full_rank_systems(draw):
 @settings(max_examples=200)
 @given(full_rank_systems())
 @example(([[0, 1, 5], [1, 0, 6]], 2))
-def test_back_substitution_is_the_rref_solution_column(case):
+def test_back_substitution_solves_the_full_rank_system_mod_p(case):
+    # A is nonsingular mod p, so A x = b has exactly one solution mod p
     m, p = case
     n = len(m)
     ech = row_reduce_mod(m, p)
     assert ech.pivot_columns == tuple(range(n))
-    _, _, rref = list_row_reduce_mod(m, p)
-    assert back_substitute(ech.ints, p) == [row[n] for row in rref]
+    x = back_substitute(ech.ints, p)
+    assert len(x) == n and all(0 <= v < p for v in x)
+    assert all((sum(map(mul, row, x)) - row[n]) % p == 0 for row in m)
 
 
 @st.composite

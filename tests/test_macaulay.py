@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from conftest import NO_SHRINK
-from eager_bareiss import eager_solve, fraction_row_reduce
 from ppsn import (
     DecompositionError,
     InputError,
@@ -51,11 +51,12 @@ coordinates = st.sampled_from([F(0), F(1), F(1, 2), F(-1, 2), F(3)])
 @settings(max_examples=60, phases=NO_SHRINK)
 @given(st.lists(st.tuples(coordinates, coordinates), max_size=6))
 def test_membership_raises_at_the_first_offending_point(points):
-    manifold = Manifold([Polynomial(2, dict(terms)) for terms in TWO_POLYNOMIALS])
+    polys = [Polynomial(2, dict(terms)) for terms in TWO_POLYNOMIALS]
+    manifold = Manifold(polys)
     expected = None
-    for q in points:  # point-major reference on the polynomials' own terms
-        for i, terms in enumerate(TWO_POLYNOMIALS):
-            r = sum(c * q[0] ** a[0] * q[1] ** a[1] for a, c in terms)
+    for q in points:  # point-major: the first point off, then its first polynomial
+        for i, f in enumerate(polys):
+            r = reference.value(f, q)
             if r and expected is None:
                 expected = (q, i, r)
     if expected is None:
@@ -177,7 +178,7 @@ def test_selection_is_the_row_reduce_pivot_columns_of_its_items(case):
     forms, m = case
     manifold = Manifold(forms)
     monos, rows, _ = macaulay.elementary_items(forms, manifold.n, m)
-    rank, pivots, _ = fraction_row_reduce(rows) if rows else (0, (), ())
+    rank, pivots, _ = reference.rref(rows)
     h = dim_along(m, manifold.profile) - dim_along(m - 1, manifold.profile)
     if rank != binom_e(m, manifold.n - 1) - h:
         with pytest.raises(InsufficientIntersectionError):
@@ -283,7 +284,7 @@ def test_infinity_check_matches_a_fraction_rank(case):
     n = manifold.n
     target = sum(g.degree for g in forms) - n + 1
     monos, rows, _ = macaulay.elementary_items(forms, n, target)
-    rank, _, _ = fraction_row_reduce(rows)
+    rank, _, _ = reference.rref(rows)
     verdict = infinity_check(manifold)
     assert verdict == (rank == len(monos))
     if shared:
@@ -347,84 +348,7 @@ def test_verify_hbase_rejects_mmax_below_the_smallest_degree(circle, cube_quadri
         assert verify_hbase(manifold, 2, trials=1).passes == ((2, 1),)
 
 
-# -- differential tests against the Polynomial-based descent and solve ---------------
-
-
-def reference_reduce_modulo(f, manifold):
-    """Reference: the canonical-form descent built from Polynomial
-    temporaries (a homogeneous component per degree, a polynomial per item),
-    as computed before the one-dict descent."""
-    s = manifold.s
-    zero = Polynomial.zero(manifold.n)
-    if f.is_zero():
-        return zero, (zero,) * s
-    work = f
-    remainder = zero
-    cofactors = [zero] * s
-    for t in range(f.degree, -1, -1):
-        hom = work.homogeneous_component(t)
-        if hom.is_zero():
-            continue
-        sel = select_monomials(manifold, t)
-        if not sel.labeled_items:
-            remainder = remainder + hom
-            work = work - hom
-            continue
-        v = [hom.coefficient(mu) for mu in sel.monomials]
-        items = macaulay.elementary_items(manifold.leading_forms, manifold.n, t)[1]
-        system = [[row[c] for row in items] for c in sel.selected]
-        lam = eager_solve(system, [v[c] for c in sel.selected])
-        combo = [Fraction(0)] * len(sel.monomials)
-        for r, weight in enumerate(lam):
-            for j, entry in enumerate(items[r]):
-                combo[j] += weight * entry
-        u = Polynomial(
-            manifold.n,
-            {mu: v[j] - combo[j] for j, mu in enumerate(sel.monomials)},
-        )
-        remainder = remainder + u
-        subtract = u
-        for r, (alpha, i) in enumerate(sel.labeled_items):
-            if lam[r] == 0:
-                continue
-            mono = Polynomial.monomial(alpha, lam[r])
-            cofactors[i] = cofactors[i] + mono
-            subtract = subtract + mono * manifold.polynomials[i]
-        work = work - subtract
-    assert work.is_zero()
-    return remainder, tuple(cofactors)
-
-
-def reference_hbase_decompose(g, manifold):
-    """Reference: the H-base system assembled column by column from
-    X^beta * f_i products and transposed, as computed before the row-major
-    build. None when no decomposition exists."""
-    n = manifold.n
-    m = g.degree
-    basis = monomial_basis(n, m)
-    row_of = {mu: j for j, mu in enumerate(basis)}
-    columns = []
-    labels = []
-    for i, f in enumerate(manifold.polynomials):
-        k = manifold.profile.ks[i]
-        if k > m:
-            continue
-        for beta in monomial_basis(n, m - k):
-            prod = Polynomial.monomial(beta) * f
-            colv = [Fraction(0)] * len(basis)
-            for mu, c in prod.terms.items():
-                colv[row_of[mu]] = c
-            columns.append(colv)
-            labels.append((i, beta))
-    matrix = [[columns[c][r] for c in range(len(columns))] for r in range(len(basis))]
-    sol = eager_solve(matrix, [g.coefficient(mu) for mu in basis])
-    if sol is None:
-        return None
-    cof_terms = [dict() for _ in manifold.polynomials]
-    for (i, beta), c in zip(labels, sol):
-        if c != 0:
-            cof_terms[i][beta] = c
-    return tuple(Polynomial(n, t) for t in cof_terms)
+# -- differential tests against the reference descent and solve ---------------------
 
 
 ELLIPSE = "x1^2 + 1/3*x2^2 - 7/2"
@@ -456,10 +380,10 @@ DIFF_MANIFOLDS = {
 
 @st.composite
 def manifold_polynomials(draw):
-    """(manifold name, polynomial of degree <= 8): sparse random polynomials,
-    or ideal members sum_i c_i * f_i with deg c_i <= degree - k_i."""
-    name = draw(st.sampled_from(sorted(DIFF_MANIFOLDS)))
-    manifold = DIFF_MANIFOLDS[name]
+    """(manifold, polynomial of degree <= 8) on one of DIFF_MANIFOLDS:
+    sparse random polynomials, or ideal members sum_i c_i * f_i with
+    deg c_i <= degree - k_i."""
+    manifold = DIFF_MANIFOLDS[draw(st.sampled_from(sorted(DIFF_MANIFOLDS)))]
     n = manifold.n
     coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
@@ -469,124 +393,12 @@ def manifold_polynomials(draw):
 
     degree = draw(st.integers(0, 8))
     if not draw(st.booleans()):
-        return name, sparse(degree)
+        return manifold, sparse(degree)
     member = Polynomial.zero(n)
     for f in manifold.polynomials:
         if f.degree <= degree:
             member = member + sparse(degree - f.degree) * f
-    return name, member
-
-
-@settings(max_examples=60, deadline=None)
-@given(manifold_polynomials())
-@example(("circle", Polynomial.zero(2)))
-@example(("cube_quadrics", Polynomial.zero(3)))
-def test_reduce_modulo_matches_polynomial_reference(case):
-    name, f = case
-    manifold = DIFF_MANIFOLDS[name]
-    form = reduce_modulo(f, manifold)
-    remainder, cofactors = reference_reduce_modulo(f, manifold)
-    assert form.remainder.terms == remainder.terms
-    assert [c.terms for c in form.cofactors] == [c.terms for c in cofactors]
-    assert str(form.remainder) == str(remainder)
-    assert [str(c) for c in form.cofactors] == [str(c) for c in cofactors]
-
-
-@settings(max_examples=60, deadline=None)
-@given(manifold_polynomials())
-@example(("sphere", Polynomial.zero(3)))
-@example(("grid", Polynomial.zero(2)))
-def test_hbase_decompose_matches_polynomial_reference(case):
-    name, g = case
-    manifold = DIFF_MANIFOLDS[name]
-    expected = reference_hbase_decompose(g, manifold)
-    if expected is None:
-        with pytest.raises(DecompositionError):
-            hbase_decompose(g, manifold)
-        return
-    dec = hbase_decompose(g, manifold)
-    assert [c.terms for c in dec.cofactors] == [c.terms for c in expected]
-    assert [str(c) for c in dec.cofactors] == [str(c) for c in expected]
-
-
-# -- one elimination per degree: against copies of the per-call solves ---------------
-
-
-def seed_reduce_modulo(f, manifold):
-    """Reference: the one-dict descent with an eager Bareiss elimination
-    of [(G_S)^T | work_S] at every degree."""
-    n = manifold.n
-    work = dict(f.terms)
-    remainder = {}
-    cofactors = [{} for _ in manifold.polynomials]
-    for t in range(f.degree, -1, -1):
-        if not any(c for mu, c in work.items() if sum(mu) == t):
-            continue
-        sel = select_monomials(manifold, t)
-        if sel.labeled_items:
-            items = macaulay.elementary_items(manifold.leading_forms, n, t)[1]
-            system = [[row[c] for row in items] for c in sel.selected]
-            rhs = [work.get(sel.monomials[c], 0) for c in sel.selected]
-            lam = eager_solve(system, rhs)
-            for weight, (alpha, i) in zip(lam, sel.labeled_items):
-                if not weight:
-                    continue
-                cofactors[i][alpha] = weight
-                for beta, c in manifold.polynomials[i].terms.items():
-                    mu = tuple(a + b for a, b in zip(alpha, beta))
-                    work[mu] = work.get(mu, 0) - weight * c
-        for mu in [mu for mu in work if sum(mu) == t]:
-            remainder[mu] = work.pop(mu)
-    assert not any(work.values())
-    return Polynomial(n, remainder), tuple(Polynomial(n, c) for c in cofactors)
-
-
-def seed_hbase_decompose(g, manifold):
-    """Reference: the degree-deg(g) H-base system eliminated afresh with its
-    right-hand side; the cofactors, or None when there is no solution."""
-    n, m = manifold.n, g.degree
-    basis = monomial_basis(n, m)
-    row_of = {mu: r for r, mu in enumerate(basis)}
-    labels = [
-        (i, beta)
-        for i, k in enumerate(manifold.profile.ks)
-        if k <= m
-        for beta in monomial_basis(n, m - k)
-    ]
-    matrix = [[0] * len(labels) for _ in basis]
-    for col, (i, beta) in enumerate(labels):
-        for alpha, c in manifold.polynomials[i].terms.items():
-            matrix[row_of[tuple(a + b for a, b in zip(beta, alpha))]][col] = c
-    sol = eager_solve(matrix, [g.coefficient(mu) for mu in basis])
-    if sol is None:
-        return None
-    cof_terms = [{} for _ in manifold.polynomials]
-    for (i, beta), c in zip(labels, sol):
-        cof_terms[i][beta] = c
-    return tuple(Polynomial(n, t) for t in cof_terms)
-
-
-def seed_verify_hbase(manifold, mmax, trials, seed):
-    """Reference: (passes, failures) of the sampled round trips, one fresh
-    elimination per trial."""
-    rng = random.Random(seed)
-    n = manifold.n
-    passes, failures = [], []
-    for m in range(manifold.profile.L, mmax + 1):
-        ok = 0
-        for _ in range(trials):
-            g = Polynomial.zero(n)
-            for i, f in enumerate(manifold.polynomials):
-                k = manifold.profile.ks[i]
-                if k <= m:
-                    g = g + random_polynomial(rng, n, m - k) * f
-            if seed_hbase_decompose(g, manifold) is None:
-                failures.append(f"degree {m}: no degree-respecting decomposition of {g} exists: "
-                                "the polynomial is not an ideal member with the claimed bounds")
-            else:
-                ok += 1
-        passes.append((m, ok))
-    return tuple(passes), tuple(failures)
+    return manifold, member
 
 
 def _manifold(polys, witnesses, n):
@@ -611,6 +423,20 @@ SHAPES = {
 }
 
 
+@settings(max_examples=60, deadline=None)
+@given(manifold_polynomials())
+@example((DIFF_MANIFOLDS["circle"], Polynomial.zero(2)))
+@example((DIFF_MANIFOLDS["cube_quadrics"], Polynomial.zero(3)))
+def test_reduce_modulo_matches_polynomial_reference(case):
+    manifold, f = case
+    form = reduce_modulo(f, manifold)
+    remainder, cofactors = reference.reduce_modulo(f, manifold)
+    assert form.remainder.terms == remainder.terms
+    assert [c.terms for c in form.cofactors] == [c.terms for c in cofactors]
+    assert str(form.remainder) == str(remainder)
+    assert [str(c) for c in form.cofactors] == [str(c) for c in cofactors]
+
+
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_reduce_modulo_matches_a_fresh_solve_per_degree(shape):
     manifold = SHAPES[shape]
@@ -621,10 +447,50 @@ def test_reduce_modulo_matches_a_fresh_solve_per_degree(shape):
             random_polynomial(rng, manifold.n, max(degree - 2, 0)) * manifold.polynomials[-1],
         ):
             form = reduce_modulo(f, manifold)
-            remainder, cofactors = seed_reduce_modulo(f, manifold)
+            remainder, cofactors = reference.reduce_modulo(f, manifold)
             assert form.remainder.terms == remainder.terms
             assert [c.terms for c in form.cofactors] == [c.terms for c in cofactors]
             assert str(form.remainder) == str(remainder)
+            assert [str(c) for c in form.cofactors] == [str(c) for c in cofactors]
+
+
+@settings(max_examples=60, deadline=None)
+@given(manifold_polynomials())
+@example((DIFF_MANIFOLDS["sphere"], Polynomial.zero(3)))
+@example((DIFF_MANIFOLDS["grid"], Polynomial.zero(2)))
+def test_hbase_decompose_matches_polynomial_reference(case):
+    manifold, g = case
+    expected = reference.hbase_decompose(g, manifold)
+    if expected is None:
+        with pytest.raises(DecompositionError):
+            hbase_decompose(g, manifold)
+        return
+    dec = hbase_decompose(g, manifold)
+    assert [c.terms for c in dec.cofactors] == [c.terms for c in expected]
+    assert [str(c) for c in dec.cofactors] == [str(c) for c in expected]
+
+
+def seed_verify_hbase(manifold, mmax, trials, seed):
+    """Reference: (passes, failures) of the sampled round trips, one fresh
+    reference decomposition per trial."""
+    rng = random.Random(seed)
+    n = manifold.n
+    passes, failures = [], []
+    for m in range(manifold.profile.L, mmax + 1):
+        ok = 0
+        for _ in range(trials):
+            g = Polynomial.zero(n)
+            for i, f in enumerate(manifold.polynomials):
+                k = manifold.profile.ks[i]
+                if k <= m:
+                    g = g + random_polynomial(rng, n, m - k) * f
+            if reference.hbase_decompose(g, manifold) is None:
+                failures.append(f"degree {m}: no degree-respecting decomposition of {g} exists: "
+                                "the polynomial is not an ideal member with the claimed bounds")
+            else:
+                ok += 1
+        passes.append((m, ok))
+    return tuple(passes), tuple(failures)
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
@@ -675,5 +541,5 @@ def test_reduce_on_one_profile_follows_each_manifolds_leading_forms():
     f = parse_polynomial("x1^5*x2 - 3*x1^3*x2^2 + 2*x2^4 - x1*x2 + 7", 2)
     for manifold in curves + curves[::-1]:
         form = reduce_modulo(f, manifold)
-        remainder, cofactors = seed_reduce_modulo(f, manifold)
+        remainder, cofactors = reference.reduce_modulo(f, manifold)
         assert form.remainder == remainder and form.cofactors == cofactors

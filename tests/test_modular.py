@@ -12,8 +12,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from conftest import NO_SHRINK
-from eager_bareiss import fraction_nullspace, fraction_row_reduce
 from ppsn import (
     CountMismatchError,
     ImproperNodeSetError,
@@ -32,7 +32,7 @@ from ppsn import (
     verify_ppsn,
 )
 from ppsn import construct, linalg
-from ppsn.nodes import _canonical_system, evaluation_matrix, evaluation_rows
+from ppsn.nodes import _canonical_system, evaluation_rows
 
 F = Fraction
 PRIMES = linalg.PRIMES
@@ -145,36 +145,13 @@ small_int_matrices = st.integers(1, 5).flatmap(
 @example([[0, 0], [1, 1], [2, 2]])
 def test_row_reduce_mod_is_row_reduce_mod_p(m):
     # every minor is below p in size (at most (9 * sqrt(5))^5 < 2^22), so
-    # zero mod p means zero: same pivots, and the row echelon form mod p is
-    # the exact forward elimination's reduced mod p
-    rank, pivots, _ = fraction_row_reduce(m)
-    forward = fraction_forward_reduce(m)
+    # zero mod p means zero: the pivots are the exact ones, and the row
+    # echelon form mod p is the list kernel's
+    rank, pivots, _ = reference.rref(m)
     for p in linalg.PRIMES:
         mod = linalg.row_reduce_mod(m, p)
         assert (mod.rank, mod.pivots) == (rank, pivots)
-        assert mod.ints == tuple(
-            tuple(x.numerator * pow(x.denominator, -1, p) % p for x in row) for row in forward
-        )
-
-
-def fraction_forward_reduce(matrix):
-    """Reference: the pivot rows of exact forward elimination over Q with
-    the kernels' pivot policy, each scaled to 1, nothing cleared above."""
-    m = [[F(v) for v in row] for row in matrix]
-    r = 0
-    for c in range(len(m[0])):
-        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        m[r] = [v / m[r][c] for v in m[r]]
-        for i in range(r + 1, len(m)):
-            f = m[i][c]
-            m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == len(m):
-            break
-    return m[:r]
+        assert mod.ints == reference.echelon_mod(m, p)[2]
 
 
 @st.composite
@@ -187,7 +164,7 @@ def nonsingular_systems(draw):
     entry = st.one_of(st.just(0), st.integers(-9, 9))
     a = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
     a[0][0] = 0
-    assume(fraction_row_reduce(a)[0] == n)
+    assume(reference.rref(a)[0] == n)
     b = draw(st.lists(st.integers(-(10**12), 10**12), min_size=n, max_size=n))
     return a, b
 
@@ -217,16 +194,14 @@ def exact_path(nodes, manifold, m, values):
     set), as computed before the modular path existed."""
     n = manifold.n if manifold is not None else nodes.n
     columns = canonical_monomials(manifold, n, m)
-    rows = evaluation_rows(nodes.points, columns)
-    if fraction_row_reduce([row for _, row in rows])[0] < len(nodes):
-        transpose = zip(*evaluation_matrix(nodes.points, columns))
-        functional = fraction_nullspace([list(column) for column in transpose])[0]
+    rows = [reference.row(q, columns) for q in nodes.points]
+    if reference.rref(rows)[0] < len(nodes):
+        functional = reference.kernel(list(zip(*rows)))[0]
         cert = PPSNCertificate(m, n, len(nodes), False, kernel_functional=tuple(functional))
         return cert, None
     index = {mu: j for j, mu in enumerate(monomial_basis(n, m))}
     cert = PPSNCertificate(m, n, len(nodes), True, witness_columns=tuple(index[mu] for mu in columns))
-    augmented = [row + [scale * v] for (scale, row), v in zip(rows, values)]
-    coeffs = [row[-1] for row in fraction_row_reduce(augmented)[2]]
+    coeffs = reference.solve(rows, values)
     return cert, Polynomial(n, dict(zip(columns, coeffs)))
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from ppsn import (
     InputError,
     Manifold,
@@ -282,17 +283,6 @@ def test_monomial_basis_is_ordered_prefix():
     assert b3[: len(b2)] == b2
 
 
-def naive_evaluate(p, x):
-    """Reference: term by term in Fraction arithmetic."""
-    total = Fraction(0)
-    for alpha, c in p.terms.items():
-        v = c
-        for xi, e in zip(x, alpha):
-            v *= xi**e
-        total += v
-    return total
-
-
 @settings(max_examples=200)
 @given(st.integers(1, 3).flatmap(lambda n: st.tuples(polynomials(n), points(n))))
 @example((Polynomial.zero(2), (Fraction(1, 3), Fraction(-2))))
@@ -302,7 +292,7 @@ def naive_evaluate(p, x):
 def test_evaluate_matches_fraction_reference(case):
     p, x = case
     value = p.evaluate(x)
-    assert value == naive_evaluate(p, x)
+    assert value == reference.value(p, x)
     assert type(value) is Fraction
 
 

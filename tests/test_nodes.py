@@ -4,8 +4,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from conftest import NO_SHRINK
-from eager_bareiss import eager_solve, fraction_nullspace, fraction_row_reduce
 from nested_descent import descent_levels
 from ppsn import (
     CountMismatchError,
@@ -346,25 +346,6 @@ def test_ambient_expected_count_is_binomial():
 coords_st = st.fractions(min_value=F(-6), max_value=F(6), max_denominator=7)
 
 
-def left_null_vector(matrix):
-    """Reference: the first RREF kernel vector of the transpose."""
-    return fraction_nullspace([list(column) for column in zip(*matrix)])[0]
-
-
-def naive_matrix(points, monomials):
-    """Reference: each entry as a product of Fraction powers."""
-    rows = []
-    for q in points:
-        row = []
-        for alpha in monomials:
-            v = F(1)
-            for x, e in zip(q, alpha):
-                v *= x**e
-            row.append(v)
-        rows.append(row)
-    return rows
-
-
 @settings(max_examples=100)
 @given(
     st.integers(1, 3).flatmap(
@@ -384,7 +365,7 @@ def naive_matrix(points, monomials):
 def test_evaluation_rows_match_fraction_products(case):
     points, monomials = case
     rows = evaluation_rows(points, monomials)
-    naive = naive_matrix(points, monomials)
+    naive = [reference.row(q, monomials) for q in points]
     assert [[F(v, scale) for v in row] for scale, row in rows] == naive
     assert all(type(v) is int for _, row in rows for v in row)
     assert evaluation_matrix(points, monomials) == naive
@@ -461,8 +442,8 @@ def ambient_node_sets(draw):
 def test_verify_and_interpolate_match_fraction_matrix(case):
     nodes, m = case
     basis = list(monomial_basis(2, m))
-    matrix = naive_matrix(nodes.points, basis)
-    rank, pivots, _ = fraction_row_reduce(matrix)
+    matrix = [reference.row(q, basis) for q in nodes.points]
+    rank, pivots, _ = reference.rref(matrix)
     proper = rank == len(nodes)
     expected = PPSNCertificate(
         degree=m,
@@ -470,14 +451,14 @@ def test_verify_and_interpolate_match_fraction_matrix(case):
         expected_count=len(nodes),
         proper=proper,
         witness_columns=tuple(c for _, c in pivots) if proper else (),
-        kernel_functional=() if proper else tuple(left_null_vector(matrix)),
+        kernel_functional=() if proper else tuple(reference.kernel(list(zip(*matrix)))[0]),
     )
     cert = verify_ppsn(nodes, None, m)
     assert cert == expected
     if proper:
         values = tuple(F(i * i - 3, i + 2) for i in range(len(nodes)))
         poly = interpolate(InterpolationProblem(None, m, nodes, values), cert)
-        coeffs = eager_solve(matrix, list(values))
+        coeffs = reference.solve(matrix, values)
         assert poly == Polynomial(2, dict(zip(basis, coeffs)))
 
 
@@ -546,11 +527,11 @@ def manifold_node_sets(draw):
 def test_canonical_certificate_matches_full_basis_matrix(case):
     nodes, manifold, m = case
     basis = list(monomial_basis(manifold.n, m))
-    full = naive_matrix(nodes.points, basis)
+    full = [reference.row(q, basis) for q in nodes.points]
     cert = verify_ppsn(nodes, manifold, m)
-    assert cert.proper == (fraction_row_reduce(full)[0] == len(nodes))
+    assert cert.proper == (reference.rref(full)[0] == len(nodes))
     if cert.proper:
         block = [[row[j] for j in cert.witness_columns] for row in full]
-        assert fraction_row_reduce(block)[0] == len(nodes) == len(cert.witness_columns)
+        assert reference.rref(block)[0] == len(nodes) == len(cert.witness_columns)
     else:
-        assert list(cert.kernel_functional) == left_null_vector(full)
+        assert list(cert.kernel_functional) == reference.kernel(list(zip(*full)))[0]
