@@ -3,16 +3,25 @@ curve chains, Cayley-Bacharach reduction/extension, and the classical
 line/conic node generators.
 
 Every construction returns its result together with an exact-rank
-certificate from one step, `_certified`; hypothesis checks are exact and
-refusals are exceptions, so a returned node set is always certified. A
-curve chain reads every level of the intersection, of its anchor and of
+certificate, and refusals are exceptions, so a returned node set is always
+certified. A set the caller supplies is certified by `verify_ppsn`, through
+one step, `_certified`, which refuses an improper one. A set the
+construction builds is certified by the theorem that builds it, with no
+second elimination: a superposed union by the superposition theorem
+(`_superpose`), a Cayley-Bacharach remainder by the Cayley-Bacharach
+theorem (`cb_reduce`), and a level chosen by an exact elimination by that
+elimination's rank. The one exception is `cb_extend_curve`, whose union is
+certified by `_certified`. Each proof is in its function's docstring.
+
+A curve chain reads every level of the intersection, of its anchor and of
 its one fresh curve set (drawn at the top degree by `nodes.nested_level`
 from a lazy stream) off `nodes.levels_upto`, one exact elimination per
-set; the levels below the anchor are certified by that elimination's rank,
-the anchor and the superposed unions by `_certified`. `cb_reduce`,
-`cb_check` and `cb_extend_curve` open with
-`nodes._require_full_intersection`, the check that their input is the full
-point intersection of a 0-dimensional manifold. `interpolate` checks its hypotheses, certifies the nodes with
+set; the anchor ({x0} superposed onto a level of the points) and the
+levels above it are superposed unions, so a chain runs no `verify_ppsn`.
+`cb_reduce`, `cb_check` and `cb_extend_curve` open with
+`nodes._require_full_intersection`, which proves their input the full,
+finite and reduced point intersection of a 0-dimensional manifold.
+`interpolate` checks its hypotheses, certifies the nodes with
 `verify_ppsn` and asks the canonical square system that `verify_ppsn` has
 just built, kept by the memo in `nodes`, for its solution
 (`_CanonicalSystem.solve`), so the nodes are evaluated and eliminated once.
@@ -150,28 +159,52 @@ class SuperpositionStep:
 
 def superpose_nodes(step: SuperpositionStep) -> Tuple[NodeSet, PPSNCertificate]:
     """Union of a PPSN on the sub-manifold and a lower-degree PPSN on the
-    larger manifold, certified at degree m on the larger manifold."""
+    larger manifold, certified at degree m on the larger manifold by the
+    superposition theorem (`_superpose`) and tagged with it."""
     return _superpose(step)[:2]
 
 
 def _superpose(
     step: SuperpositionStep,
+    sub_cert: Optional[PPSNCertificate] = None,
+    super_cert: Optional[PPSNCertificate] = None,
 ) -> Tuple[NodeSet, PPSNCertificate, PPSNCertificate, Optional[PPSNCertificate]]:
     """`superpose_nodes`, also returning the sub and super sets' certificates
     (None for the super set when m < deg f_s), so `superpose_interpolate`
-    does not certify them again."""
+    does not certify them again. A caller that holds a proper certificate
+    of either set, and so knows that set lies on its manifold, passes it,
+    and that set is not certified again.
+
+    The union is certified by the superposition theorem, with no
+    elimination and no membership check. Let A, the sub set, be proper at
+    degree m on S' = S n {f_s = 0}, and B, the super set, proper at degree
+    m - k on S, with k = deg f_s and f_s(b) != 0 at every b in B. Then:
+    - A u B has dim_along(m, S) points: |A| + |B| = dim_along(m, S') +
+      dim_along(m - k, S), which is f_s's backward-difference step;
+    - A u B lies on S, and A and B are disjoint, since f_s vanishes on A
+      and nowhere on B;
+    - any values v on A u B are met in degree m: A's canonical system
+      gives g of degree <= m with g = v on A, B's gives alpha of degree
+      <= m - k with alpha = (v - g) / f_s on B, and g + alpha * f_s, of
+      degree <= m, is v on both (the two stages of `superpose_interpolate`);
+    - on S's points the canonical monomials of degrees <= m span every
+      polynomial of degree <= m (`reduce_modulo`'s degree-respecting
+      descent), and there are dim_along(m, S) of them once S's selection
+      rank checks pass up to degree m, which `_proper_certificate` runs.
+    So the square canonical matrix of A u B on S has full rank: A u B is
+    proper at degree m on S, and its certificate is S's proper one."""
     f_s = step.splitting_poly
     k_s = f_s.degree
     m = step.m
-    sub_cert = _certified(step.sub_nodes, step.sub_manifold, m, "sub-manifold node set is improper")
-    super_cert = None
+    if sub_cert is None:
+        sub_cert = _certified(step.sub_nodes, step.sub_manifold, m, "sub-manifold node set is improper")
     super_manifold = step.super_manifold
     if m - k_s < 0:
         if len(step.super_nodes):
             raise CountMismatchError(
                 "degree m - k is negative: the larger-manifold node set must be empty"
             )
-    else:
+    elif super_cert is None:
         super_cert = _certified(
             step.super_nodes, super_manifold, m - k_s, "larger-manifold node set is improper"
         )
@@ -180,11 +213,15 @@ def _superpose(
             raise HypothesisError(
                 f"splitting polynomial vanishes at {tuple(str(c) for c in q)}"
             )
-    # the sets are disjoint: every sub point lies on f_s = 0, the last
-    # polynomial of the sub-manifold it was certified on, and no super point does
-    union = step.sub_nodes.union(step.super_nodes)
-    message = "superposed set is improper: the configuration is not a sufficient intersection"
-    return union, _certified(union, super_manifold, m, message), sub_cert, super_cert
+    if super_manifold is None:
+        union = step.sub_nodes.union(step.super_nodes)
+        cert = _proper_certificate(None, None, step.sub_manifold.n, m)
+    else:
+        union = NodeSet._subset(step.sub_nodes.points + step.super_nodes.points, super_manifold)
+        cert = _proper_certificate(
+            super_manifold.leading_forms, super_manifold.profile, super_manifold.n, m
+        )
+    return union, cert, sub_cert, super_cert
 
 
 def superpose_interpolate(
@@ -313,7 +350,21 @@ def cb_reduce(
     partition: CBPartition, manifold: Manifold, m: int
 ) -> Tuple[NodeSet, PPSNCertificate]:
     """Remove a complementary-degree PPSN from a complete intersection and
-    certify what is left at degree m."""
+    certify what is left at degree m, by the Cayley-Bacharach theorem
+    rather than an elimination.
+
+    CB7 of Eisenbud, Green & Harris (Bull. AMS 33, 1996): if a finite,
+    reduced complete intersection G of hypersurfaces of degrees k_i is the
+    disjoint union of G' and G'', then for m >= 0
+    h_G(m) - h_G'(m) = |G''| - h_G''(M - m - 1), M = sum(k_i) - n, where
+    h_X(d) is the number of conditions X imposes on polynomials of degree
+    <= d (the degree-d forms of the projective closure, since no point of
+    G lies at infinity). The preamble proves `partition.full` such a G, and
+    that h_G(m) = dim_along(m). The removed set G'' is certified proper at
+    M - m - 1, so h_G''(M - m - 1) = |G''|, and the remainder G' imposes
+    h_G'(m) = dim_along(m) conditions, one per point (the count is checked):
+    it is proper at degree m on the manifold, and its certificate is the
+    manifold's proper one."""
     _require_full_intersection(partition.full, manifold, "Cayley-Bacharach reduction")
     profile = manifold.profile
     M = profile.M
@@ -328,8 +379,7 @@ def cb_reduce(
         raise InternalCheckError(
             f"remaining count {len(remaining)} differs from dimension {expected}"
         )
-    message = "remaining points are improper: input was not a complete intersection"
-    return remaining, _certified(remaining, manifold, m, message)
+    return remaining, _proper_certificate(manifold.leading_forms, profile, manifold.n, m)
 
 
 @dataclass(frozen=True)
@@ -545,24 +595,45 @@ def build_curve_chain(
     _require_full_intersection(full, s0, "nested extraction")
     M = s0.profile.M
     on_points = levels_upto(full.points, s0, min(max(k_t, mmax), M - 1))
+    n = system.n
+    reordered = Manifold(curve.polynomials + (f_t,))
 
     def point_level(d: int) -> NodeSet:
         return NodeSet._subset(on_points[d], s0) if d < M else full
 
-    # anchor level: the degree-k_t level of the points, plus x0; x0 goes
-    # first so the degree-0 level lands exactly on it
-    anchor_nodes = NodeSet((x0_pt,) + point_level(k_t).points, curve)
+    def superposed(d: int, fresh: NodeSet) -> Tuple[NodeSet, PPSNCertificate]:
+        """The degree-d level of the points and `fresh`, a degree-(d - k_t)
+        set on the curve off f_t, certified at degree d along the curve by
+        `_superpose` from the proper certificates both sets already have.
+        The level has rank t_d over exactly t_d canonical columns of s0 in
+        `levels_upto`, so its square system is nonsingular over Q (from M
+        on it is all N points, proper by the preamble). Properness is the
+        points imposing t_d conditions in degree d, which does not depend on
+        the order of the polynomials, so it holds on `reordered` too. A
+        fresh set was chosen the same way along the curve (`nested_level`
+        or `levels_upto`), and {x0} at degree 0 is one point and the
+        constant."""
+        return _superpose(
+            SuperpositionStep(reordered, point_level(d), fresh, d),
+            _proper_certificate(s0.leading_forms, s0.profile, n, d),
+            _proper_certificate(curve.leading_forms, curve.profile, n, d - k_t),
+        )[:2]
+
+    # anchor level: x0, at degree 0 on the curve, superposed onto the
+    # degree-k_t level of the points; x0 goes first so the degree-0 level
+    # lands exactly on it. It lies on the curve (checked above)
+    x0_set = NodeSet._subset((x0_pt,), curve)
+    anchor_nodes = NodeSet._subset(x0_set.points + point_level(k_t).points, curve)
     entries: Dict[int, ChainEntry] = {}
-    cert = _certified(anchor_nodes, curve, k_t, "anchor level is improper")
     if k_t <= mmax:
-        entries[k_t] = ChainEntry(k_t, anchor_nodes, cert)
+        entries[k_t] = ChainEntry(k_t, anchor_nodes, superposed(k_t, x0_set)[1])
 
     # downward: the anchor's levels over the curve's canonical columns. Each
     # has rank t_d over exactly t_d canonical columns, so its square system
     # is nonsingular over Q: the proper certificate, with nothing to verify
     below = levels_upto(anchor_nodes.points, curve, min(k_t - 1, mmax))
     for d, level in enumerate(below):
-        cert_d = _proper_certificate(curve.leading_forms, curve.profile, curve.n, d)
+        cert_d = _proper_certificate(curve.leading_forms, curve.profile, n, d)
         entries[d] = ChainEntry(d, NodeSet._subset(level, curve), cert_d)
 
     # upward: superpose the point levels with fresh curve points, the levels
@@ -570,18 +641,9 @@ def build_curve_chain(
     if mmax > k_t:
         fresh_top = _fresh_curve_ppsn(system, t, curve, mmax - k_t, avoid=full)
         fresh_below = levels_upto(fresh_top.points, curve, mmax - k_t - 1)
-    reordered = Manifold(curve.polynomials + (f_t,))
     for d in range(k_t + 1, mmax + 1):
         fresh = fresh_top if d == mmax else NodeSet._subset(fresh_below[d - k_t], curve)
-        union, cert_d = superpose_nodes(
-            SuperpositionStep(
-                sub_manifold=reordered,
-                sub_nodes=point_level(d),
-                super_nodes=fresh,
-                m=d,
-            )
-        )
-        entries[d] = ChainEntry(d, union, cert_d)
+        entries[d] = ChainEntry(d, *superposed(d, fresh))
 
     ordered = tuple(entries[d] for d in sorted(entries))
     return CurveChain(curve=curve, entries=ordered)

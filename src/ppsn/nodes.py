@@ -5,7 +5,9 @@ intersections.
 Membership has one rule, `NodeSet.require_on`: a set is evaluated unless
 its tag's polynomials include all of the manifold's, since a point that
 zeroes some polynomials zeroes any subset of them. Nested extraction and
-the Cayley-Bacharach procedures share one preamble, `_require_full_intersection`.
+the Cayley-Bacharach procedures share one preamble,
+`_require_full_intersection`, which also proves the intersection finite
+and reduced.
 
 The degree-d level of a node set (`nested_level`) is the greedy choice, in
 order, of rows of its evaluation matrix over the first t_d = dim_along(d)
@@ -135,7 +137,9 @@ class NodeSet:
 
     @classmethod
     def _subset(cls, points: Sequence[Point], manifold: Manifold) -> "NodeSet":
-        """Points drawn from a set already checked on `manifold`, tagged unchecked."""
+        """Points already known to lie on `manifold` (each checked there, or
+        drawn from sets checked on it or on a manifold with more
+        polynomials), tagged without another check."""
         subset = object.__new__(cls)
         object.__setattr__(subset, "n", manifold.n)
         object.__setattr__(subset, "points", tuple(points))
@@ -595,24 +599,46 @@ def levels_upto(points: Sequence[Point], manifold: Manifold, top: int) -> List[L
 def _require_full_intersection(points: NodeSet, manifold: Manifold, what: str) -> None:
     """The hypothesis of nested extraction and of the Cayley-Bacharach
     procedures: `points` is the full N = k_1...k_n point intersection of
-    the 0-dimensional `manifold`."""
+    the 0-dimensional `manifold`, and that intersection is finite and
+    reduced. A manifold whose rank check below fails is refused with
+    InsufficientIntersectionError, and one whose degree M + 1 is past the
+    dense-size budget with InputError.
+
+    Two checks prove it: N distinct points on the manifold, and the rank of
+    the degree-(M+1) selection, M = sum(k_i) - n. Complete-intersection
+    dimensions stop growing at M, so `_selection` expects the degree-(M+1)
+    items to span every monomial of that degree; for n forms in n variables
+    that is Macaulay's criterion for the leading forms to share no zero
+    but the origin (a shared zero z != 0 would zero every item, yet not
+    every x_j^(M+1)). So f_1..f_n have no zero at infinity, and by Bezout
+    exactly N zeros counted with multiplicity: the N distinct points are
+    all of them, each simple. What the constructions read from this:
+    - the leading forms are a regular sequence, so every selection rank
+      check passes and the f_i are an H-base (the paper's theorem): the
+      points impose dim_along(m) conditions in degree m, all N from M on,
+      so the whole set is properly posed at every m >= M;
+    - the Cayley-Bacharach theorem holds for the points (`cb_reduce`).
+    The selection is cached per leading forms, so the check runs once."""
     if manifold.s != manifold.n:
         raise InputError(f"{what} needs a 0-dimensional manifold (s = n)")
-    N = manifold.profile.N
+    profile = manifold.profile
+    N = profile.N
     if len(points) != N:
         raise CountMismatchError(
             f"expected the full {N}-point intersection, got {len(points)} points"
         )
     points.require_on(manifold)
+    _selection(manifold.leading_forms, profile, profile.M + 1)
 
 
 def extract_nested_ppsn(points: NodeSet, manifold: Manifold, m: int) -> NodeSet:
     """Extract a degree-m properly posed subset of a full complete
     intersection, nested across degrees: `nested_level` of all N points,
-    which are proper at the saturation degree M and are returned whole for
-    m >= M. A row dependent on the rows before it over the columns of
-    degree <= m + 1 stays dependent over those of degree <= m, so the
-    level of degree m lies inside the level of degree m + 1."""
+    which the preamble proves proper from the saturation degree M on, so
+    they are returned whole for m >= M. A row dependent on the rows before
+    it over the columns of degree <= m + 1 stays dependent over those of
+    degree <= m, so the level of degree m lies inside the level of degree
+    m + 1."""
     _require_full_intersection(points, manifold, "nested extraction")
     if m < 0:
         raise InputError("extraction degree must be >= 0")

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import Phase
+from hypothesis import strategies as st
 
 from ppsn import Manifold, macaulay, nodes, parse_polynomial, parse_system_text
 
@@ -59,5 +60,21 @@ def cube_quadrics():
     )
 
 
-def frac_points(raw):
-    return [tuple(Fraction(c) for c in pt) for pt in raw]
+def pts(*coords):
+    """The points given by their coordinates, as tuples of Fractions."""
+    return [tuple(Fraction(c) for c in p) for p in coords]
+
+
+coords_st = st.fractions(min_value=Fraction(-6), max_value=Fraction(6), max_denominator=7)
+
+
+def circle_point(t):
+    """The rational point of the unit circle at parameter t."""
+    d = 1 + t * t
+    return ((1 - t * t) / d, 2 * t / d)
+
+
+def sphere_point(u, v):
+    """The rational point of the unit sphere at parameters (u, v)."""
+    d = 1 + u * u + v * v
+    return (2 * u / d, 2 * v / d, (u * u + v * v - 1) / d)

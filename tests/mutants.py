@@ -51,6 +51,31 @@ CATALOGUE: List[Mutant] = [
         ),
     ),
     Mutant(
+        "a superposition accepts a super point on the splitting polynomial",
+        "src/ppsn/construct.py",
+        "        if f_s.evaluate(q) == 0:\n",
+        "        if False:\n",
+        ("tests/test_construct.py::test_superposition_rejects_nodes_on_splitting_poly",),
+    ),
+    Mutant(
+        "a superposition does not certify its sub set",
+        "src/ppsn/construct.py",
+        "    if sub_cert is None:\n"
+        '        sub_cert = _certified(step.sub_nodes, step.sub_manifold, m, "sub-manifold node set is improper")\n',
+        "",
+        (
+            "tests/test_construct.py::test_superpose_refuses_an_improper_sub_set",
+            "tests/test_construct.py::test_superpose_interpolate_certifies_each_set_once",
+        ),
+    ),
+    Mutant(
+        "the full-intersection preamble skips the complete-intersection check",
+        "src/ppsn/nodes.py",
+        "    _selection(manifold.leading_forms, profile, profile.M + 1)\n",
+        "",
+        ("tests/test_construct.py::test_full_intersection_preamble_refuses_points_of_a_curve",),
+    ),
+    Mutant(
         "nested_level keeps a point without the rank test",
         "src/ppsn/nodes.py",
         "        if tracker.add(evaluation_matrix([q], columns)[0]):\n",

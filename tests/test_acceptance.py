@@ -12,11 +12,11 @@ from fractions import Fraction
 import pytest
 
 import reference
+from conftest import pts
 from ppsn import (
     CBPartition,
     DegreeProfile,
     ImproperNodeSetError,
-    InterpolationProblem,
     Manifold,
     NodeSet,
     Polynomial,
@@ -33,7 +33,6 @@ from ppsn import (
     gen_conic_nodes,
     hbase_decompose,
     hilbert_table,
-    interpolate,
     intersect_factorable,
     monomial_basis,
     parabola_manifold,
@@ -51,10 +50,6 @@ F = Fraction
 
 def report(label):
     print(f"[PASS] {label}")
-
-
-def pts(*coords):
-    return [tuple(F(c) for c in p) for p in coords]
 
 
 def all_profiles():

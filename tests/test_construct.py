@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference
-from conftest import NO_SHRINK
+from conftest import NO_SHRINK, pts
 from nested_descent import descent_levels
 from ppsn import (
     CBPartition,
@@ -49,10 +49,6 @@ from ppsn.mpoly import Polynomial, monomial_basis
 from ppsn.nodes import FactorableSystem, levels_upto, nested_level
 
 F = Fraction
-
-
-def pts(*coords):
-    return [tuple(F(c) for c in p) for p in coords]
 
 
 # -- interpolation ----------------------------------------------------------------
@@ -176,9 +172,10 @@ def test_superpose_interpolate_certifies_each_set_once(line_manifold, monkeypatc
 
     monkeypatch.setattr(construct, "verify_ppsn", spy)
     superpose_interpolate(step, [F(i) for i in range(6)])
-    # superpose_nodes certifies the sub, super and union sets; each
-    # interpolate solves on its set with the certificate made there
-    assert [(len(nodes), m) for nodes, _, m in calls] == [(3, 2), (3, 1), (6, 2)]
+    # superpose_nodes certifies the sub and super sets, and the union by the
+    # superposition theorem; each interpolate solves on its set with the
+    # certificate made there
+    assert [(len(nodes), m) for nodes, _, m in calls] == [(3, 2), (3, 1)]
 
 
 def test_superpose_does_not_check_a_super_set_tagged_with_the_same_polynomials(monkeypatch):
@@ -197,9 +194,10 @@ def test_superpose_does_not_check_a_super_set_tagged_with_the_same_polynomials(m
         lambda self, points: checked.append(len(points)) or check(self, points),
     )
     union, cert = superpose_nodes(step)
-    # neither tagged set is evaluated again; the untagged union is, once
+    # neither tagged set is evaluated again, nor the union, which lies on the
+    # larger manifold because both sets do
     assert cert.proper and len(union) == 3
-    assert checked == [3]
+    assert checked == []
 
 
 def test_conic_superposition(circle):
@@ -356,13 +354,38 @@ def test_full_intersection_preamble_checks_membership_once(grid_system, name, mo
     assert (manifold, full.points) not in checked  # the tag already proves it
 
 
+# x1*x2 = x1*x2 - x1 = 0 is the whole line x1 = 0, not N = 4 points. Four of
+# its points pass the count and membership checks, but the leading forms
+# x1*x2, x1*x2 share zeros at infinity, so the degree-(M + 1) items have rank
+# 2 of 4. Each call is in its degree range: the extraction at m = M, which
+# returned the four collinear points unchecked, and the Cayley-Bacharach
+# procedures at m = 1
+ON_A_LINE_CALLS = {
+    "extract_nested_ppsn": lambda full, mf: extract_nested_ppsn(full, mf, 2),
+    "cb_reduce": lambda full, mf: cb_reduce(CBPartition(full, NodeSet(full.points[:1])), mf, 1),
+    "cb_check": lambda full, mf: cb_check(  # x1 vanishes on the line
+        mf.polynomials[0] - mf.polynomials[1], CBPartition(full, NodeSet(full.points[:1])), mf, 1
+    ),
+    "cb_extend_curve": lambda full, mf: cb_extend_curve(
+        full, NodeSet(pts((1, 0))), NodeSet(full.points[:1]), mf, t=2, m=0
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ON_A_LINE_CALLS)
+def test_full_intersection_preamble_refuses_points_of_a_curve(name):
+    manifold = Manifold([parse_polynomial("x1*x2", 2), parse_polynomial("x1*x2 - x1", 2)])
+    full = NodeSet(pts((0, 0), (0, 1), (0, 2), (0, 3)), manifold)
+    with pytest.raises(InsufficientIntersectionError, match="degree 3 have rank 2, expected 4"):
+        ON_A_LINE_CALLS[name](full, manifold)
+
+
 # procedures that tag subsets of a set already checked on the same manifold:
 # (call on the 3x3 grid system, the point counts of the membership checks
-# left). Those left in a chain are its anchor on the curve (x0 and eight
-# grid points), the fresh curve set, checked once at the top degree
-# mmax - k_t (its lower levels are tagged subsets of it), and, per degree
-# above k_t = 3, the union, which `superpose_nodes` checks on its larger
-# manifold
+# left). The one left in a chain is the fresh curve set, checked once at
+# the top degree mmax - k_t (its lower levels are tagged subsets of it).
+# The anchor (x0, checked by the chain, and eight grid points) and the
+# superposed unions lie on the curve because their parts do
 TAGGED_SUBSETS = {
     "extract_nested_ppsn": (
         lambda system, full, removed: extract_nested_ppsn(full, full.manifold, 2),
@@ -375,15 +398,12 @@ TAGGED_SUBSETS = {
     # mmax below k_t = 3: every level is a subset of the anchor
     "build_curve_chain": (
         lambda system, full, removed: build_curve_chain(system, 2, 2, (F(0), F(5))),
-        [9],
+        [],
     ),
-    # mmax above k_t: the anchor, the fresh curve set of the top degree 2,
-    # then per level the superposed union. The sub sets are tagged with the
-    # intersection, whose polynomials include the sub-manifold's, and the
-    # fresh sets with the curve, whose polynomials are the larger manifold's
+    # mmax above k_t: the fresh curve set of the top degree 2 alone
     "build_curve_chain_upward": (
         lambda system, full, removed: build_curve_chain(system, 2, 5, (F(0), F(5))),
-        [9, 6, 12, 15],
+        [6],
     ),
 }
 
@@ -556,14 +576,15 @@ SHEARS = (F(-1, 4), F(0), F(1, 4))
 
 
 @st.composite
-def sheared_systems(draw, sizes=((2, 1, 3), (3, 1, 2))):
+def sheared_systems(draw, sizes=((2, 1, 3), (3, 1, 2)), shear_values=SHEARS):
     """(shears, offsets): for one (n, lowest k, highest k) of `sizes`, n
     hypersurfaces of k_i forms each, by default n = 2 with k_i <= 3 or
-    n = 3 with k_i <= 2."""
+    n = 3 with k_i <= 2. Shears (0,) give axis-parallel grids and boxes."""
     n, low, high = draw(st.sampled_from(sizes))
     ks = [draw(st.integers(low, high)) for _ in range(n)]
     shears = [
-        [F(1) if j == i else draw(st.sampled_from(SHEARS)) for j in range(n)] for i in range(n)
+        [F(1) if j == i else draw(st.sampled_from(shear_values)) for j in range(n)]
+        for i in range(n)
     ]
     offsets = [
         draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k, unique=True)) for k in ks
@@ -779,6 +800,50 @@ def test_sheared_superposed_union_is_proper(case, data):
     for q in union:
         assert all(on_hypersurface(shears, offsets, i, q) for i in range(n - 1))
     assert properly_posed(union.points, n, m)
+
+
+@pytest.mark.parametrize("shear_values", [SHEARS, (F(0),)], ids=["sheared", "grid"])
+@settings(max_examples=20, phases=NO_SHRINK, deadline=None)
+@given(data=st.data())
+def test_certificates_by_theorem_equal_verify_ppsn(shear_values, data):
+    # every certificate issued with no elimination (a chain's anchor, levels
+    # and superposed unions, a superposed union, a Cayley-Bacharach
+    # remainder) is the one verify_ppsn gives an untagged copy of its points
+    shears, offsets = data.draw(sheared_systems(shear_values=shear_values))
+    system, full = sheared_intersection(shears, offsets)
+    manifold = full.manifold
+    n, M = system.n, manifold.profile.M
+
+    def verified(points, on, m):
+        return verify_ppsn(NodeSet(points), on, m)
+
+    t = data.draw(st.integers(1, n))
+    k_t = len(offsets[t - 1])
+    x0 = curve_seed(system, full, shears, offsets, t)
+    chain = build_curve_chain(system, t, data.draw(st.integers(0, k_t + 2)), x0)
+    # the chain superposes each level of the points as a set on the
+    # polynomials with f_t last, but passes the certificate the level has
+    # on the intersection's own order of them
+    reordered = Manifold(chain.curve.polynomials + (system.polynomials[t - 1],))
+    for e in chain.entries:
+        assert e.certificate == verified(e.nodes.points, chain.curve, e.degree)
+        if e.degree >= k_t:
+            level = extract_nested_ppsn(full, manifold, e.degree).points
+            assert verified(level, reordered, e.degree) == verified(level, manifold, e.degree)
+
+    if M >= 1:
+        m = data.draw(st.integers(0, M - 1))
+        removed = extract_nested_ppsn(full, manifold, M - m - 1)
+        remaining, cert = cb_reduce(CBPartition(full, removed), manifold, m)
+        assert cert == verified(remaining.points, manifold, m)
+
+    k = len(offsets[-1])
+    m = data.draw(st.integers(k - 1, M + 2))
+    sub = extract_nested_ppsn(full, manifold, m)
+    curve = manifold.curve(n)
+    sup = _fresh_curve_ppsn(system, n, curve, m - k, full) if m >= k else NodeSet([])
+    union, cert = superpose_nodes(SuperpositionStep(manifold, sub, sup, m))
+    assert cert == verified(union.points, Manifold(manifold.polynomials[:-1]), m)
 
 
 @settings(max_examples=20, phases=NO_SHRINK, deadline=None)

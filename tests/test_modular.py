@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from conftest import NO_SHRINK
+from conftest import NO_SHRINK, circle_point, coords_st, sphere_point
 from ppsn import (
     CountMismatchError,
     ImproperNodeSetError,
@@ -24,6 +24,7 @@ from ppsn import (
     OffManifoldError,
     PPSNCertificate,
     Polynomial,
+    binom_e,
     canonical_monomials,
     dim_along,
     interpolate,
@@ -39,8 +40,6 @@ PRIMES = linalg.PRIMES
 
 CIRCLE = Manifold([parse_polynomial("x1^2 + x2^2 - 1", 2)])
 SPHERE = Manifold([parse_polynomial("x1^2 + x2^2 + x3^2 - 1", 3)])
-
-coords_st = st.fractions(min_value=F(-6), max_value=F(6), max_denominator=7)
 
 
 def miller_rabin(n):
@@ -205,16 +204,6 @@ def exact_path(nodes, manifold, m, values):
     return cert, Polynomial(n, dict(zip(columns, coeffs)))
 
 
-def circle_point(t):
-    d = 1 + t * t
-    return ((1 - t * t) / d, 2 * t / d)
-
-
-def sphere_point(u, v):
-    d = 1 + u * u + v * v
-    return (2 * u / d, 2 * v / d, (u * u + v * v - 1) / d)
-
-
 @st.composite
 def problems(draw):
     """(nodes, manifold, m, values) in the plane, on the circle or on the
@@ -261,9 +250,27 @@ def problems(draw):
     return nodes, manifold, m, values
 
 
-@settings(max_examples=120, deadline=None, phases=NO_SHRINK)
-@given(problems())
+@st.composite
+def ambient_problems(draw):
+    """(nodes, None, m, values) in the plane at m <= 3: distinct random
+    points, or points that all lie on one line, which is improper for
+    m >= 1, with fixed values."""
+    m = draw(st.integers(0, 3))
+    count = binom_e(m, 2)
+    if draw(st.booleans()):
+        gen = st.tuples(coords_st, coords_st)
+    else:
+        a, b = draw(coords_st), draw(coords_st)
+        gen = coords_st.map(lambda t: (t, a * t + b))
+    points = draw(st.lists(gen, min_size=count, max_size=count, unique=True))
+    return NodeSet(points), None, m, tuple(F(i * i - 3, i + 2) for i in range(count))
+
+
+@settings(max_examples=200, deadline=None, phases=NO_SHRINK)
+@given(st.one_of(problems(), ambient_problems()))
 def test_modular_and_exact_paths_agree(case):
+    # verify_ppsn's certificate and interpolate's polynomial against exact
+    # elimination, in the plane, on the circle and on the sphere
     nodes, manifold, m, values = case
     cert, poly = exact_path(nodes, manifold, m, values)
     assert verify_ppsn(nodes, manifold, m) == cert

@@ -5,14 +5,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from conftest import NO_SHRINK
+from conftest import NO_SHRINK, circle_point, coords_st, pts, sphere_point
 from nested_descent import descent_levels
 from ppsn import (
     CountMismatchError,
     FactorableSystem,
     InsufficientIntersectionError,
     InterpolationProblem,
-    PPSNCertificate,
     Polynomial,
     InputError,
     Manifold,
@@ -36,10 +35,6 @@ from ppsn.mpoly import _evaluation_plan
 from ppsn.nodes import _proper_certificate, evaluation_rows, nested_level
 
 F = Fraction
-
-
-def pts(*coords):
-    return [tuple(F(c) for c in p) for p in coords]
 
 
 def test_node_set_rejects_duplicates_and_off_manifold(circle):
@@ -343,9 +338,6 @@ def test_ambient_expected_count_is_binomial():
 
 # -- integer evaluation rows against Fraction arithmetic -----------------------
 
-coords_st = st.fractions(min_value=F(-6), max_value=F(6), max_denominator=7)
-
-
 @settings(max_examples=100)
 @given(
     st.integers(1, 3).flatmap(
@@ -422,46 +414,6 @@ def test_equal_manifolds_built_apart_share_one_witness_tuple():
     ).witness_columns != _proper_certificate(a.leading_forms, a.profile, 2, 3).witness_columns
 
 
-@st.composite
-def ambient_node_sets(draw):
-    """(nodes, m) in the plane: distinct random points, or points that all
-    lie on one line, which is improper for m >= 1."""
-    m = draw(st.integers(0, 3))
-    count = binom_e(m, 2)
-    if draw(st.booleans()):
-        gen = st.tuples(coords_st, coords_st)
-    else:
-        a, b = draw(coords_st), draw(coords_st)
-        gen = coords_st.map(lambda t: (t, a * t + b))
-    points = draw(st.lists(gen, min_size=count, max_size=count, unique=True))
-    return NodeSet(points), m
-
-
-@settings(max_examples=80, phases=NO_SHRINK)
-@given(ambient_node_sets())
-def test_verify_and_interpolate_match_fraction_matrix(case):
-    nodes, m = case
-    basis = list(monomial_basis(2, m))
-    matrix = [reference.row(q, basis) for q in nodes.points]
-    rank, pivots, _ = reference.rref(matrix)
-    proper = rank == len(nodes)
-    expected = PPSNCertificate(
-        degree=m,
-        n=2,
-        expected_count=len(nodes),
-        proper=proper,
-        witness_columns=tuple(c for _, c in pivots) if proper else (),
-        kernel_functional=() if proper else tuple(reference.kernel(list(zip(*matrix)))[0]),
-    )
-    cert = verify_ppsn(nodes, None, m)
-    assert cert == expected
-    if proper:
-        values = tuple(F(i * i - 3, i + 2) for i in range(len(nodes)))
-        poly = interpolate(InterpolationProblem(None, m, nodes, values), cert)
-        coeffs = reference.solve(matrix, values)
-        assert poly == Polynomial(2, dict(zip(basis, coeffs)))
-
-
 # -- canonical certificates against the full-basis matrix ------------------------
 
 CIRCLE = Manifold([parse_polynomial("x1^2 + x2^2 - 1", 2)])
@@ -469,16 +421,6 @@ SPHERE = Manifold([parse_polynomial("x1^2 + x2^2 + x3^2 - 1", 3)])
 QUADRIC_CURVE = Manifold([parse_polynomial("x1^2 - x1", 3), parse_polynomial("x2^2 - x2", 3)])
 GRID = parse_system_text("x1*(x1-1)*(x1-2)\nx2*(x2-1)*(x2-2)\n").manifold()
 GRID_POINTS = [(F(i), F(j)) for i in range(3) for j in range(3)]
-
-
-def circle_point(t):
-    d = 1 + t * t
-    return ((1 - t * t) / d, 2 * t / d)
-
-
-def sphere_point(u, v):
-    d = 1 + u * u + v * v
-    return (2 * u / d, 2 * v / d, (u * u + v * v - 1) / d)
 
 
 @st.composite
