@@ -9,9 +9,12 @@ one step, `_certified`, which refuses an improper one. A set the
 construction builds is certified by the theorem that builds it, with no
 second elimination: a superposed union by the superposition theorem
 (`_superpose`), a Cayley-Bacharach remainder by the Cayley-Bacharach
-theorem (`cb_reduce`), and a level chosen by an exact elimination by that
-elimination's rank. The one exception is `cb_extend_curve`, whose union is
-certified by `_certified`. Each proof is in its function's docstring.
+theorem (`cb_reduce`), a curve extension by the two in turn
+(`cb_extend_curve`), and a level chosen by an exact elimination by that
+elimination's rank. Each proof is in its function's docstring. Membership
+follows the same rule: a set proved on a manifold by an exact solve (the
+points of a curve's lines) or as a subset of a checked set (a removed
+set, a level, a remainder) is tagged without evaluation.
 
 A curve chain reads every level of the intersection, of its anchor and of
 its one fresh curve set (drawn at the top degree by `nodes.nested_level`
@@ -350,8 +353,8 @@ def cb_reduce(
     partition: CBPartition, manifold: Manifold, m: int
 ) -> Tuple[NodeSet, PPSNCertificate]:
     """Remove a complementary-degree PPSN from a complete intersection and
-    certify what is left at degree m, by the Cayley-Bacharach theorem
-    rather than an elimination.
+    certify what is left at degree m, -1 <= m <= M - 1, by the
+    Cayley-Bacharach theorem rather than an elimination.
 
     CB7 of Eisenbud, Green & Harris (Bull. AMS 33, 1996): if a finite,
     reduced complete intersection G of hypersurfaces of degrees k_i is the
@@ -364,15 +367,19 @@ def cb_reduce(
     M - m - 1, so h_G''(M - m - 1) = |G''|, and the remainder G' imposes
     h_G'(m) = dim_along(m) conditions, one per point (the count is checked):
     it is proper at degree m on the manifold, and its certificate is the
-    manifold's proper one."""
+    manifold's proper one. At m = -1 a G'' proper at M has dim_along(M) = N
+    points: it is all of G, and the empty remainder is proper at degree -1.
+
+    G'' lies on the manifold without an evaluation: `CBPartition` proved it
+    a subset of G, which the preamble checked there."""
     _require_full_intersection(partition.full, manifold, "Cayley-Bacharach reduction")
     profile = manifold.profile
     M = profile.M
-    if not 0 <= m <= M - 1:
-        raise InputError(f"degree m={m} out of range 0..{M - 1}")
+    if not -1 <= m <= M - 1:
+        raise InputError(f"degree m={m} out of range -1..{M - 1}")
     comp_degree = M - m - 1
     message = f"removed set is not a degree-{comp_degree} PPSN; reduction refused"
-    _certified(partition.removed, manifold, comp_degree, message)
+    _certified(NodeSet._subset(partition.removed.points, manifold), manifold, comp_degree, message)
     remaining = NodeSet._subset(partition.remaining.points, manifold)
     expected = dim_along(m, profile)
     if len(remaining) != expected:
@@ -424,7 +431,9 @@ def cb_check(
             f"removed set must have {expected_removed} points, got {len(partition.removed)}"
         )
     if require_ppsn_removed:
-        _certified(partition.removed, manifold, comp_degree, "removed set is not properly posed")
+        # on the manifold: a subset of the full set, which the preamble checked
+        removed = NodeSet._subset(partition.removed.points, manifold)
+        _certified(removed, manifold, comp_degree, "removed set is not properly posed")
     for q in partition.remaining:
         v = f.evaluate(q)
         if v != 0:
@@ -457,31 +466,46 @@ def cb_extend_curve(
     t: int,
     m: int,
 ) -> Tuple[NodeSet, PPSNCertificate]:
-    """Glue a curve node set onto a (possibly reduced) complete intersection
-    and certify the union along the curve omitting hypersurface t (1-based)."""
+    """Glue a curve node set A_t onto the full intersection G less a
+    degree-m PPSN B, and certify the union A_t u (G - B), A_t first, at
+    degree M' = M - m - 1 along the curve C omitting hypersurface t
+    (1-based): a Cayley-Bacharach reduction, then one superposition step,
+    with no elimination of the union.
+
+    - The remainder G - B is proper at M' on G. For m >= 0, `cb_reduce`
+      removes B at M' and certifies it at m on G. No elementary item has
+      degree below L, so for m <= L - 1 the canonical monomials of degree
+      <= m are the whole basis, and that is B being ambient proper. For
+      m < 0, B is empty and G is proper at every M' >= M (the preamble).
+    - A_t is proper at M' - k_t on C (`_certified`) and disjoint from G,
+      so f_t vanishes nowhere on it: a point of C where f_t vanishes lies
+      on every hypersurface, and G holds all such points (the preamble).
+    - So `_superpose`, on G's polynomials ordered as C's and then f_t,
+      certifies the union proper at M' on C from the two certificates, by
+      the superposition theorem. Properness is the points imposing
+      dim_along(M') conditions, whatever the order of the polynomials."""
     _require_full_intersection(full, manifold, "curve extension")
+    full = NodeSet._subset(full.points, manifold)  # checked there by the preamble
     profile = manifold.profile
-    M, L = profile.M, profile.L
     curve = manifold.curve(t)
-    k_t = profile.ks[t - 1]
+    out_degree = profile.M - m - 1
+    if m > profile.L - 1:
+        raise InputError(f"degree m={m} exceeds L-1={profile.L - 1}")
+    remaining = full
     if m >= 0:
-        if m > L - 1:
-            raise InputError(f"degree m={m} exceeds L-1={L - 1}")
-        full_set = set(full.points)
-        for q in b:
-            if q not in full_set:
-                raise InputError("B must be a subset of the intersection points")
-        _certified(b, None, m, "B is not an ambient PPSN")
+        remaining = cb_reduce(CBPartition(full, b), manifold, out_degree)[0]
     elif len(b):
         raise InputError("negative m requires an empty B")
     if not a_t.is_disjoint(full):
         raise HypothesisError("curve node set must be disjoint from the intersection")
-    a_degree = M - m - k_t - 1
-    _certified(a_t, curve, a_degree, f"curve node set is not a degree-{a_degree} PPSN")
-    out_degree = M - m - 1
-    remaining = full.difference(b) if len(b) else full
-    union = NodeSet(a_t.points + remaining.points, curve)
-    return union, _certified(union, curve, out_degree, "extended curve set is improper")
+    a_degree = out_degree - profile.ks[t - 1]
+    if a_degree < 0 and len(a_t):
+        raise CountMismatchError(f"degree {a_degree} is negative: the curve node set must be empty")
+    a_cert = _certified(a_t, curve, a_degree, f"curve node set is not a degree-{a_degree} PPSN")
+    reordered = Manifold(curve.polynomials + (manifold.polynomials[t - 1],))
+    rem_cert = _proper_certificate(manifold.leading_forms, profile, manifold.n, out_degree)
+    cert = _superpose(SuperpositionStep(reordered, remaining, a_t, out_degree), rem_cert, a_cert)[1]
+    return NodeSet._subset(a_t.points + remaining.points, curve), cert
 
 
 # -- curve chains ----------------------------------------------------------------
@@ -552,7 +576,8 @@ def _fresh_curve_ppsn(
                     seen.add(pt)
                     yield pt
 
-    return NodeSet(nested_level(candidates(), curve, degree), curve)
+    # on the curve: base + r * direction zeroes one form of each kept product
+    return NodeSet._subset(nested_level(candidates(), curve, degree), curve)
 
 
 def build_curve_chain(

@@ -4,7 +4,10 @@ intersections.
 
 Membership has one rule, `NodeSet.require_on`: a set is evaluated unless
 its tag's polynomials include all of the manifold's, since a point that
-zeroes some polynomials zeroes any subset of them. Nested extraction and
+zeroes some polynomials zeroes any subset of them. A set proved on a
+manifold by an exact solve (the intersection's points) or as a subset of a
+checked set is tagged there by `NodeSet._subset`, without evaluation, so
+only points a caller supplies are evaluated. Nested extraction and
 the Cayley-Bacharach procedures share one preamble,
 `_require_full_intersection`, which also proves the intersection finite
 and reduced.
@@ -137,9 +140,10 @@ class NodeSet:
 
     @classmethod
     def _subset(cls, points: Sequence[Point], manifold: Manifold) -> "NodeSet":
-        """Points already known to lie on `manifold` (each checked there, or
+        """Points already known to lie on `manifold` (each checked there,
         drawn from sets checked on it or on a manifold with more
-        polynomials), tagged without another check."""
+        polynomials, or proved on it by an exact solve), pairwise distinct,
+        tagged without another check."""
         subset = object.__new__(cls)
         object.__setattr__(subset, "n", manifold.n)
         object.__setattr__(subset, "points", tuple(points))
@@ -525,7 +529,9 @@ def intersect_factorable(system: FactorableSystem) -> IntersectionReport:
         else:
             points[p] = choice
     failures += coincident
-    nodes = None if failures else NodeSet(list(points), system.manifold())
+    # on the manifold: solution_set checked A x = b exactly, so each point
+    # zeroes one factor of every product
+    nodes = None if failures else NodeSet._subset(tuple(points), system.manifold())
     system._intersection = IntersectionReport(not failures, nodes, tuple(failures))
     return system._intersection
 

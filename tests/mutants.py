@@ -48,7 +48,39 @@ CATALOGUE: List[Mutant] = [
             "tests/test_construct.py::test_cb_reduce_refuses_collinear_triple",
             "tests/test_construct.py::test_superpose_refuses_an_improper_sub_set",
             "tests/test_construct.py::test_cb_extend_curve_refuses_an_improper_curve_set",
+            "tests/test_construct.py::test_cb_extend_curve_refusals[improper-B]",
         ),
+    ),
+    Mutant(
+        "a curve extension accepts a curve set that meets the intersection",
+        "src/ppsn/construct.py",
+        "    if not a_t.is_disjoint(full):\n"
+        '        raise HypothesisError("curve node set must be disjoint from the intersection")\n',
+        "",
+        ("tests/test_construct.py::test_cb_extend_rejects_point_on_omitted_hypersurface",),
+    ),
+    Mutant(
+        "a curve extension accepts m above L - 1",
+        "src/ppsn/construct.py",
+        "    if m > profile.L - 1:\n"
+        '        raise InputError(f"degree m={m} exceeds L-1={profile.L - 1}")\n',
+        "",
+        ("tests/test_construct.py::test_cb_extend_curve_refusals[m-above-L-1]",),
+    ),
+    Mutant(
+        "a curve extension at negative m ignores its B",
+        "src/ppsn/construct.py",
+        "    elif len(b):\n"
+        '        raise InputError("negative m requires an empty B")\n',
+        "",
+        ("tests/test_construct.py::test_cb_extend_curve_refusals[B-at-negative-m]",),
+    ),
+    Mutant(
+        "a curve extension leaves a curve set of negative degree to the count check",
+        "src/ppsn/construct.py",
+        "    if a_degree < 0 and len(a_t):\n",
+        "    if False:\n",
+        ("tests/test_construct.py::test_cb_extend_curve_refusals[curve-set-at-negative-degree]",),
     ),
     Mutant(
         "a superposition accepts a super point on the splitting polynomial",

@@ -11,6 +11,7 @@ from conftest import NO_SHRINK, pts
 from nested_descent import descent_levels
 from ppsn import (
     CBPartition,
+    CountMismatchError,
     HypothesisError,
     ImproperNodeSetError,
     InputError,
@@ -380,50 +381,6 @@ def test_full_intersection_preamble_refuses_points_of_a_curve(name):
         ON_A_LINE_CALLS[name](full, manifold)
 
 
-# procedures that tag subsets of a set already checked on the same manifold:
-# (call on the 3x3 grid system, the point counts of the membership checks
-# left). The one left in a chain is the fresh curve set, checked once at
-# the top degree mmax - k_t (its lower levels are tagged subsets of it).
-# The anchor (x0, checked by the chain, and eight grid points) and the
-# superposed unions lie on the curve because their parts do
-TAGGED_SUBSETS = {
-    "extract_nested_ppsn": (
-        lambda system, full, removed: extract_nested_ppsn(full, full.manifold, 2),
-        [],
-    ),
-    "cb_reduce": (
-        lambda system, full, removed: cb_reduce(CBPartition(full, removed), full.manifold, 3),
-        [],
-    ),
-    # mmax below k_t = 3: every level is a subset of the anchor
-    "build_curve_chain": (
-        lambda system, full, removed: build_curve_chain(system, 2, 2, (F(0), F(5))),
-        [],
-    ),
-    # mmax above k_t: the fresh curve set of the top degree 2 alone
-    "build_curve_chain_upward": (
-        lambda system, full, removed: build_curve_chain(system, 2, 5, (F(0), F(5))),
-        [6],
-    ),
-}
-
-
-@pytest.mark.parametrize("name", TAGGED_SUBSETS)
-def test_subsets_of_a_checked_set_are_not_checked_again(grid_system, name, monkeypatch):
-    call, expected = TAGGED_SUBSETS[name]
-    full = grid_nodes(grid_system)
-    removed = NodeSet(full.points[:1], full.manifold)
-    checked = []
-    check = Manifold.require_on_manifold
-    monkeypatch.setattr(
-        Manifold,
-        "require_on_manifold",
-        lambda self, points: checked.append(len(points)) or check(self, points),
-    )
-    call(grid_system, full, removed)
-    assert checked == expected
-
-
 def test_cb_extend_curve_cube(cube_system):
     full = intersect_factorable(cube_system).nodes
     manifold = full.manifold
@@ -447,11 +404,80 @@ def test_cb_extend_curve_negative_degree_keeps_all(cube_system):
 
 def test_cb_extend_rejects_point_on_omitted_hypersurface(cube_system):
     full = intersect_factorable(cube_system).nodes
+    # (0,1,1) is on the curve x1^2 - x1 = x3^2 - x3 = 0 and on the omitted
+    # x2^2 - x2 = 0: it is a vertex
+    on_omitted, b = NodeSet(pts((0, 1, 1))), NodeSet(pts((0, 0, 0)))
+    message = "^curve node set must be disjoint from the intersection$"
+    with pytest.raises(HypothesisError, match=message) as info:
+        cb_extend_curve(full, on_omitted, b, full.manifold, t=2, m=0)
+    assert info.type is HypothesisError
+
+
+# each refusal of cb_extend_curve's own, of cb_reduce's B checks or of the
+# curve set's certification, on the cube (M = 3, L = 2) or the 3x3 grid
+# (M = 4, L = 3), with t = 2: (system, m, B, curve set, exception class,
+# message)
+CUBE_VERTICES_AT_1 = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))  # proper at degree 1
+# all vertices but (1,1,1): proper at degree 2 on the vertices (a one-point
+# Cayley-Bacharach remainder), so cb_reduce at M - m - 1 = 0 accepts it
+CUBE_VERTICES_AT_2 = CUBE_VERTICES_AT_1 + ((1, 1, 0), (1, 0, 1), (0, 1, 1))
+CUBE_CURVE_SET = ((0, 2, 0), (1, 3, 0), (0, 5, 1), (1, 9, 1))  # proper at degree 1
+CB_EXTEND_REFUSALS = {
+    "m-above-L-1": ("cube", 2, CUBE_VERTICES_AT_2, (), InputError, "^degree m=2 exceeds L-1=1$"),
+    "B-at-negative-m": (
+        "cube", -1, ((0, 0, 0),), CUBE_CURVE_SET, InputError, "^negative m requires an empty B$"
+    ),
+    "B-off-the-intersection": (
+        "cube", 0, ((0, 0, 2),), ((0, 2, 0),), InputError, "is not in the intersection$"
+    ),
+    "improper-B": (
+        "grid", 1, ((0, 0), (1, 0), (2, 0)), (), ImproperNodeSetError,
+        "^removed set is not a degree-1 PPSN; reduction refused$",
+    ),
+    "empty-B-at-m-0": (
+        "cube", 0, (), ((0, 2, 0),), CountMismatchError, "needs exactly 1 nodes, got 0$"
+    ),
+    # x3^2 - x3 is 2 at (0,0,2)
+    "curve-set-off-the-curve": (
+        "cube", 0, ((0, 0, 0),), ((0, 0, 2),), OffManifoldError,
+        "residual 2 on defining polynomial #2$",
+    ),
+    # M - m - k_t - 1 = -1, named as such (not "degree--1 well-posedness")
+    "curve-set-at-negative-degree": (
+        "cube", 1, CUBE_VERTICES_AT_1, ((0, 2, 0),), CountMismatchError,
+        "^degree -1 is negative: the curve node set must be empty$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CB_EXTEND_REFUSALS)
+def test_cb_extend_curve_refusals(case, cube_system, grid_system):
+    name, m, b, a_t, error, message = CB_EXTEND_REFUSALS[case]
+    full = intersect_factorable({"cube": cube_system, "grid": grid_system}[name]).nodes
+    with pytest.raises(error, match=message) as info:
+        cb_extend_curve(full, NodeSet(pts(*a_t)), NodeSet(pts(*b)), full.manifold, t=2, m=m)
+    assert info.type is error
+
+
+def test_cb_extend_curve_with_every_form_linear_keeps_the_empty_union():
+    # M = 0 = L - 1: a degree-0 B is the one point, and nothing is left at
+    # degree M - m - 1 = -1
+    full = intersect_factorable(parse_system_text("x1\nx2 - 1\n")).nodes
+    curve = full.manifold.curve(2)
+    union, cert = cb_extend_curve(full, NodeSet([]), NodeSet(full.points), full.manifold, t=2, m=0)
+    assert union.points == () and union.manifold.polynomials == curve.polynomials
+    assert cert == verify_ppsn(NodeSet([]), curve, -1) and cert.proper and cert.degree == -1
+
+
+def test_cb_reduce_at_degree_minus_one_removes_everything(grid_system):
+    full = grid_nodes(grid_system)
     manifold = full.manifold
-    on_omitted = NodeSet(pts((0, 0, 2)))  # x2 = 0 lies on the omitted quadric
-    b = NodeSet(pts((0, 0, 0)))
-    with pytest.raises(Exception):
-        cb_extend_curve(full, on_omitted, b, manifold, t=2, m=0)
+    remaining, cert = cb_reduce(CBPartition(full, NodeSet(full.points[::-1])), manifold, -1)
+    assert len(remaining) == 0 and cert.proper and cert.degree == -1
+    with pytest.raises(CountMismatchError, match="needs exactly 9 nodes, got 8"):
+        cb_reduce(CBPartition(full, NodeSet(full.points[1:])), manifold, -1)
+    with pytest.raises(InputError, match=r"^degree m=-2 out of range -1\.\.3$"):
+        cb_reduce(CBPartition(full, NodeSet([])), manifold, -2)
 
 
 # -- curve chains -----------------------------------------------------------------
@@ -800,6 +826,30 @@ def test_sheared_superposed_union_is_proper(case, data):
     for q in union:
         assert all(on_hypersurface(shears, offsets, i, q) for i in range(n - 1))
     assert properly_posed(union.points, n, m)
+
+
+@settings(max_examples=20, phases=NO_SHRINK, deadline=None)
+@given(sheared_systems(), st.data())
+def test_sheared_curve_extension_is_proper_on_the_curve(case, data):
+    # certified by the Cayley-Bacharach and superposition theorems, with no
+    # elimination: checked here by the forms, a Fraction rank and verify_ppsn
+    shears, offsets = case
+    system, full = sheared_intersection(shears, offsets)
+    manifold = full.manifold
+    n, M, L = system.n, manifold.profile.M, manifold.profile.L
+    t = data.draw(st.integers(1, n))
+    m = data.draw(st.integers(-1, min(L - 1, M - 1)))
+    curve = manifold.curve(t)
+    b = extract_nested_ppsn(full, manifold, m) if m >= 0 else NodeSet([])
+    a_degree = M - m - len(offsets[t - 1]) - 1
+    a_t = _fresh_curve_ppsn(system, t, curve, a_degree, full) if a_degree >= 0 else NodeSet([])
+    union, cert = cb_extend_curve(full, a_t, b, manifold, t, m)
+    assert union.points == a_t.points + tuple(q for q in full if q not in b)
+    assert len(union) == dim_along(M - m - 1, curve.profile)
+    for q in union:
+        assert all(on_hypersurface(shears, offsets, i, q) for i in range(n) if i != t - 1)
+    assert properly_posed(union.points, n, M - m - 1)
+    assert cert.proper and cert == verify_ppsn(NodeSet(union.points), curve, M - m - 1)
 
 
 @pytest.mark.parametrize("shear_values", [SHEARS, (F(0),)], ids=["sheared", "grid"])
