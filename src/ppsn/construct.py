@@ -103,12 +103,13 @@ def interpolate(
     unselected monomials of degrees <= m, which makes it the unique
     representative in the canonical remainder space.
 
-    The coefficients come from `_canonical_system(...).solve`: guessed mod
-    the word-size primes `linalg.PRIMES`, returned only when they solve
-    every node equation exactly, and solved exactly otherwise. After
-    `verify_ppsn` on the same node set the evaluation rows and the first
+    The coefficients come from `_canonical_system(...).solve`: lifted
+    p-adically from the one elimination mod the first word-size prime in
+    `linalg.PRIMES` that leaves the system nonsingular, returned only when
+    they solve every node equation exactly, and solved exactly otherwise.
+    After `verify_ppsn` on the same node set the evaluation rows and the
     elimination are not made again. Without a certificate, `interpolate`
-    runs `verify_ppsn` itself, and the solve reads the echelons it made."""
+    runs `verify_ppsn` itself, and the solve reads the echelon it made."""
     manifold, m, nodes = problem.manifold, problem.m, problem.nodes
     if manifold is not None:
         n = manifold.n

@@ -42,60 +42,69 @@ one of the fixed word-size primes `PRIMES`. It sweeps columns left to
 right and takes the first remaining row with a nonzero entry as the pivot
 (Gauss-Jordan's policy, so the pivot columns are the RREF's), with delayed
 reduction (Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008) and rows packed
-as in Kronecker substitution. Each row is one Python int
-with a slot of W = bit_length((nrows+1)*p^2) + 1 bits per column, a row
-operation is one big-int multiply-add of the negated pivot row, and a slot
-is reduced mod p only when it is read. Slots stay nonnegative and below
-p + nrows*(p-1)^2, which is below 2^W, so no borrow or carry ever crosses a
-slot (the function gives the argument). The row operations, and so the
-pivots and the echelon residues, are those of an entry-by-entry
-elimination mod p. The slot width grows with p^2, so a smaller prime still
-pays: narrower rows make each multiply-add cheaper. It clears only below
-each pivot and returns the pivot rows of a row echelon form, not the RREF,
-because no caller needs more. The pivot search reads only the rows below
-the pivots found so far, so clearing above them changes neither the pivots
-nor the rank. A square system [A | b] with a pivot in every column of A has
-one solution, and `back_substitute` reads it off the echelon rows in O(N^2)
-word operations, where clearing above every pivot costs O(N^3).
+as in Kronecker substitution. Each row is one Python int with one 64-bit
+slot per column, packed and unpacked by `struct` in C, a row operation is
+one big-int multiply-add of the negated pivot row, and a slot is reduced
+mod p only when it is read. Slots stay nonnegative and below
+p + r*(p-1)^2 for a matrix of rank r, and every prime in `PRIMES` has
+(MAX_MONOMIALS + 1)*(p-1)^2 + p < 2^64, so for any matrix inside the dense
+budget no borrow or carry ever crosses a slot (the function gives the
+argument). That bound puts the primes just below 2^26. The row operations,
+and so the pivots and the echelon residues, are those of an entry-by-entry
+elimination mod p. It clears only below each pivot and returns the pivot
+rows of a row echelon form, not the RREF, because no caller needs more.
+The pivot search reads only the rows below the pivots found so far, so
+clearing above them changes neither the pivots nor the rank.
 
 `row_reduce_mod` also records its steps: each pivot's inverse, its
-position among the remaining rows and the factor of every row it clears. They factor the matrix as P^T L U, so the
-echelon of A^T alone solves A x = b for any b (`solve_transposed`, O(N^2)):
-forward substitution with U^T, then the steps applied transposed, in
-reverse. One elimination of A^T thus decides whether A is nonsingular mod p
-and solves every right-hand side mod p after it. Its answers are used only
-where they need no trust:
+position among the remaining rows and the factor of every row it clears.
+They factor the matrix as P^T L U, so one elimination solves every
+right-hand side mod p after it, in O(N^2): `solve_transposed` solves
+A x = b from the echelon of A^T, and `solve_columns` solves M z = r over
+the first f pivot columns of the eliminated matrix M itself, or reports
+that r is not in their span. Their answers are used only where they need
+no trust:
 
 * A rank of N mod p for an integer N x N matrix is a certificate of
   nonsingularity over Q. The determinant is an integer, and the elimination
   mod p shows that it is nonzero mod p, so it is nonzero. A rank below N
   proves nothing: p may divide the determinant of a nonsingular matrix.
   Callers then try the next prime and, after the last, the exact path.
-* A solution mod p is a guess. Solutions mod several primes combine by the
-  Chinese remainder theorem (`crt`) into one mod their product M, and
-  `rational_reconstruct` turns each residue into the unique small fraction
-  congruent to it mod M, if one exists (Wang, Guy & Davenport, SIGSAM Bull.
-  16(2), 1982). The guess is accepted only after an exact check over Q
-  (`satisfies`), as in Dixon (Numer. Math. 40, 1982); otherwise the caller
-  tries the next prime and, after the last, takes the exact path.
+* A solution mod p is the first p-adic digit of the rational solution.
+  `lift` finds the next digits from the same factorization (Dixon, Numer.
+  Math. 40, 1982): solve mod p, subtract the digit's image from the exact
+  integer residual and divide it by p, which is exact. At k = 1, 2, 4, ...
+  digits, `rational_reconstruct` turns the residues mod p^k into the
+  unique small fractions congruent to them, if they exist (Wang, Guy &
+  Davenport, SIGSAM Bull. 16(2), 1982), and the guess is accepted only
+  after an exact check over Q (`satisfies`). Once p^k passes twice the
+  square of a Hadamard bound on the answer's numerators and denominators,
+  reconstruction cannot miss, and a lift that has still found nothing
+  returns None: the caller then takes the exact path.
 """
 
 from __future__ import annotations
 
+import struct
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 Row = List[Fraction]
 
-# Primes below 2^30 (deterministic Miller-Rabin), all apart from the
-# benchmark oracle's 2^61 - 1, so the rank checks share no blind spot. Mod
-# their product, about 2^90, reconstruction recovers numerators and
-# denominators up to about 2^44.5.
-PRIMES = (2**30 - 35, 2**30 - 41, 2**30 - 83)
+# Primes below the 64-bit slot bound of `row_reduce_mod`,
+# (MAX_MONOMIALS + 1)*(p-1)^2 + p < 2^64 with MAX_MONOMIALS = 2^12, which
+# lies at 2^26 - 8190 (deterministic Miller-Rabin), all apart from the
+# benchmark oracle's 2^61 - 1, so the rank checks share no blind spot. The
+# first that leaves a matrix nonsingular is lifted; the others are there
+# for the rare matrix that it leaves singular.
+PRIMES = (2**26 - 8195, 2**26 - 8205, 2**26 - 8211)
+
+_SLOT = 64
+_MASK = (1 << _SLOT) - 1
 
 
 @dataclass(frozen=True)
@@ -121,12 +130,14 @@ class Echelon:
         return tuple(c for _, c in self.pivots)
 
 
-def _pack(values: Sequence[int], width: int) -> int:
-    """One int holding values[j] in bits [j*width, (j+1)*width)."""
-    x = 0
-    for v in reversed(values):
-        x = x << width | v
-    return x
+def _pack(values: Sequence[int]) -> int:
+    """One int holding values[j], each in [0, 2^64), in bits [64j, 64j + 64)."""
+    return int.from_bytes(struct.pack(f"<{len(values)}Q", *values), "little")
+
+
+def _unpack(x: int, count: int) -> Tuple[int, ...]:
+    """The first `count` 64-bit slots of x, the inverse of `_pack`."""
+    return struct.unpack(f"<{count}Q", x.to_bytes(8 * count, "little"))
 
 
 def row_reduce_mod(matrix: Sequence[Sequence[int]], p: int) -> Echelon:
@@ -136,34 +147,34 @@ def row_reduce_mod(matrix: Sequence[Sequence[int]], p: int) -> Echelon:
     above it. `ints` holds the pivot rows of the row echelon form and
     `steps` the row operations that made them.
 
-    Each row is one packed int (`_pack`), W = bit_length((nrows+1)*p^2) + 1
-    bits per slot, holding the columns from the current one on: column c is
-    the lowest slot, and each step drops it. A slot is reduced mod p only
-    when it is read: the pivot search, the factor f and the pivot tail. The
-    pivot row leaves the packed rows once its tail is unpacked and scaled.
-    Eliminating with it adds f times its negation, whose slots are p - b_j
-    (0 for 0), to each row below whose column-c slot is f mod p: one big-int
-    multiply-add, and slot c becomes a multiple of p. Slots never go
-    negative, so nothing borrows. A row starts reduced and takes at most one
-    addition of at most (p-1)^2 per pivot, so every slot stays below
-    p + nrows*(p-1)^2 < (nrows+1)*p^2 < 2^W and nothing carries into the
-    next slot. The rows below the last pivot are never unpacked. W grows
-    with p^2, so a smaller prime gives narrower rows and cheaper
-    multiply-adds."""
+    Each row is one packed int (`_pack`), one 64-bit slot per column from
+    the current one on: column c is the lowest slot, and each step drops
+    it. A slot is reduced mod p only when it is read: the pivot search, the
+    factor f and the pivot tail. The pivot row leaves the packed rows once
+    its tail is unpacked and scaled. Eliminating with it adds f times its
+    negation, whose slots are p - b_j (0 for 0), to each row below whose
+    column-c slot is f mod p: one big-int multiply-add, and slot c becomes
+    a multiple of p. Slots never go negative, so nothing borrows. A row
+    starts reduced and takes at most one addition of at most (p-1)^2 per
+    pivot, and there are at most r = min(rows, columns) pivots, so every
+    slot stays below p + r*(p-1)^2, which must be below 2^64 (ValueError
+    otherwise; it holds for every prime in `PRIMES` and every matrix
+    inside the dense budget), and nothing carries into the next slot. The
+    rows below the last pivot are never unpacked."""
     nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0
-    width = ((nrows + 1) * p * p).bit_length() + 1
-    mask = (1 << width) - 1
-    m = [_pack([v % p for v in row], width) for row in matrix]
+    if p + min(nrows, ncols) * (p - 1) ** 2 >= 1 << _SLOT:
+        raise ValueError(f"a {nrows} x {ncols} matrix mod {p} overflows a 64-bit slot")
+    m = [_pack([v % p for v in row]) for row in matrix]
     origin = list(range(nrows))
     pivots: List[Tuple[int, int]] = []
     ints: List[Tuple[int, ...]] = []
     steps = []
     for c in range(ncols):
-        slots = [(x & mask) % p for x in m]
+        slots = [(x & _MASK) % p for x in m]
         k = next((i for i, f in enumerate(slots) if f), None)
         if k is None:
-            m = [x >> width for x in m]
+            m = [x >> _SLOT for x in m]
             continue
         # swap the pivot row with the first remaining row, as Gauss-Jordan
         # does, so later pivot searches see the rows in the same order
@@ -171,31 +182,51 @@ def row_reduce_mod(matrix: Sequence[Sequence[int]], p: int) -> Echelon:
         inv = pow(slots[k], -1, p)
         m[k], slots[k], origin[k] = m[0], slots[0], origin[0]
         del m[0], slots[0], origin[0]
-        tail = []
-        for _ in range(ncols - c):
-            tail.append((x & mask) * inv % p)
-            x >>= width
+        tail = [v * inv % p for v in _unpack(x, ncols - c)]
         ints.append((0,) * c + tuple(tail))
         pivots.append((o, c))
         steps.append((inv, k, tuple(slots)))
-        neg = _pack([p - a if a else 0 for a in tail], width)
-        m = [(x + f * neg) >> width if f else x >> width for x, f in zip(m, slots)]
+        neg = _pack([p - a if a else 0 for a in tail])
+        m = [(x + f * neg) >> _SLOT if f else x >> _SLOT for x, f in zip(m, slots)]
         if not m:
             break
     return Echelon(rank=len(pivots), pivots=tuple(pivots), ints=tuple(ints), steps=tuple(steps))
 
 
-def back_substitute(rows: Sequence[Sequence[int]], p: int) -> List[int]:
-    """The solution mod p of the square system whose first N = len(rows)
+def back_substitute(rows: Sequence[Sequence[int]], rhs: Sequence[int], p: int) -> List[int]:
+    """The solution mod p of the square system whose first n = len(rhs)
     `row_reduce_mod` echelon rows are given, each with its pivot in its own
-    column: row i is x_i + sum_{i<j<N} rows[i][j] * x_j = rows[i][N], solved
+    column: row i is x_i + sum_{i<j<n} rows[i][j] * x_j = rhs[i], solved
     from the last row up."""
-    n = len(rows)
+    n = len(rhs)
     x = [0] * n
     for i in range(n - 1, -1, -1):
-        row = rows[i]
-        x[i] = (row[n] - sum(map(mul, row[i + 1 : n], x[i + 1 :]))) % p
+        x[i] = (rhs[i] - sum(map(mul, rows[i][i + 1 : n], x[i + 1 :]))) % p
     return x
+
+
+def solve_columns(ech: Echelon, r: Sequence[int], p: int, f: int) -> Optional[List[int]]:
+    """The z with sum_{j<f} z_j M[:, j] = r mod p, for the matrix M that
+    `ech` eliminated, whose first f pivots lie in columns 0..f-1; None when
+    r is not in the span of those columns mod p.
+
+    The first f steps read only columns 0..f-1, so applied to r as to one
+    more column they turn [M_{<f} | r] into its row echelon form: the f
+    pivot rows end in the right-hand side of `back_substitute`, and every
+    other row is zero left of r, so r lies in the span exactly when those
+    rows end in 0."""
+    rem = [v % p for v in r]
+    rhs = []
+    for inv, k, factors in ech.steps[:f]:
+        v = rem[k] * inv % p
+        rem[k] = rem[0]
+        del rem[0]
+        rhs.append(v)
+        if v:
+            rem = [(a - g * v) % p for a, g in zip(rem, factors)]
+    if any(rem):
+        return None
+    return back_substitute(ech.ints, rhs, p)
 
 
 def solve_transposed(ech: Echelon, b: Sequence[int], p: int) -> List[int]:
@@ -230,24 +261,25 @@ def solve_transposed(ech: Echelon, b: Sequence[int], p: int) -> List[int]:
     return x
 
 
-def crt(residues: Sequence[int], modulus: int, solution: Sequence[int], p: int) -> List[int]:
-    """The residues mod modulus * p that are `residues` mod `modulus` and
-    `solution` mod the prime p, which must not divide modulus (Chinese
-    remainder theorem): x = r + modulus * k with k = (u - r) / modulus mod p."""
-    inv = pow(modulus, -1, p)
-    return [r + modulus * ((u - r) * inv % p) for r, u in zip(residues, solution)]
-
-
 def rational_reconstruct(u: int, M: int) -> Optional[Fraction]:
-    """The fraction a/b in lowest terms with a = b*u (mod M),
-    |a| <= sqrt(M/2) and 0 < b <= sqrt(M/2), or None when there is none, for
-    M a prime or a product of distinct odd primes. Such a fraction is unique
-    (2|a|b < M), and the half-extended Euclidean algorithm on (M, u) finds it
-    as the first remainder r within the bound over its cofactor t, where
-    r = t*u (mod M). gcd(r, t) divides M. For a prime M it is 1; for a
-    composite M a common factor means that no fraction in range exists (r/t
-    in lowest terms is then not congruent to u), so rejecting it is what
-    keeps the result unique. With gcd(r, t) = 1, t is invertible mod M."""
+    """The fraction a/b in lowest terms with a = b*u (mod M), b invertible
+    mod M, |a| <= sqrt(M/2) and 0 < b <= sqrt(M/2), or None when there is
+    none. `lift` asks for it with M = p^k for a prime p, where b invertible
+    means p does not divide b: the fraction is then one whose p-adic
+    expansion begins with the k digits of u. Once p^k exceeds twice the
+    square of the numerators and denominators of the rational solution
+    being lifted, that solution is the fraction returned; before, the
+    result may be None or another, smaller fraction, which is why `lift`
+    checks every guess.
+
+    Such a fraction is unique (2|a|b < M), and the half-extended Euclidean
+    algorithm on (M, u) finds it as the first remainder r within the bound
+    over its cofactor t, where r = t*u (mod M) (Wang, Guy & Davenport). The
+    cofactors s, t of r = s*M + t*u are coprime, so gcd(r, t) = gcd(M, t).
+    For a prime M it is 1; otherwise a common factor, a power of p when
+    M = p^k, means that no fraction in range exists (r/t in lowest terms is
+    then not congruent to u), so rejecting it is what keeps the result
+    unique. With gcd(r, t) = 1, t is invertible mod M."""
     bound = isqrt(M // 2)
     r0, r1 = M, u % M
     t0, t1 = 0, 1
@@ -258,6 +290,16 @@ def rational_reconstruct(u: int, M: int) -> Optional[Fraction]:
     if abs(t1) > bound or gcd(r1, t1) != 1:
         return None
     return Fraction(r1, t1)
+
+
+def hadamard_bits(rows: Iterable[Sequence[int]]) -> int:
+    """An upper bound on log2 of prod_i max(1, ||rows[i]||_2), and so, by
+    Hadamard's inequality, on |det| of every square submatrix of these
+    integer rows: a submatrix's row is no longer than the row it comes
+    from, and a norm is at most sqrt(len) times 2 to the row's largest bit
+    length."""
+    twice = sum(2 * max(map(int.bit_length, row)) + len(row).bit_length() for row in rows)
+    return (twice + 1) // 2
 
 
 def satisfies(
@@ -277,6 +319,87 @@ def satisfies(
         sum(map(mul, row, scaled)) * v.denominator == s * D * v.numerator
         for row, s, v in zip(rows, scales, values)
     )
+
+
+def lift(
+    rows: Sequence[Sequence[int]],
+    b: Sequence[int],
+    p: int,
+    solve: Callable[[Sequence[int]], Optional[List[int]]],
+    bound_rows: Iterable[Sequence[int]],
+) -> Optional[List[Fraction]]:
+    """The rational x with rows[i] . x = b[i] exactly for every i, each row
+    read over its first len(x) entries, by p-adic lifting (Dixon, Numer.
+    Math. 40, 1982) from one factorization mod p: `solve(r)` is the one y
+    with rows . y = r mod p, or None when there is none. None when no x is
+    found.
+
+    With r_0 = b, each digit y_k = solve(r_k) makes r_k - rows . y_k zero
+    mod p, so r_{k+1} = (r_k - rows . y_k) / p is exact, and
+    x_k = sum_{i<k} p^i y_i satisfies rows . x_k = b - p^k r_k: x_k is x mod
+    p^k whenever x exists with denominators prime to p. At k = 1, 2, 4, ...
+    digits and at the last, each entry of x_k is rebuilt by
+    `rational_reconstruct` mod p^k, and the guess is returned only if
+    `satisfies` accepts it. With bits the `hadamard_bits` of `bound_rows`,
+    which must bound log2 of x's numerators and denominators (it is read
+    only if the first guess fails), the last digit is the first k with
+    p^k > 2^(2 bits + 1): reconstruction then recovers x if it exists. A
+    solve with no answer ends the lift early."""
+    r = list(b)
+    x: List[int] = []
+    limit = None
+    pk, k = 1, 0
+    while True:
+        y = solve(r)
+        if y is None:
+            return None
+        x = [u + pk * v for u, v in zip(x, y)] if x else y
+        pk *= p
+        k += 1
+        if limit is None or pk > limit or not k & (k - 1):
+            guess = _reconstruct_all(x, pk)
+            if guess is not None and satisfies(rows, guess, [1] * len(rows), b):
+                return guess
+            if limit is None:
+                limit = 1 << (2 * hadamard_bits(bound_rows) + 1)
+            if pk > limit:
+                return None
+        r = [(v - sum(map(mul, row, y))) // p for v, row in zip(r, rows)]
+
+
+def _reconstruct_all(residues: Sequence[int], M: int) -> Optional[List[Fraction]]:
+    """`rational_reconstruct` of every residue mod M, or None at the first
+    that has no fraction in range. Equal residues share one Fraction, which
+    keeps what a caller stores small.
+
+    Most entries of a solution share most of one denominator, so each
+    residue u is first tried against the lcm d of the denominators found so
+    far, as IML does (Chen & Storjohann, ISSAC 2005): if d and the centred
+    w = d*u mod M are both within sqrt(M/2), w/d in lowest terms is a
+    fraction in range congruent to u (d is invertible mod M), so it is the
+    unique one that `rational_reconstruct` would find, with no Euclidean
+    steps."""
+    half = M // 2
+    bound = isqrt(half)
+    d = 1
+    seen: Dict[int, Fraction] = {}
+    out = []
+    for u in residues:
+        v = seen.get(u)
+        if v is None:
+            w = d * u % M
+            if w > half:
+                w -= M
+            if abs(w) <= bound and d <= bound:
+                v = Fraction(w, d)
+            else:
+                v = rational_reconstruct(u, M)
+                if v is None:
+                    return None
+                d = lcm(d, v.denominator)
+            seen[u] = v
+        out.append(v)
+    return out
 
 
 class IntegerEchelon:

@@ -50,28 +50,25 @@ identity, and on the columns) holds them between the two calls. Nothing is
 stored on a certificate or a `NodeSet`, so what a caller keeps holds no
 factorization, and an evicted system is simply built again.
 
-Each answer mod p is a guess until one exact integer check,
-`linalg.satisfies`, accepts it. `kernel` eliminates the transpose of the
-integer rows mod the word-size prime `linalg.PRIMES[0]`; the transpose has
-the matrix's rank. A rank of N means the N x N integer determinant is
+Both answers come from one factorization, the echelon of the transpose of
+the integer rows mod the word-size prime `linalg.PRIMES[0]`; the transpose
+has the matrix's rank. A rank of N means the N x N integer determinant is
 nonzero mod p, hence nonzero: the set is proper, with no trust in the
 prime. A smaller rank is either a genuinely improper set or a prime
 dividing the determinant. The first non-pivot column f of that echelon is
 the first node row that depends mod p on the rows before it, and
-back-substitution over the first f echelon rows gives the combination y mod
-p with y_f = 1. The primes combine by the Chinese remainder theorem (a
-prime with a larger f restarts the combination, one with a smaller f is
-skipped, and one with rank N proves the set proper), y is rebuilt by
-`linalg.rational_reconstruct`, and it is accepted only if
-sum_{i<=f} y_i * row_i = 0 holds exactly over the integers. Rows 0..f-1 are
-independent mod p, hence over Q, and row f depends on them, so y is their
-unique combination: the `dependency` of row f, scaled to 1 there, that an
-exact `linalg.IntegerEchelon` of the rows finds, entry for entry. Anything
-else falls back to that exact elimination, whose vector, rescaled by the
-row scales, is the improper certificate; no rejected row means the set is
-proper after all. `solve` reads the same echelons
-(`linalg.solve_transposed`) and falls back to `weights` on the exact
-`linalg.row_reduce` of A^T.
+`linalg.lift` rebuilds its combination over Q from the same echelon, p-adic
+digit by digit, accepting it only if sum_{i<=f} y_i * row_i = 0 holds
+exactly over the integers. Rows 0..f-1 are independent mod p, hence over
+Q, and row f depends on them, so y is their unique combination: the
+`dependency` of row f, scaled to 1 there, that an exact
+`linalg.IntegerEchelon` of the rows finds, entry for entry. A lift that
+finds nothing shows that row f is independent over Q; a later prime is
+tried, skipped if its first dependent row comes no later, and after the
+last prime that exact elimination decides, its vector, rescaled by the
+row scales, the improper certificate; no rejected row means the set is
+proper after all. `solve` lifts the solution through the same echelon
+(`linalg.solve_transposed`) and falls back to `linalg.solution_set`.
 """
 
 from __future__ import annotations
@@ -80,6 +77,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -202,11 +200,11 @@ class PPSNCertificate:
     A proper verdict is proved by a rank of N modulo one of `linalg.PRIMES`
     (a nonzero determinant mod p is a nonzero integer) or by an exact
     elimination that finds no left kernel. An improper verdict carries the
-    exact kernel functional: the combination rebuilt from the primes and
-    checked exactly over the integers, or else the exact elimination's. The
-    two are equal entry for entry. The fields are the same whichever path
-    decided, and nothing else is kept: no instance dict, and one shared
-    proper certificate per (leading forms, degree)."""
+    exact kernel functional: the combination lifted p-adically from one
+    prime's elimination and checked exactly over the integers, or else the
+    exact elimination's. The two are equal entry for entry. The fields are
+    the same whichever path decided, and nothing else is kept: no instance
+    dict, and one shared proper certificate per (leading forms, degree)."""
 
     degree: int
     n: int
@@ -226,8 +224,9 @@ def verify_ppsn(
     """Certify well-posedness of `nodes` at degree m along `manifold`
     (ambient space when manifold is None) by eliminating the square
     evaluation matrix over the canonical monomials: mod p first, exactly
-    only when the primes leave the verdict open. The checks first make the
-    system square: N nodes, N the dimension along `manifold`, all on it."""
+    only when neither the rank mod p nor a lift from it settles the
+    verdict. The checks first make the system square: N nodes, N the
+    dimension along `manifold`, all on it."""
     if manifold is not None:
         n = manifold.n
         require_dense_size(n, m)  # before dim_along's table of m + 1 rows
@@ -238,6 +237,10 @@ def verify_ppsn(
         n = nodes.n
         expected = binom_e(m, n)
     if len(nodes) != expected:
+        if m < 0:
+            raise CountMismatchError(
+                f"degree m = {m} is negative: the node set must be empty, got {len(nodes)} nodes"
+            )
         raise CountMismatchError(
             f"degree-{m} well-posedness needs exactly {expected} nodes, got {len(nodes)}"
         )
@@ -303,10 +306,12 @@ class _CanonicalSystem:
     (`solve`)? It keeps each node's row scale and exact integer row
     (`evaluation_rows`), their transpose, and the `linalg.row_reduce_mod`
     echelon of that transpose, with its steps, for each prime asked for so
-    far, so either question after the other eliminates nothing again mod
-    that prime. Both answers mod p are guesses until `linalg.satisfies`
-    checks them over the integers; an exact `linalg.IntegerEchelon` is the
-    fallback."""
+    far. The first prime leaves A nonsingular unless it divides the
+    determinant, so one factorization answers both questions: a rank of N
+    proves A nonsingular, and `linalg.lift` builds either answer over Q
+    from it, digit by digit mod p. A lifted answer is returned only after
+    `linalg.satisfies` checks it over the integers; an exact
+    `linalg.IntegerEchelon` is the last resort."""
 
     __slots__ = ("points", "scales", "rows", "transpose", "_echelons")
 
@@ -325,40 +330,43 @@ class _CanonicalSystem:
     def kernel(self) -> Optional[List[Fraction]]:
         """None when the rows are independent, otherwise the combination y
         with y_f = 1 of the first row f that depends on the rows before it,
-        zero after f: found mod `linalg.PRIMES` when it can be.
+        zero after f: lifted from one prime's echelon when it can be.
 
-        The first non-pivot column of a prime's echelon of the transpose is
-        the first row f_p dependent mod p, and a rank of N proves the rows
-        independent. A row dependent over Q stays dependent mod p, so f_p is
-        at most f over Q: a larger f_p restarts the combination and a
-        smaller one is skipped. The first f_p echelon rows read
-        x_i + sum_{i<j<f_p} e_ij x_j = e_if_p, solved by `back_substitute`,
-        and y = (-x, 1). The rebuilt y is returned only if
-        sum_{i<=f} y_i * row_i = 0 over the integers, which `satisfies`
-        checks on the transpose; otherwise, after the last prime, an exact
-        `linalg.IntegerEchelon` of the rows decides: the `dependency` of the
-        first row it rejects, scaled to 1 on that row, or None."""
+        The first non-pivot column f_p of a prime's echelon of the
+        transpose is the first row dependent mod p, and a rank of N proves
+        the rows independent. Rows 0..f_p-1 are independent mod p, hence
+        over Q, so f_p <= f. The z with sum_{i<f_p} z_i row_i = -row_{f_p}
+        solves a system whose columns are those rows, which the echelon's
+        first f_p steps solve mod p (`linalg.solve_columns`); `linalg.lift`
+        lifts it, with the Hadamard bound of rows 0..f_p (Cramer's rule on
+        a nonsingular f_p x f_p minor), and returns it only if it holds
+        exactly, so y = (z, 1) is row f's `dependency`, scaled to 1 there,
+        entry for entry. A lift that finds nothing shows that f > f_p: had
+        row f_p depended on the rows before it, its combination would have
+        denominators prime to p (a minor of those rows is nonzero mod p)
+        and be found within the bound. A later prime whose f_p is no larger
+        is skipped. After the last prime an exact `linalg.IntegerEchelon`
+        of the rows decides: the `dependency` of the first row it rejects,
+        scaled to 1 on that row, or None."""
         N = len(self.rows)
-        residues: List[int] = []
-        modulus, f = 1, -1
+        lower = 0  # f is at least this
         for p in linalg.PRIMES:
             ech = self.echelon(p)
             if ech.rank == N:
                 return None  # the determinant is nonzero mod p
-            g = next((i for i, c in enumerate(ech.pivot_columns) if c != i), ech.rank)
-            if g < f:
+            f = next((i for i, c in enumerate(ech.pivot_columns) if c != i), ech.rank)
+            if f < lower:
                 continue
-            if g > f:
-                residues, modulus, f = [0] * g, 1, g
-            x = linalg.back_substitute(ech.ints[:f], p)
-            residues = linalg.crt(residues, modulus, [-u for u in x], p)
-            modulus *= p
-            y = [linalg.rational_reconstruct(u, modulus) for u in residues]
-            if any(v is None for v in y):
-                continue
-            y.append(Fraction(1))
-            if linalg.satisfies(self.transpose, y, [1] * N, [0] * N):
-                return y + [Fraction(0)] * (N - f - 1)
+            z = linalg.lift(
+                self.transpose,
+                [-v for v in self.rows[f]],
+                p,
+                lambda r: linalg.solve_columns(ech, r, p, f),
+                self.rows[: f + 1],
+            )
+            if z is not None:
+                return z + [Fraction(1)] + [Fraction(0)] * (N - f - 1)
+            lower = f + 1
         echelon = linalg.IntegerEchelon()
         for f, row in enumerate(self.rows):
             if not echelon.add(row):
@@ -370,45 +378,44 @@ class _CanonicalSystem:
         """The unique x with (row_i / scale_i) . x = values_i for every node
         i, for a system that `verify_ppsn` certified proper.
 
-        A x = b, with b_i the scale times the value, is solved mod
-        `linalg.PRIMES` in turn. A prime that divides a value's denominator
-        or leaves A singular is skipped. Each other prime solves through its
-        echelon of A^T (`linalg.solve_transposed`), the residues so far are
-        joined by the Chinese remainder theorem, every coefficient is rebuilt
-        mod the running product, and the first guess that `satisfies` every
-        equation is returned: A is nonsingular over Q, so that guess is the
-        unique solution. Otherwise the one exact path runs: the
-        `linalg.solution_set` of A x = b, whose kernel is empty for a
-        nonsingular A, and whose solution is None when A x = b fails."""
+        With D the common denominator of the scale_i * values_i, A x' = b
+        has integer b_i = scale_i * values_i * D, and x = x' / D. The first
+        prime that leaves A nonsingular lifts x' through its echelon of A^T
+        (`linalg.solve_transposed`), with the Hadamard bound of [A | b]
+        (Cramer's rule), and returns it only if it holds exactly: A is
+        nonsingular over Q, so that x' is the unique solution. A prime
+        that divides D needs no skipping: b is an integer vector. If no
+        prime leaves A nonsingular, or the lift finds nothing, the one
+        exact path runs: the `linalg.solution_set` of A x' = b, whose
+        kernel is empty for a nonsingular A, and whose solution is None
+        when A x' = b fails."""
         N = len(self.rows)
-        residues = [0] * N
-        modulus = 1
+        # D is 1 when the values are a polynomial's with integer
+        # coefficients; the denominator of scale_i * values_i divides D, so
+        # b_i is an integer
+        D = lcm(*(v.denominator // gcd(s, v.denominator) for s, v in zip(self.scales, values)))
+        b = [s * v.numerator * D // v.denominator for s, v in zip(self.scales, values)]
+        x = None
         for p in linalg.PRIMES:
-            if any(v.denominator % p == 0 for v in values):
-                continue
             ech = self.echelon(p)
-            if ech.rank < N:
-                continue
-            b = [
-                s * v.numerator * pow(v.denominator, -1, p) % p
-                for s, v in zip(self.scales, values)
-            ]
-            residues = linalg.crt(residues, modulus, linalg.solve_transposed(ech, b, p), p)
-            modulus *= p
-            x = [linalg.rational_reconstruct(u, modulus) for u in residues]
-            if all(v is not None for v in x) and linalg.satisfies(self.rows, x, self.scales, values):
-                # equal coefficients share one Fraction, which keeps the
-                # interpolant small; equal fractions have equal residues
-                shared: Dict[int, Fraction] = {}
-                return [shared.setdefault(u, v) for u, v in zip(residues, x)]
-        x, kernel = linalg.solution_set(self.rows, [s * v for s, v in zip(self.scales, values)])
-        if kernel:
-            raise InternalCheckError(
-                "canonical evaluation matrix is singular for a certified node set"
-            )
+            if ech.rank == N:
+                x = linalg.lift(
+                    self.rows,
+                    b,
+                    p,
+                    lambda r: linalg.solve_transposed(ech, r, p),
+                    ((*row, v) for row, v in zip(self.rows, b)),
+                )
+                break
         if x is None:
-            raise InternalCheckError("interpolant misses a node value")
-        return x
+            x, kernel = linalg.solution_set(self.rows, b)
+            if kernel:
+                raise InternalCheckError(
+                    "canonical evaluation matrix is singular for a certified node set"
+                )
+            if x is None:
+                raise InternalCheckError("interpolant misses a node value")
+        return x if D == 1 else [v / D for v in x]
 
 
 # The last few canonical systems. A `NodeSet` hashes by identity, so an

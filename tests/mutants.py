@@ -304,11 +304,39 @@ CATALOGUE: List[Mutant] = [
         ("tests/test_modular.py::test_prime_making_an_earlier_row_dependent_is_not_trusted",),
     ),
     Mutant(
-        "the kernel joins the residues of a prime with a smaller first dependent row",
+        "the kernel lifts a prime whose first dependent row a failed lift showed independent",
         "src/ppsn/nodes.py",
-        "            if g < f:\n                continue\n",
+        "            if f < lower:\n                continue\n",
         "",
         ("tests/test_modular.py::test_prime_with_a_smaller_first_dependent_row_is_skipped",),
+    ),
+    Mutant(
+        "a lifted guess is accepted without the exact check",
+        "src/ppsn/linalg.py",
+        "            if guess is not None and satisfies(rows, guess, [1] * len(rows), b):\n",
+        "            if guess is not None:\n",
+        (
+            "tests/test_modular.py::test_lifted_solve_with_generic_values_is_the_reference_one",
+            "tests/test_modular.py::test_corrupted_coefficient_is_rejected_by_the_node_check",
+            "tests/test_modular.py::test_lifted_kernel_of_a_planted_corank_is_the_reference_one",
+        ),
+    ),
+    Mutant(
+        "the lift's residual is not divided by p",
+        "src/ppsn/linalg.py",
+        "        r = [(v - sum(map(mul, row, y))) // p for v, row in zip(r, rows)]\n",
+        "        r = [v - sum(map(mul, row, y)) for v, row in zip(r, rows)]\n",
+        (
+            "tests/test_budgets.py::test_eliminations[generic-sphere-25]",
+            "tests/test_modular.py::test_solve_lifts_any_size_from_one_elimination",
+        ),
+    ),
+    Mutant(
+        "a prime just above the 64-bit slot bound",
+        "src/ppsn/linalg.py",
+        "PRIMES = (2**26 - 8195, 2**26 - 8205, 2**26 - 8211)\n",
+        "PRIMES = (2**26 - 8183, 2**26 - 8205, 2**26 - 8211)\n",
+        ("tests/test_modular.py::test_primes_are_word_size_primes_apart_from_the_oracle",),
     ),
     Mutant(
         "the intersection accepts a selection of rank n - 1",

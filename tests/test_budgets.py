@@ -9,18 +9,25 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import sphere_point
 from ppsn import (
     CBPartition,
+    InterpolationProblem,
     Manifold,
     NodeSet,
     build_curve_chain,
+    canonical_monomials,
     cb_extend_curve,
     cb_reduce,
     construct,
     extract_nested_ppsn,
+    interpolate,
     intersect_factorable,
+    linalg,
     nodes,
+    parse_polynomial,
     parse_system_text,
+    verify_ppsn,
 )
 from ppsn.construct import SuperpositionStep, superpose_nodes
 
@@ -150,3 +157,50 @@ def test_membership_checks(fixture, monkeypatch):
     )
     call()
     assert checked == expected
+
+
+def planted_improper_plane():
+    """Six points on the line x2 = (2 x1 - 3) / 5 among fifteen in the plane:
+    improper at degree 4, which m + 2 = 6 collinear points make it. The
+    dependency of the sixth on the five before it has 31-bit numerators."""
+    ts = (F(1, 7), F(2, 3), F(5, 11), F(-3, 13), F(7, 2), F(9, 5))
+    line = [(t, (2 * t - 3) / 5) for t in ts]
+    rest = [(F(k, 3), F(k * k - 7, 4)) for k in range(9)]
+    node_set = NodeSet(line + rest)
+    return lambda: verify_ppsn(node_set, None, 4)
+
+
+def generic_sphere_25():
+    """Interpolation of the values 1/(k+2), which no small polynomial takes,
+    on 25 rational points of the unit sphere, proper at degree 4."""
+    sphere = Manifold([parse_polynomial("x1^2 + x2^2 + x3^2 - 1", 3)])
+    points = [sphere_point(F(k, 3), F(k * k % 11 - 5, 4)) for k in range(1, 26)]
+    problem = InterpolationProblem(sphere, 4, NodeSet(points, sphere), tuple(F(1, k + 2) for k in range(25)))
+    canonical_monomials(sphere, 3, 4)  # the selections, so only the canonical system counts
+    return lambda: interpolate(problem)
+
+
+# fixture -> (linalg.row_reduce_mod calls, exact linalg.IntegerEchelon
+# builds). The improper set's dependency and the generic interpolant are
+# lifted from the one elimination mod PRIMES[0]
+ELIMINATIONS = {
+    "planted-improper-plane-m4": (planted_improper_plane, (1, 0)),
+    "generic-sphere-25": (generic_sphere_25, (1, 0)),
+}
+
+
+@pytest.mark.parametrize("fixture", ELIMINATIONS)
+def test_eliminations(fixture, monkeypatch):
+    build, expected = ELIMINATIONS[fixture]
+    call = build()
+    counts = {"row_reduce_mod": 0, "IntegerEchelon": 0}
+    for name in counts:
+        original = getattr(linalg, name)
+
+        def spy(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(linalg, name, spy)
+    call()
+    assert (counts["row_reduce_mod"], counts["IntegerEchelon"]) == expected

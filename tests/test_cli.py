@@ -463,10 +463,11 @@ def test_cb_check_exception_hypersurface(files, capsys):
     assert report["exception_hypersurface"] == "-x2 - 1/2*x1*x2 + x2^2"
 
 
-def test_interpolate_generic_values_through_the_exact_fallback(files, capsys, monkeypatch):
-    # 21 rational circle points and values 1/(k+2): the interpolant's
-    # coefficients are past what the primes reconstruct, so the exact
-    # fallback solves the 21 x 21 system, once
+def interpolate_circle21(files, capsys, monkeypatch):
+    """`ppsn interpolate --json` on 21 rational circle points with values
+    1/(k+2), whose interpolant's coefficients are past what one word-size
+    residue reconstructs: the node counts of the exact solves it ran, and
+    its polynomial, checked against the bytes every path must give."""
     points = []
     for k in range(1, 22):
         t = Fraction(k, 3)
@@ -487,12 +488,24 @@ def test_interpolate_generic_values_through_the_exact_fallback(files, capsys, mo
         capsys,
     )
     assert code == 0
-    assert builds == [21]
     polynomial = json.loads(out)["polynomial"]
     assert len(polynomial) == 1093
     assert hashlib.sha256(polynomial.encode()).hexdigest() == (
         "b9f96829fbff03c59f26b005af0e092b60401dfc48855b3626b8e0a80471aea0"
     )
+    return builds
+
+
+def test_interpolate_generic_values_through_the_exact_fallback(files, capsys, monkeypatch):
+    # a lift that finds nothing leaves the 21 x 21 system to the exact
+    # fallback, once, and the bytes are the same
+    monkeypatch.setattr(linalg, "lift", lambda *args: None)
+    assert interpolate_circle21(files, capsys, monkeypatch) == [21]
+
+
+def test_interpolate_generic_values_by_lifting(files, capsys, monkeypatch):
+    # the lift from the certificate's one elimination solves it, exactly
+    assert interpolate_circle21(files, capsys, monkeypatch) == []
 
 
 def test_chain_counts(files, capsys):
@@ -617,6 +630,14 @@ def test_negative_chain_degree_exits_2_before_any_level_is_certified(
     assert main(argv) == 2
     assert capsys.readouterr().err == "input error: chain degree mmax must be >= 0\n"
     assert certified == []
+
+
+def test_verify_at_a_negative_degree_asks_for_the_empty_set(files, capsys):
+    nodes = files("three.nodes", "0,0\n1,0\n0,1\n")
+    assert main(["verify", "--nodes", nodes, "--m", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "input error: degree m = -1 is negative: the node set must be empty, got 3 nodes\n"
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

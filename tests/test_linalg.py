@@ -380,6 +380,10 @@ def assert_matches_list_kernel(m, p):
 
 
 SMALL_PRIMES = (2, 3, 5, 7)
+# primes just below 2^30, far above `PRIMES`: 14 rows take a slot past
+# 2^63.7, nearer a slot's limit than any matrix small enough for the list
+# kernel gets with the primes the package uses
+WIDE_PRIMES = (2**30 - 35, 2**30 - 41, 2**30 - 83)
 
 
 @st.composite
@@ -420,11 +424,21 @@ def test_row_reduce_mod_matches_list_kernel(case):
     assert_matches_list_kernel(*case)
 
 
-@pytest.mark.parametrize("p", PRIMES + SMALL_PRIMES)
+@pytest.mark.parametrize("p", PRIMES + SMALL_PRIMES + WIDE_PRIMES)
 @pytest.mark.parametrize("shape", [(14, 14), (14, 15), (9, 15), (14, 3)])
 def test_row_reduce_mod_near_the_slot_bound(p, shape):
     ech = assert_matches_list_kernel(near_bound_matrix(*shape), p)
     assert ech.rank == min(shape)  # every pivot is 1 over the integers
+
+
+def test_row_reduce_mod_refuses_a_slot_that_could_overflow():
+    # 17 pivots of 2^30 - 35 could take a slot past 2^64; 16 cannot, and
+    # take the last row's slots past 2^63.9
+    p = WIDE_PRIMES[0]
+    assert p + 17 * (p - 1) ** 2 >= 2**64 > p + 16 * (p - 1) ** 2
+    with pytest.raises(ValueError, match="64-bit slot"):
+        row_reduce_mod(near_bound_matrix(17, 17), p)
+    assert assert_matches_list_kernel(near_bound_matrix(17, 16), p).rank == 16
 
 
 @st.composite
@@ -456,7 +470,7 @@ def test_back_substitution_solves_the_full_rank_system_mod_p(case):
     n = len(m)
     ech = row_reduce_mod(m, p)
     assert ech.pivot_columns == tuple(range(n))
-    x = back_substitute(ech.ints, p)
+    x = back_substitute(ech.ints, [row[n] for row in ech.ints], p)
     assert len(x) == n and all(0 <= v < p for v in x)
     assert all((sum(map(mul, row, x)) - row[n]) % p == 0 for row in m)
 

@@ -5,7 +5,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm
 from operator import mul
 
 import pytest
@@ -33,6 +33,7 @@ from ppsn import (
     verify_ppsn,
 )
 from ppsn import construct, linalg
+from ppsn.mpoly import MAX_MONOMIALS
 from ppsn.nodes import _canonical_system, evaluation_rows
 
 F = Fraction
@@ -66,16 +67,19 @@ def miller_rabin(n):
     return True
 
 
-MODULUS = prod(PRIMES)
+MODULUS = PRIMES[0] ** 3  # three digits of a lift
+
 
 def test_primes_are_word_size_primes_apart_from_the_oracle():
     for p in linalg.PRIMES:
         assert miller_rabin(p)
-        assert p < 2**30
+        # row_reduce_mod's 64-bit slots hold p + r*(p-1)^2 for every rank r
+        # a matrix inside the dense budget can have, and the prime is
+        # within a factor 2 of that bound
+        assert (MAX_MONOMIALS + 1) * (p - 1) ** 2 + p < 2**64
+        assert p > 2**25
         assert p != 2**61 - 1
     assert len(set(linalg.PRIMES)) == len(linalg.PRIMES)
-    # reconstruction mod the product covers what one 62-bit prime covered
-    assert MODULUS > 2**62 - 57
     assert not miller_rabin(linalg.PRIMES[0] - 2)  # the test can say no
 
 
@@ -96,14 +100,22 @@ def test_rational_reconstruct_round_trip_with_signs(a, b):
     assert linalg.rational_reconstruct(-x.numerator * pow(x.denominator, -1, M), M) == -x
 
 
-def test_rational_reconstruct_matches_search_and_gives_none_past_the_bound():
-    p = 211
-    bound = isqrt(p // 2)
+def fractions_in_range(M):
+    """{residue: fraction} for every a/b in lowest terms with b invertible
+    mod M and |a|, b <= sqrt(M/2), found by search."""
+    bound = isqrt(M // 2)
     small = {}
     for b in range(1, bound + 1):
         for a in range(-bound, bound + 1):
-            if gcd(a, b) == 1:
-                small[a * pow(b, -1, p) % p] = F(a, b)
+            if gcd(a, b) == 1 and gcd(b, M) == 1:
+                small[a * pow(b, -1, M) % M] = F(a, b)
+    return small
+
+
+def test_rational_reconstruct_matches_search_and_gives_none_past_the_bound():
+    p = 211
+    bound = isqrt(p // 2)
+    small = fractions_in_range(p)
     misses = 0
     for u in range(p):
         got = linalg.rational_reconstruct(u, p)
@@ -116,17 +128,25 @@ def test_rational_reconstruct_matches_search_and_gives_none_past_the_bound():
 
 @pytest.mark.parametrize("M", [105, 1155])
 def test_rational_reconstruct_mod_a_composite_rejects_a_common_factor(M):
-    bound = isqrt(M // 2)
-    small = {}
-    for b in range(1, bound + 1):
-        for a in range(-bound, bound + 1):
-            if gcd(a, b) == 1 and gcd(b, M) == 1:
-                small[a * pow(b, -1, M) % M] = F(a, b)
+    small = fractions_in_range(M)
     for u in range(M):
         assert linalg.rational_reconstruct(u, M) == small.get(u)
     # 17 = 3 * (-6)^-1 is not invertible as written: the Euclidean remainder
     # and cofactor (3, -6) share 3, -1/2 is 52 mod 105, and nothing in range is 17
     assert linalg.rational_reconstruct(17, 105) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 11, 13, 31]), st.integers(1, 6))
+@example(3, 5)
+@example(2, 6)
+def test_rational_reconstruct_mod_a_prime_power_matches_search(p, k):
+    # the lift's moduli: a residue mod p^k has a fraction exactly when one
+    # in range, with no p in its denominator, is congruent to it
+    M = p**k
+    assume(M <= 3000)
+    small = fractions_in_range(M)
+    assert all(linalg.rational_reconstruct(u, M) == small.get(u) for u in range(M))
 
 
 # -- the kernel against exact elimination ------------------------------------------
@@ -155,15 +175,15 @@ def test_row_reduce_mod_is_row_reduce_mod_p(m):
 
 @st.composite
 def nonsingular_systems(draw):
-    """(A, b): an N x N integer matrix, nonsingular over Q and so mod every
-    word-size prime (|det A| <= (9 * sqrt(6))^6 < 2^27), with A[0][0] = 0 so
-    that eliminating A or A^T swaps rows at once; entries are zero half the
-    time, which makes later swaps common too."""
+    """(A, b): an N x N integer matrix, nonsingular mod every prime in
+    `PRIMES` (|det A| <= (9 * sqrt(6))^6 < 2^27 may be one of them), with
+    A[0][0] = 0 so that eliminating A or A^T swaps rows at once; entries
+    are zero half the time, which makes later swaps common too."""
     n = draw(st.integers(2, 6))
     entry = st.one_of(st.just(0), st.integers(-9, 9))
     a = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
     a[0][0] = 0
-    assume(reference.rref(a)[0] == n)
+    assume(all(reference.echelon_mod(a, p)[0] == n for p in PRIMES))
     b = draw(st.lists(st.integers(-(10**12), 10**12), min_size=n, max_size=n))
     return a, b
 
@@ -180,7 +200,7 @@ def test_transposed_solve_is_back_substitution_of_the_augmented_echelon(system):
         assert ech.rank == len(a) and ech.pivots[0][0] != 0  # a row swap
         augmented = linalg.row_reduce_mod([row + [v] for row, v in zip(a, b)], p)
         x = linalg.solve_transposed(ech, b, p)
-        assert x == linalg.back_substitute(augmented.ints, p)
+        assert x == linalg.back_substitute(augmented.ints, [row[-1] for row in augmented.ints], p)
         assert all((sum(map(mul, row, x)) - v) % p == 0 for row, v in zip(a, b))
 
 
@@ -306,6 +326,93 @@ def test_improper_functional_for_any_corank_is_the_rational_one(case):
     assert all(type(y) is Fraction for y in cert.kernel_functional)
 
 
+@st.composite
+def planted_corank_sets(draw):
+    """(nodes, manifold, m): m + 1 + c points on a line of the plane, or
+    2m + 1 + c on a great circle of the sphere, completed by random points,
+    so the evaluation matrix loses at least c ranks, for c = 1..4."""
+    c = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        manifold, m = None, draw(st.integers(3, 4))
+        a, b = draw(coords_st), draw(coords_st)
+        ts = draw(st.lists(coords_st, min_size=m + 1 + c, max_size=m + 1 + c, unique=True))
+        fixed = [(t, a * t + b) for t in ts]
+        pool, count = st.tuples(coords_st, coords_st), binom_e(m, 2)
+    else:
+        manifold, m = SPHERE, draw(st.integers(2, 3))
+        ts = draw(st.lists(coords_st, min_size=2 * m + 1 + c, max_size=2 * m + 1 + c, unique=True))
+        fixed = [circle_point(t) + (F(0),) for t in ts]
+        pool = st.tuples(coords_st, coords_st).map(lambda uv: sphere_point(*uv))
+        count = dim_along(m, SPHERE.profile)
+    rest = draw(
+        st.lists(pool, min_size=count - len(fixed), max_size=count - len(fixed), unique=True)
+        .filter(lambda r: not set(r) & set(fixed))
+    )
+    return NodeSet(draw(st.permutations(fixed + rest)), manifold), manifold, m
+
+
+@settings(max_examples=60, deadline=None, phases=NO_SHRINK)
+@given(planted_corank_sets())
+def test_lifted_kernel_of_a_planted_corank_is_the_reference_one(case):
+    nodes, manifold, m = case
+    cert = exact_path(nodes, manifold, m, ())[0]
+    assert not cert.proper
+    with pytest.MonkeyPatch.context() as mp:
+        calls = spy_on(mp, "row_reduce_mod", "IntegerEchelon")
+        assert verify_ppsn(nodes, manifold, m) == cert
+    # lifted from the one elimination: no second prime, no exact kernel
+    assert calls == {"row_reduce_mod": 1, "IntegerEchelon": 0}
+
+
+SMALL_PRIMES = [q for q in range(2, 200) if all(q % d for d in range(2, q))]
+
+
+@st.composite
+def generic_value_problems(draw):
+    """(nodes, manifold, m, values, first): a proper set in the plane, on
+    the circle or on the sphere; generic rational values, with
+    denominators that include multiples of PRIMES[0] and of `first`; and
+    `first`, a small prime that divides the determinant of the canonical
+    system, or None."""
+    space = draw(st.sampled_from(["plane", "circle", "sphere"]))
+    if space == "plane":
+        manifold, n, m = None, 2, draw(st.integers(1, 3))
+        pool = st.tuples(coords_st, coords_st)
+    elif space == "circle":
+        manifold, n, m = CIRCLE, 2, draw(st.integers(1, 5))
+        pool = coords_st.map(circle_point)
+    else:
+        manifold, n, m = SPHERE, 3, draw(st.integers(1, 2))
+        pool = st.tuples(coords_st, coords_st).map(lambda uv: sphere_point(*uv))
+    columns = canonical_monomials(manifold, n, m)
+    points = draw(st.lists(pool, min_size=len(columns), max_size=len(columns), unique=True))
+    assume(reference.rref([reference.row(q, columns) for q in points])[0] == len(columns))
+    rows = [row for _, row in evaluation_rows(points, columns)]
+    singular = [q for q in SMALL_PRIMES if reference.echelon_mod(rows, q)[0] < len(rows)]
+    first = draw(st.sampled_from(singular)) if singular and draw(st.booleans()) else None
+    q = first or 7
+    denominators = st.sampled_from([1, 2, 9, q, q * q, PRIMES[0], 3 * PRIMES[0]])
+    value = st.builds(F, st.integers(-(10**6), 10**6), denominators)
+    values = tuple(draw(st.lists(value, min_size=len(points), max_size=len(points))))
+    return NodeSet(points, manifold), manifold, m, values, first
+
+
+@settings(max_examples=100, deadline=None, phases=NO_SHRINK)
+@given(generic_value_problems())
+def test_lifted_solve_with_generic_values_is_the_reference_one(case):
+    nodes, manifold, m, values, first = case
+    cert, poly = exact_path(nodes, manifold, m, values)
+    with pytest.MonkeyPatch.context() as mp:
+        if first is not None:
+            mp.setattr(linalg, "PRIMES", (first,) + PRIMES)
+        calls = spy_on(mp, "row_reduce_mod", "IntegerEchelon")
+        assert verify_ppsn(nodes, manifold, m) == cert
+        assert interpolate(InterpolationProblem(manifold, m, nodes, values), cert) == poly
+    # a first prime that leaves A singular costs one more elimination and
+    # nothing else; the exact path never runs
+    assert calls == {"row_reduce_mod": 1 + (first is not None), "IntegerEchelon": 0}
+
+
 # -- fallbacks ------------------------------------------------------------------------
 
 
@@ -398,12 +505,14 @@ def test_prime_making_an_earlier_row_dependent_is_not_trusted(monkeypatch, exact
     cert = exact_path(SPREAD, None, 1, ())[0]
     assert cert.kernel_functional == (F(1), F(-2), F(1))
 
-    monkeypatch.setattr(linalg, "PRIMES", (7,))  # f = 1 mod 7, f = 2 over Q
+    # f = 1 mod 7, f = 2 over Q: the lift of row 1 on row 0 finds no
+    # second digit, and the exact kernel decides
+    monkeypatch.setattr(linalg, "PRIMES", (7,))
     exact_calls.update(row_reduce=0, IntegerEchelon=0)
     assert verify_ppsn(SPREAD, None, 1) == cert
     assert exact_calls == {"row_reduce": 0, "IntegerEchelon": 1}
 
-    # a later prime with a larger f restarts the combination
+    # a later prime with a larger f lifts the dependency
     monkeypatch.setattr(linalg, "PRIMES", (7,) + PRIMES)
     exact_calls.update(row_reduce=0, IntegerEchelon=0)
     assert verify_ppsn(SPREAD, None, 1) == cert
@@ -422,30 +531,38 @@ def diagonal(p):
     return NodeSet([(F(0), F(0)), (F(p), F(p)), (F(1), F(1))])
 
 
+def lifted_primes(monkeypatch):
+    """The prime of every `linalg.lift` call from here on."""
+    primes = []
+    original = linalg.lift
+
+    def spy(rows, b, p, *rest):
+        primes.append(p)
+        return original(rows, b, p, *rest)
+
+    monkeypatch.setattr(linalg, "lift", spy)
+    return primes
+
+
 def test_prime_with_a_smaller_first_dependent_row_is_skipped(monkeypatch, exact_calls):
-    fed = []
-    real_crt = linalg.crt
-    monkeypatch.setattr(
-        linalg, "crt", lambda residues, modulus, x, p: fed.append(p) or real_crt(residues, modulus, x, p)
-    )
+    lifted = lifted_primes(monkeypatch)
     p = PRIMES[1]
     cert = exact_path(diagonal(p), None, 1, ())[0]
     assert cert.kernel_functional == (F(1 - p, p), F(-1, p), F(1))
     exact_calls.update(row_reduce=0, IntegerEchelon=0)
     assert verify_ppsn(diagonal(p), None, 1) == cert
-    # 1/p needs a modulus above 2 p^2, more than the other two primes give,
-    # so the exact kernel decides after all three
-    assert fed == [PRIMES[0], PRIMES[2]]
-    assert exact_calls == {"row_reduce": 0, "IntegerEchelon": 1}
+    # 1/p is a p-adic unit for any other prime: the first prime lifts it
+    assert lifted == [PRIMES[0]]
+    assert exact_calls == {"row_reduce": 0, "IntegerEchelon": 0}
 
-    # 5 reconstructs nothing, 3 is skipped, and with a prime after it the
-    # residues of 5 rebuild the dependency
+    # row 1 is row 0 mod 5 and mod 3: the lift mod 5 finds no second digit,
+    # which shows f > 1, so 3 is skipped and the next prime lifts row 2
     monkeypatch.setattr(linalg, "PRIMES", (5, 3) + PRIMES[:1])
-    cert = exact_path(diagonal(3), None, 1, ())[0]
-    fed.clear()
+    cert = exact_path(diagonal(15), None, 1, ())[0]
+    lifted.clear()
     exact_calls.update(row_reduce=0, IntegerEchelon=0)
-    assert verify_ppsn(diagonal(3), None, 1) == cert
-    assert fed == [5, PRIMES[0]]
+    assert verify_ppsn(diagonal(15), None, 1) == cert
+    assert lifted == [5, PRIMES[0]]
     assert exact_calls == {"row_reduce": 0, "IntegerEchelon": 0}
 
 
@@ -492,8 +609,9 @@ def test_interpolate_without_certificate_eliminates_once(monkeypatch, verify_cal
     assert verify_calls == [(TRIANGLE, None, 1)] * 2
     assert counts == {"row_reduce": 0, "row_reduce_mod": 2, "IntegerEchelon": 0}
 
-    # the first prime divides a value's denominator: it still certifies the
-    # nodes, which needs no value, and the next prime solves
+    # the first prime divides a value's denominator: the values' common
+    # denominator is cleared before the lift, so its one echelon certifies
+    # the nodes and solves
     verify_calls.clear()
     _canonical_system.cache_clear()
     values = (F(1, 11), F(2), F(3))
@@ -502,7 +620,7 @@ def test_interpolate_without_certificate_eliminates_once(monkeypatch, verify_cal
     monkeypatch.setattr(linalg, "PRIMES", (11,) + PRIMES)
     assert interpolate(InterpolationProblem(None, 1, TRIANGLE, values)) == poly
     assert verify_calls == [(TRIANGLE, None, 1)]
-    assert counts == {"row_reduce": 0, "row_reduce_mod": 2, "IntegerEchelon": 0}
+    assert counts == {"row_reduce": 0, "row_reduce_mod": 1, "IntegerEchelon": 0}
 
 
 # -- one factorization for verify and interpolate ------------------------------------
@@ -647,18 +765,17 @@ def test_interpolate_without_certificate_refuses_improper_nodes(verify_calls):
     assert len(verify_calls) == 3
 
 
-def test_value_denominator_divisible_by_the_prime_falls_back(monkeypatch, exact_calls):
-    monkeypatch.setattr(linalg, "PRIMES", (11,))  # the triangle is nonsingular mod 11
-    values = (F(1, 11), F(2), F(3))
+def test_value_denominator_divisible_by_the_prime_is_cleared(monkeypatch, exact_calls):
+    # the triangle is nonsingular mod 11, and b is scaled by the values'
+    # common denominator before the lift, so 11 solves it alone
+    monkeypatch.setattr(linalg, "PRIMES", (11,))
+    lifted = lifted_primes(monkeypatch)
+    values = (F(1, 11), F(2), F(3, 121))
     problem = InterpolationProblem(None, 1, TRIANGLE, values)
     cert, poly = exact_path(TRIANGLE, None, 1, values)
     exact_calls.update(row_reduce=0, IntegerEchelon=0)
     assert interpolate(problem, cert) == poly
-    assert exact_calls == {"row_reduce": 0, "IntegerEchelon": 1}
-
-    monkeypatch.setattr(linalg, "PRIMES", (11,) + PRIMES)
-    exact_calls.update(row_reduce=0, IntegerEchelon=0)
-    assert interpolate(problem, cert) == poly
+    assert lifted == [11]
     assert exact_calls == {"row_reduce": 0, "IntegerEchelon": 0}
 
 
@@ -675,33 +792,37 @@ def test_corrupted_coefficient_is_rejected_by_the_node_check(monkeypatch, exact_
     assert interpolate(problem, cert) == poly
     assert exact_calls == {"row_reduce": 0, "IntegerEchelon": 0}  # the modular guess was accepted
 
-    original = linalg.rational_reconstruct
+    original = linalg._reconstruct_all
 
     def corrupting(rounds):
         """Add 1 to the first coefficient of each of the first `rounds`
-        guesses, one guess per prime."""
+        guesses the lift makes."""
         calls = []
 
-        def corrupt(u, M):
-            calls.append(u)
-            x = original(u, M)
-            return x + 1 if len(calls) % len(points) == 1 and len(calls) < rounds * len(points) else x
+        def corrupt(residues, M):
+            calls.append(M)
+            x = original(residues, M)
+            if x is not None and len(calls) <= rounds:
+                x = [x[0] + 1] + x[1:]
+            return x
 
-        monkeypatch.setattr(linalg, "rational_reconstruct", corrupt)
+        monkeypatch.setattr(linalg, "_reconstruct_all", corrupt)
         return calls
 
-    # every prime's guess is corrupted: none is returned, the exact path decides
-    calls = corrupting(len(PRIMES))
+    # every guess is corrupted: none is returned, and after the last digit
+    # the Hadamard bound allows, the exact path decides
+    calls = corrupting(10**6)
     exact_calls.update(row_reduce=0, IntegerEchelon=0)
     assert interpolate(problem, cert) == poly
-    assert len(calls) == len(PRIMES) * len(points)
+    assert len(calls) > 2
     assert exact_calls == {"row_reduce": 0, "IntegerEchelon": 1}
 
-    # only the first guess is corrupted: the second prime's guess is returned
+    # only the first guess is corrupted: the guess after the second digit
+    # is returned
     calls = corrupting(1)
     exact_calls.update(row_reduce=0, IntegerEchelon=0)
     assert interpolate(problem, cert) == poly
-    assert len(calls) == 2 * len(points)
+    assert calls == [PRIMES[0], PRIMES[0] ** 2]
     assert exact_calls == {"row_reduce": 0, "IntegerEchelon": 0}
 
 
@@ -715,51 +836,60 @@ def test_forged_certificate_is_not_trusted():
         interpolate(InterpolationProblem(None, 1, nodes, (F(0), F(1), F(2))), forged)
 
 
-# -- how many primes a solve takes --------------------------------------------------
+# -- how many digits a lift takes ---------------------------------------------------
 
-# a fraction a/b with |a|, b <= BOUNDS[k] is recovered mod the first k primes
-BOUNDS = [isqrt(prod(PRIMES[:k]) // 2) for k in range(len(PRIMES) + 1)]
+
+def digits_needed(x):
+    """The fewest k with every numerator and denominator of x within
+    sqrt(p^k / 2) for p = PRIMES[0], the reach of reconstruction mod p^k."""
+    top = max(max(abs(v.numerator), v.denominator) for v in x)
+    k = 1
+    while isqrt(PRIMES[0] ** k // 2) < top:
+        k += 1
+    return k
 
 
 @st.composite
 def sized_line_problems(draw):
-    """(nodes, values, planted, k): distinct rational points on the line, so
-    the square (Vandermonde) system is nonsingular, with no minor divisible by
-    a word-size prime. The planted interpolant's largest numerator or
-    denominator lies in (BOUNDS[k - 1], BOUNDS[k]], so it needs exactly k
-    primes; k = 4 puts it past all three."""
-    k = draw(st.integers(1, len(PRIMES) + 1))
-    lo = BOUNDS[k - 1]
-    hi = BOUNDS[k] if k <= len(PRIMES) else 2**64
+    """(nodes, values, planted): distinct integer points on the line, so
+    the square (Vandermonde) system is nonsingular, with no minor divisible
+    by a word-size prime, and every row scale is 1; and a planted
+    interpolant with one integer or unit-fraction coefficient of up to
+    2^200, past the reach of one residue mod a product of a few word-size
+    primes."""
     m = draw(st.integers(0, 4))
-    ts = draw(st.lists(coords_st, min_size=m + 1, max_size=m + 1, unique=True))
-    size = st.integers(1, hi)
+    ts = draw(st.lists(st.integers(-6, 6).map(F), min_size=m + 1, max_size=m + 1, unique=True))
+    size = st.integers(1, 2 ** draw(st.integers(1, 200)))
     coeffs = [
         F(draw(st.sampled_from([-1, 1])) * draw(size), draw(size)) for _ in range(m + 1)
     ]
-    # one coefficient is an integer or a unit fraction of size in (lo, hi]
-    big = draw(st.integers(lo + 1, hi))
+    big = draw(size)
     coeffs[draw(st.integers(0, m))] = F(big) if draw(st.booleans()) else F(-1, big)
-    assume(all(c.denominator % p for c in coeffs for p in PRIMES))
+    assume(all(c.denominator % PRIMES[0] for c in coeffs))
     planted = Polynomial(1, {(j,): c for j, c in enumerate(coeffs)})
     nodes = NodeSet([(t,) for t in ts])
-    return nodes, tuple(planted.evaluate(q) for q in nodes), planted, k
+    return nodes, tuple(planted.evaluate(q) for q in nodes), planted
 
 
 @settings(max_examples=80, deadline=None, phases=NO_SHRINK)
 @given(sized_line_problems())
-def test_solve_takes_exactly_the_primes_the_coefficients_need(case):
-    nodes, values, planted, k = case
+def test_solve_lifts_any_size_from_one_elimination(case):
+    nodes, values, planted = case
     m = len(nodes) - 1
     cert, poly = exact_path(nodes, None, m, values)
     assert poly == planted
     with pytest.MonkeyPatch.context() as mp:
-        calls = spy_on(mp, "solution_set", "row_reduce_mod")
+        calls = spy_on(mp, "solution_set", "row_reduce_mod", "solve_transposed")
         assert verify_ppsn(nodes, None, m) == cert
         assert interpolate(InterpolationProblem(None, m, nodes, values), cert) == poly
-    # the solve reuses the certificate's elimination mod PRIMES[0], and
-    # the exact path runs only past the range of all three primes
-    assert calls == {"solution_set": int(k > len(PRIMES)), "row_reduce_mod": min(k, len(PRIMES))}
+    # the solve reuses the certificate's elimination and never takes the
+    # exact path. With every row scale 1, it lifts D x, D the values'
+    # common denominator, one solve_transposed per digit, and tries after
+    # 1, 2, 4, ... digits, so it stops before twice the digits D x needs
+    D = lcm(*(v.denominator for v in values))
+    k = digits_needed([D * c for c in planted.terms.values()])
+    assert (calls["solution_set"], calls["row_reduce_mod"]) == (0, 1)
+    assert k <= calls["solve_transposed"] < 2 * k
 
 
 def random_rational(rng):
