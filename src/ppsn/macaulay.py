@@ -4,22 +4,25 @@ reduction modulo a manifold, and H-base decomposition.
 The central object is the degree-m matrix whose rows are the coefficient
 vectors of the elementary items X^alpha * g_i (|alpha| + k_i = m) over the
 degree-m monomials, where g_i is the leading form of the i-th defining
-polynomial. Its pivot columns are the selected monomials; the complement
-spans the canonical remainder space on the manifold. One fraction-free
-integer echelon of that matrix (`linalg.row_reduce`) finds them, and the
-selection keeps it.
+polynomial, each written as the integer numerators of g_i (a row scaled by
+the denominator of g_i). Its pivot columns are the selected monomials; the
+complement spans the canonical remainder space on the manifold. One
+fraction-free integer echelon of that matrix (`linalg.row_reduce`) finds
+them, and the selection keeps it. The infinity check is the rank check of
+one such selection.
 
 `reduce_modulo` descends degree by degree in one mutable table of integer
-numerators over one denominator: at each degree the item weights, which are
-the cofactor coefficients, solve (G_S)^T lambda = work_S over the selected
+numerators over one denominator: at each degree the item weights, which
+give the cofactor coefficients, solve (G_S)^T lambda = work_S over the selected
 columns S, read off the selection's echelon by substitution in pivot order
 (no elimination per call), and subtracting each weighted X^alpha * f_i term
 by term leaves only unselected monomials of that degree, which join the
 remainder. G_S has independent columns, so (G_S)^T has full row rank and
 the system is always consistent. One builder, `elementary_items`, writes
-every item matrix from the terms of its polynomials: the degree-m items for
-monomial selection and the infinity check, and, over the monomial basis,
-the H-base items X^beta * (F_i f_i), F_i f_i the integer numerators of f_i.
+every item matrix from the integer numerators of its polynomials: the
+degree-m items for monomial selection and the infinity check, and, over the
+monomial basis, the H-base items X^beta * (F_i f_i), F_i f_i the integer
+numerators of f_i.
 `hbase_decompose` and `verify_hbase` eliminate those items once per degree
 in one integer echelon, untransposed, read each member's weights off it by
 substitution and accept them by one exact integer check (`_HBaseSystems`).
@@ -30,11 +33,11 @@ polynomial at all the points in one integer batch.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -146,23 +149,24 @@ def elementary_items(
     n: int,
     m: int,
     monomials: Callable[[int, int], Sequence[MultiIndex]] = monomials_of_degree,
-) -> Tuple[Tuple[MultiIndex, ...], List[List[Fraction]], List[Tuple[MultiIndex, int]]]:
-    """The elementary items X^alpha * g_i, alpha in monomials(n, m - deg g_i):
-    the monomials(n, m) their rows run over, each item's coefficient row
-    over them (its zeros are int 0 and its integral coefficients ints, so
-    an integral form gives int rows, which `linalg.IntegerEchelon` takes as
-    they are), and each item's label (alpha, i). The degree-m
-    monomials (`monomials_of_degree`) and homogeneous forms give the
-    degree-m items; the monomials of degree <= m (`monomial_basis`) and the
-    integer numerators of the defining polynomials give the H-base items."""
+) -> Tuple[Tuple[MultiIndex, ...], List[List[int]], List[Tuple[MultiIndex, int]]]:
+    """The elementary items X^alpha * (E_i g_i), alpha in
+    monomials(n, m - deg g_i), E_i g_i the integer numerators of the form
+    g_i: the monomials(n, m) their rows run over, each item's integer row
+    over them, which `linalg.IntegerEchelon` takes as it is, and each
+    item's label (alpha, i). A weight w on item (alpha, i) is the weight
+    w * E_i on X^alpha * g_i. The degree-m monomials
+    (`monomials_of_degree`) and homogeneous forms give the degree-m items;
+    the monomials of degree <= m (`monomial_basis`) and the defining
+    polynomials give the H-base items."""
     monos = tuple(monomials(n, m))
     col = {mu: j for j, mu in enumerate(monos)}
-    rows: List[List[Fraction]] = []
+    rows: List[List[int]] = []
     labels: List[Tuple[MultiIndex, int]] = []
     for i, g in enumerate(forms):
-        terms = [(beta, c.numerator if c.denominator == 1 else c) for beta, c in g.terms.items()]
+        terms = list(g._numerators()[1].items())
         for alpha in monomials(n, m - g.degree):
-            row: List[Fraction] = [0] * len(monos)
+            row = [0] * len(monos)
             for beta, c in terms:
                 row[col[tuple(map(operator.add, alpha, beta))]] = c
             rows.append(row)
@@ -234,20 +238,25 @@ def canonical_monomials(
 
 
 def infinity_check(manifold: Manifold) -> bool:
-    """True iff the leading forms (completed by witnesses) share no
-    projective zero, certified by a full-rank elementary-item matrix one
-    degree past the saturation degree."""
-    gs = list(manifold.leading_forms) + [w.leading_form() for w in manifold.witnesses]
+    """True iff the leading forms, completed by the witnesses, share no
+    projective zero: the degree-(M + 1) selection of the n forms, M their
+    degree sum less n, passes its rank check, that is, their items span
+    every monomial of that degree (Macaulay's criterion, see
+    `nodes._require_full_intersection`). For s = n with no witnesses this
+    is the cached selection that check reads."""
+    gs = manifold.leading_forms + tuple(w.leading_form() for w in manifold.witnesses)
     n = manifold.n
     if len(gs) != n:
         raise InputError(
             f"infinity check needs n={n} leading forms; got {len(gs)} "
             "(supply witnesses to complete the intersection)"
         )
-    target = sum(g.degree for g in gs) - n + 1
-    require_dense_size(n, target)  # before the items: a witness may have any degree
-    monos, rows, _ = elementary_items(gs, n, target)
-    return linalg.row_reduce(rows).rank == len(monos)
+    profile = DegreeProfile(n, tuple(g.degree for g in gs))
+    try:
+        _selection(gs, profile, profile.M + 1)
+    except InsufficientIntersectionError:
+        return False
+    return True
 
 
 def _expand(total: Polynomial, cofactors: Sequence[Polynomial], manifold: Manifold) -> Polynomial:
@@ -287,32 +296,38 @@ def reduce_modulo(f: Polynomial, manifold: Manifold) -> ReducedForm:
     of G_t[:, S] is independent exactly when it is in G_t, and those rows
     are the echelon's kept items I. The system has exactly one solution
     supported on I (`weights`), so the two agree.
-    Each nonzero lambda on item (alpha, i) is the coefficient of X^alpha in
-    cofactor i, and lambda * X^alpha * f_i is subtracted from `work` term by
-    term: its leading form clears the selected monomials of degree t, its
-    lower terms fall to lower degrees. To keep the subtraction integral,
-    `work` and D are first multiplied by L * F, with L the lcm of the
-    denominators of D * lambda in lowest terms and F that of the
-    denominators of the f_i used; each term lambda * c of
-    lambda * X^alpha * f_i is then the integer (L * D * lambda) * (F * c)
+    Item (alpha, i) is X^alpha times the integer numerators E_i g_i of the
+    leading form (`elementary_items`), so each nonzero lambda on it gives
+    c = lambda * E_i, the coefficient of X^alpha in cofactor i, and
+    c * X^alpha * f_i is subtracted from `work` term by term: its leading
+    form clears the selected monomials of degree t, its lower terms fall to
+    lower degrees. To keep the subtraction integral, `work` and D are first
+    multiplied by L * F, with L the lcm of the denominators of D * c in
+    lowest terms and F that of the denominators of the f_i used; each term
+    c * b of c * X^alpha * f_i is then the integer (L * D * c) * (F * b)
     over the new D. What is left of degree t lies on unselected monomials
-    and moves to the remainder. Each coefficient becomes a Fraction once, as
-    it leaves `work`.
+    and joins the remainder. The remainder's parts and the cofactors stay
+    integer numerators over the running D, multiplied with `work`, and
+    leave as Polynomials over D: no Fraction is built.
     """
     if f.n != manifold.n:
         raise DimensionMismatchError("polynomial/manifold dimension mismatch")
     n = manifold.n
     D, numerators = f._numerators()
     work: Dict[int, Dict[MultiIndex, int]] = {}
-    for mu, v in numerators:
+    for mu, v in numerators.items():
         work.setdefault(sum(mu), {})[mu] = v
-    # each f_i as (F_i, k_i, [(beta, |beta|, F_i * c)])
+    # each f_i as (F_i, k_i, [(beta, |beta|, F_i * c)]), and the denominator
+    # of its leading form, which scales its items (`elementary_items`)
     polys = []
-    for p, k in zip(manifold.polynomials, manifold.profile.ks):
+    leading = []
+    for p, g, k in zip(manifold.polynomials, manifold.leading_forms, manifold.profile.ks):
         F, terms = p._numerators()
-        polys.append((F, k, [(beta, sum(beta), c) for beta, c in terms]))
-    remainder: Dict[MultiIndex, Fraction] = {}
-    cofactors: List[Dict[MultiIndex, Fraction]] = [{} for _ in manifold.polynomials]
+        polys.append((F, k, [(beta, sum(beta), c) for beta, c in terms.items()]))
+        leading.append(g._numerators()[0])
+    # the finished parts and the cofactors, numerators over the running D
+    remainder: List[Dict[MultiIndex, int]] = []
+    cofactors: List[Dict[MultiIndex, int]] = [{} for _ in manifold.polynomials]
     while work:
         t = max(work)
         part = work[t]
@@ -323,18 +338,22 @@ def reduce_modulo(f: Polynomial, manifold: Manifold) -> ReducedForm:
         if sel.labeled_items:
             rhs = [part.get(sel.monomials[c], 0) for c in sel.selected]
             lam, den = sel.echelon.weights(rhs)
-            # the weights on the numerators are lam / den, over L in lowest terms
-            g = math.gcd(den, *lam)
+            # the weights on X^alpha * g_i are w / den over the numerators,
+            # and L is their denominator in lowest terms
+            items = [
+                (w * leading[i], alpha, i) for w, (alpha, i) in zip(lam, sel.labeled_items) if w
+            ]
+            g = math.gcd(den, *(w for w, _, _ in items))
             L = den // g
-            items = [(w // g, alpha, i) for w, (alpha, i) in zip(lam, sel.labeled_items) if w]
             F = math.lcm(*(polys[i][0] for _, _, i in items))
             scale = L * F
             if scale != 1:
-                for bucket in work.values():
+                for bucket in itertools.chain(work.values(), remainder, cofactors):
                     for mu in bucket:
                         bucket[mu] *= scale
             for w, alpha, i in items:
-                cofactors[i][alpha] = Fraction(w, L * D)
+                w //= g
+                cofactors[i][alpha] = w * F
                 Fi, k, terms = polys[i]
                 factor = w * (F // Fi)
                 low = t - k  # |alpha|
@@ -348,12 +367,10 @@ def reduce_modulo(f: Polynomial, manifold: Manifold) -> ReducedForm:
         del work[t]
         if any(part.get(sel.monomials[j]) for j in sel.selected):
             raise InternalCheckError("remainder touches a selected monomial")
-        for mu, v in part.items():
-            if v:
-                remainder[mu] = Fraction(v, D)
+        remainder.append(part)
     return ReducedForm(
-        Polynomial._trusted(n, remainder),
-        tuple(Polynomial._trusted(n, c) for c in cofactors),
+        Polynomial._over(n, {mu: v for part in remainder for mu, v in part.items()}, D),
+        tuple(Polynomial._over(n, c, D) for c in cofactors),
     )
 
 
@@ -380,9 +397,12 @@ class _HBaseSystems:
 
     def __init__(self, manifold: Manifold):
         self.n = manifold.n
+        self._polynomials = manifold.polynomials
         # each f_i as (F_i, [(beta, F_i * c)], k_i)
-        self.polys = [(*p._numerators(), p.degree) for p in manifold.polynomials]
-        self._items = [Polynomial._over(self.n, dict(terms), 1) for _, terms, _ in self.polys]
+        self.polys = []
+        for p in manifold.polynomials:
+            F, terms = p._numerators()
+            self.polys.append((F, list(terms.items()), p.degree))
         self._echelons: Dict[int, tuple] = {}
 
     def weights(self, G: Dict[MultiIndex, int], D: int) -> Tuple[list, List[int], int]:
@@ -391,7 +411,7 @@ class _HBaseSystems:
         may have lowered; DecompositionError when there are none."""
         d = max((sum(mu) for mu, v in G.items() if v), default=-1)
         if d not in self._echelons:
-            basis, rows, labels = elementary_items(self._items, self.n, d, monomial_basis)
+            basis, rows, labels = elementary_items(self._polynomials, self.n, d, monomial_basis)
             echelon = linalg.row_reduce(rows)
             self._echelons[d] = labels, echelon, [basis[c] for c in echelon.columns]
         labels, echelon, pivots = self._echelons[d]
@@ -421,7 +441,7 @@ def hbase_decompose(g: Polynomial, manifold: Manifold) -> Decomposition:
         raise DimensionMismatchError("polynomial/manifold dimension mismatch")
     D, numerators = g._numerators()
     systems = _HBaseSystems(manifold)
-    labels, lam, den = systems.weights(dict(numerators), D)
+    labels, lam, den = systems.weights(numerators, D)
     cofactors: List[Dict[MultiIndex, int]] = [{} for _ in manifold.polynomials]
     for w, (beta, i) in zip(lam, labels):
         cofactors[i][beta] = w * systems.polys[i][0]

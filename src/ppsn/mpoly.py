@@ -1,7 +1,9 @@
 """Sparse multivariate polynomials over exact rationals.
 
-Coefficients are `fractions.Fraction` (always in lowest terms, positive
-denominator). A multi-index is a tuple of nonnegative ints of length n.
+A polynomial stores its coefficients in one form: integer numerators over
+one positive denominator D with no factor common to D and all numerators
+(`Polynomial`). Its `terms`, `fractions.Fraction`s in lowest terms, are
+built on access. A multi-index is a tuple of nonnegative ints of length n.
 The fixed monomial order everywhere is graded: ascending total degree,
 and within one degree descending lexicographic on the exponent tuple,
 so for n=2 the basis starts 1, x1, x2, x1^2, x1*x2, x2^2, ...
@@ -25,7 +27,9 @@ refused before its plan is built.
 Text is read by one term-level scanner, `parse_polynomial`: a lexical pass
 over the whole text, then one pattern per term whose factors are listed
 from its span, so every error is the one a token-by-token parser meets
-first. `str` prints the terms in the graded order.
+first. A term's coefficient is an int, or one Fraction when the term has a
+denominator. `str` prints the terms in the graded order, each numerator
+reduced against D by one gcd.
 """
 
 from __future__ import annotations
@@ -185,28 +189,39 @@ def evaluation_rows(
     return out
 
 
-class Polynomial:
-    """Immutable sparse polynomial. `terms` maps multi-index -> nonzero Fraction.
+def _over_lcm(terms: Dict[MultiIndex, Fraction]) -> Tuple[Dict[MultiIndex, int], int]:
+    """(numerators, D): ints and Fractions in lowest terms as integer
+    numerators over D, the lcm of their denominators, which shares no
+    factor with all of them."""
+    D = math.lcm(*(c.denominator for c in terms.values()))
+    return {a: c.numerator * (D // c.denominator) for a, c in terms.items()}, D
 
-    Every instance keeps one invariant: each key is a tuple of n nonnegative
-    ints and each value a nonzero `Fraction`. `__init__` establishes it for
-    any input. Arithmetic on polynomials only adds, multiplies and negates
-    Fractions and adds exponent tuples of length n, so its results keep the
-    invariant except for coefficients that cancel to zero; they are built by
-    `_trusted`, which only drops those and computes the degree. A product,
-    and `macaulay.reduce_modulo`, computes on integer numerators over one
-    denominator (`_numerators`) and builds each result coefficient once, in
-    lowest terms, by `_over`.
+
+class Polynomial:
+    """Immutable sparse polynomial in one stored form: integer numerators
+    over one denominator. The coefficient of X^alpha is
+    numerators[alpha] / D, with D >= 1, every numerator a nonzero int and
+    gcd(D, all numerators) = 1, so equal polynomials have equal stored
+    forms and `==` and `hash` compare those. `terms`, the mapping
+    multi-index -> nonzero Fraction in lowest terms, is built on each access
+    and not kept.
+
+    Each key is a tuple of n nonnegative ints. `__init__` establishes the
+    form for any input. Arithmetic brings its operands to a common
+    denominator, adds and multiplies numerators and adds exponent tuples of
+    length n; every result is built by `_over`, which drops the numerators
+    that cancel to zero and divides out gcd(D, numerators) once.
     """
 
-    __slots__ = ("n", "terms", "_degree", "_hash", "_leading")
+    __slots__ = ("n", "_den", "_nums", "_degree", "_hash", "_leading")
 
     def __init__(self, n: int, terms: Dict[MultiIndex, Fraction]):
         if n < 1:
             raise InputError("ambient dimension must be >= 1")
         clean: Dict[MultiIndex, Fraction] = {}
         for alpha, c in terms.items():
-            c = as_fraction(c)
+            if not isinstance(c, (int, Fraction)):
+                c = as_fraction(c)
             if c == 0:
                 continue
             if type(alpha) is not tuple or not all(type(e) is int for e in alpha):
@@ -214,42 +229,50 @@ class Polynomial:
             if len(alpha) != n or any(e < 0 for e in alpha):
                 raise InputError(f"bad multi-index {alpha} for dimension {n}")
             clean[alpha] = c
-        self._set(n, clean)
+        self._set(n, *_over_lcm(clean))
 
     @classmethod
     def _trusted(cls, n: int, terms: Dict[MultiIndex, Fraction]) -> "Polynomial":
-        """A polynomial from terms that keep the class invariant except for
-        zero coefficients, which are dropped; nothing else is checked."""
-        poly = object.__new__(cls)
-        poly._set(n, {a: c for a, c in terms.items() if c})
-        return poly
+        """A polynomial from ints and Fractions on keys that keep the class
+        invariant, zero values dropped; nothing else is checked."""
+        return cls._over(n, *_over_lcm(terms))
 
     @classmethod
     def _over(cls, n: int, numerators: Dict[MultiIndex, int], D: int) -> "Polynomial":
         """The polynomial with coefficients numerators[alpha] / D, for a
-        positive D, zero numerators dropped: one Fraction per term."""
+        positive D and keys that keep the class invariant."""
         poly = object.__new__(cls)
-        if D == 1:
-            poly._set(n, {a: Fraction(v) for a, v in numerators.items() if v})
-        else:
-            poly._set(n, {a: Fraction(v, D) for a, v in numerators.items() if v})
+        poly._set(n, numerators, D)
         return poly
 
-    def _numerators(self) -> Tuple[int, List[Tuple[MultiIndex, int]]]:
-        """(D, [(alpha, D * coefficient)]): the coefficients as integer
-        numerators over D, the lcm of their denominators."""
-        D = math.lcm(*(c.denominator for c in self.terms.values()))
-        return D, [(a, c.numerator * (D // c.denominator)) for a, c in self.terms.items()]
+    def _numerators(self) -> Tuple[int, Dict[MultiIndex, int]]:
+        """(D, numerators): the stored form, which the caller must not change."""
+        return self._den, self._nums
 
-    def _set(self, n: int, clean: Dict[MultiIndex, Fraction]):
+    def _set(self, n: int, numerators: Dict[MultiIndex, int], D: int):
+        """Store numerators / D: zero numerators dropped, then
+        gcd(D, numerators) divided out."""
+        nums = {a: v for a, v in numerators.items() if v}
+        if D != 1:
+            g = math.gcd(D, *nums.values())
+            if g != 1:
+                D //= g
+                nums = {a: v // g for a, v in nums.items()}
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_degree", max(map(sum, clean), default=-1))
+        object.__setattr__(self, "_den", D)
+        object.__setattr__(self, "_nums", nums)
+        object.__setattr__(self, "_degree", max(map(sum, nums), default=-1))
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_leading", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    @property
+    def terms(self) -> Dict[MultiIndex, Fraction]:
+        """multi-index -> nonzero Fraction, built from the stored form."""
+        D = self._den
+        return {a: Fraction(v, D) for a, v in self._nums.items()}
 
     # -- constructors ------------------------------------------------------
 
@@ -259,7 +282,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, n: int, c) -> "Polynomial":
-        return cls(n, {(0,) * n: as_fraction(c)})
+        return cls(n, {(0,) * n: c})
 
     @classmethod
     def variable(cls, n: int, i: int) -> "Polynomial":
@@ -268,11 +291,11 @@ class Polynomial:
             raise InputError(f"variable index {i} out of range 1..{n}")
         alpha = [0] * n
         alpha[i - 1] = 1
-        return cls(n, {tuple(alpha): Fraction(1)})
+        return cls(n, {tuple(alpha): 1})
 
     @classmethod
     def monomial(cls, alpha: MultiIndex, c=1) -> "Polynomial":
-        return cls(len(alpha), {tuple(alpha): as_fraction(c)})
+        return cls(len(alpha), {tuple(alpha): c})
 
     # -- basic queries -----------------------------------------------------
 
@@ -282,7 +305,7 @@ class Polynomial:
         return self._degree
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     def in_space(self, m: int) -> bool:
         """Membership in the space of polynomials of total degree <= m.
@@ -292,11 +315,13 @@ class Polynomial:
         return self.is_zero() or self._degree <= m
 
     def coefficient(self, alpha: MultiIndex) -> Fraction:
-        c = self.terms.get(tuple(alpha))
-        return Fraction(0) if c is None else c
+        v = self._nums.get(tuple(alpha))
+        return Fraction(0) if v is None else Fraction(v, self._den)
 
     def homogeneous_component(self, d: int) -> "Polynomial":
-        return Polynomial._trusted(self.n, {a: c for a, c in self.terms.items() if sum(a) == d})
+        return Polynomial._over(
+            self.n, {a: v for a, v in self._nums.items() if sum(a) == d}, self._den
+        )
 
     def leading_form(self) -> "Polynomial":
         """Sum of all terms of top total degree, built once per polynomial,
@@ -315,57 +340,65 @@ class Polynomial:
                 f"polynomials in {self.n} and {other.n} variables"
             )
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
+    def _plus(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """self + sign * other over the lcm of the two denominators."""
         self._check(other)
-        terms = dict(self.terms)
-        for a, c in other.terms.items():
-            t = terms.get(a)
-            terms[a] = c if t is None else t + c
-        return Polynomial._trusted(self.n, terms)
+        D1, D2 = self._den, other._den
+        if D1 == D2:
+            D, terms = D1, dict(self._nums)
+        else:
+            D = D1 // math.gcd(D1, D2) * D2
+            k = D // D1
+            terms = {a: v * k for a, v in self._nums.items()}
+            sign *= D // D2
+        for a, v in other._nums.items():
+            terms[a] = terms.get(a, 0) + sign * v
+        return Polynomial._over(self.n, terms, D)
+
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        terms = dict(self.terms)
-        for a, c in other.terms.items():
-            t = terms.get(a)
-            terms[a] = -c if t is None else t - c
-        return Polynomial._trusted(self.n, terms)
+        return self._plus(other, -1)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._trusted(self.n, {a: -c for a, c in self.terms.items()})
+        return Polynomial._over(self.n, {a: -v for a, v in self._nums.items()}, self._den)
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        # integer numerators over D1 * D2, one Fraction per result term
-        D1, left = self._numerators()
-        D2, right = other._numerators()
         terms: Dict[MultiIndex, int] = {}
-        for a1, c1 in left:
+        right = other._nums.items()
+        for a1, c1 in self._nums.items():
             for a2, c2 in right:
                 a = tuple(map(operator.add, a1, a2))
                 terms[a] = terms.get(a, 0) + c1 * c2
-        return Polynomial._over(self.n, terms, D1 * D2)
+        return Polynomial._over(self.n, terms, self._den * other._den)
 
     def __rmul__(self, other) -> "Polynomial":
         return self.__mul__(other)
 
     def scale(self, c) -> "Polynomial":
-        c = as_fraction(c)
-        return Polynomial._trusted(self.n, {a: c * v for a, v in self.terms.items()})
+        if not isinstance(c, (int, Fraction)):
+            c = as_fraction(c)
+        num = c.numerator
+        return Polynomial._over(
+            self.n, {a: num * v for a, v in self._nums.items()}, c.denominator * self._den
+        )
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Polynomial)
             and self.n == other.n
-            and self.terms == other.terms
+            and self._den == other._den
+            and self._nums == other._nums
         )
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.n, frozenset(self.terms.items())))
+            h = hash((self.n, self._den, frozenset(self._nums.items())))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -389,11 +422,11 @@ class Polynomial:
                 raise DimensionMismatchError(
                     f"point of length {len(q)} for a {self.n}-variate polynomial"
                 )
-        D, numerators = self._numerators()
-        coefficients = [c for _, c in numerators]
+        D, nums = self._den, self._nums
+        coefficients = list(nums.values())
         return [
             Fraction(sum(map(operator.mul, row, coefficients)), D * scale)
-            for scale, row in evaluation_rows(points, [a for a, _ in numerators])
+            for scale, row in evaluation_rows(points, list(nums))
         ]
 
     def __call__(self, point: Sequence) -> Fraction:
@@ -402,17 +435,22 @@ class Polynomial:
     # -- printing ----------------------------------------------------------
 
     def __str__(self) -> str:
-        terms = self.terms
-        if not terms:
+        nums = self._nums
+        if not nums:
             return "0"
+        D = self._den
         names = [f"x{i}" for i in range(1, self.n + 1)]
         pieces: List[str] = []
         # descending lex order, then a stable sort by degree: the order of
         # `monomial_key`, since the keys are distinct
-        for alpha in sorted(sorted(terms, reverse=True), key=sum):
-            c = terms[alpha]
-            num, den = c.numerator, c.denominator
-            mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+        for alpha in sorted(sorted(nums, reverse=True), key=sum):
+            v = nums[alpha]
+            if D == 1:
+                mag = str(abs(v))
+            else:
+                # the term v / D in lowest terms
+                g = math.gcd(v, D)
+                mag = str(abs(v) // g) if g == D else f"{abs(v) // g}/{D // g}"
             factors = "*".join([f"{x}^{e}" if e > 1 else x for x, e in zip(names, alpha) if e])
             if not factors:
                 body = mag
@@ -420,7 +458,7 @@ class Polynomial:
                 body = factors
             else:
                 body = f"{mag}*{factors}"
-            pieces.append(f"- {body}" if num < 0 else f"+ {body}")
+            pieces.append(f"- {body}" if v < 0 else f"+ {body}")
         text = " ".join(pieces)
         return text[2:] if text[0] == "+" else "-" + text[2:]
 
@@ -441,24 +479,31 @@ class Polynomial:
 # the whole text (`_lexical_pass`) finds a character no token holds, an x
 # with no index or a number longer than int() converts before any grammar
 # error, wherever they are. Then one match per term (`_TERM`) and one list
-# of its factors (`_FACTOR`). Python 3.10 has no possessive quantifiers, so
-# each '\s*' is followed only by what cannot start with a blank: an
-# optional group that starts with its operator, or the next factor. A match
-# then keeps a run of blanks whole instead of giving it back one blank at a
-# time.
+# of its factors (`_FACTOR`). No match may give a run of blanks back one
+# blank at a time. So a run is followed by what cannot start with a blank,
+# an optional group that starts with its operator or the next factor; and
+# where a token must follow the run (after the sign, a '/' or a '^'), the
+# run is made atomic by `(?=([ \s]*))\N`, since Python 3.10 has no
+# possessive quantifiers: the lookahead keeps what it matched and the
+# backreference consumes exactly that. A class of blanks lists ' ' before
+# `\s`, which holds it: `re` tests the literal first, and a run of spaces
+# scans about twice as fast.
 _COMMENT = re.compile(r"#[^\n]*")
 # the longest prefix with no lexical error: operators, blanks, digits and
 # variables with an index
-_LEXICAL = re.compile(r"[-+*/^\s\d]*(?:x\d[-+*/^\s\d]*)*")
+_LEXICAL = re.compile(r"[ \s\d+*/^-]*(?:x\d[ \s\d+*/^-]*)*")
 # [sign] factors, each with the optional '*' and the blanks after it; a
 # factor is a number over an optional denominator or a variable with an
-# optional exponent. Group 1 spans the factors.
-_TERM = re.compile(r"[-+]?\s*((?:(?:\d+\s*(?:/\s*\d+\s*)?|x\d+\s*(?:\^\s*\d+\s*)?)(?:\*\s*)?)+)")
+# optional exponent. The group "factors" spans the factors.
+_TERM = re.compile(
+    r"[-+]?(?=([ \s]*))\1(?P<factors>(?:(?:\d+[ \s]*(?:/(?=([ \s]*))\3\d+[ \s]*)?"
+    r"|x\d+[ \s]*(?:\^(?=([ \s]*))\4\d+[ \s]*)?)(?:\*[ \s]*)?)+)"
+)
 # over a term's factors: ("x", index, exponent) or ("", coefficient,
 # denominator), "" for a number that is absent; in a term a '/' follows
 # only a coefficient and a '^' only an index. Like `_TERM`, each match
 # takes the '*' and the blanks up to the next factor.
-_FACTOR = re.compile(r"(x?)(\d+)\s*(?:[/^]\s*(\d+)\s*)?(?:\*\s*)?")
+_FACTOR = re.compile(r"(x?)(\d+)[ \s]*(?:[/^][ \s]*(\d+)[ \s]*)?(?:\*[ \s]*)?")
 
 
 def int_digit_limit() -> int:
@@ -480,7 +525,7 @@ def _lexical_pass(text: str) -> str:
         # the prefix's digit runs up to the first one longer than `digits`,
         # each run read whole; then the factor of that run, from its x if
         # it has one (the x ends the match)
-        short = re.compile(rf"\D*(?:\d{{1,{digits}}}(?!\d)\D*)*").match(text, 0, pos).end()
+        short = re.compile(rf"[ \D]*(?:\d{{1,{digits}}}(?!\d)[ \D]*)*").match(text, 0, pos).end()
         if short < pos:
             long = _FACTOR.search(text, max(short - 1, 0))
             raise ParseError(
@@ -505,7 +550,10 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
         raise ParseError("empty expression", pos)
     if text[pos] == "+":
         raise ParseError("expression may not start with '+'", pos)
-    terms: Dict[MultiIndex, Fraction] = {}
+    # integer coefficients stay ints; a term with a denominator makes one
+    # Fraction, and the sum of an int and a Fraction is one
+    terms: Dict[MultiIndex, int] = {}
+    rational = False
     while pos < end:
         term = _TERM.match(text, pos)
         if term is None:
@@ -515,7 +563,7 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
             )
         num, den = (-1 if text[pos] == "-" else 1), 1
         alpha = [0] * n
-        factors = _FACTOR.findall(text, *term.span(1))
+        factors = _FACTOR.findall(text, *term.span("factors"))
         for x, k, m in factors:
             if x:
                 k = int(k)
@@ -529,14 +577,16 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
                     if not m:
                         _factor_error(text, term, n)
                     den *= m
-        coeff = Fraction(num) if den == 1 else Fraction(num, den)
+        if den != 1:
+            num = Fraction(num, den)
+            rational = True
         alpha = tuple(alpha)
         t = terms.get(alpha)
-        terms[alpha] = coeff if t is None else t + coeff
+        terms[alpha] = num if t is None else t + num
         pos = term.end()
         if pos < end and text[pos] not in "+-":
             _follow_error(text, pos, term, factors[-1])
-    return Polynomial._trusted(n, terms)
+    return Polynomial._trusted(n, terms) if rational else Polynomial._over(n, terms, 1)
 
 
 def _next_token(text: str, pos: int) -> int:
@@ -548,7 +598,7 @@ def _next_token(text: str, pos: int) -> int:
 def _factor_error(text: str, term: re.Match, n: int) -> None:
     """Raise the ParseError of the first factor of the term with an index
     outside 1..n or a zero denominator."""
-    for factor in _FACTOR.finditer(text, *term.span(1)):
+    for factor in _FACTOR.finditer(text, *term.span("factors")):
         x, k, m = factor.groups()
         if x and not 0 < int(k) <= n:
             raise ParseError(f"variable index {int(k)} out of range 1..{n}", factor.start())
@@ -563,7 +613,7 @@ def _follow_error(text: str, pos: int, term: re.Match, last: Tuple[str, ...]) ->
     lacks its number at the token after it; anything else belongs to no
     term."""
     x, _, m = last
-    if not m and not text[term.start(1) : pos].rstrip().endswith("*"):
+    if not m and not text[term.start("factors") : pos].rstrip().endswith("*"):
         after = _next_token(text, pos + 1)
         if text[pos] == "/" and not x:
             raise ParseError("expected a positive integer denominator", after)

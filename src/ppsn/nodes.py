@@ -267,7 +267,9 @@ def verify_ppsn(
             n=n,
             expected_count=expected,
             proper=False,
-            kernel_functional=tuple(w * s / scales[f] for w, s in zip(kernel, scales)),
+            kernel_functional=tuple(
+                Fraction(w.numerator * s, w.denominator * scales[f]) for w, s in zip(kernel, scales)
+            ),
         )
     forms, profile = (manifold.leading_forms, manifold.profile) if manifold else (None, None)
     return _proper_certificate(forms, profile, n, m)
@@ -475,18 +477,19 @@ class FactorableSystem:
 
     def selections(
         self, omit: Optional[int] = None
-    ) -> Iterator[Tuple[Tuple[int, ...], List[List[Fraction]]]]:
+    ) -> Iterator[Tuple[Tuple[int, ...], List[List[int]]]]:
         """Every choice of one linear form per hypersurface, skipping
         hypersurface `omit` (1-based) when given, as (choice, rows): choice
         holds the 1-based index of each chosen form, and the form
-        a . x + c contributes the row [a | -c]."""
+        a . x + c contributes the integer row [D a | -D c], D the form's
+        denominator, which has the same solutions."""
         n = self.n
         kept = [fs for i, fs in enumerate(self.factors, 1) if i != omit]
         for combo in itertools.product(*[range(len(fs)) for fs in kept]):
             rows = []
             for fs, j in zip(kept, combo):
-                row = [Fraction(0)] * (n + 1)
-                for alpha, c in fs[j].terms.items():
+                row = [0] * (n + 1)
+                for alpha, c in fs[j]._numerators()[1].items():
                     if sum(alpha):
                         row[alpha.index(1)] = c
                     else:

@@ -1,10 +1,12 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import Phase
 from hypothesis import strategies as st
 
-from ppsn import Manifold, macaulay, nodes, parse_polynomial, parse_system_text
+import reference
+from ppsn import Manifold, Polynomial, macaulay, nodes, parse_polynomial, parse_system_text
 
 
 # Each example of the elimination-heavy property tests runs whole
@@ -78,3 +80,21 @@ def sphere_point(u, v):
     """The rational point of the unit sphere at parameters (u, v)."""
     d = 1 + u * u + v * v
     return (2 * u / d, 2 * v / d, (u * u + v * v - 1) / d)
+
+
+def assert_stored_form(poly):
+    """poly keeps its one stored form: nonzero int numerators over D >= 1
+    with gcd(D, numerators) = 1, `terms` of Fractions in lowest terms, the
+    text the Fraction-per-term printer writes, and the equality and hash of
+    the constructor's polynomial on those terms."""
+    D, numerators = poly._numerators()
+    assert type(D) is int and D >= 1 and math.gcd(D, *numerators.values()) == 1
+    assert all(type(v) is int and v for v in numerators.values())
+    terms = poly.terms
+    assert all(
+        type(c) is Fraction and c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
+        for c in terms.values()
+    )
+    assert str(poly) == reference.polynomial_str(poly)
+    again = Polynomial(poly.n, terms)
+    assert poly == again and hash(poly) == hash(again)

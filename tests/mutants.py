@@ -198,10 +198,10 @@ CATALOGUE: List[Mutant] = [
         ),
     ),
     Mutant(
-        "the infinity check accepts a rank one short",
+        "a selection, the infinity check's among them, accepts a rank one short",
         "src/ppsn/macaulay.py",
-        "rank == len(monos)",
-        "rank >= len(monos) - 1",
+        "    if echelon.rank != expected:\n",
+        "    if echelon.rank < expected - 1:\n",
         (
             "tests/test_macaulay.py::test_infinity_check_false",
             "tests/test_macaulay.py::test_infinity_check_matches_a_fraction_rank",
@@ -281,10 +281,10 @@ CATALOGUE: List[Mutant] = [
         ("tests/test_mpoly.py::test_evaluation_refuses_a_degree_above_the_budget_before_its_plan",),
     ),
     Mutant(
-        "the infinity check builds its items whatever the witnesses' degree",
+        "a selection, the infinity check's among them, builds its items past the budget",
         "src/ppsn/macaulay.py",
-        "    require_dense_size(n, target)  # before the items: a witness may have any degree\n",
-        "",
+        "    require_dense_size(n, m)\n    monos, rows, labels = elementary_items(leading_forms, n, m)\n",
+        "    monos, rows, labels = elementary_items(leading_forms, n, m)\n",
         ("tests/test_macaulay.py::test_infinity_check_refuses_a_witness_degree_past_the_budget",),
     ),
     Mutant(
@@ -445,6 +445,33 @@ CATALOGUE: List[Mutant] = [
             "tests/test_dimension.py::test_hilbert_table_is_the_per_term_convolution",
             "tests/test_dimension.py::test_series_equals_backward_difference",
             "tests/test_cli.py::test_dim_json_matches_columns",
+        ),
+    ),
+    Mutant(
+        "a polynomial keeps a common factor of its numerators and denominator",
+        "src/ppsn/mpoly.py",
+        "            g = math.gcd(D, *nums.values())\n",
+        "            g = 1\n",
+        (
+            "tests/test_mpoly.py::test_every_route_to_a_polynomial_gives_its_form_and_hash",
+            "tests/test_mpoly.py::test_arithmetic_matches_the_validating_constructor",
+        ),
+    ),
+    Mutant(
+        "a term is printed over the denominator without reducing it",
+        "src/ppsn/mpoly.py",
+        "                g = math.gcd(v, D)\n",
+        "                g = 1\n",
+        ("tests/test_mpoly.py::test_str_is_the_fraction_per_term_printer",),
+    ),
+    Mutant(
+        "reduce_modulo leaves the collected remainder and cofactors unscaled when D grows",
+        "src/ppsn/macaulay.py",
+        "itertools.chain(work.values(), remainder, cofactors)",
+        "work.values()",
+        (
+            "tests/test_macaulay.py::test_reduce_modulo_matches_polynomial_reference",
+            "tests/test_macaulay.py::test_reduce_modulo_matches_a_fresh_solve_per_degree",
         ),
     ),
     Mutant(

@@ -6,7 +6,9 @@
 - `value` and `row`: naive Fraction evaluation, term by term;
 - `reduce_modulo` and `hbase_decompose`: the canonical reduction and the
   H-base decomposition built from `Polynomial` temporaries, each degree's
-  weights from `solve`.
+  weights from `solve`;
+- `polynomial_str`: the printer `Polynomial.__str__` had when it stored
+  one Fraction per term, reading `terms`.
 
 A new differential test compares against these rather than adding
 another. Nothing here imports `ppsn.linalg` or `ppsn.nodes`, so a fault in
@@ -14,7 +16,7 @@ the elimination and evaluation kernels cannot hide in their reference."""
 
 from fractions import Fraction
 
-from ppsn.macaulay import elementary_items, select_monomials
+from ppsn.macaulay import select_monomials
 from ppsn.mpoly import Polynomial, monomial_basis
 
 
@@ -143,7 +145,10 @@ def reduce_modulo(f, manifold):
             work = work - hom
             continue
         v = [hom.coefficient(mu) for mu in sel.monomials]
-        items = elementary_items(manifold.leading_forms, manifold.n, t)[1]
+        items = [
+            [(Polynomial.monomial(alpha) * manifold.leading_forms[i]).coefficient(mu) for mu in sel.monomials]
+            for alpha, i in sel.labeled_items
+        ]
         system = [[item[c] for item in items] for c in sel.selected]
         lam = solve(system, [v[c] for c in sel.selected])
         combo = [Fraction(0)] * len(sel.monomials)
@@ -193,3 +198,27 @@ def hbase_decompose(g, manifold):
         if c != 0:
             cof_terms[i][beta] = c
     return tuple(Polynomial(n, t) for t in cof_terms)
+
+
+def polynomial_str(poly):
+    """The polynomial's text: its terms in the graded order, each sign then
+    magnitude, read off its Fraction coefficients."""
+    terms = poly.terms
+    if not terms:
+        return "0"
+    names = [f"x{i}" for i in range(1, poly.n + 1)]
+    pieces = []
+    for alpha in sorted(sorted(terms, reverse=True), key=sum):
+        c = terms[alpha]
+        num, den = c.numerator, c.denominator
+        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+        factors = "*".join([f"{x}^{e}" if e > 1 else x for x, e in zip(names, alpha) if e])
+        if not factors:
+            body = mag
+        elif mag == "1":
+            body = factors
+        else:
+            body = f"{mag}*{factors}"
+        pieces.append(f"- {body}" if num < 0 else f"+ {body}")
+    text = " ".join(pieces)
+    return text[2:] if text[0] == "+" else "-" + text[2:]

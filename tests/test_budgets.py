@@ -17,6 +17,7 @@ from ppsn import (
     NodeSet,
     build_curve_chain,
     canonical_monomials,
+    cli,
     cb_extend_curve,
     cb_reduce,
     construct,
@@ -204,3 +205,60 @@ def test_eliminations(fixture, monkeypatch):
         monkeypatch.setattr(linalg, name, spy)
     call()
     assert (counts["row_reduce_mod"], counts["IntegerEchelon"]) == expected
+
+
+def ninety_nine_terms():
+    """99 integer terms of degree <= 8 in three variables, the size of the
+    benchmark's sphere reductions (the CI cold-start table's p3_99.txt)."""
+    monomials = [
+        (a, b, d - a - b) for d in range(9) for a in range(d, -1, -1) for b in range(d - a, -1, -1)
+    ]
+    terms = []
+    for k, alpha in enumerate(monomials):
+        if k % 5 < 3:
+            factors = "".join(f"*x{i}^{e}" for i, e in enumerate(alpha, 1) if e)
+            terms.append(f"{'-' if k % 2 else '+'} {k % 3 + 1}{factors}")
+    return " ".join(terms)[2:] + "\n"
+
+
+# fixture -> (files, argv with {file} fields, Fraction.__new__ calls): integer
+# inputs are parsed, reduced, decomposed and printed on integer numerators
+FRACTIONS_MADE = {
+    "reduce-sphere-99-terms": (
+        {"sphere": "x1^2 + x2^2 + x3^2 - 1\n", "poly": ninety_nine_terms()},
+        ["reduce", "--manifold", "{sphere}", "--poly-file", "{poly}", "--json"],
+        0,
+    ),
+    "hbase-quadric-mmax4": (
+        {
+            "quadric": "x1^2 + x2^2 + x3^2 - 1\nx1*x2 - x3^2 + 2*x1 - 1\n",
+            "witness": "x3 - 5\n",
+        },
+        ["hbase", "--manifold", "{quadric}", "--witnesses", "{witness}", "--mmax", "4", "--json"],
+        0,
+    ),
+}
+
+
+@pytest.mark.parametrize("fixture", FRACTIONS_MADE)
+def test_fractions_made(fixture, tmp_path, monkeypatch, capsys):
+    texts, argv, expected = FRACTIONS_MADE[fixture]
+    files = {}
+    for name, text in texts.items():
+        files[name] = tmp_path / f"{name}.txt"
+        files[name].write_text(text)
+    argv = [arg.format(**files) for arg in argv]
+    made = []
+    new = Fraction.__new__
+
+    def spy(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", spy)
+    assert F(1, 3) and len(made) == 1  # the spy sees every Fraction built
+    made.clear()
+    code = cli.main(argv)
+    monkeypatch.undo()
+    assert code == 0 and capsys.readouterr().out
+    assert len(made) == expected

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from conftest import NO_SHRINK
+from conftest import NO_SHRINK, assert_stored_form
 from ppsn import (
     DecompositionError,
     InputError,
@@ -435,6 +435,11 @@ def test_reduce_modulo_matches_polynomial_reference(case):
     assert [c.terms for c in form.cofactors] == [c.terms for c in cofactors]
     assert str(form.remainder) == str(remainder)
     assert [str(c) for c in form.cofactors] == [str(c) for c in cofactors]
+    # the numerators over the running denominator leave in the stored form
+    assert (form.remainder, *form.cofactors) == (remainder, *cofactors)
+    assert hash((form.remainder, *form.cofactors)) == hash((remainder, *cofactors))
+    for poly in (form.remainder, *form.cofactors):
+        assert_stored_form(poly)
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))

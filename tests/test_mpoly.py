@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
+from conftest import assert_stored_form
 from ppsn import (
     InputError,
     Manifold,
@@ -326,6 +327,7 @@ def assert_validated(result, raw_terms, n):
     assert result.degree == ref.degree
     assert hash(result) == hash(ref)
     assert result == ref
+    assert_stored_form(result)
 
 
 @st.composite
@@ -372,6 +374,46 @@ def test_arithmetic_matches_the_validating_constructor(pair, c, d):
     assert_validated(
         p.homogeneous_component(d), {a: v for a, v in p.terms.items() if sum(a) == d}, n
     )
+    if not p.is_zero():
+        top = p.degree
+        assert_validated(p.leading_form(), {a: v for a, v in p.terms.items() if sum(a) == top}, n)
+
+
+# -- the stored form: integer numerators over one denominator ---------------------
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(polynomials(n), polynomials(n))), fractions_st)
+@example((parse_polynomial("1/2*x1 + 1/3", 1), parse_polynomial("1/6*x1", 1)), Fraction(6))
+@example((parse_polynomial("2/3*x1^2 - 4/9*x2", 2), Polynomial.zero(2)), Fraction(-9, 2))
+def test_every_route_to_a_polynomial_gives_its_form_and_hash(pair, c):
+    p, q = pair
+    n = p.n
+    routes = [
+        Polynomial(n, p.terms),
+        parse_polynomial(str(p), n),
+        (p + q) - q,
+        p - q + q,
+        -(-p),
+        p * Polynomial.constant(n, 1),
+        p.scale(c).scale(1 / c) if c else p.scale(1),
+        sum((p.homogeneous_component(d) for d in range(p.degree + 1)), Polynomial.zero(n)),
+    ]
+    if not p.is_zero():
+        routes.append(p.leading_form() + (p - p.leading_form()))
+    for r in routes:
+        assert r == p and hash(r) == hash(p)
+        assert_stored_form(r)
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 3).flatmap(polynomials))
+@example(parse_polynomial("-1/2*x1^2 - x1*x2 + 1/2", 2))
+@example(parse_polynomial("2/4*x1 - 6/3 + 5/10*x2^3", 2))
+@example(Polynomial.constant(3, Fraction(-7, 3)))
+@example(Polynomial.zero(1))
+def test_str_is_the_fraction_per_term_printer(p):
+    assert str(p) == reference.polynomial_str(p)
 
 
 # -- parsing against a term-by-term reference -------------------------------------
@@ -450,6 +492,9 @@ SCANNER_FRAGMENTS = [
 # texts longer than the 4,300 digits int() converts: the long-number check
 # reads them whole
 PAD = " " * 800
+# a failing term after a run a token must follow: after the sign, a '/' or a
+# '^', each run is read once, never given back one blank at a time
+BLANKS = " " * 400_000
 LIMIT_DIGITS = "7" * max(INT_DIGIT_LIMIT, 1)
 
 
@@ -479,5 +524,8 @@ def parse_outcome(parse, text, n):
 @example(PAD.join(["x1 x2", "@", "7" + LIMIT_DIGITS]), 2)
 @example(PAD.join(["x1 x2", "x", "7" + LIMIT_DIGITS]), 2)
 @example(PAD.join([LIMIT_DIGITS, "/", LIMIT_DIGITS, "* x1 ^", "3"]), 2)
+@example("- " + BLANKS + "+ x1", 2)
+@example("2 /" + BLANKS + "x1", 2)
+@example("x1" + BLANKS + "^" + BLANKS + "+", 2)
 def test_scanner_matches_the_token_reference(text, n):
     assert parse_outcome(parse_polynomial, text, n) == parse_outcome(token_parse_polynomial, text, n)

@@ -220,12 +220,16 @@ def test_intersect_numbers_coincident_points_by_selection():
 
 
 def test_selections_yield_affine_rows():
+    # each form a . x + c as [D a | -D c], D its denominator: x1 - x2 + 1/3
+    # gives the integer row of 3*x1 - 3*x2 + 1
     system = parse_system_text("(2*x1 - 1)*x2\n(x1 - x2 + 1/3)\n")
-    assert list(system.selections()) == [
-        ((1, 1), [[F(2), F(0), F(1)], [F(1), F(-1), F(-1, 3)]]),
-        ((2, 1), [[F(0), F(1), F(0)], [F(1), F(-1), F(-1, 3)]]),
+    selections = list(system.selections())
+    assert selections == [
+        ((1, 1), [[2, 0, 1], [3, -3, -1]]),
+        ((2, 1), [[0, 1, 0], [3, -3, -1]]),
     ]
-    assert list(system.selections(omit=1)) == [((1,), [[F(1), F(-1), F(-1, 3)]])]
+    assert all(type(v) is int for _, rows in selections for row in rows for v in row)
+    assert list(system.selections(omit=1)) == [((1,), [[3, -3, -1]])]
 
 
 def test_intersect_coincident_points_fail():
